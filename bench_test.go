@@ -241,6 +241,43 @@ func BenchmarkSVD1008x49(b *testing.B) {
 	}
 }
 
+// BenchmarkSVD1008x120 is the same decomposition at the wide-network
+// scale of the end-to-end ledger (120 links): the seed fit that owns
+// setup_s and the per-window refit that owns live CPU there.
+func BenchmarkSVD1008x120(b *testing.B) {
+	y := largeLinkTrace(120)
+	y.CenterColumns()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := mat.SVD(y); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSymEig times the symmetric eigensolver at the three sizes the
+// detectors hand it: the sketch backend's ell x ell Gram at 120 links
+// (n = 28, once per ~14 inserted bins), and the incremental backend's
+// m x m covariance at Abilene (41) and wide (120) scale.
+func BenchmarkSymEig(b *testing.B) {
+	for _, n := range []int{28, 41, 120} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		y := mat.Zeros(4*n, n)
+		for i := range y.RawData() {
+			y.RawData()[i] = rng.NormFloat64()
+		}
+		g := y.Gram()
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := mat.SymEig(g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkModelFit times the full model pipeline (PCA + separation +
 // Q-limit) on real link-load data — the cost of the weekly refit in
 // online deployment.

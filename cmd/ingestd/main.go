@@ -332,6 +332,13 @@ func main() {
 		}
 	}
 
+	// Installed before any "listening on" line is printed: a supervisor
+	// may signal the moment it reads that line, and a SIGTERM that
+	// found the default action still in place would kill the process
+	// without draining or writing the final checkpoint.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	var listeners []net.Listener
 	addListener := func(network, addr string) {
 		ln, err := net.Listen(network, addr)
@@ -374,8 +381,6 @@ func main() {
 		}()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case <-sig:
 		fmt.Println("ingestd: signal received, draining")

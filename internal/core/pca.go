@@ -93,17 +93,18 @@ func FitEig(y *mat.Dense) (*PCA, error) {
 		return nil, fmt.Errorf("core: covariance eigendecomposition failed: %w", err)
 	}
 	variances := make([]float64, m)
-	proj := mat.Zeros(t, m)
-	for i := 0; i < m; i++ {
-		ev := vals[i]
+	for i, ev := range vals {
 		if ev < 0 {
 			ev = 0 // numerical noise on a PSD matrix
 		}
 		variances[i] = ev / float64(t-1)
-		ui := mat.MulVec(work, vecs.Col(i))
-		mat.Normalize(ui)
-		proj.SetCol(i, ui)
 	}
+	// Row i of V^T Y^T is (Y v_i)^T: normalize the rows, transpose back.
+	ut := mat.Mul(vecs.T(), work.T())
+	for i := 0; i < m; i++ {
+		mat.Normalize(ut.RowView(i))
+	}
+	proj := ut.T()
 	return &PCA{
 		Components:  vecs,
 		Variances:   variances,

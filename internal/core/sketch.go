@@ -41,6 +41,12 @@ type FDSketch struct {
 	mean   []float64  // running per-link mean
 	n      int        // total inserted rows
 	energy float64    // exact sum of ||x - mean||^2 over inserted rows
+
+	// Solve workspace, allocated by the first solve and reused by every
+	// later one, so a steady-state Insert allocates nothing.
+	gram       *mat.Dense // ell x ell: B B^T, then its eigenvectors, then the rebuild coefficients
+	vals, work []float64  // eigenvalues and eigensolver scratch
+	spare      *mat.Dense // ell x m: where a solve writes its rows; shrink swaps it with b
 }
 
 // NewFDSketch returns an empty sketch of ell rows over m links.
@@ -64,11 +70,6 @@ func (s *FDSketch) Size() int { return s.ell }
 
 // Count returns how many rows have been inserted.
 func (s *FDSketch) Count() int { return s.n }
-
-// rowsView returns the occupied prefix of the buffer without copying.
-func (s *FDSketch) rowsView() *mat.Dense {
-	return mat.NewDense(s.used, s.m, s.b.RawData()[:s.used*s.m])
-}
 
 // Insert absorbs one measurement vector: the running mean advances,
 // the centered row lands in the buffer, and a full buffer triggers a
@@ -120,38 +121,89 @@ func (s *FDSketch) InsertMasked(y *mat.Dense, skip []bool) error {
 	return nil
 }
 
-// shrink halves the buffer occupancy: eigendecompose G = B B^T, shed
-// the median eigenvalue delta from every direction, and rebuild the
-// buffer rows as sqrt(lambda_i - delta) * v_i for the directions that
-// survive. All linear algebra is ell-sized; m enters only through the
-// two rectangular products.
+// leading returns the first rows*cols elements of d's storage as a rows x
+// cols matrix — d itself when that is all of it, so solving a full buffer
+// allocates no header.
+func leading(d *mat.Dense, rows, cols int) *mat.Dense {
+	if r, c := d.Dims(); r == rows && c == cols {
+		return d
+	}
+	return mat.NewDense(rows, cols, d.RawData()[:rows*cols])
+}
+
+// solve eigendecomposes the Gram matrix G = B B^T of the occupied rows
+// and returns its descending eigenvalues together with a matrix whose
+// row i is weight(vals, i) * v_i^T B, the i-th right singular direction
+// of B scaled by the caller's weight (||v_i^T B||^2 = vals[i]). The
+// first zero weight ends the kept directions: k counts them and every
+// later row is zero. All linear algebra is ell-sized; m enters only
+// through the two rectangular products. The results alias the sketch's
+// workspace and are valid until the next solve.
+func (s *FDSketch) solve(weight func(vals []float64, i int) float64) (vals []float64, rows *mat.Dense, k int, err error) {
+	if s.gram == nil {
+		s.gram, s.spare = mat.Zeros(s.ell, s.ell), mat.Zeros(s.ell, s.m)
+		s.vals, s.work = make([]float64, s.ell), make([]float64, s.ell)
+	}
+	u := s.used
+	bu := leading(s.b, u, s.m)
+	gram := leading(s.gram, u, u)
+	g := gram.RawData()
+	for i := 0; i < u; i++ {
+		ri := bu.RowView(i)
+		for j := i; j < u; j++ {
+			d := mat.Dot(ri, bu.RowView(j))
+			g[i*u+j], g[j*u+i] = d, d
+		}
+	}
+	vals = s.vals[:u]
+	if err := mat.SymEigInPlace(gram, vals, s.work[:u]); err != nil {
+		return nil, nil, 0, err
+	}
+	// Eigenvector rows become coefficient rows in place. B has rank at
+	// most m, so directions past m are round-off whatever their value.
+	for k < u && k < s.m {
+		w := weight(vals, k)
+		if w == 0 {
+			break
+		}
+		mat.ScaleVec(gram.RowView(k), w)
+		k++
+	}
+	clear(g[k*u:])
+	rows = leading(s.spare, u, s.m)
+	mat.MulInto(rows, gram, bu)
+	return vals, rows, k, nil
+}
+
+// shedMedian is the Frequent-Directions shrink weight: subtract the
+// median eigenvalue delta from every direction's energy, so direction i
+// survives as sqrt(lambda_i - delta) * v_i and at least half are shed.
+func shedMedian(vals []float64, i int) float64 {
+	delta := math.Max(vals[len(vals)/2], 0)
+	if vals[i] <= delta {
+		return 0
+	}
+	return math.Sqrt((vals[i] - delta) / vals[i])
+}
+
+// unitDirection weights direction i to unit length, ending the spectrum
+// where it falls to round-off of the leading eigenvalue.
+func unitDirection(vals []float64, i int) float64 {
+	if vals[i] <= 1e-12*vals[0] || vals[i] <= 0 {
+		return 0
+	}
+	return 1 / math.Sqrt(vals[i])
+}
+
+// shrink runs when the buffer is full and at least halves its
+// occupancy: the shed-corrected directions land in the spare buffer,
+// which then trades places with the old one.
 func (s *FDSketch) shrink() error {
-	bu := s.rowsView()
-	vals, vecs, err := mat.SymEig(mat.Mul(bu, bu.T()))
+	_, _, k, err := s.solve(shedMedian)
 	if err != nil {
 		return fmt.Errorf("core: sketch shrink: %w", err)
 	}
-	delta := vals[s.ell/2]
-	if delta < 0 {
-		delta = 0
-	}
-	fresh := mat.Zeros(s.ell, s.m)
-	k := 0
-	for i := 0; i < s.used; i++ {
-		li := vals[i]
-		if li <= delta || li <= 0 {
-			break // descending spectrum: everything after is shed too
-		}
-		// New row k = sigma'_i * v_i = sqrt((li-delta)/li) * B^T u_i.
-		scale := math.Sqrt((li - delta) / li)
-		dir := mat.MulTVec(bu, vecs.Col(i))
-		row := fresh.RowView(k)
-		for j, v := range dir {
-			row[j] = scale * v
-		}
-		k++
-	}
-	s.b = fresh
+	s.b, s.spare = s.spare, s.b
 	s.used = k
 	return nil
 }
@@ -183,10 +235,12 @@ func (s *FDSketch) PCA() (*PCA, int, error) {
 	if s.used == 0 {
 		return nil, 0, fmt.Errorf("core: sketch holds no directions")
 	}
-	bu := s.rowsView()
-	vals, vecs, err := mat.SymEig(mat.Mul(bu, bu.T()))
+	vals, dirs, k, err := s.solve(unitDirection)
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: sketch eigendecomposition: %w", err)
+	}
+	if k == 0 {
+		return nil, 0, fmt.Errorf("core: sketch spectrum collapsed")
 	}
 	var retained float64
 	for _, v := range vals {
@@ -200,27 +254,16 @@ func (s *FDSketch) PCA() (*PCA, int, error) {
 	}
 	denom := float64(s.n - 1)
 	comps := mat.Zeros(s.m, s.m)
+	cd := comps.RawData()
 	variances := make([]float64, s.m)
-	floor := 1e-12 * vals[0]
-	k := 0
-	for i := 0; i < s.used && k < s.m; i++ {
-		li := vals[i]
-		if li <= floor || li <= 0 {
-			break
-		}
-		dir := mat.MulTVec(bu, vecs.Col(i))
-		inv := 1 / math.Sqrt(li)
-		for r, v := range dir {
-			comps.Set(r, k, inv*v)
-		}
-		variances[k] = (li + alpha) / denom
-		k++
-	}
-	if k == 0 {
-		return nil, 0, fmt.Errorf("core: sketch spectrum collapsed")
-	}
-	for i := k; i < s.m; i++ {
+	for i := range variances {
 		variances[i] = alpha / denom
+	}
+	for i := 0; i < k; i++ {
+		for r, v := range dirs.RowView(i) {
+			cd[r*s.m+i] = v
+		}
+		variances[i] = (vals[i] + alpha) / denom
 	}
 	p := &PCA{
 		Components:  comps,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"netanomaly/internal/mat"
@@ -227,5 +228,31 @@ func TestSketchSizeValidation(t *testing.T) {
 	}
 	if d.SketchSize() < 2*rank {
 		t.Fatalf("defaulted sketch size %d below 2*rank (%d)", d.SketchSize(), 2*rank)
+	}
+}
+
+// TestFDSketchInsertAllAllocFree is the sketch's counterpart of
+// TestCovTrackerUpdateAllAllocFree: at 120 links and ell = 28 a 64-bin
+// batch runs four or five shrinks, and once the first shrink has built
+// the workspace none of them may allocate — the Gram, the eigensolve and
+// the rebuild all run in place and the two row buffers trade places.
+func TestFDSketchInsertAllAllocFree(t *testing.T) {
+	const links, ell = 120, 28
+	rng := rand.New(rand.NewSource(12))
+	y := randMatrix(rng, 64, links)
+	sk, err := NewFDSketch(links, ell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sk.InsertAll(y); err != nil { // warm up: builds the workspace
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := sk.InsertAll(y); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("InsertAll allocates %.1f times per 64-bin batch", allocs)
 	}
 }

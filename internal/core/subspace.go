@@ -30,15 +30,27 @@ func SeparateAxes(p *PCA, sigma float64) int {
 	}
 	m := p.NumComponents()
 	r := m
-	for i := 0; i < m; i++ {
-		u := p.Projections.Col(i)
-		mean, std := stats.MeanStd(u)
+	t := p.Projections.Rows()
+	u := p.Projections.RawData()
+	for i := 0; i < m && t >= 2; i++ { // a covariance-only PCA has no temporal view
+		// Projection i is column i: walk it in place, m apart, with
+		// the sums of stats.MeanStd in the same order.
+		var sum, ss float64
+		for k := i; k < len(u); k += m {
+			sum += u[k]
+		}
+		mean := sum / float64(t)
+		for k := i; k < len(u); k += m {
+			d := u[k] - mean
+			ss += d * d
+		}
+		std := math.Sqrt(ss / float64(t-1))
 		if std == 0 {
 			continue
 		}
 		violated := false
-		for _, v := range u {
-			if v > mean+sigma*std || v < mean-sigma*std {
+		for k := i; k < len(u); k += m {
+			if u[k] > mean+sigma*std || u[k] < mean-sigma*std {
 				violated = true
 				break
 			}

@@ -4,132 +4,266 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrNotSymmetric is returned by SymEig when its input is not symmetric.
 var ErrNotSymmetric = errors.New("mat: matrix is not symmetric")
 
 // ErrNoConvergence is returned when an iterative decomposition fails to
-// converge within its sweep budget. It should not occur for the matrix
-// sizes this library targets.
+// converge within its iteration budget, or is handed non-finite input
+// (which no iteration can converge on).
 var ErrNoConvergence = errors.New("mat: iteration did not converge")
 
 const (
-	jacobiMaxSweeps = 60
-	symTol          = 1e-8
+	// qlMaxIter bounds the implicit-shift QL iterations spent on one
+	// eigenvalue; convergence is cubic, so 2-3 is typical.
+	qlMaxIter = 60
+	symTol    = 1e-8
 )
 
-// SymEig computes the eigendecomposition of the symmetric matrix a using
-// the cyclic Jacobi method. It returns the eigenvalues sorted in
-// descending order and a matrix whose columns are the corresponding
-// orthonormal eigenvectors, so that a = V * diag(vals) * V^T.
+// SymEig computes the eigendecomposition of the symmetric matrix a by
+// Householder tridiagonalisation followed by implicit-shift QL. It
+// returns the eigenvalues sorted in descending order and a matrix whose
+// columns are the corresponding orthonormal eigenvectors, so that
+// a = V * diag(vals) * V^T.
 //
 // Computing all principal components of the link traffic matrix Y is
 // equivalent to solving the symmetric eigenvalue problem for the
 // covariance matrix Y^T Y (Section 7.1 of the paper).
 func SymEig(a *Dense) (vals []float64, vecs *Dense, err error) {
-	n, c := a.Dims()
-	if n != c {
-		panic(fmt.Sprintf("mat: SymEig requires a square matrix, got %dx%d", n, c))
+	vt := a.Clone()
+	vals = make([]float64, a.rows)
+	if err := SymEigInPlace(vt, vals, make([]float64, a.rows)); err != nil {
+		return nil, nil, err
 	}
-	scale := a.MaxAbs()
-	if scale == 0 {
-		scale = 1
+	return vals, vt.T(), nil
+}
+
+// SymEigInPlace is SymEig on caller-owned storage, for callers that
+// solve the same-sized problem on every step of a stream: it overwrites
+// the symmetric matrix a with its orthonormal eigenvectors as ROWS (the
+// transpose of SymEig's vecs), writes the descending eigenvalues into
+// vals, uses work as scratch (both of length n) and allocates nothing.
+// On error a is left in an unspecified state.
+func SymEigInPlace(a *Dense, vals, work []float64) error {
+	n := a.rows
+	if n != a.cols {
+		panic(fmt.Sprintf("mat: SymEig requires a square matrix, got %dx%d", n, a.cols))
+	}
+	if len(vals) != n || len(work) != n {
+		panic(fmt.Sprintf("mat: SymEig workspace lengths %d,%d != %d", len(vals), len(work), n))
+	}
+	z := a.data
+	var scale float64
+	for _, v := range z {
+		if v-v != 0 { // NaN or ±Inf
+			return fmt.Errorf("mat: SymEig input has non-finite entries: %w", ErrNoConvergence)
+		}
+		if av := math.Abs(v); av > scale {
+			scale = av
+		}
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if math.Abs(a.At(i, j)-a.At(j, i)) > symTol*scale {
-				return nil, nil, ErrNotSymmetric
+			if math.Abs(z[i*n+j]-z[j*n+i]) > symTol*scale {
+				return ErrNotSymmetric
 			}
 		}
 	}
-	w := a.Clone()
-	v := Identity(n)
-	for sweep := 0; sweep < jacobiMaxSweeps; sweep++ {
-		// Off-diagonal Frobenius norm: converged when negligible.
-		var off float64
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += 2 * w.At(i, j) * w.At(i, j)
+	tridiagonalize(z, n, vals, work)
+	if !qlImplicit(z, n, vals, work) {
+		return ErrNoConvergence
+	}
+	// Selection sort, descending, carrying the eigenvector rows along.
+	for i := 0; i < n-1; i++ {
+		k := i
+		for j := i + 1; j < n; j++ {
+			if vals[j] > vals[k] {
+				k = j
 			}
 		}
-		if math.Sqrt(off) <= 1e-14*scale*float64(n) {
-			return extractEig(w, v)
-		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := w.At(p, q)
-				if math.Abs(apq) <= 1e-300 {
-					continue
-				}
-				app := w.At(p, p)
-				aqq := w.At(q, q)
-				// Rotation angle per Golub & Van Loan.
-				theta := (aqq - app) / (2 * apq)
-				var t float64
-				if theta >= 0 {
-					t = 1 / (theta + math.Sqrt(1+theta*theta))
-				} else {
-					t = -1 / (-theta + math.Sqrt(1+theta*theta))
-				}
-				cth := 1 / math.Sqrt(1+t*t)
-				sth := t * cth
-				rotateSym(w, p, q, cth, sth)
-				rotateCols(v, p, q, cth, sth)
+		if k != i {
+			vals[i], vals[k] = vals[k], vals[i]
+			ri, rk := z[i*n:(i+1)*n], z[k*n:(k+1)*n]
+			for c, v := range ri {
+				ri[c], rk[c] = rk[c], v
 			}
 		}
 	}
-	return nil, nil, ErrNoConvergence
+	return nil
 }
 
-// rotateSym applies the Jacobi rotation J^T w J in place, where J is the
-// Givens rotation over (p,q) with cosine c and sine s.
-func rotateSym(w *Dense, p, q int, c, s float64) {
-	n := w.Rows()
-	for i := 0; i < n; i++ {
-		wip := w.At(i, p)
-		wiq := w.At(i, q)
-		w.Set(i, p, c*wip-s*wiq)
-		w.Set(i, q, s*wip+c*wiq)
+// tridiagonalize reduces the symmetric n x n matrix in z (row-major; only
+// the upper triangle is read) to tridiagonal form by Householder
+// reflections. On return d holds the diagonal, e[1:] the subdiagonal,
+// and z the transpose of the accumulated orthogonal transformation. This
+// is EISPACK's tred2 with every index pair swapped, which the symmetry
+// of the input permits and which turns the routine's column walks into
+// contiguous row walks on row-major storage.
+func tridiagonalize(z []float64, n int, d, e []float64) {
+	for j := 0; j < n; j++ {
+		d[j] = z[j*n+n-1]
+	}
+	for i := n - 1; i > 0; i-- {
+		// Scale the row to avoid under/overflow in the norm.
+		var scale, h float64
+		for _, v := range d[:i] {
+			scale += math.Abs(v)
+		}
+		if scale == 0 {
+			e[i] = d[i-1]
+			for j := 0; j < i; j++ {
+				d[j] = z[j*n+i-1]
+				z[j*n+i] = 0
+				z[i*n+j] = 0
+			}
+		} else {
+			// Generate the Householder vector in d[:i].
+			for k := range d[:i] {
+				d[k] /= scale
+				h += d[k] * d[k]
+			}
+			f := d[i-1]
+			g := math.Sqrt(h)
+			if f > 0 {
+				g = -g
+			}
+			e[i] = scale * g
+			h -= f * g
+			d[i-1] = f - g
+			for j := range e[:i] {
+				e[j] = 0
+			}
+			// Apply the similarity transformation to the leading block.
+			zi := z[i*n : i*n+i]
+			for j := 0; j < i; j++ {
+				f = d[j]
+				zi[j] = f
+				zj := z[j*n : j*n+i]
+				g = e[j] + zj[j]*f
+				for k := j + 1; k < i; k++ {
+					g += zj[k] * d[k]
+					e[k] += zj[k] * f
+				}
+				e[j] = g
+			}
+			f = 0
+			for j := range e[:i] {
+				e[j] /= h
+				f += e[j] * d[j]
+			}
+			hh := f / (h + h)
+			for j := range e[:i] {
+				e[j] -= hh * d[j]
+			}
+			for j := 0; j < i; j++ {
+				f, g = d[j], e[j]
+				zj := z[j*n : j*n+i]
+				for k := j; k < i; k++ {
+					zj[k] -= f*e[k] + g*d[k]
+				}
+				d[j] = zj[i-1]
+				z[j*n+i] = 0
+			}
+		}
+		d[i] = h
+	}
+	// Accumulate the reflections.
+	for i := 0; i < n-1; i++ {
+		z[i*n+n-1] = z[i*n+i]
+		z[i*n+i] = 1
+		zi1 := z[(i+1)*n : (i+1)*n+i+1]
+		if h := d[i+1]; h != 0 {
+			for k, v := range zi1 {
+				d[k] = v / h
+			}
+			for j := 0; j <= i; j++ {
+				zj := z[j*n : j*n+i+1]
+				var g float64
+				for k, v := range zi1 {
+					g += v * zj[k]
+				}
+				for k := range zj {
+					zj[k] -= g * d[k]
+				}
+			}
+		}
+		for k := range zi1 {
+			zi1[k] = 0
+		}
 	}
 	for j := 0; j < n; j++ {
-		wpj := w.At(p, j)
-		wqj := w.At(q, j)
-		w.Set(p, j, c*wpj-s*wqj)
-		w.Set(q, j, s*wpj+c*wqj)
+		d[j] = z[j*n+n-1]
+		z[j*n+n-1] = 0
 	}
+	z[n*n-1] = 1
+	e[0] = 0
 }
 
-// rotateCols applies the rotation to columns p,q of v (v = v*J).
-func rotateCols(v *Dense, p, q int, c, s float64) {
-	n := v.Rows()
-	for i := 0; i < n; i++ {
-		vip := v.At(i, p)
-		viq := v.At(i, q)
-		v.Set(i, p, c*vip-s*viq)
-		v.Set(i, q, s*vip+c*viq)
-	}
-}
-
-func extractEig(w, v *Dense) ([]float64, *Dense, error) {
-	n := w.Rows()
-	type pair struct {
-		val float64
-		idx int
-	}
-	ps := make([]pair, n)
-	for i := 0; i < n; i++ {
-		ps[i] = pair{w.At(i, i), i}
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].val > ps[j].val })
-	vals := make([]float64, n)
-	vecs := Zeros(n, n)
-	for k, p := range ps {
-		vals[k] = p.val
-		for i := 0; i < n; i++ {
-			vecs.Set(i, k, v.At(i, p.idx))
+// qlImplicit diagonalises the tridiagonal matrix (d, e) left by
+// tridiagonalize with implicit-shift QL iterations (EISPACK's tql2),
+// applying every rotation to the rows of z so they end as the
+// eigenvectors. d ends as the unsorted eigenvalues. It reports false if
+// an eigenvalue fails to settle within qlMaxIter iterations.
+func qlImplicit(z []float64, n int, d, e []float64) bool {
+	copy(e, e[1:])
+	e[n-1] = 0
+	const eps = 0x1p-52
+	var f, tst1 float64
+	for l := 0; l < n; l++ {
+		// Find a negligible subdiagonal element; e[n-1] = 0 ends the scan.
+		tst1 = math.Max(tst1, math.Abs(d[l])+math.Abs(e[l]))
+		m := l
+		for math.Abs(e[m]) > eps*tst1 {
+			m++
 		}
+		// m == l means d[l] is already an eigenvalue.
+		for iter := 0; m > l; iter++ {
+			if iter == qlMaxIter {
+				return false
+			}
+			// Implicit shift.
+			g := d[l]
+			p := (d[l+1] - g) / (2 * e[l])
+			r := math.Hypot(p, 1)
+			if p < 0 {
+				r = -r
+			}
+			d[l] = e[l] / (p + r)
+			d[l+1] = e[l] * (p + r)
+			dl1 := d[l+1]
+			h := g - d[l]
+			for i := l + 2; i < n; i++ {
+				d[i] -= h
+			}
+			f += h
+			// Implicit QL transformation.
+			p = d[m]
+			c, c2, c3 := 1.0, 1.0, 1.0
+			el1 := e[l+1]
+			var s, s2 float64
+			for i := m - 1; i >= l; i-- {
+				c3, c2, s2 = c2, c, s
+				g = c * e[i]
+				h = c * p
+				r = math.Hypot(p, e[i])
+				e[i+1] = s * r
+				s = e[i] / r
+				c = p / r
+				p = c*d[i] - s*g
+				d[i+1] = h + s*(c*g+s*d[i])
+				// Accumulate the rotation into eigenvector rows i, i+1.
+				rotateRows(z[i*n:(i+1)*n], z[(i+1)*n:(i+2)*n], c, s)
+			}
+			p = -s * s2 * c3 * el1 * e[l] / dl1
+			e[l] = s * p
+			d[l] = c * p
+			if math.Abs(e[l]) <= eps*tst1 {
+				break
+			}
+		}
+		d[l] += f
+		e[l] = 0
 	}
-	return vals, vecs, nil
+	return true
 }

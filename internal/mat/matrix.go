@@ -1,15 +1,21 @@
 // Package mat implements the dense linear algebra needed by the subspace
 // method: matrices, vectors, QR decomposition, a symmetric eigensolver
-// (cyclic Jacobi) and a one-sided Jacobi SVD.
+// (Householder tridiagonalisation + implicit-shift QL) and a one-sided
+// Jacobi SVD.
 //
 // The package is intentionally small and self-contained (standard library
 // only). Matrices are stored row-major. Dimension mismatches panic, in the
 // style of gonum: they are programmer errors, not runtime conditions.
 //
 // Numerical scope: the subspace method operates on measurement matrices of
-// shape t x m with t ~ 1000 time bins and m <= ~50 links, and on m x m
-// covariance matrices. The Jacobi algorithms used here are quadratically
-// convergent and highly accurate at these sizes.
+// shape t x m with t ~ 1000 time bins and m from the paper's 41-49 links
+// to a few hundred, on m x m covariance matrices, and on the ell x ell
+// Grams of a Frequent-Directions sketch. The SVD is the fit that defines
+// every model, so it keeps one-sided Jacobi's high relative accuracy and
+// runs it on transposed storage; the eigensolver sits on the per-bin
+// sketch path, so it is the O(n^3) QL method, accurate to a few ulps of
+// the largest eigenvalue. Both kernels work on raw row-major slices and
+// stream contiguous memory.
 package mat
 
 import (
@@ -63,20 +69,28 @@ func (m *Dense) Cols() int { return m.cols }
 
 // At returns the element at row i, column j.
 func (m *Dense) At(i, j int) float64 {
-	m.checkIndex(i, j)
+	if uint(i) >= uint(m.rows) || uint(j) >= uint(m.cols) {
+		panic(indexError{i, j, m.rows, m.cols})
+	}
 	return m.data[i*m.cols+j]
 }
 
 // Set assigns v to the element at row i, column j.
 func (m *Dense) Set(i, j int, v float64) {
-	m.checkIndex(i, j)
+	if uint(i) >= uint(m.rows) || uint(j) >= uint(m.cols) {
+		panic(indexError{i, j, m.rows, m.cols})
+	}
 	m.data[i*m.cols+j] = v
 }
 
-func (m *Dense) checkIndex(i, j int) {
-	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("mat: index (%d,%d) out of range %dx%d", i, j, m.rows, m.cols))
-	}
+// indexError is the panic value of an out-of-range At or Set. The message
+// is formatted in Error, off the hot path: a call to a formatting helper
+// would put the accessors over the compiler's inlining budget, and this
+// way their bounds test inlines to a compare-and-branch.
+type indexError struct{ i, j, rows, cols int }
+
+func (e indexError) Error() string {
+	return fmt.Sprintf("mat: index (%d,%d) out of range %dx%d", e.i, e.j, e.rows, e.cols)
 }
 
 // RawData returns the row-major backing slice of m. Mutations are visible
