@@ -602,7 +602,7 @@ func measureAgreement() (*agreementReport, error) {
 		HistoryBins:            historyBins,
 		StreamBins:             streamBins,
 		SpikesInjected:         len(spikes),
-		SketchSize:             sd.SketchSize(),
+		SketchSize:             2 * rank,
 		IncrementalFlaggedBins: len(incFlagged),
 		SketchFlaggedBins:      len(skFlagged),
 		CommonFlaggedBins:      common,

@@ -74,14 +74,8 @@
 //	diagnose -topology abilene -links week.csv -stream -history 1008 \
 //	    -detector hybrid -incidents
 //
-// With -listen the command becomes a small live analyzer: the whole
-// -links matrix seeds the model, then binary streams are accepted on
-// the TCP address and ingested through the pooled zero-allocation
-// path, alarms printing as they are raised. It exits after -conns
-// connections (default 1 — diagnose stays a one-shot tool; run
-// cmd/ingestd to serve indefinitely).
-//
-//	diagnose -links week.bin -listen 127.0.0.1:7600 -detector sketch
+// diagnose reads files; to analyze a live binary stream over TCP, a unix
+// socket or stdin, run cmd/ingestd.
 package main
 
 import (
@@ -90,7 +84,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"strconv"
 	"strings"
@@ -128,9 +121,6 @@ func main() {
 	autoscale := flag.String("autoscale", "", "streaming: elastic worker pool as min:max (empty = fixed pool)")
 	burst := flag.Int("burst", 0, "streaming: ingest the stream in bursts of this many bins at once instead of replaying it bin by bin (stress mode; pair with -max-pending)")
 	restorePath := flag.String("restore", "", "streaming: warm-start the view from a checkpoint file (as written by ingestd -checkpoint) instead of starting fresh; -history/-detector flags must match the checkpointed run")
-	listen := flag.String("listen", "", "accept binary streams on this TCP address instead of replaying the tail of -links (seeds on the whole matrix)")
-	conns := flag.Int("conns", 1, "listen mode: exit after this many connections")
-	codecPolicy := flag.String("codec", "any", "listen mode: accept streams with this codec — any, raw, or xor (v1 streams count as raw)")
 	flag.Parse()
 
 	topo, err := parseTopology(*topoName)
@@ -182,29 +172,8 @@ func main() {
 		runStream(topo, links, sc, opts)
 		return
 	}
-	if *listen != "" {
-		sc := streamConfig{
-			batch:      *batchSize,
-			refitEvery: *refitEvery,
-			kind:       netanomaly.DetectorKind(*detector),
-			lambda:     *lambda,
-			driftTol:   *driftTol,
-			sketchSize: *sketchSize,
-			maxPending: *maxPending,
-		}
-		if sc.overload, err = netanomaly.ParseOverloadPolicy(*overload); err != nil {
-			fatal(err)
-		}
-		switch *codecPolicy {
-		case "any", "raw", "xor":
-		default:
-			fatal(fmt.Errorf("-codec %q: want any, raw, or xor", *codecPolicy))
-		}
-		runListen(topo, links, sc, opts, *listen, *conns, *codecPolicy)
-		return
-	}
 	if *detector != string(netanomaly.DetectorSubspace) {
-		fatal(fmt.Errorf("-detector %s needs -stream or -listen; the one-shot fit is always the subspace method", *detector))
+		fatal(fmt.Errorf("-detector %s needs -stream; the one-shot fit is always the subspace method", *detector))
 	}
 	diag, err := netanomaly.NewDiagnoser(links, topo, opts)
 	if err != nil {
@@ -486,80 +455,6 @@ func loadLinks(path string) (*netanomaly.Matrix, error) {
 	}
 	m, _, err := netanomaly.ReadMatrixCSV(bytes.NewReader(data))
 	return m, err
-}
-
-// runListen seeds a shard on the whole loaded matrix and ingests
-// binary streams from TCP connections through the pooled path,
-// printing alarms live — the analyzer end of a trafficgen/collector
-// pipe, exiting after a fixed number of connections.
-func runListen(topo *netanomaly.Topology, history *netanomaly.Matrix, sc streamConfig, opts netanomaly.Options, addr string, conns int, codecPolicy string) {
-	if conns <= 0 {
-		fatal(fmt.Errorf("listen mode: -conns must be positive, got %d", conns))
-	}
-	var alarmMu sync.Mutex
-	alarms := 0
-	mon := netanomaly.NewMonitor(netanomaly.MonitorConfig{
-		BatchSize:  sc.batch,
-		RefitEvery: sc.refitEvery,
-		Options:    opts,
-		OnAlarm: func(a netanomaly.MonitorAlarm) {
-			alarmMu.Lock()
-			defer alarmMu.Unlock()
-			alarms++
-			printAlarm(topo, a.Seq, a.Diagnosis)
-		},
-	}, netanomaly.WithMaxPending(sc.maxPending), netanomaly.WithOverloadPolicy(sc.overload))
-	viewOpts := []netanomaly.ViewOption{netanomaly.WithDetector(sc.kind)}
-	switch sc.kind {
-	case netanomaly.DetectorIncremental:
-		viewOpts = append(viewOpts, netanomaly.WithLambda(sc.lambda), netanomaly.WithDriftTolerance(sc.driftTol))
-	case netanomaly.DetectorSketch:
-		viewOpts = append(viewOpts, netanomaly.WithSketchSize(sc.sketchSize), netanomaly.WithDriftTolerance(sc.driftTol))
-	}
-	const view = "live"
-	if err := netanomaly.AddView(mon, view, history, topo, viewOpts...); err != nil {
-		fatal(err)
-	}
-	stats, err := mon.ViewStats(view)
-	if err != nil {
-		fatal(err)
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fatal(err)
-	}
-	defer ln.Close()
-	fmt.Printf("listening on %s: %s model seeded on %d bins (%d links, rank %d), %d connection(s) then exit\n",
-		ln.Addr(), stats.Backend, history.Rows(), stats.Links, stats.Rank, conns)
-	printHeader()
-	failed := false
-	for c := 0; c < conns; c++ {
-		conn, err := ln.Accept()
-		if err != nil {
-			fatal(err)
-		}
-		dec, err := netanomaly.NewBinaryDecoder(conn)
-		if err == nil && codecPolicy != "any" && dec.Codec().String() != codecPolicy {
-			err = fmt.Errorf("stream codec %s refused (-codec %s)", dec.Codec(), codecPolicy)
-		} else if err == nil {
-			err = mon.IngestBinary(view, dec)
-		}
-		conn.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "diagnose:", err)
-			failed = true
-		}
-	}
-	mon.Close()
-	for _, err := range mon.Errs() {
-		fmt.Fprintln(os.Stderr, "diagnose:", err)
-		failed = true
-	}
-	vs, _ := mon.ViewStats(view)
-	fmt.Printf("%d alarms over %d streamed bins\n", alarms, vs.Processed)
-	if failed {
-		os.Exit(1)
-	}
 }
 
 func printHeader() {

@@ -34,10 +34,10 @@
 // online monitor. Two layers serve that deployment:
 //
 // OnlineDetector is the single-stream primitive: it tests each arriving
-// measurement against a model fitted on a sliding window. The active
+// measurement against a model fitted on recent history. The active
 // model lives behind an atomic pointer, so Process is lock-free with
-// respect to model fitting; when the refit interval elapses the O(m^3)
-// refit runs in a background goroutine on a window snapshot and the new
+// respect to model fitting; when the refit interval elapses the refit
+// runs in the background on a copy of the covariance estimate and the new
 // model is swapped in atomically. A failed refit keeps the previous
 // model in force. ProcessBatch pushes a whole bins x links block through
 // the batched low-rank SPE kernel (O(m*rank) per bin instead of O(m^2)).
@@ -82,10 +82,22 @@
 // selection guide (cost models, what each kind localizes, seed
 // requirements, tuning knobs):
 //
-//   - DetectorSubspace (default): the windowed subspace method above.
-//     Pick it when you want the paper's exact semantics, per-bin flow
-//     identification, and refit cost is acceptable (full SVD over the
-//     window).
+// The subspace family — DetectorSubspace, DetectorIncremental and
+// DetectorSketch — is that one OnlineDetector with three interchangeable
+// covariance estimators: a refit has to solve *some* estimate of the
+// traffic covariance into P P^T, and the three kinds differ only in
+// which. An estimator absorbs each batch minus its alarmed bins, hands
+// out an independent copy of itself for a fit to solve outside the lock,
+// solves it into a PCA and a rank, rebuilds itself from a seed history,
+// and encodes/decodes its own state; numbering, alarmed-bin exclusion,
+// the drift-gated swap, Stats and the snapshot framing are the
+// detector's, and when and how a refit runs is core.RefitGate's, shared
+// with every other backend.
+//
+//   - DetectorSubspace (default): the estimator is a sliding window of
+//     raw bins, refitted by full SVD. Pick it when you want the paper's
+//     exact semantics, per-bin flow identification, and refit cost is
+//     acceptable.
 //   - DetectorIncremental (WithLambda, WithDriftTolerance): maintains a
 //     running mean/covariance with forgetting factor lambda instead of
 //     a raw window — batch updates are rank-1 and allocation-free, and
@@ -98,6 +110,10 @@
 //     drifts. WithDriftTolerance skips rebuild swaps while the residual
 //     projector has moved less than the tolerance, exploiting the
 //     paper's observation that P P^T is stable week to week.
+//   - DetectorSketch (WithSketchSize, WithDriftTolerance): the estimator
+//     is a Frequent-Directions sketch — O(ell*m) memory and an ell-sized
+//     eigenproblem per rebuild, the cheapest refit in the family, for
+//     very wide networks or near-continuous refresh.
 //   - DetectorMultiscale (WithLevels): one subspace model per wavelet
 //     scale (Section 7.3). Levels = 3 tests 2-, 4- and 8-bin features;
 //     each extra level needs twice the history (links * 2^levels seed
@@ -153,8 +169,9 @@
 // simulated measurement plane and the multi-metric backend
 // (internal/netmeas), offline temporal baselines (internal/timeseries)
 // and their streaming detector forms (internal/forecast), the
-// subspace method, the ViewDetector contract and the incremental
-// backend (internal/core), the wavelet transform and the multiscale
+// subspace method, the ViewDetector contract, the one streaming
+// subspace detector with its three estimators and the refit policy
+// (internal/core), the wavelet transform and the multiscale
 // backend (internal/wavelet), the concurrent streaming engine
 // (internal/engine), and the paper's full evaluation (internal/eval,
 // internal/experiments).

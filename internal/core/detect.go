@@ -120,19 +120,35 @@ func (o *Options) fillDefaults() {
 // (links x flows).
 func NewDiagnoser(y, a *mat.Dense, opts Options) (*Diagnoser, error) {
 	opts.fillDefaults()
-	pca, err := Fit(y)
+	pca, rank, err := fitRank(y, opts)
 	if err != nil {
 		return nil, err
+	}
+	return diagnoserFromPCA(pca, rank, a, opts.Confidence)
+}
+
+// fitRank is the batch fit: the PCA of y and the normal-subspace rank —
+// opts.Rank when pinned, else the paper's separation procedure.
+func fitRank(y *mat.Dense, opts Options) (*PCA, int, error) {
+	pca, err := Fit(y)
+	if err != nil {
+		return nil, 0, err
 	}
 	rank := opts.Rank
 	if rank == 0 {
 		rank = SeparateAxes(pca, opts.Sigma)
 	}
+	return pca, rank, nil
+}
+
+// diagnoserFromPCA assembles the detect-identify pipeline at the given
+// rank from any PCA: a batch fit, a tracked covariance, a sketch.
+func diagnoserFromPCA(pca *PCA, rank int, a *mat.Dense, confidence float64) (*Diagnoser, error) {
 	model, err := Build(pca, rank)
 	if err != nil {
 		return nil, err
 	}
-	det, err := NewDetector(model, opts.Confidence)
+	det, err := NewDetector(model, confidence)
 	if err != nil {
 		return nil, err
 	}

@@ -149,10 +149,8 @@ type HybridStats struct {
 // Model freshness: the identification stage never sees clean bins, so
 // its sliding window would go stale. The hybrid keeps its own window of
 // recent clean (un-alarmed) bins and re-seeds the identification stage
-// from it in the background every RefitEvery bins, under the same
-// refit-gate discipline as the other backends — detection never blocks,
-// a failed re-seed keeps the previous model and parks its error. The
-// triage stage schedules its own refits exactly as it would standalone.
+// from it every RefitEvery bins under its own RefitGate. The triage
+// stage schedules its own refits exactly as it would standalone.
 //
 // Concurrency follows the ViewDetector contract: one ProcessBatch
 // caller at a time, with Seed, Refit, WaitRefits, TakeRefitError and
@@ -167,24 +165,16 @@ type HybridDetector struct {
 	hysteresis int
 	links      int
 
-	mu         sync.Mutex // guards the fields below
-	window     *mat.RowRing
-	processed  int
-	run        int // consecutive triage-alarmed bins
-	hold       int // hysteresis bins left before de-escalating
-	inEsc      bool
-	sinceRefit int
-	refitEvery int
-	gate       *RefitGate
-	refits     int
-	// escalation counters, surfaced by HybridStats
-	triageAlarms int
-	escalated    int
-	identified   int
-	suppressed   int
-	escRuns      int
-	heldBins     int
-	refitHook    func()
+	mu        sync.Mutex // guards the fields below
+	window    *mat.RowRing
+	processed int
+	run       int // consecutive triage-alarmed bins
+	hold      int // hysteresis bins left before de-escalating
+	inEsc     bool
+	gate      *RefitGate
+	// counts holds the escalation counters HybridStats surfaces (its
+	// Triage and Identify fields are filled on demand, not kept here).
+	counts HybridStats
 }
 
 var _ ViewDetector = (*HybridDetector)(nil)
@@ -226,20 +216,16 @@ func NewHybridDetector(triage, identify ViewDetector, history *mat.Dense, cfg Hy
 		confirm:    cfg.Confirm,
 		hysteresis: cfg.Hysteresis,
 		links:      tLinks,
-		window:     mat.NewRowRing(capacity, tLinks),
-		refitEvery: cfg.RefitEvery,
+		window:     tailRing(history, capacity),
 	}
-	d.gate = NewRefitGate(&d.mu)
-	for b := max(0, bins-capacity); b < bins; b++ {
-		d.window.Push(history.RowView(b))
-	}
+	d.gate = NewRefitGate(&d.mu, cfg.RefitEvery)
 	return d, nil
 }
 
 // SetRefitHook installs a function that runs inside every background
 // re-seed goroutine before fitting begins; tests use it to hold a
 // re-seed open. Call before streaming starts.
-func (d *HybridDetector) SetRefitHook(h func()) { d.refitHook = h }
+func (d *HybridDetector) SetRefitHook(h func()) { d.gate.SetHook(h) }
 
 // ProcessBatch runs the batch through the triage stage, escalates bins
 // per the policy, identifies them with the subspace stage, and returns
@@ -274,7 +260,7 @@ func (d *HybridDetector) ProcessBatch(y *mat.Dense) ([]Alarm, error) {
 	d.mu.Lock()
 	base := d.processed
 	d.processed += bins
-	d.triageAlarms += len(tAlarms)
+	d.counts.TriageAlarms += len(tAlarms)
 	var escRows []int
 	for b := 0; b < bins; b++ {
 		_, alarmed := triaged[b]
@@ -300,20 +286,20 @@ func (d *HybridDetector) ProcessBatch(y *mat.Dense) ([]Alarm, error) {
 			d.hold = d.hysteresis
 		} else if d.hold > 0 {
 			d.hold--
-			d.heldBins++
+			d.counts.HeldBins++
 			esc = true
 		}
 		if esc && !d.inEsc {
-			d.escRuns++
+			d.counts.EscalationRuns++
 		}
 		d.inEsc = esc
 		if esc {
 			escRows = append(escRows, b)
 		} else if alarmed {
-			d.suppressed++
+			d.counts.Suppressed++
 		}
 	}
-	d.escalated += len(escRows)
+	d.counts.Escalated += len(escRows)
 	d.mu.Unlock()
 
 	// Stage 2: identification, escalated bins only — one batched
@@ -355,7 +341,7 @@ func (d *HybridDetector) ProcessBatch(y *mat.Dense) ([]Alarm, error) {
 	// Window and re-seed bookkeeping: bins neither stage flagged are
 	// clean and feed the identification stage's next model.
 	d.mu.Lock()
-	d.identified += len(identified)
+	d.counts.Identified += len(identified)
 	for b := 0; b < bins; b++ {
 		if _, tOK := triaged[b]; tOK {
 			continue
@@ -368,79 +354,48 @@ func (d *HybridDetector) ProcessBatch(y *mat.Dense) ([]Alarm, error) {
 	if derr := d.gate.TakeErrorLocked(); derr != nil {
 		err = errors.Join(err, derr)
 	}
-	var snap *mat.Dense
-	if d.refitEvery > 0 {
-		d.sinceRefit += bins
-		if d.sinceRefit >= d.refitEvery && d.window.Len() > 0 && d.gate.TryBeginLocked() {
-			d.sinceRefit = 0
-			snap = d.window.Matrix()
-		}
+	var reseed Refit
+	if d.gate.DueLocked(bins, d.window.Len() > 0) {
+		reseed = d.reseedLocked(nil)
 	}
 	d.mu.Unlock()
 
-	if snap != nil {
-		d.spawnReseed(snap)
+	if reseed != nil {
+		d.gate.Go(reseed)
 	}
 	return alarms, err
 }
 
-// spawnReseed re-seeds the identification stage from the clean-bin
-// window snapshot in a background goroutine. The caller has already
-// claimed the gate; the goroutine releases it, parking a failure as the
-// deferred error (the previous model stays in force — Seed commits
-// nothing on error).
-func (d *HybridDetector) spawnReseed(snap *mat.Dense) {
-	go func() {
-		if h := d.refitHook; h != nil {
-			h()
-		}
+// reseedLocked captures the clean-bin window and returns the fit that
+// re-seeds the identification stage from it (the previous model stays in
+// force on failure — Seed commits nothing on error), joined with an
+// earlier stage error the caller may already hold. The window is never
+// empty: construction and Seed reject empty histories and prefill the
+// ring, and rows are only ever added.
+func (d *HybridDetector) reseedLocked(earlier error) Refit {
+	snap := d.window.Matrix()
+	return func() (func() bool, error) {
 		err := d.identify.Seed(snap)
 		if err != nil {
 			err = fmt.Errorf("core: hybrid identify re-seed: %w", err)
 		}
-		d.mu.Lock()
-		if err == nil {
-			d.refits++
-		}
-		d.gate.EndLocked(err)
-		d.mu.Unlock()
-	}()
+		return nil, errors.Join(earlier, err)
+	}
 }
 
 // Refit synchronously refits both stages: the triage stage from its own
 // retained state, the identification stage re-seeded from the hybrid's
-// clean-bin window. It serializes with background re-seeds but never
-// blocks concurrent detection (both stages fit on snapshots and swap
-// atomically). A failed fit leaves that stage's previous model in
+// clean-bin window. A failed fit leaves that stage's previous model in
 // force.
 func (d *HybridDetector) Refit() error {
 	terr := d.triage.Refit()
-
-	d.mu.Lock()
-	d.gate.BeginLocked()
-	// The window is never empty: construction and Seed reject empty
-	// histories and prefill the ring, and rows are only ever added.
-	snap := d.window.Matrix()
-	d.mu.Unlock()
-
-	ierr := d.identify.Seed(snap)
-	if ierr != nil {
-		ierr = fmt.Errorf("core: hybrid identify refit: %w", ierr)
-	}
-
-	d.mu.Lock()
-	if terr == nil && ierr == nil {
-		d.refits++
-	}
-	d.gate.EndLocked(nil)
-	d.mu.Unlock()
-	return errors.Join(terr, ierr)
+	return d.gate.Run(func() Refit { return d.reseedLocked(terr) })
 }
 
 // Seed re-seeds both stages from the history block and refills the
-// clean-bin window with it, serializing with in-flight re-seeds. The
-// processed-bin counter and stage sequence numbers keep running; the
-// escalation run resets (the history is presumed clean).
+// clean-bin window with it. The processed-bin counter and stage sequence
+// numbers keep running; the escalation run resets (the history is
+// presumed clean).
 func (d *HybridDetector) Seed(history *mat.Dense) error {
 	bins, cols := history.Dims()
 	if cols != d.links {
@@ -449,32 +404,21 @@ func (d *HybridDetector) Seed(history *mat.Dense) error {
 	if bins == 0 {
 		return fmt.Errorf("core: seed history is empty")
 	}
-	d.mu.Lock()
-	d.gate.BeginLocked()
-	capacity := d.window.Cap()
-	d.mu.Unlock()
-
-	err := errors.Join(d.triage.Seed(history), d.identify.Seed(history))
-	var window *mat.RowRing
-	if err == nil {
-		window = mat.NewRowRing(capacity, d.links)
-		for b := max(0, bins-capacity); b < bins; b++ {
-			window.Push(history.RowView(b))
+	return d.gate.Run(func() Refit {
+		capacity := d.window.Cap()
+		return func() (func() bool, error) {
+			if err := errors.Join(d.triage.Seed(history), d.identify.Seed(history)); err != nil {
+				return nil, err
+			}
+			window := tailRing(history, capacity)
+			return func() bool {
+				d.window = window
+				d.run, d.hold, d.inEsc = 0, 0, false
+				d.gate.RestartLocked()
+				return true
+			}, nil
 		}
-	}
-
-	d.mu.Lock()
-	if err == nil {
-		d.window = window
-		d.run = 0
-		d.hold = 0
-		d.inEsc = false
-		d.sinceRefit = 0
-		d.refits++
-	}
-	d.gate.EndLocked(nil)
-	d.mu.Unlock()
-	return err
+	})
 }
 
 // WaitRefits blocks until no fit is in flight anywhere in the hybrid:
@@ -499,7 +443,7 @@ func (d *HybridDetector) TakeRefitError() error {
 // visible through HybridStats).
 func (d *HybridDetector) Stats() ViewStats {
 	d.mu.Lock()
-	processed, refits := d.processed, d.refits
+	processed, refits := d.processed, d.gate.RefitsLocked()
 	d.mu.Unlock()
 	return ViewStats{
 		Backend:   "hybrid",
@@ -513,32 +457,29 @@ func (d *HybridDetector) Stats() ViewStats {
 // Snapshot serializes the clean-bin window, the escalation run and
 // counters, and then both stage detectors' own envelopes nested inside
 // the payload — everything ProcessBatch's sequence rebasing relies on
-// (the stage processed counters travel inside the stage envelopes). The
-// hybrid's gate is taken first so an in-flight identify re-seed is
-// waited out; each stage Snapshot then takes its own gate.
+// (the stage processed counters travel inside the stage envelopes).
 func (d *HybridDetector) Snapshot(w io.Writer) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.gate.BeginLocked()
-	defer d.gate.EndLocked(nil)
-	return EncodeSnapshot(w, SnapKindHybrid, func(sw *SnapshotWriter) {
-		sw.Int(d.links)
-		sw.RowRing(d.window)
-		sw.Int(d.processed)
-		sw.Int(d.run)
-		sw.Int(d.hold)
-		sw.Bool(d.inEsc)
-		sw.Int(d.sinceRefit)
-		sw.Int(d.refits)
-		sw.Int(d.triageAlarms)
-		sw.Int(d.escalated)
-		sw.Int(d.identified)
-		sw.Int(d.suppressed)
-		sw.Int(d.escRuns)
-		sw.Int(d.heldBins)
-		sw.Nested(d.triage.Snapshot)
-		sw.Nested(d.identify.Snapshot)
+	return d.gate.Quiesced(func() error {
+		return EncodeSnapshot(w, SnapKindHybrid, func(sw *SnapshotWriter) {
+			sw.Int(d.links)
+			sw.RowRing(d.window)
+			sw.Int(d.processed)
+			sw.Int(d.run)
+			sw.Int(d.hold)
+			sw.Bool(d.inEsc)
+			d.gate.EncodeLocked(sw)
+			for _, n := range d.counts.counters() {
+				sw.Int(*n)
+			}
+			sw.Nested(d.triage.Snapshot)
+			sw.Nested(d.identify.Snapshot)
+		})
 	})
+}
+
+// counters lists the escalation counters in snapshot order.
+func (hs *HybridStats) counters() []*int {
+	return []*int{&hs.TriageAlarms, &hs.Escalated, &hs.Identified, &hs.Suppressed, &hs.EscalationRuns, &hs.HeldBins}
 }
 
 // Restore replaces the hybrid's window, counters, and both stage
@@ -549,50 +490,35 @@ func (d *HybridDetector) Snapshot(w io.Writer) error {
 // match the receiver's stages is rejected; if a stage restore fails the
 // hybrid should be discarded, as the stages may no longer agree.
 func (d *HybridDetector) Restore(r io.Reader) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.gate.BeginLocked()
-	defer d.gate.EndLocked(nil)
-	return DecodeSnapshot(r, SnapKindHybrid, func(sr *SnapshotReader) error {
-		links := sr.Int()
-		if sr.Err() == nil && links != d.links {
-			return SnapshotMismatchf("snapshot has %d links, detector expects %d", links, d.links)
-		}
-		window := sr.RowRing(d.links)
-		processed := sr.NonNegInt()
-		run := sr.NonNegInt()
-		hold := sr.NonNegInt()
-		inEsc := sr.Bool()
-		sinceRefit := sr.NonNegInt()
-		refits := sr.NonNegInt()
-		triageAlarms := sr.NonNegInt()
-		escalated := sr.NonNegInt()
-		identified := sr.NonNegInt()
-		suppressed := sr.NonNegInt()
-		escRuns := sr.NonNegInt()
-		heldBins := sr.NonNegInt()
-		if err := sr.Err(); err != nil {
-			return err
-		}
-		sr.Nested(d.triage.Restore)
-		sr.Nested(d.identify.Restore)
-		if err := sr.Err(); err != nil {
-			return err
-		}
-		d.window = window
-		d.processed = processed
-		d.run = run
-		d.hold = hold
-		d.inEsc = inEsc
-		d.sinceRefit = sinceRefit
-		d.refits = refits
-		d.triageAlarms = triageAlarms
-		d.escalated = escalated
-		d.identified = identified
-		d.suppressed = suppressed
-		d.escRuns = escRuns
-		d.heldBins = heldBins
-		return nil
+	return d.gate.Quiesced(func() error {
+		return DecodeSnapshot(r, SnapKindHybrid, func(sr *SnapshotReader) error {
+			links := sr.Int()
+			if sr.Err() == nil && links != d.links {
+				return SnapshotMismatchf("snapshot has %d links, detector expects %d", links, d.links)
+			}
+			window := sr.RowRing(d.links)
+			processed := sr.NonNegInt()
+			run := sr.NonNegInt()
+			hold := sr.NonNegInt()
+			inEsc := sr.Bool()
+			cadence := d.gate.DecodeLocked(sr)
+			var counts HybridStats
+			for _, n := range counts.counters() {
+				*n = sr.NonNegInt()
+			}
+			if err := sr.Err(); err != nil {
+				return err
+			}
+			sr.Nested(d.triage.Restore)
+			sr.Nested(d.identify.Restore)
+			if err := sr.Err(); err != nil {
+				return err
+			}
+			d.window, d.processed, d.counts = window, processed, counts
+			d.run, d.hold, d.inEsc = run, hold, inEsc
+			cadence()
+			return nil
+		})
 	})
 }
 
@@ -600,14 +526,7 @@ func (d *HybridDetector) Restore(r io.Reader) error {
 // snapshots and the escalation counters.
 func (d *HybridDetector) HybridStats() HybridStats {
 	d.mu.Lock()
-	hs := HybridStats{
-		TriageAlarms:   d.triageAlarms,
-		Escalated:      d.escalated,
-		Identified:     d.identified,
-		Suppressed:     d.suppressed,
-		EscalationRuns: d.escRuns,
-		HeldBins:       d.heldBins,
-	}
+	hs := d.counts
 	d.mu.Unlock()
 	hs.Triage = d.triage.Stats()
 	hs.Identify = d.identify.Stats()

@@ -196,3 +196,124 @@ func (c *CovTracker) Drift(ref *Model) (float64, error) {
 	}
 	return mat.Sub(ref.ResidualOperator(), m.ResidualOperator()).Frobenius(), nil
 }
+
+// IncrementalConfig configures NewIncrementalDetector.
+type IncrementalConfig struct {
+	// Lambda is the covariance forgetting factor in (0, 1]; 1 (the
+	// default) weights all history equally, smaller values forget with
+	// time constant ~1/(1-Lambda) bins (0.999 ~ a week of ten-minute
+	// bins).
+	Lambda float64
+	// RefitEvery triggers a background model rebuild from the tracked
+	// covariance after this many processed bins; 0 disables automatic
+	// rebuilds (call Refit explicitly).
+	RefitEvery int
+	// DriftTol gates automatic rebuilds: the freshly solved model
+	// replaces the active one only when the Frobenius distance between
+	// their residual projectors reaches DriftTol (the paper observes
+	// P P^T is stable week to week, so most intervals need no new
+	// model). 0 swaps on every interval. Explicit Refit ignores the
+	// gate.
+	DriftTol float64
+	// Options configure the diagnoser (confidence, sigma, fixed rank).
+	Options Options
+}
+
+// NewIncrementalDetector returns the "incremental" backend: an
+// OnlineDetector whose estimate is an exponentially weighted
+// mean/covariance (CovTracker) instead of a window of raw measurements.
+// Each batch makes rank-1 covariance updates in place — no window copy —
+// and a rebuild re-solves only the m x m symmetric eigenproblem rather
+// than the O(t·m^2) full-window SVD, which is what makes frequent refits
+// affordable at scale (Section 7.1's "cheap model refresh"). It seeds
+// with a full batch fit on history (bins x links), so it starts from the
+// same model as the windowed backend; the normal-subspace rank resolved
+// there is retained across rebuilds, since a running covariance has no
+// temporal projections to separate on.
+func NewIncrementalDetector(history, a *mat.Dense, cfg IncrementalConfig) (*OnlineDetector, error) {
+	if cfg.Lambda == 0 {
+		cfg.Lambda = 1
+	}
+	return newDetector(&covEstimator{lambda: cfg.Lambda}, history, a, cfg.Options, cfg.RefitEvery, true, cfg.DriftTol)
+}
+
+// covEstimator is the tracked-covariance estimate and the rank its
+// models are built at.
+type covEstimator struct {
+	lambda float64
+	tr     *CovTracker
+	rank   int
+}
+
+func (e *covEstimator) kind() byte { return SnapKindIncremental }
+
+func (e *covEstimator) absorb(y *mat.Dense, skip []bool) error {
+	e.tr.UpdateMasked(y, skip)
+	return nil
+}
+
+// fit solves the eigenproblem on a tracker copy. With lambda = 1 the
+// tracked covariance is the population estimate (divide by n); the
+// variances are rescaled to the sample convention (divide by n-1) so
+// thresholds match the batch SVD fit exactly.
+func (e *covEstimator) fit(Options) func() (*PCA, int, error) {
+	tr, rank := e.tr.Snapshot(), e.rank
+	return func() (*PCA, int, error) {
+		p, err := tr.PCA()
+		if err == nil && tr.lambda == 1 && tr.n > 1 {
+			mat.ScaleVec(p.Variances, float64(tr.n)/float64(tr.n-1))
+		}
+		return p, rank, err
+	}
+}
+
+func (e *covEstimator) reseed(history *mat.Dense, opts Options) (estimator, *PCA, int, error) {
+	p, rank, err := fitRank(history, opts)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	tr, err := NewCovTracker(history.Cols(), e.lambda)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	tr.UpdateAll(history)
+	return &covEstimator{lambda: e.lambda, tr: tr, rank: rank}, p, rank, nil
+}
+
+func (e *covEstimator) encode(sw *SnapshotWriter) {
+	sw.F64(e.lambda)
+	sw.Int(e.tr.n)
+	sw.Floats(e.tr.mean)
+	sw.Matrix(e.tr.cov)
+	sw.Int(e.rank)
+}
+
+// decode requires the snapshot's forgetting factor to match the
+// receiver's: a tracker restored under a different lambda would silently
+// diverge.
+func (e *covEstimator) decode(sr *SnapshotReader, links int) (estimator, error) {
+	if lambda := sr.F64(); sr.Err() == nil && lambda != e.lambda {
+		return nil, SnapshotMismatchf("snapshot forgetting factor %v, detector uses %v", lambda, e.lambda)
+	}
+	n := sr.NonNegInt()
+	mean := sr.Floats()
+	cov := sr.Matrix()
+	rank := sr.NonNegInt()
+	if err := sr.Err(); err != nil {
+		return nil, err
+	}
+	if len(mean) != links {
+		return nil, snapshotFormatf("tracker mean has %d entries, want %d", len(mean), links)
+	}
+	if cov == nil || cov.Rows() != links || cov.Cols() != links {
+		return nil, snapshotFormatf("tracker covariance is not %dx%d", links, links)
+	}
+	if rank < 1 || rank >= links {
+		return nil, snapshotFormatf("retained rank %d out of [1, %d]", rank, links-1)
+	}
+	tr := &CovTracker{
+		dim: links, lambda: e.lambda, n: n, mean: mean, cov: cov,
+		delta: make([]float64, links), delta2: make([]float64, links),
+	}
+	return &covEstimator{lambda: e.lambda, tr: tr, rank: rank}, nil
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -11,53 +12,72 @@ import (
 
 // OnlineDetector applies the subspace method as a first-level online
 // monitoring tool (Section 7.1): each arriving measurement vector is
-// tested against a model fitted on a sliding window of history, and
-// alarms carry the identified OD flow and estimated size so that
-// fine-grained collection can be triggered. The model matrix P P^T is
-// stable week to week, so refits are occasional (Refit), not per-bin.
+// tested against P P^T fitted on recent history, and alarms carry the
+// identified OD flow and estimated size so that fine-grained collection
+// can be triggered. The projector is stable week to week, so refits are
+// occasional (see RefitGate), not per-bin.
+//
+// It is the one streaming subspace detector. What the "subspace",
+// "incremental" and "sketch" backends vary is only which estimate of the
+// traffic covariance a refit solves — a sliding window of raw bins, an
+// exponentially weighted m x m tracker, a Frequent-Directions sketch —
+// and that is an estimator plugged in by the constructor
+// (NewOnlineDetector, NewIncrementalDetector, NewSketchDetector).
+// Everything else is shared: the width check, sequence numbering,
+// withholding alarmed bins from the estimate, the drift-gated model swap,
+// Stats, and the snapshot framing.
 //
 // OnlineDetector is safe for concurrent use, and detection never blocks
-// on model fitting: the active Diagnoser is held in an atomic pointer
-// that Process reads lock-free, automatic refits run in a background
-// goroutine on a snapshot of the window, and the freshly fitted model is
-// swapped in atomically when ready. A failed refit leaves the previous
-// model in force and surfaces its error on a subsequent Process call.
+// on model fitting: the active Diagnoser sits behind an atomic pointer
+// that Process and ProcessBatch load without taking the mutex, fits run
+// on an independent copy of the estimate, and the fitted model is swapped
+// in atomically.
 type OnlineDetector struct {
-	a    *mat.Dense
-	opts Options
-	// links is the expected measurement vector length; mismatched rows
-	// are rejected with an error, never buffered.
+	a     *mat.Dense
+	opts  Options
 	links int
+	// driftTol gates automatic rebuilds of the covariance estimators
+	// (IncrementalConfig.DriftTol); gated records that the backend has
+	// such a gate at all, and so a skipped-rebuild count in its snapshots.
+	driftTol float64
+	gated    bool
 
-	// diag is the active model; Process and ProcessBatch load it without
-	// taking mu, so a concurrent refit cannot stall detection.
 	diag atomic.Pointer[Diagnoser]
 
-	mu         sync.Mutex // guards the fields below
-	window     *mat.RowRing
-	processed  int
-	sinceRefit int
-	refitEvery int
-	// gate serializes model fits (held from window snapshot to model
-	// swap by background and explicit refits alike) and parks the
-	// deferred error of a failed background refit.
-	gate   *RefitGate
-	refits int // completed model rebuilds since creation
-
-	// refitHook, when set (before streaming starts), runs inside the
-	// background refit goroutine before fitting begins. Tests use it to
-	// hold a refit open and prove Process does not block behind it.
-	refitHook func()
+	mu        sync.Mutex // guards the fields below
+	est       estimator
+	processed int
+	skipped   int
+	gate      *RefitGate
 }
 
-// assert the streaming contract at compile time.
 var _ ViewDetector = (*OnlineDetector)(nil)
 
-// SetRefitHook installs a function that runs inside every background
-// refit goroutine before fitting begins. It exists so tests outside this
-// package can hold a refit open deterministically; call it before
-// streaming starts.
-func (o *OnlineDetector) SetRefitHook(h func()) { o.refitHook = h }
+// estimator is what a subspace-family backend reduces to: the running
+// covariance estimate a refit solves. The detector calls every method
+// under its mutex except the function fit returns.
+type estimator interface {
+	// kind is the backend's snapshot kind byte; KindName(kind()) is the
+	// name Stats reports.
+	kind() byte
+	// absorb folds the rows of y whose skip flag is false into the
+	// estimate — once per batch, never per bin.
+	absorb(y *mat.Dense, skip []bool) error
+	// fit captures an independent copy of the estimate and returns the
+	// function that solves it, outside the mutex, into a PCA and the
+	// normal-subspace rank to build the model at.
+	fit(opts Options) func() (*PCA, int, error)
+	// reseed returns a fresh estimator of the receiver's configuration
+	// holding only history, with the batch PCA of the rows it kept and
+	// the rank the paper's separation procedure resolves on them. The
+	// receiver is left untouched.
+	reseed(history *mat.Dense, opts Options) (estimator, *PCA, int, error)
+	// encode writes the estimate's portable state; decode reads it back
+	// into a fresh estimator of the receiver's configuration, rejecting
+	// state recorded under a different one as ErrSnapshotMismatch.
+	encode(sw *SnapshotWriter)
+	decode(sr *SnapshotReader, links int) (estimator, error)
+}
 
 // OnlineConfig configures NewOnlineDetector.
 type OnlineConfig struct {
@@ -71,30 +91,49 @@ type OnlineConfig struct {
 	Options Options
 }
 
-// NewOnlineDetector fits an initial model on history (bins x links) and
-// returns a streaming detector. history must have at least as many bins
-// as links; its most recent Window rows seed the sliding window.
+// NewOnlineDetector returns the windowed backend ("subspace"): the model
+// is refitted by a full SVD of a sliding window of the most recent
+// Window non-anomalous bins, seeded with the tail of history
+// (bins x links, at least as many bins as links).
 func NewOnlineDetector(history, a *mat.Dense, cfg OnlineConfig) (*OnlineDetector, error) {
 	if cfg.Window <= 0 {
 		return nil, fmt.Errorf("core: online window %d <= 0", cfg.Window)
 	}
-	t, links := history.Dims()
-	if t < cfg.Window {
-		cfg.Window = t
-	}
-	o := &OnlineDetector{a: a, opts: cfg.Options, links: links, refitEvery: cfg.RefitEvery}
-	o.gate = NewRefitGate(&o.mu)
-	o.window = mat.NewRowRing(cfg.Window, links)
-	for b := t - cfg.Window; b < t; b++ {
-		o.window.Push(history.RowView(b))
-	}
-	diag, err := NewDiagnoser(o.window.Matrix(), a, o.opts)
+	w := &windowEstimator{capacity: min(cfg.Window, history.Rows())}
+	return newDetector(w, history, a, cfg.Options, cfg.RefitEvery, false, 0)
+}
+
+// newDetector seeds proto's estimate and the first model from history.
+func newDetector(proto estimator, history, a *mat.Dense, opts Options, every int, gated bool, driftTol float64) (*OnlineDetector, error) {
+	opts.fillDefaults()
+	d := &OnlineDetector{a: a, opts: opts, links: history.Cols(), driftTol: driftTol, gated: gated}
+	d.gate = NewRefitGate(&d.mu, every)
+	est, diag, err := d.seedFit(proto, history)
 	if err != nil {
 		return nil, err
 	}
-	o.diag.Store(diag)
-	return o, nil
+	d.est = est
+	d.diag.Store(diag)
+	return d, nil
 }
+
+// seedFit builds the estimator and model a (re)seed on history installs.
+func (d *OnlineDetector) seedFit(est estimator, history *mat.Dense) (estimator, *Diagnoser, error) {
+	if history.Rows() < 2 {
+		return nil, nil, ErrTooFewSamples
+	}
+	next, p, rank, err := est.reseed(history, d.opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	diag, err := diagnoserFromPCA(p, rank, d.a, d.opts.Confidence)
+	return next, diag, err
+}
+
+// SetRefitHook installs a function that runs inside every background
+// refit before fitting begins, so tests can hold a refit open
+// deterministically; call it before streaming starts.
+func (d *OnlineDetector) SetRefitHook(h func()) { d.gate.SetHook(h) }
 
 // Alarm is an anomaly raised by the online detector.
 type Alarm struct {
@@ -104,286 +143,268 @@ type Alarm struct {
 }
 
 // Process tests one measurement vector against the active model and
-// appends it to the window. Detection runs lock-free against the current
-// model; when the refit interval elapses a background refit is launched
-// on a window snapshot and the stream continues uninterrupted. The error
-// of a failed background refit is reported by a later Process call (the
-// previous model stays in force); a measurement of the wrong length is
-// rejected with an error and not buffered.
-func (o *OnlineDetector) Process(y []float64) (Alarm, bool, error) {
-	if len(y) != o.links {
-		return Alarm{}, false, fmt.Errorf("core: measurement has %d links, detector expects %d", len(y), o.links)
+// folds it into the estimate; see ProcessBatch. The returned Alarm
+// carries the bin's SPE and threshold whether or not it is anomalous.
+func (d *OnlineDetector) Process(y []float64) (Alarm, bool, error) {
+	if len(y) != d.links {
+		return Alarm{}, false, fmt.Errorf("core: measurement has %d links, detector expects %d", len(y), d.links)
 	}
-	diag, anomalous := o.diag.Load().DiagnoseAt(y)
-
-	o.mu.Lock()
-	seq := o.processed
-	o.processed++
+	diag, anomalous := d.diag.Load().DiagnoseAt(y)
+	seq, err := d.absorb(mat.NewDense(1, d.links, y), []bool{anomalous})
 	diag.Bin = seq
-	// Anomalous bins are withheld from the window so they do not inflate
-	// the residual variance of the next model (the paper's model is fit
-	// on normal traffic; one contaminated week changed results little,
-	// but exclusion is the conservative choice).
-	if !anomalous {
-		o.window.Push(y)
-	}
-	err := o.gate.TakeErrorLocked()
-	snapshot := o.maybeSnapshotLocked(1)
-	o.mu.Unlock()
-
-	if snapshot != nil {
-		o.spawnRefit(snapshot)
-	}
 	return Alarm{Seq: seq, Diagnosis: diag}, anomalous, err
 }
 
 // ProcessBatch tests a block of measurements (bins x links) in one
-// batched pass (Diagnoser.DiagnoseBatch) and returns only the rows that
-// alarm, with sequence numbers assigned in row order. Window maintenance,
-// refit scheduling and error reporting follow Process; the whole batch is
-// detected against one consistent model snapshot.
-func (o *OnlineDetector) ProcessBatch(y *mat.Dense) ([]Alarm, error) {
-	bins, cols := y.Dims()
-	if cols != o.links {
-		return nil, fmt.Errorf("core: batch has %d links, detector expects %d", cols, o.links)
+// batched pass (Diagnoser.DiagnoseBatch, lock-free against one consistent
+// model) and returns the rows that alarm, numbered in row order. A
+// mis-sized batch is rejected and not counted. The error of a failed
+// background refit is reported by a later call, alongside that call's
+// detections; the previous model stays in force.
+func (d *OnlineDetector) ProcessBatch(y *mat.Dense) ([]Alarm, error) {
+	if cols := y.Cols(); cols != d.links {
+		return nil, fmt.Errorf("core: batch has %d links, detector expects %d", cols, d.links)
 	}
-	diags, flags := o.diag.Load().DiagnoseBatch(y)
-
-	o.mu.Lock()
-	base := o.processed
-	o.processed += bins
+	diags, flags := d.diag.Load().DiagnoseBatch(y)
+	base, err := d.absorb(y, flags)
 	var alarms []Alarm
-	for b := 0; b < bins; b++ {
-		if flags[b] {
-			d := diags[b]
-			d.Bin = base + b
-			alarms = append(alarms, Alarm{Seq: base + b, Diagnosis: d})
-		} else {
-			o.window.Push(y.RowView(b))
+	for b, flagged := range flags {
+		if flagged {
+			diag := diags[b]
+			diag.Bin = base + b
+			alarms = append(alarms, Alarm{Seq: base + b, Diagnosis: diag})
 		}
-	}
-	err := o.gate.TakeErrorLocked()
-	snapshot := o.maybeSnapshotLocked(bins)
-	o.mu.Unlock()
-
-	if snapshot != nil {
-		o.spawnRefit(snapshot)
 	}
 	return alarms, err
 }
 
-// maybeSnapshotLocked advances the refit counter by n processed bins and,
-// when the interval has elapsed and no refit is already in flight, marks
-// a refit as started and returns the window snapshot to fit on. Callers
-// must hold o.mu.
-func (o *OnlineDetector) maybeSnapshotLocked(n int) *mat.Dense {
-	if o.refitEvery <= 0 {
-		return nil
+// absorb numbers a tested batch, folds its rows into the estimate and
+// launches the background refit when one is due. Alarmed rows are
+// withheld so they do not inflate the residual variance of the next model
+// (the paper's model is fit on normal traffic; one contaminated week
+// changed results little, but exclusion is the conservative choice).
+func (d *OnlineDetector) absorb(y *mat.Dense, alarmed []bool) (base int, err error) {
+	d.mu.Lock()
+	base = d.processed
+	d.processed += y.Rows()
+	err = errors.Join(d.est.absorb(y, alarmed), d.gate.TakeErrorLocked())
+	var fit Refit
+	if d.gate.DueLocked(y.Rows(), true) {
+		fit = d.fitLocked(true)
 	}
-	o.sinceRefit += n
-	if o.sinceRefit < o.refitEvery || !o.gate.TryBeginLocked() {
-		return nil
+	d.mu.Unlock()
+	if fit != nil {
+		d.gate.Go(fit)
 	}
-	o.sinceRefit = 0
-	return o.window.Matrix()
+	return base, err
 }
 
-// spawnRefit fits a new model on the snapshot in a background goroutine
-// and swaps it in atomically on success. On failure the previous model
-// stays active and the error is stashed for the next Process call. The
-// caller has already claimed the gate; the goroutine releases it (swap
-// first, then release, so no other fit can interleave between them).
-func (o *OnlineDetector) spawnRefit(w *mat.Dense) {
-	go func() {
-		if h := o.refitHook; h != nil {
-			h()
-		}
-		diag, err := NewDiagnoser(w, o.a, o.opts)
+// fitLocked captures the estimate and returns the refit that solves it.
+// An automatic refit of a drift-gated backend keeps the active model when
+// the candidate's residual projector is within driftTol (Frobenius) of it
+// — measured against the model active when the solve finishes, which an
+// explicit Refit or Seed may have replaced since the batch.
+func (d *OnlineDetector) fitLocked(automatic bool) Refit {
+	solve, name := d.est.fit(d.opts), KindName(d.est.kind())
+	return func() (func() bool, error) {
+		p, rank, err := solve()
+		var cand *Diagnoser
 		if err == nil {
-			o.diag.Store(diag)
-		} else {
-			err = fmt.Errorf("core: online refit: %w", err)
+			cand, err = diagnoserFromPCA(p, rank, d.a, d.opts.Confidence)
 		}
-		o.mu.Lock()
-		if err == nil {
-			o.refits++
+		if err != nil {
+			return nil, fmt.Errorf("core: %s refit: %w", name, err)
 		}
-		o.gate.EndLocked(err)
-		o.mu.Unlock()
-	}()
-}
-
-// Refit synchronously rebuilds the model from the current window
-// contents. It serializes with background refits (waiting for any fit
-// in flight, so a fit on an older window can never overwrite a newer
-// model) but never blocks Process: the fit runs on a snapshot outside
-// the detector lock and concurrent Process calls keep flowing against
-// the previous model until the atomic swap. A failed fit leaves the
-// previous model in force.
-func (o *OnlineDetector) Refit() error {
-	o.mu.Lock()
-	o.gate.BeginLocked()
-	w := o.window.Matrix()
-	o.mu.Unlock()
-
-	var diag *Diagnoser
-	var err error
-	if w == nil {
-		err = fmt.Errorf("core: online window empty")
-	} else if diag, err = NewDiagnoser(w, o.a, o.opts); err != nil {
-		err = fmt.Errorf("core: online refit: %w", err)
-	} else {
-		o.diag.Store(diag)
-	}
-
-	o.mu.Lock()
-	if err == nil {
-		o.refits++
-	}
-	o.gate.EndLocked(nil)
-	o.mu.Unlock()
-	return err
-}
-
-// Seed replaces the sliding window with (the most recent Window rows
-// of) history and synchronously refits the model on it, serializing
-// with any in-flight background refit. The replacement window and model
-// are built off to the side and committed together only when the fit
-// succeeds: a history that cannot be fitted leaves both the active
-// model and the healthy window untouched. The processed-bin counter
-// keeps running.
-func (o *OnlineDetector) Seed(history *mat.Dense) error {
-	t, links := history.Dims()
-	if links != o.links {
-		return fmt.Errorf("core: seed history has %d links, detector expects %d", links, o.links)
-	}
-	if t == 0 {
-		return fmt.Errorf("core: seed history is empty")
-	}
-	o.mu.Lock()
-	o.gate.BeginLocked()
-	capacity := o.window.Cap()
-	o.mu.Unlock()
-
-	window := mat.NewRowRing(capacity, o.links)
-	start := t - capacity
-	if start < 0 {
-		start = 0
-	}
-	for b := start; b < t; b++ {
-		window.Push(history.RowView(b))
-	}
-	diag, err := NewDiagnoser(window.Matrix(), o.a, o.opts)
-	if err == nil {
-		o.diag.Store(diag)
-	} else {
-		err = fmt.Errorf("core: online seed: %w", err)
-	}
-
-	o.mu.Lock()
-	if err == nil {
-		o.window = window
-		o.refits++
-		// The model is freshly fitted; restart the automatic-refit
-		// clock so the next interval is not spent refitting the window
-		// that was just seeded.
-		o.sinceRefit = 0
-	}
-	o.gate.EndLocked(nil)
-	o.mu.Unlock()
-	return err
-}
-
-// Stats reports the detector's current state under the streaming
-// contract.
-func (o *OnlineDetector) Stats() ViewStats {
-	o.mu.Lock()
-	processed, refits := o.processed, o.refits
-	o.mu.Unlock()
-	return ViewStats{
-		Backend:   "subspace",
-		Links:     o.links,
-		Processed: processed,
-		Rank:      o.diag.Load().Detector().Model().Rank(),
-		Refits:    refits,
+		if automatic && d.driftTol > 0 {
+			active := d.diag.Load().det.model
+			if mat.Sub(active.ct, cand.det.model.ct).Frobenius() < d.driftTol {
+				return func() bool { d.skipped++; return false }, nil
+			}
+		}
+		return func() bool { d.diag.Store(cand); return true }, nil
 	}
 }
 
-// WaitRefits blocks until no model fit is in flight. Safe to call while
-// other goroutines keep streaming (each in-flight fit is waited out as
-// it completes); it does not prevent new refits from starting after it
-// returns.
-func (o *OnlineDetector) WaitRefits() { o.gate.Wait() }
+// Refit synchronously rebuilds the model from the current estimate,
+// bypassing the drift gate.
+func (d *OnlineDetector) Refit() error {
+	return d.gate.Run(func() Refit { return d.fitLocked(false) })
+}
 
-// TakeRefitError returns and clears the deferred error from the last
-// failed background refit, if any. Streaming callers see these errors
-// on their next Process/ProcessBatch call; TakeRefitError exists for
-// shutdown paths that stop processing (engine Flush/Errs) and would
-// otherwise never observe a failure from the final refit.
-func (o *OnlineDetector) TakeRefitError() error { return o.gate.TakeError() }
-
-// Snapshot serializes the sliding window, the counters, and the exact
-// active model as a NAMS envelope. It takes the refit gate first, so a
-// background fit in flight is waited out rather than captured
-// half-swapped, and no new fit can start mid-serialization.
-func (o *OnlineDetector) Snapshot(w io.Writer) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.gate.BeginLocked()
-	defer o.gate.EndLocked(nil)
-	return EncodeSnapshot(w, SnapKindSubspace, func(sw *SnapshotWriter) {
-		sw.Int(o.links)
-		sw.RowRing(o.window)
-		sw.Int(o.processed)
-		sw.Int(o.sinceRefit)
-		sw.Int(o.refits)
-		encodeDiagnoser(sw, o.diag.Load())
+// Seed replaces the estimate with one built from history alone and
+// refits the model on it with a full batch fit, exactly as construction
+// does. Estimate and model are built off to the side and committed
+// together only when the fit succeeds: a history that cannot be fitted
+// leaves both untouched. The processed-bin counter keeps running.
+func (d *OnlineDetector) Seed(history *mat.Dense) error {
+	if cols := history.Cols(); cols != d.links {
+		return fmt.Errorf("core: seed history has %d links, detector expects %d", cols, d.links)
+	}
+	return d.gate.Run(func() Refit {
+		est := d.est
+		return func() (func() bool, error) {
+			next, diag, err := d.seedFit(est, history)
+			if err != nil {
+				return nil, fmt.Errorf("core: %s seed: %w", KindName(est.kind()), err)
+			}
+			return func() bool {
+				d.est = next
+				d.diag.Store(diag)
+				d.gate.RestartLocked()
+				return true
+			}, nil
+		}
 	})
 }
 
-// Restore replaces the window, counters, and active model with a
-// snapshot from an identically configured subspace detector. The
-// decoded state is committed only after the whole payload validates;
+// Stats reports the detector's current state under the streaming
+// contract. Refits counts swapped-in models; intervals the drift gate
+// declined are visible through SkippedRebuilds.
+func (d *OnlineDetector) Stats() ViewStats {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return ViewStats{
+		Backend:   KindName(d.est.kind()),
+		Links:     d.links,
+		Processed: d.processed,
+		Rank:      d.diag.Load().det.model.rank,
+		Refits:    d.gate.RefitsLocked(),
+	}
+}
+
+// WaitRefits blocks until no model fit is in flight. It does not prevent
+// new refits from starting after it returns.
+func (d *OnlineDetector) WaitRefits() { d.gate.Wait() }
+
+// TakeRefitError returns and clears the deferred error from the last
+// failed background refit, if any.
+func (d *OnlineDetector) TakeRefitError() error { return d.gate.TakeError() }
+
+// Snapshot serializes the estimate, the counters and the exact active
+// model as one NAMS envelope of the estimator's kind.
+func (d *OnlineDetector) Snapshot(w io.Writer) error {
+	return d.gate.Quiesced(func() error {
+		return EncodeSnapshot(w, d.est.kind(), func(sw *SnapshotWriter) {
+			sw.Int(d.links)
+			d.est.encode(sw)
+			sw.Int(d.processed)
+			d.gate.EncodeLocked(sw)
+			if d.gated {
+				sw.Int(d.skipped)
+			}
+			EncodeDetector(sw, d.diag.Load().det)
+		})
+	})
+}
+
+// Restore replaces the estimate, counters and active model with a
+// snapshot from an identically configured detector of the same kind.
+// The decoded state is committed only after the whole payload validates;
 // a rejected snapshot leaves the receiver untouched. The receiver's
-// routing matrix, refit cadence, and options stay in force.
-func (o *OnlineDetector) Restore(r io.Reader) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.gate.BeginLocked()
-	defer o.gate.EndLocked(nil)
-	return DecodeSnapshot(r, SnapKindSubspace, func(sr *SnapshotReader) error {
-		links := sr.Int()
-		if sr.Err() == nil && links != o.links {
-			return SnapshotMismatchf("snapshot has %d links, detector expects %d", links, o.links)
-		}
-		window := sr.RowRing(o.links)
-		processed := sr.NonNegInt()
-		sinceRefit := sr.NonNegInt()
-		refits := sr.NonNegInt()
-		if err := sr.Err(); err != nil {
-			return err
-		}
-		diag, err := decodeDiagnoser(sr, o.a, o.links)
-		if err != nil {
-			return err
-		}
-		o.window = window
-		o.processed = processed
-		o.sinceRefit = sinceRefit
-		o.refits = refits
-		o.diag.Store(diag)
-		return nil
+// routing matrix, refit cadence and options stay in force.
+func (d *OnlineDetector) Restore(r io.Reader) error {
+	return d.gate.Quiesced(func() error {
+		return DecodeSnapshot(r, d.est.kind(), func(sr *SnapshotReader) error {
+			if links := sr.Int(); sr.Err() == nil && links != d.links {
+				return SnapshotMismatchf("snapshot has %d links, detector expects %d", links, d.links)
+			}
+			est, err := d.est.decode(sr, d.links)
+			if err != nil {
+				return err
+			}
+			processed := sr.NonNegInt()
+			counters := d.gate.DecodeLocked(sr)
+			skipped := 0
+			if d.gated {
+				skipped = sr.NonNegInt()
+			}
+			if err := sr.Err(); err != nil {
+				return err
+			}
+			diag, err := decodeDiagnoser(sr, d.a, d.links)
+			if err != nil {
+				return err
+			}
+			d.est, d.processed, d.skipped = est, processed, skipped
+			counters()
+			d.diag.Store(diag)
+			return nil
+		})
 	})
 }
 
 // Diagnoser returns the currently active model pipeline. The returned
-// value is immutable; a concurrent refit swaps in a new one rather than
-// mutating it.
-func (o *OnlineDetector) Diagnoser() *Diagnoser { return o.diag.Load() }
+// value is immutable; a refit swaps in a new one rather than mutating it.
+func (d *OnlineDetector) Diagnoser() *Diagnoser { return d.diag.Load() }
 
 // Processed returns the number of measurements seen so far.
-func (o *OnlineDetector) Processed() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.processed
+func (d *OnlineDetector) Processed() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.processed
+}
+
+// SkippedRebuilds returns how many automatic refit intervals solved a
+// candidate model but left the active one in place because the subspace
+// had drifted less than DriftTol.
+func (d *OnlineDetector) SkippedRebuilds() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.skipped
+}
+
+// windowEstimator is the paper's own estimate: the raw bins themselves,
+// the most recent capacity of them, refitted by a full SVD that
+// re-resolves the rank every time.
+type windowEstimator struct {
+	capacity int
+	ring     *mat.RowRing
+}
+
+func (w *windowEstimator) kind() byte { return SnapKindSubspace }
+
+func (w *windowEstimator) absorb(y *mat.Dense, skip []bool) error {
+	for b, s := range skip {
+		if !s {
+			w.ring.Push(y.RowView(b))
+		}
+	}
+	return nil
+}
+
+func (w *windowEstimator) fit(opts Options) func() (*PCA, int, error) {
+	rows := w.ring.Matrix()
+	return func() (*PCA, int, error) {
+		if rows == nil {
+			return nil, 0, fmt.Errorf("core: online window empty")
+		}
+		return fitRank(rows, opts)
+	}
+}
+
+func (w *windowEstimator) reseed(history *mat.Dense, opts Options) (estimator, *PCA, int, error) {
+	next := &windowEstimator{capacity: w.capacity, ring: tailRing(history, w.capacity)}
+	p, rank, err := fitRank(next.ring.Matrix(), opts)
+	return next, p, rank, err
+}
+
+func (w *windowEstimator) encode(sw *SnapshotWriter) { sw.RowRing(w.ring) }
+
+func (w *windowEstimator) decode(sr *SnapshotReader, links int) (estimator, error) {
+	ring := sr.RowRing(links)
+	if err := sr.Err(); err != nil {
+		return nil, err
+	}
+	return &windowEstimator{capacity: ring.Cap(), ring: ring}, nil
+}
+
+// tailRing returns a ring of the given capacity holding the most recent
+// rows of a non-empty history.
+func tailRing(history *mat.Dense, capacity int) *mat.RowRing {
+	bins, cols := history.Dims()
+	ring := mat.NewRowRing(capacity, cols)
+	for b := max(0, bins-capacity); b < bins; b++ {
+		ring.Push(history.RowView(b))
+	}
+	return ring
 }

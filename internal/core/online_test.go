@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"netanomaly/internal/mat"
 	"netanomaly/internal/traffic"
@@ -121,27 +120,6 @@ func TestOnlineDetectorConcurrentProcess(t *testing.T) {
 	}
 }
 
-func TestOnlineDetectorRejectsBadLength(t *testing.T) {
-	topo, _, y := testDataset(t, 65, 432)
-	od, err := NewOnlineDetector(y, topo.RoutingMatrix(), OnlineConfig{Window: 432})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := od.Process([]float64{1, 2, 3}); err == nil {
-		t.Fatal("expected error for mismatched measurement length")
-	}
-	if od.Processed() != 0 {
-		t.Fatalf("rejected measurement was counted: Processed = %d", od.Processed())
-	}
-	// The window must be intact: a refit on it still succeeds.
-	if err := od.Refit(); err != nil {
-		t.Fatalf("refit after rejected measurement: %v", err)
-	}
-	if _, err := od.ProcessBatch(mat.Zeros(4, 3)); err == nil {
-		t.Fatal("expected error for mismatched batch width")
-	}
-}
-
 func TestOnlineDetectorProcessBatchMatchesSerial(t *testing.T) {
 	topo, x, _, _, _ := fitPipeline(t, 66, 1440)
 	y := traffic.LinkLoads(topo, x)
@@ -244,82 +222,6 @@ func TestOnlineDetectorFailedRefitKeepsModel(t *testing.T) {
 	}
 }
 
-func TestOnlineDetectorFailedBackgroundRefitKeepsModel(t *testing.T) {
-	od, mean := constantDetector(t, 40)
-	before := od.Diagnoser()
-	var refitErr error
-	for i := 0; i < 40; i++ {
-		_, _, err := od.Process(mean)
-		if err != nil {
-			refitErr = err
-		}
-	}
-	od.WaitRefits()
-	// The 40th Process triggered a background refit on the now-constant
-	// window; its failure is harvestable without another measurement...
-	if err := od.TakeRefitError(); err != nil {
-		refitErr = err
-	} else if _, _, err := od.Process(mean); err != nil {
-		// ...and would otherwise surface on the next call.
-		refitErr = err
-	}
-	if refitErr == nil {
-		t.Fatal("background refit on a constant window reported no error")
-	}
-	if od.Diagnoser() != before {
-		t.Fatal("failed background refit replaced the model")
-	}
-	if err := od.TakeRefitError(); err != nil {
-		t.Fatalf("refit error not cleared after harvest: %v", err)
-	}
-}
-
-func TestOnlineDetectorRefitDoesNotBlockProcess(t *testing.T) {
-	topo, _, y := testDataset(t, 67, 432)
-	od, err := NewOnlineDetector(y, topo.RoutingMatrix(), OnlineConfig{Window: 432, RefitEvery: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hold := make(chan struct{})
-	entered := make(chan struct{})
-	var once sync.Once
-	od.refitHook = func() {
-		once.Do(func() { close(entered) })
-		<-hold
-	}
-	// Cross the refit interval so a background refit starts and parks in
-	// the hook.
-	for b := 0; b < 10; b++ {
-		if _, _, err := od.Process(y.RowView(b)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	<-entered
-	// With the refit held open, the stream must keep flowing. If Process
-	// blocked behind the refit, this goroutine would never finish and the
-	// watchdog below would fire.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for b := 0; b < 100; b++ {
-			if _, _, err := od.Process(y.RowView(b % 432)); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Process blocked while a refit was in flight")
-	}
-	close(hold)
-	od.WaitRefits()
-	if od.Processed() != 110 {
-		t.Fatalf("Processed = %d want 110", od.Processed())
-	}
-}
-
 func TestOnlineDetectorConcurrentBatchesAndRefits(t *testing.T) {
 	// Race hammer: concurrent Process, ProcessBatch and explicit Refit
 	// calls must be safe together (run under -race in CI).
@@ -365,29 +267,5 @@ func TestOnlineDetectorConcurrentBatchesAndRefits(t *testing.T) {
 	od.WaitRefits()
 	if od.Processed() != 3*60+5*12 {
 		t.Fatalf("Processed = %d want %d", od.Processed(), 3*60+5*12)
-	}
-}
-
-func TestOnlineSeedFailureKeepsWindowAndModel(t *testing.T) {
-	topo, _, y := testDataset(t, 66, 432)
-	od, err := NewOnlineDetector(y, topo.RoutingMatrix(), OnlineConfig{Window: 432})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := od.Diagnoser()
-	// One row cannot be fitted; the error must not destroy the healthy
-	// window or the active model.
-	if err := od.Seed(mat.NewDense(1, y.Cols(), y.RawData()[:y.Cols()])); err == nil {
-		t.Fatal("unfittable seed accepted")
-	}
-	if od.Diagnoser() != before {
-		t.Fatal("failed Seed replaced the active model")
-	}
-	if err := od.Refit(); err != nil {
-		t.Fatalf("window destroyed by failed Seed: refit errors with %v", err)
-	}
-	// A good Seed still works afterwards.
-	if err := od.Seed(y); err != nil {
-		t.Fatal(err)
 	}
 }

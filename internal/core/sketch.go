@@ -2,10 +2,7 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"netanomaly/internal/mat"
 )
@@ -77,6 +74,13 @@ func (s *FDSketch) Count() int { return s.n }
 func (s *FDSketch) Insert(x []float64) error {
 	if len(x) != s.m {
 		return fmt.Errorf("core: sketch insert has %d links, want %d", len(x), s.m)
+	}
+	if s.used == s.ell {
+		// The shrink that should have freed a row failed; try it again
+		// rather than write past the buffer.
+		if err := s.shrink(); err != nil {
+			return err
+		}
 	}
 	s.n++
 	inv := 1 / float64(s.n)
@@ -295,416 +299,107 @@ type SketchConfig struct {
 	Options Options
 }
 
-// SketchDetector is the Frequent-Directions streaming backend: the
-// ninth member of the detector family. It seeds exactly like the
-// subspace and incremental backends (full batch fit on the history, the
-// paper's rank separation), then tracks the covariance in an FDSketch
-// instead of a window or an m x m tracker, so per-view memory is
-// O(ell*m) and a rebuild solves an ell-sized eigenproblem instead of an
-// m x m one — the cheapest refit in the family, bought with a bounded
-// spectral error that detection absorbs (the normal subspace needs only
-// the top-rank directions, which FD preserves best).
-//
-// Concurrency follows IncrementalDetector: lock-free detection against
-// an atomically swapped Diagnoser, background rebuilds on a sketch
-// snapshot serialized by a RefitGate, deferred error reporting.
-type SketchDetector struct {
-	a        *mat.Dense
-	opts     Options
-	links    int
-	ell      int
-	driftTol float64
-
-	diag atomic.Pointer[Diagnoser]
-
-	mu         sync.Mutex // guards the fields below
-	sk         *FDSketch
-	rank       int
-	processed  int
-	sinceRefit int
-	refitEvery int
-	gate       *RefitGate
-	refits     int
-	skipped    int
-	refitHook  func()
+// NewSketchDetector returns the "sketch" backend: an OnlineDetector
+// whose estimate is an FDSketch instead of a window or an m x m tracker,
+// so per-view memory is O(ell*m) and a rebuild solves an ell-sized
+// eigenproblem instead of an m x m one — the cheapest refit in the
+// family, bought with a bounded spectral error that detection absorbs
+// (the normal subspace needs only the top-rank directions, which FD
+// preserves best). It seeds with a full batch fit on history
+// (bins x links) like the other two, so all three start from the same
+// model, and retains the rank resolved there.
+func NewSketchDetector(history, a *mat.Dense, cfg SketchConfig) (*OnlineDetector, error) {
+	return newDetector(&sketchEstimator{ell: cfg.SketchSize}, history, a, cfg.Options, cfg.RefitEvery, true, cfg.DriftTol)
 }
 
-var _ ViewDetector = (*SketchDetector)(nil)
+// sketchEstimator is the Frequent-Directions estimate and the rank its
+// models are built at. ell is the configured size (0: default from the
+// rank) until the first reseed resolves it, and fixed from then on.
+type sketchEstimator struct {
+	ell  int
+	sk   *FDSketch
+	rank int
+}
 
-// sketchSizeFor validates or defaults ell against the resolved model
-// rank.
-func sketchSizeFor(ell, rank int) (int, error) {
-	if ell == 0 {
-		ell = 4 * rank
-		if ell < 8 {
-			ell = 8
+func (e *sketchEstimator) kind() byte { return SnapKindSketch }
+
+func (e *sketchEstimator) absorb(y *mat.Dense, skip []bool) error {
+	return e.sk.InsertMasked(y, skip)
+}
+
+func (e *sketchEstimator) fit(Options) func() (*PCA, int, error) {
+	sk, rank := e.sk.Snapshot(), e.rank
+	return func() (*PCA, int, error) {
+		p, span, err := sk.PCA()
+		if err == nil && rank > span {
+			err = fmt.Errorf("core: sketch spans %d directions, model rank is %d", span, rank)
 		}
+		return p, rank, err
+	}
+}
+
+func (e *sketchEstimator) reseed(history *mat.Dense, opts Options) (estimator, *PCA, int, error) {
+	p, rank, err := fitRank(history, opts)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	ell := e.ell
+	if ell == 0 {
+		ell = max(8, 4*rank)
 	}
 	if ell < 2*rank {
-		return 0, fmt.Errorf("core: sketch size %d < 2*rank (rank %d): shrinking would discard normal-subspace directions", ell, rank)
+		return nil, nil, 0, fmt.Errorf("core: sketch size %d < 2*rank (rank %d): shrinking would discard normal-subspace directions", ell, rank)
 	}
-	if ell < 4 {
-		return 0, fmt.Errorf("core: sketch size %d too small (need >= 4)", ell)
-	}
-	return ell, nil
-}
-
-// NewSketchDetector seeds the model with a full batch fit on history
-// (bins x links) — identical to the subspace and incremental seeds, so
-// all three start from the same model — and initializes the sketch from
-// the same rows. routing (links x flows) drives identification.
-func NewSketchDetector(history, a *mat.Dense, cfg SketchConfig) (*SketchDetector, error) {
-	cfg.Options.fillDefaults()
-	t, links := history.Dims()
-	if t < 2 {
-		return nil, ErrTooFewSamples
-	}
-	diag, err := NewDiagnoser(history, a, cfg.Options)
-	if err != nil {
-		return nil, err
-	}
-	rank := diag.Detector().Model().Rank()
-	ell, err := sketchSizeFor(cfg.SketchSize, rank)
-	if err != nil {
-		return nil, err
-	}
-	sk, err := NewFDSketch(links, ell)
-	if err != nil {
-		return nil, err
-	}
-	if err := sk.InsertAll(history); err != nil {
-		return nil, err
-	}
-	d := &SketchDetector{
-		a:          a,
-		opts:       cfg.Options,
-		links:      links,
-		ell:        ell,
-		driftTol:   cfg.DriftTol,
-		sk:         sk,
-		rank:       rank,
-		refitEvery: cfg.RefitEvery,
-	}
-	d.gate = NewRefitGate(&d.mu)
-	d.diag.Store(diag)
-	return d, nil
-}
-
-// SetRefitHook installs a function that runs inside every background
-// rebuild goroutine before solving begins; tests use it to hold a
-// rebuild open. Call before streaming starts.
-func (d *SketchDetector) SetRefitHook(h func()) { d.refitHook = h }
-
-// diagnoserFromSketch assembles the full pipeline from a sketch
-// snapshot at the given rank.
-func (d *SketchDetector) diagnoserFromSketch(sk *FDSketch, rank int) (*Diagnoser, error) {
-	p, span, err := sk.PCA()
-	if err != nil {
-		return nil, err
-	}
-	if rank > span {
-		return nil, fmt.Errorf("core: sketch spans %d directions, model rank is %d", span, rank)
-	}
-	model, err := Build(p, rank)
-	if err != nil {
-		return nil, err
-	}
-	det, err := NewDetector(model, d.opts.Confidence)
-	if err != nil {
-		return nil, err
-	}
-	id, err := NewIdentifier(model, d.a)
-	if err != nil {
-		return nil, err
-	}
-	return &Diagnoser{det: det, id: id}, nil
-}
-
-// ProcessBatch tests a block of measurements (bins x links) against the
-// active model, absorbs the non-anomalous rows into the sketch, and
-// schedules a background rebuild when the refit interval has elapsed.
-// Alarms carry sequence numbers continuing the per-detector count; a
-// deferred rebuild failure is reported alongside the batch's
-// detections.
-func (d *SketchDetector) ProcessBatch(y *mat.Dense) ([]Alarm, error) {
-	bins, cols := y.Dims()
-	if cols != d.links {
-		return nil, fmt.Errorf("core: batch has %d links, detector expects %d", cols, d.links)
-	}
-	diags, flags := d.diag.Load().DiagnoseBatch(y)
-
-	d.mu.Lock()
-	base := d.processed
-	d.processed += bins
-	var alarms []Alarm
-	for b := 0; b < bins; b++ {
-		if flags[b] {
-			diag := diags[b]
-			diag.Bin = base + b
-			alarms = append(alarms, Alarm{Seq: base + b, Diagnosis: diag})
-		}
-	}
-	// Anomalous bins are withheld from the sketch, mirroring the window
-	// exclusion of the subspace backend.
-	err := d.sk.InsertMasked(y, flags)
-	if gerr := d.gate.TakeErrorLocked(); err == nil {
-		err = gerr
-	}
-	var snap *FDSketch
-	rank := d.rank
-	if d.refitEvery > 0 {
-		d.sinceRefit += bins
-		if d.sinceRefit >= d.refitEvery && d.gate.TryBeginLocked() {
-			d.sinceRefit = 0
-			snap = d.sk.Snapshot()
-		}
-	}
-	d.mu.Unlock()
-
-	if snap != nil {
-		d.spawnRebuild(snap, rank)
-	}
-	return alarms, err
-}
-
-// spawnRebuild solves a candidate model from the sketch snapshot in a
-// background goroutine and swaps it in when it has drifted at least
-// DriftTol from the model active at decision time (always, when
-// DriftTol is 0).
-func (d *SketchDetector) spawnRebuild(snap *FDSketch, rank int) {
-	go func() {
-		if h := d.refitHook; h != nil {
-			h()
-		}
-		cand, err := d.diagnoserFromSketch(snap, rank)
-		swap := err == nil
-		if swap && d.driftTol > 0 {
-			drift := mat.Sub(
-				d.diag.Load().Detector().Model().ResidualOperator(),
-				cand.Detector().Model().ResidualOperator(),
-			).Frobenius()
-			swap = drift >= d.driftTol
-		}
-		if swap {
-			d.diag.Store(cand)
-		}
-		if err != nil {
-			err = fmt.Errorf("core: sketch rebuild: %w", err)
-		}
-		d.mu.Lock()
-		switch {
-		case err == nil && swap:
-			d.refits++
-		case err == nil:
-			d.skipped++
-		}
-		d.gate.EndLocked(err)
-		d.mu.Unlock()
-	}()
-}
-
-// Refit synchronously rebuilds the model from the current sketch state,
-// bypassing the drift gate. The eigensolve runs on a snapshot outside
-// the lock, so concurrent detection never stalls.
-func (d *SketchDetector) Refit() error {
-	d.mu.Lock()
-	d.gate.BeginLocked()
-	snap := d.sk.Snapshot()
-	rank := d.rank
-	d.mu.Unlock()
-
-	cand, err := d.diagnoserFromSketch(snap, rank)
+	sk, err := NewFDSketch(history.Cols(), ell)
 	if err == nil {
-		d.diag.Store(cand)
-	} else {
-		err = fmt.Errorf("core: sketch rebuild: %w", err)
-	}
-
-	d.mu.Lock()
-	if err == nil {
-		d.refits++
-	}
-	d.gate.EndLocked(nil)
-	d.mu.Unlock()
-	return err
-}
-
-// Seed resets the sketch to the history block and refits the model with
-// a full batch fit on it, re-resolving the rank exactly as construction
-// does. It serializes with in-flight rebuilds; the processed-bin
-// counter keeps running.
-func (d *SketchDetector) Seed(history *mat.Dense) error {
-	t, links := history.Dims()
-	if links != d.links {
-		return fmt.Errorf("core: seed history has %d links, detector expects %d", links, d.links)
-	}
-	if t < 2 {
-		return ErrTooFewSamples
-	}
-	d.mu.Lock()
-	d.gate.BeginLocked()
-	d.mu.Unlock()
-
-	diag, err := NewDiagnoser(history, d.a, d.opts)
-	var sk *FDSketch
-	var rank int
-	if err == nil {
-		rank = diag.Detector().Model().Rank()
-		var ell int
-		if ell, err = sketchSizeFor(d.ell, rank); err == nil {
-			if sk, err = NewFDSketch(links, ell); err == nil {
-				if err = sk.InsertAll(history); err == nil {
-					d.diag.Store(diag)
-				}
-			}
-		}
+		err = sk.InsertAll(history)
 	}
 	if err != nil {
-		err = fmt.Errorf("core: sketch seed: %w", err)
+		return nil, nil, 0, err
 	}
+	return &sketchEstimator{ell: ell, sk: sk, rank: rank}, p, rank, nil
+}
 
-	d.mu.Lock()
-	if err == nil {
-		d.sk = sk
-		d.rank = rank
-		d.sinceRefit = 0
-		d.refits++
+// encode writes the whole buffer (all ell rows, occupancy, running mean,
+// inserted count, inserted energy) and the retained rank.
+func (e *sketchEstimator) encode(sw *SnapshotWriter) {
+	sw.Int(e.ell)
+	sw.Matrix(e.sk.b)
+	sw.Int(e.sk.used)
+	sw.Floats(e.sk.mean)
+	sw.Int(e.sk.n)
+	sw.F64(e.sk.energy)
+	sw.Int(e.rank)
+}
+
+// decode requires the snapshot's sketch size to match the receiver's —
+// the buffer shape is construction configuration — and its occupancy to
+// leave the free row every Insert writes into.
+func (e *sketchEstimator) decode(sr *SnapshotReader, links int) (estimator, error) {
+	if ell := sr.Int(); sr.Err() == nil && ell != e.ell {
+		return nil, SnapshotMismatchf("snapshot sketch size %d, detector uses %d", ell, e.ell)
 	}
-	d.gate.EndLocked(nil)
-	d.mu.Unlock()
-	return err
-}
-
-// WaitRefits blocks until no rebuild is in flight.
-func (d *SketchDetector) WaitRefits() { d.gate.Wait() }
-
-// TakeRefitError returns and clears the deferred error from the last
-// failed background rebuild, if any.
-func (d *SketchDetector) TakeRefitError() error { return d.gate.TakeError() }
-
-// Stats reports the detector's current state. Refits counts swapped-in
-// rebuilds.
-func (d *SketchDetector) Stats() ViewStats {
-	d.mu.Lock()
-	processed, refits := d.processed, d.refits
-	d.mu.Unlock()
-	return ViewStats{
-		Backend:   "sketch",
-		Links:     d.links,
-		Processed: processed,
-		Rank:      d.diag.Load().Detector().Model().Rank(),
-		Refits:    refits,
+	b := sr.Matrix()
+	used := sr.NonNegInt()
+	mean := sr.Floats()
+	n := sr.NonNegInt()
+	energy := sr.F64()
+	rank := sr.NonNegInt()
+	if err := sr.Err(); err != nil {
+		return nil, err
 	}
+	if b == nil || b.Rows() != e.ell || b.Cols() != links {
+		return nil, snapshotFormatf("sketch buffer is not %dx%d", e.ell, links)
+	}
+	if used >= e.ell {
+		return nil, snapshotFormatf("sketch occupancy %d leaves no free row of %d", used, e.ell)
+	}
+	if len(mean) != links {
+		return nil, snapshotFormatf("sketch mean has %d entries, want %d", len(mean), links)
+	}
+	if rank < 1 || rank >= links {
+		return nil, snapshotFormatf("retained rank %d out of [1, %d]", rank, links-1)
+	}
+	sk := &FDSketch{m: links, ell: e.ell, b: b, used: used, mean: mean, n: n, energy: energy}
+	return &sketchEstimator{ell: e.ell, sk: sk, rank: rank}, nil
 }
-
-// Snapshot serializes the Frequent-Directions buffer (all ell rows,
-// occupancy, running mean, inserted count, shed energy), the retained
-// rank, the counters, and the exact active model. The refit gate is
-// taken first so an in-flight rebuild is waited out, never captured
-// mid-swap.
-func (d *SketchDetector) Snapshot(w io.Writer) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.gate.BeginLocked()
-	defer d.gate.EndLocked(nil)
-	return EncodeSnapshot(w, SnapKindSketch, func(sw *SnapshotWriter) {
-		sw.Int(d.links)
-		sw.Int(d.ell)
-		sw.Matrix(d.sk.b)
-		sw.Int(d.sk.used)
-		sw.Floats(d.sk.mean)
-		sw.Int(d.sk.n)
-		sw.F64(d.sk.energy)
-		sw.Int(d.rank)
-		sw.Int(d.processed)
-		sw.Int(d.sinceRefit)
-		sw.Int(d.refits)
-		sw.Int(d.skipped)
-		encodeDiagnoser(sw, d.diag.Load())
-	})
-}
-
-// Restore replaces the sketch, counters, and active model with a
-// snapshot from an identically configured sketch detector. The
-// snapshot's sketch size must match the receiver's ell — the buffer
-// shape is construction configuration — and the state commits only
-// after the whole payload validates.
-func (d *SketchDetector) Restore(r io.Reader) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.gate.BeginLocked()
-	defer d.gate.EndLocked(nil)
-	return DecodeSnapshot(r, SnapKindSketch, func(sr *SnapshotReader) error {
-		links := sr.Int()
-		if sr.Err() == nil && links != d.links {
-			return SnapshotMismatchf("snapshot has %d links, detector expects %d", links, d.links)
-		}
-		ell := sr.Int()
-		if sr.Err() == nil && ell != d.ell {
-			return SnapshotMismatchf("snapshot sketch size %d, detector uses %d", ell, d.ell)
-		}
-		b := sr.Matrix()
-		used := sr.NonNegInt()
-		mean := sr.Floats()
-		n := sr.NonNegInt()
-		energy := sr.F64()
-		rank := sr.NonNegInt()
-		processed := sr.NonNegInt()
-		sinceRefit := sr.NonNegInt()
-		refits := sr.NonNegInt()
-		skipped := sr.NonNegInt()
-		if err := sr.Err(); err != nil {
-			return err
-		}
-		if b == nil {
-			return snapshotFormatf("sketch buffer missing")
-		}
-		if rows, cols := b.Dims(); rows != d.ell || cols != d.links {
-			return snapshotFormatf("sketch buffer is %dx%d, want %dx%d", rows, cols, d.ell, d.links)
-		}
-		if used > d.ell {
-			return snapshotFormatf("sketch occupancy %d over size %d", used, d.ell)
-		}
-		if len(mean) != d.links {
-			return snapshotFormatf("sketch mean has %d entries, want %d", len(mean), d.links)
-		}
-		if rank < 1 || rank >= d.links {
-			return snapshotFormatf("retained rank %d out of [1, %d]", rank, d.links-1)
-		}
-		diag, err := decodeDiagnoser(sr, d.a, d.links)
-		if err != nil {
-			return err
-		}
-		d.sk = &FDSketch{
-			m:      d.links,
-			ell:    d.ell,
-			b:      b,
-			used:   used,
-			mean:   mean,
-			n:      n,
-			energy: energy,
-		}
-		d.rank = rank
-		d.processed = processed
-		d.sinceRefit = sinceRefit
-		d.refits = refits
-		d.skipped = skipped
-		d.diag.Store(diag)
-		return nil
-	})
-}
-
-// SkippedRebuilds returns how many automatic rebuild intervals solved a
-// candidate model but left the active one in place because the subspace
-// had drifted less than DriftTol.
-func (d *SketchDetector) SkippedRebuilds() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.skipped
-}
-
-// Diagnoser returns the currently active model pipeline.
-func (d *SketchDetector) Diagnoser() *Diagnoser { return d.diag.Load() }
-
-// SketchSize returns ell, the sketch's row budget.
-func (d *SketchDetector) SketchSize() int { return d.ell }

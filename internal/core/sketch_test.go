@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"netanomaly/internal/mat"
@@ -155,7 +156,7 @@ func TestSketchBackgroundRebuildAndDriftGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range []*SketchDetector{always, gated} {
+	for _, d := range []*OnlineDetector{always, gated} {
 		for b := 0; b < streamBins; b += 60 {
 			chunk := mat.NewDense(60, stream.Cols(), stream.RawData()[b*stream.Cols():(b+60)*stream.Cols()])
 			if _, err := d.ProcessBatch(chunk); err != nil {
@@ -181,35 +182,6 @@ func TestSketchBackgroundRebuildAndDriftGate(t *testing.T) {
 	}
 }
 
-func TestSketchSeedAndValidation(t *testing.T) {
-	_, history, stream, _ := streamDataset(t, 73, 504, 60, nil)
-	routing := topology.Abilene().RoutingMatrix()
-	d, err := NewSketchDetector(history, routing, SketchConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.ProcessBatch(mat.Zeros(4, 3)); err == nil {
-		t.Fatal("mis-sized batch accepted")
-	}
-	if _, err := d.ProcessBatch(stream); err != nil {
-		t.Fatal(err)
-	}
-	before := d.Stats()
-	if err := d.Seed(mat.Zeros(10, 3)); err == nil {
-		t.Fatal("mis-sized seed accepted")
-	}
-	if err := d.Seed(history); err != nil {
-		t.Fatal(err)
-	}
-	after := d.Stats()
-	if after.Processed != before.Processed {
-		t.Fatalf("Seed reset the processed counter: %d -> %d", before.Processed, after.Processed)
-	}
-	if after.Refits != before.Refits+1 {
-		t.Fatalf("Seed did not count as a refit: %d -> %d", before.Refits, after.Refits)
-	}
-}
-
 func TestSketchSizeValidation(t *testing.T) {
 	_, history, _, _ := streamDataset(t, 74, 504, 2, nil)
 	routing := topology.Abilene().RoutingMatrix()
@@ -226,8 +198,8 @@ func TestSketchSizeValidation(t *testing.T) {
 			t.Fatalf("sketch size %d < 2*rank accepted", 2*rank-1)
 		}
 	}
-	if d.SketchSize() < 2*rank {
-		t.Fatalf("defaulted sketch size %d below 2*rank (%d)", d.SketchSize(), 2*rank)
+	if d.est.(*sketchEstimator).ell < 2*rank {
+		t.Fatalf("defaulted sketch size %d below 2*rank (%d)", d.est.(*sketchEstimator).ell, 2*rank)
 	}
 }
 
@@ -254,5 +226,60 @@ func TestFDSketchInsertAllAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("InsertAll allocates %.1f times per 64-bin batch", allocs)
+	}
+}
+
+// TestFDSketchInsertAfterFailedShrink: rows of finite 1e160-scale values
+// overflow the Gram matrix, the eigensolver rejects it and the shrink
+// fails with the buffer still full. The next Insert must retry the
+// shrink and report its error; it used to index one row past the buffer
+// and panic.
+func TestFDSketchInsertAfterFailedShrink(t *testing.T) {
+	const links, ell = 6, 8
+	sk, err := NewFDSketch(links, ell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]float64, links)
+	for i := 0; i < ell; i++ {
+		for j := range row {
+			row[j] = 1e160 * float64(1+(i+j)%3)
+		}
+		err = sk.Insert(row)
+	}
+	if err == nil {
+		t.Fatal("filling the buffer with overflowing rows did not fail the shrink")
+	}
+	if err := sk.Insert(row); err == nil {
+		t.Fatal("Insert into the still-full buffer reported no error")
+	}
+	if sk.Count() != ell {
+		t.Fatalf("the refused row was counted: Count = %d, want %d", sk.Count(), ell)
+	}
+}
+
+// TestSketchRefitErrorSurvivesFailingInsert drives the lost-error bug
+// through real failures: one NaN cell poisons the sketch, the hook-held
+// background rebuild fails and parks its error, and the next batch fails
+// in the sketch's own shrink. That batch must report both; the parked
+// error used to be taken (and so cleared) and then dropped.
+func TestSketchRefitErrorSurvivesFailingInsert(t *testing.T) {
+	topo, history, stream, _ := streamDataset(t, 73, 504, 96, nil)
+	d, err := NewSketchDetector(history, topo.RoutingMatrix(), SketchConfig{RefitEvery: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	d.SetRefitHook(func() { <-release })
+	d.ProcessBatch(poisoned(rowsOf(stream, 0, 8))) // may already fail a shrink
+	close(release)
+	d.WaitRefits()
+	// 64 more rows overrun any sketch size here, so a shrink is certain.
+	_, err = d.ProcessBatch(rowsOf(stream, 8, 72))
+	if err == nil || !strings.Contains(err.Error(), "sketch shrink") {
+		t.Fatalf("want the shrink failure reported, got: %v", err)
+	}
+	if !strings.Contains(err.Error(), "sketch eigendecomposition") {
+		t.Fatalf("the parked rebuild error was dropped; batch reported only: %v", err)
 	}
 }

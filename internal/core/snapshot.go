@@ -453,8 +453,11 @@ func (sr *SnapshotReader) RowRing(cols int) *mat.RowRing {
 	if sr.err != nil {
 		return nil
 	}
-	if capacity == 0 || capacity > maxSnapshotElems {
-		sr.fail(snapshotFormatf("ring capacity %d", capacity))
+	// The ring preallocates capacity x cols, so bound the product, not
+	// just the rows: an envelope of a few bytes must not buy a huge
+	// allocation before any content is validated.
+	if capacity == 0 || uint64(capacity)*uint64(max(cols, 1)) > maxSnapshotElems {
+		sr.fail(snapshotFormatf("ring capacity %d x %d columns", capacity, cols))
 		return nil
 	}
 	ring := mat.NewRowRing(int(capacity), cols)
@@ -681,16 +684,11 @@ func DecodeDetector(sr *SnapshotReader) (*Detector, error) {
 	return det, nil
 }
 
-// encodeDiagnoser writes the detection stage of a diagnose pipeline;
+// decodeDiagnoser reads an EncodeDetector fragment and rebuilds the
+// diagnose pipeline around it. Only the detection stage is serialized:
 // the identification stage is derived entirely from the model and the
-// routing matrix, so it is rebuilt on decode rather than serialized.
-func encodeDiagnoser(sw *SnapshotWriter, d *Diagnoser) {
-	EncodeDetector(sw, d.det)
-}
-
-// decodeDiagnoser reads an encodeDiagnoser fragment and rebuilds the
-// pipeline against the restoring detector's own routing matrix —
-// routing is construction configuration, not portable state.
+// restoring detector's own routing matrix, which is construction
+// configuration, not portable state.
 func decodeDiagnoser(sr *SnapshotReader, a *mat.Dense, links int) (*Diagnoser, error) {
 	det, err := DecodeDetector(sr)
 	if err != nil {

@@ -185,30 +185,112 @@ func TestSnapshotWrongLinksMismatch(t *testing.T) {
 	}
 }
 
-// FuzzDecodeSnapshot throws arbitrary bytes at the restore path of a
-// real detector: any input must either restore cleanly or fail with a
-// classified error (format, mismatch, or truncation) — never a panic —
-// and an accepted envelope must re-encode byte-for-byte.
+// patchedSnapshot returns det's snapshot with the little-endian value v
+// written over the width bytes at offset off.
+func patchedSnapshot(t testing.TB, det *OnlineDetector, off, width int, v uint64) []byte {
+	t.Helper()
+	var snap bytes.Buffer
+	if err := det.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	out := snap.Bytes()
+	for i := 0; i < width; i++ {
+		out[off+i] = byte(v >> (8 * i))
+	}
+	return out
+}
+
+// snapshotSketch builds the small sketch detector the crafted-envelope
+// test and the fuzz harness restore into.
+func snapshotSketch(t testing.TB, links int) *OnlineDetector {
+	t.Helper()
+	det, err := NewSketchDetector(snapshotHistory(48, links), mat.Identity(links), SketchConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return det
+}
+
+// fullSketchSnapshot crafts the envelope a sketch detector must refuse:
+// occupancy == ell, which no Insert ever leaves behind (a full buffer
+// shrinks before Insert returns) and which would send the next Insert
+// past the buffer's last row.
+func fullSketchSnapshot(t testing.TB, links int) []byte {
+	det := snapshotSketch(t, links)
+	ell := det.est.(*sketchEstimator).ell
+	// header | links i64 | ell i64 | matrix (presence u8, dims 2 x u32, data) | used i64
+	usedAt := snapshotHeaderLen + 8 + 8 + 1 + 4 + 4 + 8*ell*links
+	return patchedSnapshot(t, det, usedAt, 8, uint64(ell))
+}
+
+// TestSnapshotRejectsFullSketch: the crafted used == ell checkpoint is
+// corruption, not state. Before the check was tightened Restore took it
+// and the next ProcessBatch panicked in RowView.
+func TestSnapshotRejectsFullSketch(t *testing.T) {
+	const links = 4
+	det := snapshotSketch(t, links)
+	if err := det.Restore(bytes.NewReader(fullSketchSnapshot(t, links))); !errors.Is(err, ErrSnapshotFormat) {
+		t.Fatalf("used == ell envelope: got %v, want ErrSnapshotFormat", err)
+	}
+	if _, err := det.ProcessBatch(snapshotHistory(8, links)); err != nil {
+		t.Fatalf("detector unusable after the rejected restore: %v", err)
+	}
+}
+
+// TestSnapshotRingCapacityBoundedByElements: a ring preallocates
+// capacity x cols, so the reader must bound the product. A 2^24-row
+// capacity on a 4-link ring passes a rows-only bound and costs half a
+// gigabyte before any content is looked at.
+func TestSnapshotRingCapacityBoundedByElements(t *testing.T) {
+	const links = 4
+	// header | links i64 | ring capacity u32
+	env := patchedSnapshot(t, snapshotOnline(t, links), snapshotHeaderLen+8, 4, maxSnapshotElems)
+	if err := snapshotOnline(t, links).Restore(bytes.NewReader(env)); !errors.Is(err, ErrSnapshotFormat) {
+		t.Fatalf("ring of %d x %d elements: got %v, want ErrSnapshotFormat", maxSnapshotElems, links, err)
+	}
+}
+
+// FuzzDecodeSnapshot throws arbitrary bytes at the restore path of the
+// real detector under each estimator — the first input byte picks which:
+// any input must either restore cleanly or fail with a classified error
+// (format, mismatch, or truncation), never a panic; an accepted envelope
+// must re-encode byte-for-byte; and the restored detector must survive a
+// batch.
 func FuzzDecodeSnapshot(f *testing.F) {
 	const links = 4
-	var valid bytes.Buffer
-	if err := snapshotOnline(f, links).Snapshot(&valid); err != nil {
-		f.Fatal(err)
+	history, routing := snapshotHistory(48, links), mat.Identity(links)
+	// One shared detector per estimator: Restore decodes into locals and
+	// commits only on success, so a failed iteration leaves no partial
+	// state behind and a successful one fully defines the state the
+	// canonical check re-encodes.
+	var dets []*OnlineDetector
+	for k, c := range estimatorCases {
+		det, err := c.build(history, routing, 0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		dets = append(dets, det)
+		var valid bytes.Buffer
+		valid.WriteByte(byte(k))
+		if err := det.Snapshot(&valid); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(valid.Bytes())
+		f.Add(valid.Bytes()[:valid.Len()/2])
+		wrongKind := bytes.Clone(valid.Bytes())
+		wrongKind[1+5] = SnapKindEWMA
+		f.Add(wrongKind)
 	}
-	f.Add(valid.Bytes())
-	f.Add(valid.Bytes()[:valid.Len()/2])
-	f.Add([]byte("NAMS"))
+	f.Add([]byte("\x00NAMS"))
 	f.Add([]byte{})
-	corrupt := append([]byte(nil), valid.Bytes()...)
-	corrupt[5] = SnapKindSketch
-	f.Add(corrupt)
-	// One shared detector: Restore decodes into locals and commits only
-	// on success, so a failed iteration leaves no partial state behind
-	// and a successful one fully defines the state the canonical check
-	// re-encodes.
-	det := snapshotOnline(f, links)
+	f.Add(append([]byte{2}, fullSketchSnapshot(f, links)...))
+	probe := snapshotHistory(8, links)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
+		if len(data) == 0 {
+			return
+		}
+		det := dets[int(data[0])%len(dets)]
+		r := bytes.NewReader(data[1:])
 		err := det.Restore(r)
 		if err != nil {
 			if !errors.Is(err, ErrSnapshotFormat) &&
@@ -220,7 +302,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		// Restore consumes exactly one envelope; canonical re-encoding
 		// must reproduce the consumed prefix bit-for-bit.
-		consumed := data[:len(data)-r.Len()]
+		consumed := data[1 : len(data)-r.Len()]
 		var out bytes.Buffer
 		if err := det.Snapshot(&out); err != nil {
 			t.Fatalf("snapshot after accepted restore: %v", err)
@@ -228,5 +310,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if !bytes.Equal(out.Bytes(), consumed) {
 			t.Fatalf("accepted envelope is not canonical: consumed %d bytes, re-encoded %d", len(consumed), out.Len())
 		}
+		// Whatever was accepted must be state the detector can run on;
+		// errors are fine (fuzzed floats are rarely a model), panics not.
+		det.ProcessBatch(probe)
 	})
 }

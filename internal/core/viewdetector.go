@@ -38,10 +38,10 @@ type ViewStats struct {
 // FIFO, and synchronous Monitor.ProcessBatch serializes with it on a
 // per-shard lock) with Refit, WaitRefits, TakeRefitError and Stats
 // callable concurrently from other goroutines.
-// Detection must not block on model fitting: fits run on background
-// goroutines and swap the active model atomically, and a failed
-// background fit keeps the previous model in force, surfacing its error
-// on a later ProcessBatch or TakeRefitError call.
+// Detection must not block on model fitting, and a failed background fit
+// must keep the previous model in force and surface its error on a later
+// ProcessBatch or TakeRefitError call; every backend in this repository
+// gets both by running its fits under a RefitGate.
 type ViewDetector interface {
 	// Seed (re)fits the model from a history block (bins x Links),
 	// replacing the windowed state a later Refit would fit on. The

@@ -16,7 +16,7 @@
 //     same recursion as timeseries.HoltWinters run incrementally.
 //   - fourier: least-squares fit of the paper's eight-period sinusoid
 //     basis on a window snapshot, refit in the background with the
-//     engine's refit-gate discipline; prediction extrapolates the
+//     shared refit policy (core.RefitGate); prediction extrapolates the
 //     fitted basis to the current absolute bin, so phase is preserved
 //     across refits.
 //
@@ -158,11 +158,10 @@ type seedState struct {
 }
 
 // Detector is a streaming per-link forecasting detector satisfying
-// core.ViewDetector. Concurrency follows the other backends: one
-// ProcessBatch caller at a time (the engine's per-shard FIFO guarantees
-// it), with Refit/Seed/WaitRefits/TakeRefitError/Stats callable
-// concurrently; model fitting runs on snapshots outside the detector
-// lock and never blocks detection.
+// core.ViewDetector: one ProcessBatch caller at a time (the engine's
+// per-shard FIFO guarantees it), with Refit/Seed/WaitRefits/
+// TakeRefitError/Stats callable concurrently; fits run under
+// core.RefitGate.
 type Detector struct {
 	kind     Kind
 	beta     float64
@@ -195,11 +194,7 @@ type Detector struct {
 	times       *intRing
 	clock       int // absolute bin index, seed history included (Fourier phase)
 	processed   int
-	sinceRefit  int
-	refitEvery  int
 	gate        *core.RefitGate
-	refits      int
-	refitHook   func()
 }
 
 var _ core.ViewDetector = (*Detector)(nil)
@@ -216,19 +211,18 @@ func NewDetector(history *mat.Dense, cfg Config) (*Detector, error) {
 	}
 	t, links := history.Dims()
 	d := &Detector{
-		kind:       cfg.Kind,
-		beta:       cfg.Beta,
-		k:          cfg.K,
-		adapt:      cfg.Adapt,
-		binHours:   cfg.BinHours,
-		periods:    cfg.PeriodsHours,
-		grid:       cfg.AlphaGrid,
-		links:      links,
-		reabsorb:   cfg.ReabsorbAfter,
-		alphaCfg:   cfg.Alpha,
-		refitEvery: cfg.RefitEvery,
+		kind:     cfg.Kind,
+		beta:     cfg.Beta,
+		k:        cfg.K,
+		adapt:    cfg.Adapt,
+		binHours: cfg.BinHours,
+		periods:  cfg.PeriodsHours,
+		grid:     cfg.AlphaGrid,
+		links:    links,
+		reabsorb: cfg.ReabsorbAfter,
+		alphaCfg: cfg.Alpha,
 	}
-	d.gate = core.NewRefitGate(&d.mu)
+	d.gate = core.NewRefitGate(&d.mu, cfg.RefitEvery)
 	capacity := cfg.Window
 	if capacity <= 0 {
 		capacity = t
@@ -282,7 +276,7 @@ func (d *Detector) minSeedBins() int {
 // SetRefitHook installs a function that runs inside every background
 // refit goroutine before fitting begins; tests use it to hold a refit
 // open. Call before streaming starts.
-func (d *Detector) SetRefitHook(h func()) { d.refitHook = h }
+func (d *Detector) SetRefitHook(h func()) { d.gate.SetHook(h) }
 
 // seedState builds the complete detector state from a history block off
 // to the side: per-link smoothing gains (grid-searched when alphaCfg is
@@ -616,45 +610,50 @@ func (d *Detector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 		d.clock++
 	}
 	err := d.gate.TakeErrorLocked()
-	var snap *refitSnapshot
-	if d.refitEvery > 0 {
-		d.sinceRefit += bins
-		if d.sinceRefit >= d.refitEvery && d.gate.TryBeginLocked() {
-			d.sinceRefit = 0
-			snap = d.snapshotLocked()
-		}
+	var refit core.Refit
+	if d.gate.DueLocked(bins, true) {
+		refit = d.refitLocked()
 	}
 	d.mu.Unlock()
 
-	if snap != nil {
-		d.spawnRefit(snap)
+	if refit != nil {
+		d.gate.Go(refit)
 	}
 	return alarms, err
 }
 
-// refitSnapshot carries what a background refit fits on: the window
-// rows, their absolute bin indices, and the per-link gains in force.
-type refitSnapshot struct {
-	rows  *mat.Dense
-	times []int
-	alpha []float64
-}
-
-// snapshotLocked captures the refit inputs. Callers hold d.mu.
-func (d *Detector) snapshotLocked() *refitSnapshot {
-	return &refitSnapshot{rows: d.window.Matrix(), times: d.times.Slice(), alpha: append([]float64(nil), d.alpha...)}
+// refitLocked captures what a refit fits on — the window rows, their
+// absolute bin indices, and the per-link gains in force — and returns the
+// refit: thresholds are re-based on the window estimate and the Fourier
+// basis (when present) is swapped; the live forecaster state stays, since
+// it is more current than any replay of the snapshot. Callers hold d.mu.
+func (d *Detector) refitLocked() core.Refit {
+	rows, times, alpha := d.window.Matrix(), d.times.Slice(), append([]float64(nil), d.alpha...)
+	return func() (func() bool, error) {
+		st, err := d.refitState(rows, times, alpha)
+		if err != nil {
+			return nil, fmt.Errorf("forecast: %s refit: %w", d.kind, err)
+		}
+		return func() bool {
+			d.rmean, d.rvar = st.rmean, st.rvar
+			if st.coef != nil {
+				d.coef = st.coef
+			}
+			return true
+		}, nil
+	}
 }
 
 // refitState re-estimates the per-link threshold statistics from the
-// snapshot — replaying the recursions for the smoothing kinds, refitting
-// the basis for the Fourier kind — entirely outside the detector lock.
-// The returned state carries only the fields a refit replaces (thresholds
-// and, for Fourier, coefficients); nil slices mean "keep the live value".
-func (d *Detector) refitState(snap *refitSnapshot) (*seedState, error) {
-	if snap.rows == nil {
+// captured window — replaying the recursions for the smoothing kinds,
+// refitting the basis for the Fourier kind — entirely outside the
+// detector lock. The returned state carries only the fields a refit
+// replaces: thresholds and, for Fourier, coefficients.
+func (d *Detector) refitState(rows *mat.Dense, times []int, alpha []float64) (*seedState, error) {
+	if rows == nil {
 		return nil, fmt.Errorf("forecast: refit window is empty")
 	}
-	t, links := snap.rows.Dims()
+	t, links := rows.Dims()
 	st := &seedState{
 		rmean: make([]float64, links),
 		rvar:  make([]float64, links),
@@ -663,17 +662,17 @@ func (d *Detector) refitState(snap *refitSnapshot) (*seedState, error) {
 	if d.kind == Fourier {
 		// The window may have gaps (withheld anomalous bins); its
 		// resolvable periods come from the true time span it covers.
-		span := snap.times[len(snap.times)-1] - snap.times[0] + 1
+		span := times[len(times)-1] - times[0] + 1
 		periods := d.resolvablePeriods(span)
 		if t < 2*(2*len(periods)+1) {
 			return nil, fmt.Errorf("forecast: refit window has %d bins, fourier basis needs %d", t, 2*(2*len(periods)+1))
 		}
 		st.coef = &fourierCoef{periods: periods, coef: make([][]float64, links)}
-		design = d.designMatrixAt(periods, snap.times)
+		design = d.designMatrixAt(periods, times)
 	}
 	resid := make([]float64, t)
 	for l := 0; l < links; l++ {
-		fit, err := d.fitLink(snap.rows.Col(l), snap.alpha[l], design, resid)
+		fit, err := d.fitLink(rows.Col(l), alpha[l], design, resid)
 		if err != nil {
 			return nil, fmt.Errorf("forecast: link %d: %w", l, err)
 		}
@@ -696,99 +695,34 @@ func (d *Detector) designMatrixAt(periods []float64, times []int) *mat.Dense {
 	return m
 }
 
-// installRefit commits a refit result under the lock: thresholds are
-// re-based on the window estimate and the Fourier basis (when present)
-// is swapped; the live forecaster state stays, since it is more current
-// than any replay of the snapshot.
-func (d *Detector) installRefit(st *seedState) {
-	d.rmean, d.rvar = st.rmean, st.rvar
-	if st.coef != nil {
-		d.coef = st.coef
-	}
-}
-
-// spawnRefit runs the refit on the snapshot in a background goroutine.
-// The caller has already claimed the gate; the goroutine releases it
-// after the install decision so fits never interleave.
-func (d *Detector) spawnRefit(snap *refitSnapshot) {
-	go func() {
-		if h := d.refitHook; h != nil {
-			h()
-		}
-		st, err := d.refitState(snap)
-		if err != nil {
-			err = fmt.Errorf("forecast: %s refit: %w", d.kind, err)
-		}
-		d.mu.Lock()
-		if err == nil {
-			d.installRefit(st)
-			d.refits++
-		}
-		d.gate.EndLocked(err)
-		d.mu.Unlock()
-	}()
-}
-
 // Refit synchronously re-estimates the thresholds (and refits the
-// Fourier basis) from the current window. It serializes with background
-// refits but never blocks concurrent detection: the fit runs on a
-// snapshot outside the lock. A failed fit leaves the active state in
-// force.
-func (d *Detector) Refit() error {
-	d.mu.Lock()
-	d.gate.BeginLocked()
-	snap := d.snapshotLocked()
-	d.mu.Unlock()
-
-	st, err := d.refitState(snap)
-	if err != nil {
-		err = fmt.Errorf("forecast: %s refit: %w", d.kind, err)
-	}
-
-	d.mu.Lock()
-	if err == nil {
-		d.installRefit(st)
-		d.refits++
-	}
-	d.gate.EndLocked(nil)
-	d.mu.Unlock()
-	return err
-}
+// Fourier basis) from the current window. A failed fit leaves the active
+// state in force.
+func (d *Detector) Refit() error { return d.gate.Run(d.refitLocked) }
 
 // Seed rebuilds the full detector state from a history block, replacing
 // the windowed state a later Refit would fit on; the history is treated
 // as the immediately preceding bins, so the Fourier phase stays aligned
-// with the running clock. It serializes with in-flight refits; the
-// processed-bin counter keeps running. A history that cannot be fitted
-// leaves the active state untouched.
+// with the running clock. The processed-bin counter keeps running. A
+// history that cannot be fitted leaves the active state untouched.
 func (d *Detector) Seed(history *mat.Dense) error {
-	t, links := history.Dims()
-	if links != d.links {
-		return fmt.Errorf("forecast: seed history has %d links, detector expects %d", links, d.links)
-	}
-	d.mu.Lock()
-	d.gate.BeginLocked()
-	start := d.clock - t
-	capacity := d.window.Cap()
-	d.mu.Unlock()
-
-	// The configured alpha is re-applied exactly as construction did: a
-	// pinned gain survives re-seeding, and an unset EWMA gain re-runs
-	// the per-link grid search on the new history.
-	st, err := d.seedState(history, start, capacity, d.alphaCfg)
-	if err != nil {
-		err = fmt.Errorf("forecast: %s seed: %w", d.kind, err)
-	}
-
-	d.mu.Lock()
-	if err == nil {
-		d.install(st)
-		d.sinceRefit = 0
-		d.refits++
-	}
-	d.gate.EndLocked(nil)
-	d.mu.Unlock()
-	return err
+	return d.gate.Run(func() core.Refit {
+		start, capacity := d.clock-history.Rows(), d.window.Cap()
+		return func() (func() bool, error) {
+			// The configured alpha is re-applied exactly as construction
+			// did: a pinned gain survives re-seeding, and an unset EWMA
+			// gain re-runs the per-link grid search on the new history.
+			st, err := d.seedState(history, start, capacity, d.alphaCfg)
+			if err != nil {
+				return nil, fmt.Errorf("forecast: %s seed: %w", d.kind, err)
+			}
+			return func() bool {
+				d.install(st)
+				d.gate.RestartLocked()
+				return true
+			}, nil
+		}
+	})
 }
 
 // WaitRefits blocks until no fit is in flight.
@@ -807,7 +741,7 @@ func (d *Detector) Stats() core.ViewStats {
 		Backend:   string(d.kind),
 		Links:     d.links,
 		Processed: d.processed,
-		Refits:    d.refits,
+		Refits:    d.gate.RefitsLocked(),
 	}
 }
 
@@ -828,36 +762,31 @@ func snapshotKind(k Kind) byte {
 // Snapshot serializes the per-link forecaster recursions (gains, level,
 // trend, fitted Fourier basis), the adaptive threshold statistics, the
 // alarm-run counters, the refit window with its bin-time ring, and the
-// absolute clock that keeps the Fourier phase aligned. The refit gate
-// is taken first so an in-flight refit is waited out, never captured
-// mid-install.
+// absolute clock that keeps the Fourier phase aligned.
 func (d *Detector) Snapshot(w io.Writer) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.gate.BeginLocked()
-	defer d.gate.EndLocked(nil)
-	return core.EncodeSnapshot(w, snapshotKind(d.kind), func(sw *core.SnapshotWriter) {
-		sw.Int(d.links)
-		sw.Floats(d.alpha)
-		sw.Floats(d.level)
-		sw.Floats(d.trend)
-		sw.Bool(d.coef != nil)
-		if d.coef != nil {
-			sw.Floats(d.coef.periods)
-			for _, c := range d.coef.coef {
-				sw.Floats(c)
+	return d.gate.Quiesced(func() error {
+		return core.EncodeSnapshot(w, snapshotKind(d.kind), func(sw *core.SnapshotWriter) {
+			sw.Int(d.links)
+			sw.Floats(d.alpha)
+			sw.Floats(d.level)
+			sw.Floats(d.trend)
+			sw.Bool(d.coef != nil)
+			if d.coef != nil {
+				sw.Floats(d.coef.periods)
+				for _, c := range d.coef.coef {
+					sw.Floats(c)
+				}
 			}
-		}
-		sw.Floats(d.rmean)
-		sw.Floats(d.rvar)
-		sw.Ints(d.alarmRun)
-		sw.Int(d.binAlarmRun)
-		sw.RowRing(d.window)
-		sw.Ints(d.times.Slice())
-		sw.Int(d.clock)
-		sw.Int(d.processed)
-		sw.Int(d.sinceRefit)
-		sw.Int(d.refits)
+			sw.Floats(d.rmean)
+			sw.Floats(d.rvar)
+			sw.Ints(d.alarmRun)
+			sw.Int(d.binAlarmRun)
+			sw.RowRing(d.window)
+			sw.Ints(d.times.Slice())
+			sw.Int(d.clock)
+			sw.Int(d.processed)
+			d.gate.EncodeLocked(sw)
+		})
 	})
 }
 
@@ -867,77 +796,71 @@ func (d *Detector) Snapshot(w io.Writer) error {
 // receiver's configuration (K, adapt rate, reabsorb horizon, bin
 // duration, refit cadence) stays in force.
 func (d *Detector) Restore(r io.Reader) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.gate.BeginLocked()
-	defer d.gate.EndLocked(nil)
-	return core.DecodeSnapshot(r, snapshotKind(d.kind), func(sr *core.SnapshotReader) error {
-		links := sr.Int()
-		if sr.Err() == nil && links != d.links {
-			return core.SnapshotMismatchf("snapshot has %d links, detector expects %d", links, d.links)
+	return d.gate.Quiesced(func() error { return core.DecodeSnapshot(r, snapshotKind(d.kind), d.decode) })
+}
+
+// decode is Restore's payload decoder. Callers hold d.mu and the gate.
+func (d *Detector) decode(sr *core.SnapshotReader) error {
+	if links := sr.Int(); sr.Err() == nil && links != d.links {
+		return core.SnapshotMismatchf("snapshot has %d links, detector expects %d", links, d.links)
+	}
+	alpha := sr.Floats()
+	level := sr.Floats()
+	trend := sr.Floats()
+	var coef *fourierCoef
+	if sr.Bool() {
+		coef = &fourierCoef{periods: sr.Floats(), coef: make([][]float64, d.links)}
+		for l := range coef.coef {
+			coef.coef[l] = sr.Floats()
 		}
-		alpha := sr.Floats()
-		level := sr.Floats()
-		trend := sr.Floats()
-		var coef *fourierCoef
-		if sr.Bool() {
-			coef = &fourierCoef{periods: sr.Floats(), coef: make([][]float64, d.links)}
-			for l := range coef.coef {
-				coef.coef[l] = sr.Floats()
+	}
+	rmean := sr.Floats()
+	rvar := sr.Floats()
+	alarmRun := sr.Ints()
+	binAlarmRun := sr.NonNegInt()
+	window := sr.RowRing(d.links)
+	times := sr.Ints()
+	clock := sr.Int()
+	processed := sr.NonNegInt()
+	cadence := d.gate.DecodeLocked(sr)
+	if err := sr.Err(); err != nil {
+		return err
+	}
+	for _, s := range [][]float64{alpha, level, trend, rmean, rvar} {
+		if len(s) != d.links {
+			return core.SnapshotFormatf("per-link state has %d entries, want %d", len(s), d.links)
+		}
+	}
+	if len(alarmRun) != d.links {
+		return core.SnapshotFormatf("alarm runs have %d entries, want %d", len(alarmRun), d.links)
+	}
+	if (coef != nil) != (d.kind == Fourier) {
+		return core.SnapshotFormatf("fourier basis presence disagrees with kind %q", d.kind)
+	}
+	if coef != nil {
+		width := 2*len(coef.periods) + 1
+		for l, c := range coef.coef {
+			if len(c) != width {
+				return core.SnapshotFormatf("link %d basis has %d coefficients, want %d", l, len(c), width)
 			}
 		}
-		rmean := sr.Floats()
-		rvar := sr.Floats()
-		alarmRun := sr.Ints()
-		binAlarmRun := sr.NonNegInt()
-		window := sr.RowRing(d.links)
-		times := sr.Ints()
-		clock := sr.Int()
-		processed := sr.NonNegInt()
-		sinceRefit := sr.NonNegInt()
-		refits := sr.NonNegInt()
-		if err := sr.Err(); err != nil {
-			return err
-		}
-		for _, s := range [][]float64{alpha, level, trend, rmean, rvar} {
-			if len(s) != d.links {
-				return fmt.Errorf("%w: per-link state has %d entries, want %d", core.ErrSnapshotFormat, len(s), d.links)
-			}
-		}
-		if len(alarmRun) != d.links {
-			return fmt.Errorf("%w: alarm runs have %d entries, want %d", core.ErrSnapshotFormat, len(alarmRun), d.links)
-		}
-		if (coef != nil) != (d.kind == Fourier) {
-			return fmt.Errorf("%w: fourier basis presence disagrees with kind %q", core.ErrSnapshotFormat, d.kind)
-		}
-		if coef != nil {
-			width := 2*len(coef.periods) + 1
-			for l, c := range coef.coef {
-				if len(c) != width {
-					return fmt.Errorf("%w: link %d basis has %d coefficients, want %d", core.ErrSnapshotFormat, l, len(c), width)
-				}
-			}
-		}
-		if len(times) != window.Len() {
-			return fmt.Errorf("%w: %d bin times for %d window rows", core.ErrSnapshotFormat, len(times), window.Len())
-		}
-		timeRing := newIntRing(window.Cap())
-		for _, t := range times {
-			timeRing.Push(t)
-		}
-		d.alpha = alpha
-		d.level, d.trend = level, trend
-		d.coef = coef
-		d.rmean, d.rvar = rmean, rvar
-		d.alarmRun = alarmRun
-		d.binAlarmRun = binAlarmRun
-		d.window, d.times = window, timeRing
-		d.clock = clock
-		d.processed = processed
-		d.sinceRefit = sinceRefit
-		d.refits = refits
-		return nil
-	})
+	}
+	if len(times) != window.Len() {
+		return core.SnapshotFormatf("%d bin times for %d window rows", len(times), window.Len())
+	}
+	timeRing := newIntRing(window.Cap())
+	for _, t := range times {
+		timeRing.Push(t)
+	}
+	d.alpha = alpha
+	d.level, d.trend = level, trend
+	d.coef = coef
+	d.rmean, d.rvar = rmean, rvar
+	d.alarmRun, d.binAlarmRun = alarmRun, binAlarmRun
+	d.window, d.times = window, timeRing
+	d.clock, d.processed = clock, processed
+	cadence()
+	return nil
 }
 
 // Thresholds returns each link's current alarm threshold

@@ -38,10 +38,9 @@ type StreamConfig struct {
 // localize). Detection latency is therefore up to 2^Levels bins: a
 // spike is only testable once its enclosing block completes.
 //
-// Concurrency follows the other backends: the fitted per-scale models
-// sit behind an atomic pointer, refits run on a window snapshot in a
-// background goroutine, and a failed refit keeps the previous models
-// and surfaces its error on a later call.
+// The fitted per-scale models sit behind an atomic pointer that
+// ProcessBatch loads without the mutex; refits of them on a window
+// snapshot run under core.RefitGate.
 type StreamDetector struct {
 	levels     int
 	span       int // 1 << levels, the block size in bins
@@ -50,16 +49,12 @@ type StreamDetector struct {
 
 	det atomic.Pointer[MultiscaleDetector]
 
-	mu         sync.Mutex // guards the fields below
-	window     *mat.RowRing
-	pending    []float64 // partial block, pendingN*links of span*links
-	pendingN   int
-	processed  int
-	sinceRefit int
-	refitEvery int
-	gate       *core.RefitGate
-	refits     int
-	refitHook  func()
+	mu        sync.Mutex // guards the fields below
+	window    *mat.RowRing
+	pending   []float64 // partial block, pendingN*links of span*links
+	pendingN  int
+	processed int
+	gate      *core.RefitGate
 }
 
 var _ core.ViewDetector = (*StreamDetector)(nil)
@@ -92,63 +87,65 @@ func NewStreamDetector(history *mat.Dense, cfg StreamConfig) (*StreamDetector, e
 		confidence: cfg.Confidence,
 		window:     mat.NewRowRing(window, links),
 		pending:    make([]float64, span*links),
-		refitEvery: cfg.RefitEvery,
 	}
-	s.gate = core.NewRefitGate(&s.mu)
-	if err := s.Seed(history); err != nil {
+	s.gate = core.NewRefitGate(&s.mu, cfg.RefitEvery)
+	// The seed fit is the baseline, not a refit, so it bypasses the gate.
+	seed, err := s.seedFit(history)
+	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	s.refits = 0 // the seed fit is the baseline, not a refit
-	s.mu.Unlock()
+	seed()
 	return s, nil
 }
 
 // SetRefitHook installs a function that runs inside every background
 // refit goroutine before fitting begins; tests use it to hold a refit
 // open. Call before streaming starts.
-func (s *StreamDetector) SetRefitHook(h func()) { s.refitHook = h }
+func (s *StreamDetector) SetRefitHook(h func()) { s.gate.SetHook(h) }
 
-// Seed refits the per-scale models on (the aligned suffix of) history
-// and refills the refit window, serializing with in-flight refits. The
-// processed-bin counter and any partially accumulated block carry over.
-func (s *StreamDetector) Seed(history *mat.Dense) error {
+// seedFit fits the per-scale models on (the aligned suffix of) history
+// and returns the function that installs them and refills the refit
+// window, to be run under the mutex.
+func (s *StreamDetector) seedFit(history *mat.Dense) (install func(), err error) {
 	bins, links := history.Dims()
 	if links != s.links {
-		return fmt.Errorf("wavelet: seed history has %d links, detector expects %d", links, s.links)
+		return nil, fmt.Errorf("wavelet: seed history has %d links, detector expects %d", links, s.links)
 	}
 	aligned := bins - bins%s.span
 	if aligned < s.links*s.span {
-		return fmt.Errorf("wavelet: seed history %d bins cannot hold %d coefficient rows per scale at %d levels", bins, s.links, s.levels)
+		return nil, fmt.Errorf("wavelet: seed history %d bins cannot hold %d coefficient rows per scale at %d levels", bins, s.links, s.levels)
 	}
-	start := bins - aligned
-	fit := mat.NewDense(aligned, links, history.RawData()[start*links:])
-
-	s.mu.Lock()
-	s.gate.BeginLocked()
-	s.mu.Unlock()
-
+	fit := mat.NewDense(aligned, links, history.RawData()[(bins-aligned)*links:])
 	md, err := NewMultiscaleDetector(fit, s.levels, s.confidence)
-	if err == nil {
-		s.det.Store(md)
-	} else {
-		err = fmt.Errorf("wavelet: seed: %w", err)
+	if err != nil {
+		return nil, fmt.Errorf("wavelet: seed: %w", err)
 	}
-
-	s.mu.Lock()
-	if err == nil {
+	return func() {
+		s.det.Store(md)
 		s.window.Reset()
 		for b := aligned - min(aligned, s.window.Cap()); b < aligned; b++ {
 			s.window.Push(fit.RowView(b))
 		}
-		s.refits++
-		// Restart the automatic-refit clock: the models were just
-		// fitted on this window, matching the other backends' Seed.
-		s.sinceRefit = 0
-	}
-	s.gate.EndLocked(nil)
-	s.mu.Unlock()
-	return err
+	}, nil
+}
+
+// Seed refits the per-scale models on (the aligned suffix of) history
+// and refills the refit window. The processed-bin counter and any
+// partially accumulated block carry over.
+func (s *StreamDetector) Seed(history *mat.Dense) error {
+	return s.gate.Run(func() core.Refit {
+		return func() (func() bool, error) {
+			install, err := s.seedFit(history)
+			if err != nil {
+				return nil, err
+			}
+			return func() bool {
+				install()
+				s.gate.RestartLocked()
+				return true
+			}, nil
+		}
+	})
 }
 
 // ProcessBatch accumulates the rows of y (bins x links) into
@@ -237,72 +234,39 @@ func (s *StreamDetector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 			s.window.Push(raw[r*s.links : (r+1)*s.links])
 		}
 	}
-	var snapshot *mat.Dense
-	if s.refitEvery > 0 {
-		// Accumulate every bin, but only launch at a block boundary so
-		// a refit always follows fresh window rows.
-		s.sinceRefit += bins
-		if s.sinceRefit >= s.refitEvery && len(blocks) > 0 && s.gate.TryBeginLocked() {
-			s.sinceRefit = 0
-			snapshot = s.window.Matrix()
-		}
+	// Every bin advances the cadence, but a refit only launches at a block
+	// boundary so it always follows fresh window rows.
+	var refit core.Refit
+	if s.gate.DueLocked(bins, len(blocks) > 0) {
+		refit = s.refitLocked()
 	}
 	s.mu.Unlock()
 
-	if snapshot != nil {
-		s.spawnRefit(snapshot)
+	if refit != nil {
+		s.gate.Go(refit)
 	}
 	return alarms, err
 }
 
-func (s *StreamDetector) spawnRefit(w *mat.Dense) {
-	go func() {
-		if h := s.refitHook; h != nil {
-			h()
+// refitLocked captures the window and returns the refit of the per-scale
+// models on it. Callers hold s.mu.
+func (s *StreamDetector) refitLocked() core.Refit {
+	w := s.window.Matrix()
+	return func() (func() bool, error) {
+		if w == nil {
+			return nil, fmt.Errorf("wavelet: refit window empty")
 		}
 		md, err := NewMultiscaleDetector(w, s.levels, s.confidence)
-		if err == nil {
-			s.det.Store(md)
-		} else {
-			err = fmt.Errorf("wavelet: refit: %w", err)
+		if err != nil {
+			return nil, fmt.Errorf("wavelet: refit: %w", err)
 		}
-		s.mu.Lock()
-		if err == nil {
-			s.refits++
-		}
-		s.gate.EndLocked(err)
-		s.mu.Unlock()
-	}()
+		return func() bool { s.det.Store(md); return true }, nil
+	}
 }
 
 // Refit synchronously refits the per-scale models on the current window
-// contents, serializing with background refits without blocking
-// concurrent detection. A failed fit leaves the previous models in
-// force.
-func (s *StreamDetector) Refit() error {
-	s.mu.Lock()
-	s.gate.BeginLocked()
-	w := s.window.Matrix()
-	s.mu.Unlock()
-
-	var md *MultiscaleDetector
-	var err error
-	if w == nil {
-		err = fmt.Errorf("wavelet: refit window empty")
-	} else if md, err = NewMultiscaleDetector(w, s.levels, s.confidence); err != nil {
-		err = fmt.Errorf("wavelet: refit: %w", err)
-	} else {
-		s.det.Store(md)
-	}
-
-	s.mu.Lock()
-	if err == nil {
-		s.refits++
-	}
-	s.gate.EndLocked(nil)
-	s.mu.Unlock()
-	return err
-}
+// contents. A failed fit leaves the previous models in force.
+func (s *StreamDetector) Refit() error { return s.gate.Run(s.refitLocked) }
 
 // Snapshot serializes the detector's portable state — the refit window,
 // the partially accumulated block, the processed-bin counters, and the
@@ -310,24 +274,20 @@ func (s *StreamDetector) Refit() error {
 // waits out any in-flight refit so the serialized models are never
 // half-swapped.
 func (s *StreamDetector) Snapshot(w io.Writer) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gate.BeginLocked()
-	defer s.gate.EndLocked(nil)
-	md := s.det.Load()
-	return core.EncodeSnapshot(w, core.SnapKindMultiscale, func(sw *core.SnapshotWriter) {
-		sw.Int(s.links)
-		sw.Int(s.levels)
-		sw.F64(s.confidence)
-		sw.RowRing(s.window)
-		sw.Int(s.pendingN)
-		sw.Floats(s.pending[:s.pendingN*s.links])
-		sw.Int(s.processed)
-		sw.Int(s.sinceRefit)
-		sw.Int(s.refits)
-		for _, det := range md.detectors {
-			core.EncodeDetector(sw, det)
-		}
+	return s.gate.Quiesced(func() error {
+		return core.EncodeSnapshot(w, core.SnapKindMultiscale, func(sw *core.SnapshotWriter) {
+			sw.Int(s.links)
+			sw.Int(s.levels)
+			sw.F64(s.confidence)
+			sw.RowRing(s.window)
+			sw.Int(s.pendingN)
+			sw.Floats(s.pending[:s.pendingN*s.links])
+			sw.Int(s.processed)
+			s.gate.EncodeLocked(sw)
+			for _, det := range s.det.Load().detectors {
+				core.EncodeDetector(sw, det)
+			}
+		})
 	})
 }
 
@@ -336,69 +296,49 @@ func (s *StreamDetector) Snapshot(w io.Writer) error {
 // confidence — construction parameters are validated, not restored).
 // On any error the receiver is left unchanged.
 func (s *StreamDetector) Restore(r io.Reader) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gate.BeginLocked()
-	defer s.gate.EndLocked(nil)
-	var (
-		window     *mat.RowRing
-		pending    []float64
-		pendingN   int
-		processed  int
-		sinceRefit int
-		refits     int
-		md         *MultiscaleDetector
-	)
-	err := core.DecodeSnapshot(r, core.SnapKindMultiscale, func(sr *core.SnapshotReader) error {
-		if links := sr.Int(); sr.Err() == nil && links != s.links {
-			return core.SnapshotMismatchf("snapshot has %d links, detector expects %d", links, s.links)
-		}
-		if levels := sr.Int(); sr.Err() == nil && levels != s.levels {
-			return core.SnapshotMismatchf("snapshot has %d levels, detector expects %d", levels, s.levels)
-		}
-		if conf := sr.F64(); sr.Err() == nil && conf != s.confidence {
-			return core.SnapshotMismatchf("snapshot confidence %v, detector expects %v", conf, s.confidence)
-		}
-		window = sr.RowRing(s.links)
-		pendingN = sr.NonNegInt()
-		part := sr.Floats()
-		processed = sr.NonNegInt()
-		sinceRefit = sr.NonNegInt()
-		refits = sr.NonNegInt()
-		if err := sr.Err(); err != nil {
-			return err
-		}
-		if pendingN >= s.span {
-			return fmt.Errorf("%w: pending block has %d rows, span is %d", core.ErrSnapshotFormat, pendingN, s.span)
-		}
-		if len(part) != pendingN*s.links {
-			return fmt.Errorf("%w: pending block has %d values, want %d", core.ErrSnapshotFormat, len(part), pendingN*s.links)
-		}
-		pending = make([]float64, s.span*s.links)
-		copy(pending, part)
-		md = &MultiscaleDetector{levels: s.levels, confidence: s.confidence}
-		for k := 0; k < s.levels; k++ {
-			det, err := core.DecodeDetector(sr)
-			if err != nil {
-				return fmt.Errorf("scale %d: %w", k, err)
-			}
-			if det.Model().NumLinks() != s.links {
-				return core.SnapshotMismatchf("scale %d model has %d links, detector expects %d",
-					k, det.Model().NumLinks(), s.links)
-			}
-			md.detectors = append(md.detectors, det)
-		}
-		return nil
-	})
-	if err != nil {
+	return s.gate.Quiesced(func() error { return core.DecodeSnapshot(r, core.SnapKindMultiscale, s.decode) })
+}
+
+// decode is Restore's payload decoder. Callers hold s.mu and the gate.
+func (s *StreamDetector) decode(sr *core.SnapshotReader) error {
+	if links := sr.Int(); sr.Err() == nil && links != s.links {
+		return core.SnapshotMismatchf("snapshot has %d links, detector expects %d", links, s.links)
+	}
+	if levels := sr.Int(); sr.Err() == nil && levels != s.levels {
+		return core.SnapshotMismatchf("snapshot has %d levels, detector expects %d", levels, s.levels)
+	}
+	if conf := sr.F64(); sr.Err() == nil && conf != s.confidence {
+		return core.SnapshotMismatchf("snapshot confidence %v, detector expects %v", conf, s.confidence)
+	}
+	window := sr.RowRing(s.links)
+	pendingN := sr.NonNegInt()
+	part := sr.Floats()
+	processed := sr.NonNegInt()
+	cadence := s.gate.DecodeLocked(sr)
+	if err := sr.Err(); err != nil {
 		return err
 	}
-	s.window = window
-	s.pending = pending
-	s.pendingN = pendingN
-	s.processed = processed
-	s.sinceRefit = sinceRefit
-	s.refits = refits
+	if pendingN >= s.span {
+		return core.SnapshotFormatf("pending block has %d rows, span is %d", pendingN, s.span)
+	}
+	if len(part) != pendingN*s.links {
+		return core.SnapshotFormatf("pending block has %d values, want %d", len(part), pendingN*s.links)
+	}
+	md := &MultiscaleDetector{levels: s.levels, confidence: s.confidence}
+	for k := 0; k < s.levels; k++ {
+		det, err := core.DecodeDetector(sr)
+		if err != nil {
+			return fmt.Errorf("scale %d: %w", k, err)
+		}
+		if det.Model().NumLinks() != s.links {
+			return core.SnapshotMismatchf("scale %d model has %d links, detector expects %d",
+				k, det.Model().NumLinks(), s.links)
+		}
+		md.detectors = append(md.detectors, det)
+	}
+	s.window, s.pendingN, s.processed = window, pendingN, processed
+	copy(s.pending, part)
+	cadence()
 	s.det.Store(md)
 	return nil
 }
@@ -419,7 +359,7 @@ func (s *StreamDetector) Stats() core.ViewStats {
 		Backend:   "multiscale",
 		Links:     s.links,
 		Processed: s.processed,
-		Refits:    s.refits,
+		Refits:    s.gate.RefitsLocked(),
 	}
 }
 
