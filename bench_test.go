@@ -25,7 +25,6 @@ import (
 	"netanomaly/internal/forecast"
 	"netanomaly/internal/mat"
 	"netanomaly/internal/netmeas"
-	"netanomaly/internal/tomo"
 	"netanomaly/internal/topology"
 	"netanomaly/internal/wavelet"
 )
@@ -820,20 +819,6 @@ func BenchmarkMultiscaleDetector(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := md.Detect(y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTomogravityEstimate times one per-bin traffic matrix estimate
-// — the Section 8 comparator for anomaly sizing.
-func BenchmarkTomogravityEstimate(b *testing.B) {
-	d := experiments.AbileneSim()
-	tg := tomo.NewTomogravity(d.Topo)
-	row := d.Links.Row(100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tg.Estimate(row); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -48,10 +48,10 @@ import (
 	"time"
 
 	"netanomaly"
+	"netanomaly/internal/backend"
 	"netanomaly/internal/core"
 	"netanomaly/internal/engine"
 	"netanomaly/internal/eval"
-	"netanomaly/internal/forecast"
 	"netanomaly/internal/mat"
 	"netanomaly/internal/netmeas"
 	"netanomaly/internal/topology"
@@ -552,12 +552,12 @@ func measureAgreement() (*agreementReport, error) {
 	stream := mat.NewDense(streamBins, m, links.RawData()[historyBins*m:])
 	routing := topo.RoutingMatrix()
 
-	inc, err := core.NewIncrementalDetector(history, routing, core.IncrementalConfig{Lambda: 1})
+	inc, err := backend.Build(backend.Spec{Kind: "incremental"}, history, routing)
 	if err != nil {
 		return nil, err
 	}
 	rank := inc.Stats().Rank
-	sd, err := core.NewSketchDetector(history, routing, core.SketchConfig{SketchSize: 2 * rank})
+	sd, err := backend.Build(backend.Spec{Kind: "sketch", SketchSize: 2 * rank}, history, routing)
 	if err != nil {
 		return nil, err
 	}
@@ -623,34 +623,10 @@ func measureSnapshot() (*snapshotReport, error) {
 	bins := y.Rows()
 	routing := mat.Identity(ingestLinks)
 
-	builders := []struct {
-		name  string
-		build func() (core.ViewDetector, error)
-	}{
-		{"subspace", func() (core.ViewDetector, error) {
-			return core.NewOnlineDetector(y, routing, core.OnlineConfig{Window: bins})
-		}},
-		{"incremental", func() (core.ViewDetector, error) {
-			return core.NewIncrementalDetector(y, routing, core.IncrementalConfig{})
-		}},
-		{"sketch", func() (core.ViewDetector, error) {
-			return core.NewSketchDetector(y, routing, core.SketchConfig{})
-		}},
-		{"ewma", func() (core.ViewDetector, error) {
-			return forecast.NewDetector(y, forecast.Config{Kind: forecast.EWMA})
-		}},
-		{"hybrid", func() (core.ViewDetector, error) {
-			triage, err := forecast.NewDetector(y, forecast.Config{Kind: forecast.EWMA})
-			if err != nil {
-				return nil, err
-			}
-			identify, err := core.NewOnlineDetector(y, routing, core.OnlineConfig{Window: bins})
-			if err != nil {
-				return nil, err
-			}
-			return core.NewHybridDetector(triage, identify, y, core.HybridConfig{})
-		}},
+	build := func(kind string) (core.ViewDetector, error) {
+		return backend.Build(backend.Spec{Kind: kind}, y, routing)
 	}
+	kinds := []string{"subspace", "incremental", "sketch", "ewma", "hybrid"}
 
 	timeIt := func(reps int, f func() error) (float64, error) {
 		if err := f(); err != nil { // warm
@@ -670,13 +646,13 @@ func measureSnapshot() (*snapshotReport, error) {
 	for a := 0; a < attempts; a++ {
 		rep.Backends = rep.Backends[:0]
 		sizes := map[string]int{}
-		for _, bl := range builders {
-			src, err := bl.build()
+		for _, kind := range kinds {
+			src, err := build(kind)
 			if err != nil {
 				return nil, err
 			}
 			reseedNs, err := timeIt(1, func() error {
-				_, err := bl.build()
+				_, err := build(kind)
 				return err
 			})
 			if err != nil {
@@ -690,7 +666,7 @@ func measureSnapshot() (*snapshotReport, error) {
 			if err != nil {
 				return nil, err
 			}
-			dst, err := bl.build()
+			dst, err := build(kind)
 			if err != nil {
 				return nil, err
 			}
@@ -704,9 +680,9 @@ func measureSnapshot() (*snapshotReport, error) {
 			if err := dst.Snapshot(&again); err != nil {
 				return nil, err
 			}
-			sizes[bl.name] = buf.Len()
+			sizes[kind] = buf.Len()
 			rep.Backends = append(rep.Backends, backendSnapReport{
-				Backend:          bl.name,
+				Backend:          kind,
 				SnapshotBytes:    buf.Len(),
 				SnapshotNs:       round1(snapNs),
 				RestoreNs:        round1(restNs),
@@ -714,7 +690,7 @@ func measureSnapshot() (*snapshotReport, error) {
 				RestoreVsReseedX: round1(reseedNs / restNs),
 				Canonical:        bytes.Equal(buf.Bytes(), again.Bytes()),
 			})
-			if bl.name == "subspace" {
+			if kind == "subspace" {
 				rep.SubspaceRestoreSpeedup = round1(reseedNs / restNs)
 			}
 		}

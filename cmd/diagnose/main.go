@@ -5,6 +5,10 @@
 //
 //	diagnose -topology abilene -links links.csv -confidence 0.999
 //
+// -topology is abilene, sprint, or synthetic:<pops>:<edges>:<seed>, the
+// grammar trafficgen and ingestd share: the same name is the same
+// network in all three commands.
+//
 // The link matrix may be CSV or the binary wire format of cmd/ingestd
 // (the encoding is sniffed from the leading bytes), and -links - reads
 // it from stdin — so a binary generator pipes straight in with no CSV
@@ -104,7 +108,7 @@ func main() {
 	detector := flag.String("detector", "subspace", "streaming backend: subspace, incremental, multiscale, multiflow, ewma, holtwinters, fourier, hybrid, or sketch")
 	sketchSize := flag.Int("sketch-size", 0, "sketch: Frequent-Directions rows (0 = 4x model rank)")
 	lambda := flag.Float64("lambda", 1, "incremental: covariance forgetting factor in (0,1]")
-	driftTol := flag.Float64("drift-tol", 0, "incremental: min residual-projector drift before a rebuild swaps in (0 = always)")
+	driftTol := flag.Float64("drift-tol", 0, "incremental/sketch: min residual-projector drift before a rebuild swaps in (0 = always)")
 	levels := flag.Int("levels", 3, "multiscale: wavelet depth")
 	metrics := flag.String("metrics", "bytes,flows,pktsize", "multiflow: names of the CSV's stacked metric blocks")
 	quorum := flag.Int("quorum", 1, "multiflow: how many metrics must flag a bin")
@@ -123,7 +127,7 @@ func main() {
 	restorePath := flag.String("restore", "", "streaming: warm-start the view from a checkpoint file (as written by ingestd -checkpoint) instead of starting fresh; -history/-detector flags must match the checkpointed run")
 	flag.Parse()
 
-	topo, err := parseTopology(*topoName)
+	topo, err := netanomaly.ParseTopology(*topoName)
 	if err != nil {
 		fatal(err)
 	}
@@ -137,21 +141,26 @@ func main() {
 			history:    *historyBins,
 			batch:      *batchSize,
 			refitEvery: *refitEvery,
-			kind:       netanomaly.DetectorKind(*detector),
-			lambda:     *lambda,
-			driftTol:   *driftTol,
-			levels:     *levels,
-			metrics:    strings.Split(*metrics, ","),
-			quorum:     *quorum,
-			alpha:      *alpha,
-			beta:       *beta,
-			thresholdK: *thresholdK,
-			triage:     netanomaly.DetectorKind(*triage),
-			escalation: *escalation,
-			hysteresis: *hysteresis,
+			// Every backend flag is passed whatever the kind: a kind
+			// ignores the parameters it does not read, and each flag's
+			// default is the option's default.
+			viewOpts: []netanomaly.ViewOption{
+				netanomaly.WithDetector(netanomaly.DetectorKind(*detector)),
+				netanomaly.WithLambda(*lambda),
+				netanomaly.WithDriftTolerance(*driftTol),
+				netanomaly.WithSketchSize(*sketchSize),
+				netanomaly.WithLevels(*levels),
+				netanomaly.WithMetrics(strings.Split(*metrics, ",")...),
+				netanomaly.WithQuorum(*quorum),
+				netanomaly.WithAlpha(*alpha),
+				netanomaly.WithBeta(*beta),
+				netanomaly.WithThresholdK(*thresholdK),
+				netanomaly.WithTriageKind(netanomaly.DetectorKind(*triage)),
+				netanomaly.WithEscalation(*escalation),
+				netanomaly.WithHysteresis(*hysteresis),
+			},
 			incidents:  *incidents,
 			quiet:      *quietPeriod,
-			sketchSize: *sketchSize,
 			maxPending: *maxPending,
 			burst:      *burst,
 			restore:    *restorePath,
@@ -198,21 +207,9 @@ type streamConfig struct {
 	history                    int
 	batch                      int
 	refitEvery                 int
-	kind                       netanomaly.DetectorKind
-	lambda                     float64
-	driftTol                   float64
-	levels                     int
-	metrics                    []string
-	quorum                     int
-	alpha                      float64
-	beta                       float64
-	thresholdK                 float64
-	triage                     netanomaly.DetectorKind
-	escalation                 string
-	hysteresis                 int
+	viewOpts                   []netanomaly.ViewOption
 	incidents                  bool
 	quiet                      int
-	sketchSize                 int
 	maxPending                 int
 	overload                   netanomaly.OverloadPolicy
 	autoscale                  bool
@@ -255,24 +252,6 @@ func runStream(topo *netanomaly.Topology, links *netanomaly.Matrix, sc streamCon
 	}
 	if sc.batch <= 0 {
 		sc.batch = 64 // engine default; normalized here so the banner matches
-	}
-	viewOpts := []netanomaly.ViewOption{netanomaly.WithDetector(sc.kind)}
-	switch sc.kind {
-	case netanomaly.DetectorIncremental:
-		viewOpts = append(viewOpts, netanomaly.WithLambda(sc.lambda), netanomaly.WithDriftTolerance(sc.driftTol))
-	case netanomaly.DetectorSketch:
-		viewOpts = append(viewOpts, netanomaly.WithSketchSize(sc.sketchSize), netanomaly.WithDriftTolerance(sc.driftTol))
-	case netanomaly.DetectorMultiscale:
-		viewOpts = append(viewOpts, netanomaly.WithLevels(sc.levels))
-	case netanomaly.DetectorMultiFlow:
-		viewOpts = append(viewOpts, netanomaly.WithMetrics(sc.metrics...), netanomaly.WithQuorum(sc.quorum))
-	case netanomaly.DetectorEWMA, netanomaly.DetectorHoltWinters, netanomaly.DetectorFourier:
-		viewOpts = append(viewOpts, netanomaly.WithAlpha(sc.alpha), netanomaly.WithBeta(sc.beta), netanomaly.WithThresholdK(sc.thresholdK))
-	case netanomaly.DetectorHybrid:
-		viewOpts = append(viewOpts,
-			netanomaly.WithTriageKind(sc.triage), netanomaly.WithEscalation(sc.escalation),
-			netanomaly.WithHysteresis(sc.hysteresis),
-			netanomaly.WithAlpha(sc.alpha), netanomaly.WithBeta(sc.beta), netanomaly.WithThresholdK(sc.thresholdK))
 	}
 	// The detectors copy seed rows into their own state, so the history
 	// view can alias the loaded matrix.
@@ -332,7 +311,7 @@ func runStream(topo *netanomaly.Topology, links *netanomaly.Matrix, sc streamCon
 		if err != nil {
 			fatal(err)
 		}
-		spec := netanomaly.ViewSpec{History: history, Topo: topo, Options: viewOpts}
+		spec := netanomaly.ViewSpec{History: history, Topo: topo, Options: sc.viewOpts}
 		mon, err = netanomaly.Restore(monCfg, f, []netanomaly.ViewSpec{spec}, monOpts...)
 		f.Close()
 		if err != nil {
@@ -345,7 +324,7 @@ func runStream(topo *netanomaly.Topology, links *netanomaly.Matrix, sc streamCon
 		view = views[0]
 	} else {
 		mon = netanomaly.NewMonitor(monCfg, monOpts...)
-		if err := netanomaly.AddView(mon, view, history, topo, viewOpts...); err != nil {
+		if err := netanomaly.AddView(mon, view, history, topo, sc.viewOpts...); err != nil {
 			fatal(err)
 		}
 	}
@@ -410,10 +389,10 @@ func runStream(topo *netanomaly.Topology, links *netanomaly.Matrix, sc streamCon
 	}
 	if corr != nil {
 		// All workers are quiescent now: advance the incident clock to
-		// the last processed bin so quiet-period closes fire, then close
-		// whatever is still open — the replay is over.
-		if vs, err := mon.ViewStats(view); err == nil && vs.Processed > 0 {
-			corr.Advance(vs.Processed - 1)
+		// the last bin whose alarms were delivered so quiet-period closes
+		// fire, then close whatever is still open — the replay is over.
+		if qs, err := mon.QueueStats(view); err == nil && qs.DeliveredBins > 0 {
+			corr.Advance(int(qs.DeliveredBins) - 1)
 		}
 		corr.Flush()
 		is := corr.Stats()
@@ -485,35 +464,6 @@ func printIncident(topo *netanomaly.Topology, base int, e netanomaly.IncidentEve
 	case netanomaly.IncidentClosed:
 		fmt.Printf("incident #%d closed: %s, bins %d..%d, peak SPE %.4g, %.4g bytes, %d alarms, %d views, severity %.4g\n",
 			inc.ID, what, base+inc.StartSeq, base+inc.EndSeq, inc.PeakSPE, inc.Bytes, inc.Alarms, len(inc.Views), inc.Severity())
-	}
-}
-
-func parseTopology(name string) (*netanomaly.Topology, error) {
-	switch {
-	case name == "abilene":
-		return netanomaly.Abilene(), nil
-	case name == "sprint":
-		return netanomaly.SprintEurope(), nil
-	case strings.HasPrefix(name, "synthetic:"):
-		parts := strings.Split(name, ":")
-		if len(parts) != 4 {
-			return nil, fmt.Errorf("synthetic topology: want synthetic:<pops>:<edges>:<seed>")
-		}
-		pops, err := strconv.Atoi(parts[1])
-		if err != nil {
-			return nil, err
-		}
-		edges, err := strconv.Atoi(parts[2])
-		if err != nil {
-			return nil, err
-		}
-		seed, err := strconv.ParseInt(parts[3], 10, 64)
-		if err != nil {
-			return nil, err
-		}
-		return netanomaly.SyntheticTopology(pops, edges, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown topology %q", name)
 	}
 }
 

@@ -19,6 +19,10 @@
 //	ingestd -history week.bin -listen 127.0.0.1:7600 -socket /tmp/na.sock \
 //	    -detector sketch -sketch-size 16
 //
+// -topology is abilene, sprint, or synthetic:<pops>:<edges>:<seed> —
+// the grammar trafficgen and diagnose share, so the generator and the
+// server given one name agree on the network.
+//
 // The history file may be CSV (as written by trafficgen) or binary;
 // the format is sniffed from the leading magic bytes. Wire-format
 // versions are sniffed per stream: v1 per-bin frames and v2 batch
@@ -48,7 +52,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -94,7 +97,7 @@ func main() {
 	if *listenAddr == "" && *socketPath == "" && !*useStdin {
 		fatal(errors.New("nothing to ingest: set -listen, -socket, or -stdin"))
 	}
-	topo, err := parseTopology(*topoName)
+	topo, err := netanomaly.ParseTopology(*topoName)
 	if err != nil {
 		fatal(err)
 	}
@@ -102,27 +105,23 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// Every backend flag is passed whatever the kind: a kind ignores the
+	// parameters it does not read, and each flag's default is the
+	// option's default. An unknown kind fails when the view is built.
 	kind := netanomaly.DetectorKind(*detector)
-	viewOpts := []netanomaly.ViewOption{netanomaly.WithDetector(kind)}
-	switch kind {
-	case netanomaly.DetectorSubspace, netanomaly.DetectorMultiscale,
-		netanomaly.DetectorEWMA, netanomaly.DetectorHoltWinters,
-		netanomaly.DetectorFourier, netanomaly.DetectorHybrid:
-	case netanomaly.DetectorIncremental:
-		viewOpts = append(viewOpts, netanomaly.WithLambda(*lambda), netanomaly.WithDriftTolerance(*driftTol))
-	case netanomaly.DetectorSketch:
-		viewOpts = append(viewOpts, netanomaly.WithSketchSize(*sketchSize), netanomaly.WithDriftTolerance(*driftTol))
-	case netanomaly.DetectorMultiFlow:
-		// The multi-metric backend wants bins x (metrics x links)
-		// columns; the NAMB decoder is width-agnostic, so a stacked
-		// stream flows through unchanged once -metrics declares how many
-		// blocks the columns carry.
-		if *metricsN < 2 {
-			fatal(errors.New("-detector multiflow needs -metrics > 1: the wire must carry column-stacked metric blocks (see trafficgen -metrics)"))
-		}
-		viewOpts = append(viewOpts, netanomaly.WithMetrics(metricNames(*metricsN)...))
-	default:
-		fatal(fmt.Errorf("unknown -detector %q", kind))
+	viewOpts := []netanomaly.ViewOption{
+		netanomaly.WithDetector(kind),
+		netanomaly.WithLambda(*lambda),
+		netanomaly.WithDriftTolerance(*driftTol),
+		netanomaly.WithSketchSize(*sketchSize),
+		netanomaly.WithMetrics(metricNames(*metricsN)...),
+	}
+	// The multi-metric backend wants bins x (metrics x links) columns;
+	// the NAMB decoder is width-agnostic, so a stacked stream flows
+	// through unchanged once -metrics declares how many blocks the
+	// columns carry.
+	if kind == netanomaly.DetectorMultiFlow && *metricsN < 2 {
+		fatal(errors.New("-detector multiflow needs -metrics > 1: the wire must carry column-stacked metric blocks (see trafficgen -metrics)"))
 	}
 	if kind != netanomaly.DetectorMultiFlow && *metricsN != 1 {
 		fatal(fmt.Errorf("-metrics %d: only -detector multiflow consumes stacked metric streams", *metricsN))
@@ -242,9 +241,12 @@ func main() {
 	// a batch.
 	stopCkpt := make(chan struct{})
 	var ckptWG sync.WaitGroup
-	// The incident clock advances with processed bins, not just observed
+	// The incident clock advances with the stream, not just observed
 	// alarms, so open incidents close a quiet period after their last
-	// alarm even while the stream stays healthy.
+	// alarm even while the stream stays healthy. It follows the bins
+	// whose alarms have all been delivered: a tick landing while a
+	// batch's alarms are still being emitted must not close an
+	// incident the batch's next alarm would extend.
 	if corr != nil {
 		ckptWG.Add(1)
 		go func() {
@@ -256,9 +258,7 @@ func main() {
 				case <-stopCkpt:
 					return
 				case <-t.C:
-					if vs, err := mon.ViewStats(view); err == nil && vs.Processed > 0 {
-						corr.Advance(vs.Processed - 1)
-					}
+					advanceIncidents(mon, corr, view)
 				}
 			}
 		}()
@@ -400,9 +400,7 @@ func main() {
 		// Close whatever the quiet period has already expired on; what
 		// is still open either persists in the checkpoint below or is
 		// flushed once no checkpoint will carry it.
-		if vs, err := mon.ViewStats(view); err == nil && vs.Processed > 0 {
-			corr.Advance(vs.Processed - 1)
-		}
+		advanceIncidents(mon, corr, view)
 	}
 	// Close drained every queue, which is exactly the quiesced state the
 	// final checkpoint wants: the next start resumes from the last bin
@@ -513,25 +511,11 @@ func loadMatrixSniffed(path string) (*netanomaly.Matrix, error) {
 	return m, err
 }
 
-func parseTopology(name string) (*netanomaly.Topology, error) {
-	switch {
-	case name == "abilene":
-		return netanomaly.Abilene(), nil
-	case name == "sprint":
-		return netanomaly.SprintEurope(), nil
-	case strings.HasPrefix(name, "synthetic:"):
-		parts := strings.Split(name, ":")
-		if len(parts) != 4 {
-			return nil, fmt.Errorf("synthetic topology: want synthetic:<pops>:<edges>:<seed>")
-		}
-		var pops, edges int
-		var seed int64
-		if _, err := fmt.Sscanf(parts[1]+" "+parts[2]+" "+parts[3], "%d %d %d", &pops, &edges, &seed); err != nil {
-			return nil, fmt.Errorf("synthetic topology %q: %w", name, err)
-		}
-		return netanomaly.SyntheticTopology(pops, edges, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown topology %q", name)
+// advanceIncidents moves the incident clock to the last bin whose
+// alarms the monitor has finished delivering.
+func advanceIncidents(mon *netanomaly.Monitor, corr *netanomaly.Correlator, view string) {
+	if qs, err := mon.QueueStats(view); err == nil && qs.DeliveredBins > 0 {
+		corr.Advance(int(qs.DeliveredBins) - 1)
 	}
 }
 

@@ -4,6 +4,12 @@
 // flag). The link matrix is the input cmd/diagnose and cmd/ingestd
 // consume; the OD CSV is ground truth for validation.
 //
+// -topology names the network as every command does: abilene, sprint,
+// or synthetic:<pops>:<edges>:<seed>, where the seed fixes the random
+// graph. -seed drives only the traffic, so the same -topology given to
+// trafficgen, diagnose and ingestd is the same network whatever -seed
+// is.
+//
 // With -metrics the link CSV additionally carries the Section 7.2
 // metric series (IP-flow counts and mean packet size) column-stacked
 // after the byte counts — the input cmd/diagnose consumes with
@@ -71,8 +77,8 @@ func (a *anomalyFlags) Set(s string) error {
 
 func main() {
 	var anomalies anomalyFlags
-	topoName := flag.String("topology", "abilene", "abilene, sprint, or synthetic:<pops>:<edges>")
-	seed := flag.Int64("seed", 1, "generator seed")
+	topoName := flag.String("topology", "abilene", "abilene, sprint, or synthetic:<pops>:<edges>:<seed>")
+	seed := flag.Int64("seed", 1, "traffic generator seed (a synthetic topology takes its own from -topology)")
 	bins := flag.Int("bins", 1008, "number of 10-minute bins")
 	total := flag.Float64("total", 0, "network-wide mean bytes per bin (0 = default)")
 	odPath := flag.String("od", "", "write OD-flow matrix CSV here (optional)")
@@ -87,7 +93,7 @@ func main() {
 	flag.Var(&anomalies, "anomaly", "inject flow,bin,delta (repeatable)")
 	flag.Parse()
 
-	topo, err := parseTopology(*topoName, *seed)
+	topo, err := netanomaly.ParseTopology(*topoName)
 	if err != nil {
 		fatal(err)
 	}
@@ -237,31 +243,6 @@ func main() {
 			}
 			fmt.Fprintf(banner, "scenario truth bin %d: %s\n", tb.Bin, flow)
 		}
-	}
-}
-
-func parseTopology(name string, seed int64) (*netanomaly.Topology, error) {
-	switch {
-	case name == "abilene":
-		return netanomaly.Abilene(), nil
-	case name == "sprint":
-		return netanomaly.SprintEurope(), nil
-	case strings.HasPrefix(name, "synthetic:"):
-		parts := strings.Split(name, ":")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("synthetic topology: want synthetic:<pops>:<edges>")
-		}
-		pops, err := strconv.Atoi(parts[1])
-		if err != nil {
-			return nil, err
-		}
-		edges, err := strconv.Atoi(parts[2])
-		if err != nil {
-			return nil, err
-		}
-		return netanomaly.SyntheticTopology(pops, edges, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown topology %q", name)
 	}
 }
 

@@ -80,7 +80,10 @@
 // Refit / Stats), so one Monitor can mix backends freely. AddView
 // selects the implementation per view; docs/BACKENDS.md is the full
 // selection guide (cost models, what each kind localizes, seed
-// requirements, tuning knobs):
+// requirements, tuning knobs). One builder turns a kind and its view
+// options into a seeded detector for AddView, Restore, the scorecard
+// and the benchmarks alike, so a restored or scored view is built
+// exactly as a fresh one:
 //
 // The subspace family — DetectorSubspace, DetectorIncremental and
 // DetectorSketch — is that one OnlineDetector with three interchangeable

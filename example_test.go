@@ -40,7 +40,7 @@ func ExampleNewMonitor() {
 
 	mon := netanomaly.NewMonitor(netanomaly.MonitorConfig{})
 	defer mon.Close()
-	if err := netanomaly.AddTopologyView(mon, "backbone", history, topo); err != nil {
+	if err := netanomaly.AddView(mon, "backbone", history, topo); err != nil {
 		log.Fatal(err)
 	}
 	if err := mon.Ingest("backbone", stream); err != nil {
@@ -161,7 +161,7 @@ func ExampleMonitor_IngestStream() {
 	mon := netanomaly.NewMonitor(netanomaly.MonitorConfig{
 		OnAlarm: func(a netanomaly.MonitorAlarm) { alarmed <- a.Seq },
 	})
-	if err := netanomaly.AddTopologyView(mon, "live", history, topo); err != nil {
+	if err := netanomaly.AddView(mon, "live", history, topo); err != nil {
 		log.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -195,7 +195,7 @@ func ExampleNewMonitor_loadSafe() {
 		netanomaly.WithAutoscale(1, 4),
 	)
 	defer mon.Close()
-	if err := netanomaly.AddTopologyView(mon, "backbone", history, topo); err != nil {
+	if err := netanomaly.AddView(mon, "backbone", history, topo); err != nil {
 		log.Fatal(err)
 	}
 	if err := mon.Ingest("backbone", stream); err != nil {

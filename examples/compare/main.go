@@ -30,9 +30,9 @@ import (
 	"log"
 
 	"netanomaly"
+	"netanomaly/internal/backend"
 	"netanomaly/internal/core"
 	"netanomaly/internal/eval"
-	"netanomaly/internal/forecast"
 )
 
 func main() {
@@ -61,20 +61,16 @@ func main() {
 		truth[i] = eval.LabeledBin{Bin: a.Bin - 1008, Flow: a.Flow}
 	}
 
-	subspace, err := core.NewOnlineDetector(history, topo.RoutingMatrix(), core.OnlineConfig{Window: 1008})
-	if err != nil {
-		log.Fatal(err)
-	}
-	backends := []core.ViewDetector{subspace}
-	for _, kind := range []forecast.Kind{forecast.EWMA, forecast.HoltWinters, forecast.Fourier} {
-		det, err := forecast.NewDetector(history, forecast.Config{Kind: kind})
+	// Every backend is built the way a monitor view of that kind is.
+	var backends []core.ViewDetector
+	for _, kind := range []string{"subspace", "ewma", "holtwinters", "fourier", "hybrid"} {
+		det, err := backend.Build(backend.Spec{Kind: kind}, history, topo.RoutingMatrix())
 		if err != nil {
 			log.Fatal(err)
 		}
 		backends = append(backends, det)
 	}
-	hybrid := buildHybrid(topo, history)
-	backends = append(backends, hybrid)
+	hybrid := backends[len(backends)-1].(*core.HybridDetector)
 
 	fmt.Printf("%d injected anomalies (8e6..6.5e7 bytes) in %d streamed bins of %d-link data\n\n",
 		len(anomalies), stream.Rows(), m)
@@ -94,23 +90,4 @@ func main() {
 	fmt.Println("the subspace method identifies flows on every detection; the hybrid")
 	fmt.Println("keeps EWMA's detections and per-bin cost while borrowing subspace")
 	fmt.Println("identification for just the escalated bins (Sections 6.2, 7.3).")
-}
-
-// buildHybrid composes the triage→identification backend the way
-// netanomaly.AddView's hybrid kind does: an EWMA triage stage over a
-// windowed subspace identification stage, immediate escalation.
-func buildHybrid(topo *netanomaly.Topology, history *netanomaly.Matrix) *core.HybridDetector {
-	triage, err := forecast.NewDetector(history, forecast.Config{Kind: forecast.EWMA})
-	if err != nil {
-		log.Fatal(err)
-	}
-	identify, err := core.NewOnlineDetector(history, topo.RoutingMatrix(), core.OnlineConfig{Window: 1008})
-	if err != nil {
-		log.Fatal(err)
-	}
-	hybrid, err := core.NewHybridDetector(triage, identify, history, core.HybridConfig{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	return hybrid
 }

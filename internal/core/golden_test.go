@@ -3,8 +3,8 @@ package core_test
 import (
 	"testing"
 
+	"netanomaly/internal/backend"
 	"netanomaly/internal/core"
-	"netanomaly/internal/forecast"
 	"netanomaly/internal/mat"
 	"netanomaly/internal/snaptest"
 )
@@ -18,30 +18,16 @@ func TestSnapshotGoldenEnvelopes(t *testing.T) {
 	const links = 6
 	history := snaptest.Traffic(snaptest.HistoryBins, links, 0)
 	routing := mat.Identity(links)
-	subspace := func() (core.ViewDetector, error) {
-		return core.NewOnlineDetector(history, routing, core.OnlineConfig{Window: 64})
+	// The detectors come from the one kind→detector builder, so the
+	// envelopes pin what a monitor view of each kind restores into.
+	cases := map[string]backend.Spec{
+		"subspace":    {Kind: "subspace", Window: 64},
+		"incremental": {Kind: "incremental", Lambda: 0.995},
+		"sketch":      {Kind: "sketch"},
+		"hybrid":      {Kind: "hybrid", Window: 64, Hysteresis: 2},
 	}
-	cases := map[string]func() (core.ViewDetector, error){
-		"subspace": subspace,
-		"incremental": func() (core.ViewDetector, error) {
-			return core.NewIncrementalDetector(history, routing, core.IncrementalConfig{Lambda: 0.995})
-		},
-		"sketch": func() (core.ViewDetector, error) {
-			return core.NewSketchDetector(history, routing, core.SketchConfig{})
-		},
-		"hybrid": func() (core.ViewDetector, error) {
-			triage, err := forecast.NewDetector(history, forecast.Config{Kind: forecast.EWMA})
-			if err != nil {
-				return nil, err
-			}
-			identify, err := subspace()
-			if err != nil {
-				return nil, err
-			}
-			return core.NewHybridDetector(triage, identify, history, core.HybridConfig{Hysteresis: 2})
-		},
-	}
-	for name, fresh := range cases {
+	for name, spec := range cases {
+		fresh := func() (core.ViewDetector, error) { return backend.Build(spec, history, routing) }
 		t.Run(name, func(t *testing.T) { snaptest.Golden(t, name, fresh, links) })
 	}
 }

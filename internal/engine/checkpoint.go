@@ -110,6 +110,7 @@ func (m *Monitor) RestoreView(view string, r io.Reader) error {
 		return fmt.Errorf("engine: view %q: %w", view, err)
 	}
 	s.enqueuedBins = enqueued
+	s.delivered.Store(enqueued)
 	s.droppedBins = dropped
 	s.droppedBatches = droppedBatches
 	s.rejectedBins = rejected
@@ -251,6 +252,7 @@ func (m *Monitor) restoreViewInto(r io.Reader, factory DetectorFactory) error {
 	}
 	s.qmu.Lock()
 	s.enqueuedBins = enqueued
+	s.delivered.Store(enqueued)
 	s.droppedBins = dropped
 	s.droppedBatches = droppedBs
 	s.rejectedBins = rejects

@@ -33,6 +33,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"netanomaly/internal/core"
@@ -283,6 +284,14 @@ type QueueStats struct {
 	DroppedBatches int64
 	// RejectedBins counts bins refused by OverloadError.
 	RejectedBins int64
+	// DeliveredBins is the stream offset (drops included, the numbering
+	// alarm Seqs use) one past the last queued bin whose alarms have all
+	// been handed to OnAlarm or the TakeAlarms buffer. It trails the
+	// detector's processed count while a batch's alarms are still being
+	// emitted, so a clock advanced to DeliveredBins-1 — the incident
+	// correlator's — never passes an alarm yet to arrive. Batches run
+	// through the synchronous ProcessBatch do not move it.
+	DeliveredBins int64
 }
 
 // Stats is a point-in-time snapshot of the monitor's load state: pool
@@ -360,6 +369,10 @@ type shard struct {
 	droppedBins    int64
 	droppedBatches int64
 	rejectedBins   int64
+
+	// delivered backs QueueStats.DeliveredBins: the owning worker
+	// stores it once per batch, after the batch's last alarm is emitted.
+	delivered atomic.Int64
 
 	errMu sync.Mutex
 	errs  []error
@@ -577,6 +590,7 @@ func (m *Monitor) worker() {
 			continue
 		}
 		batch := s.queue[0]
+		batchEnd := batch.base + int64(batch.m.Rows())
 		// Compact and zero the vacated tail slot: zeroing keeps the
 		// processed batch unreachable (the per-view memory bound), and
 		// compacting keeps the slice anchored at the front of its
@@ -627,6 +641,7 @@ func (m *Monitor) worker() {
 		for _, a := range alarms {
 			m.emit(Alarm{View: s.name, Alarm: a})
 		}
+		s.delivered.Store(batchEnd)
 
 		// Hand the shard back: re-ready it if more batches arrived,
 		// otherwise release ownership so the next Ingest re-readies it.
@@ -1167,6 +1182,7 @@ func (m *Monitor) QueueStats(view string) (QueueStats, error) {
 		DroppedBins:    s.droppedBins,
 		DroppedBatches: s.droppedBatches,
 		RejectedBins:   s.rejectedBins,
+		DeliveredBins:  s.delivered.Load(),
 	}, nil
 }
 

@@ -14,23 +14,14 @@ import (
 	"fmt"
 	"sort"
 
+	"netanomaly/internal/backend"
 	"netanomaly/internal/core"
-	"netanomaly/internal/forecast"
 	"netanomaly/internal/incident"
 	"netanomaly/internal/mat"
 	"netanomaly/internal/netmeas"
 	"netanomaly/internal/topology"
 	"netanomaly/internal/traffic"
-	"netanomaly/internal/wavelet"
 )
-
-// ScorecardBackends is the full detector family the scorecard runs, in
-// table order: the five subspace-family members, the three forecast
-// baselines, and the hybrid composition.
-var ScorecardBackends = []string{
-	"subspace", "incremental", "sketch", "multiscale", "multiflow",
-	"ewma", "holtwinters", "fourier", "hybrid",
-}
 
 // ScorecardConfig parameterizes RunScorecard. The zero value takes the
 // defaults noted on each field.
@@ -125,7 +116,7 @@ func RunScorecard(topo *topology.Topology, cfg ScorecardConfig) (*Scorecard, err
 		HistoryBins: cfg.HistoryBins,
 		StreamBins:  cfg.StreamBins,
 		BatchSize:   cfg.BatchSize,
-		Backends:    append([]string(nil), ScorecardBackends...),
+		Backends:    append([]string(nil), backend.Kinds...),
 	}
 	for _, sc := range scenarios {
 		card.Scenarios = append(card.Scenarios, sc.Name)
@@ -175,22 +166,27 @@ func runScenario(topo *topology.Topology, sc traffic.Scenario, cfg ScorecardConf
 	stackedStream := mat.NewDense(cfg.StreamBins, cols, stacked.RawData()[cfg.HistoryBins*cols:])
 
 	routing := topo.RoutingMatrix()
-	cells := make([]ScorecardCell, 0, len(ScorecardBackends))
-	for _, backend := range ScorecardBackends {
-		det, err := newScorecardDetector(backend, history, stackedHistory, routing, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", backend, err)
+	cells := make([]ScorecardCell, 0, len(backend.Kinds))
+	for _, kind := range backend.Kinds {
+		// Automatic refits stay off: scorecard runs must be
+		// deterministic, so no background refit may race the stream.
+		// Multiscale runs two wavelet levels, the depth the committed
+		// baseline was measured at.
+		spec := backend.Spec{Kind: kind, Window: cfg.HistoryBins, Levels: 2}
+		hist, in := history, stream
+		if kind == "multiflow" {
+			hist, in = stackedHistory, stackedStream
 		}
-		in := stream
-		if backend == "multiflow" {
-			in = stackedStream
+		det, err := backend.Build(spec, hist, routing)
+		if err != nil {
+			return nil, err
 		}
 		r, alarms, err := EvaluateStreamingAlarms(det, in, cfg.BatchSize, truth)
 		if err != nil {
 			return nil, err
 		}
 		cells = append(cells, ScorecardCell{
-			Backend:            backend,
+			Backend:            kind,
 			Scenario:           sc.Name,
 			Detected:           r.Detected,
 			TrueAnomalies:      r.TrueAnomalies,
@@ -222,41 +218,6 @@ func countIncidents(alarms []core.Alarm, streamBins int) int {
 	}
 	corr.Flush()
 	return corr.Stats().Opened
-}
-
-// newScorecardDetector builds one freshly seeded backend with
-// automatic refits disabled — scorecard runs must be deterministic, so
-// no background refit may race the stream.
-func newScorecardDetector(backend string, history, stackedHistory, routing *mat.Dense, cfg ScorecardConfig) (core.ViewDetector, error) {
-	window := cfg.HistoryBins
-	switch backend {
-	case "subspace":
-		return core.NewOnlineDetector(history, routing, core.OnlineConfig{Window: window})
-	case "incremental":
-		return core.NewIncrementalDetector(history, routing, core.IncrementalConfig{})
-	case "sketch":
-		return core.NewSketchDetector(history, routing, core.SketchConfig{})
-	case "multiscale":
-		return wavelet.NewStreamDetector(history, wavelet.StreamConfig{Levels: 2, Window: window})
-	case "multiflow":
-		return netmeas.NewMultiMetricDetector(stackedHistory, routing, netmeas.MultiMetricConfig{
-			Online: core.OnlineConfig{Window: window},
-		})
-	case "ewma", "holtwinters", "fourier":
-		return forecast.NewDetector(history, forecast.Config{Kind: forecast.Kind(backend), Window: window})
-	case "hybrid":
-		triage, err := forecast.NewDetector(history, forecast.Config{Kind: forecast.EWMA, Window: window})
-		if err != nil {
-			return nil, err
-		}
-		identify, err := core.NewOnlineDetector(history, routing, core.OnlineConfig{Window: window})
-		if err != nil {
-			return nil, err
-		}
-		return core.NewHybridDetector(triage, identify, history, core.HybridConfig{Window: window})
-	default:
-		return nil, fmt.Errorf("unknown scorecard backend %q", backend)
-	}
 }
 
 // ScorecardTolerance sets how far a cell may drift from the baseline

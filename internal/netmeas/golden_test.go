@@ -3,9 +3,9 @@ package netmeas_test
 import (
 	"testing"
 
+	"netanomaly/internal/backend"
 	"netanomaly/internal/core"
 	"netanomaly/internal/mat"
-	"netanomaly/internal/netmeas"
 	"netanomaly/internal/snaptest"
 )
 
@@ -18,9 +18,7 @@ func TestSnapshotGoldenEnvelopes(t *testing.T) {
 	history := snaptest.Traffic(snaptest.HistoryBins, 3*links, 0)
 	t.Run("multiflow", func(t *testing.T) {
 		snaptest.Golden(t, "multiflow", func() (core.ViewDetector, error) {
-			return netmeas.NewMultiMetricDetector(history, mat.Identity(links), netmeas.MultiMetricConfig{
-				Online: core.OnlineConfig{Window: 64},
-			})
+			return backend.Build(backend.Spec{Kind: "multiflow", Window: 64}, history, mat.Identity(links))
 		}, 3*links)
 	})
 }

@@ -1,9 +1,44 @@
 package topology
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 )
+
+// Parse resolves a topology name: "abilene", "sprint" (SprintEurope),
+// or "synthetic:<pops>:<edges>:<seed>", the arguments of Synthetic. It
+// is the one grammar every command's -topology flag speaks, so a name
+// means the same network wherever it is given. A synthetic spec Synthetic
+// would reject returns an error instead of panicking.
+func Parse(name string) (*Topology, error) {
+	switch name {
+	case "abilene":
+		return Abilene(), nil
+	case "sprint":
+		return SprintEurope(), nil
+	}
+	spec, ok := strings.CutPrefix(name, "synthetic:")
+	if !ok {
+		return nil, fmt.Errorf("topology: unknown topology %q (want abilene, sprint, or synthetic:<pops>:<edges>:<seed>)", name)
+	}
+	parts := strings.Split(spec, ":")
+	if len(parts) != 3 {
+		return nil, fmt.Errorf("topology %q: want synthetic:<pops>:<edges>:<seed>", name)
+	}
+	n, errN := strconv.Atoi(parts[0])
+	edges, errE := strconv.Atoi(parts[1])
+	seed, errS := strconv.ParseInt(parts[2], 10, 64)
+	if err := errors.Join(errN, errE, errS); err != nil {
+		return nil, fmt.Errorf("topology %q: %w", name, err)
+	}
+	if err := checkSynthetic(n, edges); err != nil {
+		return nil, fmt.Errorf("topology %q: %w", name, err)
+	}
+	return Synthetic(n, edges, seed), nil
+}
 
 // Abilene returns the 11-PoP Internet2 backbone of the paper's Figure 2(a).
 // The inter-PoP edge set is the 2004 Abilene map (14 physical circuits)
@@ -88,12 +123,8 @@ func SprintEurope() *Topology {
 // Generation is deterministic in seed. It panics if edges < n-1 or exceeds
 // the complete-graph bound.
 func Synthetic(n, edges int, seed int64) *Topology {
-	if n < 2 {
-		panic("topology: Synthetic needs n >= 2")
-	}
-	maxEdges := n * (n - 1) / 2
-	if edges < n-1 || edges > maxEdges {
-		panic(fmt.Sprintf("topology: Synthetic edge count %d out of [%d,%d]", edges, n-1, maxEdges))
+	if err := checkSynthetic(n, edges); err != nil {
+		panic("topology: Synthetic: " + err.Error())
 	}
 	rng := rand.New(rand.NewSource(seed))
 	b := NewBuilder(fmt.Sprintf("synthetic-%d-%d", n, edges))
@@ -130,4 +161,16 @@ func Synthetic(n, edges int, seed int64) *Topology {
 		panic(fmt.Sprintf("topology: Synthetic build failed: %v", err))
 	}
 	return t
+}
+
+// checkSynthetic enforces Synthetic's bounds: at least two PoPs, and
+// enough edges for a spanning tree but no more than the complete graph.
+func checkSynthetic(n, edges int) error {
+	if n < 2 {
+		return fmt.Errorf("synthetic topology needs at least 2 PoPs, got %d", n)
+	}
+	if maxEdges := n * (n - 1) / 2; edges < n-1 || edges > maxEdges {
+		return fmt.Errorf("synthetic topology on %d PoPs needs %d..%d edges, got %d", n, n-1, maxEdges, edges)
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -372,5 +373,52 @@ func TestIntraLinksComeFirst(t *testing.T) {
 		if links[i].Intra() {
 			t.Fatalf("link %d should be inter-PoP", i)
 		}
+	}
+}
+
+// TestParse pins the one topology-name grammar every command shares:
+// the two presets, a four-field synthetic spec equal to the Synthetic
+// call it names, and errors — never panics — for the rest, including
+// the three-field form that left the seed to a separate flag.
+func TestParse(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want *Topology
+		err  string // substring of the error; "" means success
+	}{
+		{name: "abilene", want: Abilene()},
+		{name: "sprint", want: SprintEurope()},
+		{name: "synthetic:30:45:7", want: Synthetic(30, 45, 7)},
+		{name: "synthetic:2:1:0", want: Synthetic(2, 1, 0)},
+		{name: "synthetic:5:10:-3", want: Synthetic(5, 10, -3)},
+		{name: "synthetic:30:45", err: "synthetic:<pops>:<edges>:<seed>"},
+		{name: "synthetic:30:45:7:1", err: "synthetic:<pops>:<edges>:<seed>"},
+		{name: "synthetic:", err: "synthetic:<pops>:<edges>:<seed>"},
+		{name: "synthetic:x:45:7", err: "invalid syntax"},
+		{name: "synthetic:30:4.5:7", err: "invalid syntax"},
+		{name: "synthetic:30:45:seed", err: "invalid syntax"},
+		{name: "synthetic:1:0:7", err: "at least 2 PoPs"},
+		{name: "synthetic:5:3:1", err: "needs 4..10 edges, got 3"},
+		{name: "synthetic:5:100:1", err: "needs 4..10 edges, got 100"},
+		{name: "Abilene", err: "unknown topology"},
+		{name: "", err: "unknown topology"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := Parse(tc.name)
+			if tc.err != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.err) {
+					t.Fatalf("Parse(%q) = %v, want error containing %q", tc.name, err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Name() != tc.want.Name() || got.NumLinks() != tc.want.NumLinks() ||
+				!reflect.DeepEqual(got.Links(), tc.want.Links()) ||
+				!reflect.DeepEqual(got.RoutingMatrix().RawData(), tc.want.RoutingMatrix().RawData()) {
+				t.Fatalf("Parse(%q) built a different network than %s", tc.name, tc.want.Name())
+			}
+		})
 	}
 }

@@ -6,15 +6,14 @@ import (
 	"io"
 	"time"
 
+	"netanomaly/internal/backend"
 	"netanomaly/internal/core"
 	"netanomaly/internal/engine"
-	"netanomaly/internal/forecast"
 	"netanomaly/internal/incident"
 	"netanomaly/internal/mat"
 	"netanomaly/internal/netmeas"
 	"netanomaly/internal/topology"
 	"netanomaly/internal/traffic"
-	"netanomaly/internal/wavelet"
 )
 
 // Topology is a PoP-level network with routing. Build one with
@@ -46,6 +45,12 @@ func SprintEurope() *Topology { return topology.SprintEurope() }
 func SyntheticTopology(n, edges int, seed int64) *Topology {
 	return topology.Synthetic(n, edges, seed)
 }
+
+// ParseTopology resolves a topology name — "abilene", "sprint", or
+// "synthetic:<pops>:<edges>:<seed>" (SyntheticTopology's arguments) —
+// the grammar every command's -topology flag shares. Out-of-range
+// synthetic specs are errors.
+func ParseTopology(name string) (*Topology, error) { return topology.Parse(name) }
 
 // Matrix is a dense row-major matrix of float64. Measurement matrices are
 // bins x links; OD matrices are bins x flows.
@@ -253,22 +258,14 @@ func WithAutoscale(min, max int) MonitorOption {
 }
 
 // NewMonitor starts a streaming detection engine with no views. Register
-// views with AddTopologyView (or Monitor.AddView with an explicit
-// routing matrix) and feed them with Monitor.Ingest. Options apply on
-// top of cfg.
+// views with AddView (or Monitor.AddView with an explicit routing
+// matrix) and feed them with Monitor.Ingest. Options apply on top of
+// cfg.
 func NewMonitor(cfg MonitorConfig, opts ...MonitorOption) *Monitor {
 	for _, o := range opts {
 		o(&cfg)
 	}
 	return engine.NewMonitor(cfg)
-}
-
-// AddTopologyView registers a subspace detector shard on the monitor
-// for a topology's measurement stream: history (bins x links) seeds the
-// model and sliding window, and the topology's routing matrix drives
-// identification. For other backends, use AddView with options.
-func AddTopologyView(m *Monitor, name string, history *Matrix, topo *Topology) error {
-	return AddView(m, name, history, topo)
 }
 
 // ViewDetector is the streaming contract every detector backend
@@ -337,21 +334,26 @@ const (
 	DetectorSketch DetectorKind = "sketch"
 )
 
+// viewConfig is what the view options set: the backend.Spec Build
+// consumes plus the view's queue limits.
 type viewConfig struct {
-	kind       DetectorKind
-	lambda     float64
-	driftTol   float64
-	levels     int
-	quorum     int
-	metrics    []string
-	alpha      float64
-	beta       float64
-	k          float64
-	triage     DetectorKind
-	escalation string
-	hysteresis int
-	sketchSize int
-	limits     engine.ViewLimits
+	backend.Spec
+	limits engine.ViewLimits
+}
+
+// newViewConfig applies opts over the default (subspace) kind, with the
+// monitor's Window, RefitEvery and Options folded in.
+func newViewConfig(cfg MonitorConfig, opts []ViewOption) viewConfig {
+	vc := viewConfig{Spec: backend.Spec{
+		Kind:       string(DetectorSubspace),
+		Window:     cfg.Window,
+		RefitEvery: cfg.RefitEvery,
+		Options:    cfg.Options,
+	}}
+	for _, o := range opts {
+		o(&vc)
+	}
+	return vc
 }
 
 // ViewOption customizes the backend AddView builds.
@@ -359,16 +361,7 @@ type ViewOption func(*viewConfig)
 
 // WithDetector selects the backend kind (default DetectorSubspace).
 func WithDetector(kind DetectorKind) ViewOption {
-	return func(vc *viewConfig) { vc.kind = kind }
-}
-
-// WithDetectorKind selects the backend kind by its string name
-// ("subspace", "incremental", "multiscale", "multiflow", "ewma",
-// "holtwinters", "fourier", "hybrid", "sketch") — a convenience for callers
-// plumbing the kind from flags or config files; unknown names fail in
-// AddView.
-func WithDetectorKind(kind string) ViewOption {
-	return WithDetector(DetectorKind(kind))
+	return func(vc *viewConfig) { vc.Kind = string(kind) }
 }
 
 // WithAlpha sets the forecast backends' level smoothing gain in (0, 1].
@@ -376,20 +369,20 @@ func WithDetectorKind(kind string) ViewOption {
 // search on the seed history, mirroring the paper's multi-grid
 // parameter search; DetectorHoltWinters defaults to 0.3.
 func WithAlpha(alpha float64) ViewOption {
-	return func(vc *viewConfig) { vc.alpha = alpha }
+	return func(vc *viewConfig) { vc.Alpha = alpha }
 }
 
 // WithBeta sets the Holt-Winters trend smoothing gain in (0, 1]
 // (default 0.1).
 func WithBeta(beta float64) ViewOption {
-	return func(vc *viewConfig) { vc.beta = beta }
+	return func(vc *viewConfig) { vc.Beta = beta }
 }
 
 // WithThresholdK sets the forecast backends' threshold multiplier: a
 // link alarms when its forecast residual exceeds mean + k*sigma of its
 // adaptively tracked residuals (default 6).
 func WithThresholdK(k float64) ViewOption {
-	return func(vc *viewConfig) { vc.k = k }
+	return func(vc *viewConfig) { vc.K = k }
 }
 
 // WithTriageKind selects the hybrid backend's triage stage: one of the
@@ -397,7 +390,7 @@ func WithThresholdK(k float64) ViewOption {
 // DetectorFourier). The forecast options (WithAlpha, WithBeta,
 // WithThresholdK) configure it.
 func WithTriageKind(kind DetectorKind) ViewOption {
-	return func(vc *viewConfig) { vc.triage = kind }
+	return func(vc *viewConfig) { vc.Triage = string(kind) }
 }
 
 // WithEscalation sets the hybrid backend's escalation policy — which
@@ -411,7 +404,7 @@ func WithTriageKind(kind DetectorKind) ViewOption {
 //
 // Unknown policies fail in AddView.
 func WithEscalation(policy string) ViewOption {
-	return func(vc *viewConfig) { vc.escalation = policy }
+	return func(vc *viewConfig) { vc.Escalation = policy }
 }
 
 // WithHysteresis keeps the hybrid backend's identification stage
@@ -420,7 +413,7 @@ func WithEscalation(policy string) ViewOption {
 // subspace episode every other bin; HybridStats.EscalationRuns counts
 // the episodes the hold collapses. 0 (the default) disables holding.
 func WithHysteresis(n int) ViewOption {
-	return func(vc *viewConfig) { vc.hysteresis = n }
+	return func(vc *viewConfig) { vc.Hysteresis = n }
 }
 
 // WithSketchSize sets the sketch backend's Frequent-Directions sketch
@@ -428,7 +421,7 @@ func WithHysteresis(n int) ViewOption {
 // default is 4x the model rank; AddView rejects l below 2x the rank —
 // under that the sketch cannot hold the normal subspace — or below 4.
 func WithSketchSize(l int) ViewOption {
-	return func(vc *viewConfig) { vc.sketchSize = l }
+	return func(vc *viewConfig) { vc.SketchSize = l }
 }
 
 // WithViewMaxPending bounds this view's queue of unprocessed bins,
@@ -455,32 +448,32 @@ func WithViewOverloadPolicy(p OverloadPolicy) ViewOption {
 // (0, 1]; 1 weights all history equally, 0.999 forgets with roughly a
 // one-week time constant at ten-minute bins.
 func WithLambda(lambda float64) ViewOption {
-	return func(vc *viewConfig) { vc.lambda = lambda }
+	return func(vc *viewConfig) { vc.Lambda = lambda }
 }
 
 // WithDriftTolerance sets the incremental backend's rebuild gate: an
 // automatic refit only swaps the model in when the residual projector
 // has moved at least tol in Frobenius norm.
 func WithDriftTolerance(tol float64) ViewOption {
-	return func(vc *viewConfig) { vc.driftTol = tol }
+	return func(vc *viewConfig) { vc.DriftTol = tol }
 }
 
 // WithLevels sets the multiscale backend's wavelet depth (default 3:
 // 2-, 4- and 8-bin features).
 func WithLevels(levels int) ViewOption {
-	return func(vc *viewConfig) { vc.levels = levels }
+	return func(vc *viewConfig) { vc.Levels = levels }
 }
 
 // WithQuorum sets how many metrics must flag a bin before the
 // multi-flow backend alarms (default 1: any metric).
 func WithQuorum(q int) ViewOption {
-	return func(vc *viewConfig) { vc.quorum = q }
+	return func(vc *viewConfig) { vc.Quorum = q }
 }
 
 // WithMetrics names the multi-flow backend's stacked metric blocks in
 // column order (default bytes, flows, pktsize).
 func WithMetrics(names ...string) ViewOption {
-	return func(vc *viewConfig) { vc.metrics = names }
+	return func(vc *viewConfig) { vc.Metrics = names }
 }
 
 // AddView registers a detector shard on the monitor for a topology's
@@ -493,92 +486,12 @@ func WithMetrics(names ...string) ViewOption {
 // WithThresholdK rather than Options.Confidence). See docs/BACKENDS.md
 // for the backend selection guide.
 func AddView(m *Monitor, name string, history *Matrix, topo *Topology, opts ...ViewOption) error {
-	vc := viewConfig{kind: DetectorSubspace, lambda: 1, levels: 3, quorum: 1}
-	for _, o := range opts {
-		o(&vc)
-	}
-	det, err := newViewDetector(&vc, history, topo, m.Config())
+	vc := newViewConfig(m.Config(), opts)
+	det, err := backend.Build(vc.Spec, history, topo.RoutingMatrix())
 	if err != nil {
 		return fmt.Errorf("netanomaly: view %q: %w", name, err)
 	}
 	return m.AddDetectorViewLimits(name, det, vc.limits)
-}
-
-// newViewDetector constructs and seeds the backend a viewConfig selects
-// — the single construction path behind AddView and Restore, so a
-// restored view's detector is built with exactly the parameters a fresh
-// one would get.
-func newViewDetector(vc *viewConfig, history *Matrix, topo *Topology, cfg MonitorConfig) (ViewDetector, error) {
-	links := topo.NumLinks()
-	routing := topo.RoutingMatrix()
-	bins, cols := history.Dims()
-	window := cfg.Window
-	if window <= 0 {
-		window = bins
-	}
-	wantCols := links
-	if vc.kind == DetectorMultiFlow {
-		if len(vc.metrics) == 0 {
-			vc.metrics = netmeas.DefaultMetricNames
-		}
-		wantCols = len(vc.metrics) * links
-	}
-	if cols != wantCols {
-		return nil, fmt.Errorf("history has %d columns, %s backend on %d links wants %d", cols, vc.kind, links, wantCols)
-	}
-
-	switch vc.kind {
-	case DetectorSubspace:
-		return core.NewOnlineDetector(history, routing, core.OnlineConfig{
-			Window:     window,
-			RefitEvery: cfg.RefitEvery,
-			Options:    cfg.Options,
-		})
-	case DetectorIncremental:
-		return core.NewIncrementalDetector(history, routing, core.IncrementalConfig{
-			Lambda:     vc.lambda,
-			RefitEvery: cfg.RefitEvery,
-			DriftTol:   vc.driftTol,
-			Options:    cfg.Options,
-		})
-	case DetectorMultiscale:
-		return wavelet.NewStreamDetector(history, wavelet.StreamConfig{
-			Levels:     vc.levels,
-			Confidence: cfg.Options.Confidence,
-			Window:     window,
-			RefitEvery: cfg.RefitEvery,
-		})
-	case DetectorMultiFlow:
-		return netmeas.NewMultiMetricDetector(history, routing, netmeas.MultiMetricConfig{
-			Metrics: vc.metrics,
-			Quorum:  vc.quorum,
-			Online: core.OnlineConfig{
-				Window:     window,
-				RefitEvery: cfg.RefitEvery,
-				Options:    cfg.Options,
-			},
-		})
-	case DetectorEWMA, DetectorHoltWinters, DetectorFourier:
-		return forecast.NewDetector(history, forecast.Config{
-			Kind:       forecast.Kind(vc.kind),
-			Alpha:      vc.alpha,
-			Beta:       vc.beta,
-			K:          vc.k,
-			Window:     window,
-			RefitEvery: cfg.RefitEvery,
-		})
-	case DetectorHybrid:
-		return buildHybrid(*vc, history, routing, window, cfg)
-	case DetectorSketch:
-		return core.NewSketchDetector(history, routing, core.SketchConfig{
-			SketchSize: vc.sketchSize,
-			RefitEvery: cfg.RefitEvery,
-			DriftTol:   vc.driftTol,
-			Options:    cfg.Options,
-		})
-	default:
-		return nil, fmt.Errorf("unknown detector kind %q", vc.kind)
-	}
 }
 
 // HybridDetector is the triage→identification backend behind
@@ -590,54 +503,6 @@ type HybridDetector = core.HybridDetector
 // detector snapshots plus the escalation counters (triage alarms,
 // escalated bins, identified bins, suppressed blips).
 type HybridStats = core.HybridStats
-
-// buildHybrid assembles the triage→identification backend: a forecast
-// detector as the always-on triage stage and a windowed subspace
-// detector as the identification stage, composed under the escalation
-// policy. The subspace stage's automatic refits are disabled — the
-// hybrid re-seeds it from its clean-bin window on the monitor's refit
-// cadence instead, so the model stays fresh without a per-bin subspace
-// pass.
-func buildHybrid(vc viewConfig, history *Matrix, routing *Matrix, window int, cfg MonitorConfig) (ViewDetector, error) {
-	tkind := vc.triage
-	if tkind == "" {
-		tkind = DetectorEWMA
-	}
-	switch tkind {
-	case DetectorEWMA, DetectorHoltWinters, DetectorFourier:
-	default:
-		return nil, fmt.Errorf("triage stage must be a forecast kind, got %q", tkind)
-	}
-	policy, confirm, err := core.ParseEscalation(vc.escalation)
-	if err != nil {
-		return nil, err
-	}
-	triage, err := forecast.NewDetector(history, forecast.Config{
-		Kind:       forecast.Kind(tkind),
-		Alpha:      vc.alpha,
-		Beta:       vc.beta,
-		K:          vc.k,
-		Window:     window,
-		RefitEvery: cfg.RefitEvery,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("triage stage: %w", err)
-	}
-	identify, err := core.NewOnlineDetector(history, routing, core.OnlineConfig{
-		Window:  window,
-		Options: cfg.Options,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("identification stage: %w", err)
-	}
-	return core.NewHybridDetector(triage, identify, history, core.HybridConfig{
-		Escalation: policy,
-		Confirm:    confirm,
-		Window:     window,
-		RefitEvery: cfg.RefitEvery,
-		Hysteresis: vc.hysteresis,
-	})
-}
 
 // Correlator clusters the Monitor's per-bin alarm stream into
 // deduplicated Incident records: alarms sharing an attributed OD flow
@@ -775,15 +640,12 @@ func Restore(cfg MonitorConfig, r io.Reader, views []ViewSpec, opts ...MonitorOp
 		if !ok {
 			return nil, fmt.Errorf("netanomaly: checkpoint holds view %q but no ViewSpec describes it", name)
 		}
-		vc := viewConfig{kind: DetectorSubspace, lambda: 1, levels: 3, quorum: 1}
-		for _, o := range spec.Options {
-			o(&vc)
-		}
-		if string(vc.kind) != kind {
+		vc := newViewConfig(cfg, spec.Options)
+		if vc.Kind != kind {
 			return nil, fmt.Errorf("netanomaly: view %q: %w: spec builds a %s detector, checkpoint holds %s state",
-				name, ErrSnapshotMismatch, vc.kind, kind)
+				name, ErrSnapshotMismatch, vc.Kind, kind)
 		}
-		det, err := newViewDetector(&vc, spec.History, spec.Topo, cfg)
+		det, err := backend.Build(vc.Spec, spec.History, spec.Topo.RoutingMatrix())
 		if err != nil {
 			return nil, fmt.Errorf("netanomaly: view %q: %w", name, err)
 		}

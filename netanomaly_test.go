@@ -379,7 +379,7 @@ func TestAddViewBackendsViaPublicAPI(t *testing.T) {
 		"subspace":    nil,
 		"incremental": {netanomaly.WithDetector(netanomaly.DetectorIncremental), netanomaly.WithLambda(0.999)},
 		"multiscale":  {netanomaly.WithDetector(netanomaly.DetectorMultiscale), netanomaly.WithLevels(2)},
-		"ewma":        {netanomaly.WithDetectorKind("ewma"), netanomaly.WithThresholdK(6)},
+		"ewma":        {netanomaly.WithDetector(netanomaly.DetectorEWMA), netanomaly.WithThresholdK(6)},
 		"holtwinters": {netanomaly.WithDetector(netanomaly.DetectorHoltWinters), netanomaly.WithAlpha(0.3), netanomaly.WithBeta(0.1)},
 		"fourier":     {netanomaly.WithDetector(netanomaly.DetectorFourier)},
 		"sketch":      {netanomaly.WithDetector(netanomaly.DetectorSketch)},
@@ -486,7 +486,7 @@ func TestMonitorLoadOptionsViaPublicAPI(t *testing.T) {
 		netanomaly.WithAutoscale(1, 2),
 	)
 	defer mon.Close()
-	if err := netanomaly.AddTopologyView(mon, "v", history, topo); err != nil {
+	if err := netanomaly.AddView(mon, "v", history, topo); err != nil {
 		t.Fatal(err)
 	}
 	if err := mon.Ingest("v", stream); err != nil {
