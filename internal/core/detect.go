@@ -124,7 +124,7 @@ func NewDiagnoser(y, a *mat.Dense, opts Options) (*Diagnoser, error) {
 	if err != nil {
 		return nil, err
 	}
-	return diagnoserFromPCA(pca, rank, a, opts.Confidence)
+	return diagnoserFromPCA(pca, rank, newFlowPaths(a), opts.Confidence)
 }
 
 // fitRank is the batch fit: the PCA of y and the normal-subspace rank —
@@ -142,8 +142,9 @@ func fitRank(y *mat.Dense, opts Options) (*PCA, int, error) {
 }
 
 // diagnoserFromPCA assembles the detect-identify pipeline at the given
-// rank from any PCA: a batch fit, a tracked covariance, a sketch.
-func diagnoserFromPCA(pca *PCA, rank int, a *mat.Dense, confidence float64) (*Diagnoser, error) {
+// rank from any PCA (a batch fit, a tracked covariance, a sketch) and the
+// routing matrix's flow paths.
+func diagnoserFromPCA(pca *PCA, rank int, paths *flowPaths, confidence float64) (*Diagnoser, error) {
 	model, err := Build(pca, rank)
 	if err != nil {
 		return nil, err
@@ -152,7 +153,7 @@ func diagnoserFromPCA(pca *PCA, rank int, a *mat.Dense, confidence float64) (*Di
 	if err != nil {
 		return nil, err
 	}
-	id, err := NewIdentifier(model, a)
+	id, err := newIdentifier(model, paths)
 	if err != nil {
 		return nil, err
 	}

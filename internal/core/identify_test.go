@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"netanomaly/internal/mat"
@@ -90,6 +91,31 @@ func TestIdentifyAgreesWithNaive(t *testing.T) {
 			if math.Abs(fast.ResidualSq-naive.ResidualSq) > 1e-4*(1+naive.ResidualSq) {
 				t.Fatalf("residuals disagree: %v vs %v", fast.ResidualSq, naive.ResidualSq)
 			}
+		}
+	}
+}
+
+// TestIdentifyTieTakesLowestFlow: at rank m-1 the anomalous subspace is a
+// single axis, every flow's theta~ is collinear with it, and with identity
+// routing every hypothesis explains y~ exactly. The tie must go to flow 0,
+// not to whichever flow rounding happens to favour.
+func TestIdentifyTieTakesLowestFlow(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const links = 6
+	y := lowRankTrace(rng, 60, links)
+	m := fitModel(t, y, links-1)
+	id, err := NewIdentifier(m, mat.Identity(links))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < 20; b++ {
+		row := y.Row(b)
+		row[2] *= 3
+		if got := id.Identify(row).Flow; got != 0 {
+			t.Fatalf("bin %d: Identify chose flow %d of an exact tie, want 0", b, got)
+		}
+		if got := id.IdentifyNaive(row).Flow; got != 0 {
+			t.Fatalf("bin %d: IdentifyNaive chose flow %d of an exact tie, want 0", b, got)
 		}
 	}
 }

@@ -194,7 +194,7 @@ func (c *CovTracker) Drift(ref *Model) (float64, error) {
 	if err != nil {
 		return math.NaN(), err
 	}
-	return mat.Sub(ref.ResidualOperator(), m.ResidualOperator()).Frobenius(), nil
+	return ref.Distance(m), nil
 }
 
 // IncrementalConfig configures NewIncrementalDetector.

@@ -77,7 +77,7 @@ func TestCovTrackerPCAAgreesWithBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff := mat.Sub(mInc.ResidualOperator(), mBatch.ResidualOperator()).Frobenius()
+	diff := mInc.Distance(mBatch)
 	if diff > 1e-6 {
 		t.Fatalf("projector difference %v", diff)
 	}

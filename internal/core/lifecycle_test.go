@@ -260,7 +260,7 @@ func TestOnlineDetectorExcludesAlarmedBins(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, want := d.Diagnoser().Detector(), twin.Diagnoser().Detector()
-		if got.Limit() != want.Limit() || !mat.EqualApprox(got.Model().ResidualOperator(), want.Model().ResidualOperator(), 0) {
+		if got.Limit() != want.Limit() || !mat.EqualApprox(got.Model().p, want.Model().p, 0) {
 			t.Fatalf("the flagged bin leaked into the estimate: threshold %v, twin that never saw it %v", got.Limit(), want.Limit())
 		}
 	})

@@ -33,7 +33,9 @@ import (
 // on an independent copy of the estimate, and the fitted model is swapped
 // in atomically.
 type OnlineDetector struct {
-	a     *mat.Dense
+	// paths is the routing matrix in the sparse form identification
+	// reads; the routing never changes, so every model fitted shares it.
+	paths *flowPaths
 	opts  Options
 	links int
 	// driftTol gates automatic rebuilds of the covariance estimators
@@ -106,7 +108,7 @@ func NewOnlineDetector(history, a *mat.Dense, cfg OnlineConfig) (*OnlineDetector
 // newDetector seeds proto's estimate and the first model from history.
 func newDetector(proto estimator, history, a *mat.Dense, opts Options, every int, gated bool, driftTol float64) (*OnlineDetector, error) {
 	opts.fillDefaults()
-	d := &OnlineDetector{a: a, opts: opts, links: history.Cols(), driftTol: driftTol, gated: gated}
+	d := &OnlineDetector{paths: newFlowPaths(a), opts: opts, links: history.Cols(), driftTol: driftTol, gated: gated}
 	d.gate = NewRefitGate(&d.mu, every)
 	est, diag, err := d.seedFit(proto, history)
 	if err != nil {
@@ -126,7 +128,7 @@ func (d *OnlineDetector) seedFit(est estimator, history *mat.Dense) (estimator, 
 	if err != nil {
 		return nil, nil, err
 	}
-	diag, err := diagnoserFromPCA(p, rank, d.a, d.opts.Confidence)
+	diag, err := diagnoserFromPCA(p, rank, d.paths, d.opts.Confidence)
 	return next, diag, err
 }
 
@@ -210,14 +212,14 @@ func (d *OnlineDetector) fitLocked(automatic bool) Refit {
 		p, rank, err := solve()
 		var cand *Diagnoser
 		if err == nil {
-			cand, err = diagnoserFromPCA(p, rank, d.a, d.opts.Confidence)
+			cand, err = diagnoserFromPCA(p, rank, d.paths, d.opts.Confidence)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("core: %s refit: %w", name, err)
 		}
 		if automatic && d.driftTol > 0 {
 			active := d.diag.Load().det.model
-			if mat.Sub(active.ct, cand.det.model.ct).Frobenius() < d.driftTol {
+			if active.Distance(cand.det.model) < d.driftTol {
 				return func() bool { d.skipped++; return false }, nil
 			}
 		}
@@ -321,7 +323,7 @@ func (d *OnlineDetector) Restore(r io.Reader) error {
 			if err := sr.Err(); err != nil {
 				return err
 			}
-			diag, err := decodeDiagnoser(sr, d.a, d.links)
+			diag, err := decodeDiagnoser(sr, d.paths, d.links)
 			if err != nil {
 				return err
 			}

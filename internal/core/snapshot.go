@@ -639,9 +639,8 @@ func EncodeDetector(sw *SnapshotWriter, det *Detector) {
 }
 
 // DecodeDetector reads an EncodeDetector fragment and rebuilds the
-// detector, recomputing the derived operators (C = P P^T, C~ = I - C,
-// P^T means) with the same arithmetic Build uses so restored detection
-// matches the original to the bit.
+// detector, recomputing P^T means with the same arithmetic Build uses so
+// restored detection matches the original to the bit.
 func DecodeDetector(sr *SnapshotReader) (*Detector, error) {
 	rank := sr.NonNegInt()
 	means := sr.Floats()
@@ -667,14 +666,11 @@ func DecodeDetector(sr *SnapshotReader) (*Detector, error) {
 	if confidence <= 0 || confidence >= 1 {
 		return nil, snapshotFormatf("model confidence %v out of (0,1)", confidence)
 	}
-	c := mat.Mul(pm, pm.T())
 	model := &Model{
 		rank:           rank,
 		means:          means,
 		p:              pm,
 		pmeans:         mat.MulTVec(pm, means),
-		c:              c,
-		ct:             mat.Sub(mat.Identity(m), c),
 		residVariances: resid,
 	}
 	det, err := NewDetector(model, confidence)
@@ -689,7 +685,7 @@ func DecodeDetector(sr *SnapshotReader) (*Detector, error) {
 // the identification stage is derived entirely from the model and the
 // restoring detector's own routing matrix, which is construction
 // configuration, not portable state.
-func decodeDiagnoser(sr *SnapshotReader, a *mat.Dense, links int) (*Diagnoser, error) {
+func decodeDiagnoser(sr *SnapshotReader, paths *flowPaths, links int) (*Diagnoser, error) {
 	det, err := DecodeDetector(sr)
 	if err != nil {
 		return nil, err
@@ -698,7 +694,7 @@ func decodeDiagnoser(sr *SnapshotReader, a *mat.Dense, links int) (*Diagnoser, e
 		return nil, SnapshotMismatchf("model has %d links, detector expects %d",
 			det.Model().NumLinks(), links)
 	}
-	id, err := NewIdentifier(det.Model(), a)
+	id, err := newIdentifier(det.Model(), paths)
 	if err != nil {
 		return nil, snapshotFormatf("identifier: %v", err)
 	}

@@ -69,21 +69,23 @@ func SeparateAxes(p *PCA, sigma float64) int {
 	return r
 }
 
-// Model is a fitted subspace separation: the projection operators onto the
-// normal subspace S (spanned by the first r principal axes) and the
-// anomalous subspace S~, plus what the Q-statistic needs.
+// Model is a fitted subspace separation: the normal principal axes P that
+// span the normal subspace S (the first r axes) and so define the
+// projections onto S and the anomalous subspace S~, plus what the
+// Q-statistic needs.
 type Model struct {
 	rank  int
 	means []float64
 	// p is the m x rank matrix of normal principal axes (orthonormal
-	// columns); the low-rank identity ||ytilde||^2 = ||yc||^2 - ||P^T yc||^2
-	// lets batched SPE run in O(m*rank) per bin instead of O(m^2).
+	// columns). The projectors C = P P^T onto S and C~ = I - P P^T onto S~
+	// are never formed: every product with them goes through p in
+	// O(m*rank) instead of O(m^2), so the model holds no m x m state. The
+	// low-rank identity ||ytilde||^2 = ||yc||^2 - ||P^T yc||^2 likewise
+	// lets batched SPE skip the residual vector altogether.
 	p *mat.Dense
 	// pmeans = P^T means, precomputed so batched SPE can project raw
 	// (uncentered) measurements and correct afterwards.
 	pmeans []float64
-	// c = P P^T projects onto S; ct = I - P P^T projects onto S~.
-	c, ct *mat.Dense
 	// residVariances are the variances lambda_j for the anomalous axes
 	// j > r, used by the Q-statistic.
 	residVariances []float64
@@ -100,8 +102,6 @@ func Build(p *PCA, rank int) (*Model, error) {
 	for j := 0; j < rank; j++ {
 		pm.SetCol(j, p.Components.Col(j))
 	}
-	c := mat.Mul(pm, pm.T())
-	ct := mat.Sub(mat.Identity(m), c)
 	// Variances that are numerically zero relative to the leading one are
 	// decomposition round-off, not signal; floor them so the Q-statistic
 	// recognizes a genuinely degenerate residual subspace.
@@ -117,8 +117,6 @@ func Build(p *PCA, rank int) (*Model, error) {
 		means:          mat.CloneVec(p.Means),
 		p:              pm,
 		pmeans:         mat.MulTVec(pm, p.Means),
-		c:              c,
-		ct:             ct,
 		residVariances: resid,
 	}, nil
 }
@@ -146,19 +144,47 @@ func (m *Model) center(y []float64) []float64 {
 	return mat.SubVec(y, m.means)
 }
 
+// normal returns C v = P (P^T v), the projection of v onto S.
+func (m *Model) normal(v []float64) []float64 {
+	return mat.MulVec(m.p, mat.MulTVec(m.p, v))
+}
+
+// anomalous returns C~ v = v - P (P^T v), the projection of v onto S~.
+func (m *Model) anomalous(v []float64) []float64 {
+	out := mat.CloneVec(v)
+	m.removeNormal(out)
+	return out
+}
+
+// removeNormal projects v onto S~ in place: v -= P (P^T v).
+func (m *Model) removeNormal(v []float64) {
+	u := mat.MulTVec(m.p, v)
+	pdata := m.p.RawData()
+	for i := range v {
+		var s float64
+		for j, pv := range pdata[i*m.rank : (i+1)*m.rank] {
+			s += pv * u[j]
+		}
+		v[i] -= s
+	}
+}
+
 // Decompose splits a link measurement vector y into its modeled part
 // yhat (projection onto S) and residual part ytilde (projection onto S~),
 // working on the mean-centered vector: y - mean = yhat + ytilde.
 func (m *Model) Decompose(y []float64) (yhat, ytilde []float64) {
 	yc := m.center(y)
-	yhat = mat.MulVec(m.c, yc)
-	ytilde = mat.MulVec(m.ct, yc)
+	yhat = m.normal(yc)
+	ytilde = mat.SubVec(yc, yhat)
 	return yhat, ytilde
 }
 
-// Residual returns the anomalous-subspace projection ytilde = C~ (y-mean).
+// Residual returns the anomalous-subspace projection
+// ytilde = C~ (y-mean) = yc - P (P^T yc), in O(m*rank).
 func (m *Model) Residual(y []float64) []float64 {
-	return mat.MulVec(m.ct, m.center(y))
+	yt := m.center(y)
+	m.removeNormal(yt)
+	return yt
 }
 
 // SPE returns the squared prediction error ||ytilde||^2 for the
@@ -167,17 +193,34 @@ func (m *Model) SPE(y []float64) float64 {
 	return mat.SqNorm(m.Residual(y))
 }
 
-// ResidualOperator returns the projection matrix onto the anomalous
-// subspace, C~ = I - P P^T. The returned matrix must not be modified.
-func (m *Model) ResidualOperator() *mat.Dense { return m.ct }
+// Distance returns ||C~_m - C~_other||_F, how far the anomalous subspace
+// moved between two models of the same links (ranks may differ); it is
+// the quantity the drift gate compares against DriftTol. Because
+// C~ = I - P P^T, it equals ||P1 P1^T - P2 P2^T||_F, computed here without
+// forming either m x m projector as
+//
+//	sqrt(||P2 - P1 (P1^T P2)||_F^2 + ||P1 - P2 (P2^T P1)||_F^2)
+//
+// in O(m*r1*r2). Each term is the part of one basis outside the other
+// subspace, so the sum is exact for unequal ranks and avoids the
+// cancellation in the equivalent r1 + r2 - 2||P1^T P2||_F^2.
+func (m *Model) Distance(other *Model) float64 {
+	if m.NumLinks() != other.NumLinks() {
+		panic(fmt.Sprintf("core: distance between models of %d and %d links", m.NumLinks(), other.NumLinks()))
+	}
+	cross := mat.Mul(m.p.T(), other.p) // P1^T P2, r1 x r2
+	outside2 := mat.Sub(other.p, mat.Mul(m.p, cross)).Frobenius()
+	outside1 := mat.Sub(m.p, mat.Mul(other.p, cross.T())).Frobenius()
+	return math.Hypot(outside1, outside2)
+}
 
 // SPEBatch computes the squared prediction error for every row of the
 // measurement matrix y (bins x links) in one matrix pass. Because P has
 // orthonormal columns, ||ytilde||^2 = ||y-mean||^2 - ||P^T (y-mean)||^2,
 // so the batch costs one bins x m x rank multiply (through the blocked
-// kernels) plus two row-norm sweeps — O(m*rank) per bin instead of the
-// O(m^2) residual matvec of SPE. Results agree with SPE to floating-point
-// roundoff and are clamped at zero. If out has capacity for one value per
+// kernels) plus two row-norm sweeps, without building the residual vector
+// SPE forms. Results agree with SPE to floating-point roundoff and are
+// clamped at zero. If out has capacity for one value per
 // row it is reused, otherwise a new slice is allocated.
 func (m *Model) SPEBatch(y *mat.Dense, out []float64) []float64 {
 	bins, links := y.Dims()

@@ -112,20 +112,21 @@ func TestProjectionOperatorsComplementary(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	y := randMatrix(rng, 40, 6)
 	m := fitModel(t, y, 3)
+	c, ct := denseProjectors(m)
 	// C + C~ = I
-	sum := mat.Add(m.c, m.ct)
+	sum := mat.Add(c, ct)
 	if !mat.EqualApprox(sum, mat.Identity(6), 1e-10) {
 		t.Fatal("C + C~ != I")
 	}
 	// Both idempotent.
-	if !mat.EqualApprox(mat.Mul(m.c, m.c), m.c, 1e-10) {
+	if !mat.EqualApprox(mat.Mul(c, c), c, 1e-10) {
 		t.Fatal("C not idempotent")
 	}
-	if !mat.EqualApprox(mat.Mul(m.ct, m.ct), m.ct, 1e-10) {
+	if !mat.EqualApprox(mat.Mul(ct, ct), ct, 1e-10) {
 		t.Fatal("C~ not idempotent")
 	}
 	// Orthogonal: C * C~ = 0.
-	if mat.Mul(m.c, m.ct).MaxAbs() > 1e-10 {
+	if mat.Mul(c, ct).MaxAbs() > 1e-10 {
 		t.Fatal("C and C~ not orthogonal")
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"netanomaly/internal/core"
 	"netanomaly/internal/eval"
-	"netanomaly/internal/mat"
 )
 
 // RankAblationRow records detection and false-alarm behaviour for one
@@ -127,7 +126,8 @@ type SolverAblation struct {
 	// MaxVarianceRelDiff is the largest relative difference between
 	// per-axis variances of the two solvers.
 	MaxVarianceRelDiff float64
-	// ProjectorDiff is ||C_svd - C_eig||_F for the normal projector.
+	// ProjectorDiff is ||C_svd - C_eig||_F for the normal projector
+	// (equal to the residual projectors' distance, Model.Distance).
 	ProjectorDiff float64
 }
 
@@ -163,7 +163,7 @@ func AblationEigVsSVD(d *Dataset) (SolverAblation, error) {
 			res.MaxVarianceRelDiff = rel
 		}
 	}
-	res.ProjectorDiff = mat.Sub(mSVD.ResidualOperator(), mEig.ResidualOperator()).Frobenius()
+	res.ProjectorDiff = mSVD.Distance(mEig)
 	return res, nil
 }
 
