@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"netanomaly"
+	"netanomaly/internal/backend"
 	"netanomaly/internal/core"
 	"netanomaly/internal/engine"
 	"netanomaly/internal/eval"
@@ -242,8 +243,10 @@ func BenchmarkSVD1008x49(b *testing.B) {
 }
 
 // BenchmarkSVD1008x120 is the same decomposition at the wide-network
-// scale of the end-to-end ledger (120 links): the seed fit that owns
-// setup_s and the per-window refit that owns live CPU there.
+// scale of the end-to-end ledger (120 links). It is the offline fit
+// (core.Fit) and the oracle the streaming fits are tested against; the
+// detectors' seeds and window refits solve the centered Gram instead
+// (BenchmarkSeedFit).
 func BenchmarkSVD1008x120(b *testing.B) {
 	y := largeLinkTrace(120)
 	y.CenterColumns()
@@ -252,6 +255,34 @@ func BenchmarkSVD1008x120(b *testing.B) {
 		if _, _, _, err := mat.SVD(y); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSeedFit prices building a seeded "subspace" backend from a
+// 1008-bin week — the seed fit (centered Gram, eigensolve, lazy 3-sigma
+// rank search), Q-limit and identifier that a cold start pays per view —
+// on Abilene (41 links) and on the ledger's wide network
+// (synthetic:30:45:7, 120 links).
+func BenchmarkSeedFit(b *testing.B) {
+	for _, name := range []string{"abilene", "synthetic:30:45:7"} {
+		topo, err := topology.Parse(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		gen, err := traffic.NewGenerator(topo, traffic.DefaultConfig(3))
+		if err != nil {
+			b.Fatal(err)
+		}
+		history := traffic.LinkLoads(topo, gen.Generate())
+		routing := topo.RoutingMatrix()
+		b.Run(fmt.Sprintf("links=%d", topo.NumLinks()), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := backend.Build(backend.Spec{Kind: "subspace"}, history, routing); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -442,8 +473,8 @@ func BenchmarkEigPaperSize(b *testing.B) {
 
 // largeLinkTrace builds a paper-shaped week (1008 bins) over links
 // measurement columns with diurnal low-rank structure plus noise — the
-// workload profile of a large backbone where the full-SVD refit starts
-// to hurt.
+// workload profile of a large backbone, where a window refit's
+// O(t·m^2) Gram starts to dominate.
 func largeLinkTrace(links int) *mat.Dense {
 	const bins = 1008
 	rng := rand.New(rand.NewSource(9))
@@ -678,28 +709,38 @@ func trafficgenWireBytesPerBin(b *testing.B, batchBins int) (xor, raw float64) {
 	return float64(xorBuf.Len()) / float64(bins), float64(rawBuf.Len()) / float64(bins)
 }
 
+// windowRefit runs the subspace backend's explicit model rebuild at a
+// pinned rank over a full window of y: copy the window, solve its
+// centered Gram, build the model. Identity routing keeps identification
+// out of the price.
+func windowRefit(b *testing.B, y *mat.Dense, rank int) {
+	det, err := core.NewOnlineDetector(y, mat.Identity(y.Cols()), core.OnlineConfig{
+		Window: y.Rows(), Options: core.Options{Rank: rank},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := det.Refit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSketchRefit prices a streaming shard's model rebuild at
-// m = 120 across the three covariance strategies: the full-SVD window
-// fit, the incremental backend's m x m tracked-covariance eigensolve,
-// and the sketch backend's l x l Frequent-Directions eigenproblem
-// (l = 4x rank). Every sub-benchmark produces a ready subspace model
-// of the same rank, so ns/op are directly comparable; the committed
-// BENCH_sketch.json trajectory records the ratios per PR.
+// m = 120 across the three covariance strategies: the window backend's
+// Gram eigensolve over 1008 bins, the incremental backend's m x m
+// tracked-covariance eigensolve, and the sketch backend's l x l
+// Frequent-Directions eigenproblem (l = 4x rank). Every sub-benchmark
+// produces a ready subspace model of the same rank, so ns/op are
+// directly comparable; the committed BENCH_sketch.json trajectory
+// records the ratios per PR.
 func BenchmarkSketchRefit(b *testing.B) {
 	const links, rank = 120, 5
 	y := largeLinkTrace(links)
 
-	b.Run("full-svd-window", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p, err := core.Fit(y)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := core.Build(p, rank); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	b.Run("window-refit", func(b *testing.B) { windowRefit(b, y, rank) })
 
 	b.Run("covtracker-eig", func(b *testing.B) {
 		tr, err := core.NewCovTracker(links, 1)
@@ -762,29 +803,20 @@ func BenchmarkSketchRefit(b *testing.B) {
 
 // BenchmarkIncrementalRefit compares the two ways a streaming shard can
 // rebuild its model on an m >= 100 link trace: the subspace backend's
-// full-SVD fit over the 1008-bin window (O(t·m^2) bidiagonalization)
-// versus the incremental backend's eigensolve on the tracked m x m
-// covariance (no window snapshot, no SVD). Both sub-benchmarks produce
-// a ready subspace model of the same rank, so ns/op are directly
-// comparable; the acceptance bar is the covtracker path winning at this
-// scale. The update-batch sub-benchmark prices the amortized cost the
-// tracker pays per 64-bin batch to keep that cheap refit available
-// (report: 0 allocs — all scratch is preallocated).
+// refit over the 1008-bin window (a window copy, the O(t·m^2) centered
+// Gram, then the m x m eigensolve) versus the incremental backend's
+// eigensolve on the tracked m x m covariance (no window snapshot, no
+// Gram). Both sub-benchmarks produce a ready subspace model of the same
+// rank, so ns/op are directly comparable; the acceptance bar is the
+// covtracker path winning at this scale. The update-batch sub-benchmark
+// prices the amortized cost the tracker pays per 64-bin batch to keep
+// that cheap refit available (report: 0 allocs — all scratch is
+// preallocated).
 func BenchmarkIncrementalRefit(b *testing.B) {
 	const links, rank = 120, 5
 	y := largeLinkTrace(links)
 
-	b.Run("full-svd-window", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p, err := core.Fit(y)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := core.Build(p, rank); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	b.Run("window-refit", func(b *testing.B) { windowRefit(b, y, rank) })
 
 	b.Run("covtracker-eig", func(b *testing.B) {
 		tr, err := core.NewCovTracker(links, 1)
@@ -833,7 +865,7 @@ func BenchmarkCovTrackerUpdate(b *testing.B) {
 
 // BenchmarkCovTrackerRefresh times the on-demand model rebuild from
 // tracked state (the m x m eigenproblem), the cheap alternative to a
-// full-window SVD refit.
+// full-window refit.
 func BenchmarkCovTrackerRefresh(b *testing.B) {
 	d := experiments.SprintSim1()
 	_, dim := d.Links.Dims()
@@ -989,8 +1021,8 @@ func BenchmarkForecastProcessBatch(b *testing.B) {
 // clean bins leak through to the subspace stage. The subspace-only row
 // is the reference point: with refits disabled the batched low-rank
 // SPE kernel is itself cheap at 41 links — what the hybrid saves is
-// not this kernel but everything around it (the O(t·m^2) window-SVD
-// refit treadmill, per-view window maintenance) while still carrying
+// not this kernel but everything around it (the O(t·m^2) window-refit
+// treadmill, per-view window maintenance) while still carrying
 // subspace-grade Flow attribution on every escalated bin.
 func BenchmarkHybridThroughput(b *testing.B) {
 	const links = 41

@@ -98,15 +98,16 @@
 // with every other backend.
 //
 //   - DetectorSubspace (default): the estimator is a sliding window of
-//     raw bins, refitted by full SVD. Pick it when you want the paper's
-//     exact semantics, per-bin flow identification, and refit cost is
-//     acceptable.
+//     raw bins, refitted through the window's centered m x m Gram and
+//     re-resolving the rank each time. Pick it when you want the paper's
+//     exact semantics, per-bin flow identification, and a window copy
+//     per refit is acceptable.
 //   - DetectorIncremental (WithLambda, WithDriftTolerance): maintains a
 //     running mean/covariance with forgetting factor lambda instead of
 //     a raw window — batch updates are rank-1 and allocation-free, and
-//     a rebuild solves only the m x m eigenproblem (about 5x cheaper
-//     than the window SVD at m=120, see BenchmarkIncrementalRefit), so
-//     it scales to large link counts and frequent refits. Lambda 1
+//     a rebuild solves only the m x m eigenproblem, skipping the
+//     window's Gram (see BenchmarkIncrementalRefit), so it needs no
+//     window copy and suits frequent refits. Lambda 1
 //     reproduces the batch fit exactly (and flags the same bins as the
 //     subspace backend on the same trace); 0.999 forgets with roughly a
 //     one-week time constant at ten-minute bins — use it when traffic

@@ -127,16 +127,24 @@ func NewDiagnoser(y, a *mat.Dense, opts Options) (*Diagnoser, error) {
 	return diagnoserFromPCA(pca, rank, newFlowPaths(a), opts.Confidence)
 }
 
-// fitRank is the batch fit: the PCA of y and the normal-subspace rank —
-// opts.Rank when pinned, else the paper's separation procedure.
+// fitRank is the batch fit behind NewDiagnoser and every streaming seed
+// and window refit: the PCA of y through its centered m x m Gram
+// (gramEig, Section 7.1's equivalent of the SVD) and the normal-subspace
+// rank — opts.Rank when pinned, else the paper's separation procedure,
+// projecting the centered rows onto one axis at a time and stopping at
+// the first that deviates. It agrees with Fit followed by SeparateAxes to
+// round-off at a fraction of the t x m SVD's cost; the returned PCA has
+// no temporal view.
 func fitRank(y *mat.Dense, opts Options) (*PCA, int, error) {
-	pca, err := Fit(y)
+	pca, vt, yc, err := gramEig(y)
 	if err != nil {
 		return nil, 0, err
 	}
 	rank := opts.Rank
 	if rank == 0 {
-		rank = SeparateAxes(pca, opts.Sigma)
+		rank = separate(pca.NumComponents(), opts.Sigma, func(i int) bool {
+			return deviates(mat.MulVec(yc, vt.RowView(i)), 1, opts.Sigma)
+		})
 	}
 	return pca, rank, nil
 }

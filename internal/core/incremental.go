@@ -10,7 +10,7 @@ import (
 // CovTracker maintains an exponentially weighted running estimate of the
 // mean and covariance of link measurements, supporting the occasional
 // cheap model refresh that Section 7.1 recommends for online use: rather
-// than recomputing an SVD over a full window, each arriving vector makes
+// than refitting a full window, each arriving vector makes
 // a rank-1 update, and Model() re-solves only the small m x m symmetric
 // eigenproblem when a refreshed subspace is actually needed.
 type CovTracker struct {
@@ -223,13 +223,13 @@ type IncrementalConfig struct {
 // OnlineDetector whose estimate is an exponentially weighted
 // mean/covariance (CovTracker) instead of a window of raw measurements.
 // Each batch makes rank-1 covariance updates in place — no window copy —
-// and a rebuild re-solves only the m x m symmetric eigenproblem rather
-// than the O(t·m^2) full-window SVD, which is what makes frequent refits
-// affordable at scale (Section 7.1's "cheap model refresh"). It seeds
-// with a full batch fit on history (bins x links), so it starts from the
-// same model as the windowed backend; the normal-subspace rank resolved
-// there is retained across rebuilds, since a running covariance has no
-// temporal projections to separate on.
+// and a rebuild solves the m x m symmetric eigenproblem on the tracked
+// covariance directly, skipping the window backend's O(t·m^2) Gram
+// (Section 7.1's "cheap model refresh"). It seeds with the same batch fit
+// on history (bins x links) as the windowed backend, so it starts from
+// the same model; the normal-subspace rank resolved there is retained
+// across rebuilds, since a running covariance has no temporal
+// projections to separate on.
 func NewIncrementalDetector(history, a *mat.Dense, cfg IncrementalConfig) (*OnlineDetector, error) {
 	if cfg.Lambda == 0 {
 		cfg.Lambda = 1
@@ -255,7 +255,7 @@ func (e *covEstimator) absorb(y *mat.Dense, skip []bool) error {
 // fit solves the eigenproblem on a tracker copy. With lambda = 1 the
 // tracked covariance is the population estimate (divide by n); the
 // variances are rescaled to the sample convention (divide by n-1) so
-// thresholds match the batch SVD fit exactly.
+// thresholds match the batch fit (fitRank) on the same bins.
 func (e *covEstimator) fit(Options) func() (*PCA, int, error) {
 	tr, rank := e.tr.Snapshot(), e.rank
 	return func() (*PCA, int, error) {

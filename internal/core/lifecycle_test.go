@@ -308,8 +308,8 @@ func alarmSeqs(alarms []Alarm) map[int]bool {
 // with lambda = 1, the same seed history, a full-history window on the
 // subspace backend, and synchronized explicit refits, the incremental
 // detector must flag exactly the bins the windowed OnlineDetector flags
-// on the same trace — the tracked-covariance eigensolve and the window
-// SVD are the same model up to round-off.
+// on the same trace — the tracked-covariance eigensolve and the window's
+// Gram eigensolve are the same model up to round-off.
 func TestIncrementalAgreesWithOnline(t *testing.T) {
 	const historyBins, streamBins = 1008, 288
 	topo, history, stream, flow := streamDataset(t, 60, historyBins, streamBins, []int{40, 150, 260})

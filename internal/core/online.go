@@ -94,9 +94,11 @@ type OnlineConfig struct {
 }
 
 // NewOnlineDetector returns the windowed backend ("subspace"): the model
-// is refitted by a full SVD of a sliding window of the most recent
-// Window non-anomalous bins, seeded with the tail of history
-// (bins x links, at least as many bins as links).
+// is refitted from a sliding window of the most recent Window
+// non-anomalous bins, seeded with the tail of history (bins x links, at
+// least as many bins as links). Seed and refit alike solve the window's
+// centered m x m Gram and re-resolve the rank (fitRank): O(t*m^2) to form
+// the Gram plus an O(m^3) eigensolve, not a t x m SVD.
 func NewOnlineDetector(history, a *mat.Dense, cfg OnlineConfig) (*OnlineDetector, error) {
 	if cfg.Window <= 0 {
 		return nil, fmt.Errorf("core: online window %d <= 0", cfg.Window)
@@ -356,8 +358,8 @@ func (d *OnlineDetector) SkippedRebuilds() int {
 }
 
 // windowEstimator is the paper's own estimate: the raw bins themselves,
-// the most recent capacity of them, refitted by a full SVD that
-// re-resolves the rank every time.
+// the most recent capacity of them, refitted by the batch fit (fitRank)
+// that re-resolves the rank every time.
 type windowEstimator struct {
 	capacity int
 	ring     *mat.RowRing

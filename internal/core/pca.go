@@ -32,7 +32,10 @@ type PCA struct {
 	// ||Y v_i||^2 / (t-1), sorted descending.
 	Variances []float64
 	// Projections has the normalized projections u_i = Y v_i / ||Y v_i||
-	// as columns (t x m). Columns for zero-variance axes are zero.
+	// as columns (t x m). Columns for zero-variance axes are zero. Only
+	// the offline fits (Fit, FitEig) compute it; a streaming fit — the
+	// detectors' seed and window refit, a tracked covariance, a sketch —
+	// has no temporal view and holds a 1 x m zero placeholder.
 	Projections *mat.Dense
 	// Means are the per-link means removed from Y before the analysis.
 	Means []float64
@@ -75,43 +78,61 @@ func Fit(y *mat.Dense) (*PCA, error) {
 
 // FitEig computes the same decomposition via the eigendecomposition of the
 // covariance matrix Y^T Y instead of an SVD of Y. The paper notes the two
-// are equivalent (Section 7.1); this variant exists for the ablation
-// benchmark comparing cost and accuracy. Projections are reconstructed as
-// u_i = Y v_i / ||Y v_i||.
+// are equivalent (Section 7.1); the streaming detectors fit this way
+// (fitRank), and FitEig adds the full projections u_i = Y v_i / ||Y v_i||
+// for the ablation comparing it with Fit.
 func FitEig(y *mat.Dense) (*PCA, error) {
+	p, vt, yc, err := gramEig(y)
+	if err != nil {
+		return nil, err
+	}
+	// Row i of V^T Y^T is (Y v_i)^T: normalize the rows, transpose back.
+	ut := mat.Mul(vt, yc.T())
+	for i := range ut.Rows() {
+		mat.Normalize(ut.RowView(i))
+	}
+	p.Projections = ut.T()
+	return p, nil
+}
+
+// gramEig is the PCA of y (t x m, t >= m) through its centered Gram
+// matrix: it centers a private copy yc of y, forms yc^T yc — whose
+// parallel stripes depend only on the shape, so the result is the same
+// under any GOMAXPROCS — and solves it in place with SymEigInPlace.
+// Centering comes first because the raw Gram minus t*mu*mu^T cancels
+// catastrophically at byte-scale loads. It returns the PCA without
+// projections, the axes as the rows of vt (row i is v_i) and yc, from
+// which callers project. Non-finite input fails before any iteration,
+// with an error wrapping mat.ErrNoConvergence.
+func gramEig(y *mat.Dense) (p *PCA, vt, yc *mat.Dense, err error) {
 	t, m := y.Dims()
 	if t < 2 {
-		return nil, ErrTooFewSamples
+		return nil, nil, nil, ErrTooFewSamples
 	}
 	if t < m {
-		return nil, fmt.Errorf("core: need at least as many bins (%d) as links (%d)", t, m)
+		return nil, nil, nil, fmt.Errorf("core: need at least as many bins (%d) as links (%d)", t, m)
 	}
-	work := y.Clone()
-	means := work.CenterColumns()
-	vals, vecs, err := mat.SymEig(work.Gram())
-	if err != nil {
-		return nil, fmt.Errorf("core: covariance eigendecomposition failed: %w", err)
-	}
+	yc = y.Clone()
+	means := yc.CenterColumns()
+	vt = yc.Gram()
 	variances := make([]float64, m)
-	for i, ev := range vals {
+	if err := mat.SymEigInPlace(vt, variances, make([]float64, m)); err != nil {
+		return nil, nil, nil, fmt.Errorf("core: covariance eigendecomposition failed: %w", err)
+	}
+	for i, ev := range variances {
 		if ev < 0 {
 			ev = 0 // numerical noise on a PSD matrix
 		}
 		variances[i] = ev / float64(t-1)
 	}
-	// Row i of V^T Y^T is (Y v_i)^T: normalize the rows, transpose back.
-	ut := mat.Mul(vecs.T(), work.T())
-	for i := 0; i < m; i++ {
-		mat.Normalize(ut.RowView(i))
-	}
-	proj := ut.T()
-	return &PCA{
-		Components:  vecs,
+	p = &PCA{
+		Components:  vt.T(),
 		Variances:   variances,
-		Projections: proj,
+		Projections: mat.Zeros(1, m), // no temporal view
 		Means:       means,
 		SampleCount: t,
-	}, nil
+	}
+	return p, vt, yc, nil
 }
 
 // NumComponents returns the number of principal axes (m).

@@ -25,48 +25,62 @@ const DefaultSigma = 3.0
 // non-empty: r = 0 would leave no traffic model, and r = m would make
 // detection impossible (the paper's datasets yield r = 4).
 func SeparateAxes(p *PCA, sigma float64) int {
+	m, t := p.NumComponents(), p.Projections.Rows()
+	u := p.Projections.RawData()
+	return separate(m, sigma, func(i int) bool {
+		// Projection i is column i: walk it in place, m apart. A
+		// covariance-only PCA has no temporal view.
+		return t >= 2 && deviates(u[i:], m, sigma)
+	})
+}
+
+// separate returns the normal-subspace rank over m principal axes: the
+// index of the first axis whose projection violates the sigma test
+// (deviates), clamped to [1, m-1]. It asks about one axis at a time, in order, and
+// stops at the first violator, so a caller that computes projections on
+// demand pays for r+1 of them.
+func separate(m int, sigma float64, violates func(axis int) bool) int {
 	if sigma <= 0 {
 		panic(fmt.Sprintf("core: separation sigma %v <= 0", sigma))
 	}
-	m := p.NumComponents()
 	r := m
-	t := p.Projections.Rows()
-	u := p.Projections.RawData()
-	for i := 0; i < m && t >= 2; i++ { // a covariance-only PCA has no temporal view
-		// Projection i is column i: walk it in place, m apart, with
-		// the sums of stats.MeanStd in the same order.
-		var sum, ss float64
-		for k := i; k < len(u); k += m {
-			sum += u[k]
-		}
-		mean := sum / float64(t)
-		for k := i; k < len(u); k += m {
-			d := u[k] - mean
-			ss += d * d
-		}
-		std := math.Sqrt(ss / float64(t-1))
-		if std == 0 {
-			continue
-		}
-		violated := false
-		for k := i; k < len(u); k += m {
-			if u[k] > mean+sigma*std || u[k] < mean-sigma*std {
-				violated = true
-				break
-			}
-		}
-		if violated {
+	for i := 0; i < m; i++ {
+		if violates(i) {
 			r = i
 			break
 		}
 	}
-	if r < 1 {
-		r = 1
+	return min(max(r, 1), m-1)
+}
+
+// deviates is the per-axis test of the separation procedure: whether the
+// projection series u[0], u[stride], u[2*stride], ... strays more than
+// sigma sample standard deviations from its mean at any timestep. The
+// sums run in stats.MeanStd's order. A constant series never deviates,
+// and the test is scale-invariant, so a projection need not be
+// normalized first.
+func deviates(u []float64, stride int, sigma float64) bool {
+	var sum, ss float64
+	t := 0
+	for k := 0; k < len(u); k += stride {
+		sum += u[k]
+		t++
 	}
-	if r > m-1 {
-		r = m - 1
+	mean := sum / float64(t)
+	for k := 0; k < len(u); k += stride {
+		d := u[k] - mean
+		ss += d * d
 	}
-	return r
+	std := math.Sqrt(ss / float64(t-1))
+	if std == 0 {
+		return false
+	}
+	for k := 0; k < len(u); k += stride {
+		if u[k] > mean+sigma*std || u[k] < mean-sigma*std {
+			return true
+		}
+	}
+	return false
 }
 
 // Model is a fitted subspace separation: the normal principal axes P that

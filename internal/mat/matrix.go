@@ -10,12 +10,14 @@
 // Numerical scope: the subspace method operates on measurement matrices of
 // shape t x m with t ~ 1000 time bins and m from the paper's 41-49 links
 // to a few hundred, on m x m covariance matrices, and on the ell x ell
-// Grams of a Frequent-Directions sketch. The SVD is the fit that defines
-// every model, so it keeps one-sided Jacobi's high relative accuracy and
-// runs it on transposed storage; the eigensolver sits on the per-bin
-// sketch path, so it is the O(n^3) QL method, accurate to a few ulps of
-// the largest eigenvalue. Both kernels work on raw row-major slices and
-// stream contiguous memory.
+// Grams of a Frequent-Directions sketch. The eigensolver fits every
+// streaming model — the detectors' seeds and window refits solve a
+// centered m x m Gram, and it sits on the per-bin sketch path — so it is
+// the O(n^3) QL method, accurate to a few ulps of the largest
+// eigenvalue. The SVD is the offline fit and the oracle the streaming
+// fits are tested against, so it keeps one-sided Jacobi's high relative
+// accuracy and runs it on transposed storage. Both kernels work on raw
+// row-major slices and stream contiguous memory.
 package mat
 
 import (

@@ -282,8 +282,8 @@ type DetectorKind string
 
 const (
 	// DetectorSubspace is the windowed subspace method (the default):
-	// sliding-window model, full SVD refits, per-bin flow
-	// identification.
+	// sliding-window model, refits that re-solve the whole window,
+	// per-bin flow identification.
 	DetectorSubspace DetectorKind = "subspace"
 	// DetectorIncremental maintains the model from a running
 	// mean/covariance with forgetting factor lambda: no window
