@@ -1348,3 +1348,54 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAlarmPath splits a 64-bin batch's cost at the ledger's wide
+// scale (synthetic:30:45:7, 120 links, 900 flows) into what stands
+// between the batch and its alarms — ProcessBatch — and the model upkeep
+// the detector does after they are out — Settle, the covariance fold the
+// sketch and incremental estimators defer. Both are reported in ns per
+// batch; refits are off, so neither includes a model fit.
+func BenchmarkAlarmPath(b *testing.B) {
+	const historyBins, streamBins, batch = 1008, 1024, 64
+	topo, err := topology.Parse("synthetic:30:45:7")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := traffic.DefaultConfig(3)
+	cfg.Bins = historyBins + streamBins
+	gen, err := traffic.NewGenerator(topo, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	y := traffic.LinkLoads(topo, gen.Generate())
+	links := y.Cols()
+	history := mat.NewDense(historyBins, links, y.RawData()[:historyBins*links])
+	stream := y.RawData()[historyBins*links:]
+	for _, kind := range []string{"subspace", "incremental", "sketch"} {
+		b.Run(kind, func(b *testing.B) {
+			det, err := backend.Build(backend.Spec{Kind: kind}, history, topo.RoutingMatrix())
+			if err != nil {
+				b.Fatal(err)
+			}
+			online := det.(*core.OnlineDetector)
+			var process, settle time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				off := (i % (streamBins / batch)) * batch * links
+				chunk := mat.NewDense(batch, links, stream[off:off+batch*links])
+				start := time.Now()
+				if _, err := online.ProcessBatch(chunk); err != nil {
+					b.Fatal(err)
+				}
+				alarmed := time.Now()
+				if err := online.Settle(); err != nil {
+					b.Fatal(err)
+				}
+				process += alarmed.Sub(start)
+				settle += time.Since(alarmed)
+			}
+			b.ReportMetric(float64(process.Nanoseconds())/float64(b.N), "process-ns/batch")
+			b.ReportMetric(float64(settle.Nanoseconds())/float64(b.N), "settle-ns/batch")
+		})
+	}
+}

@@ -89,8 +89,11 @@
 // DetectorSketch — is that one OnlineDetector with three interchangeable
 // covariance estimators: a refit has to solve *some* estimate of the
 // traffic covariance into P P^T, and the three kinds differ only in
-// which. An estimator absorbs each batch minus its alarmed bins, hands
-// out an independent copy of itself for a fit to solve outside the lock,
+// which. An estimator absorbs each batch minus its alarmed bins — the
+// tracker and the sketch copy the rows aside and fold them into their
+// covariance only once the batch's alarms are out (OnlineDetector.Settle,
+// which the engine calls after delivering them) — hands out an
+// independent copy of itself for a fit to solve outside the lock,
 // solves it into a PCA and a rank, rebuilds itself from a seed history,
 // and encodes/decodes its own state; numbering, alarmed-bin exclusion,
 // the drift-gated swap, Stats and the snapshot framing are the
@@ -104,7 +107,8 @@
 //     per refit is acceptable.
 //   - DetectorIncremental (WithLambda, WithDriftTolerance): maintains a
 //     running mean/covariance with forgetting factor lambda instead of
-//     a raw window — batch updates are rank-1 and allocation-free, and
+//     a raw window — batch updates are rank-1, allocation-free and made
+//     after the batch's alarms are delivered, and
 //     a rebuild solves only the m x m eigenproblem, skipping the
 //     window's Gram (see BenchmarkIncrementalRefit), so it needs no
 //     window copy and suits frequent refits. Lambda 1
@@ -117,7 +121,9 @@
 //   - DetectorSketch (WithSketchSize, WithDriftTolerance): the estimator
 //     is a Frequent-Directions sketch — O(ell*m) memory and an ell-sized
 //     eigenproblem per rebuild, the cheapest refit in the family, for
-//     very wide networks or near-continuous refresh.
+//     very wide networks or near-continuous refresh. Its per-bin cost is
+//     mostly the sketch's own upkeep (an ell x ell shrink every ell/2
+//     bins), which runs after each batch's alarms are delivered.
 //   - DetectorMultiscale (WithLevels): one subspace model per wavelet
 //     scale (Section 7.3). Levels = 3 tests 2-, 4- and 8-bin features;
 //     each extra level needs twice the history (links * 2^levels seed

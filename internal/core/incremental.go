@@ -119,30 +119,6 @@ func (c *CovTracker) UpdateAll(y *mat.Dense) {
 	}
 }
 
-// UpdateMasked absorbs the rows of y whose skip flag is false — the
-// streaming path uses it to withhold anomalous bins from the tracked
-// model, mirroring the window exclusion of the subspace backend. A nil
-// skip absorbs every row.
-func (c *CovTracker) UpdateMasked(y *mat.Dense, skip []bool) {
-	rows, cols := y.Dims()
-	if cols != c.dim {
-		panic(fmt.Sprintf("core: tracker batch width %d != dim %d", cols, c.dim))
-	}
-	if skip == nil {
-		c.UpdateAll(y)
-		return
-	}
-	if len(skip) != rows {
-		panic(fmt.Sprintf("core: tracker mask length %d != rows %d", len(skip), rows))
-	}
-	data := y.RawData()
-	for b := 0; b < rows; b++ {
-		if !skip[b] {
-			c.Update(data[b*cols : (b+1)*cols])
-		}
-	}
-}
-
 // Mean returns a copy of the current mean estimate.
 func (c *CovTracker) Mean() []float64 { return mat.CloneVec(c.mean) }
 
@@ -238,18 +214,24 @@ func NewIncrementalDetector(history, a *mat.Dense, cfg IncrementalConfig) (*Onli
 }
 
 // covEstimator is the tracked-covariance estimate and the rank its
-// models are built at.
+// models are built at. Absorbed rows wait in pending until settle makes
+// their O(m^2) rank-1 updates.
 type covEstimator struct {
-	lambda float64
-	tr     *CovTracker
-	rank   int
+	lambda  float64
+	tr      *CovTracker
+	rank    int
+	pending pendingRows
 }
 
 func (e *covEstimator) kind() byte { return SnapKindIncremental }
 
-func (e *covEstimator) absorb(y *mat.Dense, skip []bool) error {
-	e.tr.UpdateMasked(y, skip)
-	return nil
+func (e *covEstimator) absorb(y *mat.Dense, skip []bool) { e.pending.add(y, skip) }
+
+func (e *covEstimator) settle() error {
+	return e.pending.fold(func(rows *mat.Dense) error {
+		e.tr.UpdateAll(rows)
+		return nil
+	})
 }
 
 // fit solves the eigenproblem on a tracker copy. With lambda = 1 the

@@ -148,9 +148,10 @@ func TestOnlineDetectorFailedBackgroundRefitKeepsModel(t *testing.T) {
 }
 
 // TestOnlineDetectorJoinsAbsorbAndRefitErrors: a batch whose absorb
-// fails while a failed refit's error is parked must report both. The
-// parked error is cleared by the call that takes it, so dropping it here
-// loses it for good.
+// fails — settling the rows the previous batch left pending — while a
+// failed refit's error is parked must report both. The parked error is
+// cleared by the call that takes it, so dropping it here loses it for
+// good.
 func TestOnlineDetectorJoinsAbsorbAndRefitErrors(t *testing.T) {
 	forEachEstimator(t, 8, func(t *testing.T, fresh func() *OnlineDetector, _, stream *mat.Dense) {
 		d := fresh()
@@ -162,7 +163,7 @@ func TestOnlineDetectorJoinsAbsorbAndRefitErrors(t *testing.T) {
 		close(release)
 		d.WaitRefits()
 		errAbsorb := errors.New("absorb failed")
-		d.est = failingAbsorb{d.est, errAbsorb}
+		d.est = failingSettle{d.est, errAbsorb}
 		_, err := d.ProcessBatch(rowsOf(stream, 8, 12))
 		if !errors.Is(err, errAbsorb) || !isRefitError(err) {
 			t.Fatalf("want the absorb error and the parked refit error joined, got: %v", err)
@@ -170,12 +171,12 @@ func TestOnlineDetectorJoinsAbsorbAndRefitErrors(t *testing.T) {
 	})
 }
 
-type failingAbsorb struct {
+type failingSettle struct {
 	estimator
 	err error
 }
 
-func (f failingAbsorb) absorb(*mat.Dense, []bool) error { return f.err }
+func (f failingSettle) settle() error { return f.err }
 
 func TestOnlineSeedFailureKeepsWindowAndModel(t *testing.T) {
 	forEachEstimator(t, 0, func(t *testing.T, fresh func() *OnlineDetector, history, stream *mat.Dense) {
@@ -417,6 +418,9 @@ func TestIncrementalBackgroundRebuildAndDriftGate(t *testing.T) {
 	}
 }
 
+// TestCovTrackerUpdateMasked: the tracker estimator's masked absorb
+// folds nothing until settle, which then makes exactly the rank-1
+// updates of row-by-row exclusion.
 func TestCovTrackerUpdateMasked(t *testing.T) {
 	_, _, y := testDataset(t, 63, 64)
 	_, dim := y.Dims()
@@ -425,7 +429,14 @@ func TestCovTrackerUpdateMasked(t *testing.T) {
 		skip[b] = true
 	}
 	masked, _ := NewCovTracker(dim, 1)
-	masked.UpdateMasked(y, skip)
+	est := &covEstimator{lambda: 1, tr: masked}
+	est.absorb(y, skip)
+	if masked.Count() != 0 {
+		t.Fatalf("absorb folded %d rows before settle", masked.Count())
+	}
+	if err := est.settle(); err != nil {
+		t.Fatal(err)
+	}
 	manual, _ := NewCovTracker(dim, 1)
 	for b := 0; b < 64; b++ {
 		if !skip[b] {
@@ -435,7 +446,7 @@ func TestCovTrackerUpdateMasked(t *testing.T) {
 	if masked.Count() != manual.Count() {
 		t.Fatalf("masked count %d want %d", masked.Count(), manual.Count())
 	}
-	if !mat.EqualApprox(masked.Covariance(), manual.Covariance(), 1e-12) {
+	if !mat.EqualApprox(masked.Covariance(), manual.Covariance(), 0) {
 		t.Fatal("masked covariance diverges from row-by-row exclusion")
 	}
 }

@@ -62,12 +62,19 @@ type estimator interface {
 	// kind is the backend's snapshot kind byte; KindName(kind()) is the
 	// name Stats reports.
 	kind() byte
-	// absorb folds the rows of y whose skip flag is false into the
-	// estimate — once per batch, never per bin.
-	absorb(y *mat.Dense, skip []bool) error
-	// fit captures an independent copy of the estimate and returns the
-	// function that solves it, outside the mutex, into a PCA and the
-	// normal-subspace rank to build the model at.
+	// absorb takes the rows of y whose skip flag is false into the
+	// estimate — once per batch, never per bin. It may defer the costly
+	// part of folding them in to settle, but must copy what it keeps: y
+	// is the caller's and may be reused as soon as ProcessBatch returns.
+	absorb(y *mat.Dense, skip []bool)
+	// settle finishes folding whatever absorb deferred, so the estimate
+	// is exactly what eager absorption would have built; the detector
+	// calls it before the next absorb, before every fit and snapshot, and
+	// from Settle. A fold that fails drops the rows it did not reach.
+	settle() error
+	// fit captures an independent copy of the settled estimate and
+	// returns the function that solves it, outside the mutex, into a PCA
+	// and the normal-subspace rank to build the model at.
 	fit(opts Options) func() (*PCA, int, error)
 	// reseed returns a fresh estimator of the receiver's configuration
 	// holding only history, with the batch PCA of the rows it kept and
@@ -165,6 +172,14 @@ func (d *OnlineDetector) Process(y []float64) (Alarm, bool, error) {
 // mis-sized batch is rejected and not counted. The error of a failed
 // background refit is reported by a later call, alongside that call's
 // detections; the previous model stays in force.
+//
+// The sketch and incremental estimators fold a batch's clean rows into
+// their covariance after its alarms are out: the costly fold waits for
+// Settle, or else the next ProcessBatch, Refit or Snapshot, and a fold
+// failure (a shrink on non-finite rows, say) is reported by whichever of
+// them runs it — joined here with a parked refit error. A batch that
+// triggers an automatic refit is folded by that refit, so its fold
+// failure parks as the refit's error.
 func (d *OnlineDetector) ProcessBatch(y *mat.Dense) ([]Alarm, error) {
 	if cols := y.Cols(); cols != d.links {
 		return nil, fmt.Errorf("core: batch has %d links, detector expects %d", cols, d.links)
@@ -182,16 +197,18 @@ func (d *OnlineDetector) ProcessBatch(y *mat.Dense) ([]Alarm, error) {
 	return alarms, err
 }
 
-// absorb numbers a tested batch, folds its rows into the estimate and
-// launches the background refit when one is due. Alarmed rows are
-// withheld so they do not inflate the residual variance of the next model
-// (the paper's model is fit on normal traffic; one contaminated week
-// changed results little, but exclusion is the conservative choice).
+// absorb numbers a tested batch, settles the previous one, hands this
+// one's rows to the estimate and launches the background refit when one
+// is due. Alarmed rows are withheld so they do not inflate the residual
+// variance of the next model (the paper's model is fit on normal traffic;
+// one contaminated week changed results little, but exclusion is the
+// conservative choice).
 func (d *OnlineDetector) absorb(y *mat.Dense, alarmed []bool) (base int, err error) {
 	d.mu.Lock()
 	base = d.processed
 	d.processed += y.Rows()
-	err = errors.Join(d.est.absorb(y, alarmed), d.gate.TakeErrorLocked())
+	err = errors.Join(d.est.settle(), d.gate.TakeErrorLocked())
+	d.est.absorb(y, alarmed)
 	var fit Refit
 	if d.gate.DueLocked(y.Rows(), true) {
 		fit = d.fitLocked(true)
@@ -203,13 +220,20 @@ func (d *OnlineDetector) absorb(y *mat.Dense, alarmed []bool) (base int, err err
 	return base, err
 }
 
-// fitLocked captures the estimate and returns the refit that solves it.
-// An automatic refit of a drift-gated backend keeps the active model when
-// the candidate's residual projector is within driftTol (Frobenius) of it
-// — measured against the model active when the solve finishes, which an
-// explicit Refit or Seed may have replaced since the batch.
+// fitLocked settles and captures the estimate and returns the refit that
+// solves it; a failed settle is the refit's error. An automatic refit of
+// a drift-gated backend keeps the active model when the candidate's
+// residual projector is within driftTol (Frobenius) of it — measured
+// against the model active when the solve finishes, which an explicit
+// Refit or Seed may have replaced since the batch.
 func (d *OnlineDetector) fitLocked(automatic bool) Refit {
-	solve, name := d.est.fit(d.opts), KindName(d.est.kind())
+	name := KindName(d.est.kind())
+	var solve func() (*PCA, int, error)
+	if err := d.est.settle(); err != nil {
+		solve = func() (*PCA, int, error) { return nil, 0, err }
+	} else {
+		solve = d.est.fit(d.opts)
+	}
 	return func() (func() bool, error) {
 		p, rank, err := solve()
 		var cand *Diagnoser
@@ -284,10 +308,24 @@ func (d *OnlineDetector) WaitRefits() { d.gate.Wait() }
 // failed background refit, if any.
 func (d *OnlineDetector) TakeRefitError() error { return d.gate.TakeError() }
 
-// Snapshot serializes the estimate, the counters and the exact active
-// model as one NAMS envelope of the estimator's kind.
+// Settle folds the rows the last batch left pending into the estimate
+// and reports a fold failure. Nothing requires it — every read of the
+// estimate settles first — but calling it after a batch's alarms are
+// delivered moves the fold off the next batch's path.
+func (d *OnlineDetector) Settle() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.est.settle()
+}
+
+// Snapshot serializes the settled estimate, the counters and the exact
+// active model as one NAMS envelope of the estimator's kind. A failed
+// settle is returned and nothing is written.
 func (d *OnlineDetector) Snapshot(w io.Writer) error {
 	return d.gate.Quiesced(func() error {
+		if err := d.est.settle(); err != nil {
+			return err
+		}
 		return EncodeSnapshot(w, d.est.kind(), func(sw *SnapshotWriter) {
 			sw.Int(d.links)
 			d.est.encode(sw)
@@ -367,14 +405,17 @@ type windowEstimator struct {
 
 func (w *windowEstimator) kind() byte { return SnapKindSubspace }
 
-func (w *windowEstimator) absorb(y *mat.Dense, skip []bool) error {
+// absorb pushes the clean rows straight into the ring: the copy is the
+// whole of the fold, so there is nothing to defer.
+func (w *windowEstimator) absorb(y *mat.Dense, skip []bool) {
 	for b, s := range skip {
 		if !s {
 			w.ring.Push(y.RowView(b))
 		}
 	}
-	return nil
 }
+
+func (w *windowEstimator) settle() error { return nil }
 
 func (w *windowEstimator) fit(opts Options) func() (*PCA, int, error) {
 	rows := w.ring.Matrix()
@@ -400,6 +441,37 @@ func (w *windowEstimator) decode(sr *SnapshotReader, links int) (estimator, erro
 		return nil, err
 	}
 	return &windowEstimator{capacity: ring.Cap(), ring: ring}, nil
+}
+
+// pendingRows is where the covariance estimators keep the clean rows of
+// the last absorbed batch until settle folds them in. It copies them out
+// of the caller's batch, which the engine recycles as soon as
+// ProcessBatch returns, and its storage is reused batch after batch.
+type pendingRows struct {
+	data []float64
+	cols int
+}
+
+// add appends the rows of y whose skip flag is false.
+func (p *pendingRows) add(y *mat.Dense, skip []bool) {
+	p.cols = y.Cols()
+	for b, s := range skip {
+		if !s {
+			p.data = append(p.data, y.RowView(b)...)
+		}
+	}
+}
+
+// fold hands the pending rows, in arrival order, to f and empties the
+// buffer whatever f returns: rows a failing fold did not reach are
+// dropped, as an eager fold would have dropped them.
+func (p *pendingRows) fold(f func(rows *mat.Dense) error) error {
+	if len(p.data) == 0 {
+		return nil
+	}
+	rows := mat.NewDense(len(p.data)/p.cols, p.cols, p.data)
+	p.data = p.data[:0]
+	return f(rows)
 }
 
 // tailRing returns a ring of the given capacity holding the most recent

@@ -110,21 +110,6 @@ func (s *FDSketch) InsertAll(y *mat.Dense) error {
 	return nil
 }
 
-// InsertMasked absorbs the rows of y whose skip flag is false — the
-// sketch equivalent of withholding anomalous bins from the model
-// window.
-func (s *FDSketch) InsertMasked(y *mat.Dense, skip []bool) error {
-	for i := 0; i < y.Rows(); i++ {
-		if i < len(skip) && skip[i] {
-			continue
-		}
-		if err := s.Insert(y.RowView(i)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // leading returns the first rows*cols elements of d's storage as a rows x
 // cols matrix — d itself when that is all of it, so solving a full buffer
 // allocates no header.
@@ -315,17 +300,20 @@ func NewSketchDetector(history, a *mat.Dense, cfg SketchConfig) (*OnlineDetector
 // sketchEstimator is the Frequent-Directions estimate and the rank its
 // models are built at. ell is the configured size (0: default from the
 // rank) until the first reseed resolves it, and fixed from then on.
+// Absorbed rows wait in pending until settle inserts them: the inserts,
+// with their shrink eigensolves, are most of the backend's per-bin CPU.
 type sketchEstimator struct {
-	ell  int
-	sk   *FDSketch
-	rank int
+	ell     int
+	sk      *FDSketch
+	rank    int
+	pending pendingRows
 }
 
 func (e *sketchEstimator) kind() byte { return SnapKindSketch }
 
-func (e *sketchEstimator) absorb(y *mat.Dense, skip []bool) error {
-	return e.sk.InsertMasked(y, skip)
-}
+func (e *sketchEstimator) absorb(y *mat.Dense, skip []bool) { e.pending.add(y, skip) }
+
+func (e *sketchEstimator) settle() error { return e.pending.fold(e.sk.InsertAll) }
 
 func (e *sketchEstimator) fit(Options) func() (*PCA, int, error) {
 	sk, rank := e.sk.Snapshot(), e.rank

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"strings"
@@ -260,9 +261,11 @@ func TestFDSketchInsertAfterFailedShrink(t *testing.T) {
 
 // TestSketchRefitErrorSurvivesFailingInsert drives the lost-error bug
 // through real failures: one NaN cell poisons the sketch, the hook-held
-// background rebuild fails and parks its error, and the next batch fails
-// in the sketch's own shrink. That batch must report both; the parked
-// error used to be taken (and so cleared) and then dropped.
+// background rebuild fails and parks its error, and the next call that
+// folds pending rows fails in the sketch's own shrink. That call must
+// report both; the parked error used to be taken (and so cleared) and
+// then dropped. A Snapshot whose fold fails returns the error and writes
+// nothing.
 func TestSketchRefitErrorSurvivesFailingInsert(t *testing.T) {
 	topo, history, stream, _ := streamDataset(t, 73, 504, 96, nil)
 	d, err := NewSketchDetector(history, topo.RoutingMatrix(), SketchConfig{RefitEvery: 8})
@@ -271,15 +274,33 @@ func TestSketchRefitErrorSurvivesFailingInsert(t *testing.T) {
 	}
 	release := make(chan struct{})
 	d.SetRefitHook(func() { <-release })
-	d.ProcessBatch(poisoned(rowsOf(stream, 0, 8))) // may already fail a shrink
+	d.ProcessBatch(poisoned(rowsOf(stream, 0, 8))) // its refit folds the NaN in
+	// While that refit is held no other can start, so these rows stay
+	// pending. 64 of them overrun any sketch size here: their fold must
+	// shrink, and the NaN running mean makes every shrink fail.
+	if _, err := d.ProcessBatch(rowsOf(stream, 8, 72)); err != nil {
+		t.Fatalf("a batch whose fold is still pending reported: %v", err)
+	}
 	close(release)
 	d.WaitRefits()
-	// 64 more rows overrun any sketch size here, so a shrink is certain.
-	_, err = d.ProcessBatch(rowsOf(stream, 8, 72))
-	if err == nil || !strings.Contains(err.Error(), "sketch shrink") {
-		t.Fatalf("want the shrink failure reported, got: %v", err)
+	_, err = d.ProcessBatch(rowsOf(stream, 72, 73))
+	var fold, parked bool
+	if joined, ok := err.(interface{ Unwrap() []error }); ok {
+		for _, e := range joined.Unwrap() {
+			parked = parked || isRefitError(e)
+			fold = fold || !isRefitError(e) && strings.Contains(e.Error(), "sketch shrink")
+		}
 	}
-	if !strings.Contains(err.Error(), "sketch eigendecomposition") {
-		t.Fatalf("the parked rebuild error was dropped; batch reported only: %v", err)
+	if !fold || !parked {
+		t.Fatalf("want the pending rows' shrink failure joined with the parked rebuild error, got: %v", err)
+	}
+
+	d.WaitRefits()
+	if _, err := d.ProcessBatch(rowsOf(stream, 73, 74)); err != nil && !isRefitError(err) {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := d.Snapshot(&buf); err == nil || !strings.Contains(err.Error(), "sketch shrink") || buf.Len() != 0 {
+		t.Fatalf("Snapshot over a failing fold: err %v, %d bytes written", err, buf.Len())
 	}
 }

@@ -52,7 +52,11 @@ type ViewDetector interface {
 	// the active model and returns the rows that alarm, with sequence
 	// numbers continuing the per-detector count. Alarms are returned
 	// even when err is non-nil (a deferred refit failure reports
-	// alongside valid detections).
+	// alongside valid detections). A backend may also put off folding
+	// the batch into its model until after return — OnlineDetector's
+	// covariance estimators do, until Settle or the next call that reads
+	// the model — so err can carry the fold failure of an earlier batch.
+	// Either way y is the caller's again once ProcessBatch returns.
 	ProcessBatch(y *mat.Dense) ([]Alarm, error)
 	// Refit synchronously rebuilds the model from current state. It
 	// serializes with background refits but must not block concurrent

@@ -642,6 +642,16 @@ func (m *Monitor) worker() {
 			m.emit(Alarm{View: s.name, Alarm: a})
 		}
 		s.delivered.Store(batchEnd)
+		// The alarms are out: now do the model upkeep the detector put
+		// off, still while this worker owns the shard.
+		if st, ok := s.det.(settler); ok {
+			s.procMu.Lock()
+			err := st.Settle()
+			s.procMu.Unlock()
+			if err != nil {
+				s.recordErr(err)
+			}
+		}
 
 		// Hand the shard back: re-ready it if more batches arrived,
 		// otherwise release ownership so the next Ingest re-readies it.
@@ -658,6 +668,14 @@ func (m *Monitor) worker() {
 		}
 		m.donePending()
 	}
+}
+
+// settler is a detector that can defer part of ProcessBatch's model
+// upkeep until its alarms are delivered (core.OnlineDetector's
+// covariance fold). The worker calls Settle after a batch's last alarm
+// is emitted and before it hands the shard back.
+type settler interface {
+	Settle() error
 }
 
 // readyShard puts an owned shard (back) on the dispatch list and wakes a
