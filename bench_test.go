@@ -12,7 +12,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -1111,175 +1110,6 @@ func BenchmarkMultiFlowIdentification(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		diag.Identifier().IdentifyMulti(row, candidates)
 	}
-}
-
-// BenchmarkAutoscaleThroughput pits the elastic worker pool against a
-// hand-tuned fixed pool on the two canonical load shapes, with bounded
-// queues and Block backpressure pacing the producer to the service rate
-// in both. Steady: two continuously busy views, for which the
-// hand-tuned pool is two workers (per-view FIFO caps useful parallelism
-// at the number of active shards, so more would idle) — the autoscaler
-// must land within 10% of it. Bursty: synchronized eight-view bursts
-// arriving at the pool still tuned for the steady trickle — the
-// autoscaler must grow into the burst's parallelism and beat it
-// outright. Both gates fail the benchmark, so the CI bench smoke
-// enforces the autoscaler's contract, not just its liveness.
-func BenchmarkAutoscaleThroughput(b *testing.B) {
-	// The comparison is about real parallelism: on fewer than four
-	// hardware threads the burst scenario has nothing for extra workers
-	// to run on and the gates below would measure the scheduler, not
-	// the autoscaler (NumCPU, not GOMAXPROCS — an env override cannot
-	// conjure cores).
-	if runtime.NumCPU() < 4 || runtime.GOMAXPROCS(0) < 4 {
-		b.Skip("autoscale comparison needs >= 4 CPUs")
-	}
-	d := experiments.AbileneSim()
-	links := d.Links
-	bins, m := links.Dims()
-	const seedBins = 256
-	history := mat.NewDense(seedBins, m, links.RawData()[:seedBins*m])
-	stream := mat.NewDense(bins-seedBins, m, links.RawData()[seedBins*m:])
-	streamBins := stream.Rows()
-	routing := d.Topo.RoutingMatrix()
-
-	maxW := 8
-	if g := runtime.GOMAXPROCS(0); g < maxW {
-		maxW = g
-	}
-	const fixedW = 2 // hand-tuned to the steady scenario's two active views
-
-	chunk := func(turn int) *mat.Dense {
-		r0 := (turn * 64) % (streamBins - 64)
-		return mat.NewDense(64, m, stream.RawData()[r0*m:(r0+64)*m])
-	}
-	newMonitor := func(auto bool) *engine.Monitor {
-		cfg := engine.Config{
-			BatchSize:  64,
-			MaxPending: 128,
-			Overload:   engine.OverloadBlock,
-			OnAlarm:    func(engine.Alarm) {},
-		}
-		if auto {
-			cfg.Autoscale = &engine.AutoscaleConfig{
-				MinWorkers: 1, MaxWorkers: maxW,
-				Interval: 2 * time.Millisecond,
-				// Block pacing pins every busy view's queue at its cap
-				// (two 64-bin batches under MaxPending 128), so backlog
-				// per worker saturates at 2 per busy shard. A 2.5
-				// target makes the pool converge on the busy-shard
-				// count — 2 on steady (matching the hand-tuned pool),
-				// the max on the eight-view burst — instead of parking
-				// an extra idle worker per shard.
-				ScaleUpBacklog: 2.5,
-			}
-		} else {
-			cfg.Workers = fixedW
-		}
-		return engine.NewMonitor(cfg)
-	}
-	addViews := func(mon *engine.Monitor, n int) []string {
-		views := make([]string, n)
-		for i := range views {
-			views[i] = fmt.Sprintf("view-%d", i)
-			det, err := core.NewOnlineDetector(history, routing, core.OnlineConfig{Window: seedBins})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := mon.AddDetectorView(views[i], det); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return views
-	}
-
-	const steadyRounds = 400
-	runSteady := func(auto bool) time.Duration {
-		mon := newMonitor(auto)
-		defer mon.Close()
-		views := addViews(mon, 2)
-		feed := func(rounds, turn0 int) {
-			for r := 0; r < rounds; r++ {
-				for v := range views {
-					if err := mon.Ingest(views[v], chunk(turn0+r+v)); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			mon.Flush()
-		}
-		feed(60, 0) // warmup: the autoscaler finds its steady pool size
-		start := time.Now()
-		feed(steadyRounds, 60)
-		elapsed := time.Since(start)
-		if auto && mon.Stats().WorkersHighWater <= 1 {
-			b.Fatal("autoscaler never grew on steady load")
-		}
-		return elapsed
-	}
-
-	const burstCycles, burstChunks = 6, 16
-	runBursty := func(auto bool) time.Duration {
-		mon := newMonitor(auto)
-		defer mon.Close()
-		views := addViews(mon, 8)
-		start := time.Now()
-		for c := 0; c < burstCycles; c++ {
-			for k := 0; k < burstChunks; k++ {
-				for v := range views {
-					if err := mon.Ingest(views[v], chunk(c*burstChunks+k+v)); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			mon.Flush() // the burst drains before the next one arrives
-		}
-		elapsed := time.Since(start)
-		if auto {
-			if hw := mon.Stats().WorkersHighWater; hw <= fixedW {
-				b.Fatalf("autoscaler peaked at %d workers on the eight-view burst", hw)
-			}
-		}
-		return elapsed
-	}
-
-	// Best of three per configuration: the gates compare capability, not
-	// one run's scheduling luck.
-	best := func(run func(bool) time.Duration, auto bool) time.Duration {
-		bt := run(auto)
-		for i := 0; i < 2; i++ {
-			if t := run(auto); t < bt {
-				bt = t
-			}
-		}
-		return bt
-	}
-
-	// The gates are capability claims — "the autoscaler can match the
-	// hand-tuned pool on steady load and beat it on bursts" — so a
-	// noisy shared-runner sample must not fail CI by itself: the whole
-	// comparison is re-attempted, and only a property that fails every
-	// independent attempt (a real regression, which fails them all
-	// deterministically) fails the benchmark.
-	const attempts = 3
-	var steadyRatio, burstSpeedup float64
-	for i := 0; i < b.N; i++ {
-		ok := false
-		for a := 0; a < attempts && !ok; a++ {
-			steadyFixed := best(runSteady, false)
-			steadyAuto := best(runSteady, true)
-			burstFixed := best(runBursty, false)
-			burstAuto := best(runBursty, true)
-			steadyRatio = steadyAuto.Seconds() / steadyFixed.Seconds()
-			burstSpeedup = burstFixed.Seconds() / burstAuto.Seconds()
-			ok = steadyRatio <= 1.10 && burstSpeedup > 1.0
-		}
-		if !ok {
-			b.Fatalf("autoscaler contract failed in all %d attempts: steady ratio %.2f (want <= 1.10), bursty speedup %.2fx (want > 1.0)",
-				attempts, steadyRatio, burstSpeedup)
-		}
-	}
-	b.ReportMetric(steadyRatio, "steady_time_ratio")
-	b.ReportMetric(burstSpeedup, "bursty_speedup")
 }
 
 // BenchmarkSnapshotRestore prices the checkpoint path per backend on

@@ -55,18 +55,16 @@
 //	diagnose -topology abilene -links links.csv -stream -history 1008 \
 //	    -detector hybrid -triage ewma -escalation immediate
 //
-// Under load the streaming engine can be bounded and elastic:
-// -max-pending caps the view's queue of unprocessed bins, -overload
-// picks the full-queue policy (block for backpressure, dropoldest to
-// prefer fresh data, error to shed load), and -autoscale min:max lets
-// the worker pool grow and shrink with the observed backlog. -burst n
-// ingests the stream in n-bin slams instead of the bin-by-bin replay —
-// a stress mode for demonstrating the overload policies. When any of
-// these are set, a closing "load:" line reports dropped/rejected bins
-// and the worker-pool high-water mark.
+// Under load the streaming engine can be bounded: -max-pending caps the
+// view's queue of unprocessed bins, and -overload picks the full-queue
+// policy (block for backpressure, dropoldest to prefer fresh data, error
+// to shed load). -burst n ingests the stream in n-bin slams instead of
+// the bin-by-bin replay — a stress mode for demonstrating the overload
+// policies. With -max-pending set, a closing "load:" line reports
+// dropped/rejected bins and the worker-pool size.
 //
 //	diagnose -topology abilene -links links.csv -stream -history 1008 \
-//	    -burst 4096 -max-pending 64 -overload dropoldest -autoscale 1:4
+//	    -burst 4096 -max-pending 64 -overload dropoldest
 //
 // With -incidents the streamed alarms are correlated into incidents: a
 // sustained anomaly prints one "incident #N open"/"incident #N closed"
@@ -89,7 +87,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -122,7 +119,6 @@ func main() {
 	quietPeriod := flag.Int("quiet-period", 0, "incidents: quiet period in bins — alarms gapped closer merge, incidents close after it (0 = default 8)")
 	maxPending := flag.Int("max-pending", 0, "streaming: bound on queued unprocessed bins (0 = unbounded)")
 	overload := flag.String("overload", "block", "streaming: full-queue policy — block, dropoldest, or error")
-	autoscale := flag.String("autoscale", "", "streaming: elastic worker pool as min:max (empty = fixed pool)")
 	burst := flag.Int("burst", 0, "streaming: ingest the stream in bursts of this many bins at once instead of replaying it bin by bin (stress mode; pair with -max-pending)")
 	restorePath := flag.String("restore", "", "streaming: warm-start the view from a checkpoint file (as written by ingestd -checkpoint) instead of starting fresh; -history/-detector flags must match the checkpointed run")
 	flag.Parse()
@@ -170,14 +166,6 @@ func main() {
 			fatal(err)
 		}
 		sc.overload = policy
-		if *autoscale != "" {
-			min, max, err := parseAutoscale(*autoscale)
-			if err != nil {
-				fatal(err)
-			}
-			sc.autoscaleMin, sc.autoscaleMax = min, max
-			sc.autoscale = true
-		}
 		runStream(topo, links, sc, opts)
 		return
 	}
@@ -204,39 +192,16 @@ func main() {
 }
 
 type streamConfig struct {
-	history                    int
-	batch                      int
-	refitEvery                 int
-	viewOpts                   []netanomaly.ViewOption
-	incidents                  bool
-	quiet                      int
-	maxPending                 int
-	overload                   netanomaly.OverloadPolicy
-	autoscale                  bool
-	autoscaleMin, autoscaleMax int
-	burst                      int
-	restore                    string
-}
-
-// parseAutoscale splits a min:max worker-bound pair.
-func parseAutoscale(s string) (min, max int, err error) {
-	parts := strings.Split(s, ":")
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("autoscale: want min:max, got %q", s)
-	}
-	if min, err = strconv.Atoi(parts[0]); err != nil {
-		return 0, 0, fmt.Errorf("autoscale min: %w", err)
-	}
-	if max, err = strconv.Atoi(parts[1]); err != nil {
-		return 0, 0, fmt.Errorf("autoscale max: %w", err)
-	}
-	// Reject rather than silently clamp: an inverted or nonpositive
-	// bound is a typo, and running with a pool the operator did not ask
-	// for hides it.
-	if min <= 0 || max < min {
-		return 0, 0, fmt.Errorf("autoscale: want 0 < min <= max, got %d:%d", min, max)
-	}
-	return min, max, nil
+	history    int
+	batch      int
+	refitEvery int
+	viewOpts   []netanomaly.ViewOption
+	incidents  bool
+	quiet      int
+	maxPending int
+	overload   netanomaly.OverloadPolicy
+	burst      int
+	restore    string
 }
 
 // runStream seeds a Monitor shard on the first history rows and replays
@@ -275,9 +240,6 @@ func runStream(topo *netanomaly.Topology, links *netanomaly.Matrix, sc streamCon
 	monOpts := []netanomaly.MonitorOption{
 		netanomaly.WithMaxPending(sc.maxPending),
 		netanomaly.WithOverloadPolicy(sc.overload),
-	}
-	if sc.autoscale {
-		monOpts = append(monOpts, netanomaly.WithAutoscale(sc.autoscaleMin, sc.autoscaleMax))
 	}
 	monCfg := netanomaly.MonitorConfig{
 		BatchSize:  sc.batch,
@@ -400,7 +362,7 @@ func runStream(topo *netanomaly.Topology, links *netanomaly.Matrix, sc streamCon
 			is.Opened, is.Closed, is.Merged, is.Evicted)
 	}
 	fmt.Printf("%d alarms over %d streamed bins\n", alarms, bins-sc.history)
-	if st := mon.Stats(); sc.maxPending > 0 || sc.autoscale {
+	if st := mon.Stats(); sc.maxPending > 0 {
 		fmt.Printf("load: dropped %d bins (%d batches), rejected %d, workers peak %d\n",
 			st.DroppedBins, st.DroppedBatches, st.RejectedBins, st.WorkersHighWater)
 	}

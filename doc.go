@@ -58,10 +58,9 @@
 // WithOverloadPolicy picks what a full queue does (OverloadBlock
 // backpressure through IngestStream to the collector, OverloadDropOldest
 // freshness under DoS-style surges, OverloadError shedding), and
-// WithAutoscale lets the worker pool grow and shrink with the observed
-// backlog while per-view ordering is preserved across every resize.
-// Monitor.Stats and Monitor.QueueStats report queue depth, drops and
-// the pool's high-water mark; see the "Operating under load" section of
+// MonitorConfig.Workers fixes the size of the one worker pool every view
+// shares. Monitor.Stats and Monitor.QueueStats report queue depth, drops
+// and the pool size; see the "Operating under load" section of
 // docs/BACKENDS.md for policy selection and sizing guidance.
 //
 //	mon := netanomaly.NewMonitor(netanomaly.MonitorConfig{

@@ -181,18 +181,16 @@ func ExampleMonitor_IngestStream() {
 
 // ExampleNewMonitor_loadSafe configures the engine for sustained
 // overload: bounded per-view queues with a selectable full-queue policy
-// and a worker pool that scales itself between one and four workers
-// from the observed backlog. With OverloadBlock the producer is paced
-// to the service rate and nothing is lost; swap in OverloadDropOldest
-// to prefer fresh bins instead. Monitor.Stats reports queue depth,
-// drops and the pool's high-water mark.
+// in front of a fixed pool of four workers. With OverloadBlock the
+// producer is paced to the service rate and nothing is lost; swap in
+// OverloadDropOldest to prefer fresh bins instead. Monitor.Stats reports
+// queue depth, drops and the pool size.
 func ExampleNewMonitor_loadSafe() {
 	topo, history, stream, _ := exampleData(7)
 
-	mon := netanomaly.NewMonitor(netanomaly.MonitorConfig{BatchSize: 32},
+	mon := netanomaly.NewMonitor(netanomaly.MonitorConfig{Workers: 4, BatchSize: 32},
 		netanomaly.WithMaxPending(128),
 		netanomaly.WithOverloadPolicy(netanomaly.OverloadBlock),
-		netanomaly.WithAutoscale(1, 4),
 	)
 	defer mon.Close()
 	if err := netanomaly.AddView(mon, "backbone", history, topo); err != nil {
@@ -203,7 +201,6 @@ func ExampleNewMonitor_loadSafe() {
 	}
 	mon.Flush()
 	st := mon.Stats()
-	fmt.Printf("dropped %d bins, pool stayed within bounds: %v\n",
-		st.DroppedBins, st.WorkersHighWater >= 1 && st.WorkersHighWater <= 4)
-	// Output: dropped 0 bins, pool stayed within bounds: true
+	fmt.Printf("dropped %d bins, workers %d\n", st.DroppedBins, st.Workers)
+	// Output: dropped 0 bins, workers 4
 }

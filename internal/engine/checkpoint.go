@@ -6,8 +6,8 @@ package engine
 // view envelope (kind SnapKindView) wrapping the view's name, link
 // count, queue counters, and the detector's own self-framed snapshot; a
 // whole-monitor checkpoint (kind SnapKindMonitor) is the view envelopes
-// nested in deterministic name order plus the autoscaler's smoothed
-// estimates. Restores follow the core taxonomy: corruption wraps
+// nested in deterministic name order plus three reserved fields.
+// Restores follow the core taxonomy: corruption wraps
 // core.ErrSnapshotFormat, truncation wraps io.ErrUnexpectedEOF, and a
 // snapshot offered to a mismatched view (wrong link count) wraps
 // core.ErrSnapshotMismatch.
@@ -119,8 +119,8 @@ func (m *Monitor) RestoreView(view string, r io.Reader) error {
 }
 
 // Checkpoint writes the whole monitor — every view envelope in
-// deterministic name order, then the autoscaler's smoothed estimates —
-// as one monitor envelope, for a warm restart via
+// deterministic name order, then three reserved zero fields — as one
+// monitor envelope, for a warm restart via
 // NewMonitorFromCheckpoint. Views quiesce one at a time; checkpoint a
 // live monitor only when its producers are paused, or after Close.
 func (m *Monitor) Checkpoint(w io.Writer) error {
@@ -140,10 +140,11 @@ func (m *Monitor) Checkpoint(w io.Writer) error {
 			}
 			sw.Nested(func(w io.Writer) error { return m.checkpointShard(s, w) })
 		}
-		ewBacklog, ewLatency, calmTicks := m.autoscaleState()
-		sw.F64(ewBacklog)
-		sw.F64(ewLatency)
-		sw.I64(int64(calmTicks))
+		// Reserved for compatibility: older monitors stored elastic-pool
+		// state here (F64, F64, I64). Written as zeros, ignored on read.
+		sw.F64(0)
+		sw.F64(0)
+		sw.I64(0)
 	})
 }
 
@@ -161,11 +162,11 @@ type DetectorFactory func(name, kind string, links int) (core.ViewDetector, erro
 // compatible detector, and the embedded snapshot restores its state and
 // the view's queue counters — so the restarted monitor's alarm stream
 // (Seq offsets included) continues bin-for-bin where the checkpointed
-// one stopped. The autoscaler's smoothed backlog/latency estimates are
-// seeded before its evaluation loop starts. On any error the partially
-// built monitor is closed and the error returned.
+// one stopped. The three reserved trailing fields are read and
+// discarded, whatever they hold. On any error the partially built
+// monitor is closed and the error returned.
 func NewMonitorFromCheckpoint(cfg Config, r io.Reader, factory DetectorFactory) (*Monitor, error) {
-	m := newMonitor(cfg, false)
+	m := NewMonitor(cfg)
 	err := core.DecodeSnapshot(r, core.SnapKindMonitor, func(sr *core.SnapshotReader) error {
 		n := sr.NonNegInt()
 		if err := sr.Err(); err != nil {
@@ -177,22 +178,15 @@ func NewMonitorFromCheckpoint(cfg Config, r io.Reader, factory DetectorFactory) 
 				return err
 			}
 		}
-		ewBacklog := sr.F64()
-		ewLatency := sr.F64()
-		calmTicks := int(sr.I64())
-		if err := sr.Err(); err != nil {
-			return err
-		}
-		if m.cfg.Autoscale != nil {
-			m.setAutoscaleState(ewBacklog, ewLatency, calmTicks)
-		}
-		return nil
+		sr.F64()
+		sr.F64()
+		sr.I64()
+		return sr.Err()
 	})
 	if err != nil {
 		m.Close()
 		return nil, fmt.Errorf("engine: restore checkpoint: %w", err)
 	}
-	m.startAutoscale()
 	return m, nil
 }
 

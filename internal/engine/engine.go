@@ -17,10 +17,8 @@
 // with a selectable overload policy — block the producer, drop the
 // oldest queued batch, or fail the ingest — so a DoS-style burst on one
 // view cannot balloon memory while other shards idle. The worker pool
-// can autoscale between AutoscaleConfig.MinWorkers and MaxWorkers from
-// EW-smoothed queue depth and batch latency, with hysteresis on
-// scale-down; per-view FIFO survives every resize because a shard is
-// only ever owned by one worker at a time regardless of pool size.
+// has a fixed size, Config.Workers; per-view FIFO holds at any size
+// because a shard is only ever owned by one worker at a time.
 //
 // The Monitor is the scale-out layer the ROADMAP's "first-level online
 // monitor" needs; for a single stream with no fan-out requirements, a
@@ -34,7 +32,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"netanomaly/internal/core"
 	"netanomaly/internal/mat"
@@ -105,71 +102,11 @@ func ParseOverloadPolicy(s string) (OverloadPolicy, error) {
 	}
 }
 
-// AutoscaleConfig makes the worker pool elastic: the pool grows toward
-// MaxWorkers when the EW-smoothed backlog (queued batches) or the
-// estimated drain time (backlog x smoothed batch latency per worker)
-// says the current pool cannot keep up, and shrinks toward MinWorkers
-// only after ScaleDownAfter consecutive calm evaluations — hysteresis,
-// so a brief lull between bursts does not tear the pool down just to
-// rebuild it. Zero-valued fields take the documented defaults.
-type AutoscaleConfig struct {
-	// MinWorkers is the floor the pool never shrinks below (default 1).
-	MinWorkers int
-	// MaxWorkers is the ceiling the pool never grows above (default
-	// GOMAXPROCS).
-	MaxWorkers int
-	// Interval is the evaluation cadence (default 50ms). It doubles as
-	// the drain-time target: the pool grows while clearing the smoothed
-	// backlog at the observed batch latency would take longer than one
-	// interval.
-	Interval time.Duration
-	// ScaleUpBacklog is the smoothed queued-batch count per worker above
-	// which the pool grows (default 1.5).
-	ScaleUpBacklog float64
-	// ScaleDownBacklog is the smoothed queued-batch count per worker
-	// below which an evaluation counts as calm (default 0.25).
-	ScaleDownBacklog float64
-	// ScaleDownAfter is how many consecutive calm evaluations precede a
-	// one-worker shrink (default 5).
-	ScaleDownAfter int
-	// Smoothing is the EW factor applied to backlog and latency samples
-	// in (0, 1]; larger reacts faster (default 0.5).
-	Smoothing float64
-}
-
-func (a *AutoscaleConfig) fillDefaults() {
-	if a.MinWorkers <= 0 {
-		a.MinWorkers = 1
-	}
-	if a.MaxWorkers <= 0 {
-		a.MaxWorkers = runtime.GOMAXPROCS(0)
-	}
-	if a.MaxWorkers < a.MinWorkers {
-		a.MaxWorkers = a.MinWorkers
-	}
-	if a.Interval <= 0 {
-		a.Interval = 50 * time.Millisecond
-	}
-	if a.ScaleUpBacklog <= 0 {
-		a.ScaleUpBacklog = 1.5
-	}
-	if a.ScaleDownBacklog <= 0 {
-		a.ScaleDownBacklog = 0.25
-	}
-	if a.ScaleDownAfter <= 0 {
-		a.ScaleDownAfter = 5
-	}
-	if a.Smoothing <= 0 || a.Smoothing > 1 {
-		a.Smoothing = 0.5
-	}
-}
-
 // Config parameterizes a Monitor. The zero value is usable: defaults are
 // filled in by NewMonitor.
 type Config struct {
-	// Workers is the size of the processing pool; default GOMAXPROCS.
-	// With Autoscale set it is the initial size, clamped into
-	// [MinWorkers, MaxWorkers] (default MinWorkers).
+	// Workers is the size of the processing pool, fixed for the
+	// monitor's life; default GOMAXPROCS.
 	Workers int
 	// BatchSize is the number of bins per dispatched job: Ingest splits
 	// larger batches into BatchSize chunks so one bulky view cannot
@@ -185,9 +122,6 @@ type Config struct {
 	MaxPending int
 	// Overload selects the full-queue behavior; default OverloadBlock.
 	Overload OverloadPolicy
-	// Autoscale, when non-nil, makes the worker pool elastic; nil keeps
-	// the fixed Workers-sized pool.
-	Autoscale *AutoscaleConfig
 	// Window is the per-shard sliding window, in bins (the paper fits on
 	// 1008); 0 uses each view's full seeding history.
 	Window int
@@ -200,33 +134,9 @@ type Config struct {
 	// concurrently from multiple workers. When nil, alarms accumulate
 	// internally and are retrieved with TakeAlarms.
 	OnAlarm func(Alarm)
-
-	// now is the clock batch latencies and the autoscaler run on;
-	// injectable so the load tests are deterministic. Defaults to
-	// time.Now.
-	now func() time.Time
-	// disableAutoscaleLoop keeps the background evaluation goroutine
-	// from starting so a test can drive autoscaleTick by hand — the
-	// tick's state (ewBacklog, ewLatency, calmTicks) is confined to a
-	// single driver, and that driver must not be two goroutines.
-	disableAutoscaleLoop bool
 }
 
 func (c *Config) fillDefaults() {
-	if c.Autoscale != nil {
-		a := *c.Autoscale // copy: never mutate the caller's struct
-		a.fillDefaults()
-		c.Autoscale = &a
-		if c.Workers <= 0 {
-			c.Workers = a.MinWorkers
-		}
-		if c.Workers < a.MinWorkers {
-			c.Workers = a.MinWorkers
-		}
-		if c.Workers > a.MaxWorkers {
-			c.Workers = a.MaxWorkers
-		}
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -235,9 +145,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MaxPending < 0 {
 		c.MaxPending = 0
-	}
-	if c.now == nil {
-		c.now = time.Now
 	}
 }
 
@@ -297,8 +204,9 @@ type QueueStats struct {
 // Stats is a point-in-time snapshot of the monitor's load state: pool
 // size, its high-water mark, and the queue counters summed over views.
 type Stats struct {
-	// Workers is the current pool size; WorkersHighWater the largest
-	// size the pool has reached (equal when autoscaling is off).
+	// Workers is the live pool size: Config.Workers until Close, 0
+	// after. WorkersHighWater is the largest size the pool has reached,
+	// which is Config.Workers.
 	Workers          int
 	WorkersHighWater int
 	// Queue counters aggregated across every view; see QueueStats.
@@ -329,9 +237,8 @@ type queued struct {
 // deferred-error log. A shard's batches are processed strictly in queue
 // order by whichever worker owns the shard at the moment, so per-view
 // sequence numbers always match arrival order; parallelism comes from
-// different shards running on different workers. Pool resizes never
-// touch this invariant: ownership, not worker identity, serializes a
-// shard.
+// different shards running on different workers. Ownership, not worker
+// identity, serializes a shard, so the invariant holds at any pool size.
 type shard struct {
 	name  string
 	links int
@@ -421,16 +328,13 @@ type Monitor struct {
 
 	// ready holds shards with queued work that no worker owns yet;
 	// workers round-robin over it (one batch per turn) so a busy view
-	// cannot starve the others. The same mutex guards the pool-size
-	// state (live/target/high-water): workers consult it between
-	// batches, which is how a shrink takes effect.
-	dispatchMu       sync.Mutex
-	dispatch         *sync.Cond
-	ready            []*shard
-	stopping         bool
-	liveWorkers      int
-	targetWorkers    int
-	workersHighWater int
+	// cannot starve the others. The same mutex guards stopping and the
+	// live worker count.
+	dispatchMu  sync.Mutex
+	dispatch    *sync.Cond
+	ready       []*shard
+	stopping    bool
+	liveWorkers int
 
 	workers sync.WaitGroup
 
@@ -441,23 +345,6 @@ type Monitor struct {
 	pendMu   sync.Mutex
 	pendCond *sync.Cond
 	pendN    int
-
-	// Batch-latency window the autoscaler drains each evaluation;
-	// written by workers only when autoscaling is on.
-	latMu  sync.Mutex
-	latSum time.Duration
-	latN   int
-
-	// Autoscaler state, written only by the evaluation goroutine (or a
-	// test driving autoscaleTick directly — never both). asMu makes the
-	// writes visible to Checkpoint, the one reader outside the loop.
-	asMu      sync.Mutex
-	ewBacklog float64
-	ewLatency float64 // ns per batch
-	calmTicks int
-
-	autoscaleStop chan struct{}
-	autoscaleDone chan struct{}
 
 	alarmMu sync.Mutex
 	alarms  []Alarm
@@ -492,58 +379,22 @@ func (m *Monitor) waitPending() {
 // subspace shards get.
 func (m *Monitor) Config() Config { return m.cfg }
 
-// NewMonitor starts the worker pool and returns an empty Monitor.
-func NewMonitor(cfg Config) *Monitor { return newMonitor(cfg, true) }
-
-// newMonitor builds the monitor; startLoop false defers starting the
-// autoscaler's evaluation goroutine so a restore path can seed its
-// smoothed state (ewBacklog, ewLatency) first — once the loop runs,
-// that state belongs to it alone.
-func newMonitor(cfg Config, startLoop bool) *Monitor {
+// NewMonitor starts a pool of cfg.Workers workers and returns an empty
+// Monitor.
+func NewMonitor(cfg Config) *Monitor {
 	cfg.fillDefaults()
 	m := &Monitor{
-		cfg:    cfg,
-		shards: make(map[string]*shard),
+		cfg:         cfg,
+		shards:      make(map[string]*shard),
+		liveWorkers: cfg.Workers,
 	}
 	m.dispatch = sync.NewCond(&m.dispatchMu)
 	m.pendCond = sync.NewCond(&m.pendMu)
-	m.dispatchMu.Lock()
-	m.resizePoolLocked(cfg.Workers)
-	m.dispatchMu.Unlock()
-	if startLoop {
-		m.startAutoscale()
-	}
-	return m
-}
-
-// startAutoscale launches the autoscaler's evaluation goroutine when
-// the configuration asks for one. Called exactly once per monitor.
-func (m *Monitor) startAutoscale() {
-	if m.cfg.Autoscale != nil && !m.cfg.disableAutoscaleLoop {
-		m.autoscaleStop = make(chan struct{})
-		m.autoscaleDone = make(chan struct{})
-		go m.autoscaleLoop()
-	}
-}
-
-// resizePoolLocked sets the target pool size, spawning workers up to it
-// and waking idle ones so excess workers notice and exit. dispatchMu
-// must be held. Shrinking never interrupts a batch in progress: a
-// worker re-checks the target only between batches, and shard FIFO is
-// carried by shard ownership, not by which worker runs it.
-func (m *Monitor) resizePoolLocked(n int) {
-	m.targetWorkers = n
-	for m.liveWorkers < n {
-		m.liveWorkers++
-		if m.liveWorkers > m.workersHighWater {
-			m.workersHighWater = m.liveWorkers
-		}
-		m.workers.Add(1)
+	m.workers.Add(cfg.Workers)
+	for i := 0; i < cfg.Workers; i++ {
 		go m.worker()
 	}
-	if m.liveWorkers > n {
-		m.dispatch.Broadcast()
-	}
+	return m
 }
 
 func (m *Monitor) worker() {
@@ -552,13 +403,6 @@ func (m *Monitor) worker() {
 		m.dispatchMu.Lock()
 		for {
 			if m.stopping && len(m.ready) == 0 {
-				m.liveWorkers--
-				m.dispatchMu.Unlock()
-				return
-			}
-			if !m.stopping && m.liveWorkers > m.targetWorkers {
-				// Scaled down: bow out between batches. Remaining
-				// ready work is picked up by the surviving workers.
 				m.liveWorkers--
 				m.dispatchMu.Unlock()
 				return
@@ -606,24 +450,12 @@ func (m *Monitor) worker() {
 		s.space.Broadcast()
 		s.qmu.Unlock()
 
-		measure := m.cfg.Autoscale != nil
-		var start time.Time
-		if measure {
-			start = m.cfg.now()
-		}
 		s.procMu.Lock()
 		processedBefore := s.det.Stats().Processed
 		alarms, err := s.det.ProcessBatch(batch.m)
 		s.procMu.Unlock()
 		if batch.rel != nil {
 			batch.rel.Release()
-		}
-		if measure {
-			elapsed := m.cfg.now().Sub(start)
-			m.latMu.Lock()
-			m.latSum += elapsed
-			m.latN++
-			m.latMu.Unlock()
 		}
 		if err != nil {
 			s.recordErr(err)
@@ -750,9 +582,11 @@ func (m *Monitor) AddDetectorViewLimits(name string, det core.ViewDetector, lim 
 	overload := m.cfg.Overload
 	if lim.Overload != nil {
 		overload = *lim.Overload
-		if overload < OverloadBlock || overload > OverloadError {
-			return fmt.Errorf("engine: view %q: unknown overload policy %d", name, overload)
-		}
+	}
+	// enqueue's policy switch has no default case: an unknown policy
+	// would admit every chunk and leave the queue unbounded.
+	if overload < OverloadBlock || overload > OverloadError {
+		return fmt.Errorf("engine: view %q: unknown overload policy %d", name, overload)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -1204,9 +1038,9 @@ func (m *Monitor) QueueStats(view string) (QueueStats, error) {
 	}, nil
 }
 
-// Stats reports the monitor's load state: current pool size, the
-// high-water mark the autoscaler reached, and queue depth / drop
-// counters aggregated across views. It keeps working after Close.
+// Stats reports the monitor's load state: the live and configured pool
+// sizes, and queue depth / drop counters aggregated across views. It
+// keeps working after Close.
 func (m *Monitor) Stats() Stats {
 	var st Stats
 	for _, s := range m.snapshotShards() {
@@ -1221,14 +1055,14 @@ func (m *Monitor) Stats() Stats {
 	}
 	m.dispatchMu.Lock()
 	st.Workers = m.liveWorkers
-	st.WorkersHighWater = m.workersHighWater
 	m.dispatchMu.Unlock()
+	st.WorkersHighWater = m.cfg.Workers
 	return st
 }
 
-// Close drains the queues, stops the autoscaler and the workers, and
-// waits out every in-flight background refit — including one triggered
-// by the final batch — so no goroutine outlives Close. A refit that
+// Close drains the queues, stops the workers (Stats.Workers drops to 0),
+// and waits out every in-flight background refit — including one
+// triggered by the final batch — so no goroutine outlives Close. A refit that
 // fails while Close drains keeps its error parked in the detector; call
 // Errs after Close to harvest it (Close cannot deliver it to anyone).
 // After Close, Ingest and ProcessBatch fail; statistics accessors keep
@@ -1251,10 +1085,6 @@ func (m *Monitor) Close() {
 	m.mu.Unlock()
 	m.ingestMu.Unlock()
 	m.waitPending()
-	if m.autoscaleStop != nil {
-		close(m.autoscaleStop)
-		<-m.autoscaleDone
-	}
 	m.dispatchMu.Lock()
 	m.stopping = true
 	m.dispatch.Broadcast()

@@ -1,12 +1,10 @@
 package engine
 
-// Deterministic load/stress harness for the elastic engine. Time is a
-// fake clock the tests advance by hand, arrivals are scripted per-view
-// bursts of marker-tagged bins, and service time is controlled either
-// by a token gate (a batch proceeds only when the test releases it) or
-// by fake per-batch cost charged to the clock — so queue depths, drop
-// counts and autoscaler decisions are exact, not timing-dependent. Run
-// under -race in CI.
+// Deterministic load/stress harness for the engine's fixed worker pool.
+// Arrivals are scripted per-view bursts of marker-tagged bins, and
+// service time is controlled by a token gate (a batch proceeds only when
+// the test releases it), so queue depths and drop counts are exact, not
+// timing-dependent. Run under -race in CI.
 
 import (
 	"errors"
@@ -14,6 +12,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -23,37 +22,14 @@ import (
 	"netanomaly/internal/mat"
 )
 
-// fakeClock is a hand-advanced clock injected through Config.now.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(0, 0)} }
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
 // loadDetector is a scripted ViewDetector: it records the column-0
 // marker of every bin it processes (in processing order, so FIFO
 // violations are directly visible), optionally blocks each batch on a
-// token gate, optionally charges a fake service time to the clock, and
-// can raise one alarm per bin carrying the bin's marker in SPE so alarm
-// delivery is checkable bin-for-bin.
+// token gate, and can raise one alarm per bin carrying the bin's marker
+// in SPE so alarm delivery is checkable bin-for-bin.
 type loadDetector struct {
 	links    int
 	gate     chan struct{} // non-nil: consume one token per batch before processing
-	clock    *fakeClock
-	cost     time.Duration // fake per-batch service time charged to clock
 	alarmAll bool          // raise an alarm for every bin (SPE = marker)
 
 	mu        sync.Mutex
@@ -66,9 +42,6 @@ func (d *loadDetector) Seed(*mat.Dense) error { return nil }
 func (d *loadDetector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 	if d.gate != nil {
 		<-d.gate
-	}
-	if d.clock != nil && d.cost > 0 {
-		d.clock.Advance(d.cost)
 	}
 	rows, cols := y.Dims()
 	if cols != d.links {
@@ -120,16 +93,8 @@ func markerBatch(start, n, links int) *mat.Dense {
 	return b
 }
 
-// resizePool is the test hook for scripted pool resizes — the same
-// entry point the autoscaler uses, minus its heuristics.
-func resizePool(m *Monitor, n int) {
-	m.dispatchMu.Lock()
-	m.resizePoolLocked(n)
-	m.dispatchMu.Unlock()
-}
-
 // requireIncreasingByOne fails unless markers are exactly 0,1,2,...,n-1:
-// any drop, duplicate or reorder across pool resizes shows up here.
+// any drop, duplicate or reorder shows up here.
 func requireIncreasingByOne(t *testing.T, view string, markers []float64, n int) {
 	t.Helper()
 	if len(markers) != n {
@@ -157,50 +122,47 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestLoadFIFOPreservedAcrossPoolResizes hammers scripted grow/shrink
-// cycles while four views ingest marker-tagged bursts, and requires
-// every view to have processed exactly its arrival order afterwards:
-// shard affinity, not pool size, is what serializes a view.
-func TestLoadFIFOPreservedAcrossPoolResizes(t *testing.T) {
-	clock := newFakeClock()
-	m := NewMonitor(Config{
-		Workers:   1,
-		BatchSize: 8,
-		// Autoscale present so the elastic-pool machinery is live, but
-		// with an hour-long interval: the script below drives every
-		// resize by hand, deterministically.
-		Autoscale: &AutoscaleConfig{MinWorkers: 1, MaxWorkers: 8, Interval: time.Hour},
-		now:       clock.Now,
-	})
-	defer m.Close()
+// TestLoadFIFOPreservedAtFixedPoolSizes runs four views ingesting
+// waves of marker-tagged bursts on pools of one, two and eight workers,
+// and requires every view to have processed exactly its arrival order
+// afterwards: shard affinity, not pool size, is what serializes a view.
+func TestLoadFIFOPreservedAtFixedPoolSizes(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			m := NewMonitor(Config{Workers: workers, BatchSize: 8})
+			defer m.Close()
 
-	const views, waves, binsPerWave = 4, 6, 40
-	dets := make([]*loadDetector, views)
-	for v := range dets {
-		dets[v] = &loadDetector{links: 3}
-		if err := m.AddDetectorView(fmt.Sprintf("v%d", v), dets[v]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sizes := []int{1, 6, 2, 8, 3, 1}
-	for wave := 0; wave < waves; wave++ {
-		resizePool(m, sizes[wave])
-		for v := 0; v < views; v++ {
-			if err := m.Ingest(fmt.Sprintf("v%d", v), markerBatch(wave*binsPerWave, binsPerWave, 3)); err != nil {
-				t.Fatal(err)
+			const views, waves, binsPerWave = 4, 6, 40
+			dets := make([]*loadDetector, views)
+			for v := range dets {
+				dets[v] = &loadDetector{links: 3}
+				if err := m.AddDetectorView(fmt.Sprintf("v%d", v), dets[v]); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-	}
-	m.Flush()
-	for v, det := range dets {
-		requireIncreasingByOne(t, fmt.Sprintf("v%d", v), det.seenMarkers(), waves*binsPerWave)
-	}
-	st := m.Stats()
-	if st.WorkersHighWater != 8 {
-		t.Fatalf("high-water mark %d, want 8", st.WorkersHighWater)
-	}
-	if st.QueuedBins != 0 || st.DroppedBins != 0 {
-		t.Fatalf("post-flush stats not clean: %+v", st)
+			for wave := 0; wave < waves; wave++ {
+				for v := 0; v < views; v++ {
+					if err := m.Ingest(fmt.Sprintf("v%d", v), markerBatch(wave*binsPerWave, binsPerWave, 3)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			m.Flush()
+			for v, det := range dets {
+				requireIncreasingByOne(t, fmt.Sprintf("v%d", v), det.seenMarkers(), waves*binsPerWave)
+			}
+			st := m.Stats()
+			if st.Workers != workers || st.WorkersHighWater != workers {
+				t.Fatalf("pool %d live, high-water %d; want both %d", st.Workers, st.WorkersHighWater, workers)
+			}
+			if st.QueuedBins != 0 || st.DroppedBins != 0 {
+				t.Fatalf("post-flush stats not clean: %+v", st)
+			}
+			m.Close()
+			if st := m.Stats(); st.Workers != 0 || st.WorkersHighWater != workers {
+				t.Fatalf("after Close: %d live workers, high-water %d; want 0 and %d", st.Workers, st.WorkersHighWater, workers)
+			}
+		})
 	}
 }
 
@@ -520,141 +482,6 @@ func TestLoadMixedOverloadPoliciesPerView(t *testing.T) {
 	}
 }
 
-// TestLoadAutoscalerGrowsOnBacklogAndShrinksWithHysteresis drives the
-// autoscaler evaluation by hand against an exactly known queue: a held
-// worker pins the backlog, each tick's decision is asserted, and the
-// scale-down path must wait out the full hysteresis count before
-// releasing a worker.
-func TestLoadAutoscalerGrowsOnBacklogAndShrinksWithHysteresis(t *testing.T) {
-	clock := newFakeClock()
-	gate := make(chan struct{})
-	det := &loadDetector{links: 3, gate: gate}
-	m := NewMonitor(Config{
-		BatchSize:  4,
-		MaxPending: 0,
-		Autoscale: &AutoscaleConfig{
-			MinWorkers: 1, MaxWorkers: 4,
-			Interval:       time.Hour,
-			ScaleUpBacklog: 1.5, ScaleDownBacklog: 0.25,
-			ScaleDownAfter: 3,
-			Smoothing:      1, // no EW memory: decisions depend only on the scripted state
-		},
-		now:                  clock.Now,
-		disableAutoscaleLoop: true, // every tick below is driven by the test
-	})
-	defer m.Close()
-	if err := m.AddDetectorView("v", det); err != nil {
-		t.Fatal(err)
-	}
-	if w := m.Stats().Workers; w != 1 {
-		t.Fatalf("autoscaled pool starts at %d workers, want MinWorkers=1", w)
-	}
-
-	// Flood: 12 chunks pile up behind the held worker (one in flight,
-	// eleven queued).
-	for i := 0; i < 12; i++ {
-		if err := m.Ingest("v", markerBatch(i*4, 4, 3)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitUntil(t, "backlog to queue", func() bool { return m.Stats().QueuedBatches == 11 })
-	m.autoscaleTick()
-	if w := m.Stats().Workers; w != 4 {
-		t.Fatalf("tick under backlog 11 scaled to %d workers, want MaxWorkers=4", w)
-	}
-	if hw := m.Stats().WorkersHighWater; hw != 4 {
-		t.Fatalf("high-water %d, want 4", hw)
-	}
-
-	// Drain and go calm: shrink must wait ScaleDownAfter consecutive
-	// calm ticks, then release exactly one worker at a time.
-	close(gate)
-	m.Flush()
-	for tick := 1; tick <= 2; tick++ {
-		m.autoscaleTick()
-		if w := m.Stats().Workers; w != 4 {
-			t.Fatalf("calm tick %d shrank early to %d workers (hysteresis is 3)", tick, w)
-		}
-	}
-	m.autoscaleTick()
-	// An excess worker exits between batches, not instantaneously:
-	// converge on the live count after each shrink decision.
-	waitUntil(t, "third calm tick to release one worker", func() bool {
-		return m.Stats().Workers == 3
-	})
-	for tick := 0; tick < 3*3; tick++ {
-		m.autoscaleTick()
-	}
-	waitUntil(t, "sustained calm to shrink to MinWorkers", func() bool {
-		return m.Stats().Workers == 1
-	})
-	for tick := 0; tick < 5; tick++ {
-		m.autoscaleTick()
-	}
-	if w := m.Stats().Workers; w != 1 {
-		t.Fatalf("pool shrank below MinWorkers: %d", w)
-	}
-}
-
-// TestLoadAutoscalerScalesUpOnBatchLatency pins the latency half of the
-// decision: a shallow backlog that would never trip the depth trigger
-// must still grow the pool when the observed (fake-clock) batch latency
-// says draining it will outlast an evaluation interval.
-func TestLoadAutoscalerScalesUpOnBatchLatency(t *testing.T) {
-	clock := newFakeClock()
-	gate := make(chan struct{})
-	det := &loadDetector{links: 3, gate: gate, clock: clock, cost: 50 * time.Millisecond}
-	m := NewMonitor(Config{
-		BatchSize: 4,
-		Autoscale: &AutoscaleConfig{
-			MinWorkers: 1, MaxWorkers: 4,
-			// Interval doubles as the drain-time target the test
-			// exercises, so it must stay short — the background loop is
-			// disabled instead, keeping the test the tick's only driver.
-			Interval:       10 * time.Millisecond,
-			ScaleUpBacklog: 1.5, ScaleDownBacklog: 0.25,
-			ScaleDownAfter: 3,
-			Smoothing:      1,
-		},
-		now:                  clock.Now,
-		disableAutoscaleLoop: true,
-	})
-	defer m.Close()
-	if err := m.AddDetectorView("v", det); err != nil {
-		t.Fatal(err)
-	}
-	// Let three batches through so the 50ms-per-batch latency is on
-	// record.
-	for i := 0; i < 3; i++ {
-		if err := m.Ingest("v", markerBatch(i*4, 4, 3)); err != nil {
-			t.Fatal(err)
-		}
-		gate <- struct{}{}
-	}
-	m.Flush()
-	m.autoscaleTick() // absorbs the latency samples; backlog 0, stays at 1
-	if w := m.Stats().Workers; w != 1 {
-		t.Fatalf("idle tick resized the pool to %d", w)
-	}
-	// One batch in flight, one queued: backlog 1 < 1.5 per worker, but
-	// 1 batch x 50ms / 1 worker > the 10ms interval, so the pool must
-	// still grow.
-	for i := 0; i < 2; i++ {
-		if err := m.Ingest("v", markerBatch(100+i*4, 4, 3)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitUntil(t, "one batch queued behind the held worker", func() bool {
-		return m.Stats().QueuedBatches == 1
-	})
-	m.autoscaleTick()
-	if w := m.Stats().Workers; w != 2 {
-		t.Fatalf("latency-bound tick left %d workers, want 2", w)
-	}
-	close(gate)
-	m.Flush()
-}
-
 // TestLoadNoLostAlarmsOnCloseMidBurst races three bursting producers
 // against Close under the Block policy and requires exact alarm
 // accounting afterwards: every bin of every Ingest call that was
@@ -852,6 +679,36 @@ func TestLoadOversizedChunkAdmittedAlone(t *testing.T) {
 			m.Flush()
 			if got := det.Stats().Processed; got == 0 {
 				t.Fatal("oversized chunks never processed")
+			}
+		})
+	}
+}
+
+// TestLoadUnknownOverloadPolicyRejected pins registration-time
+// validation of the resolved policy: enqueue has no case for an unknown
+// policy and would admit every chunk, so a bounded queue would silently
+// become unbounded. Whether the monitor-wide Config or the view's limits
+// set it, the view must be refused with an error naming it and the
+// value, and must not be registered.
+func TestLoadUnknownOverloadPolicyRejected(t *testing.T) {
+	bad := OverloadPolicy(9)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		lim  ViewLimits
+	}{
+		{"config", Config{Workers: 1, MaxPending: 8, Overload: bad}, ViewLimits{}},
+		{"view", Config{Workers: 1, MaxPending: 8}, ViewLimits{Overload: &bad}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMonitor(tc.cfg)
+			defer m.Close()
+			err := m.AddDetectorViewLimits("v", &loadDetector{links: 3}, tc.lim)
+			if err == nil || !strings.Contains(err.Error(), `"v"`) || !strings.Contains(err.Error(), "9") {
+				t.Fatalf("unknown policy accepted or error unspecific: %v", err)
+			}
+			if views := m.Views(); len(views) != 0 {
+				t.Fatalf("rejected view registered: %v", views)
 			}
 		})
 	}

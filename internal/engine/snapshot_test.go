@@ -300,6 +300,157 @@ func TestMonitorCheckpointRestore(t *testing.T) {
 	}
 }
 
+// monitorEnvelope assembles a whole-monitor checkpoint by hand in the
+// layout Checkpoint writes: the view envelopes, then the three trailing
+// fields that older monitors filled with elastic-pool state.
+func monitorEnvelope(t *testing.T, views [][]byte, ewBacklog, ewLatency float64, calmTicks int64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	err := core.EncodeSnapshot(&buf, core.SnapKindMonitor, func(sw *core.SnapshotWriter) {
+		sw.Int(len(views))
+		for _, v := range views {
+			sw.Nested(func(w io.Writer) error {
+				_, err := w.Write(v)
+				return err
+			})
+		}
+		sw.F64(ewBacklog)
+		sw.F64(ewLatency)
+		sw.I64(calmTicks)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// alarmsByView drains the monitor's alarm buffer into per-view lists;
+// one view's alarms arrive in Seq order.
+func alarmsByView(m *Monitor) map[string][]core.Alarm {
+	out := make(map[string][]core.Alarm)
+	for _, a := range m.TakeAlarms() {
+		out[a.View] = append(out[a.View], a.Alarm)
+	}
+	return out
+}
+
+// TestMonitorCheckpointIgnoresAutoscalerState pins the monitor envelope's
+// three trailing fields. A checkpoint written by an older monitor with
+// an elastic pool carries nonzero values there; it must still restore
+// every view with its queue counters and Seq numbering, and the restored
+// monitor re-checkpoints with the fields zeroed. A fixed-pool checkpoint
+// is exactly its view envelopes plus three zeros.
+func TestMonitorCheckpointIgnoresAutoscalerState(t *testing.T) {
+	topo, history, stream, _ := viewData(t, 161, 1008, 128, 100)
+	routing := topo.RoutingMatrix()
+	cols := stream.Cols()
+	first := mat.NewDense(64, cols, stream.RawData()[:64*cols])
+	second := mat.NewDense(64, cols, stream.RawData()[64*cols:])
+	build := func(kind string) (core.ViewDetector, error) {
+		switch kind {
+		case "subspace":
+			return core.NewOnlineDetector(history, routing, core.OnlineConfig{Window: history.Rows()})
+		case "ewma":
+			return forecast.NewDetector(history, forecast.Config{Kind: forecast.EWMA})
+		default:
+			return nil, errors.New("unexpected kind " + kind)
+		}
+	}
+	factory := func(name, kind string, links int) (core.ViewDetector, error) { return build(kind) }
+	names := [][2]string{{"fore", "ewma"}, {"sub", "subspace"}} // name order, as Checkpoint writes
+	cfg := Config{Workers: 2, BatchSize: 32}
+	newLoaded := func() *Monitor {
+		m := NewMonitor(cfg)
+		for _, nk := range names {
+			det, err := build(nk[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.AddDetectorView(nk[0], det); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m
+	}
+	ingestAll := func(m *Monitor, batch *mat.Dense) {
+		for _, nk := range names {
+			if err := m.Ingest(nk[0], batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Flush()
+	}
+
+	// The uninterrupted run both halves are checked against.
+	control := newLoaded()
+	defer control.Close()
+	ingestAll(control, first)
+	control.TakeAlarms()
+	ingestAll(control, second)
+	want := alarmsByView(control)
+	if len(want["sub"]) == 0 {
+		t.Fatal("control run raised no subspace alarms; the equality below would prove nothing")
+	}
+
+	ma := newLoaded()
+	ingestAll(ma, first)
+	ma.TakeAlarms()
+	var views [][]byte
+	wantQS := make(map[string]QueueStats)
+	for _, nk := range names {
+		var buf bytes.Buffer
+		if err := ma.CheckpointView(nk[0], &buf); err != nil {
+			t.Fatal(err)
+		}
+		views = append(views, buf.Bytes())
+		qs, err := ma.QueueStats(nk[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantQS[nk[0]] = qs
+	}
+	var fixed bytes.Buffer
+	if err := ma.Checkpoint(&fixed); err != nil {
+		t.Fatal(err)
+	}
+	ma.Close()
+	zeroed := monitorEnvelope(t, views, 0, 0, 0)
+	if !bytes.Equal(fixed.Bytes(), zeroed) {
+		t.Fatalf("fixed-pool checkpoint (%d bytes) differs from its view envelopes plus three zeros (%d bytes)", fixed.Len(), len(zeroed))
+	}
+
+	older := monitorEnvelope(t, views, 3.5, 2.5e6, 4)
+	mb, err := NewMonitorFromCheckpoint(cfg, bytes.NewReader(older), factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mb.Close()
+	for _, nk := range names {
+		got, err := mb.QueueStats(nk[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != wantQS[nk[0]] {
+			t.Fatalf("view %q queue counters %+v, want %+v", nk[0], got, wantQS[nk[0]])
+		}
+	}
+	var again bytes.Buffer
+	if err := mb.Checkpoint(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), zeroed) {
+		t.Fatal("restored monitor's checkpoint is not the same envelope with the trailing fields zeroed")
+	}
+
+	ingestAll(mb, second)
+	if errs := mb.Errs(); len(errs) != 0 {
+		t.Fatalf("restored monitor errors: %v", errs)
+	}
+	if got := alarmsByView(mb); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored alarm stream diverged:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // smallPatternHistory builds a tiny non-degenerate history for the
 // rejection and race tests.
 func smallPatternHistory(bins, links int) *mat.Dense {

@@ -211,11 +211,7 @@ func ParseOverloadPolicy(s string) (OverloadPolicy, error) {
 	return engine.ParseOverloadPolicy(s)
 }
 
-// AutoscaleConfig tunes the elastic worker pool; see WithAutoscale for
-// the common case and the engine documentation for the knobs.
-type AutoscaleConfig = engine.AutoscaleConfig
-
-// MonitorStats is the monitor's load snapshot: current and high-water
+// MonitorStats is the monitor's load snapshot: live and configured
 // worker counts plus queue depth, drop and rejection counters summed
 // over views. Retrieve with Monitor.Stats (works after Close too).
 type MonitorStats = engine.Stats
@@ -227,7 +223,7 @@ type MonitorStats = engine.Stats
 type ViewQueueStats = engine.QueueStats
 
 // MonitorOption adjusts a MonitorConfig in NewMonitor — the load-safety
-// knobs (WithMaxPending, WithOverloadPolicy, WithAutoscale) without
+// knobs (WithMaxPending, WithOverloadPolicy) without
 // spelling out engine configuration structs.
 type MonitorOption func(*MonitorConfig)
 
@@ -242,19 +238,6 @@ func WithMaxPending(bins int) MonitorOption {
 // OverloadBlock).
 func WithOverloadPolicy(p OverloadPolicy) MonitorOption {
 	return func(c *MonitorConfig) { c.Overload = p }
-}
-
-// WithAutoscale lets the worker pool grow and shrink between min and
-// max workers from observed queue depth and batch latency (EW-smoothed,
-// with hysteresis on scale-down), instead of holding a fixed pool.
-// Shard affinity — and therefore per-view FIFO ordering — is preserved
-// across every resize. Pass 0 for either bound to take the defaults
-// (min 1, max GOMAXPROCS); for the finer knobs set
-// MonitorConfig.Autoscale directly.
-func WithAutoscale(min, max int) MonitorOption {
-	return func(c *MonitorConfig) {
-		c.Autoscale = &AutoscaleConfig{MinWorkers: min, MaxWorkers: max}
-	}
 }
 
 // NewMonitor starts a streaming detection engine with no views. Register

@@ -464,8 +464,8 @@ func TestOnlineDetectorViaPublicAPI(t *testing.T) {
 }
 
 // TestMonitorLoadOptionsViaPublicAPI drives the load-safety surface the
-// way an operator would: bounded queues, an overload policy and an
-// elastic pool configured through NewMonitor options, with Stats and
+// way an operator would: bounded queues and an overload policy
+// configured through NewMonitor options on a fixed pool, with Stats and
 // QueueStats reconciling against the processed stream afterwards.
 func TestMonitorLoadOptionsViaPublicAPI(t *testing.T) {
 	topo := netanomaly.Abilene()
@@ -480,10 +480,9 @@ func TestMonitorLoadOptionsViaPublicAPI(t *testing.T) {
 	history := netanomaly.NewMatrix(200, m, links.RawData()[:200*m])
 	stream := netanomaly.NewMatrix(100, m, links.RawData()[200*m:])
 
-	mon := netanomaly.NewMonitor(netanomaly.MonitorConfig{BatchSize: 16},
+	mon := netanomaly.NewMonitor(netanomaly.MonitorConfig{Workers: 2, BatchSize: 16},
 		netanomaly.WithMaxPending(32),
 		netanomaly.WithOverloadPolicy(netanomaly.OverloadBlock),
-		netanomaly.WithAutoscale(1, 2),
 	)
 	defer mon.Close()
 	if err := netanomaly.AddView(mon, "v", history, topo); err != nil {
@@ -498,8 +497,8 @@ func TestMonitorLoadOptionsViaPublicAPI(t *testing.T) {
 	if st.EnqueuedBins != 100 || st.DroppedBins != 0 || st.RejectedBins != 0 {
 		t.Fatalf("block-policy run lost bins: %+v", st)
 	}
-	if st.WorkersHighWater < 1 || st.WorkersHighWater > 2 {
-		t.Fatalf("autoscaled pool outside [1,2]: %+v", st)
+	if st.Workers != 2 || st.WorkersHighWater != st.Workers {
+		t.Fatalf("pool not the configured 2 workers: %+v", st)
 	}
 	qs, err := mon.QueueStats("v")
 	if err != nil {
