@@ -67,7 +67,7 @@ func main() {
 	socketPath := flag.String("socket", "", "unix socket path (empty to disable)")
 	useStdin := flag.Bool("stdin", false, "also ingest one binary stream from stdin")
 	conns := flag.Int("conns", 0, "exit after this many connections (0 = serve until signalled)")
-	detector := flag.String("detector", "subspace", "shard backend: subspace, incremental, sketch, multiscale, ewma, holtwinters, fourier, or hybrid")
+	detector := flag.String("detector", "subspace", "shard backend: subspace, incremental, sketch, multiscale, multiflow, ewma, holtwinters, fourier, or hybrid")
 	sketchSize := flag.Int("sketch-size", 0, "sketch: Frequent-Directions rows (0 = 4x model rank)")
 	lambda := flag.Float64("lambda", 1, "incremental: covariance forgetting factor in (0,1]")
 	driftTol := flag.Float64("drift-tol", 0, "incremental/sketch: min residual drift before a rebuild swaps in")

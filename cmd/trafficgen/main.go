@@ -10,10 +10,10 @@
 // trafficgen, diagnose and ingestd is the same network whatever -seed
 // is.
 //
-// With -metrics the link CSV additionally carries the Section 7.2
+// With -metrics the link matrix additionally carries the Section 7.2
 // metric series (IP-flow counts and mean packet size) column-stacked
-// after the byte counts — the input cmd/diagnose consumes with
-// -detector multiflow.
+// after the byte counts — the input cmd/ingestd consumes with
+// -detector multiflow -metrics 3.
 //
 // -scenario composes a labeled attack scenario from the scenario
 // library (beacon, scan, synflood, flashcrowd, exfil, lateral) onto
@@ -23,8 +23,8 @@
 // attributed flow — the ground truth an e2e check greps against.
 //
 // -format selects the link matrix encoding: csv (default) or binary,
-// the compact wire format cmd/ingestd and diagnose -format binary
-// consume (no column names; the topology defines the link order).
+// the compact wire format cmd/ingestd consumes and cmd/diagnose sniffs
+// (no column names; the topology defines the link order).
 // Binary loads are rounded to whole bytes, matching what a real SNMP
 // counter reports; the CSV path keeps the model's full precision.
 // -batch-frames n upgrades the binary output to wire format v2 (n bins
@@ -87,7 +87,7 @@ func main() {
 	codecName := flag.String("codec", "raw", "binary v2 payload codec: raw or xor (with -batch-frames)")
 	batchFrames := flag.Int("batch-frames", 0, "binary wire format v2: bins per batch frame (0 = v1 per-bin frames)")
 	skip := flag.Int("skip", 0, "drop the first n bins from the link matrix output (emit a post-history stream tail)")
-	withMetrics := flag.Bool("metrics", false, "stack flow-count and packet-size metrics after the byte columns (for diagnose -detector multiflow)")
+	withMetrics := flag.Bool("metrics", false, "stack flow-count and packet-size metrics after the byte columns (for ingestd -detector multiflow -metrics 3)")
 	scenarioName := flag.String("scenario", "", "compose a labeled attack scenario (beacon, scan, synflood, flashcrowd, exfil, lateral)")
 	scenarioStart := flag.Int("scenario-start", 1008, "first attackable bin for -scenario; earlier bins stay clean history")
 	flag.Var(&anomalies, "anomaly", "inject flow,bin,delta (repeatable)")

@@ -73,6 +73,17 @@ func TestOneConstructionPathEveryKind(t *testing.T) {
 			if err := netanomaly.AddView(mon, kind, history, topo, opts...); err != nil {
 				t.Fatal(err)
 			}
+			if kind == string(netanomaly.DetectorHybrid) {
+				// The triage kind's default is part of the contract: no
+				// command sets it, so AddView's default is what runs.
+				det, err := mon.Detector(kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := det.(*netanomaly.HybridDetector).HybridStats().Triage.Backend; got != string(netanomaly.DetectorEWMA) {
+					t.Fatalf("hybrid without WithTriageKind triages with %q, want ewma", got)
+				}
+			}
 			if err := mon.Ingest(kind, stream); err != nil {
 				t.Fatal(err)
 			}
@@ -95,5 +106,39 @@ func TestOneConstructionPathEveryKind(t *testing.T) {
 				t.Fatalf("restored checkpoint differs: %d bytes, want %d", again.Len(), first.Len())
 			}
 		})
+	}
+}
+
+// TestRestoreNeedsViewSpecByName pins that Restore matches specs to
+// checkpointed views by name only: a spec with an empty Name describes
+// no view, so restoring a checkpoint of view "net" with it fails and
+// returns no monitor.
+func TestRestoreNeedsViewSpecByName(t *testing.T) {
+	topo := netanomaly.Abilene()
+	cfg := netanomaly.DefaultTrafficConfig(35)
+	cfg.Bins = 256
+	od, err := netanomaly.GenerateTraffic(topo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	history := netanomaly.LinkLoads(topo, od)
+	monCfg := netanomaly.MonitorConfig{Workers: 1}
+	mon := netanomaly.NewMonitor(monCfg)
+	defer mon.Close()
+	if err := netanomaly.AddView(mon, "net", history, topo); err != nil {
+		t.Fatal(err)
+	}
+	var ckpt bytes.Buffer
+	if err := mon.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	nameless := netanomaly.ViewSpec{History: history, Topo: topo}
+	restored, err := netanomaly.Restore(monCfg, &ckpt, []netanomaly.ViewSpec{nameless})
+	if err == nil || !strings.Contains(err.Error(), `view "net" but no ViewSpec describes it`) {
+		t.Fatalf("Restore with a nameless spec: err = %v, want the no-ViewSpec error", err)
+	}
+	if restored != nil {
+		restored.Close()
+		t.Fatal("failed Restore returned a monitor")
 	}
 }

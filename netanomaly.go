@@ -582,10 +582,7 @@ var ErrSnapshotMismatch = core.ErrSnapshotMismatch
 // replaces the detector's mutable state and validates that both sides
 // agree on kind, link count and the rest.
 type ViewSpec struct {
-	// Name matches the view name in the checkpoint. An empty Name is a
-	// wildcard: it describes any checkpointed view no other spec names
-	// — the escape hatch for tools that restore a single-view
-	// checkpoint without knowing what the writer called it.
+	// Name matches the view name in the checkpoint.
 	Name string
 	// History seeds the reconstructed detector before its state is
 	// replaced; same shape rules as AddView.
@@ -617,9 +614,6 @@ func Restore(cfg MonitorConfig, r io.Reader, views []ViewSpec, opts ...MonitorOp
 	}
 	factory := func(name, kind string, links int) (ViewDetector, error) {
 		spec, ok := specs[name]
-		if !ok {
-			spec, ok = specs[""] // wildcard spec: any otherwise-unnamed view
-		}
 		if !ok {
 			return nil, fmt.Errorf("netanomaly: checkpoint holds view %q but no ViewSpec describes it", name)
 		}
