@@ -85,19 +85,19 @@ func FuzzDecodeBinaryFrames(f *testing.F) {
 	v2xor := binSeedV2(netanomaly.CodecXOR, 5)
 	f.Add(v2raw)
 	f.Add(v2xor)
-	f.Add(binSeedV2(netanomaly.CodecRaw, 1))   // every frame full at capacity 1
-	f.Add(binSeedV2(netanomaly.CodecXOR, 64))  // single short frame
-	f.Add(v2raw[:len(v2raw)-3])                // truncated mid-batch-payload
-	f.Add(v2raw[:14])                          // truncated mid-batch-header
-	f.Add(mut(v2raw, 5, 9))                    // unsupported codec
-	f.Add(mut(v2raw, 6, 0))                    // batch capacity 0
-	f.Add(mut(v2raw, 7, 255))                  // batch capacity beyond MaxBatchBins
-	f.Add(mut(v2raw, 12, 0))                   // bin count 0
-	f.Add(mut(v2raw, 12, 9))                   // bin count beyond capacity
-	f.Add(mut(v2raw, 16, 77))                  // raw payload length mismatch
-	f.Add(mut(v2xor, 16, 255))                 // xor payload length out of range
-	f.Add(mut(v2xor, 28, 65))                  // xor trail byte > 63
-	f.Add(mut(v2xor, 29, 9))                   // xor width byte > 8
+	f.Add(binSeedV2(netanomaly.CodecRaw, 1))                    // every frame full at capacity 1
+	f.Add(binSeedV2(netanomaly.CodecXOR, 64))                   // single short frame
+	f.Add(v2raw[:len(v2raw)-3])                                 // truncated mid-batch-payload
+	f.Add(v2raw[:14])                                           // truncated mid-batch-header
+	f.Add(mut(v2raw, 5, 9))                                     // unsupported codec
+	f.Add(mut(v2raw, 6, 0))                                     // batch capacity 0
+	f.Add(mut(v2raw, 7, 255))                                   // batch capacity beyond MaxBatchBins
+	f.Add(mut(v2raw, 12, 0))                                    // bin count 0
+	f.Add(mut(v2raw, 12, 9))                                    // bin count beyond capacity
+	f.Add(mut(v2raw, 16, 77))                                   // raw payload length mismatch
+	f.Add(mut(v2xor, 16, 255))                                  // xor payload length out of range
+	f.Add(mut(v2xor, 28, 65))                                   // xor trail byte > 63
+	f.Add(mut(v2xor, 29, 9))                                    // xor width byte > 8
 	f.Add(append(append([]byte(nil), v2xor...), v2xor[12:]...)) // frame after short frame
 
 	f.Fuzz(func(t *testing.T, b []byte) {

@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 
 	"netanomaly"
@@ -89,5 +90,23 @@ func TestStreamFlagGone(t *testing.T) {
 	var ee *exec.ExitError
 	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
 		t.Fatalf("diagnose -stream: err = %v, want exit status 2\n%s", err, stderr)
+	}
+}
+
+// TestConfidenceNaNRejected pins that a NaN confidence is an error, not
+// an SPE limit of NaN that flags nothing: the command must exit
+// non-zero and print no model line.
+func TestConfidenceNaNRejected(t *testing.T) {
+	csvPath := filepath.Join(t.TempDir(), "links.csv")
+	if err := netanomaly.SaveMatrixCSV(csvPath, spikedWeek(t), nil); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, err := diagnose(t, nil, "-topology", "abilene", "-links", csvPath, "-confidence", "NaN")
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() == 0 {
+		t.Fatalf("diagnose -confidence NaN: err = %v, want a non-zero exit\nstdout:\n%s", err, stdout)
+	}
+	if stdout != "" || !strings.Contains(stderr, "confidence") {
+		t.Fatalf("diagnose -confidence NaN: stdout %q, stderr %q; want no output and a confidence error", stdout, stderr)
 	}
 }

@@ -173,15 +173,18 @@
 // Everything is deterministic in the provided seeds and uses only the
 // standard library. The subpackages under internal/ implement the
 // substrates: dense linear algebra (internal/mat, with blocked and
-// goroutine-parallel multiply kernels), network topology and routing
-// (internal/topology), the traffic model (internal/traffic), the
-// simulated measurement plane and the multi-metric backend
+// goroutine-parallel multiply kernels), scalar statistics
+// (internal/stats), network topology and routing (internal/topology),
+// the traffic model and its attack scenarios (internal/traffic), the
+// measurement plane (SNMP-style link counters, derived link metrics and
+// the binary wire format) with the multi-metric backend
 // (internal/netmeas), offline temporal baselines (internal/timeseries)
 // and their streaming detector forms (internal/forecast), the
 // subspace method, the ViewDetector contract, the one streaming
 // subspace detector with its three estimators and the refit policy
 // (internal/core), the wavelet transform and the multiscale
-// backend (internal/wavelet), the concurrent streaming engine
-// (internal/engine), and the paper's full evaluation (internal/eval,
-// internal/experiments).
+// backend (internal/wavelet), construction of a backend from its kind
+// name (internal/backend), the concurrent streaming engine
+// (internal/engine), incident correlation (internal/incident), and the
+// paper's full evaluation (internal/eval, internal/experiments).
 package netanomaly

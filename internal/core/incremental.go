@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"netanomaly/internal/mat"
 )
@@ -33,7 +32,7 @@ func NewCovTracker(dim int, lambda float64) (*CovTracker, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("core: tracker dimension %d <= 0", dim)
 	}
-	if lambda <= 0 || lambda > 1 {
+	if !(0 < lambda && lambda <= 1) {
 		return nil, fmt.Errorf("core: forgetting factor %v out of (0,1]", lambda)
 	}
 	return &CovTracker{
@@ -60,9 +59,6 @@ func (c *CovTracker) Snapshot() *CovTracker {
 		delta2: make([]float64, c.dim),
 	}
 }
-
-// Count returns the number of observations absorbed.
-func (c *CovTracker) Count() int { return c.n }
 
 // Update absorbs one measurement vector with a rank-1 covariance update
 // (O(m^2) per observation).
@@ -119,12 +115,6 @@ func (c *CovTracker) UpdateAll(y *mat.Dense) {
 	}
 }
 
-// Mean returns a copy of the current mean estimate.
-func (c *CovTracker) Mean() []float64 { return mat.CloneVec(c.mean) }
-
-// Covariance returns a copy of the current covariance estimate.
-func (c *CovTracker) Covariance() *mat.Dense { return c.cov.Clone() }
-
 // PCA solves the m x m eigenproblem on the tracked covariance and
 // returns the equivalent of a batch PCA (without temporal projections,
 // which a running estimate cannot provide; SeparateAxes on this PCA is
@@ -159,18 +149,6 @@ func (c *CovTracker) Model(rank int) (*Model, error) {
 		return nil, err
 	}
 	return Build(p, rank)
-}
-
-// Drift measures how far the tracked subspace has moved from a reference
-// model: ||C~_ref - C~_now||_F for the same rank. The paper observes the
-// projection P P^T is stable week to week; Drift quantifies when a refit
-// is warranted.
-func (c *CovTracker) Drift(ref *Model) (float64, error) {
-	m, err := c.Model(ref.Rank())
-	if err != nil {
-		return math.NaN(), err
-	}
-	return ref.Distance(m), nil
 }
 
 // IncrementalConfig configures NewIncrementalDetector.

@@ -29,11 +29,11 @@ func TestCovTrackerMatchesBatchWithLambdaOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.UpdateAll(y)
-	if tr.Count() != 288 {
-		t.Fatalf("Count = %d", tr.Count())
+	if tr.n != 288 {
+		t.Fatalf("Count = %d", tr.n)
 	}
 	wantMean := y.ColMeans()
-	if !mat.VecEqualApprox(tr.Mean(), wantMean, 1e-6*(1+mat.Norm2(wantMean))) {
+	if !mat.VecEqualApprox(tr.mean, wantMean, 1e-6*(1+mat.Norm2(wantMean))) {
 		t.Fatal("tracked mean diverges from batch mean")
 	}
 	// Population covariance: (Y-mean)^T (Y-mean) / n.
@@ -41,7 +41,7 @@ func TestCovTrackerMatchesBatchWithLambdaOne(t *testing.T) {
 	c.CenterColumns()
 	want := c.Gram()
 	want.Scale(1.0 / 288)
-	got := tr.Covariance()
+	got := tr.cov
 	if !mat.EqualApprox(got, want, 1e-6*(1+want.MaxAbs())) {
 		t.Fatalf("tracked covariance diverges: max diff %v", mat.Sub(got, want).MaxAbs())
 	}
@@ -129,8 +129,8 @@ func TestCovTrackerForgetsDrift(t *testing.T) {
 		forgetful.Update(mkRow(200, i))
 		stubborn.Update(mkRow(200, i))
 	}
-	fErr := math.Abs(forgetful.Mean()[0] - 200)
-	sErr := math.Abs(stubborn.Mean()[0] - 200)
+	fErr := math.Abs(forgetful.mean[0] - 200)
+	sErr := math.Abs(stubborn.mean[0] - 200)
 	if fErr > 5 {
 		t.Fatalf("forgetful tracker mean error %v", fErr)
 	}
@@ -152,12 +152,12 @@ func TestCovTrackerDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := tr.Drift(ref)
+	m, err := tr.Model(ref.Rank())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same data: drift must be negligible.
-	if d > 1e-6 {
+	// Same data: the tracked subspace must not drift from the batch one.
+	if d := ref.Distance(m); d > 1e-6 {
 		t.Fatalf("drift on identical data = %v", d)
 	}
 }

@@ -431,8 +431,8 @@ func TestCovTrackerUpdateMasked(t *testing.T) {
 	masked, _ := NewCovTracker(dim, 1)
 	est := &covEstimator{lambda: 1, tr: masked}
 	est.absorb(y, skip)
-	if masked.Count() != 0 {
-		t.Fatalf("absorb folded %d rows before settle", masked.Count())
+	if masked.n != 0 {
+		t.Fatalf("absorb folded %d rows before settle", masked.n)
 	}
 	if err := est.settle(); err != nil {
 		t.Fatal(err)
@@ -443,10 +443,10 @@ func TestCovTrackerUpdateMasked(t *testing.T) {
 			manual.Update(y.RowView(b))
 		}
 	}
-	if masked.Count() != manual.Count() {
-		t.Fatalf("masked count %d want %d", masked.Count(), manual.Count())
+	if masked.n != manual.n {
+		t.Fatalf("masked count %d want %d", masked.n, manual.n)
 	}
-	if !mat.EqualApprox(masked.Covariance(), manual.Covariance(), 0) {
+	if !mat.EqualApprox(masked.cov, manual.cov, 0) {
 		t.Fatal("masked covariance diverges from row-by-row exclusion")
 	}
 }

@@ -65,9 +65,6 @@ func NewFDSketch(m, ell int) (*FDSketch, error) {
 // Size returns the sketch size ell.
 func (s *FDSketch) Size() int { return s.ell }
 
-// Count returns how many rows have been inserted.
-func (s *FDSketch) Count() int { return s.n }
-
 // Insert absorbs one measurement vector: the running mean advances,
 // the centered row lands in the buffer, and a full buffer triggers a
 // shrink.

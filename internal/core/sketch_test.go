@@ -34,8 +34,8 @@ func TestFDSketchApproximatesPCA(t *testing.T) {
 	if err := sk.InsertAll(y); err != nil {
 		t.Fatal(err)
 	}
-	if sk.Count() != bins {
-		t.Fatalf("sketch counted %d rows, want %d", sk.Count(), bins)
+	if sk.n != bins {
+		t.Fatalf("sketch counted %d rows, want %d", sk.n, bins)
 	}
 	p, span, err := sk.PCA()
 	if err != nil {
@@ -254,8 +254,8 @@ func TestFDSketchInsertAfterFailedShrink(t *testing.T) {
 	if err := sk.Insert(row); err == nil {
 		t.Fatal("Insert into the still-full buffer reported no error")
 	}
-	if sk.Count() != ell {
-		t.Fatalf("the refused row was counted: Count = %d, want %d", sk.Count(), ell)
+	if sk.n != ell {
+		t.Fatalf("the refused row was counted: Count = %d, want %d", sk.n, ell)
 	}
 }
 

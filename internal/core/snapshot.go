@@ -260,10 +260,6 @@ type SnapshotReader struct {
 	scratch [8]byte
 }
 
-// NewSnapshotReader wraps r. Most callers use DecodeSnapshot instead,
-// which strips the envelope and enforces the trailing-byte check.
-func NewSnapshotReader(r io.Reader) *SnapshotReader { return &SnapshotReader{r: r} }
-
 // Err returns the first error any read hit.
 func (sr *SnapshotReader) Err() error { return sr.err }
 
@@ -570,16 +566,6 @@ func ReadSnapshotEnvelope(r io.Reader) (kind byte, envelope []byte, err error) {
 	return kind, envelope, nil
 }
 
-// SnapshotKind returns the kind byte of an envelope blob produced by
-// ReadSnapshotEnvelope or EncodeSnapshot.
-func SnapshotKind(envelope []byte) (byte, error) {
-	if len(envelope) < snapshotHeaderLen {
-		return 0, fmt.Errorf("core: snapshot header truncated: %w", io.ErrUnexpectedEOF)
-	}
-	kind, _, err := readSnapshotHeader(bytes.NewReader(envelope))
-	return kind, err
-}
-
 // DecodeSnapshot strips one envelope from r, verifies the kind matches
 // wantKind (a mismatch wraps ErrSnapshotMismatch — the caller offered
 // the snapshot to the wrong detector), and hands the payload to decode.
@@ -663,7 +649,7 @@ func DecodeDetector(sr *SnapshotReader) (*Detector, error) {
 	if len(resid) != m-rank {
 		return nil, snapshotFormatf("model has %d residual variances, want %d", len(resid), m-rank)
 	}
-	if confidence <= 0 || confidence >= 1 {
+	if !(0 < confidence && confidence < 1) {
 		return nil, snapshotFormatf("model confidence %v out of (0,1)", confidence)
 	}
 	model := &Model{

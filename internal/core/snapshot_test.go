@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -125,6 +126,18 @@ func TestSnapshotCorruptionClassified(t *testing.T) {
 		out[idx] = b
 		return out
 	}
+	// The model's confidence (the default 0.999) is the one float in the
+	// payload with those bits; NaN passes a check written as
+	// c <= 0 || c >= 1, so the decoder must reject it some other way.
+	nanConfidence := func() []byte {
+		var conf, nan [8]byte
+		binary.LittleEndian.PutUint64(conf[:], math.Float64bits(0.999))
+		binary.LittleEndian.PutUint64(nan[:], math.Float64bits(math.NaN()))
+		if n := bytes.Count(valid, conf[:]); n != 1 {
+			t.Fatalf("confidence bits occur %d times in the snapshot, want 1", n)
+		}
+		return bytes.Replace(valid, conf[:], nan[:], 1)
+	}
 	cases := []struct {
 		name string
 		data []byte
@@ -143,6 +156,7 @@ func TestSnapshotCorruptionClassified(t *testing.T) {
 		// Growing it makes the stream end before the promised payload —
 		// truncation.
 		{"grown payload length", mutate(6, valid[6]+8), io.ErrUnexpectedEOF},
+		{"NaN model confidence", nanConfidence(), ErrSnapshotFormat},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

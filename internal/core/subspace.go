@@ -56,8 +56,9 @@ func separate(m int, sigma float64, violates func(axis int) bool) int {
 // deviates is the per-axis test of the separation procedure: whether the
 // projection series u[0], u[stride], u[2*stride], ... strays more than
 // sigma sample standard deviations from its mean at any timestep. The
-// sums run in stats.MeanStd's order. A constant series never deviates,
-// and the test is scale-invariant, so a projection need not be
+// mean is a plain sum and the variance a second pass over squared
+// deviations from it, with the n-1 denominator. A constant series never
+// deviates, and the test is scale-invariant, so a projection need not be
 // normalized first.
 func deviates(u []float64, stride int, sigma float64) bool {
 	var sum, ss float64
@@ -135,12 +136,6 @@ func Build(p *PCA, rank int) (*Model, error) {
 	}, nil
 }
 
-// BuildAuto fits the separation with SeparateAxes at DefaultSigma and
-// builds the model.
-func BuildAuto(p *PCA) (*Model, error) {
-	return Build(p, SeparateAxes(p, DefaultSigma))
-}
-
 // Rank returns r, the dimension of the normal subspace.
 func (m *Model) Rank() int { return m.rank }
 
@@ -156,11 +151,6 @@ func (m *Model) center(y []float64) []float64 {
 		panic(fmt.Sprintf("core: measurement length %d != model links %d", len(y), len(m.means)))
 	}
 	return mat.SubVec(y, m.means)
-}
-
-// normal returns C v = P (P^T v), the projection of v onto S.
-func (m *Model) normal(v []float64) []float64 {
-	return mat.MulVec(m.p, mat.MulTVec(m.p, v))
 }
 
 // anomalous returns C~ v = v - P (P^T v), the projection of v onto S~.
@@ -181,16 +171,6 @@ func (m *Model) removeNormal(v []float64) {
 		}
 		v[i] -= s
 	}
-}
-
-// Decompose splits a link measurement vector y into its modeled part
-// yhat (projection onto S) and residual part ytilde (projection onto S~),
-// working on the mean-centered vector: y - mean = yhat + ytilde.
-func (m *Model) Decompose(y []float64) (yhat, ytilde []float64) {
-	yc := m.center(y)
-	yhat = m.normal(yc)
-	ytilde = mat.SubVec(yc, yhat)
-	return yhat, ytilde
 }
 
 // Residual returns the anomalous-subspace projection
@@ -313,12 +293,25 @@ var ErrDegenerateResidual = errors.New("core: anomalous subspace has zero varian
 // The result holds regardless of how many components are retained, and is
 // robust to departures from Gaussianity (Jensen and Solomon, cited in the
 // paper).
+//
+// The limit is homogeneous of degree one in the lambdas, so they are
+// scaled by a power of two that brings the largest below one, and the
+// result is scaled back. Power-of-two scaling is exact, so the limit is
+// bit-identical to the unscaled formula wherever that one is finite,
+// while phi2^2 and phi3 no longer underflow or overflow at extreme load
+// scales.
 func (m *Model) QLimit(confidence float64) (float64, error) {
-	if confidence <= 0 || confidence >= 1 {
+	if !(0 < confidence && confidence < 1) {
 		return 0, fmt.Errorf("core: confidence %v out of (0,1)", confidence)
 	}
+	var top float64
+	for _, l := range m.residVariances {
+		top = max(top, l)
+	}
+	_, e := math.Frexp(top)
 	var phi1, phi2, phi3 float64
 	for _, l := range m.residVariances {
+		l = math.Ldexp(l, -e)
 		phi1 += l
 		phi2 += l * l
 		phi3 += l * l * l
@@ -331,11 +324,11 @@ func (m *Model) QLimit(confidence float64) (float64, error) {
 	if h0 <= 0 {
 		// Degenerate eigenvalue structure; fall back to the one-term
 		// normal approximation SPE ~ N(phi1, 2*phi2).
-		return phi1 + ca*math.Sqrt(2*phi2), nil
+		return math.Ldexp(phi1+ca*math.Sqrt(2*phi2), e), nil
 	}
 	term := ca*math.Sqrt(2*phi2)*h0/phi1 + 1 + phi2*h0*(h0-1)/(phi1*phi1)
 	if term <= 0 {
 		return 0, ErrDegenerateResidual
 	}
-	return phi1 * math.Pow(term, 1/h0), nil
+	return math.Ldexp(phi1*math.Pow(term, 1/h0), e), nil
 }

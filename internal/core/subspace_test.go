@@ -9,6 +9,21 @@ import (
 	"netanomaly/internal/stats"
 )
 
+// normal returns C v = P (P^T v), the projection of v onto S.
+func (m *Model) normal(v []float64) []float64 {
+	return mat.MulVec(m.p, mat.MulTVec(m.p, v))
+}
+
+// Decompose splits a link measurement vector y into its modeled part
+// yhat (projection onto S) and residual part ytilde (projection onto S~),
+// working on the mean-centered vector: y - mean = yhat + ytilde.
+func (m *Model) Decompose(y []float64) (yhat, ytilde []float64) {
+	yc := m.center(y)
+	yhat = m.normal(yc)
+	ytilde = mat.SubVec(yc, yhat)
+	return yhat, ytilde
+}
+
 func fitModel(t *testing.T, y *mat.Dense, rank int) *Model {
 	t.Helper()
 	p, err := Fit(y)
@@ -234,7 +249,7 @@ func TestQLimitMonotoneInConfidence(t *testing.T) {
 func TestQLimitBadConfidence(t *testing.T) {
 	_, _, y := testDataset(t, 9, 288)
 	m := fitModel(t, y, 0)
-	for _, c := range []float64{0, 1, -0.5, 1.5} {
+	for _, c := range []float64{0, 1, -0.5, 1.5, math.NaN()} {
 		if _, err := m.QLimit(c); err == nil {
 			t.Fatalf("confidence %v must be rejected", c)
 		}
@@ -260,50 +275,118 @@ func TestQLimitDegenerateResidual(t *testing.T) {
 	}
 }
 
+// TestQLimitScaleInvariant pins QLimit's homogeneity: residual
+// variances {3, 2, 1, .5, .25}*s give s times the s = 1 limit. Without
+// power-of-two rescaling, phi2^2 underflows or overflows at the extreme
+// scales, which returned NaN with a nil error (or a spurious
+// ErrDegenerateResidual at 1e-200).
+func TestQLimitScaleInvariant(t *testing.T) {
+	base := []float64{3, 2, 1, 0.5, 0.25}
+	limitAt := func(s float64) float64 {
+		t.Helper()
+		resid := make([]float64, len(base))
+		for i, v := range base {
+			resid[i] = v * s
+		}
+		limit, err := (&Model{residVariances: resid}).QLimit(0.999)
+		if err != nil {
+			t.Fatalf("scale %g: %v", s, err)
+		}
+		return limit
+	}
+	unit := limitAt(1)
+	for _, s := range []float64{1e-200, 1e-110, 1, 1e80, 1e150} {
+		got := limitAt(s)
+		if math.IsNaN(got) || math.IsInf(got, 0) {
+			t.Fatalf("scale %g: limit %v is not finite", s, got)
+		}
+		if rel := math.Abs(got/s-unit) / unit; rel > 1e-12 {
+			t.Fatalf("scale %g: limit %g, want %g (relative error %g)", s, got, s*unit, rel)
+		}
+	}
+}
+
+// TestQLimitFalseAlarmRateGaussian checks the Q-statistic against its
+// promise: on low-rank signal plus isotropic Gaussian noise, with the
+// true rank pinned, the fraction of fresh rows whose SPE exceeds the
+// limit is 1 - confidence. The alarm count must fall inside a two-sided
+// 4-sigma binomial interval around the nominal count.
 func TestQLimitFalseAlarmRateGaussian(t *testing.T) {
-	// On multivariate Gaussian data the Q-statistic must deliver its
-	// nominal false alarm rate. Build data with a known low-rank signal
-	// plus noise, fit on one sample, test on fresh data from the same
-	// distribution.
-	rng := rand.New(rand.NewSource(11))
-	const dim = 10
-	const n = 4000
-	gen := func(rows int) *mat.Dense {
-		m := mat.Zeros(rows, dim)
-		for i := 0; i < rows; i++ {
-			// Strong 2-D signal + isotropic noise.
-			s1, s2 := 10*rng.NormFloat64(), 6*rng.NormFloat64()
-			row := m.RowView(i)
-			for j := 0; j < dim; j++ {
-				row[j] = s1*math.Sin(float64(j)) + s2*math.Cos(2*float64(j)) + rng.NormFloat64()
+	cases := []struct {
+		name        string
+		dim, rank   int
+		confidence  float64
+		train, test int
+		seed        int64
+		signalStd   []float64
+		loading     func(k, j int) float64
+	}{
+		{
+			name: "10 links rank 2 at 0.995", dim: 10, rank: 2, confidence: 0.995,
+			train: 4000, test: 4000, seed: 11, signalStd: []float64{10, 6},
+			loading: func(k, j int) float64 {
+				if k == 0 {
+					return math.Sin(float64(j))
+				}
+				return math.Cos(2 * float64(j))
+			},
+		},
+		{
+			name: "41 links rank 4 at 0.999", dim: 41, rank: 4, confidence: 0.999,
+			train: 2000, test: 40000, seed: 12, signalStd: []float64{20, 14, 10, 7},
+			loading: func(k, j int) float64 {
+				return math.Sin(float64((k+1)*(j+1)) + float64(k))
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(tc.seed))
+			gen := func(rows int) *mat.Dense {
+				m := mat.Zeros(rows, tc.dim)
+				s := make([]float64, len(tc.signalStd))
+				for i := 0; i < rows; i++ {
+					for k, sd := range tc.signalStd {
+						s[k] = sd * rng.NormFloat64()
+					}
+					row := m.RowView(i)
+					for j := range row {
+						v := rng.NormFloat64()
+						for k := range s {
+							v += s[k] * tc.loading(k, j)
+						}
+						row[j] = v
+					}
+				}
+				return m
 			}
-		}
-		return m
-	}
-	train := gen(n)
-	p, err := Fit(train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Build(p, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	limit, err := m.QLimit(0.995)
-	if err != nil {
-		t.Fatal(err)
-	}
-	test := gen(n)
-	var alarms int
-	for i := 0; i < n; i++ {
-		if m.SPE(test.Row(i)) > limit {
-			alarms++
-		}
-	}
-	rate := float64(alarms) / float64(n)
-	// Nominal 0.5%; allow generous sampling slack.
-	if rate > 0.02 {
-		t.Fatalf("false alarm rate %v far above nominal 0.005", rate)
+			p, err := Fit(gen(tc.train))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := Build(p, tc.rank)
+			if err != nil {
+				t.Fatal(err)
+			}
+			limit, err := m.QLimit(tc.confidence)
+			if err != nil {
+				t.Fatal(err)
+			}
+			test := gen(tc.test)
+			alarms := 0
+			for i := 0; i < tc.test; i++ {
+				if m.SPE(test.RowView(i)) > limit {
+					alarms++
+				}
+			}
+			alpha := 1 - tc.confidence
+			mean := float64(tc.test) * alpha
+			sd := math.Sqrt(mean * (1 - alpha))
+			if lo, hi := mean-4*sd, mean+4*sd; float64(alarms) < lo || float64(alarms) > hi {
+				t.Fatalf("%d/%d alarms, want within [%.1f, %.1f] (nominal %.1f)", alarms, tc.test, lo, hi, mean)
+			}
+			t.Logf("%d/%d alarms, nominal %.1f", alarms, tc.test, mean)
+		})
 	}
 }
 

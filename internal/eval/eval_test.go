@@ -340,7 +340,7 @@ func TestMeanFlowRates(t *testing.T) {
 }
 
 func TestScoreAlarmBins(t *testing.T) {
-	r := ScoreAlarmBins("ewma", map[int]bool{10: true, 20: true, 30: true}, []int{10, 40}, 100)
+	r := ScoreAlarmFlows("ewma", map[int]int{10: -1, 20: -1, 30: -1}, binLabels(10, 40), 100)
 	if r.Detected != 1 || r.TrueAnomalies != 2 {
 		t.Fatalf("detection %d/%d want 1/2", r.Detected, r.TrueAnomalies)
 	}
@@ -388,7 +388,7 @@ func TestEvaluateStreamingBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, det := range []core.ViewDetector{subspace, ewma} {
-		r, err := EvaluateStreaming(det, stream, 64, truth)
+		r, err := EvaluateStreamingFlows(det, stream, 64, binLabels(truth...))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,7 +405,7 @@ func TestEvaluateStreamingBackends(t *testing.T) {
 	// Alarm seqs must have been rebased: a second evaluation on a
 	// detector that already processed 288 bins still scores stream-local
 	// labels.
-	r, err := EvaluateStreaming(ewma, stream, 64, truth)
+	r, err := EvaluateStreamingFlows(ewma, stream, 64, binLabels(truth...))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,21 +69,6 @@ func (r StreamResult) String() string {
 	return s
 }
 
-// ScoreAlarmBins scores a set of alarmed stream bins against the labeled
-// truth bins over a stream of streamBins total bins. Detection only; use
-// ScoreAlarmFlows when the alarms and truths carry OD flows.
-func ScoreAlarmBins(backend string, alarmBins map[int]bool, truthBins []int, streamBins int) StreamResult {
-	alarmFlows := make(map[int]int, len(alarmBins))
-	for b := range alarmBins {
-		alarmFlows[b] = -1
-	}
-	truth := make([]LabeledBin, len(truthBins))
-	for i, b := range truthBins {
-		truth[i] = LabeledBin{Bin: b, Flow: -1}
-	}
-	return ScoreAlarmFlows(backend, alarmFlows, truth, streamBins)
-}
-
 // ScoreAlarmFlows scores alarmed stream bins (mapped to the flow each
 // alarm attributed, -1 for none) against labeled truths over a stream of
 // streamBins total bins: detection and false alarms per bin, plus flow
@@ -123,22 +108,6 @@ func ScoreAlarmFlows(backend string, alarmFlows map[int]int, truth []LabeledBin,
 	return r
 }
 
-// EvaluateStreaming replays the measurement stream (bins x links)
-// through any streaming backend in batchSize chunks — the engine's
-// ingest pattern, without the worker pool — waits out background refits,
-// and scores the raised alarms against the labeled truth bins (indices
-// into the stream). The detector may have processed bins before; alarm
-// sequence numbers are rebased to the stream. This is how the paper's
-// Section 7.3 online comparison runs: every backend sees the identical
-// bins and is scored on the identical labels.
-func EvaluateStreaming(det core.ViewDetector, stream *mat.Dense, batchSize int, truthBins []int) (StreamResult, error) {
-	truth := make([]LabeledBin, len(truthBins))
-	for i, b := range truthBins {
-		truth[i] = LabeledBin{Bin: b, Flow: -1}
-	}
-	return EvaluateStreamingFlows(det, stream, batchSize, truth)
-}
-
 // LabeledBin is one ground-truth anomaly for streaming evaluation: the
 // stream bin it lands in and, when known, the responsible OD flow
 // (Flow < 0 scores detection only). It is an alias for the traffic
@@ -146,15 +115,21 @@ func EvaluateStreaming(det core.ViewDetector, stream *mat.Dense, batchSize int, 
 // EvaluateStreamingFlows directly.
 type LabeledBin = traffic.LabeledBin
 
-// EvaluateStreamingFlows is EvaluateStreaming with flow-attribution
-// scoring: truth entries that name an OD flow are additionally scored
-// on whether the detected bin's alarm identified that flow — the
-// paper's identification step, measured online. This is how the hybrid
-// backend's two claims separate: Detected/TrueAnomalies scores its
-// triage stage's misses, Identified/IdentTrials the identification
-// accuracy on the bins that escalated. Backends that never attribute
-// flows (forecast, multiscale) score 0/n identified on flow-labeled
-// truths.
+// EvaluateStreamingFlows replays the measurement stream (bins x links)
+// through any streaming backend in batchSize chunks — the engine's
+// ingest pattern, without the worker pool — waits out background refits,
+// and scores the raised alarms against the labeled truth (bins index
+// into the stream). The detector may have processed bins before; alarm
+// sequence numbers are rebased to the stream. This is how the paper's
+// Section 7.3 online comparison runs: every backend sees the identical
+// bins and is scored on the identical labels. Truth entries that name an
+// OD flow are additionally scored on whether the detected bin's alarm
+// identified that flow — the paper's identification step, measured
+// online. The hybrid backend's two claims separate here:
+// Detected/TrueAnomalies scores its triage stage's misses,
+// Identified/IdentTrials the identification accuracy on the bins that
+// escalated. Backends that never attribute flows (forecast, multiscale)
+// score 0/n identified on flow-labeled truths.
 func EvaluateStreamingFlows(det core.ViewDetector, stream *mat.Dense, batchSize int, truth []LabeledBin) (StreamResult, error) {
 	r, _, err := EvaluateStreamingAlarms(det, stream, batchSize, truth)
 	return r, err

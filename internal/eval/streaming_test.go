@@ -10,9 +10,18 @@ import (
 	"netanomaly/internal/mat"
 )
 
+// binLabels labels detection-only truth bins (no flow to identify).
+func binLabels(bins ...int) []LabeledBin {
+	out := make([]LabeledBin, len(bins))
+	for i, b := range bins {
+		out[i] = LabeledBin{Bin: b, Flow: -1}
+	}
+	return out
+}
+
 // scriptedDetector is a minimal core.ViewDetector whose alarm behavior
 // is a function of the absolute sequence number — just enough contract
-// for the EvaluateStreaming edge cases.
+// for the EvaluateStreamingFlows edge cases.
 type scriptedDetector struct {
 	links     int
 	processed int
@@ -59,7 +68,7 @@ func TestEvaluateStreamingZeroAlarmStream(t *testing.T) {
 	const bins, links = 100, 3
 	stream := mat.Zeros(bins, links)
 	det := &scriptedDetector{links: links, alarmAt: never}
-	r, err := EvaluateStreaming(det, stream, 7, []int{10, 20})
+	r, err := EvaluateStreamingFlows(det, stream, 7, binLabels(10, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +80,7 @@ func TestEvaluateStreamingZeroAlarmStream(t *testing.T) {
 	}
 	// A zero-alarm stream with no labels at all: every denominator on
 	// the truth side is zero and the rates must stay defined.
-	r, err = EvaluateStreaming(det, stream, 7, nil)
+	r, err = EvaluateStreamingFlows(det, stream, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +99,7 @@ func TestEvaluateStreamingAllAlarmStream(t *testing.T) {
 		return core.Diagnosis{SPE: 1, Threshold: 0.5, Flow: -1}, true
 	}
 	det := &scriptedDetector{links: links, alarmAt: always}
-	r, err := EvaluateStreaming(det, stream, 10, []int{0, 31, 63})
+	r, err := EvaluateStreamingFlows(det, stream, 10, binLabels(0, 31, 63))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +241,7 @@ func TestScoreAlarmFlowsTruthPastStreamEnd(t *testing.T) {
 func TestEvaluateStreamingSurfacesDeferredRefitError(t *testing.T) {
 	const bins, links = 8, 2
 	det := &scriptedDetector{links: links, alarmAt: never, deferred: errors.New("stale-window")}
-	_, err := EvaluateStreaming(det, mat.Zeros(bins, links), 4, nil)
+	_, err := EvaluateStreamingFlows(det, mat.Zeros(bins, links), 4, nil)
 	if err == nil || !strings.Contains(err.Error(), "stale-window") {
 		t.Fatalf("deferred refit error not surfaced: %v", err)
 	}

@@ -159,21 +159,8 @@ func AllDatasets() []*Dataset {
 	return datasetCache
 }
 
-// DatasetByName returns the named dataset.
-func DatasetByName(name string) (*Dataset, error) {
-	for _, d := range AllDatasets() {
-		if d.Name == name {
-			return d, nil
-		}
-	}
-	return nil, fmt.Errorf("experiments: unknown dataset %q", name)
-}
-
 // SprintSim1 returns the first simulated Sprint week.
 func SprintSim1() *Dataset { return AllDatasets()[0] }
-
-// SprintSim2 returns the second simulated Sprint week.
-func SprintSim2() *Dataset { return AllDatasets()[1] }
 
 // AbileneSim returns the simulated Abilene week.
 func AbileneSim() *Dataset { return AllDatasets()[2] }

@@ -40,16 +40,6 @@ func TestDatasetsMatchTable1(t *testing.T) {
 	}
 }
 
-func TestDatasetByName(t *testing.T) {
-	d, err := DatasetByName("AbileneSim")
-	if err != nil || d.Name != "AbileneSim" {
-		t.Fatalf("DatasetByName: %v %v", d, err)
-	}
-	if _, err := DatasetByName("nosuch"); err == nil {
-		t.Fatal("unknown dataset must error")
-	}
-}
-
 func TestDatasetsDeterministic(t *testing.T) {
 	d := SprintSim1()
 	d2 := buildDataset(specs[0])

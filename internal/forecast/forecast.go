@@ -891,14 +891,6 @@ func (d *Detector) Thresholds() []float64 {
 	return out
 }
 
-// Alphas returns the per-link level smoothing gains in force (the grid
-// search result when Config.Alpha was 0 for the EWMA kind).
-func (d *Detector) Alphas() []float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]float64(nil), d.alpha...)
-}
-
 // intRing is a fixed-capacity ring of ints, pushed in lockstep with the
 // window's RowRing to remember each retained row's absolute bin index
 // (the window has gaps where anomalous bins were withheld, and the

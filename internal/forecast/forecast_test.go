@@ -11,6 +11,14 @@ import (
 	"netanomaly/internal/mat"
 )
 
+// Alphas returns the per-link level smoothing gains in force (the grid
+// search result when Config.Alpha was 0 for the EWMA kind).
+func (d *Detector) Alphas() []float64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return append([]float64(nil), d.alpha...)
+}
+
 // synthSeries builds a bins x links matrix of diurnal sinusoids with
 // per-link mean/phase and Gaussian noise — enough temporal structure for
 // the forecasters to model and enough noise for thresholds to be

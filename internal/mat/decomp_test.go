@@ -122,28 +122,6 @@ func TestSolveLSSingular(t *testing.T) {
 	}
 }
 
-func TestSolveSquare(t *testing.T) {
-	a := NewDense(3, 3, []float64{4, 1, 0, 1, 3, 1, 0, 1, 2})
-	xTrue := []float64{1, -1, 2}
-	b := MulVec(a, xTrue)
-	x, err := Solve(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !VecEqualApprox(x, xTrue, 1e-10) {
-		t.Fatalf("Solve = %v want %v", x, xTrue)
-	}
-}
-
-func TestSolveNonSquarePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Solve(Zeros(3, 2), []float64{1, 2, 3})
-}
-
 func randomSymmetric(rng *rand.Rand, n int) *Dense {
 	a := randomDense(rng, n, n)
 	return Add(a, a.T())

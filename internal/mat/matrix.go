@@ -267,21 +267,6 @@ func EqualApprox(a, b *Dense, tol float64) bool {
 	return true
 }
 
-// OuterProduct returns x * y^T as a len(x) x len(y) matrix.
-func OuterProduct(x, y []float64) *Dense {
-	m := Zeros(len(x), len(y))
-	for i, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, yv := range y {
-			row[j] = xv * yv
-		}
-	}
-	return m
-}
-
 // ColMeans returns the mean of each column.
 func (m *Dense) ColMeans() []float64 {
 	means := make([]float64, m.cols)

@@ -248,14 +248,6 @@ func TestMaxAbs(t *testing.T) {
 	}
 }
 
-func TestOuterProduct(t *testing.T) {
-	m := OuterProduct([]float64{1, 2}, []float64{3, 4, 5})
-	want := NewDense(2, 3, []float64{3, 4, 5, 6, 8, 10})
-	if !EqualApprox(m, want, 0) {
-		t.Fatalf("OuterProduct = %v", m)
-	}
-}
-
 func TestColMeansAndCenter(t *testing.T) {
 	m := NewDense(2, 2, []float64{1, 10, 3, 20})
 	means := m.ColMeans()

@@ -112,13 +112,3 @@ func SolveLS(a *Dense, b []float64) ([]float64, error) {
 	}
 	return x, nil
 }
-
-// Solve solves the square system a*x = b via QR. It returns ErrSingular for
-// rank-deficient a.
-func Solve(a *Dense, b []float64) ([]float64, error) {
-	rows, cols := a.Dims()
-	if rows != cols {
-		panic(fmt.Sprintf("mat: Solve requires a square matrix, got %dx%d", rows, cols))
-	}
-	return SolveLS(a, b)
-}

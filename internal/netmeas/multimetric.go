@@ -120,9 +120,6 @@ func (d *MultiMetricDetector) metricBlock(y *mat.Dense, bins, j int) *mat.Dense 
 // Metrics returns the configured metric names in column order.
 func (d *MultiMetricDetector) Metrics() []string { return append([]string(nil), d.names...) }
 
-// MetricDetector returns metric j's underlying subspace detector.
-func (d *MultiMetricDetector) MetricDetector(j int) *core.OnlineDetector { return d.dets[j] }
-
 // ProcessBatch splits the stacked batch (bins x len(Metrics)*links) into
 // its metric blocks, runs each through its subspace detector, and emits
 // one alarm per bin that at least Quorum metrics flagged. Deferred

@@ -7,92 +7,7 @@ import (
 	"time"
 
 	"netanomaly/internal/mat"
-	"netanomaly/internal/stats"
-	"netanomaly/internal/topology"
-	"netanomaly/internal/traffic"
 )
-
-func TestSamplingMethodString(t *testing.T) {
-	if PeriodicSampling.String() != "periodic" || RandomSampling.String() != "random" {
-		t.Fatal("method names wrong")
-	}
-	if SamplingMethod(9).String() == "" {
-		t.Fatal("unknown method must still render")
-	}
-}
-
-func TestNewFlowCollectorValidation(t *testing.T) {
-	for _, r := range []float64{0, -1, 1.5} {
-		if _, err := NewFlowCollector(RandomSampling, r, 1); err == nil {
-			t.Fatalf("rate %v must be rejected", r)
-		}
-	}
-}
-
-func TestCollectBinUnbiased(t *testing.T) {
-	c, err := NewFlowCollector(RandomSampling, 0.01, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const truth = 5e7
-	n := 3000
-	ests := make([]float64, n)
-	for i := range ests {
-		ests[i] = c.CollectBin(truth)
-	}
-	mean := stats.Mean(ests)
-	if math.Abs(mean-truth)/truth > 0.01 {
-		t.Fatalf("sampling estimate biased: mean %v truth %v", mean, truth)
-	}
-	// Relative std should match sqrt((1-p)/(p*N)) for N = truth/800.
-	wantRel := math.Sqrt((1 - 0.01) / (0.01 * truth / 800))
-	gotRel := stats.Std(ests) / truth
-	if gotRel < wantRel/2 || gotRel > wantRel*2 {
-		t.Fatalf("sampling std %v want ~%v", gotRel, wantRel)
-	}
-}
-
-func TestPeriodicLowerVarianceThanRandom(t *testing.T) {
-	per, _ := NewFlowCollector(PeriodicSampling, 0.01, 6)
-	ran, _ := NewFlowCollector(RandomSampling, 0.01, 6)
-	const truth = 2e7
-	n := 2000
-	pv := make([]float64, n)
-	rv := make([]float64, n)
-	for i := 0; i < n; i++ {
-		pv[i] = per.CollectBin(truth)
-		rv[i] = ran.CollectBin(truth)
-	}
-	if stats.Std(pv) >= stats.Std(rv) {
-		t.Fatalf("periodic std %v should beat random std %v", stats.Std(pv), stats.Std(rv))
-	}
-}
-
-func TestCollectBinEdgeCases(t *testing.T) {
-	c, _ := NewFlowCollector(RandomSampling, 0.01, 7)
-	if c.CollectBin(0) != 0 || c.CollectBin(-5) != 0 {
-		t.Fatal("non-positive traffic must sample to zero")
-	}
-	// Tiny flows (under one packet) must not blow up.
-	if v := c.CollectBin(10); v < 0 {
-		t.Fatalf("tiny flow sampled to %v", v)
-	}
-}
-
-func TestCollectMatrixShapeAndDeterminism(t *testing.T) {
-	x := mat.Zeros(4, 3)
-	x.Set(1, 1, 1e7)
-	c1, _ := NewFlowCollector(PeriodicSampling, 1.0/250, 9)
-	c2, _ := NewFlowCollector(PeriodicSampling, 1.0/250, 9)
-	m1 := c1.CollectMatrix(x)
-	m2 := c2.CollectMatrix(x)
-	if !mat.EqualApprox(m1, m2, 0) {
-		t.Fatal("collection must be deterministic in seed")
-	}
-	if m1.At(0, 0) != 0 || m1.At(1, 1) <= 0 {
-		t.Fatal("collection output wrong")
-	}
-}
 
 func TestSNMPPollerAccuracy(t *testing.T) {
 	p, err := NewSNMPPoller(0.001, 11)
@@ -118,181 +33,6 @@ func TestSNMPPollerValidation(t *testing.T) {
 	}
 	if _, err := NewSNMPPoller(1.0, 1); err == nil {
 		t.Fatal("unit error must be rejected")
-	}
-}
-
-// TestSection3AgreementCheck reproduces the paper's data validation: the
-// rescaled sampled flow byte counts agree with SNMP link counts within
-// 1-5% on utilized links.
-func TestSection3AgreementCheck(t *testing.T) {
-	topo := topology.Abilene()
-	cfg := traffic.DefaultConfig(21)
-	cfg.Bins = 288
-	gen, err := traffic.NewGenerator(topo, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := gen.Generate()
-	// Sampled path: per-flow sampling, then aggregate to links.
-	col, _ := NewFlowCollector(PeriodicSampling, 1.0/250, 22)
-	sampledOD := col.CollectMatrix(x)
-	sampledLinks := traffic.LinkLoads(topo, sampledOD)
-	// SNMP path: true link loads with counter noise.
-	snmp, _ := NewSNMPPoller(0.001, 23)
-	snmpLinks := snmp.Poll(traffic.LinkLoads(topo, x))
-
-	// The paper's check applies to links above 1 Mbps utilization:
-	// 1 Mbps * 600 s / 8 = 7.5e7 bytes per 10-minute bin.
-	const oneMbps = 7.5e7
-	agr := Agreement(sampledLinks, snmpLinks, oneMbps)
-	var covered int
-	for l, a := range agr {
-		if math.IsNaN(a) {
-			continue
-		}
-		covered++
-		if a > 0.05 {
-			t.Fatalf("link %d agreement %.3f outside the paper's 1-5%% band", l, a)
-		}
-	}
-	if covered == 0 {
-		t.Fatal("agreement check did not cover any link")
-	}
-}
-
-func TestAgreementShapeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Agreement(mat.Zeros(2, 2), mat.Zeros(3, 2), 0)
-}
-
-func TestAgreementNaNForIdleLinks(t *testing.T) {
-	a := Agreement(mat.Zeros(5, 1), mat.Zeros(5, 1), 1)
-	if !math.IsNaN(a[0]) {
-		t.Fatal("idle link must report NaN")
-	}
-}
-
-func TestPrefixTableLPM(t *testing.T) {
-	var tbl PrefixTable
-	if err := tbl.Add(0x0A000000, 8, 1); err != nil { // 10/8 -> PoP 1
-		t.Fatal(err)
-	}
-	if err := tbl.Add(0x0A010000, 16, 2); err != nil { // 10.1/16 -> PoP 2
-		t.Fatal(err)
-	}
-	if pop, ok := tbl.Lookup(0x0A010203); !ok || pop != 2 {
-		t.Fatalf("longest match failed: %d %v", pop, ok)
-	}
-	if pop, ok := tbl.Lookup(0x0A020304); !ok || pop != 1 {
-		t.Fatalf("short match failed: %d %v", pop, ok)
-	}
-	if _, ok := tbl.Lookup(0x0B000000); ok {
-		t.Fatal("unmatched address must miss")
-	}
-	if tbl.Len() != 2 {
-		t.Fatalf("Len = %d", tbl.Len())
-	}
-}
-
-func TestPrefixTableValidation(t *testing.T) {
-	var tbl PrefixTable
-	if err := tbl.Add(0, 33, 0); err == nil {
-		t.Fatal("mask 33 must be rejected")
-	}
-	if err := tbl.Add(0, 8, -1); err == nil {
-		t.Fatal("negative PoP must be rejected")
-	}
-}
-
-func TestUniformPrefixTable(t *testing.T) {
-	topo := topology.Abilene()
-	tbl, err := UniformPrefixTable(topo, 4, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Len() != 4*topo.NumPoPs() {
-		t.Fatalf("prefix count = %d", tbl.Len())
-	}
-	if _, err := UniformPrefixTable(topo, 0, 1); err == nil {
-		t.Fatal("zero prefixes must be rejected")
-	}
-}
-
-// TestResolutionRoundTrip: OD matrix -> raw prefix flows -> egress
-// resolution -> aggregated OD matrix must reproduce the original.
-func TestResolutionRoundTrip(t *testing.T) {
-	topo := topology.Abilene()
-	cfg := traffic.DefaultConfig(33)
-	cfg.Bins = 24
-	gen, _ := traffic.NewGenerator(topo, cfg)
-	x := gen.Generate()
-	tbl, err := UniformPrefixTable(topo, 3, 34)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := SynthesizeRawFlows(x, topo, tbl, 5, 35)
-	if err != nil {
-		t.Fatal(err)
-	}
-	od, unresolved, err := AggregateOD(raw, tbl, topo, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if unresolved != 0 {
-		t.Fatalf("unresolved = %d, all synthesized flows must resolve", unresolved)
-	}
-	if !mat.EqualApprox(od, x, 1e-6*(1+x.MaxAbs())) {
-		t.Fatal("resolution round trip lost traffic")
-	}
-}
-
-func TestAggregateODUnresolved(t *testing.T) {
-	topo := topology.Abilene()
-	var tbl PrefixTable
-	tbl.Add(0x0A000000, 8, 0)
-	flows := []RawFlow{
-		{IngressPoP: 0, DstAddr: 0x0A000001, Bin: 0, Bytes: 100},
-		{IngressPoP: 0, DstAddr: 0x0B000001, Bin: 0, Bytes: 50}, // misses
-	}
-	od, unresolved, err := AggregateOD(flows, &tbl, topo, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if unresolved != 1 {
-		t.Fatalf("unresolved = %d want 1", unresolved)
-	}
-	if od.At(0, topo.FlowID(0, 0)) != 100 {
-		t.Fatal("resolved flow not aggregated")
-	}
-}
-
-func TestAggregateODErrors(t *testing.T) {
-	topo := topology.Abilene()
-	var tbl PrefixTable
-	tbl.Add(0, 0, 0)
-	if _, _, err := AggregateOD([]RawFlow{{Bin: 5}}, &tbl, topo, 1); err == nil {
-		t.Fatal("out-of-range bin must error")
-	}
-	if _, _, err := AggregateOD([]RawFlow{{IngressPoP: 99}}, &tbl, topo, 1); err == nil {
-		t.Fatal("out-of-range PoP must error")
-	}
-	if _, _, err := AggregateOD(nil, &tbl, topo, 0); err == nil {
-		t.Fatal("zero bins must error")
-	}
-}
-
-func TestSynthesizeRawFlowsValidation(t *testing.T) {
-	topo := topology.Abilene()
-	tbl, _ := UniformPrefixTable(topo, 2, 1)
-	if _, err := SynthesizeRawFlows(mat.Zeros(2, topo.NumFlows()), topo, tbl, 0, 1); err == nil {
-		t.Fatal("flowsPerOD 0 must be rejected")
-	}
-	if _, err := SynthesizeRawFlows(mat.Zeros(2, 5), topo, tbl, 1, 1); err == nil {
-		t.Fatal("wrong flow count must be rejected")
 	}
 }
 

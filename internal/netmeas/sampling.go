@@ -1,123 +1,16 @@
-// Package netmeas simulates the measurement plane of Section 3: sampled
-// flow collection (Cisco NetFlow-style periodic 1-in-250 sampling and
-// Juniper-style random 1% sampling), SNMP link byte counters, the
-// ingress/egress PoP resolution that turns prefix-level flow records into
-// OD flows, and a streaming link-measurement source for online operation.
-//
-// The packet-level sampling processes are simulated statistically rather
-// than per packet: for a bin carrying B bytes in N packets, an unbiased
-// rescaled estimate B*(1+e) is produced where e has the standard deviation
-// of the corresponding sampling estimator (binomial for random sampling,
-// reduced by stratification for periodic sampling). This reproduces the
-// 1-5% agreement with SNMP that the paper reports for utilized links
-// without simulating billions of packets.
+// Package netmeas is the measurement plane the detectors read from:
+// SNMP-style link byte counters (Section 3), per-link multi-metric
+// derivation (bytes, flow counts, packet sizes), the binary wire format
+// and its decoders, and the streaming link-measurement sources used for
+// online operation.
 package netmeas
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"netanomaly/internal/mat"
 )
-
-// SamplingMethod selects the packet sampling discipline.
-type SamplingMethod int
-
-const (
-	// PeriodicSampling picks every k-th packet (Cisco NetFlow on Sprint:
-	// every 250th). Stratification makes its estimator lower-variance
-	// than random sampling at equal rate.
-	PeriodicSampling SamplingMethod = iota
-	// RandomSampling picks each packet independently with probability p
-	// (Juniper sampling on Abilene: 1%).
-	RandomSampling
-)
-
-// String returns the method name.
-func (m SamplingMethod) String() string {
-	switch m {
-	case PeriodicSampling:
-		return "periodic"
-	case RandomSampling:
-		return "random"
-	default:
-		return fmt.Sprintf("SamplingMethod(%d)", int(m))
-	}
-}
-
-// periodicVarianceFactor scales the binomial standard deviation for
-// periodic (stratified) sampling; systematic samples of smooth traffic
-// estimate totals with roughly half the dispersion of Bernoulli samples.
-const periodicVarianceFactor = 0.5
-
-// FlowCollector simulates sampled flow export and rescaling.
-type FlowCollector struct {
-	// Method is the sampling discipline.
-	Method SamplingMethod
-	// Rate is the sampling probability (1.0/250 for Sprint, 0.01 for
-	// Abilene).
-	Rate float64
-	// MeanPacketSize is the average packet size in bytes used to convert
-	// byte counts to packet counts (default 800 if zero).
-	MeanPacketSize float64
-
-	rng *rand.Rand
-}
-
-// NewFlowCollector returns a collector with deterministic sampling noise.
-func NewFlowCollector(method SamplingMethod, rate float64, seed int64) (*FlowCollector, error) {
-	if rate <= 0 || rate > 1 {
-		return nil, fmt.Errorf("netmeas: sampling rate %v out of (0,1]", rate)
-	}
-	return &FlowCollector{
-		Method:         method,
-		Rate:           rate,
-		MeanPacketSize: 800,
-		rng:            rand.New(rand.NewSource(seed)),
-	}, nil
-}
-
-// CollectBin returns the rescaled byte estimate for one (flow, bin) cell
-// carrying trueBytes.
-func (c *FlowCollector) CollectBin(trueBytes float64) float64 {
-	if trueBytes <= 0 {
-		return 0
-	}
-	mps := c.MeanPacketSize
-	if mps <= 0 {
-		mps = 800
-	}
-	packets := trueBytes / mps
-	if packets < 1 {
-		packets = 1
-	}
-	// Relative std of the rescaled estimate: sqrt((1-p)/(p*N)).
-	rel := math.Sqrt((1 - c.Rate) / (c.Rate * packets))
-	if c.Method == PeriodicSampling {
-		rel *= periodicVarianceFactor
-	}
-	est := trueBytes * (1 + rel*c.rng.NormFloat64())
-	if est < 0 {
-		est = 0
-	}
-	return est
-}
-
-// CollectMatrix applies sampling to every cell of the OD matrix
-// (bins x flows) and returns the rescaled estimates.
-func (c *FlowCollector) CollectMatrix(x *mat.Dense) *mat.Dense {
-	t, n := x.Dims()
-	out := mat.Zeros(t, n)
-	for b := 0; b < t; b++ {
-		src := x.RowView(b)
-		dst := out.RowView(b)
-		for f := 0; f < n; f++ {
-			dst[f] = c.CollectBin(src[f])
-		}
-	}
-	return out
-}
 
 // SNMPPoller simulates SNMP interface byte counters: complete counts with
 // a small polling/rollover error.
@@ -156,38 +49,6 @@ func (p *SNMPPoller) Poll(y *mat.Dense) *mat.Dense {
 				v = 0
 			}
 			dst[l] = v
-		}
-	}
-	return out
-}
-
-// Agreement compares sampled-and-rescaled link estimates against SNMP
-// counts, returning the mean absolute relative difference per link,
-// restricted to bins where the SNMP count is at least minBytes (the
-// paper's check applies to links above 1 Mbps utilization). Links with no
-// qualifying bins report NaN.
-func Agreement(sampled, snmp *mat.Dense, minBytes float64) []float64 {
-	t, m := sampled.Dims()
-	t2, m2 := snmp.Dims()
-	if t != t2 || m != m2 {
-		panic(fmt.Sprintf("netmeas: Agreement shape mismatch %dx%d vs %dx%d", t, m, t2, m2))
-	}
-	out := make([]float64, m)
-	for l := 0; l < m; l++ {
-		var sum float64
-		var n int
-		for b := 0; b < t; b++ {
-			ref := snmp.At(b, l)
-			if ref < minBytes {
-				continue
-			}
-			sum += math.Abs(sampled.At(b, l)-ref) / ref
-			n++
-		}
-		if n == 0 {
-			out[l] = math.NaN()
-		} else {
-			out[l] = sum / float64(n)
 		}
 	}
 	return out

@@ -45,15 +45,6 @@ func (h *Histogram) AddAll(vs []float64) {
 	}
 }
 
-// Total returns the number of recorded values.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Max - h.Min) / float64(len(h.Counts))
-	return h.Min + (float64(i)+0.5)*w
-}
-
 // Fractions returns each bin's share of the total (zeros when empty).
 func (h *Histogram) Fractions() []float64 {
 	out := make([]float64, len(h.Counts))

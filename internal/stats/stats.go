@@ -1,13 +1,12 @@
 // Package stats provides the scalar statistics used across the anomaly
-// diagnosis pipeline: moments, percentiles, the standard normal
+// diagnosis pipeline: the mean, extremes, the standard normal
 // distribution (including the inverse CDF needed for the Q-statistic's
-// c_alpha), histograms, and evaluation error metrics.
+// c_alpha), and histograms.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of x. It returns NaN for empty input.
@@ -20,60 +19,6 @@ func Mean(x []float64) float64 {
 		s += v
 	}
 	return s / float64(len(x))
-}
-
-// Variance returns the unbiased sample variance of x (denominator n-1).
-// It returns 0 for inputs with fewer than two values.
-func Variance(x []float64) float64 {
-	n := len(x)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(x)
-	var s float64
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return s / float64(n-1)
-}
-
-// Std returns the sample standard deviation of x.
-func Std(x []float64) float64 { return math.Sqrt(Variance(x)) }
-
-// MeanStd returns the mean and sample standard deviation of x in one pass.
-func MeanStd(x []float64) (mean, std float64) {
-	mean = Mean(x)
-	return mean, Std(x)
-}
-
-// Median returns the median of x. It returns NaN for empty input.
-func Median(x []float64) float64 { return Percentile(x, 50) }
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of x using linear
-// interpolation between closest ranks. It returns NaN for empty input and
-// panics for p outside [0,100].
-func Percentile(x []float64, p float64) float64 {
-	if p < 0 || p > 100 {
-		panic(fmt.Sprintf("stats: percentile %v out of range [0,100]", p))
-	}
-	if len(x) == 0 {
-		return math.NaN()
-	}
-	s := make([]float64, len(x))
-	copy(s, x)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
 }
 
 // MinMax returns the minimum and maximum of x. It returns (NaN, NaN) for
@@ -92,33 +37,6 @@ func MinMax(x []float64) (lo, hi float64) {
 		}
 	}
 	return lo, hi
-}
-
-// MeanAbsRelError returns the mean of |est-truth|/|truth| over the paired
-// slices, skipping pairs where truth is zero. This is the quantification
-// error metric of Section 6.1. It returns NaN when no valid pair exists.
-func MeanAbsRelError(est, truth []float64) float64 {
-	if len(est) != len(truth) {
-		panic(fmt.Sprintf("stats: MeanAbsRelError length mismatch %d vs %d", len(est), len(truth)))
-	}
-	var s float64
-	var n int
-	for i, tv := range truth {
-		if tv == 0 {
-			continue
-		}
-		s += math.Abs(est[i]-tv) / math.Abs(tv)
-		n++
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return s / float64(n)
-}
-
-// NormalPDF returns the standard normal density at z.
-func NormalPDF(z float64) float64 {
-	return math.Exp(-z*z/2) / math.Sqrt(2*math.Pi)
 }
 
 // NormalCDF returns P(Z <= z) for a standard normal Z.

@@ -16,88 +16,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestVarianceStd(t *testing.T) {
-	x := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	// Sample variance with n-1: 32/7.
-	want := 32.0 / 7.0
-	if got := Variance(x); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("Variance = %v want %v", got, want)
-	}
-	if got := Std(x); math.Abs(got-math.Sqrt(want)) > 1e-12 {
-		t.Fatalf("Std = %v", got)
-	}
-	if Variance([]float64{5}) != 0 {
-		t.Fatal("Variance of singleton must be 0")
-	}
-}
-
-func TestVarianceShiftInvariance(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(50)
-		x := make([]float64, n)
-		y := make([]float64, n)
-		shift := rng.NormFloat64() * 100
-		for i := range x {
-			x[i] = rng.NormFloat64()
-			y[i] = x[i] + shift
-		}
-		return math.Abs(Variance(x)-Variance(y)) < 1e-8*(1+Variance(x))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMeanStd(t *testing.T) {
-	m, s := MeanStd([]float64{1, 3})
-	if m != 2 || math.Abs(s-math.Sqrt2) > 1e-12 {
-		t.Fatalf("MeanStd = %v,%v", m, s)
-	}
-}
-
-func TestMedianPercentile(t *testing.T) {
-	if got := Median([]float64{3, 1, 2}); got != 2 {
-		t.Fatalf("Median = %v", got)
-	}
-	if got := Median([]float64{4, 1, 2, 3}); got != 2.5 {
-		t.Fatalf("Median even = %v", got)
-	}
-	x := []float64{10, 20, 30, 40, 50}
-	if got := Percentile(x, 0); got != 10 {
-		t.Fatalf("P0 = %v", got)
-	}
-	if got := Percentile(x, 100); got != 50 {
-		t.Fatalf("P100 = %v", got)
-	}
-	if got := Percentile(x, 25); got != 20 {
-		t.Fatalf("P25 = %v", got)
-	}
-	if got := Percentile([]float64{7}, 50); got != 7 {
-		t.Fatalf("singleton percentile = %v", got)
-	}
-	if !math.IsNaN(Percentile(nil, 50)) {
-		t.Fatal("empty percentile must be NaN")
-	}
-}
-
-func TestPercentileDoesNotMutate(t *testing.T) {
-	x := []float64{3, 1, 2}
-	Percentile(x, 50)
-	if x[0] != 3 || x[1] != 1 || x[2] != 2 {
-		t.Fatal("Percentile must not sort the caller's slice")
-	}
-}
-
-func TestPercentileOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Percentile([]float64{1}, 101)
-}
-
 func TestMinMax(t *testing.T) {
 	lo, hi := MinMax([]float64{3, -1, 7, 2})
 	if lo != -1 || hi != 7 {
@@ -106,30 +24,6 @@ func TestMinMax(t *testing.T) {
 	lo, hi = MinMax(nil)
 	if !math.IsNaN(lo) || !math.IsNaN(hi) {
 		t.Fatal("MinMax(nil) must be NaN,NaN")
-	}
-}
-
-func TestMeanAbsRelError(t *testing.T) {
-	got := MeanAbsRelError([]float64{110, 90}, []float64{100, 100})
-	if math.Abs(got-0.1) > 1e-12 {
-		t.Fatalf("MARE = %v want 0.1", got)
-	}
-	// Zero-truth entries are skipped.
-	got = MeanAbsRelError([]float64{110, 5}, []float64{100, 0})
-	if math.Abs(got-0.1) > 1e-12 {
-		t.Fatalf("MARE with zero truth = %v want 0.1", got)
-	}
-	if !math.IsNaN(MeanAbsRelError([]float64{1}, []float64{0})) {
-		t.Fatal("all-zero truth must yield NaN")
-	}
-}
-
-func TestNormalPDF(t *testing.T) {
-	if got := NormalPDF(0); math.Abs(got-1/math.Sqrt(2*math.Pi)) > 1e-15 {
-		t.Fatalf("NormalPDF(0) = %v", got)
-	}
-	if NormalPDF(3) >= NormalPDF(0) {
-		t.Fatal("PDF must decrease away from 0")
 	}
 }
 
@@ -210,8 +104,8 @@ func TestHistogramBasic(t *testing.T) {
 	if h.Counts[0] != 1 || h.Counts[1] != 2 || h.Counts[9] != 1 {
 		t.Fatalf("counts = %v", h.Counts)
 	}
-	if h.Total() != 4 {
-		t.Fatalf("Total = %d", h.Total())
+	if h.total != 4 {
+		t.Fatalf("total = %d", h.total)
 	}
 }
 
@@ -222,16 +116,6 @@ func TestHistogramClamping(t *testing.T) {
 	h.Add(1.0) // exactly max lands in last bin
 	if h.Counts[0] != 1 || h.Counts[3] != 2 {
 		t.Fatalf("clamping wrong: %v", h.Counts)
-	}
-}
-
-func TestHistogramBinCenter(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	if got := h.BinCenter(0); got != 1 {
-		t.Fatalf("BinCenter(0) = %v", got)
-	}
-	if got := h.BinCenter(4); got != 9 {
-		t.Fatalf("BinCenter(4) = %v", got)
 	}
 }
 

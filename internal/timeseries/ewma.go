@@ -2,8 +2,7 @@
 // extract "true" anomalies from OD flows (Section 6.2) and to contrast
 // against the subspace method (Section 7.3): EWMA forecasting with the
 // bidirectional minimum trick from footnote 4, Fourier basis-function
-// fitting over the paper's eight periods, Holt-Winters smoothing, spike
-// extraction, and knee detection for rank-ordered anomaly sizes.
+// fitting over the paper's eight periods, and Holt-Winters smoothing.
 package timeseries
 
 import (

@@ -287,47 +287,3 @@ func TestDefaultPeriods(t *testing.T) {
 		}
 	}
 }
-
-func TestExtractSpikes(t *testing.T) {
-	res := []float64{1, 10, 2, 20, 3}
-	got := ExtractSpikes(res, 10)
-	if len(got) != 2 || got[0].T != 1 || got[1].T != 3 || got[1].Size != 20 {
-		t.Fatalf("ExtractSpikes = %v", got)
-	}
-	if got := ExtractSpikes(res, 100); len(got) != 0 {
-		t.Fatal("no spikes expected")
-	}
-}
-
-func TestTopSpikes(t *testing.T) {
-	res := []float64{5, 1, 9, 3}
-	got := TopSpikes(res, 2)
-	if len(got) != 2 || got[0].T != 2 || got[0].Size != 9 || got[1].T != 0 {
-		t.Fatalf("TopSpikes = %v", got)
-	}
-	if got := TopSpikes(res, 100); len(got) != 4 {
-		t.Fatal("k larger than series must return all")
-	}
-}
-
-func TestKneeIndex(t *testing.T) {
-	// Sharp knee after the 3rd value.
-	vals := []float64{100, 90, 80, 5, 4, 3, 2, 1}
-	k := KneeIndex(vals)
-	if k < 2 || k > 3 {
-		t.Fatalf("KneeIndex = %d want near 2-3", k)
-	}
-	if KneeIndex([]float64{1, 2}) != 0 {
-		t.Fatal("short input must return 0")
-	}
-}
-
-func TestKneeIndexLinearSeries(t *testing.T) {
-	// A straight line has no knee; any answer is acceptable but it must not
-	// panic and must be in range.
-	vals := []float64{10, 9, 8, 7, 6, 5}
-	k := KneeIndex(vals)
-	if k < 0 || k >= len(vals) {
-		t.Fatalf("KneeIndex out of range: %d", k)
-	}
-}

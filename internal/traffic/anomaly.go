@@ -2,10 +2,8 @@ package traffic
 
 import (
 	"fmt"
-	"math/rand"
 
 	"netanomaly/internal/mat"
-	"netanomaly/internal/topology"
 )
 
 // Anomaly is a volume anomaly: a sudden change (positive or negative) of
@@ -31,44 +29,4 @@ func Inject(x *mat.Dense, anomalies []Anomaly) {
 		}
 		x.Set(a.Bin, a.Flow, v)
 	}
-}
-
-// WithAnomalies returns a copy of x with the anomalies injected.
-func WithAnomalies(x *mat.Dense, anomalies []Anomaly) *mat.Dense {
-	out := x.Clone()
-	Inject(out, anomalies)
-	return out
-}
-
-// RandomAnomalies draws count anomalies uniformly over flows and bins,
-// with sizes uniform in [minSize, maxSize]. At most one anomaly is placed
-// per bin so that ground truth stays unambiguous (the paper's datasets
-// likewise treat each anomalous timestep as a single event). Deterministic
-// in seed. Degenerate requests — a non-positive count or bin budget, more
-// anomalies than bins, or an inverted size range — are errors, never a
-// silent empty slice.
-func RandomAnomalies(topo *topology.Topology, bins, count int, minSize, maxSize float64, seed int64) ([]Anomaly, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("traffic: anomaly bin budget %d must be positive", bins)
-	}
-	if count <= 0 {
-		return nil, fmt.Errorf("traffic: anomaly count %d must be positive", count)
-	}
-	if count > bins {
-		return nil, fmt.Errorf("traffic: cannot place %d anomalies in %d bins", count, bins)
-	}
-	if minSize > maxSize {
-		return nil, fmt.Errorf("traffic: size range [%v,%v] invalid", minSize, maxSize)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	binPerm := rng.Perm(bins)
-	out := make([]Anomaly, count)
-	for i := 0; i < count; i++ {
-		out[i] = Anomaly{
-			Flow:  rng.Intn(topo.NumFlows()),
-			Bin:   binPerm[i],
-			Delta: minSize + rng.Float64()*(maxSize-minSize),
-		}
-	}
-	return out, nil
 }

@@ -145,37 +145,3 @@ func TestScenariosBinForBinReproducible(t *testing.T) {
 		}
 	}
 }
-
-func TestRandomAnomaliesReproducible(t *testing.T) {
-	topo := topology.Abilene()
-	a, err := RandomAnomalies(topo, 500, 20, 1e6, 1e8, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RandomAnomalies(topo, 500, 20, 1e6, 1e8, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at anomaly %d: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-	c, err := RandomAnomalies(topo, 500, 20, 1e6, 1e8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical anomalies")
-	}
-}

@@ -144,13 +144,6 @@ func NewGenerator(topo *topology.Topology, cfg Config) (*Generator, error) {
 	return &Generator{topo: topo, cfg: cfg}, nil
 }
 
-// FlowMeans returns the gravity-model mean rate of every OD flow, in
-// bytes per bin. Deterministic in the configured seed.
-func (g *Generator) FlowMeans() []float64 {
-	rng := rand.New(rand.NewSource(g.cfg.Seed))
-	return g.flowMeans(rng)
-}
-
 func (g *Generator) flowMeans(rng *rand.Rand) []float64 {
 	p := g.topo.NumPoPs()
 	w := make([]float64, p)

@@ -81,7 +81,7 @@ type Scenario struct {
 	Name string
 	// Summary is a one-line description for listings.
 	Summary string
-	apply func(c *scenarioContext) (*ScenarioResult, error)
+	apply   func(c *scenarioContext) (*ScenarioResult, error)
 }
 
 // MinScenarioStreamBins is the smallest post-history stream a scenario

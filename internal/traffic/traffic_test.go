@@ -95,6 +95,13 @@ func TestGenerateNonNegative(t *testing.T) {
 	}
 }
 
+// FlowMeans returns the gravity-model mean rate of every OD flow, in
+// bytes per bin. Deterministic in the configured seed.
+func (g *Generator) FlowMeans() []float64 {
+	rng := rand.New(rand.NewSource(g.cfg.Seed))
+	return g.flowMeans(rng)
+}
+
 func TestFlowMeansGravity(t *testing.T) {
 	topo := topology.Abilene()
 	cfg := DefaultConfig(3)
@@ -263,79 +270,6 @@ func TestInjectOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	Inject(x, []Anomaly{{Flow: 9, Bin: 0, Delta: 1}})
-}
-
-func TestWithAnomaliesCopies(t *testing.T) {
-	x := mat.Zeros(5, 5)
-	y := WithAnomalies(x, []Anomaly{{Flow: 1, Bin: 1, Delta: 9}})
-	if x.At(1, 1) != 0 {
-		t.Fatal("WithAnomalies must not mutate its input")
-	}
-	if y.At(1, 1) != 9 {
-		t.Fatal("WithAnomalies must apply the spike")
-	}
-}
-
-func TestRandomAnomalies(t *testing.T) {
-	topo := topology.Abilene()
-	as, err := RandomAnomalies(topo, 1008, 12, 1e7, 4e7, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(as) != 12 {
-		t.Fatalf("count = %d", len(as))
-	}
-	seenBins := map[int]bool{}
-	for _, a := range as {
-		if a.Flow < 0 || a.Flow >= topo.NumFlows() {
-			t.Fatalf("flow out of range: %v", a)
-		}
-		if a.Bin < 0 || a.Bin >= 1008 {
-			t.Fatalf("bin out of range: %v", a)
-		}
-		if a.Delta < 1e7 || a.Delta > 4e7 {
-			t.Fatalf("delta out of range: %v", a)
-		}
-		if seenBins[a.Bin] {
-			t.Fatal("bins must be unique")
-		}
-		seenBins[a.Bin] = true
-	}
-	// Deterministic in seed.
-	as2, err := RandomAnomalies(topo, 1008, 12, 1e7, 4e7, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range as {
-		if as[i] != as2[i] {
-			t.Fatal("RandomAnomalies must be deterministic")
-		}
-	}
-}
-
-func TestRandomAnomaliesRejectsDegenerate(t *testing.T) {
-	topo := topology.Abilene()
-	cases := []struct {
-		name        string
-		bins, count int
-		min, max    float64
-	}{
-		{"count exceeds bins", 5, 6, 1, 2},
-		{"inverted size range", 10, 2, 5, 1},
-		{"zero count", 10, 0, 1, 2},
-		{"negative count", 10, -3, 1, 2},
-		{"zero bins", 0, 1, 1, 2},
-		{"negative bins", -5, 1, 1, 2},
-	}
-	for _, tc := range cases {
-		as, err := RandomAnomalies(topo, tc.bins, tc.count, tc.min, tc.max, 0)
-		if err == nil {
-			t.Fatalf("%s: expected error, got %d anomalies", tc.name, len(as))
-		}
-		if as != nil {
-			t.Fatalf("%s: error must not also return anomalies", tc.name)
-		}
-	}
 }
 
 func TestDefaultConfigIsPaperScale(t *testing.T) {

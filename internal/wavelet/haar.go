@@ -34,20 +34,6 @@ func Forward(x []float64) (approx, detail []float64) {
 	return approx, detail
 }
 
-// Inverse reconstructs a signal from one level of approximation and
-// detail coefficients.
-func Inverse(approx, detail []float64) []float64 {
-	if len(approx) != len(detail) {
-		panic(fmt.Sprintf("wavelet: Inverse length mismatch %d vs %d", len(approx), len(detail)))
-	}
-	x := make([]float64, 2*len(approx))
-	for i := range approx {
-		x[2*i] = (approx[i] + detail[i]) / sqrt2
-		x[2*i+1] = (approx[i] - detail[i]) / sqrt2
-	}
-	return x
-}
-
 // Decomposition is a full multi-level Haar decomposition: Details[k]
 // holds the detail coefficients at scale k (k=0 finest, 2-bin features),
 // and Approx the final coarse approximation.
@@ -78,24 +64,6 @@ func Decompose(x []float64, levels int) (*Decomposition, error) {
 	}
 	d.Approx = cur
 	return d, nil
-}
-
-// Reconstruct inverts Decompose exactly.
-func (d *Decomposition) Reconstruct() []float64 {
-	cur := mat.CloneVec(d.Approx)
-	for k := len(d.Details) - 1; k >= 0; k-- {
-		cur = Inverse(cur, d.Details[k])
-	}
-	return cur
-}
-
-// Energy returns the squared norm of all coefficients.
-func (d *Decomposition) Energy() float64 {
-	e := mat.SqNorm(d.Approx)
-	for _, det := range d.Details {
-		e += mat.SqNorm(det)
-	}
-	return e
 }
 
 // DetailMatrix applies a level-k detail transform to every column of a

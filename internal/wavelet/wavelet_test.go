@@ -1,6 +1,7 @@
 package wavelet
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,6 +11,41 @@ import (
 	"netanomaly/internal/topology"
 	"netanomaly/internal/traffic"
 )
+
+// The inverse transform and the coefficient energy are test oracles:
+// Decompose must invert exactly and preserve energy (Parseval).
+
+// Inverse reconstructs a signal from one level of approximation and
+// detail coefficients.
+func Inverse(approx, detail []float64) []float64 {
+	if len(approx) != len(detail) {
+		panic(fmt.Sprintf("wavelet: Inverse length mismatch %d vs %d", len(approx), len(detail)))
+	}
+	x := make([]float64, 2*len(approx))
+	for i := range approx {
+		x[2*i] = (approx[i] + detail[i]) / sqrt2
+		x[2*i+1] = (approx[i] - detail[i]) / sqrt2
+	}
+	return x
+}
+
+// Reconstruct inverts Decompose exactly.
+func (d *Decomposition) Reconstruct() []float64 {
+	cur := mat.CloneVec(d.Approx)
+	for k := len(d.Details) - 1; k >= 0; k-- {
+		cur = Inverse(cur, d.Details[k])
+	}
+	return cur
+}
+
+// Energy returns the squared norm of all coefficients.
+func (d *Decomposition) Energy() float64 {
+	e := mat.SqNorm(d.Approx)
+	for _, det := range d.Details {
+		e += mat.SqNorm(det)
+	}
+	return e
+}
 
 func TestForwardInverseRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
