@@ -943,7 +943,11 @@ func BenchmarkMonitorThroughput(b *testing.B) {
 		views := make([]string, 4)
 		for s := range views {
 			views[s] = fmt.Sprintf("view-%d", s)
-			if err := mon.AddView(views[s], links, topo.RoutingMatrix()); err != nil {
+			det, err := core.NewOnlineDetector(links, topo.RoutingMatrix(), core.OnlineConfig{Window: links.Rows()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := mon.AddDetectorView(views[s], det); err != nil {
 				b.Fatal(err)
 			}
 		}

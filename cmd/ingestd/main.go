@@ -90,6 +90,19 @@ func main() {
 	default:
 		fatal(fmt.Errorf("-codec %q: want any, raw, or xor", *codecPolicy))
 	}
+	// The multi-metric backend wants bins x (metrics x links) columns;
+	// the NAMB decoder is width-agnostic, so a stacked stream flows
+	// through unchanged once -metrics declares how many blocks the
+	// columns carry.
+	kind := netanomaly.DetectorKind(*detector)
+	switch {
+	case *metricsN < 1:
+		fatal(fmt.Errorf("-metrics %d: want at least 1 metric block per bin", *metricsN))
+	case kind == netanomaly.DetectorMultiFlow && *metricsN < 2:
+		fatal(errors.New("-detector multiflow needs -metrics > 1: the wire must carry column-stacked metric blocks (see trafficgen -metrics)"))
+	case kind != netanomaly.DetectorMultiFlow && *metricsN != 1:
+		fatal(fmt.Errorf("-metrics %d: only -detector multiflow consumes stacked metric streams", *metricsN))
+	}
 
 	if *historyPath == "" {
 		fatal(errors.New("-history is required: the model must be seeded before streams arrive"))
@@ -108,23 +121,12 @@ func main() {
 	// Every backend flag is passed whatever the kind: a kind ignores the
 	// parameters it does not read, and each flag's default is the
 	// option's default. An unknown kind fails when the view is built.
-	kind := netanomaly.DetectorKind(*detector)
 	viewOpts := []netanomaly.ViewOption{
 		netanomaly.WithDetector(kind),
 		netanomaly.WithLambda(*lambda),
 		netanomaly.WithDriftTolerance(*driftTol),
 		netanomaly.WithSketchSize(*sketchSize),
 		netanomaly.WithMetrics(metricNames(*metricsN)...),
-	}
-	// The multi-metric backend wants bins x (metrics x links) columns;
-	// the NAMB decoder is width-agnostic, so a stacked stream flows
-	// through unchanged once -metrics declares how many blocks the
-	// columns carry.
-	if kind == netanomaly.DetectorMultiFlow && *metricsN < 2 {
-		fatal(errors.New("-detector multiflow needs -metrics > 1: the wire must carry column-stacked metric blocks (see trafficgen -metrics)"))
-	}
-	if kind != netanomaly.DetectorMultiFlow && *metricsN != 1 {
-		fatal(fmt.Errorf("-metrics %d: only -detector multiflow consumes stacked metric streams", *metricsN))
 	}
 	policy, err := netanomaly.ParseOverloadPolicy(*overload)
 	if err != nil {

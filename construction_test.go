@@ -74,14 +74,13 @@ func TestOneConstructionPathEveryKind(t *testing.T) {
 				t.Fatal(err)
 			}
 			if kind == string(netanomaly.DetectorHybrid) {
-				// The triage kind's default is part of the contract: no
-				// command sets it, so AddView's default is what runs.
+				// The hybrid's triage stage is always ewma.
 				det, err := mon.Detector(kind)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got := det.(*netanomaly.HybridDetector).HybridStats().Triage.Backend; got != string(netanomaly.DetectorEWMA) {
-					t.Fatalf("hybrid without WithTriageKind triages with %q, want ewma", got)
+					t.Fatalf("hybrid triages with %q, want ewma", got)
 				}
 			}
 			if err := mon.Ingest(kind, stream); err != nil {

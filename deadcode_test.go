@@ -74,6 +74,54 @@ func TestNoUnreachableInternalAPI(t *testing.T) {
 	}
 }
 
+// TestEveryOptionHasACaller fails on an exported root func returning a
+// ViewOption, MonitorOption or CorrelatorOption that no non-test file
+// outside examples/ selects as netanomaly.F. The commands and the bench/
+// module count as callers. An option only tests and examples set is a
+// knob nobody turns: make its value a constant and delete the option.
+func TestEveryOptionHasACaller(t *testing.T) {
+	files := parseModule(t)
+	pkgName := map[string]string{}
+	for _, f := range files {
+		if !f.test {
+			pkgName[f.dir] = f.ast.Name.Name
+		}
+	}
+	optionTypes := map[string]bool{"ViewOption": true, "MonitorOption": true, "CorrelatorOption": true}
+	selected := map[string]bool{}
+	for _, f := range files {
+		if f.test || f.dir == "examples" || strings.HasPrefix(f.dir, "examples/") {
+			continue
+		}
+		imports := importDirs(f.ast, pkgName)
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if id, ok := sel.X.(*ast.Ident); ok && imports[id.Name] == "." {
+					selected[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	for _, f := range files {
+		if f.test || f.dir != "." {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv != nil || !fd.Name.IsExported() || fd.Type.Results == nil || len(fd.Type.Results.List) != 1 {
+				continue
+			}
+			res, ok := fd.Type.Results.List[0].Type.(*ast.Ident)
+			if !ok || !optionTypes[res.Name] || selected[fd.Name.Name] {
+				continue
+			}
+			t.Errorf("%s: %s returns a %s that no command, benchmark or other non-test code sets: make its value a constant and delete it",
+				f.fset.Position(fd.Pos()), fd.Name.Name, res.Name)
+		}
+	}
+}
+
 type parsedFile struct {
 	dir  string // slash path relative to the repository root
 	test bool

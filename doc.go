@@ -123,31 +123,28 @@
 //     very wide networks or near-continuous refresh. Its per-bin cost is
 //     mostly the sketch's own upkeep (an ell x ell shrink every ell/2
 //     bins), which runs after each batch's alarms are delivered.
-//   - DetectorMultiscale (WithLevels): one subspace model per wavelet
-//     scale (Section 7.3). Levels = 3 tests 2-, 4- and 8-bin features;
-//     each extra level needs twice the history (links * 2^levels seed
-//     bins minimum) and adds detection latency of up to 2^levels bins.
+//   - DetectorMultiscale: one subspace model per wavelet scale
+//     (Section 7.3). Its three levels test 2-, 4- and 8-bin features;
+//     the seed needs links * 2^3 bins at least, and detection lags by
+//     up to 8 bins.
 //     It catches sustained, slowly building anomalies that single-bin
 //     detectors miss; alarms localize in time (Flow is -1), so pair it
 //     with a subspace shard on the same view for identification.
-//   - DetectorMultiFlow (WithMetrics, WithQuorum): one subspace model
-//     per traffic metric — bytes, IP-flow counts, mean packet size
-//     (Section 7.2) — over shared routing, with history and batches
-//     column-stacked (DeriveLinkMetrics / StackMatrices). Quorum 1
-//     (default) alarms when any metric flags a bin, which is what
-//     catches port scans and small-flow DDoS that move flow counts
-//     without moving bytes; raise the quorum to demand agreement and
-//     suppress single-metric noise.
-//   - DetectorEWMA / DetectorHoltWinters / DetectorFourier (WithAlpha,
-//     WithBeta, WithThresholdK): the paper's temporal forecasting
-//     baselines (Sections 6.2, 7.3), streaming. Each link is forecast
-//     independently — incremental EWMA (alpha grid-searched at seed
-//     when unset) or level+trend smoothing, or a sinusoid-basis fit
-//     refit in the background on a window snapshot — and a link alarms
-//     when its residual exceeds an adaptive threshold: mean + k*sigma
-//     of its exponentially tracked residuals, re-estimated from the
-//     retained window on every refit, so thresholds follow the traffic
-//     level. Alarmed bins are withheld from forecaster state, which
+//   - DetectorMultiFlow (WithMetrics): one subspace model per traffic
+//     metric — bytes, IP-flow counts, mean packet size (Section 7.2) —
+//     over shared routing, with history and batches column-stacked
+//     (DeriveLinkMetrics / StackMatrices). It alarms when any metric
+//     flags a bin, which is what catches port scans and small-flow
+//     DDoS that move flow counts without moving bytes.
+//   - DetectorEWMA / DetectorHoltWinters / DetectorFourier: the
+//     paper's temporal forecasting baselines (Sections 6.2, 7.3),
+//     streaming. Each link is forecast independently — incremental
+//     EWMA (alpha grid-searched per link at seed) or level+trend
+//     smoothing, or a sinusoid-basis fit refit in the background on a
+//     window snapshot — and a link alarms when its residual exceeds an
+//     adaptive threshold: mean + 6*sigma of its exponentially tracked
+//     residuals, re-estimated from the retained window on every refit,
+//     so thresholds follow the traffic level. Alarmed bins are withheld from forecaster state, which
 //     suppresses the footnote-4 spike echo online. These are the
 //     cheapest backends (no matrix pass for the smoothing kinds —
 //     see BenchmarkForecastProcessBatch) and good per-link change
@@ -156,16 +153,14 @@
 //     variability grows relative to anomaly size — the regime where
 //     the subspace method's cross-link correlation wins (Section 7.3;
 //     run examples/compare for the head-to-head on one scenario).
-//   - DetectorHybrid (WithTriageKind, WithEscalation): the
-//     triage→identification composition. A forecast stage sees every
-//     bin at recursion cost and escalates alarmed bins to a windowed
-//     subspace stage that attributes the responsible OD flow, so
-//     steady-state cost is forecast-level (within ~1.1x on clean
-//     streams, BenchmarkHybridThroughput) while alarms carry Flow and
-//     Bytes. Escalation is immediate, confirm-after-n, or always
-//     (subspace-grade detection, for measuring triage misses); the
-//     subspace stage stays fresh via background re-seeds from the
-//     hybrid's window of recent clean bins. This is the operating
+//   - DetectorHybrid: the triage→identification composition. An ewma
+//     stage sees every bin at recursion cost and escalates every bin it
+//     alarms to a windowed subspace stage that attributes the
+//     responsible OD flow, so steady-state cost is forecast-level
+//     (within ~1.1x on clean streams, BenchmarkHybridThroughput) while
+//     alarms carry Flow and Bytes. The subspace stage stays fresh via
+//     background re-seeds from the hybrid's window of recent clean
+//     bins. This is the operating
 //     point the paper's Section 6.2/7.3 trade points at: temporal
 //     methods localize in time+link cheaply, the subspace method
 //     identifies the flow — the hybrid does both.

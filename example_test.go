@@ -99,7 +99,6 @@ func ExampleAddView_forecast() {
 	defer mon.Close()
 	err := netanomaly.AddView(mon, "cheap", history, topo,
 		netanomaly.WithDetector(netanomaly.DetectorEWMA),
-		netanomaly.WithThresholdK(6),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -125,8 +124,6 @@ func ExampleAddView_hybrid() {
 	defer mon.Close()
 	err := netanomaly.AddView(mon, "hybrid", history, topo,
 		netanomaly.WithDetector(netanomaly.DetectorHybrid),
-		netanomaly.WithTriageKind(netanomaly.DetectorEWMA),
-		netanomaly.WithEscalation("immediate"),
 	)
 	if err != nil {
 		log.Fatal(err)

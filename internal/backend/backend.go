@@ -48,16 +48,8 @@ type Spec struct {
 	// Levels is multiscale's wavelet depth (0 = 3).
 	Levels int
 	// Metrics names multiflow's stacked column blocks (nil = bytes,
-	// flows, pktsize); Quorum is its vote (0 = 1).
+	// flows, pktsize).
 	Metrics []string
-	Quorum  int
-	// Alpha, Beta and K tune the forecast kinds and the hybrid's triage
-	// stage (0 = each forecaster's default).
-	Alpha, Beta, K float64
-	// Triage is the hybrid's forecast kind ("" = ewma), Escalation its
-	// policy ("" = immediate), Hysteresis its hold in bins.
-	Triage, Escalation string
-	Hysteresis         int
 }
 
 // Build constructs the backend s selects and seeds it on history:
@@ -108,11 +100,10 @@ func Build(s Spec, history, routing *mat.Dense) (core.ViewDetector, error) {
 	case "multiflow":
 		return netmeas.NewMultiMetricDetector(history, routing, netmeas.MultiMetricConfig{
 			Metrics: s.Metrics,
-			Quorum:  s.Quorum,
 			Online:  online,
 		})
 	case "ewma", "holtwinters", "fourier":
-		return newForecast(s.Kind, s, history)
+		return newForecast(forecast.Kind(s.Kind), s, history)
 	case "hybrid":
 		return buildHybrid(s, history, routing)
 	}
@@ -120,38 +111,23 @@ func Build(s Spec, history, routing *mat.Dense) (core.ViewDetector, error) {
 }
 
 // newForecast builds a per-link forecasting detector of the given kind
-// with s's forecast parameters.
-func newForecast(kind string, s Spec, history *mat.Dense) (*forecast.Detector, error) {
+// with s's window and refit cadence and the forecaster's defaults.
+func newForecast(kind forecast.Kind, s Spec, history *mat.Dense) (*forecast.Detector, error) {
 	return forecast.NewDetector(history, forecast.Config{
-		Kind:       forecast.Kind(kind),
-		Alpha:      s.Alpha,
-		Beta:       s.Beta,
-		K:          s.K,
+		Kind:       kind,
 		Window:     s.Window,
 		RefitEvery: s.RefitEvery,
 	})
 }
 
-// buildHybrid assembles the triage→identification backend: a forecast
-// detector as the always-on triage stage and a windowed subspace
-// detector as the identification stage, composed under the escalation
-// policy. The subspace stage's automatic refits are disabled — the
+// buildHybrid assembles the triage→identification backend: an ewma
+// forecast detector as the always-on triage stage and a windowed
+// subspace detector as the identification stage that every triage alarm
+// escalates to. The subspace stage's automatic refits are disabled — the
 // hybrid re-seeds it from its clean-bin window on the refit cadence
 // instead, so the model stays fresh without a per-bin subspace pass.
 func buildHybrid(s Spec, history, routing *mat.Dense) (core.ViewDetector, error) {
-	triage := s.Triage
-	switch triage {
-	case "":
-		triage = "ewma"
-	case "ewma", "holtwinters", "fourier":
-	default:
-		return nil, fmt.Errorf("hybrid triage stage must be a forecast kind, got %q", triage)
-	}
-	policy, confirm, err := core.ParseEscalation(s.Escalation)
-	if err != nil {
-		return nil, err
-	}
-	tdet, err := newForecast(triage, s, history)
+	tdet, err := newForecast(forecast.EWMA, s, history)
 	if err != nil {
 		return nil, fmt.Errorf("hybrid triage stage: %w", err)
 	}
@@ -160,10 +136,7 @@ func buildHybrid(s Spec, history, routing *mat.Dense) (core.ViewDetector, error)
 		return nil, fmt.Errorf("hybrid identification stage: %w", err)
 	}
 	return core.NewHybridDetector(tdet, identify, history, core.HybridConfig{
-		Escalation: policy,
-		Confirm:    confirm,
 		Window:     s.Window,
 		RefitEvery: s.RefitEvery,
-		Hysteresis: s.Hysteresis,
 	})
 }

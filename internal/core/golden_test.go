@@ -1,6 +1,10 @@
 package core_test
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"strings"
 	"testing"
 
 	"netanomaly/internal/backend"
@@ -24,10 +28,35 @@ func TestSnapshotGoldenEnvelopes(t *testing.T) {
 		"subspace":    {Kind: "subspace", Window: 64},
 		"incremental": {Kind: "incremental", Lambda: 0.995},
 		"sketch":      {Kind: "sketch"},
-		"hybrid":      {Kind: "hybrid", Window: 64, Hysteresis: 2},
+		"hybrid":      {Kind: "hybrid", Window: 64},
 	}
 	for name, spec := range cases {
 		fresh := func() (core.ViewDetector, error) { return backend.Build(spec, history, routing) }
 		t.Run(name, func(t *testing.T) { snaptest.Golden(t, name, fresh, links) })
+	}
+}
+
+// TestRetiredHybridEnvelopeRejected restores a hybrid envelope in the
+// retired layout (kind byte 8, which carried the escalation run and
+// hysteresis state; written by the last commit that had them) into
+// today's hybrid. It must be refused as a mismatch that asks for a
+// re-seed — not classified as corruption, and never decoded.
+func TestRetiredHybridEnvelopeRejected(t *testing.T) {
+	const links = 6
+	env, err := os.ReadFile("testdata/hybrid-v1.nams")
+	if err != nil {
+		t.Fatal(err)
+	}
+	history := snaptest.Traffic(snaptest.HistoryBins, links, 0)
+	det, err := backend.Build(backend.Spec{Kind: "hybrid", Window: 64}, history, mat.Identity(links))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = det.Restore(bytes.NewReader(env))
+	if !errors.Is(err, core.ErrSnapshotMismatch) || errors.Is(err, core.ErrSnapshotFormat) || !strings.Contains(err.Error(), "re-seed") {
+		t.Fatalf("retired hybrid envelope: got %v, want a re-seed ErrSnapshotMismatch", err)
+	}
+	if got := det.Stats().Processed; got != 0 {
+		t.Fatalf("rejected restore advanced the detector to %d bins", got)
 	}
 }

@@ -4,79 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 	"sync"
 
 	"netanomaly/internal/mat"
 )
 
-// Escalation selects which bins a HybridDetector's identification stage
-// sees. The triage stage sees every bin regardless.
-type Escalation int
-
-const (
-	// EscalateImmediate escalates every triage-alarmed bin as it
-	// happens (the default): single-bin spikes get flow identification
-	// at the cost of one subspace pass per triage alarm.
-	EscalateImmediate Escalation = iota
-	// EscalateConfirm escalates a triage-alarmed bin only once the run
-	// of consecutive alarmed bins reaches HybridConfig.Confirm: brief
-	// triage blips never pay the identification cost (their alarms
-	// still fire, without flow attribution). Keep Confirm below the
-	// triage stage's ReabsorbAfter horizon, or a persistent anomaly
-	// stops alarming before it ever confirms.
-	EscalateConfirm
-	// EscalateAlways escalates every bin, alarmed or not — the
-	// identification stage runs at full subspace cost and can flag
-	// anomalies the triage stage misses. Use it to measure the triage
-	// stage's miss rate against subspace-grade detection.
-	EscalateAlways
-)
-
-// String names the policy as ParseEscalation accepts it.
-func (e Escalation) String() string {
-	switch e {
-	case EscalateImmediate:
-		return "immediate"
-	case EscalateConfirm:
-		return "confirm"
-	case EscalateAlways:
-		return "always"
-	}
-	return fmt.Sprintf("escalation(%d)", int(e))
-}
-
-// ParseEscalation parses a policy name — "immediate", "always",
-// "confirm", or "confirm:<n>" — into the policy and its confirmation
-// count (0 means HybridConfig's default). An empty string is
-// "immediate".
-func ParseEscalation(s string) (Escalation, int, error) {
-	switch {
-	case s == "" || s == "immediate":
-		return EscalateImmediate, 0, nil
-	case s == "always":
-		return EscalateAlways, 0, nil
-	case s == "confirm":
-		return EscalateConfirm, 0, nil
-	case strings.HasPrefix(s, "confirm:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(s, "confirm:"))
-		if err != nil || n < 1 {
-			return 0, 0, fmt.Errorf("core: escalation %q: confirmation count must be a positive integer", s)
-		}
-		return EscalateConfirm, n, nil
-	}
-	return 0, 0, fmt.Errorf("core: unknown escalation policy %q (want immediate, confirm[:n], or always)", s)
-}
-
 // HybridConfig configures NewHybridDetector.
 type HybridConfig struct {
-	// Escalation selects which bins reach the identification stage;
-	// default EscalateImmediate.
-	Escalation Escalation
-	// Confirm is the consecutive-alarm count EscalateConfirm requires
-	// before escalating; 0 uses 2. Ignored by the other policies.
-	Confirm int
 	// Window is the capacity of the hybrid's clean-bin window, which
 	// feeds the identification stage's background re-seeds; 0 uses the
 	// seed history length.
@@ -86,14 +20,6 @@ type HybridConfig struct {
 	// disables the re-seed (the triage stage's own refit cadence is
 	// configured on the triage detector itself).
 	RefitEvery int
-	// Hysteresis keeps the identification stage engaged for this many
-	// bins after the last policy-driven escalation, so a triage stage
-	// oscillating around its threshold does not escalate and
-	// de-escalate every other bin. Held bins run identification even
-	// when the triage stage is quiet (their alarms, if any, come from
-	// the identification stage); 0 disables holding. Ignored by
-	// EscalateAlways, which escalates everything anyway.
-	Hysteresis int
 }
 
 // HybridStats is a HybridDetector's two-stage breakdown: the per-stage
@@ -105,24 +31,12 @@ type HybridStats struct {
 	// TriageAlarms counts bins the triage stage flagged.
 	TriageAlarms int
 	// Escalated counts bins handed to the identification stage — the
-	// subspace work actually paid for. Under EscalateAlways this is
-	// every processed bin.
+	// subspace work actually paid for. Every triage alarm escalates, so
+	// it equals TriageAlarms.
 	Escalated int
 	// Identified counts escalated bins the identification stage
 	// confirmed; their alarms carry Flow attribution.
 	Identified int
-	// Suppressed counts triage alarms never escalated (the confirm
-	// policy withholding identification from unconfirmed blips); their
-	// alarms fired with Flow = -1.
-	Suppressed int
-	// EscalationRuns counts distinct escalation episodes: transitions
-	// from not-escalating to escalating. A triage stage flapping around
-	// its threshold shows here as many short runs; hysteresis exists to
-	// drive this down without losing escalated coverage.
-	EscalationRuns int
-	// HeldBins counts bins escalated purely by hysteresis — the triage
-	// stage was quiet, but the hold window kept identification engaged.
-	HeldBins int
 }
 
 // HybridDetector pairs a cheap always-on triage stage with a subspace
@@ -138,13 +52,12 @@ type HybridStats struct {
 // localize in time+link, the subspace method identifies the flow)
 // collapsed into one operating point.
 //
-// Alarm semantics: a bin alarms when the triage stage flags it (or,
-// under EscalateAlways, when either stage does). When the
-// identification stage confirms an escalated bin, the alarm carries its
-// Diagnosis — subspace SPE, threshold, identified Flow and estimated
-// Bytes; otherwise the alarm carries the triage stage's Diagnosis
-// (worst link's residual, Flow = -1). One alarm per bin, in sequence
-// order.
+// Alarm semantics: a bin alarms exactly when the triage stage flags it,
+// and every flagged bin escalates. When the identification stage
+// confirms an escalated bin, the alarm carries its Diagnosis — subspace
+// SPE, threshold, identified Flow and estimated Bytes; otherwise the
+// alarm carries the triage stage's Diagnosis (worst link's residual,
+// Flow = -1). One alarm per bin, in sequence order.
 //
 // Model freshness: the identification stage never sees clean bins, so
 // its sliding window would go stale. The hybrid keeps its own window of
@@ -158,19 +71,13 @@ type HybridStats struct {
 // caller — handing either stage to another Monitor view breaks the
 // one-ProcessBatch-caller guarantee it relies on.
 type HybridDetector struct {
-	triage     ViewDetector
-	identify   ViewDetector
-	policy     Escalation
-	confirm    int
-	hysteresis int
-	links      int
+	triage   ViewDetector
+	identify ViewDetector
+	links    int
 
 	mu        sync.Mutex // guards the fields below
 	window    *mat.RowRing
 	processed int
-	run       int // consecutive triage-alarmed bins
-	hold      int // hysteresis bins left before de-escalating
-	inEsc     bool
 	gate      *RefitGate
 	// counts holds the escalation counters HybridStats surfaces (its
 	// Triage and Identify fields are filled on demand, not kept here).
@@ -196,27 +103,15 @@ func NewHybridDetector(triage, identify ViewDetector, history *mat.Dense, cfg Hy
 	if bins == 0 {
 		return nil, fmt.Errorf("core: hybrid history is empty")
 	}
-	if cfg.Confirm == 0 {
-		cfg.Confirm = 2
-	}
-	if cfg.Confirm < 1 {
-		return nil, fmt.Errorf("core: hybrid confirmation count %d < 1", cfg.Confirm)
-	}
-	if cfg.Hysteresis < 0 {
-		return nil, fmt.Errorf("core: hybrid hysteresis %d < 0", cfg.Hysteresis)
-	}
 	capacity := cfg.Window
 	if capacity <= 0 {
 		capacity = bins
 	}
 	d := &HybridDetector{
-		triage:     triage,
-		identify:   identify,
-		policy:     cfg.Escalation,
-		confirm:    cfg.Confirm,
-		hysteresis: cfg.Hysteresis,
-		links:      tLinks,
-		window:     tailRing(history, capacity),
+		triage:   triage,
+		identify: identify,
+		links:    tLinks,
+		window:   tailRing(history, capacity),
 	}
 	d.gate = NewRefitGate(&d.mu, cfg.RefitEvery)
 	return d, nil
@@ -227,8 +122,8 @@ func NewHybridDetector(triage, identify ViewDetector, history *mat.Dense, cfg Hy
 // re-seed open. Call before streaming starts.
 func (d *HybridDetector) SetRefitHook(h func()) { d.gate.SetHook(h) }
 
-// ProcessBatch runs the batch through the triage stage, escalates bins
-// per the policy, identifies them with the subspace stage, and returns
+// ProcessBatch runs the batch through the triage stage, escalates the
+// bins it alarms, identifies them with the subspace stage, and returns
 // one alarm per alarmed bin in sequence order. Clean bins feed the
 // window the identification stage re-seeds from; a deferred failure
 // from either stage's background fit (or the hybrid's own re-seed)
@@ -255,55 +150,23 @@ func (d *HybridDetector) ProcessBatch(y *mat.Dense) ([]Alarm, error) {
 		triaged[row] = a.Diagnosis
 	}
 
-	// Escalation decisions need the run counter; they and the sequence
-	// base are the only state the batch touches before identification.
+	// The sequence base and alarm count are the only state the batch
+	// touches before identification.
 	d.mu.Lock()
 	base := d.processed
 	d.processed += bins
 	d.counts.TriageAlarms += len(tAlarms)
-	var escRows []int
-	for b := 0; b < bins; b++ {
-		_, alarmed := triaged[b]
-		if alarmed {
-			d.run++
-		} else {
-			d.run = 0
-		}
-		esc := false
-		switch d.policy {
-		case EscalateAlways:
-			esc = true
-		case EscalateImmediate:
-			esc = alarmed
-		case EscalateConfirm:
-			esc = alarmed && d.run >= d.confirm
-		}
-		// Hysteresis: a policy-driven escalation re-arms the hold; a
-		// quiet bin inside the hold window stays escalated so a triage
-		// stage flapping around its threshold does not start a fresh
-		// subspace episode every other bin.
-		if esc {
-			d.hold = d.hysteresis
-		} else if d.hold > 0 {
-			d.hold--
-			d.counts.HeldBins++
-			esc = true
-		}
-		if esc && !d.inEsc {
-			d.counts.EscalationRuns++
-		}
-		d.inEsc = esc
-		if esc {
-			escRows = append(escRows, b)
-		} else if alarmed {
-			d.counts.Suppressed++
-		}
-	}
-	d.counts.Escalated += len(escRows)
 	d.mu.Unlock()
 
-	// Stage 2: identification, escalated bins only — one batched
+	// Stage 2: identification of every triage-alarmed bin — one batched
 	// subspace pass over just those rows.
+	var escRows []int
+	for b := 0; b < bins; b++ {
+		if _, alarmed := triaged[b]; alarmed {
+			escRows = append(escRows, b)
+		}
+	}
+
 	identified := make(map[int]Diagnosis)
 	if len(escRows) > 0 {
 		esc := mat.Zeros(len(escRows), d.links)
@@ -394,8 +257,7 @@ func (d *HybridDetector) Refit() error {
 
 // Seed re-seeds both stages from the history block and refills the
 // clean-bin window with it. The processed-bin counter and stage sequence
-// numbers keep running; the escalation run resets (the history is
-// presumed clean).
+// numbers keep running.
 func (d *HybridDetector) Seed(history *mat.Dense) error {
 	bins, cols := history.Dims()
 	if cols != d.links {
@@ -413,7 +275,6 @@ func (d *HybridDetector) Seed(history *mat.Dense) error {
 			window := tailRing(history, capacity)
 			return func() bool {
 				d.window = window
-				d.run, d.hold, d.inEsc = 0, 0, false
 				d.gate.RestartLocked()
 				return true
 			}, nil
@@ -454,9 +315,9 @@ func (d *HybridDetector) Stats() ViewStats {
 	}
 }
 
-// Snapshot serializes the clean-bin window, the escalation run and
-// counters, and then both stage detectors' own envelopes nested inside
-// the payload — everything ProcessBatch's sequence rebasing relies on
+// Snapshot serializes the clean-bin window, the escalation counters,
+// and then both stage detectors' own envelopes nested inside the
+// payload — everything ProcessBatch's sequence rebasing relies on
 // (the stage processed counters travel inside the stage envelopes).
 func (d *HybridDetector) Snapshot(w io.Writer) error {
 	return d.gate.Quiesced(func() error {
@@ -464,9 +325,6 @@ func (d *HybridDetector) Snapshot(w io.Writer) error {
 			sw.Int(d.links)
 			sw.RowRing(d.window)
 			sw.Int(d.processed)
-			sw.Int(d.run)
-			sw.Int(d.hold)
-			sw.Bool(d.inEsc)
 			d.gate.EncodeLocked(sw)
 			for _, n := range d.counts.counters() {
 				sw.Int(*n)
@@ -479,16 +337,16 @@ func (d *HybridDetector) Snapshot(w io.Writer) error {
 
 // counters lists the escalation counters in snapshot order.
 func (hs *HybridStats) counters() []*int {
-	return []*int{&hs.TriageAlarms, &hs.Escalated, &hs.Identified, &hs.Suppressed, &hs.EscalationRuns, &hs.HeldBins}
+	return []*int{&hs.TriageAlarms, &hs.Identified}
 }
 
 // Restore replaces the hybrid's window, counters, and both stage
 // detectors' state with a snapshot from an identically composed hybrid
-// (same stage kinds, same link count; escalation policy and re-seed
-// cadence stay the receiver's). Stage state is restored through the
-// stages' own Restore, so a snapshot whose nested stage kinds do not
-// match the receiver's stages is rejected; if a stage restore fails the
-// hybrid should be discarded, as the stages may no longer agree.
+// (same stage kinds, same link count; the re-seed cadence stays the
+// receiver's). Stage state is restored through the stages' own
+// Restore, so a snapshot whose nested stage kinds do not match the
+// receiver's stages is rejected; if a stage restore fails the hybrid
+// should be discarded, as the stages may no longer agree.
 func (d *HybridDetector) Restore(r io.Reader) error {
 	return d.gate.Quiesced(func() error {
 		return DecodeSnapshot(r, SnapKindHybrid, func(sr *SnapshotReader) error {
@@ -498,9 +356,6 @@ func (d *HybridDetector) Restore(r io.Reader) error {
 			}
 			window := sr.RowRing(d.links)
 			processed := sr.NonNegInt()
-			run := sr.NonNegInt()
-			hold := sr.NonNegInt()
-			inEsc := sr.Bool()
 			cadence := d.gate.DecodeLocked(sr)
 			var counts HybridStats
 			for _, n := range counts.counters() {
@@ -515,7 +370,6 @@ func (d *HybridDetector) Restore(r io.Reader) error {
 				return err
 			}
 			d.window, d.processed, d.counts = window, processed, counts
-			d.run, d.hold, d.inEsc = run, hold, inEsc
 			cadence()
 			return nil
 		})
@@ -528,6 +382,7 @@ func (d *HybridDetector) HybridStats() HybridStats {
 	d.mu.Lock()
 	hs := d.counts
 	d.mu.Unlock()
+	hs.Escalated = hs.TriageAlarms
 	hs.Triage = d.triage.Stats()
 	hs.Identify = d.identify.Stats()
 	return hs

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"strings"
@@ -156,7 +155,7 @@ func TestHybridEscalateImmediate(t *testing.T) {
 		}
 	}
 	hs := d.HybridStats()
-	if hs.TriageAlarms != 3 || hs.Escalated != 3 || hs.Identified != 1 || hs.Suppressed != 0 {
+	if hs.TriageAlarms != 3 || hs.Escalated != 3 || hs.Identified != 1 {
 		t.Fatalf("stats %+v", hs)
 	}
 	if hs.Triage.Backend != "stub-triage" || hs.Identify.Backend != "stub-identify" {
@@ -164,69 +163,6 @@ func TestHybridEscalateImmediate(t *testing.T) {
 	}
 	if got := d.Stats(); got.Backend != "hybrid" || got.Processed != 6 || got.Links != links {
 		t.Fatalf("Stats() = %+v", got)
-	}
-}
-
-func TestHybridEscalateConfirm(t *testing.T) {
-	const links = 2
-	d, _, identify := newStubHybrid(t, links, HybridConfig{Escalation: EscalateConfirm, Confirm: 2})
-
-	// Runs: bin1 (len 1, suppressed), bins 3-5 (len 3: bin 3 suppressed,
-	// bins 4 and 5 escalate).
-	alarms, err := d.ProcessBatch(markerBatch(links, 0, 3, 0, 3, 3, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := identify.receivedRows(); len(got) != 2 {
-		t.Fatalf("identify received %d rows, want 2 (confirmed tail of the run)", len(got))
-	}
-	// Every triage alarm still fires; only confirmed bins carry flow.
-	wantFlow := map[int]int{1: -1, 3: -1, 4: 7, 5: 7}
-	if len(alarms) != len(wantFlow) {
-		t.Fatalf("alarms: %+v", alarms)
-	}
-	for _, a := range alarms {
-		if want, ok := wantFlow[a.Seq]; !ok || a.Flow != want {
-			t.Fatalf("alarm %+v, want flow %d", a, wantFlow[a.Seq])
-		}
-	}
-	hs := d.HybridStats()
-	if hs.Suppressed != 2 || hs.Escalated != 2 || hs.Identified != 2 {
-		t.Fatalf("stats %+v", hs)
-	}
-
-	// The run carries across batch boundaries: the stream ended mid-run,
-	// so the next batch's first alarmed bin is already confirmed.
-	alarms, err = d.ProcessBatch(markerBatch(links, 3, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(alarms) != 1 || alarms[0].Seq != 6 || alarms[0].Flow != 7 {
-		t.Fatalf("cross-batch run not continued: %+v", alarms)
-	}
-}
-
-func TestHybridEscalateAlways(t *testing.T) {
-	const links = 2
-	d, _, identify := newStubHybrid(t, links, HybridConfig{Escalation: EscalateAlways})
-
-	// Marker 2: triage misses, identify catches — the alarm must still
-	// surface, with flow attribution.
-	alarms, err := d.ProcessBatch(markerBatch(links, 0, 2, 1, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := identify.receivedRows(); len(got) != 4 {
-		t.Fatalf("always policy escalated %d of 4 bins", len(got))
-	}
-	if len(alarms) != 2 {
-		t.Fatalf("alarms: %+v", alarms)
-	}
-	if alarms[0].Seq != 1 || alarms[0].Flow != 7 {
-		t.Fatalf("triage-missed bin not surfaced by identify: %+v", alarms[0])
-	}
-	if alarms[1].Seq != 2 || alarms[1].Flow != -1 {
-		t.Fatalf("triage-only bin wrong: %+v", alarms[1])
 	}
 }
 
@@ -345,117 +281,5 @@ func TestHybridTakeRefitErrorJoinsStages(t *testing.T) {
 	}
 	if d.TakeRefitError() != nil {
 		t.Fatal("deferred errors not cleared")
-	}
-}
-
-func TestParseEscalation(t *testing.T) {
-	cases := []struct {
-		in      string
-		policy  Escalation
-		confirm int
-		ok      bool
-	}{
-		{"", EscalateImmediate, 0, true},
-		{"immediate", EscalateImmediate, 0, true},
-		{"always", EscalateAlways, 0, true},
-		{"confirm", EscalateConfirm, 0, true},
-		{"confirm:3", EscalateConfirm, 3, true},
-		{"confirm:0", 0, 0, false},
-		{"confirm:x", 0, 0, false},
-		{"sometimes", 0, 0, false},
-	}
-	for _, c := range cases {
-		policy, confirm, err := ParseEscalation(c.in)
-		if c.ok != (err == nil) {
-			t.Fatalf("ParseEscalation(%q) err = %v", c.in, err)
-		}
-		if c.ok && (policy != c.policy || confirm != c.confirm) {
-			t.Fatalf("ParseEscalation(%q) = %v, %d", c.in, policy, confirm)
-		}
-	}
-	for _, e := range []Escalation{EscalateImmediate, EscalateConfirm, EscalateAlways} {
-		back, _, err := ParseEscalation(e.String())
-		if err != nil || back != e {
-			t.Fatalf("round trip %v: %v %v", e, back, err)
-		}
-	}
-}
-
-// TestHybridHysteresisCollapsesChurn drives a noisy-threshold stream —
-// the triage stage flipping between alarmed and quiet every bin — and
-// proves the hold window collapses the escalation churn: without
-// hysteresis every alarmed bin opens its own escalation episode, with
-// it the whole flap is one episode and the alarm stream is unchanged.
-func TestHybridHysteresisCollapsesChurn(t *testing.T) {
-	const links = 2
-	flap := make([]float64, 20)
-	for b := range flap {
-		if b%2 == 0 {
-			flap[b] = 1
-		}
-	}
-
-	flat, _, _ := newStubHybrid(t, links, HybridConfig{})
-	flatAlarms, err := flat.ProcessBatch(markerBatch(links, flap...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	held, _, identify := newStubHybrid(t, links, HybridConfig{Hysteresis: 2})
-	heldAlarms, err := held.ProcessBatch(markerBatch(links, flap...))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fs, hs := flat.HybridStats(), held.HybridStats()
-	if fs.EscalationRuns != 10 || fs.HeldBins != 0 || fs.Escalated != 10 {
-		t.Fatalf("no-hysteresis stats %+v, want 10 one-bin escalation runs", fs)
-	}
-	if hs.EscalationRuns != 1 {
-		t.Fatalf("hysteresis stats %+v, want the flap collapsed to 1 escalation run", hs)
-	}
-	if hs.HeldBins != 10 || hs.Escalated != 20 {
-		t.Fatalf("hysteresis stats %+v, want 10 held bins among 20 escalated", hs)
-	}
-	// The quiet bins reached the identification stage during the hold.
-	if got := identify.receivedRows(); len(got) != 20 {
-		t.Fatalf("identify saw %d rows under hysteresis, want all 20", len(got))
-	}
-	// Same alarm stream either way: holding changes what the identify
-	// stage sees, not which bins alarm.
-	if len(flatAlarms) != len(heldAlarms) {
-		t.Fatalf("alarm streams diverge: %d vs %d", len(flatAlarms), len(heldAlarms))
-	}
-	for i := range flatAlarms {
-		if flatAlarms[i].Seq != heldAlarms[i].Seq {
-			t.Fatalf("alarm %d at seq %d vs %d", i, flatAlarms[i].Seq, heldAlarms[i].Seq)
-		}
-	}
-}
-
-// The hold window survives a snapshot/restore mid-flap: the resumed
-// hybrid keeps holding instead of starting a new escalation episode.
-func TestHybridHysteresisSnapshotResume(t *testing.T) {
-	const links = 2
-	d, _, _ := newStubHybrid(t, links, HybridConfig{Hysteresis: 3})
-	if _, err := d.ProcessBatch(markerBatch(links, 1, 0)); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := d.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r, _, _ := newStubHybrid(t, links, HybridConfig{Hysteresis: 3})
-	if err := r.Restore(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.ProcessBatch(markerBatch(links, 0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	hs := r.HybridStats()
-	if hs.EscalationRuns != 1 {
-		t.Fatalf("restored hybrid started a new escalation run: %+v", hs)
-	}
-	if hs.HeldBins != 2 || hs.Escalated != 4 {
-		t.Fatalf("restored hold window wrong: %+v", hs)
 	}
 }

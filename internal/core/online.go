@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -116,6 +117,11 @@ func NewOnlineDetector(history, a *mat.Dense, cfg OnlineConfig) (*OnlineDetector
 
 // newDetector seeds proto's estimate and the first model from history.
 func newDetector(proto estimator, history, a *mat.Dense, opts Options, every int, gated bool, driftTol float64) (*OnlineDetector, error) {
+	// A NaN or negative tolerance would fail the gate's > 0 test and
+	// silently turn the gate off; an infinite one would never swap.
+	if !(0 <= driftTol && driftTol < math.Inf(1)) {
+		return nil, fmt.Errorf("core: drift tolerance %v out of [0, +Inf)", driftTol)
+	}
 	opts.fillDefaults()
 	d := &OnlineDetector{paths: newFlowPaths(a), opts: opts, links: history.Cols(), driftTol: driftTol, gated: gated}
 	d.gate = NewRefitGate(&d.mu, every)

@@ -202,6 +202,16 @@ func TestSketchSizeValidation(t *testing.T) {
 	if d.est.(*sketchEstimator).ell < 2*rank {
 		t.Fatalf("defaulted sketch size %d below 2*rank (%d)", d.est.(*sketchEstimator).ell, 2*rank)
 	}
+	// Both drift-gated constructors refuse a tolerance the gate cannot
+	// honour instead of silently running ungated.
+	for _, tol := range []float64{math.NaN(), -1, math.Inf(1)} {
+		if _, err := NewSketchDetector(history, routing, SketchConfig{DriftTol: tol}); err == nil {
+			t.Fatalf("sketch drift tolerance %v accepted", tol)
+		}
+		if _, err := NewIncrementalDetector(history, routing, IncrementalConfig{DriftTol: tol}); err == nil {
+			t.Fatalf("incremental drift tolerance %v accepted", tol)
+		}
+	}
 }
 
 // TestFDSketchInsertAllAllocFree is the sketch's counterpart of

@@ -71,8 +71,13 @@ const (
 	SnapKindEWMA        byte = 5
 	SnapKindHoltWinters byte = 6
 	SnapKindFourier     byte = 7
-	SnapKindHybrid      byte = 8
 	SnapKindSketch      byte = 9
+	SnapKindHybrid      byte = 10
+	// snapKindHybridV1 is the retired hybrid layout, which carried the
+	// escalation policy's run and hysteresis state. KindName still names
+	// it, so an old hybrid checkpoint routes to a hybrid detector and is
+	// refused there as a mismatch instead of as corruption.
+	snapKindHybridV1 byte = 8
 
 	SnapKindView    byte = 0x20
 	SnapKindMonitor byte = 0x21
@@ -100,7 +105,7 @@ func KindName(kind byte) string {
 		return "holtwinters"
 	case SnapKindFourier:
 		return "fourier"
-	case SnapKindHybrid:
+	case SnapKindHybrid, snapKindHybridV1:
 		return "hybrid"
 	case SnapKindSketch:
 		return "sketch"
@@ -577,6 +582,10 @@ func DecodeSnapshot(r io.Reader, wantKind byte, decode func(*SnapshotReader) err
 		return err
 	}
 	if kind != wantKind {
+		if name := KindName(kind); name != "" && name == KindName(wantKind) {
+			return SnapshotMismatchf("snapshot is a retired %s layout (kind %d); re-seed the view from history",
+				name, kind)
+		}
 		return SnapshotMismatchf("snapshot is a %s state, detector is %s",
 			KindName(kind), KindName(wantKind))
 	}

@@ -556,7 +556,7 @@ func TestMonitorIngestStream(t *testing.T) {
 	topo, history, stream, flow := viewData(t, 86, 1008, 200, 75)
 	m := NewMonitor(Config{Workers: 2, BatchSize: 48})
 	defer m.Close()
-	if err := m.AddView("live", history, topo.RoutingMatrix()); err != nil {
+	if err := addSubspaceView(m, "live", history, topo.RoutingMatrix()); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

@@ -122,6 +122,10 @@ type Config struct {
 	MaxPending int
 	// Overload selects the full-queue behavior; default OverloadBlock.
 	Overload OverloadPolicy
+	// Window, RefitEvery and Options are the per-view detector defaults
+	// that whoever builds this monitor's detectors applies (the root
+	// package's AddView and Restore do); the engine only carries them.
+	//
 	// Window is the per-shard sliding window, in bins (the paper fits on
 	// 1008); 0 uses each view's full seeding history.
 	Window int
@@ -154,21 +158,6 @@ func (c *Config) fillDefaults() {
 type Alarm struct {
 	View string
 	core.Alarm
-}
-
-// ViewLimits overrides the monitor-wide queue bound and overload policy
-// for one view, so a latency-critical view can shed load while an
-// archival view on the same monitor applies backpressure. The zero
-// value inherits both Config values.
-type ViewLimits struct {
-	// MaxPending bounds this view's queue of unprocessed bins: 0
-	// inherits Config.MaxPending, a negative value makes the view
-	// explicitly unbounded, and a positive value is the bound (same
-	// semantics as Config.MaxPending otherwise).
-	MaxPending int
-	// Overload selects this view's full-queue behavior; nil inherits
-	// Config.Overload.
-	Overload *OverloadPolicy
 }
 
 // QueueStats is one view's ingest-queue accounting. At quiescence (after
@@ -244,13 +233,6 @@ type shard struct {
 	links int
 	det   core.ViewDetector
 
-	// maxPending / overload are the view's resolved queue bound and
-	// full-queue policy — the monitor-wide Config values unless the view
-	// was registered with overriding ViewLimits. Fixed at registration,
-	// so the hot path reads them without a lock.
-	maxPending int
-	overload   OverloadPolicy
-
 	// poolMu guards pools, the shard's cached FrameBatch pools keyed by
 	// batch capacity. IngestBinary looks one up once per stream, so
 	// reconnecting collectors recycle warm buffers instead of growing a
@@ -308,9 +290,9 @@ func (s *shard) recordErr(err error) {
 }
 
 // Monitor is a sharded, batched streaming detection engine. Create one
-// with NewMonitor, register views with AddView, feed measurement batches
-// with Ingest (asynchronous) or ProcessBatch (synchronous), and stop it
-// with Close.
+// with NewMonitor, register views with AddDetectorView, feed
+// measurement batches with Ingest (asynchronous) or ProcessBatch
+// (synchronous), and stop it with Close.
 type Monitor struct {
 	cfg Config
 
@@ -529,64 +511,20 @@ func (m *Monitor) emit(a Alarm) {
 	m.alarmMu.Unlock()
 }
 
-// AddView registers a subspace detector shard — the default backend.
-// history (bins x links) seeds the model and sliding window; routing
-// (links x flows) drives identification. Views can be added while the
-// monitor is running. For a different backend, construct any
-// core.ViewDetector and register it with AddDetectorView.
-func (m *Monitor) AddView(name string, history, routing *mat.Dense) error {
-	return m.AddViewLimits(name, history, routing, ViewLimits{})
-}
-
-// AddViewLimits is AddView with per-view queue limits overriding the
-// monitor-wide Config values.
-func (m *Monitor) AddViewLimits(name string, history, routing *mat.Dense, lim ViewLimits) error {
-	window := m.cfg.Window
-	if window <= 0 {
-		window = history.Rows()
-	}
-	det, err := core.NewOnlineDetector(history, routing, core.OnlineConfig{
-		Window:     window,
-		RefitEvery: m.cfg.RefitEvery,
-		Options:    m.cfg.Options,
-	})
-	if err != nil {
-		return fmt.Errorf("engine: view %q: %w", name, err)
-	}
-	return m.AddDetectorViewLimits(name, det, lim)
-}
-
 // AddDetectorView registers a shard running an arbitrary streaming
 // backend — every detector kind in the family satisfies
 // core.ViewDetector, and one Monitor can mix them freely. The detector
 // must already be seeded; its Stats().Links fixes the batch width the
 // view accepts.
 func (m *Monitor) AddDetectorView(name string, det core.ViewDetector) error {
-	return m.AddDetectorViewLimits(name, det, ViewLimits{})
-}
-
-// AddDetectorViewLimits is AddDetectorView with per-view queue limits
-// overriding the monitor-wide Config values (see ViewLimits).
-func (m *Monitor) AddDetectorViewLimits(name string, det core.ViewDetector, lim ViewLimits) error {
 	links := det.Stats().Links
 	if links <= 0 {
 		return fmt.Errorf("engine: view %q: detector reports %d links", name, links)
 	}
-	maxPending := m.cfg.MaxPending
-	switch {
-	case lim.MaxPending > 0:
-		maxPending = lim.MaxPending
-	case lim.MaxPending < 0:
-		maxPending = 0
-	}
-	overload := m.cfg.Overload
-	if lim.Overload != nil {
-		overload = *lim.Overload
-	}
 	// enqueue's policy switch has no default case: an unknown policy
 	// would admit every chunk and leave the queue unbounded.
-	if overload < OverloadBlock || overload > OverloadError {
-		return fmt.Errorf("engine: view %q: unknown overload policy %d", name, overload)
+	if p := m.cfg.Overload; p < OverloadBlock || p > OverloadError {
+		return fmt.Errorf("engine: view %q: unknown overload policy %d", name, p)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -596,7 +534,7 @@ func (m *Monitor) AddDetectorViewLimits(name string, det core.ViewDetector, lim 
 	if _, dup := m.shards[name]; dup {
 		return fmt.Errorf("engine: duplicate view %q", name)
 	}
-	s := &shard{name: name, links: links, det: det, maxPending: maxPending, overload: overload}
+	s := &shard{name: name, links: links, det: det}
 	s.space = sync.NewCond(&s.qmu)
 	m.shards[name] = s
 	return nil
@@ -647,7 +585,7 @@ func (m *Monitor) Ingest(view string, batch *mat.Dense) error {
 	if len(chunks) == 0 {
 		return nil
 	}
-	if s.maxPending <= 0 {
+	if m.cfg.MaxPending <= 0 {
 		m.addPending(len(chunks))
 		s.qmu.Lock()
 		base := s.enqueuedBins
@@ -692,8 +630,8 @@ func (m *Monitor) enqueue(s *shard, chunk *mat.Dense, rel releaser) error {
 	chunkBins := chunk.Rows()
 	m.addPending(1)
 	s.qmu.Lock()
-	if max := s.maxPending; max > 0 {
-		switch s.overload {
+	if max := m.cfg.MaxPending; max > 0 {
+		switch m.cfg.Overload {
 		case OverloadBlock:
 			for s.queuedBins > 0 && s.queuedBins+chunkBins > max {
 				s.space.Wait()

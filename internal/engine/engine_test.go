@@ -14,6 +14,26 @@ import (
 	"netanomaly/internal/traffic"
 )
 
+// addSubspaceView registers a windowed subspace detector seeded on
+// history with the monitor's Window, RefitEvery and Options — the view
+// the root package's AddView builds by default.
+func addSubspaceView(m *Monitor, name string, history, routing *mat.Dense) error {
+	cfg := m.Config()
+	window := cfg.Window
+	if window <= 0 {
+		window = history.Rows()
+	}
+	det, err := core.NewOnlineDetector(history, routing, core.OnlineConfig{
+		Window:     window,
+		RefitEvery: cfg.RefitEvery,
+		Options:    cfg.Options,
+	})
+	if err != nil {
+		return err
+	}
+	return m.AddDetectorView(name, det)
+}
+
 // viewData generates a simulated view: a seeded history block and a
 // continuation stream with an optional spike injected at streamBin of
 // the stream (flow src->dst 1->7).
@@ -50,10 +70,10 @@ func TestMonitorEndToEnd(t *testing.T) {
 
 	m := NewMonitor(Config{Workers: 4, BatchSize: 48})
 	defer m.Close()
-	if err := m.AddView("backbone-a", historyA, topo.RoutingMatrix()); err != nil {
+	if err := addSubspaceView(m, "backbone-a", historyA, topo.RoutingMatrix()); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddView("backbone-b", historyB, topo.RoutingMatrix()); err != nil {
+	if err := addSubspaceView(m, "backbone-b", historyB, topo.RoutingMatrix()); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Ingest("backbone-a", streamA); err != nil {
@@ -104,7 +124,7 @@ func TestMonitorConcurrentIngest(t *testing.T) {
 	m := NewMonitor(Config{Workers: 4, BatchSize: 16, RefitEvery: 60})
 	views := []string{"v0", "v1", "v2"}
 	for _, v := range views {
-		if err := m.AddView(v, history, topo.RoutingMatrix()); err != nil {
+		if err := addSubspaceView(m, v, history, topo.RoutingMatrix()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -156,7 +176,7 @@ func TestMonitorOnAlarmCallback(t *testing.T) {
 		},
 	})
 	defer m.Close()
-	if err := m.AddView("v", history, topo.RoutingMatrix()); err != nil {
+	if err := addSubspaceView(m, "v", history, topo.RoutingMatrix()); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Ingest("v", stream); err != nil {
@@ -177,7 +197,7 @@ func TestMonitorSynchronousProcessBatch(t *testing.T) {
 	topo, history, stream, _ := viewData(t, 84, 1008, 144, 50)
 	m := NewMonitor(Config{Workers: 2})
 	defer m.Close()
-	if err := m.AddView("v", history, topo.RoutingMatrix()); err != nil {
+	if err := addSubspaceView(m, "v", history, topo.RoutingMatrix()); err != nil {
 		t.Fatal(err)
 	}
 	alarms, err := m.ProcessBatch("v", stream)
@@ -202,7 +222,7 @@ func TestMonitorMixedIngestAndProcessBatch(t *testing.T) {
 	topo, history, stream, _ := viewData(t, 87, 600, 240, -1)
 	m := NewMonitor(Config{Workers: 4, BatchSize: 16})
 	defer m.Close()
-	if err := m.AddView("v", history, topo.RoutingMatrix()); err != nil {
+	if err := addSubspaceView(m, "v", history, topo.RoutingMatrix()); err != nil {
 		t.Fatal(err)
 	}
 	half := stream.Rows() / 2
@@ -254,7 +274,7 @@ func TestMonitorFinalBatchRefitFailureReachesErrs(t *testing.T) {
 		constant.SetRow(i, means)
 	}
 	m := NewMonitor(Config{Workers: 1, BatchSize: bins, Window: bins, RefitEvery: bins})
-	if err := m.AddView("v", history, mat.Identity(links)); err != nil {
+	if err := addSubspaceView(m, "v", history, mat.Identity(links)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Ingest("v", constant); err != nil {
@@ -277,7 +297,7 @@ func TestIngestStreamJoinsFlushAndMeasurementErrors(t *testing.T) {
 	// flush error, hiding the root cause (the bad measurement).
 	topo, history, stream, _ := viewData(t, 87, 300, 12, -1)
 	m := NewMonitor(Config{Workers: 1, BatchSize: 8})
-	if err := m.AddView("v", history, topo.RoutingMatrix()); err != nil {
+	if err := addSubspaceView(m, "v", history, topo.RoutingMatrix()); err != nil {
 		t.Fatal(err)
 	}
 	ch := make(chan netmeas.LinkMeasurement) // unbuffered: sends rendezvous with IngestStream
@@ -307,10 +327,10 @@ func TestIngestStreamJoinsFlushAndMeasurementErrors(t *testing.T) {
 func TestMonitorErrors(t *testing.T) {
 	topo, history, stream, _ := viewData(t, 85, 300, 12, -1)
 	m := NewMonitor(Config{})
-	if err := m.AddView("v", history, topo.RoutingMatrix()); err != nil {
+	if err := addSubspaceView(m, "v", history, topo.RoutingMatrix()); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddView("v", history, topo.RoutingMatrix()); err == nil || !strings.Contains(err.Error(), "duplicate") {
+	if err := addSubspaceView(m, "v", history, topo.RoutingMatrix()); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate view not rejected: %v", err)
 	}
 	if err := m.Ingest("nope", stream); err == nil {
@@ -323,8 +343,8 @@ func TestMonitorErrors(t *testing.T) {
 	if err := m.Ingest("v", stream); err == nil {
 		t.Fatal("ingest after Close accepted")
 	}
-	if err := m.AddView("w", history, topo.RoutingMatrix()); err == nil {
-		t.Fatal("AddView after Close accepted")
+	if err := addSubspaceView(m, "w", history, topo.RoutingMatrix()); err == nil {
+		t.Fatal("view added after Close")
 	}
 	m.Close() // idempotent
 }
@@ -524,7 +544,7 @@ func TestMonitorErrsAndTakeAlarmsDrainRace(t *testing.T) {
 func TestMonitorAlarmsArriveAfterClose(t *testing.T) {
 	topo, history, stream, flow := viewData(t, 88, 1008, 96, 40)
 	m := NewMonitor(Config{Workers: 2, BatchSize: 16})
-	if err := m.AddView("v", history, topo.RoutingMatrix()); err != nil {
+	if err := addSubspaceView(m, "v", history, topo.RoutingMatrix()); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Ingest("v", stream); err != nil {

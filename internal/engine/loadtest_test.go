@@ -316,172 +316,6 @@ func TestLoadBoundedQueueUnderSustainedOverload(t *testing.T) {
 	}
 }
 
-// TestLoadMixedOverloadPoliciesPerView floods one monitor whose views
-// carry different per-view queue limits — an explicit Block view, a
-// DropOldest view, an Error view with a tighter bound, and a view
-// inheriting the monitor-wide defaults — against a single gated worker,
-// and requires each view to honor its own contract simultaneously:
-// per-view bounds are enforced independently, the shedding views never
-// stall their producers, the blocking views lose nothing, and every
-// view's counters reconcile. This is ViewLimits' reason to exist: a
-// latency-critical view sheds while an archival view on the same
-// monitor backpressures.
-func TestLoadMixedOverloadPoliciesPerView(t *testing.T) {
-	const (
-		links     = 3
-		batchSize = 4
-		chunks    = 50
-		totalBins = chunks * batchSize
-	)
-	drop, errPol := OverloadDropOldest, OverloadError
-	views := []struct {
-		name  string
-		lim   ViewLimits
-		bound int // resolved queue bound the flood must respect
-	}{
-		{"block", ViewLimits{MaxPending: 12, Overload: new(OverloadPolicy)}, 12}, // explicit Block (zero value)
-		{"shed", ViewLimits{Overload: &drop}, 12},                                // inherits the bound, sheds oldest
-		{"strict", ViewLimits{MaxPending: 8, Overload: &errPol}, 8},              // tighter bound, rejects
-		{"inherit", ViewLimits{}, 12},                                            // monitor defaults: Block at 12
-	}
-
-	gate := make(chan struct{})
-	dets := make(map[string]*loadDetector, len(views))
-	m := NewMonitor(Config{
-		Workers:    1,
-		BatchSize:  batchSize,
-		MaxPending: 12,
-		Overload:   OverloadBlock,
-	})
-	defer m.Close()
-	for _, v := range views {
-		dets[v.name] = &loadDetector{links: links, gate: gate}
-		if err := m.AddDetectorViewLimits(v.name, dets[v.name], v.lim); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	errs := make(map[string][]error, len(views))
-	var errsMu sync.Mutex
-	done := make(map[string]chan struct{}, len(views))
-	for _, v := range views {
-		v := v
-		vDone := make(chan struct{})
-		done[v.name] = vDone
-		go func() {
-			defer close(vDone)
-			for i := 0; i < chunks; i++ {
-				if err := m.Ingest(v.name, markerBatch(i*batchSize, batchSize, links)); err != nil {
-					errsMu.Lock()
-					errs[v.name] = append(errs[v.name], err)
-					errsMu.Unlock()
-				}
-			}
-		}()
-	}
-
-	// The shedding views' producers must finish against the held worker
-	// (their policies never block); the blocking views' producers must
-	// wedge with their queues exactly full.
-	<-done["shed"]
-	<-done["strict"]
-	for _, name := range []string{"block", "inherit"} {
-		name := name
-		waitUntil(t, name+" producer wedged at the bound", func() bool {
-			qs, err := m.QueueStats(name)
-			return err == nil && qs.QueuedBins == 12
-		})
-		select {
-		case <-done[name]:
-			t.Fatalf("%s producer finished without backpressure", name)
-		default:
-		}
-	}
-	// With all four floods landed, every view must sit within its own
-	// resolved bound — the strict view's tighter MaxPending in
-	// particular must not have widened to the monitor default.
-	for _, v := range views {
-		qs, err := m.QueueStats(v.name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if qs.QueuedBins > v.bound {
-			t.Fatalf("view %s queued %d bins, bound is %d", v.name, qs.QueuedBins, v.bound)
-		}
-	}
-
-	close(gate)
-	<-done["block"]
-	<-done["inherit"]
-	m.Flush()
-
-	for _, v := range views {
-		qs, err := m.QueueStats(v.name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats := dets[v.name].Stats()
-		if qs.QueuedBins != 0 || qs.QueuedBatches != 0 {
-			t.Fatalf("view %s queue not drained: %+v", v.name, qs)
-		}
-		if got := qs.EnqueuedBins - qs.DroppedBins; got != int64(stats.Processed) {
-			t.Fatalf("view %s counters do not reconcile: enqueued %d - dropped %d != processed %d",
-				v.name, qs.EnqueuedBins, qs.DroppedBins, stats.Processed)
-		}
-		if qs.EnqueuedBins+qs.RejectedBins != totalBins {
-			t.Fatalf("view %s accepted %d + rejected %d != sent %d",
-				v.name, qs.EnqueuedBins, qs.RejectedBins, totalBins)
-		}
-		markers := dets[v.name].seenMarkers()
-		for i := 1; i < len(markers); i++ {
-			if markers[i] <= markers[i-1] {
-				t.Fatalf("view %s FIFO broken on survivors: %v then %v", v.name, markers[i-1], markers[i])
-			}
-		}
-	}
-
-	// Per-policy contracts, side by side on one monitor.
-	for _, name := range []string{"block", "inherit"} {
-		qs, _ := m.QueueStats(name)
-		if len(errs[name]) != 0 {
-			t.Fatalf("%s view returned errors: %v", name, errs[name])
-		}
-		if qs.DroppedBins != 0 || qs.RejectedBins != 0 {
-			t.Fatalf("%s view lost bins: %+v", name, qs)
-		}
-		requireIncreasingByOne(t, name, dets[name].seenMarkers(), totalBins)
-	}
-	qs, _ := m.QueueStats("shed")
-	if len(errs["shed"]) != 0 {
-		t.Fatalf("shed view returned errors: %v", errs["shed"])
-	}
-	if qs.DroppedBins == 0 {
-		t.Fatal("shed view dropped nothing under sustained overload")
-	}
-	if qs.EnqueuedBins != totalBins {
-		t.Fatalf("shed view must accept everything: enqueued %d of %d", qs.EnqueuedBins, totalBins)
-	}
-	shedMarkers := dets["shed"].seenMarkers()
-	if last := shedMarkers[len(shedMarkers)-1]; last != totalBins-1 {
-		t.Fatalf("shed view lost newest bin: last marker %v, want %d", last, totalBins-1)
-	}
-	qs, _ = m.QueueStats("strict")
-	if len(errs["strict"]) == 0 {
-		t.Fatal("strict view returned no error under overload")
-	}
-	for _, err := range errs["strict"] {
-		if !errors.Is(err, ErrOverloaded) {
-			t.Fatalf("strict view unexpected error: %v", err)
-		}
-	}
-	if qs.RejectedBins == 0 {
-		t.Fatal("strict view rejected nothing")
-	}
-	if qs.DroppedBins != 0 {
-		t.Fatalf("strict view dropped queued work: %+v", qs)
-	}
-}
-
 // TestLoadNoLostAlarmsOnCloseMidBurst races three bursting producers
 // against Close under the Block policy and requires exact alarm
 // accounting afterwards: every bin of every Ingest call that was
@@ -685,33 +519,22 @@ func TestLoadOversizedChunkAdmittedAlone(t *testing.T) {
 }
 
 // TestLoadUnknownOverloadPolicyRejected pins registration-time
-// validation of the resolved policy: enqueue has no case for an unknown
-// policy and would admit every chunk, so a bounded queue would silently
-// become unbounded. Whether the monitor-wide Config or the view's limits
-// set it, the view must be refused with an error naming it and the
+// validation of the policy: enqueue has no case for an unknown policy
+// and would admit every chunk, so a bounded queue would silently become
+// unbounded. The view must be refused with an error naming it and the
 // value, and must not be registered.
 func TestLoadUnknownOverloadPolicyRejected(t *testing.T) {
-	bad := OverloadPolicy(9)
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-		lim  ViewLimits
-	}{
-		{"config", Config{Workers: 1, MaxPending: 8, Overload: bad}, ViewLimits{}},
-		{"view", Config{Workers: 1, MaxPending: 8}, ViewLimits{Overload: &bad}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			m := NewMonitor(tc.cfg)
-			defer m.Close()
-			err := m.AddDetectorViewLimits("v", &loadDetector{links: 3}, tc.lim)
-			if err == nil || !strings.Contains(err.Error(), `"v"`) || !strings.Contains(err.Error(), "9") {
-				t.Fatalf("unknown policy accepted or error unspecific: %v", err)
-			}
-			if views := m.Views(); len(views) != 0 {
-				t.Fatalf("rejected view registered: %v", views)
-			}
-		})
-	}
+	t.Run("config", func(t *testing.T) {
+		m := NewMonitor(Config{Workers: 1, MaxPending: 8, Overload: OverloadPolicy(9)})
+		defer m.Close()
+		err := m.AddDetectorView("v", &loadDetector{links: 3})
+		if err == nil || !strings.Contains(err.Error(), `"v"`) || !strings.Contains(err.Error(), "9") {
+			t.Fatalf("unknown policy accepted or error unspecific: %v", err)
+		}
+		if views := m.Views(); len(views) != 0 {
+			t.Fatalf("rejected view registered: %v", views)
+		}
+	})
 }
 
 // TestLoadDropAwareSeq pins the drop-aware Seq contract: under

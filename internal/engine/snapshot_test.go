@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"netanomaly/internal/backend"
 	"netanomaly/internal/core"
 	"netanomaly/internal/forecast"
 	"netanomaly/internal/mat"
+	"netanomaly/internal/snaptest"
 )
 
 // halves splits a fixture stream into its two 64-bin halves.
@@ -519,6 +523,59 @@ func TestRestoreViewRejections(t *testing.T) {
 			t.Fatalf("view unusable after rejected restore: %v", err)
 		}
 	})
+}
+
+// rawEnvelope is a stub view whose snapshot is a fixed detector
+// envelope, for building checkpoints around envelopes the current
+// detectors no longer write.
+type rawEnvelope struct {
+	loadDetector
+	env []byte
+}
+
+func (d *rawEnvelope) Snapshot(w io.Writer) error {
+	_, err := w.Write(d.env)
+	return err
+}
+
+// TestRetiredHybridCheckpointRejected restores a monitor checkpoint
+// whose view holds a hybrid envelope in the retired layout (kind byte
+// 8, see internal/core's TestRetiredHybridEnvelopeRejected). The view
+// must route to a hybrid detector and the restore must fail as a
+// re-seed ErrSnapshotMismatch, not as a malformed checkpoint.
+func TestRetiredHybridCheckpointRejected(t *testing.T) {
+	const links = 6
+	env, err := os.ReadFile("../core/testdata/hybrid-v1.nams")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := NewMonitor(Config{Workers: 1})
+	if err := src.AddDetectorView("h", &rawEnvelope{loadDetector: loadDetector{links: links}, env: env}); err != nil {
+		t.Fatal(err)
+	}
+	var ckpt bytes.Buffer
+	if err := src.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	src.Close()
+
+	var kinds []string
+	history := snaptest.Traffic(snaptest.HistoryBins, links, 0)
+	factory := func(name, kind string, links int) (core.ViewDetector, error) {
+		kinds = append(kinds, kind)
+		return backend.Build(backend.Spec{Kind: kind, Window: 64}, history, mat.Identity(links))
+	}
+	m, err := NewMonitorFromCheckpoint(Config{Workers: 1}, &ckpt, factory)
+	if err == nil {
+		m.Close()
+		t.Fatal("retired hybrid checkpoint restored")
+	}
+	if !reflect.DeepEqual(kinds, []string{"hybrid"}) {
+		t.Fatalf("factory asked for %v, want one hybrid", kinds)
+	}
+	if !errors.Is(err, core.ErrSnapshotMismatch) || errors.Is(err, core.ErrSnapshotFormat) || !strings.Contains(err.Error(), "re-seed") {
+		t.Fatalf("retired hybrid checkpoint: got %v, want a re-seed ErrSnapshotMismatch", err)
+	}
 }
 
 // TestCheckpointDuringRefit pins the satellite fix: a checkpoint taken

@@ -20,7 +20,7 @@ type StreamResult struct {
 	// Detected of TrueAnomalies labeled bins raised an alarm. A labeled
 	// bin with no alarm is the detector's miss — for a hybrid backend,
 	// the triage stage's miss, since nothing unalarmed ever reaches its
-	// identification stage (except under the always-escalate policy).
+	// identification stage.
 	Detected, TrueAnomalies int
 	// FalseAlarms of NormalBins unlabeled bins raised an alarm.
 	FalseAlarms, NormalBins int

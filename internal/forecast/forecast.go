@@ -66,12 +66,11 @@ type Config struct {
 	// Kind selects the model; default EWMA.
 	Kind Kind
 	// Alpha is the level smoothing gain in (0, 1]. For the EWMA kind, 0
-	// selects it per link by grid search on the seed history (the
-	// paper's multi-grid parameter search); for Holt-Winters, 0 uses
-	// 0.3. Ignored by the Fourier kind.
+	// selects it per link by grid search over
+	// timeseries.DefaultAlphaGrid on the seed history (the paper's
+	// multi-grid parameter search); for Holt-Winters, 0 uses 0.3.
+	// Ignored by the Fourier kind.
 	Alpha float64
-	// Beta is the Holt-Winters trend gain in (0, 1]; 0 uses 0.1.
-	Beta float64
 	// K is the threshold multiplier: a link alarms when its absolute
 	// residual exceeds mean + K*sigma of its tracked residuals. 0 uses 6.
 	K float64
@@ -82,28 +81,28 @@ type Config struct {
 	// Window is the number of recent non-anomalous bins retained for
 	// refits; 0 retains as many as the seed history.
 	Window int
-	// ReabsorbAfter is the level-shift recovery horizon: after this
+	// RefitEvery schedules a background refit (threshold re-estimation,
+	// plus a basis refit for the Fourier kind) after this many processed
+	// bins; 0 disables automatic refits.
+	RefitEvery int
+}
+
+const (
+	// holtWintersBeta is the Holt-Winters trend smoothing gain.
+	holtWintersBeta = 0.1
+	// reabsorbAfter is the level-shift recovery horizon: after this
 	// many consecutive alarmed bins on one link, the link's forecaster
 	// resumes absorbing observed values (so a legitimate persistent
 	// level change re-converges instead of alarming forever), and after
 	// this many consecutive alarmed bins overall the window resumes
 	// retaining rows (so refits see the new regime). Single-bin spikes
-	// stay fully excluded — echo suppression is unaffected. 0 uses 5.
-	ReabsorbAfter int
-	// RefitEvery schedules a background refit (threshold re-estimation,
-	// plus a basis refit for the Fourier kind) after this many processed
-	// bins; 0 disables automatic refits.
-	RefitEvery int
-	// BinHours is the bin duration in hours for the Fourier basis; 0
-	// uses the paper's ten-minute bins (1/6 h).
-	BinHours float64
-	// PeriodsHours overrides the Fourier basis periods; nil uses the
-	// paper's eight periods.
-	PeriodsHours []float64
-	// AlphaGrid overrides the EWMA alpha search grid; nil uses
-	// timeseries.DefaultAlphaGrid.
-	AlphaGrid []float64
-}
+	// stay fully excluded — echo suppression is unaffected.
+	reabsorbAfter = 5
+	// binHours is the bin duration in hours for the Fourier basis: the
+	// paper's ten-minute bins. The basis periods are the paper's eight,
+	// timeseries.DefaultPeriodsHours.
+	binHours = 1.0 / 6.0
+)
 
 func (c *Config) fillDefaults() {
 	if c.Kind == "" {
@@ -112,26 +111,11 @@ func (c *Config) fillDefaults() {
 	if c.Alpha == 0 && c.Kind == HoltWinters {
 		c.Alpha = 0.3
 	}
-	if c.Beta == 0 {
-		c.Beta = 0.1
-	}
 	if c.K == 0 {
 		c.K = 6
 	}
 	if c.Adapt == 0 {
 		c.Adapt = 0.02
-	}
-	if c.ReabsorbAfter == 0 {
-		c.ReabsorbAfter = 5
-	}
-	if c.BinHours == 0 {
-		c.BinHours = 1.0 / 6.0
-	}
-	if c.PeriodsHours == nil {
-		c.PeriodsHours = timeseries.DefaultPeriodsHours
-	}
-	if c.AlphaGrid == nil {
-		c.AlphaGrid = timeseries.DefaultAlphaGrid
 	}
 }
 
@@ -164,13 +148,8 @@ type seedState struct {
 // core.RefitGate.
 type Detector struct {
 	kind     Kind
-	beta     float64
 	k, adapt float64
-	binHours float64
-	periods  []float64
-	grid     []float64
 	links    int
-	reabsorb int
 	// alphaCfg is the configured level gain (defaults applied): 0 for
 	// the EWMA kind means per-link grid search, at construction and on
 	// every re-Seed alike. A pinned alpha survives re-seeding.
@@ -187,7 +166,7 @@ type Detector struct {
 	rmean, rvar []float64
 	// alarmRun counts each link's consecutive alarmed bins and
 	// binAlarmRun the detector's consecutive alarmed bins; both drive
-	// the ReabsorbAfter level-shift recovery.
+	// the reabsorbAfter level-shift recovery.
 	alarmRun    []int
 	binAlarmRun int
 	window      *mat.RowRing
@@ -212,14 +191,9 @@ func NewDetector(history *mat.Dense, cfg Config) (*Detector, error) {
 	t, links := history.Dims()
 	d := &Detector{
 		kind:     cfg.Kind,
-		beta:     cfg.Beta,
 		k:        cfg.K,
 		adapt:    cfg.Adapt,
-		binHours: cfg.BinHours,
-		periods:  cfg.PeriodsHours,
-		grid:     cfg.AlphaGrid,
 		links:    links,
-		reabsorb: cfg.ReabsorbAfter,
 		alphaCfg: cfg.Alpha,
 	}
 	d.gate = core.NewRefitGate(&d.mu, cfg.RefitEvery)
@@ -245,20 +219,11 @@ func validateConfig(cfg Config) error {
 	if cfg.Alpha < 0 || cfg.Alpha > 1 {
 		return fmt.Errorf("forecast: alpha %v out of [0,1]", cfg.Alpha)
 	}
-	if cfg.Beta < 0 || cfg.Beta > 1 {
-		return fmt.Errorf("forecast: beta %v out of [0,1]", cfg.Beta)
-	}
 	if cfg.K < 0 {
 		return fmt.Errorf("forecast: threshold multiplier %v < 0", cfg.K)
 	}
 	if cfg.Adapt <= 0 || cfg.Adapt >= 1 {
 		return fmt.Errorf("forecast: adapt rate %v out of (0,1)", cfg.Adapt)
-	}
-	if cfg.ReabsorbAfter < 0 {
-		return fmt.Errorf("forecast: reabsorb horizon %v < 0", cfg.ReabsorbAfter)
-	}
-	if cfg.BinHours <= 0 {
-		return fmt.Errorf("forecast: bin duration %v <= 0", cfg.BinHours)
 	}
 	return nil
 }
@@ -268,7 +233,7 @@ func validateConfig(cfg Config) error {
 // recursive kinds just need a residual sample to estimate thresholds.
 func (d *Detector) minSeedBins() int {
 	if d.kind == Fourier {
-		return 2 * (2*len(d.periods) + 1)
+		return 2 * (2*len(timeseries.DefaultPeriodsHours) + 1)
 	}
 	return 8
 }
@@ -312,7 +277,7 @@ func (d *Detector) seedState(history *mat.Dense, start, capacity int, alphaCfg f
 		alpha := alphaCfg
 		if d.kind == EWMA && alpha == 0 {
 			var err error
-			if alpha, err = timeseries.SelectAlpha(col, d.grid); err != nil {
+			if alpha, err = timeseries.SelectAlpha(col, timeseries.DefaultAlphaGrid); err != nil {
 				return nil, fmt.Errorf("forecast: link %d: %w", l, err)
 			}
 		}
@@ -366,7 +331,7 @@ func (d *Detector) fitLink(col []float64, alpha float64, design *mat.Dense, resi
 			pred := level + trend
 			resid[i] = col[i] - pred
 			newLevel := alpha*col[i] + (1-alpha)*pred
-			trend = d.beta*(newLevel-level) + (1-d.beta)*trend
+			trend = holtWintersBeta*(newLevel-level) + (1-holtWintersBeta)*trend
 			level = newLevel
 		}
 		fit.level, fit.trend = level, trend
@@ -433,9 +398,9 @@ func (d *Detector) install(st *seedState) {
 // other long periods on that span, and its unconstrained coefficients
 // extrapolate wildly right past the window.
 func (d *Detector) resolvablePeriods(spanBins int) []float64 {
-	spanHours := float64(spanBins) * d.binHours
+	spanHours := float64(spanBins) * binHours
 	var out []float64
-	for _, p := range d.periods {
+	for _, p := range timeseries.DefaultPeriodsHours {
 		if p <= 2*spanHours {
 			out = append(out, p)
 		}
@@ -458,7 +423,7 @@ func (d *Detector) designMatrix(periods []float64, start, n int) *mat.Dense {
 // a constant plus sin/cos pairs for each period.
 func (d *Detector) basisRow(periods []float64, b int, out []float64) {
 	out[0] = 1
-	hours := float64(b) * d.binHours
+	hours := float64(b) * binHours
 	for k, period := range periods {
 		w := 2 * math.Pi * hours / period
 		out[1+2*k] = math.Sin(w)
@@ -558,15 +523,15 @@ func (d *Detector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 		// is withheld (the forecaster keeps its pre-spike prediction —
 		// the streaming equivalent of the footnote-4 echo suppression,
 		// and the spike does not inflate its own threshold) until it has
-		// alarmed reabsorb bins in a row, at which point the forecaster
-		// resumes absorbing observations so a legitimate persistent
+		// alarmed reabsorbAfter bins in a row, at which point the
+		// forecaster resumes absorbing observations so a legitimate persistent
 		// level shift re-converges instead of alarming forever. The
 		// threshold statistics stay withheld; they resume once the
 		// re-converged forecaster stops exceeding.
 		for l := 0; l < d.links; l++ {
 			if exceeded[l] {
 				d.alarmRun[l]++
-				if d.alarmRun[l] < d.reabsorb {
+				if d.alarmRun[l] < reabsorbAfter {
 					continue
 				}
 			} else {
@@ -581,7 +546,7 @@ func (d *Detector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 			case HoltWinters:
 				r = z - pred[l]
 				newLevel := d.alpha[l]*z + (1-d.alpha[l])*pred[l]
-				d.trend[l] = d.beta*(newLevel-d.level[l]) + (1-d.beta)*d.trend[l]
+				d.trend[l] = holtWintersBeta*(newLevel-d.level[l]) + (1-holtWintersBeta)*d.trend[l]
 				d.level[l] = newLevel
 			case Fourier:
 				r = z - pred[l]
@@ -594,7 +559,7 @@ func (d *Detector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 			d.rvar[l] = (1 - d.adapt) * (d.rvar[l] + d.adapt*delta*delta)
 		}
 		// The refit window drops alarmed bins so spikes cannot
-		// contaminate the next fit, but after reabsorb consecutive
+		// contaminate the next fit, but after reabsorbAfter consecutive
 		// alarmed bins it resumes retaining rows so refits can see (and
 		// adopt) a persistent new regime — without this, the Fourier
 		// kind would never recover from a level shift.
@@ -603,7 +568,7 @@ func (d *Detector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 		} else {
 			d.binAlarmRun = 0
 		}
-		if !alarmed || d.binAlarmRun >= d.reabsorb {
+		if !alarmed || d.binAlarmRun >= reabsorbAfter {
 			d.window.Push(row)
 			d.times.Push(d.clock)
 		}
@@ -793,8 +758,8 @@ func (d *Detector) Snapshot(w io.Writer) error {
 // Restore replaces the forecaster state, thresholds, window, and clock
 // with a snapshot from an identically configured detector of the same
 // kind. The state commits only after the whole payload validates; the
-// receiver's configuration (K, adapt rate, reabsorb horizon, bin
-// duration, refit cadence) stays in force.
+// receiver's configuration (K, adapt rate, refit cadence) stays in
+// force.
 func (d *Detector) Restore(r io.Reader) error {
 	return d.gate.Quiesced(func() error { return core.DecodeSnapshot(r, snapshotKind(d.kind), d.decode) })
 }

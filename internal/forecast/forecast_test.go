@@ -254,10 +254,8 @@ func TestConfigValidation(t *testing.T) {
 	cases := []Config{
 		{Kind: "arima"},
 		{Alpha: 1.5},
-		{Beta: -0.1},
 		{K: -1},
 		{Adapt: 2},
-		{BinHours: -1},
 	}
 	for _, cfg := range cases {
 		if _, err := NewDetector(history, cfg); err == nil {
@@ -316,7 +314,7 @@ func TestSeedKeepsProcessedAndAlignsPhase(t *testing.T) {
 
 func TestPersistentLevelShiftReconverges(t *testing.T) {
 	// A legitimate permanent traffic step (a reroute doubling one link's
-	// load) must not alarm forever: after ReabsorbAfter consecutive
+	// load) must not alarm forever: after reabsorbAfter consecutive
 	// alarmed bins the link's forecaster resumes absorbing observations
 	// and re-converges on the new level.
 	const links, shiftLink = 4, 1
@@ -331,7 +329,7 @@ func TestPersistentLevelShiftReconverges(t *testing.T) {
 		// the Fourier kind's recovery path runs through the refit, so the
 		// stream goes in chunks with each scheduled refit waited out
 		// (deterministic; a real deployment just sees it a little later).
-		det, err := NewDetector(history, Config{Kind: kind, Alpha: alphaFor(kind), ReabsorbAfter: 5, RefitEvery: 32, Window: 128})
+		det, err := NewDetector(history, Config{Kind: kind, Alpha: alphaFor(kind), RefitEvery: 32, Window: 128})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,12 +20,6 @@ type MultiMetricConfig struct {
 	// its length fixes how many links-wide blocks each batch must carry.
 	// Default: DefaultMetricNames (bytes, flows, pktsize).
 	Metrics []string
-	// Quorum is how many metrics must flag a bin for the detector to
-	// alarm. The default 1 alarms on any metric — the paper's point is
-	// that scans and small-flow DDoS move flow counts without moving
-	// bytes, so demanding bytes-agreement would hide exactly those.
-	// Raise it to trade single-metric sensitivity for noise robustness.
-	Quorum int
 	// Online configures each per-metric subspace detector (window,
 	// refit cadence, diagnosis options).
 	Online core.OnlineConfig
@@ -33,8 +27,11 @@ type MultiMetricConfig struct {
 
 // MultiMetricDetector fans one subspace detector per traffic metric over
 // shared routing (Section 7.2: "the subspace method applies to any link
-// metric for which the L2 norm is meaningful") and votes their per-bin
-// verdicts into a single alarm stream. Measurement batches carry the
+// metric for which the L2 norm is meaningful") and merges their per-bin
+// verdicts into a single alarm stream: a bin alarms when any metric
+// flags it. The paper's point is that scans and small-flow DDoS move
+// flow counts without moving bytes, so demanding agreement across
+// metrics would hide exactly those. Measurement batches carry the
 // metric blocks stacked column-wise — bins x (len(Metrics)*links), the
 // layout StackMatrices and LinkMetricSet.Stacked produce.
 //
@@ -47,7 +44,6 @@ type MultiMetricConfig struct {
 type MultiMetricDetector struct {
 	names    []string
 	linksPer int
-	quorum   int
 	dets     []*core.OnlineDetector
 	// scratch backs the per-metric block handed to each sub-detector,
 	// reused across batches (grown on demand) so the streaming hot path
@@ -68,12 +64,6 @@ func NewMultiMetricDetector(history, routing *mat.Dense, cfg MultiMetricConfig) 
 	if len(names) == 0 {
 		names = DefaultMetricNames
 	}
-	if cfg.Quorum <= 0 {
-		cfg.Quorum = 1
-	}
-	if cfg.Quorum > len(names) {
-		return nil, fmt.Errorf("netmeas: quorum %d exceeds %d metrics", cfg.Quorum, len(names))
-	}
 	links := routing.Rows()
 	bins, cols := history.Dims()
 	if cols != len(names)*links {
@@ -86,7 +76,6 @@ func NewMultiMetricDetector(history, routing *mat.Dense, cfg MultiMetricConfig) 
 	d := &MultiMetricDetector{
 		names:    append([]string(nil), names...),
 		linksPer: links,
-		quorum:   cfg.Quorum,
 		dets:     make([]*core.OnlineDetector, len(names)),
 	}
 	for j := range names {
@@ -122,14 +111,13 @@ func (d *MultiMetricDetector) Metrics() []string { return append([]string(nil), 
 
 // ProcessBatch splits the stacked batch (bins x len(Metrics)*links) into
 // its metric blocks, runs each through its subspace detector, and emits
-// one alarm per bin that at least Quorum metrics flagged. Deferred
+// one alarm per bin that any metric flagged. Deferred
 // refit errors from any metric are reported alongside the detections.
 func (d *MultiMetricDetector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 	bins, cols := y.Dims()
 	if cols != len(d.names)*d.linksPer {
 		return nil, fmt.Errorf("netmeas: stacked batch has %d columns, want %d metrics x %d links", cols, len(d.names), d.linksPer)
 	}
-	votes := make(map[int]int)
 	winner := make(map[int]core.Alarm)
 	var errs []error
 	for j, sub := range d.dets {
@@ -138,17 +126,14 @@ func (d *MultiMetricDetector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 			errs = append(errs, fmt.Errorf("netmeas: metric %q: %w", d.names[j], err))
 		}
 		for _, a := range alarms {
-			votes[a.Seq]++
 			if _, ok := winner[a.Seq]; !ok {
 				winner[a.Seq] = a // lowest metric index wins the diagnosis
 			}
 		}
 	}
 	var out []core.Alarm
-	for seq, n := range votes {
-		if n >= d.quorum {
-			out = append(out, winner[seq])
-		}
+	for _, a := range winner {
+		out = append(out, a)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out, errors.Join(errs...)

@@ -85,7 +85,7 @@ func TestMultiMetricDetectsByteAndScanAnomalies(t *testing.T) {
 		t.Fatalf("byte-volume anomaly not alarmed; alarms: %+v", alarms)
 	}
 	if !sawScan {
-		t.Fatalf("flow-count-only scan not alarmed (the quorum=1 vote must catch single-metric anomalies); alarms: %+v", alarms)
+		t.Fatalf("flow-count-only scan not alarmed (any one metric's alarm must fire); alarms: %+v", alarms)
 	}
 	if len(alarms) > 20 {
 		t.Fatalf("too many alarms: %d", len(alarms))
@@ -95,42 +95,8 @@ func TestMultiMetricDetectsByteAndScanAnomalies(t *testing.T) {
 	}
 }
 
-func TestMultiMetricQuorumSuppressesSingleMetricAnomalies(t *testing.T) {
-	const byteBin, scanBin = 40, 100
-	history, stream, routing, _ := multiMetricFixture(t, 72, byteBin, scanBin)
-	// Quorum 2: the byte spike moves bytes AND flow counts (a real
-	// volume anomaly adds proportional flows), so it survives; the
-	// flow-count-only scan has one vote and is suppressed.
-	d, err := NewMultiMetricDetector(history, routing, MultiMetricConfig{Quorum: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	alarms, err := d.ProcessBatch(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sawByte, sawScan bool
-	for _, a := range alarms {
-		switch a.Seq {
-		case byteBin:
-			sawByte = true
-		case scanBin:
-			sawScan = true
-		}
-	}
-	if !sawByte {
-		t.Fatalf("2-metric byte anomaly suppressed at quorum 2; alarms: %+v", alarms)
-	}
-	if sawScan {
-		t.Fatalf("single-metric scan survived quorum 2; alarms: %+v", alarms)
-	}
-}
-
 func TestMultiMetricSeedRefitAndValidation(t *testing.T) {
 	history, stream, routing, _ := multiMetricFixture(t, 73, -1, -1)
-	if _, err := NewMultiMetricDetector(history, routing, MultiMetricConfig{Quorum: 4}); err == nil {
-		t.Fatal("quorum > metrics accepted")
-	}
 	if _, err := NewMultiMetricDetector(mat.Zeros(40, 7), routing, MultiMetricConfig{}); err == nil {
 		t.Fatal("mis-sized history accepted")
 	}

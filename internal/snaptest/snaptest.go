@@ -3,8 +3,10 @@
 // each package's testdata/, and every later commit must restore them,
 // re-encode them byte-for-byte and raise the recorded alarms on the next
 // batch. The committed files were written by commit ca50b80 (the last
-// one with three separate subspace detector types); regenerate them with
-// -update-golden only together with a snapshot version bump.
+// one with three separate subspace detector types), except hybrid's,
+// rewritten when the hybrid payload moved to a new kind byte; regenerate
+// a file with -update-golden only together with a snapshot version or
+// kind-byte bump.
 package snaptest
 
 import (

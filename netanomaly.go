@@ -241,8 +241,8 @@ func WithOverloadPolicy(p OverloadPolicy) MonitorOption {
 }
 
 // NewMonitor starts a streaming detection engine with no views. Register
-// views with AddView (or Monitor.AddView with an explicit routing
-// matrix) and feed them with Monitor.Ingest. Options apply on top of
+// views with AddView (or Monitor.AddDetectorView with a detector built
+// by hand) and feed them with Monitor.Ingest. Options apply on top of
 // cfg.
 func NewMonitor(cfg MonitorConfig, opts ...MonitorOption) *Monitor {
 	for _, o := range opts {
@@ -279,8 +279,8 @@ const (
 	DetectorMultiscale DetectorKind = "multiscale"
 	// DetectorMultiFlow fans one subspace model per traffic metric
 	// (bytes / flow counts / packet size, Section 7.2) over shared
-	// routing and votes, catching scans that move flow counts without
-	// moving bytes. History and batches carry the metric blocks
+	// routing and alarms when any metric flags a bin, catching scans
+	// that move flow counts without moving bytes. History and batches carry the metric blocks
 	// column-stacked (see StackMatrices and DeriveLinkMetrics).
 	DetectorMultiFlow DetectorKind = "multiflow"
 	// DetectorEWMA forecasts each link independently with exponential
@@ -297,14 +297,13 @@ const (
 	// against adaptive per-link thresholds (Section 6.2's temporal
 	// model, streaming).
 	DetectorFourier DetectorKind = "fourier"
-	// DetectorHybrid pairs an always-on forecast triage stage
-	// (WithTriageKind, default ewma) with a subspace identification
-	// stage: every bin pays only the cheap per-link recursion, and bins
-	// the triage stage alarms are escalated (WithEscalation) to a
-	// subspace model that attributes the responsible OD flow — the
-	// paper's "temporal methods localize in time+link, the subspace
-	// method identifies the flow" trade collapsed into one view. See
-	// docs/BACKENDS.md for the full selection guide.
+	// DetectorHybrid pairs an always-on ewma triage stage with a
+	// subspace identification stage: every bin pays only the cheap
+	// per-link recursion, and every bin the triage stage alarms is
+	// escalated to a subspace model that attributes the responsible OD
+	// flow — the paper's "temporal methods localize in time+link, the
+	// subspace method identifies the flow" trade collapsed into one
+	// view. See docs/BACKENDS.md for the full selection guide.
 	DetectorHybrid DetectorKind = "hybrid"
 	// DetectorSketch maintains the covariance as a Frequent-Directions
 	// sketch of l rows (WithSketchSize, default 4x the model rank)
@@ -317,86 +316,27 @@ const (
 	DetectorSketch DetectorKind = "sketch"
 )
 
-// viewConfig is what the view options set: the backend.Spec Build
-// consumes plus the view's queue limits.
-type viewConfig struct {
-	backend.Spec
-	limits engine.ViewLimits
-}
-
-// newViewConfig applies opts over the default (subspace) kind, with the
+// newSpec applies opts over the default (subspace) kind, with the
 // monitor's Window, RefitEvery and Options folded in.
-func newViewConfig(cfg MonitorConfig, opts []ViewOption) viewConfig {
-	vc := viewConfig{Spec: backend.Spec{
+func newSpec(cfg MonitorConfig, opts []ViewOption) backend.Spec {
+	spec := backend.Spec{
 		Kind:       string(DetectorSubspace),
 		Window:     cfg.Window,
 		RefitEvery: cfg.RefitEvery,
 		Options:    cfg.Options,
-	}}
-	for _, o := range opts {
-		o(&vc)
 	}
-	return vc
+	for _, o := range opts {
+		o(&spec)
+	}
+	return spec
 }
 
 // ViewOption customizes the backend AddView builds.
-type ViewOption func(*viewConfig)
+type ViewOption func(*backend.Spec)
 
 // WithDetector selects the backend kind (default DetectorSubspace).
 func WithDetector(kind DetectorKind) ViewOption {
-	return func(vc *viewConfig) { vc.Kind = string(kind) }
-}
-
-// WithAlpha sets the forecast backends' level smoothing gain in (0, 1].
-// For DetectorEWMA, 0 (the default) selects alpha per link by grid
-// search on the seed history, mirroring the paper's multi-grid
-// parameter search; DetectorHoltWinters defaults to 0.3.
-func WithAlpha(alpha float64) ViewOption {
-	return func(vc *viewConfig) { vc.Alpha = alpha }
-}
-
-// WithBeta sets the Holt-Winters trend smoothing gain in (0, 1]
-// (default 0.1).
-func WithBeta(beta float64) ViewOption {
-	return func(vc *viewConfig) { vc.Beta = beta }
-}
-
-// WithThresholdK sets the forecast backends' threshold multiplier: a
-// link alarms when its forecast residual exceeds mean + k*sigma of its
-// adaptively tracked residuals (default 6).
-func WithThresholdK(k float64) ViewOption {
-	return func(vc *viewConfig) { vc.K = k }
-}
-
-// WithTriageKind selects the hybrid backend's triage stage: one of the
-// forecast kinds (DetectorEWMA, the default, DetectorHoltWinters or
-// DetectorFourier). The forecast options (WithAlpha, WithBeta,
-// WithThresholdK) configure it.
-func WithTriageKind(kind DetectorKind) ViewOption {
-	return func(vc *viewConfig) { vc.Triage = string(kind) }
-}
-
-// WithEscalation sets the hybrid backend's escalation policy — which
-// triage-alarmed bins pay for subspace flow identification:
-//
-//	"immediate"   every triage alarm escalates (default)
-//	"confirm:<n>" only after n consecutive alarmed bins; unconfirmed
-//	              blips still alarm, without flow attribution
-//	"always"      every bin escalates, alarmed or not — subspace-grade
-//	              detection at subspace cost, for measuring triage miss
-//
-// Unknown policies fail in AddView.
-func WithEscalation(policy string) ViewOption {
-	return func(vc *viewConfig) { vc.Escalation = policy }
-}
-
-// WithHysteresis keeps the hybrid backend's identification stage
-// engaged for n bins after the last policy-driven escalation, so a
-// triage stage oscillating around its threshold does not open a fresh
-// subspace episode every other bin; HybridStats.EscalationRuns counts
-// the episodes the hold collapses. 0 (the default) disables holding.
-func WithHysteresis(n int) ViewOption {
-	return func(vc *viewConfig) { vc.Hysteresis = n }
+	return func(s *backend.Spec) { s.Kind = string(kind) }
 }
 
 // WithSketchSize sets the sketch backend's Frequent-Directions sketch
@@ -404,59 +344,27 @@ func WithHysteresis(n int) ViewOption {
 // default is 4x the model rank; AddView rejects l below 2x the rank —
 // under that the sketch cannot hold the normal subspace — or below 4.
 func WithSketchSize(l int) ViewOption {
-	return func(vc *viewConfig) { vc.SketchSize = l }
-}
-
-// WithViewMaxPending bounds this view's queue of unprocessed bins,
-// overriding the monitor-wide WithMaxPending value: n > 0 is the bound,
-// n < 0 makes the view explicitly unbounded, and 0 (the default)
-// inherits the monitor's setting. A latency-critical view can shed load
-// while an archival view on the same monitor blocks, without splitting
-// them across monitors.
-func WithViewMaxPending(n int) ViewOption {
-	return func(vc *viewConfig) { vc.limits.MaxPending = n }
-}
-
-// WithViewOverloadPolicy selects this view's full-queue behavior,
-// overriding the monitor-wide WithOverloadPolicy value; views without
-// it inherit the monitor's policy.
-func WithViewOverloadPolicy(p OverloadPolicy) ViewOption {
-	return func(vc *viewConfig) {
-		pol := p
-		vc.limits.Overload = &pol
-	}
+	return func(s *backend.Spec) { s.SketchSize = l }
 }
 
 // WithLambda sets the incremental backend's forgetting factor in
 // (0, 1]; 1 weights all history equally, 0.999 forgets with roughly a
 // one-week time constant at ten-minute bins.
 func WithLambda(lambda float64) ViewOption {
-	return func(vc *viewConfig) { vc.Lambda = lambda }
+	return func(s *backend.Spec) { s.Lambda = lambda }
 }
 
 // WithDriftTolerance sets the incremental backend's rebuild gate: an
 // automatic refit only swaps the model in when the residual projector
 // has moved at least tol in Frobenius norm.
 func WithDriftTolerance(tol float64) ViewOption {
-	return func(vc *viewConfig) { vc.DriftTol = tol }
-}
-
-// WithLevels sets the multiscale backend's wavelet depth (default 3:
-// 2-, 4- and 8-bin features).
-func WithLevels(levels int) ViewOption {
-	return func(vc *viewConfig) { vc.Levels = levels }
-}
-
-// WithQuorum sets how many metrics must flag a bin before the
-// multi-flow backend alarms (default 1: any metric).
-func WithQuorum(q int) ViewOption {
-	return func(vc *viewConfig) { vc.Quorum = q }
+	return func(s *backend.Spec) { s.DriftTol = tol }
 }
 
 // WithMetrics names the multi-flow backend's stacked metric blocks in
 // column order (default bytes, flows, pktsize).
 func WithMetrics(names ...string) ViewOption {
-	return func(vc *viewConfig) { vc.Metrics = names }
+	return func(s *backend.Spec) { s.Metrics = names }
 }
 
 // AddView registers a detector shard on the monitor for a topology's
@@ -465,16 +373,15 @@ func WithMetrics(names ...string) ViewOption {
 // multiscale, forecast (ewma / holtwinters / fourier) and hybrid
 // kinds, bins x (metrics x links) column-stacked for multiflow. The
 // monitor's Window, RefitEvery and Options configure every kind
-// uniformly (the forecast kinds take their thresholds from
-// WithThresholdK rather than Options.Confidence). See docs/BACKENDS.md
-// for the backend selection guide.
+// uniformly (the forecast kinds alarm at a fixed 6-sigma residual
+// rather than at Options.Confidence). See docs/BACKENDS.md for the
+// backend selection guide.
 func AddView(m *Monitor, name string, history *Matrix, topo *Topology, opts ...ViewOption) error {
-	vc := newViewConfig(m.Config(), opts)
-	det, err := backend.Build(vc.Spec, history, topo.RoutingMatrix())
+	det, err := backend.Build(newSpec(m.Config(), opts), history, topo.RoutingMatrix())
 	if err != nil {
 		return fmt.Errorf("netanomaly: view %q: %w", name, err)
 	}
-	return m.AddDetectorViewLimits(name, det, vc.limits)
+	return m.AddDetectorView(name, det)
 }
 
 // HybridDetector is the triage→identification backend behind
@@ -484,7 +391,7 @@ type HybridDetector = core.HybridDetector
 
 // HybridStats is a hybrid view's two-stage breakdown: per-stage
 // detector snapshots plus the escalation counters (triage alarms,
-// escalated bins, identified bins, suppressed blips).
+// escalated bins, identified bins).
 type HybridStats = core.HybridStats
 
 // Correlator clusters the Monitor's per-bin alarm stream into
@@ -528,12 +435,6 @@ type CorrelatorOption func(*incident.Config)
 // period past its last alarm (default 8).
 func WithQuietPeriod(bins int) CorrelatorOption {
 	return func(c *incident.Config) { c.QuietPeriod = bins }
-}
-
-// WithMaxLiveIncidents bounds the live-incident table (default 64);
-// opening an incident beyond the bound force-closes the stalest one.
-func WithMaxLiveIncidents(n int) CorrelatorOption {
-	return func(c *incident.Config) { c.MaxLive = n }
 }
 
 // WithIncidentCallback installs the incident observer. It is invoked
@@ -590,9 +491,7 @@ type ViewSpec struct {
 	// Topo supplies the links and routing matrix.
 	Topo *Topology
 	// Options select and configure the backend, exactly as passed to
-	// AddView. Per-view queue limits (WithViewMaxPending,
-	// WithViewOverloadPolicy) are not applied on restore — restored
-	// views inherit the monitor-wide limits.
+	// AddView.
 	Options []ViewOption
 }
 
@@ -617,12 +516,12 @@ func Restore(cfg MonitorConfig, r io.Reader, views []ViewSpec, opts ...MonitorOp
 		if !ok {
 			return nil, fmt.Errorf("netanomaly: checkpoint holds view %q but no ViewSpec describes it", name)
 		}
-		vc := newViewConfig(cfg, spec.Options)
-		if vc.Kind != kind {
+		bs := newSpec(cfg, spec.Options)
+		if bs.Kind != kind {
 			return nil, fmt.Errorf("netanomaly: view %q: %w: spec builds a %s detector, checkpoint holds %s state",
-				name, ErrSnapshotMismatch, vc.Kind, kind)
+				name, ErrSnapshotMismatch, bs.Kind, kind)
 		}
-		det, err := backend.Build(vc.Spec, spec.History, spec.Topo.RoutingMatrix())
+		det, err := backend.Build(bs, spec.History, spec.Topo.RoutingMatrix())
 		if err != nil {
 			return nil, fmt.Errorf("netanomaly: view %q: %w", name, err)
 		}

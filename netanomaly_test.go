@@ -378,9 +378,9 @@ func TestAddViewBackendsViaPublicAPI(t *testing.T) {
 	for name, opts := range map[string][]netanomaly.ViewOption{
 		"subspace":    nil,
 		"incremental": {netanomaly.WithDetector(netanomaly.DetectorIncremental), netanomaly.WithLambda(0.999)},
-		"multiscale":  {netanomaly.WithDetector(netanomaly.DetectorMultiscale), netanomaly.WithLevels(2)},
-		"ewma":        {netanomaly.WithDetector(netanomaly.DetectorEWMA), netanomaly.WithThresholdK(6)},
-		"holtwinters": {netanomaly.WithDetector(netanomaly.DetectorHoltWinters), netanomaly.WithAlpha(0.3), netanomaly.WithBeta(0.1)},
+		"multiscale":  {netanomaly.WithDetector(netanomaly.DetectorMultiscale)},
+		"ewma":        {netanomaly.WithDetector(netanomaly.DetectorEWMA)},
+		"holtwinters": {netanomaly.WithDetector(netanomaly.DetectorHoltWinters)},
 		"fourier":     {netanomaly.WithDetector(netanomaly.DetectorFourier)},
 		"sketch":      {netanomaly.WithDetector(netanomaly.DetectorSketch)},
 	} {
@@ -389,7 +389,7 @@ func TestAddViewBackendsViaPublicAPI(t *testing.T) {
 		}
 	}
 	if err := netanomaly.AddView(mon, "multiflow", stackedHistory, topo,
-		netanomaly.WithDetector(netanomaly.DetectorMultiFlow), netanomaly.WithQuorum(2)); err != nil {
+		netanomaly.WithDetector(netanomaly.DetectorMultiFlow)); err != nil {
 		t.Fatal(err)
 	}
 	// Stacked history on a single-metric backend must be rejected.
