@@ -778,6 +778,35 @@ func BenchmarkSketchRefit(b *testing.B) {
 		}
 	})
 
+	b.Run("sketch-insert", func(b *testing.B) {
+		// One streamed row's Frequent-Directions fold at the ell = 28 a
+		// rank-7 model sizes the sketch to: the running-mean update plus
+		// its share of the shrinks, each an ell x ell Gram, eigensolve
+		// and rebuild.
+		const ell = 28
+		sk, err := core.NewFDSketch(links, ell)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sk.InsertAll(y); err != nil { // builds the workspace
+			b.Fatal(err)
+		}
+		shrinks := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			before := sk.Occupancy()
+			if err := sk.Insert(y.RowView(i % y.Rows())); err != nil {
+				b.Fatal(err)
+			}
+			if sk.Occupancy() <= before {
+				shrinks++
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/row")
+		b.ReportMetric(float64(shrinks)/float64(b.N), "shrinks/row")
+	})
+
 	b.Run("sketch-update-batch", func(b *testing.B) {
 		// The amortized per-batch price the sketch pays to keep its
 		// cheap refit available — the counterpart of the incremental

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -60,13 +63,17 @@ func rowsOf(m *mat.Dense, from, to int) *mat.Dense {
 	return mat.NewDense(to-from, m.Cols(), m.RawData()[from*m.Cols():to*m.Cols()])
 }
 
-// poisoned returns a copy of y with one NaN cell. A NaN never compares
-// above the threshold, so the row is not flagged, is absorbed, and makes
-// every estimator's next solve fail — the portable way to break a refit.
-func poisoned(y *mat.Dense) *mat.Dense {
+// absorbPoisoned hands a copy of y with one NaN cell straight to the
+// detector's absorb, as ProcessBatch would with no bin alarmed: numbered,
+// folded into the estimate and counted towards the next refit. It skips
+// the detection pass, which withholds a non-finite bin, so the NaN
+// reaches the estimate and makes every estimator's next solve fail — the
+// portable way to break a refit.
+func absorbPoisoned(d *OnlineDetector, y *mat.Dense) error {
 	p := y.Clone()
 	p.Set(p.Rows()/2, 1, math.NaN())
-	return p
+	_, err := d.absorb(p, make([]bool, p.Rows()))
+	return err
 }
 
 func isRefitError(err error) bool { return err != nil && strings.Contains(err.Error(), " refit: ") }
@@ -124,13 +131,18 @@ func TestOnlineDetectorFailedBackgroundRefitKeepsModel(t *testing.T) {
 		before := d.Diagnoser()
 		// The eighth bin launches a background refit on the poisoned
 		// estimate; seven more bins do not reach the next interval.
-		surfaced := 0
-		for _, y := range []*mat.Dense{poisoned(rowsOf(stream, 0, 8)), rowsOf(stream, 8, 12), rowsOf(stream, 12, 15)} {
+		errs := []error{absorbPoisoned(d, rowsOf(stream, 0, 8))}
+		d.WaitRefits()
+		for _, y := range []*mat.Dense{rowsOf(stream, 8, 12), rowsOf(stream, 12, 15)} {
 			_, err := d.ProcessBatch(y)
+			errs = append(errs, err)
+			d.WaitRefits()
+		}
+		surfaced := 0
+		for _, err := range errs {
 			if isRefitError(err) {
 				surfaced++
 			}
-			d.WaitRefits()
 		}
 		if surfaced != 1 {
 			t.Fatalf("failed background refit surfaced on %d calls, want exactly 1", surfaced)
@@ -157,7 +169,7 @@ func TestOnlineDetectorJoinsAbsorbAndRefitErrors(t *testing.T) {
 		d := fresh()
 		release := make(chan struct{})
 		d.SetRefitHook(func() { <-release })
-		if _, err := d.ProcessBatch(poisoned(rowsOf(stream, 0, 8))); isRefitError(err) {
+		if err := absorbPoisoned(d, rowsOf(stream, 0, 8)); isRefitError(err) {
 			t.Fatalf("refit error before the held refit ran: %v", err)
 		}
 		close(release)
@@ -177,6 +189,82 @@ type failingSettle struct {
 }
 
 func (f failingSettle) settle() error { return f.err }
+
+// TestOnlineDetectorWithholdsNonFiniteBins: one NaN or ±Inf load mid
+// stream used to be tested (SPE NaN, no alarm), folded into the
+// estimate and then fail every later refit — for good in the running-
+// mean estimators. The bad batch must report ErrNonFinite naming the
+// bin, still deliver its clean bins' alarms, and leave an estimate that
+// every later batch, Settle and Refit uses without error and whose
+// snapshot carries only finite floats.
+func TestOnlineDetectorWithholdsNonFiniteBins(t *testing.T) {
+	const badBin, spikeBin = 21, 19
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		t.Run(fmt.Sprint(bad), func(t *testing.T) {
+			forEachEstimator(t, 16, func(t *testing.T, fresh func() *OnlineDetector, _, stream *mat.Dense) {
+				d := fresh()
+				y := stream.Clone()
+				y.Set(badBin, 4, bad)
+				y.Set(spikeBin, 5, 40*y.At(spikeBin, 5))
+				for from := 0; from < y.Rows(); from += 8 {
+					alarms, err := d.ProcessBatch(rowsOf(y, from, from+8))
+					if from <= badBin && badBin < from+8 {
+						if !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), fmt.Sprintf("bin %d ", badBin)) {
+							t.Fatalf("batch with a %v load: got %v, want ErrNonFinite naming bin %d", bad, err, badBin)
+						}
+						seqs := alarmSeqs(alarms)
+						if !seqs[spikeBin] || seqs[badBin] {
+							t.Fatalf("batch with a %v load alarmed on %v, want bin %d and not bin %d", bad, seqs, spikeBin, badBin)
+						}
+					} else if err != nil {
+						t.Fatalf("batch at bin %d: %v", from, err)
+					}
+					if err := d.Settle(); err != nil {
+						t.Fatalf("Settle after bin %d: %v", from, err)
+					}
+					d.WaitRefits()
+				}
+				row := y.Row(badBin)
+				if _, anomalous, err := d.Process(row); !errors.Is(err, ErrNonFinite) || anomalous {
+					t.Fatalf("Process of a %v load: anomalous %v, err %v; want ErrNonFinite and no alarm", bad, anomalous, err)
+				}
+				if err := d.Refit(); err != nil {
+					t.Fatal(err)
+				}
+				if err := d.TakeRefitError(); err != nil {
+					t.Fatal(err)
+				}
+				if got := d.Stats().Refits; got < 5 {
+					t.Fatalf("%d refits swapped in, want one per 16 bins", got)
+				}
+				var snap bytes.Buffer
+				if err := d.Snapshot(&snap); err != nil {
+					t.Fatal(err)
+				}
+				fw := &finiteWriter{}
+				sw := NewSnapshotWriter(fw)
+				d.est.encode(sw)
+				EncodeDetector(sw, d.Diagnoser().det)
+				if fw.bad > 0 {
+					t.Fatalf("snapshot state holds %d non-finite floats", fw.bad)
+				}
+			})
+		})
+	}
+}
+
+// finiteWriter counts the 8-byte writes whose bits are not a finite
+// float64. A SnapshotWriter writes each field with its own Write, so an
+// 8-byte write is an F64 or a count; the estimators and the model encode
+// no negative count, and a non-negative one reads as a finite float.
+type finiteWriter struct{ bad int }
+
+func (w *finiteWriter) Write(p []byte) (int, error) {
+	if len(p) == 8 && !(math.Abs(math.Float64frombits(binary.LittleEndian.Uint64(p))) <= math.MaxFloat64) {
+		w.bad++
+	}
+	return len(p), nil
+}
 
 func TestOnlineSeedFailureKeepsWindowAndModel(t *testing.T) {
 	forEachEstimator(t, 0, func(t *testing.T, fresh func() *OnlineDetector, history, stream *mat.Dense) {

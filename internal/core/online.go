@@ -159,6 +159,19 @@ type Alarm struct {
 	Diagnosis
 }
 
+// ErrNonFinite classifies a measurement whose SPE is not finite — a NaN
+// or ±Inf load, or loads so large their squares overflow. Such a bin
+// can be neither judged nor folded into the estimate, where it would
+// fail every later solve: it raises no alarm, is withheld from the
+// estimate like an alarmed bin, and is reported with an error wrapping
+// ErrNonFinite. Test with errors.Is.
+var ErrNonFinite = errors.New("core: non-finite measurement")
+
+// nonFinite is the error for the first non-finite bin of a call.
+func nonFinite(seq int) error {
+	return fmt.Errorf("%w: bin %d withheld from the estimate", ErrNonFinite, seq)
+}
+
 // Process tests one measurement vector against the active model and
 // folds it into the estimate; see ProcessBatch. The returned Alarm
 // carries the bin's SPE and threshold whether or not it is anomalous.
@@ -167,7 +180,12 @@ func (d *OnlineDetector) Process(y []float64) (Alarm, bool, error) {
 		return Alarm{}, false, fmt.Errorf("core: measurement has %d links, detector expects %d", len(y), d.links)
 	}
 	diag, anomalous := d.diag.Load().DiagnoseAt(y)
-	seq, err := d.absorb(mat.NewDense(1, d.links, y), []bool{anomalous})
+	finite := diag.SPE <= math.MaxFloat64
+	seq, err := d.absorb(mat.NewDense(1, d.links, y), []bool{anomalous || !finite})
+	if !finite {
+		anomalous = false
+		err = errors.Join(nonFinite(seq), err)
+	}
 	diag.Bin = seq
 	return Alarm{Seq: seq, Diagnosis: diag}, anomalous, err
 }
@@ -177,12 +195,14 @@ func (d *OnlineDetector) Process(y []float64) (Alarm, bool, error) {
 // model) and returns the rows that alarm, numbered in row order. A
 // mis-sized batch is rejected and not counted. The error of a failed
 // background refit is reported by a later call, alongside that call's
-// detections; the previous model stays in force.
+// detections; the previous model stays in force. A bin with a
+// non-finite SPE is withheld and reported as ErrNonFinite, naming the
+// first such bin; the batch's other bins are tested and folded as usual.
 //
 // The sketch and incremental estimators fold a batch's clean rows into
 // their covariance after its alarms are out: the costly fold waits for
 // Settle, or else the next ProcessBatch, Refit or Snapshot, and a fold
-// failure (a shrink on non-finite rows, say) is reported by whichever of
+// failure (a shrink whose Gram overflows, say) is reported by whichever of
 // them runs it — joined here with a parked refit error. A batch that
 // triggers an automatic refit is folded by that refit, so its fold
 // failure parks as the refit's error.
@@ -191,14 +211,28 @@ func (d *OnlineDetector) ProcessBatch(y *mat.Dense) ([]Alarm, error) {
 		return nil, fmt.Errorf("core: batch has %d links, detector expects %d", cols, d.links)
 	}
 	diags, flags := d.diag.Load().DiagnoseBatch(y)
-	base, err := d.absorb(y, flags)
+	// One pass picks the alarms and marks the non-finite bins withheld;
+	// the alarms are numbered once absorb has assigned the batch's base.
 	var alarms []Alarm
+	bad := -1
 	for b, flagged := range flags {
-		if flagged {
-			diag := diags[b]
-			diag.Bin = base + b
-			alarms = append(alarms, Alarm{Seq: base + b, Diagnosis: diag})
+		switch {
+		case !(diags[b].SPE <= math.MaxFloat64):
+			flags[b] = true
+			if bad < 0 {
+				bad = b
+			}
+		case flagged:
+			alarms = append(alarms, Alarm{Seq: b, Diagnosis: diags[b]})
 		}
+	}
+	base, err := d.absorb(y, flags)
+	for i := range alarms {
+		alarms[i].Seq += base
+		alarms[i].Bin = alarms[i].Seq
+	}
+	if bad >= 0 {
+		err = errors.Join(nonFinite(base+bad), err)
 	}
 	return alarms, err
 }

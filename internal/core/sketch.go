@@ -31,6 +31,10 @@ import (
 // inserted; like every single-pass mean estimate this differs from
 // retrospective centering by O(1/n) terms, which the seed history (n of
 // at least m bins) makes negligible.
+//
+// The state is a fixed function of the rows inserted: every sum in a
+// shrink runs in one order (see solve and mat.SymEigInPlace), so equal
+// streams give byte-identical snapshots, models and alarms.
 type FDSketch struct {
 	m, ell int
 	b      *mat.Dense // ell x m row buffer
@@ -64,6 +68,10 @@ func NewFDSketch(m, ell int) (*FDSketch, error) {
 
 // Size returns the sketch size ell.
 func (s *FDSketch) Size() int { return s.ell }
+
+// Occupancy returns how many of the ell rows hold data; it falls at
+// every shrink.
+func (s *FDSketch) Occupancy() int { return s.used }
 
 // Insert absorbs one measurement vector: the running mean advances,
 // the centered row lands in the buffer, and a full buffer triggers a
@@ -125,22 +133,21 @@ func leading(d *mat.Dense, rows, cols int) *mat.Dense {
 // later row is zero. All linear algebra is ell-sized; m enters only
 // through the two rectangular products. The results alias the sketch's
 // workspace and are valid until the next solve.
+//
+// Both products keep every floating-point sum in a fixed order, so the
+// sketch state is a pure function of the inserted rows: each Gram entry
+// is summed as mat.Dot sums it, and each rebuilt row as mat.MulInto's
+// kernel sums it (gramInto, rebuildInto).
 func (s *FDSketch) solve(weight func(vals []float64, i int) float64) (vals []float64, rows *mat.Dense, k int, err error) {
 	if s.gram == nil {
 		s.gram, s.spare = mat.Zeros(s.ell, s.ell), mat.Zeros(s.ell, s.m)
 		s.vals, s.work = make([]float64, s.ell), make([]float64, s.ell)
 	}
 	u := s.used
-	bu := leading(s.b, u, s.m)
+	b := s.b.RawData()[:u*s.m]
 	gram := leading(s.gram, u, u)
 	g := gram.RawData()
-	for i := 0; i < u; i++ {
-		ri := bu.RowView(i)
-		for j := i; j < u; j++ {
-			d := mat.Dot(ri, bu.RowView(j))
-			g[i*u+j], g[j*u+i] = d, d
-		}
-	}
+	gramInto(g, b, u, s.m)
 	vals = s.vals[:u]
 	if err := mat.SymEigInPlace(gram, vals, s.work[:u]); err != nil {
 		return nil, nil, 0, err
@@ -155,10 +162,83 @@ func (s *FDSketch) solve(weight func(vals []float64, i int) float64) (vals []flo
 		mat.ScaleVec(gram.RowView(k), w)
 		k++
 	}
-	clear(g[k*u:])
 	rows = leading(s.spare, u, s.m)
-	mat.MulInto(rows, gram, bu)
+	rebuildInto(rows.RawData(), g, b, k, u, s.m)
 	return vals, rows, k, nil
+}
+
+// gramInto writes the u x u Gram matrix of the u rows of length m in b
+// into g. Row i meets four rows per pass with four independent
+// accumulators, and each accumulator sums in index order, so every entry
+// is bit-identical to mat.Dot of its two rows. A row's last pass starts
+// at u-4 and may rewrite entries already written, as row j's or an
+// earlier pass's: products commute, so a dot product has the same bits
+// whichever row leads.
+func gramInto(g, b []float64, u, m int) {
+	if u < 4 {
+		for i := 0; i < u; i++ {
+			for j := i; j < u; j++ {
+				d := mat.Dot(b[i*m:(i+1)*m], b[j*m:(j+1)*m])
+				g[i*u+j], g[j*u+i] = d, d
+			}
+		}
+		return
+	}
+	for i := 0; i < u; i++ {
+		ri := b[i*m : (i+1)*m]
+		for j := i; j < u; j += 4 {
+			j = min(j, u-4)
+			s0, s1, s2, s3 := dot4(ri, b[j*m:(j+1)*m], b[(j+1)*m:(j+2)*m], b[(j+2)*m:(j+3)*m], b[(j+3)*m:(j+4)*m])
+			g[i*u+j], g[j*u+i] = s0, s0
+			g[i*u+j+1], g[(j+1)*u+i] = s1, s1
+			g[i*u+j+2], g[(j+2)*u+i] = s2, s2
+			g[i*u+j+3], g[(j+3)*u+i] = s3, s3
+		}
+	}
+}
+
+// dot4 returns the dot products of x with y0..y3, each summed in index
+// order as mat.Dot sums it. It is a function of its own because written
+// inline in gramInto the loop ran out of registers and spilled its
+// counter to the stack.
+func dot4(x, y0, y1, y2, y3 []float64) (s0, s1, s2, s3 float64) {
+	y0, y1, y2, y3 = y0[:len(x)], y1[:len(x)], y2[:len(x)], y3[:len(x)]
+	for k, v := range x {
+		s0 += v * y0[k]
+		s1 += v * y1[k]
+		s2 += v * y2[k]
+		s3 += v * y3[k]
+	}
+	return s0, s1, s2, s3
+}
+
+// rebuildInto writes dst = C B for the u x u coefficient matrix c, whose
+// rows from k on are zero, and the finite u x m matrix b: it clears dst
+// and computes only its first k rows. Each row sums four-term groups in
+// the order mat.MulInto's kernel does, so the result is bit-identical to
+// mat.MulInto over all u rows. That kernel skips all-zero groups; here
+// they are added, which leaves the bits alone because a sum started at
+// +0 never becomes -0.
+func rebuildInto(dst, c, b []float64, k, u, m int) {
+	clear(dst[:u*m])
+	for i := 0; i < k; i++ {
+		ci := c[i*u : (i+1)*u]
+		di := dst[i*m : (i+1)*m]
+		l := 0
+		for ; l+4 <= u; l += 4 {
+			a0, a1, a2, a3 := ci[l], ci[l+1], ci[l+2], ci[l+3]
+			b0 := b[l*m : (l+1)*m][:len(di)]
+			b1 := b[(l+1)*m : (l+2)*m][:len(di)]
+			b2 := b[(l+2)*m : (l+3)*m][:len(di)]
+			b3 := b[(l+3)*m : (l+4)*m][:len(di)]
+			for j := range di {
+				di[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+			}
+		}
+		for ; l < u; l++ {
+			mat.AddScaled(di, ci[l], b[l*m:(l+1)*m])
+		}
+	}
 }
 
 // shedMedian is the Frequent-Directions shrink weight: subtract the
@@ -358,8 +438,9 @@ func (e *sketchEstimator) encode(sw *SnapshotWriter) {
 }
 
 // decode requires the snapshot's sketch size to match the receiver's —
-// the buffer shape is construction configuration — and its occupancy to
-// leave the free row every Insert writes into.
+// the buffer shape is construction configuration — its occupancy to
+// leave the free row every Insert writes into, and its buffer, mean and
+// energy to be finite, the energy non-negative.
 func (e *sketchEstimator) decode(sr *SnapshotReader, links int) (estimator, error) {
 	if ell := sr.Int(); sr.Err() == nil && ell != e.ell {
 		return nil, SnapshotMismatchf("snapshot sketch size %d, detector uses %d", ell, e.ell)
@@ -382,9 +463,27 @@ func (e *sketchEstimator) decode(sr *SnapshotReader, links int) (estimator, erro
 	if len(mean) != links {
 		return nil, snapshotFormatf("sketch mean has %d entries, want %d", len(mean), links)
 	}
+	// A non-finite value would fail every later shrink and refit, and a
+	// negative energy cannot come from a sum of squares.
+	if !allFinite(b.RawData()) || !allFinite(mean) {
+		return nil, snapshotFormatf("sketch buffer or mean has a non-finite value")
+	}
+	if !(0 <= energy && energy <= math.MaxFloat64) {
+		return nil, snapshotFormatf("sketch energy %v out of [0, MaxFloat64]", energy)
+	}
 	if rank < 1 || rank >= links {
 		return nil, snapshotFormatf("retained rank %d out of [1, %d]", rank, links-1)
 	}
 	sk := &FDSketch{m: links, ell: e.ell, b: b, used: used, mean: mean, n: n, energy: energy}
 	return &sketchEstimator{ell: e.ell, sk: sk, rank: rank}, nil
+}
+
+// allFinite reports whether every value of v is finite.
+func allFinite(v []float64) bool {
+	for _, x := range v {
+		if !(math.Abs(x) <= math.MaxFloat64) {
+			return false
+		}
+	}
+	return true
 }

@@ -2,13 +2,17 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
 	"netanomaly/internal/mat"
 	"netanomaly/internal/topology"
+	"netanomaly/internal/traffic"
 )
 
 // TestFDSketchApproximatesPCA checks the Frequent-Directions guarantee
@@ -214,6 +218,106 @@ func TestSketchSizeValidation(t *testing.T) {
 	}
 }
 
+// TestFDSketchShrinkProductsMatchReference pins the shrink's two
+// rectangular products to the reference kernels bit for bit, at every
+// occupancy u of an ell = 28 buffer: gramInto to mat.Dot of each row
+// pair, rebuildInto to mat.MulInto over all u rows. Entries span many
+// magnitudes so that any change to a summation order shows in the bits.
+func TestFDSketchShrinkProductsMatchReference(t *testing.T) {
+	const ell = 28
+	rng := rand.New(rand.NewSource(39))
+	spread := func(rows, cols int) *mat.Dense {
+		m := randMatrix(rng, rows, cols)
+		for i, v := range m.RawData() {
+			m.RawData()[i] = v * math.Pow(10, float64(rng.Intn(9)-4))
+		}
+		return m
+	}
+	for _, m := range []int{5, 41, 120} {
+		for u := 1; u <= ell; u++ {
+			b := spread(u, m)
+			g := make([]float64, u*u)
+			gramInto(g, b.RawData(), u, m)
+			for i := 0; i < u; i++ {
+				for j := 0; j < u; j++ {
+					if want := mat.Dot(b.RowView(min(i, j)), b.RowView(max(i, j))); math.Float64bits(g[i*u+j]) != math.Float64bits(want) {
+						t.Fatalf("m=%d u=%d: Gram[%d,%d] = %v, mat.Dot gives %v", m, u, i, j, g[i*u+j], want)
+					}
+				}
+			}
+
+			// Coefficients as a shrink leaves them: k kept rows, zero
+			// rows after, and one all-zero four-term group in a kept row,
+			// which mat.MulInto skips and rebuildInto adds.
+			k := (u + 1) / 2
+			c := spread(u, u)
+			clear(c.RawData()[k*u:])
+			if u >= 8 {
+				clear(c.RowView(0)[4:8])
+			}
+			want := mat.Zeros(u, m)
+			mat.MulInto(want, c, b)
+			got := make([]float64, u*m)
+			for i := range got {
+				got[i] = math.NaN() // rebuildInto must overwrite every entry
+			}
+			rebuildInto(got, c.RawData(), b.RawData(), k, u, m)
+			for i, v := range want.RawData() {
+				if math.Float64bits(got[i]) != math.Float64bits(v) {
+					t.Fatalf("m=%d u=%d k=%d: rebuilt entry (%d,%d) = %v, mat.MulInto gives %v", m, u, k, i/m, i%m, got[i], v)
+				}
+			}
+		}
+	}
+}
+
+// TestSketchStateGolden pins the sketch backend's whole state after a
+// long stream to a hash: a 120-link network, a 1008-bin seed and 4032
+// streamed bins in 64-bin batches, settled and with every refit awaited
+// after each batch, so shrinks, refits and alarm exclusions all
+// feed the snapshot. A change to any summation order in the shrink or
+// the eigensolver changes the hash. The hash was recorded on amd64;
+// architectures that fuse multiply-adds round differently.
+func TestSketchStateGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden hash recorded on amd64, running on %s", runtime.GOARCH)
+	}
+	const want = "12e1fa7bc5d05d0acfcd79dbec259c378fbdea473efd46fcf8282640bc1bf65b"
+	topo := topology.Synthetic(30, 45, 7)
+	cfg := traffic.DefaultConfig(1)
+	cfg.Bins = 5040
+	gen, err := traffic.NewGenerator(topo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y := traffic.LinkLoads(topo, gen.Generate())
+	d, err := NewSketchDetector(rowsOf(y, 0, 1008), topo.RoutingMatrix(), SketchConfig{RefitEvery: 1008})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alarms := 0
+	for from := 1008; from < y.Rows(); from += 64 {
+		a, err := d.ProcessBatch(rowsOf(y, from, from+64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		alarms += len(a)
+		if err := d.Settle(); err != nil {
+			t.Fatal(err)
+		}
+		d.WaitRefits()
+	}
+	var snap bytes.Buffer
+	if err := d.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(snap.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("sketch state hash %s, want %s (%d alarms, %d refits, %d-byte snapshot)",
+			got, want, alarms, d.Stats().Refits, snap.Len())
+	}
+}
+
 // TestFDSketchInsertAllAllocFree is the sketch's counterpart of
 // TestCovTrackerUpdateAllAllocFree: at 120 links and ell = 28 a 64-bin
 // batch runs four or five shrinks, and once the first shrink has built
@@ -284,7 +388,7 @@ func TestSketchRefitErrorSurvivesFailingInsert(t *testing.T) {
 	}
 	release := make(chan struct{})
 	d.SetRefitHook(func() { <-release })
-	d.ProcessBatch(poisoned(rowsOf(stream, 0, 8))) // its refit folds the NaN in
+	absorbPoisoned(d, rowsOf(stream, 0, 8)) // its refit folds the NaN in
 	// While that refit is held no other can start, so these rows stay
 	// pending. 64 of them overrun any sketch size here: their fold must
 	// shrink, and the NaN running mean makes every shrink fail.

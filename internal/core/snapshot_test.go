@@ -251,6 +251,52 @@ func TestSnapshotRejectsFullSketch(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsNonFiniteSketch: a sketch whose buffer, running
+// mean or energy is not finite, or whose energy is negative, fails every
+// later shrink or refit. Restore used to take it and leave the failure to
+// the next refit; it is corruption.
+func TestSnapshotRejectsNonFiniteSketch(t *testing.T) {
+	const links = 4
+	det := snapshotSketch(t, links)
+	ell := det.est.(*sketchEstimator).ell
+	// header | links i64 | ell i64 | matrix (presence u8, dims 2 x u32, data) |
+	// used i64 | mean (len u32, data) | n i64 | energy f64
+	bufAt := snapshotHeaderLen + 8 + 8 + 1 + 4 + 4
+	meanAt := bufAt + 8*ell*links + 8 + 4
+	energyAt := meanAt + 8*links + 8
+	cases := []struct {
+		name string
+		off  int
+		v    float64
+	}{
+		{"NaN buffer cell", bufAt + 8*links + 8, math.NaN()},
+		{"+Inf mean", meanAt + 8, math.Inf(1)},
+		{"NaN energy", energyAt, math.NaN()},
+		{"+Inf energy", energyAt, math.Inf(1)},
+		{"negative energy", energyAt, -1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			data := patchedSnapshot(t, det, tc.off, 8, math.Float64bits(tc.v))
+			if err := snapshotSketch(t, links).Restore(bytes.NewReader(data)); !errors.Is(err, ErrSnapshotFormat) {
+				t.Fatalf("got %v, want ErrSnapshotFormat", err)
+			}
+		})
+	}
+	// The offsets above address the fields they name: writing each
+	// field's own value back restores cleanly.
+	var snap bytes.Buffer
+	if err := det.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	sk := det.est.(*sketchEstimator).sk
+	for off, v := range map[int]float64{bufAt + 8*links + 8: sk.b.At(1, 1), meanAt + 8: sk.mean[1], energyAt: sk.energy} {
+		if got := math.Float64frombits(binary.LittleEndian.Uint64(snap.Bytes()[off:])); got != v {
+			t.Fatalf("offset %d holds %v, want %v", off, got, v)
+		}
+	}
+}
+
 // TestSnapshotRingCapacityBoundedByElements: a ring preallocates
 // capacity x cols, so the reader must bound the product. A 2^24-row
 // capacity on a 4-link ring passes a rows-only bound and costs half a

@@ -45,6 +45,12 @@ func SymEig(a *Dense) (vals []float64, vecs *Dense, err error) {
 // transpose of SymEig's vecs), writes the descending eigenvalues into
 // vals, uses work as scratch (both of length n) and allocates nothing.
 // On error a is left in an unspecified state.
+//
+// Every floating-point sum runs in the order EISPACK's tred2 and tql2
+// write it, whatever loop shape computes it, so the output is a fixed
+// function of a's bits: a kernel change that reorders a sum changes
+// results downstream (sketch state, models, alarms) and must not land as
+// a speed-up. TestSymEigBitIdenticalToTred2Oracle pins the order.
 func SymEigInPlace(a *Dense, vals, work []float64) error {
 	n := a.rows
 	if n != a.cols {
@@ -134,18 +140,32 @@ func tridiagonalize(z []float64, n int, d, e []float64) {
 			for j := range e[:i] {
 				e[j] = 0
 			}
-			// Apply the similarity transformation to the leading block.
+			// Apply the similarity transformation to the leading block,
+			// two rows per pass. Row j's g and row j+1's g1 are separate
+			// accumulators, and every e[k] takes row j's term before row
+			// j+1's, so each sum runs in the one-row loop's order: row j's
+			// k = j+1 term lands before row j+1 reads e[j+1].
 			zi := z[i*n : i*n+i]
-			for j := 0; j < i; j++ {
+			j := 0
+			for ; j+1 < i; j += 2 {
+				f, f1 := d[j], d[j+1]
+				zi[j], zi[j+1] = f, f1
+				zj, zj1 := z[j*n:j*n+i], z[(j+1)*n:(j+1)*n+i]
+				g = e[j] + zj[j]*f
+				g += zj[j+1] * d[j+1]
+				e[j+1] += zj[j+1] * f
+				g1 := e[j+1] + zj1[j+1]*f1
+				for k := j + 2; k < i; k++ {
+					g += zj[k] * d[k]
+					g1 += zj1[k] * d[k]
+					e[k] = e[k] + zj[k]*f + zj1[k]*f1
+				}
+				e[j], e[j+1] = g, g1
+			}
+			if j < i {
 				f = d[j]
 				zi[j] = f
-				zj := z[j*n : j*n+i]
-				g = e[j] + zj[j]*f
-				for k := j + 1; k < i; k++ {
-					g += zj[k] * d[k]
-					e[k] += zj[k] * f
-				}
-				e[j] = g
+				e[j] += z[j*n+j] * f
 			}
 			f = 0
 			for j := range e[:i] {
@@ -177,7 +197,22 @@ func tridiagonalize(z []float64, n int, d, e []float64) {
 			for k, v := range zi1 {
 				d[k] = v / h
 			}
-			for j := 0; j <= i; j++ {
+			// Two rows per pass; the rows do not interact, and each g
+			// sums in index order.
+			j := 0
+			for ; j+1 <= i; j += 2 {
+				zj, zj1 := z[j*n:j*n+i+1], z[(j+1)*n:(j+1)*n+i+1]
+				var g, g1 float64
+				for k, v := range zi1 {
+					g += v * zj[k]
+					g1 += v * zj1[k]
+				}
+				for k, dk := range d[:i+1] {
+					zj[k] -= g * dk
+					zj1[k] -= g1 * dk
+				}
+			}
+			if j <= i {
 				zj := z[j*n : j*n+i+1]
 				var g float64
 				for k, v := range zi1 {

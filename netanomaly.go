@@ -476,6 +476,13 @@ var ErrSnapshotFormat = core.ErrSnapshotFormat
 // incompatible construction parameters. Test with errors.Is.
 var ErrSnapshotMismatch = core.ErrSnapshotMismatch
 
+// ErrNonFinite classifies a bin with a NaN or ±Inf load, or loads whose
+// squares overflow, handed to a subspace-family detector (subspace,
+// incremental, sketch): the bin raises no alarm and stays out of the
+// model's estimate, and the batch's other bins are detected as usual.
+// Test with errors.Is.
+var ErrNonFinite = core.ErrNonFinite
+
 // ViewSpec tells Restore how to reconstruct one checkpointed view's
 // detector: the same seed history, topology and options the view was
 // originally registered with (AddView's arguments). Construction
