@@ -30,6 +30,18 @@ import (
 	"netanomaly/internal/wavelet"
 )
 
+// seeded returns a function that seeds the detector a constructor just
+// returned on history — the construction backend.Build runs — passing a
+// constructor error through.
+func seeded[D interface{ Seed(*mat.Dense) error }](det D, err error) func(history *mat.Dense) (D, error) {
+	return func(history *mat.Dense) (D, error) {
+		if err == nil {
+			err = det.Seed(history)
+		}
+		return det, err
+	}
+}
+
 // sweepStride subsamples the injection day in sweep-based benchmarks so a
 // single iteration stays in the seconds range (stride 1 is the paper's
 // full 144-bin day; results at stride 6 agree within a point or two).
@@ -713,9 +725,9 @@ func trafficgenWireBytesPerBin(b *testing.B, batchBins int) (xor, raw float64) {
 // centered Gram, build the model. Identity routing keeps identification
 // out of the price.
 func windowRefit(b *testing.B, y *mat.Dense, rank int) {
-	det, err := core.NewOnlineDetector(y, mat.Identity(y.Cols()), core.OnlineConfig{
+	det, err := seeded(core.NewOnlineDetector(mat.Identity(y.Cols()), core.OnlineConfig{
 		Window: y.Rows(), Options: core.Options{Rank: rank},
-	})
+	}))(y)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -950,7 +962,7 @@ func BenchmarkMonitorThroughput(b *testing.B) {
 	bins, m := links.Dims()
 
 	b.Run("serial-baseline", func(b *testing.B) {
-		od, err := core.NewOnlineDetector(links, topo.RoutingMatrix(), core.OnlineConfig{Window: bins})
+		od, err := seeded(core.NewOnlineDetector(topo.RoutingMatrix(), core.OnlineConfig{Window: bins}))(links)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -972,7 +984,7 @@ func BenchmarkMonitorThroughput(b *testing.B) {
 		views := make([]string, 4)
 		for s := range views {
 			views[s] = fmt.Sprintf("view-%d", s)
-			det, err := core.NewOnlineDetector(links, topo.RoutingMatrix(), core.OnlineConfig{Window: links.Rows()})
+			det, err := seeded(core.NewOnlineDetector(topo.RoutingMatrix(), core.OnlineConfig{Window: links.Rows()}))(links)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1094,15 +1106,15 @@ func BenchmarkHybridThroughput(b *testing.B) {
 	})
 
 	b.Run("hybrid", func(b *testing.B) {
-		triage, err := forecast.NewDetector(y, forecast.Config{Kind: forecast.EWMA})
+		triage, err := forecast.New(y.Cols(), forecast.Config{Kind: forecast.EWMA})
 		if err != nil {
 			b.Fatal(err)
 		}
-		identify, err := core.NewOnlineDetector(y, routing, core.OnlineConfig{Window: bins})
+		identify, err := core.NewOnlineDetector(routing, core.OnlineConfig{Window: bins})
 		if err != nil {
 			b.Fatal(err)
 		}
-		det, err := core.NewHybridDetector(triage, identify, y, core.HybridConfig{})
+		det, err := seeded(core.NewHybridDetector(triage, identify, core.HybridConfig{}))(y)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1113,7 +1125,7 @@ func BenchmarkHybridThroughput(b *testing.B) {
 	})
 
 	b.Run("subspace-only", func(b *testing.B) {
-		det, err := core.NewOnlineDetector(y, routing, core.OnlineConfig{Window: bins})
+		det, err := seeded(core.NewOnlineDetector(routing, core.OnlineConfig{Window: bins}))(y)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1151,7 +1163,11 @@ func BenchmarkMultiFlowIdentification(b *testing.B) {
 // state migration a warm restart performs. snapshot-bytes reports the
 // envelope size, the quantity an operator budgets checkpoint storage
 // and transfer by; cmd/benchjson gates both against the committed
-// BENCH_snapshot.json baselines.
+// BENCH_snapshot.json baselines. The warm-start legs time the
+// in-process half of a daemon restart at the ledger's wide scale
+// (synthetic:30:45:7, 120 links): one op is netanomaly.Restore of a
+// one-view monitor checkpoint — detector construction, decode and view
+// registration — and the monitor's Close.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	d := experiments.AbileneSim()
 	links := d.Links
@@ -1162,27 +1178,27 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		build func() (core.ViewDetector, error)
 	}{
 		{"subspace", func() (core.ViewDetector, error) {
-			return core.NewOnlineDetector(links, routing, core.OnlineConfig{Window: bins})
+			return seeded(core.NewOnlineDetector(routing, core.OnlineConfig{Window: bins}))(links)
 		}},
 		{"incremental", func() (core.ViewDetector, error) {
-			return core.NewIncrementalDetector(links, routing, core.IncrementalConfig{})
+			return seeded(core.NewIncrementalDetector(routing, core.IncrementalConfig{}))(links)
 		}},
 		{"sketch", func() (core.ViewDetector, error) {
-			return core.NewSketchDetector(links, routing, core.SketchConfig{})
+			return seeded(core.NewSketchDetector(routing, core.SketchConfig{}))(links)
 		}},
 		{"ewma", func() (core.ViewDetector, error) {
 			return forecast.NewDetector(links, forecast.Config{Kind: forecast.EWMA})
 		}},
 		{"hybrid", func() (core.ViewDetector, error) {
-			triage, err := forecast.NewDetector(links, forecast.Config{Kind: forecast.EWMA})
+			triage, err := forecast.New(links.Cols(), forecast.Config{Kind: forecast.EWMA})
 			if err != nil {
 				return nil, err
 			}
-			identify, err := core.NewOnlineDetector(links, routing, core.OnlineConfig{Window: bins})
+			identify, err := core.NewOnlineDetector(routing, core.OnlineConfig{Window: bins})
 			if err != nil {
 				return nil, err
 			}
-			return core.NewHybridDetector(triage, identify, links, core.HybridConfig{})
+			return seeded(core.NewHybridDetector(triage, identify, core.HybridConfig{}))(links)
 		}},
 	}
 	for _, bl := range builders {
@@ -1208,6 +1224,44 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(buf.Len()), "snapshot-bytes")
+		})
+	}
+
+	topo, err := topology.Parse("synthetic:30:45:7")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := traffic.DefaultConfig(3)
+	cfg.Bins = 1008
+	gen, err := traffic.NewGenerator(topo, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	week := traffic.LinkLoads(topo, gen.Generate())
+	monCfg := netanomaly.MonitorConfig{Workers: 1}
+	for _, kind := range []netanomaly.DetectorKind{netanomaly.DetectorSubspace, netanomaly.DetectorSketch} {
+		b.Run("warm-start/"+string(kind), func(b *testing.B) {
+			opts := []netanomaly.ViewOption{netanomaly.WithDetector(kind)}
+			mon := netanomaly.NewMonitor(monCfg)
+			if err := netanomaly.AddView(mon, "net", week, topo, opts...); err != nil {
+				b.Fatal(err)
+			}
+			var ckpt bytes.Buffer
+			if err := mon.Checkpoint(&ckpt); err != nil {
+				b.Fatal(err)
+			}
+			mon.Close()
+			views := []netanomaly.ViewSpec{{Name: "net", Topo: topo, Options: opts}}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				restored, err := netanomaly.Restore(monCfg, bytes.NewReader(ckpt.Bytes()), views)
+				if err != nil {
+					b.Fatal(err)
+				}
+				restored.Close()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(ckpt.Len()), "snapshot-bytes")
 		})
 	}
 }

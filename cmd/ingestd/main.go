@@ -1,10 +1,12 @@
 // Command ingestd is the network-facing ingest server: it seeds a
-// streaming Monitor shard from a history file, then accepts the binary
-// wire format (see the "Binary ingest" section of the README) over TCP
-// connections, a unix socket, and/or stdin, fanning every stream into
-// the shard and printing alarms as workers raise them. Decoding goes
-// through the pooled zero-allocation path (Monitor.IngestBinary), so
-// steady-state ingest does not allocate per bin.
+// streaming Monitor shard from a history file (or, with -checkpoint,
+// warm-starts it from a checkpoint without reading the history), then
+// accepts the binary wire format (see the "Binary ingest" section of
+// the README) over TCP connections, a unix socket, and/or stdin,
+// fanning every stream into the shard and printing alarms as workers
+// raise them. Decoding goes through the pooled zero-allocation path
+// (Monitor.IngestBinary), so steady-state ingest does not allocate per
+// bin.
 //
 // Each connection is one binary stream: header, then frames until the
 // peer closes. Streams from concurrent connections interleave at batch
@@ -62,7 +64,7 @@ import (
 
 func main() {
 	topoName := flag.String("topology", "abilene", "abilene, sprint, or synthetic:<pops>:<edges>:<seed>")
-	historyPath := flag.String("history", "", "link-load matrix that seeds the model (CSV or binary, sniffed; required)")
+	historyPath := flag.String("history", "", "link-load matrix that seeds the model on a cold start (CSV or binary, sniffed; required, read only without a checkpoint)")
 	listenAddr := flag.String("listen", "127.0.0.1:7600", "TCP listen address (empty to disable)")
 	socketPath := flag.String("socket", "", "unix socket path (empty to disable)")
 	useStdin := flag.Bool("stdin", false, "also ingest one binary stream from stdin")
@@ -111,10 +113,6 @@ func main() {
 		fatal(errors.New("nothing to ingest: set -listen, -socket, or -stdin"))
 	}
 	topo, err := netanomaly.ParseTopology(*topoName)
-	if err != nil {
-		fatal(err)
-	}
-	history, err := loadMatrixSniffed(*historyPath)
 	if err != nil {
 		fatal(err)
 	}
@@ -172,9 +170,9 @@ func main() {
 
 	// With -checkpoint, an existing checkpoint file warm-starts the
 	// monitor — the detector resumes mid-stream with its accumulated
-	// window, model and sequence numbering — and the same file is
-	// rewritten (atomically, via rename) at drain and, with
-	// -checkpoint-every, periodically as bins are processed.
+	// window, model and sequence numbering, and -history is not read —
+	// and the same file is rewritten (atomically, via rename) at drain
+	// and, with -checkpoint-every, periodically as bins are processed.
 	ckptFile := ""
 	if *checkpointDir != "" {
 		ckptFile = filepath.Join(*checkpointDir, "checkpoint.nams")
@@ -184,7 +182,7 @@ func main() {
 	restoredIncidents := false
 	if ckptFile != "" {
 		if f, err := os.Open(ckptFile); err == nil {
-			spec := netanomaly.ViewSpec{Name: view, History: history, Topo: topo, Options: viewOpts}
+			spec := netanomaly.ViewSpec{Name: view, Topo: topo, Options: viewOpts}
 			mon, err = netanomaly.Restore(monCfg, f, []netanomaly.ViewSpec{spec}, monOpts...)
 			if err != nil {
 				f.Close()
@@ -215,7 +213,13 @@ func main() {
 			fatal(err)
 		}
 	}
+	seedBins := 0
 	if mon == nil {
+		history, err := loadMatrixSniffed(*historyPath)
+		if err != nil {
+			fatal(err)
+		}
+		seedBins = history.Rows()
 		mon = netanomaly.NewMonitor(monCfg, monOpts...)
 		if err := netanomaly.AddView(mon, view, history, topo, viewOpts...); err != nil {
 			fatal(err)
@@ -233,7 +237,7 @@ func main() {
 		}
 	} else {
 		fmt.Printf("ingestd: %s model seeded on %d bins (%s: %d links, rank %d)\n",
-			stats.Backend, history.Rows(), topo.Name(), stats.Links, stats.Rank)
+			stats.Backend, seedBins, topo.Name(), stats.Links, stats.Rank)
 	}
 
 	// The periodic checkpointer polls processed-bin progress and rewrites

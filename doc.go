@@ -80,9 +80,11 @@
 // selects the implementation per view; docs/BACKENDS.md is the full
 // selection guide (cost models, what each kind localizes, seed
 // requirements, tuning knobs). One builder turns a kind and its view
-// options into a seeded detector for AddView, Restore, the scorecard
-// and the benchmarks alike, so a restored or scored view is built
-// exactly as a fresh one:
+// options into a detector for AddView, Restore, the scorecard and the
+// benchmarks alike, so a restored or scored view is built exactly as a
+// fresh one — seeded on history for AddView, and for Restore built from
+// the topology and options alone and filled from the checkpoint, with
+// no history read and no fit:
 //
 // The subspace family — DetectorSubspace, DetectorIncremental and
 // DetectorSketch — is that one OnlineDetector with three interchangeable

@@ -161,7 +161,7 @@ func TestFitRankDegenerateInputs(t *testing.T) {
 			if !errors.Is(err, mat.ErrNoConvergence) || !strings.Contains(err.Error(), "non-finite") {
 				t.Fatalf("got %v, want the eigensolver's up-front non-finite rejection (mat.ErrNoConvergence)", err)
 			}
-			if _, err := NewOnlineDetector(y, mat.Identity(links), OnlineConfig{Window: bins}); !errors.Is(err, mat.ErrNoConvergence) {
+			if _, err := seeded(NewOnlineDetector(mat.Identity(links), OnlineConfig{Window: bins}))(y); !errors.Is(err, mat.ErrNoConvergence) {
 				t.Fatalf("seeding a detector: got %v, want mat.ErrNoConvergence", err)
 			}
 		})

@@ -75,8 +75,11 @@ type HybridDetector struct {
 	identify ViewDetector
 	links    int
 
-	mu        sync.Mutex // guards the fields below
+	mu sync.Mutex // guards the fields below
+	// window is nil until the first Seed or Restore; capacity is the
+	// configured HybridConfig.Window until then.
 	window    *mat.RowRing
+	capacity  int
 	processed int
 	gate      *RefitGate
 	// counts holds the escalation counters HybridStats surfaces (its
@@ -86,32 +89,21 @@ type HybridDetector struct {
 
 var _ ViewDetector = (*HybridDetector)(nil)
 
-// NewHybridDetector composes two already-seeded stage detectors into a
-// hybrid view. history (bins x links) prefills the clean-bin window the
-// identification stage re-seeds from — normally the same history both
-// stages were seeded on. The stages must agree on the measurement
-// width, and the hybrid must become their only caller.
-func NewHybridDetector(triage, identify ViewDetector, history *mat.Dense, cfg HybridConfig) (*HybridDetector, error) {
+// NewHybridDetector composes two stage detectors into a hybrid view,
+// unseeded: Seed seeds both stages and prefills the clean-bin window the
+// identification stage re-seeds from, and Restore installs a
+// checkpointed hybrid. The stages must agree on the measurement width,
+// and the hybrid must become their only caller.
+func NewHybridDetector(triage, identify ViewDetector, cfg HybridConfig) (*HybridDetector, error) {
 	tLinks, iLinks := triage.Stats().Links, identify.Stats().Links
 	if tLinks != iLinks {
 		return nil, fmt.Errorf("core: hybrid stages disagree on width: triage %d links, identify %d", tLinks, iLinks)
-	}
-	bins, cols := history.Dims()
-	if cols != tLinks {
-		return nil, fmt.Errorf("core: hybrid history has %d links, stages expect %d", cols, tLinks)
-	}
-	if bins == 0 {
-		return nil, fmt.Errorf("core: hybrid history is empty")
-	}
-	capacity := cfg.Window
-	if capacity <= 0 {
-		capacity = bins
 	}
 	d := &HybridDetector{
 		triage:   triage,
 		identify: identify,
 		links:    tLinks,
-		window:   tailRing(history, capacity),
+		capacity: cfg.Window,
 	}
 	d.gate = NewRefitGate(&d.mu, cfg.RefitEvery)
 	return d, nil
@@ -233,8 +225,8 @@ func (d *HybridDetector) ProcessBatch(y *mat.Dense) ([]Alarm, error) {
 // re-seeds the identification stage from it (the previous model stays in
 // force on failure — Seed commits nothing on error), joined with an
 // earlier stage error the caller may already hold. The window is never
-// empty: construction and Seed reject empty histories and prefill the
-// ring, and rows are only ever added.
+// empty: Seed rejects empty histories and prefills the ring, and rows
+// are only ever added.
 func (d *HybridDetector) reseedLocked(earlier error) Refit {
 	snap := d.window.Matrix()
 	return func() (func() bool, error) {
@@ -255,9 +247,11 @@ func (d *HybridDetector) Refit() error {
 	return d.gate.Run(func() Refit { return d.reseedLocked(terr) })
 }
 
-// Seed re-seeds both stages from the history block and refills the
-// clean-bin window with it. The processed-bin counter and stage sequence
-// numbers keep running.
+// Seed seeds both stages from the history block and refills the
+// clean-bin window with it; the first Seed fixes the window's capacity
+// (the configured Window, or the history's length). The processed-bin
+// counter and stage sequence numbers keep running, and only a re-seed
+// counts in Refits.
 func (d *HybridDetector) Seed(history *mat.Dense) error {
 	bins, cols := history.Dims()
 	if cols != d.links {
@@ -267,16 +261,22 @@ func (d *HybridDetector) Seed(history *mat.Dense) error {
 		return fmt.Errorf("core: seed history is empty")
 	}
 	return d.gate.Run(func() Refit {
-		capacity := d.window.Cap()
+		capacity := d.capacity
+		if d.window != nil {
+			capacity = d.window.Cap()
+		} else if capacity <= 0 {
+			capacity = bins
+		}
 		return func() (func() bool, error) {
 			if err := errors.Join(d.triage.Seed(history), d.identify.Seed(history)); err != nil {
 				return nil, err
 			}
 			window := tailRing(history, capacity)
 			return func() bool {
+				reseeded := d.window != nil
 				d.window = window
 				d.gate.RestartLocked()
-				return true
+				return reseeded
 			}, nil
 		}
 	})
@@ -343,10 +343,10 @@ func (hs *HybridStats) counters() []*int {
 // Restore replaces the hybrid's window, counters, and both stage
 // detectors' state with a snapshot from an identically composed hybrid
 // (same stage kinds, same link count; the re-seed cadence stays the
-// receiver's). Stage state is restored through the stages' own
-// Restore, so a snapshot whose nested stage kinds do not match the
-// receiver's stages is rejected; if a stage restore fails the hybrid
-// should be discarded, as the stages may no longer agree.
+// receiver's), seeded or not. Stage state is restored through the
+// stages' own Restore, so a snapshot whose nested stage kinds do not
+// match the receiver's stages is rejected; if a stage restore fails the
+// hybrid should be discarded, as the stages may no longer agree.
 func (d *HybridDetector) Restore(r io.Reader) error {
 	return d.gate.Quiesced(func() error {
 		return DecodeSnapshot(r, SnapKindHybrid, func(sr *SnapshotReader) error {

@@ -120,7 +120,7 @@ func markerBatch(links int, markers ...float64) *mat.Dense {
 func newStubHybrid(t *testing.T, links int, cfg HybridConfig) (*HybridDetector, *stubStage, *stubStage) {
 	t.Helper()
 	triage, identify := stubStages(links)
-	d, err := NewHybridDetector(triage, identify, mat.Zeros(4, links), cfg)
+	d, err := seeded(NewHybridDetector(triage, identify, cfg))(mat.Zeros(4, links))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestHybridSeqRebaseWithPreStreamedStages(t *testing.T) {
 	if _, err := identify.ProcessBatch(mat.Zeros(9, links)); err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewHybridDetector(triage, identify, mat.Zeros(4, links), HybridConfig{})
+	d, err := seeded(NewHybridDetector(triage, identify, HybridConfig{}))(mat.Zeros(4, links))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,8 @@ func TestHybridBackgroundReseed(t *testing.T) {
 	d, _, identify := newStubHybrid(t, links, HybridConfig{RefitEvery: 4, Window: 8})
 
 	// Two clean bins, then two alarmed ones: the re-seed fires after
-	// bin 4 and must fit on clean bins only (4 history + 2 clean).
+	// bin 4 and must fit on clean bins only (4 history + 2 clean). The
+	// stage's first seed is the hybrid's own, on the 4 history rows.
 	if _, err := d.ProcessBatch(markerBatch(links, 0, 0, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -203,12 +204,12 @@ func TestHybridBackgroundReseed(t *testing.T) {
 	identify.mu.Lock()
 	seeds := len(identify.seeds)
 	var rows int
-	if seeds > 0 {
-		rows = identify.seeds[0].Rows()
+	if seeds > 1 {
+		rows = identify.seeds[1].Rows()
 	}
 	identify.mu.Unlock()
-	if seeds != 1 || rows != 6 {
-		t.Fatalf("re-seed: %d seeds, %d rows, want 1 seed of 6 clean rows", seeds, rows)
+	if seeds != 2 || rows != 6 {
+		t.Fatalf("re-seed: %d seeds, %d rows in the second, want 2 seeds, the second of 6 clean rows", seeds, rows)
 	}
 	if err := d.TakeRefitError(); err != nil {
 		t.Fatalf("clean re-seed parked an error: %v", err)
@@ -221,11 +222,11 @@ func TestHybridBackgroundReseed(t *testing.T) {
 func TestHybridReseedFailureDeferred(t *testing.T) {
 	const links = 2
 	triage, identify := stubStages(links)
-	identify.seedErr = errors.New("boom")
-	d, err := NewHybridDetector(triage, identify, mat.Zeros(4, links), HybridConfig{RefitEvery: 2})
+	d, err := seeded(NewHybridDetector(triage, identify, HybridConfig{RefitEvery: 2}))(mat.Zeros(4, links))
 	if err != nil {
 		t.Fatal(err)
 	}
+	identify.seedErr = errors.New("boom")
 	if _, err := d.ProcessBatch(markerBatch(links, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -247,12 +248,12 @@ func TestHybridReseedFailureDeferred(t *testing.T) {
 func TestHybridRejectsMismatches(t *testing.T) {
 	triage, _ := stubStages(3)
 	_, identify := stubStages(4)
-	if _, err := NewHybridDetector(triage, identify, mat.Zeros(4, 3), HybridConfig{}); err == nil {
+	if _, err := NewHybridDetector(triage, identify, HybridConfig{}); err == nil {
 		t.Fatal("stage width mismatch accepted")
 	}
 	d, _, _ := func() (*HybridDetector, *stubStage, *stubStage) {
 		tr, id := stubStages(3)
-		d, err := NewHybridDetector(tr, id, mat.Zeros(4, 3), HybridConfig{})
+		d, err := seeded(NewHybridDetector(tr, id, HybridConfig{}))(mat.Zeros(4, 3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +272,7 @@ func TestHybridTakeRefitErrorJoinsStages(t *testing.T) {
 	triage, identify := stubStages(links)
 	triage.deferred = errors.New("triage-deferred")
 	identify.deferred = errors.New("identify-deferred")
-	d, err := NewHybridDetector(triage, identify, mat.Zeros(4, links), HybridConfig{})
+	d, err := seeded(NewHybridDetector(triage, identify, HybridConfig{}))(mat.Zeros(4, links))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,22 +173,23 @@ type IncrementalConfig struct {
 	Options Options
 }
 
-// NewIncrementalDetector returns the "incremental" backend: an
+// NewIncrementalDetector returns the "incremental" backend for the links
+// of routing matrix a, unseeded (see NewOnlineDetector): an
 // OnlineDetector whose estimate is an exponentially weighted
 // mean/covariance (CovTracker) instead of a window of raw measurements.
 // Each batch makes rank-1 covariance updates in place — no window copy —
 // and a rebuild solves the m x m symmetric eigenproblem on the tracked
 // covariance directly, skipping the window backend's O(t·m^2) Gram
-// (Section 7.1's "cheap model refresh"). It seeds with the same batch fit
-// on history (bins x links) as the windowed backend, so it starts from
-// the same model; the normal-subspace rank resolved there is retained
-// across rebuilds, since a running covariance has no temporal
-// projections to separate on.
-func NewIncrementalDetector(history, a *mat.Dense, cfg IncrementalConfig) (*OnlineDetector, error) {
+// (Section 7.1's "cheap model refresh"). Seed runs the same batch fit on
+// history (bins x links) as the windowed backend, so both start from the
+// same model; the normal-subspace rank resolved there is retained across
+// rebuilds, since a running covariance has no temporal projections to
+// separate on.
+func NewIncrementalDetector(a *mat.Dense, cfg IncrementalConfig) (*OnlineDetector, error) {
 	if cfg.Lambda == 0 {
 		cfg.Lambda = 1
 	}
-	return newDetector(&covEstimator{lambda: cfg.Lambda}, history, a, cfg.Options, cfg.RefitEvery, true, cfg.DriftTol)
+	return newDetector(&covEstimator{lambda: cfg.Lambda}, a, cfg.Options, cfg.RefitEvery, true, cfg.DriftTol)
 }
 
 // covEstimator is the tracked-covariance estimate and the rank its
@@ -249,8 +250,8 @@ func (e *covEstimator) encode(sw *SnapshotWriter) {
 }
 
 // decode requires the snapshot's forgetting factor to match the
-// receiver's: a tracker restored under a different lambda would silently
-// diverge.
+// receiver's — a tracker restored under a different lambda would silently
+// diverge — and its mean and covariance to be finite.
 func (e *covEstimator) decode(sr *SnapshotReader, links int) (estimator, error) {
 	if lambda := sr.F64(); sr.Err() == nil && lambda != e.lambda {
 		return nil, SnapshotMismatchf("snapshot forgetting factor %v, detector uses %v", lambda, e.lambda)
@@ -270,6 +271,9 @@ func (e *covEstimator) decode(sr *SnapshotReader, links int) (estimator, error) 
 	}
 	if rank < 1 || rank >= links {
 		return nil, snapshotFormatf("retained rank %d out of [1, %d]", rank, links-1)
+	}
+	if !allFinite(mean) || !allFinite(cov.RawData()) {
+		return nil, snapshotFormatf("tracker mean or covariance has a non-finite value")
 	}
 	tr := &CovTracker{
 		dim: links, lambda: e.lambda, n: n, mean: mean, cov: cov,

@@ -16,6 +16,18 @@ import (
 	"netanomaly/internal/traffic"
 )
 
+// seeded returns a function that seeds the detector a constructor just
+// returned on history — the construction backend.Build runs — passing a
+// constructor error through.
+func seeded[D interface{ Seed(*mat.Dense) error }](det D, err error) func(history *mat.Dense) (D, error) {
+	return func(history *mat.Dense) (D, error) {
+		if err == nil {
+			err = det.Seed(history)
+		}
+		return det, err
+	}
+}
+
 // estimatorCases is the one table the shared streaming contract runs
 // over: the three covariance estimators behind the one OnlineDetector.
 // Every TestOnlineDetector* lifecycle test below is a row of contract
@@ -26,13 +38,13 @@ var estimatorCases = []struct {
 	build func(history, routing *mat.Dense, refitEvery int) (*OnlineDetector, error)
 }{
 	{"subspace", func(h, a *mat.Dense, every int) (*OnlineDetector, error) {
-		return NewOnlineDetector(h, a, OnlineConfig{Window: h.Rows(), RefitEvery: every})
+		return seeded(NewOnlineDetector(a, OnlineConfig{Window: h.Rows(), RefitEvery: every}))(h)
 	}},
 	{"incremental", func(h, a *mat.Dense, every int) (*OnlineDetector, error) {
-		return NewIncrementalDetector(h, a, IncrementalConfig{RefitEvery: every})
+		return seeded(NewIncrementalDetector(a, IncrementalConfig{RefitEvery: every}))(h)
 	}},
 	{"sketch", func(h, a *mat.Dense, every int) (*OnlineDetector, error) {
-		return NewSketchDetector(h, a, SketchConfig{RefitEvery: every})
+		return seeded(NewSketchDetector(a, SketchConfig{RefitEvery: every}))(h)
 	}},
 }
 
@@ -404,11 +416,11 @@ func TestIncrementalAgreesWithOnline(t *testing.T) {
 	topo, history, stream, flow := streamDataset(t, 60, historyBins, streamBins, []int{40, 150, 260})
 	routing := topo.RoutingMatrix()
 
-	online, err := NewOnlineDetector(history, routing, OnlineConfig{Window: historyBins + streamBins})
+	online, err := seeded(NewOnlineDetector(routing, OnlineConfig{Window: historyBins + streamBins}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := NewIncrementalDetector(history, routing, IncrementalConfig{Lambda: 1})
+	inc, err := seeded(NewIncrementalDetector(routing, IncrementalConfig{Lambda: 1}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,13 +479,13 @@ func TestIncrementalBackgroundRebuildAndDriftGate(t *testing.T) {
 	routing := topo.RoutingMatrix()
 
 	// DriftTol 0: every interval swaps a rebuilt model in.
-	always, err := NewIncrementalDetector(history, routing, IncrementalConfig{Lambda: 1, RefitEvery: 60})
+	always, err := seeded(NewIncrementalDetector(routing, IncrementalConfig{Lambda: 1, RefitEvery: 60}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A huge DriftTol: candidates are solved but never swapped — the
 	// traffic is stationary, so the subspace barely moves.
-	gated, err := NewIncrementalDetector(history, routing, IncrementalConfig{Lambda: 1, RefitEvery: 60, DriftTol: 1e9})
+	gated, err := seeded(NewIncrementalDetector(routing, IncrementalConfig{Lambda: 1, RefitEvery: 60, DriftTol: 1e9}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}

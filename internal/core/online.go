@@ -92,7 +92,9 @@ type estimator interface {
 // OnlineConfig configures NewOnlineDetector.
 type OnlineConfig struct {
 	// Window is the number of most recent bins kept for model fitting
-	// (the paper fits on one week: 1008 ten-minute bins).
+	// (the paper fits on one week: 1008 ten-minute bins); 0 keeps the
+	// whole first seed history. The first Seed fixes the capacity:
+	// Window, or that history's length if it is shorter.
 	Window int
 	// RefitEvery triggers an automatic background refit after this many
 	// processed bins; 0 disables automatic refits (call Refit explicitly).
@@ -101,36 +103,36 @@ type OnlineConfig struct {
 	Options Options
 }
 
-// NewOnlineDetector returns the windowed backend ("subspace"): the model
-// is refitted from a sliding window of the most recent Window
-// non-anomalous bins, seeded with the tail of history (bins x links, at
-// least as many bins as links). Seed and refit alike solve the window's
-// centered m x m Gram and re-resolve the rank (fitRank): O(t*m^2) to form
-// the Gram plus an O(m^3) eigensolve, not a t x m SVD.
-func NewOnlineDetector(history, a *mat.Dense, cfg OnlineConfig) (*OnlineDetector, error) {
-	if cfg.Window <= 0 {
-		return nil, fmt.Errorf("core: online window %d <= 0", cfg.Window)
+// NewOnlineDetector returns the windowed backend ("subspace") for the
+// links of routing matrix a, unseeded: Seed fits its first model on a
+// history (bins x links, at least as many bins as links) and Restore
+// installs a checkpointed one. The model is refitted from a sliding
+// window of the most recent Window non-anomalous bins, seeded with the
+// tail of history. Seed and refit alike solve the window's centered
+// m x m Gram and re-resolve the rank (fitRank): O(t*m^2) to form the
+// Gram plus an O(m^3) eigensolve, not a t x m SVD.
+//
+// Every subspace-family constructor returns an unseeded detector. Until
+// Seed or Restore succeeds it is valid only as their receiver; Stats
+// reports its shape with rank 0.
+func NewOnlineDetector(a *mat.Dense, cfg OnlineConfig) (*OnlineDetector, error) {
+	if cfg.Window < 0 {
+		return nil, fmt.Errorf("core: online window %d < 0", cfg.Window)
 	}
-	w := &windowEstimator{capacity: min(cfg.Window, history.Rows())}
-	return newDetector(w, history, a, cfg.Options, cfg.RefitEvery, false, 0)
+	return newDetector(&windowEstimator{capacity: cfg.Window}, a, cfg.Options, cfg.RefitEvery, false, 0)
 }
 
-// newDetector seeds proto's estimate and the first model from history.
-func newDetector(proto estimator, history, a *mat.Dense, opts Options, every int, gated bool, driftTol float64) (*OnlineDetector, error) {
+// newDetector returns an unseeded detector whose estimates proto's
+// reseed builds.
+func newDetector(proto estimator, a *mat.Dense, opts Options, every int, gated bool, driftTol float64) (*OnlineDetector, error) {
 	// A NaN or negative tolerance would fail the gate's > 0 test and
 	// silently turn the gate off; an infinite one would never swap.
 	if !(0 <= driftTol && driftTol < math.Inf(1)) {
 		return nil, fmt.Errorf("core: drift tolerance %v out of [0, +Inf)", driftTol)
 	}
 	opts.fillDefaults()
-	d := &OnlineDetector{paths: newFlowPaths(a), opts: opts, links: history.Cols(), driftTol: driftTol, gated: gated}
+	d := &OnlineDetector{paths: newFlowPaths(a), opts: opts, links: a.Rows(), est: proto, driftTol: driftTol, gated: gated}
 	d.gate = NewRefitGate(&d.mu, every)
-	est, diag, err := d.seedFit(proto, history)
-	if err != nil {
-		return nil, err
-	}
-	d.est = est
-	d.diag.Store(diag)
 	return d, nil
 }
 
@@ -300,10 +302,11 @@ func (d *OnlineDetector) Refit() error {
 }
 
 // Seed replaces the estimate with one built from history alone and
-// refits the model on it with a full batch fit, exactly as construction
-// does. Estimate and model are built off to the side and committed
-// together only when the fit succeeds: a history that cannot be fitted
-// leaves both untouched. The processed-bin counter keeps running.
+// refits the model on it with a full batch fit. Estimate and model are
+// built off to the side and committed together only when the fit
+// succeeds: a history that cannot be fitted leaves both untouched. The
+// processed-bin counter keeps running. The first model a detector gets
+// is its baseline, not a refit, so only a re-seed counts in Refits.
 func (d *OnlineDetector) Seed(history *mat.Dense) error {
 	if cols := history.Cols(); cols != d.links {
 		return fmt.Errorf("core: seed history has %d links, detector expects %d", cols, d.links)
@@ -317,9 +320,9 @@ func (d *OnlineDetector) Seed(history *mat.Dense) error {
 			}
 			return func() bool {
 				d.est = next
-				d.diag.Store(diag)
+				reseeded := d.diag.Swap(diag) != nil
 				d.gate.RestartLocked()
-				return true
+				return reseeded
 			}, nil
 		}
 	})
@@ -331,13 +334,16 @@ func (d *OnlineDetector) Seed(history *mat.Dense) error {
 func (d *OnlineDetector) Stats() ViewStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return ViewStats{
+	stats := ViewStats{
 		Backend:   KindName(d.est.kind()),
 		Links:     d.links,
 		Processed: d.processed,
-		Rank:      d.diag.Load().det.model.rank,
 		Refits:    d.gate.RefitsLocked(),
 	}
+	if diag := d.diag.Load(); diag != nil {
+		stats.Rank = diag.det.model.rank
+	}
+	return stats
 }
 
 // WaitRefits blocks until no model fit is in flight. It does not prevent
@@ -380,10 +386,11 @@ func (d *OnlineDetector) Snapshot(w io.Writer) error {
 }
 
 // Restore replaces the estimate, counters and active model with a
-// snapshot from an identically configured detector of the same kind.
-// The decoded state is committed only after the whole payload validates;
-// a rejected snapshot leaves the receiver untouched. The receiver's
-// routing matrix, refit cadence and options stay in force.
+// snapshot from an identically configured detector of the same kind; the
+// receiver need not have been seeded. The decoded state is committed
+// only after the whole payload validates; a rejected snapshot leaves the
+// receiver untouched. The receiver's routing matrix, refit cadence and
+// options stay in force.
 func (d *OnlineDetector) Restore(r io.Reader) error {
 	return d.gate.Quiesced(func() error {
 		return DecodeSnapshot(r, d.est.kind(), func(sr *SnapshotReader) error {
@@ -437,7 +444,9 @@ func (d *OnlineDetector) SkippedRebuilds() int {
 
 // windowEstimator is the paper's own estimate: the raw bins themselves,
 // the most recent capacity of them, refitted by the batch fit (fitRank)
-// that re-resolves the rank every time.
+// that re-resolves the rank every time. Until the first reseed builds
+// the ring, capacity is the configured window (0: the seed history's
+// length).
 type windowEstimator struct {
 	capacity int
 	ring     *mat.RowRing
@@ -468,15 +477,22 @@ func (w *windowEstimator) fit(opts Options) func() (*PCA, int, error) {
 }
 
 func (w *windowEstimator) reseed(history *mat.Dense, opts Options) (estimator, *PCA, int, error) {
-	next := &windowEstimator{capacity: w.capacity, ring: tailRing(history, w.capacity)}
+	capacity := w.capacity
+	if w.ring == nil && (capacity == 0 || capacity > history.Rows()) {
+		capacity = history.Rows()
+	}
+	next := &windowEstimator{capacity: capacity, ring: tailRing(history, capacity)}
 	p, rank, err := fitRank(next.ring.Matrix(), opts)
 	return next, p, rank, err
 }
 
 func (w *windowEstimator) encode(sw *SnapshotWriter) { sw.RowRing(w.ring) }
 
+// decode takes the window's capacity from the snapshot and rejects a
+// non-finite row, which no bin the detector folds in can carry and which
+// would fail every later refit.
 func (w *windowEstimator) decode(sr *SnapshotReader, links int) (estimator, error) {
-	ring := sr.RowRing(links)
+	ring := sr.rowRing(links, true)
 	if err := sr.Err(); err != nil {
 		return nil, err
 	}

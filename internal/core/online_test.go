@@ -18,7 +18,7 @@ func TestOnlineDetectorAlarmsOnSpike(t *testing.T) {
 	for b := 0; b < 1008; b++ {
 		history.SetRow(b, y.RowView(b))
 	}
-	od, err := NewOnlineDetector(history, topo.RoutingMatrix(), OnlineConfig{Window: 1008})
+	od, err := seeded(NewOnlineDetector(topo.RoutingMatrix(), OnlineConfig{Window: 1008}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +63,10 @@ func TestOnlineDetectorRefit(t *testing.T) {
 	for b := 0; b < 600; b++ {
 		history.SetRow(b, y.RowView(b))
 	}
-	od, err := NewOnlineDetector(history, topo.RoutingMatrix(), OnlineConfig{
+	od, err := seeded(NewOnlineDetector(topo.RoutingMatrix(), OnlineConfig{
 		Window:     600,
 		RefitEvery: 100,
-	})
+	}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestOnlineDetectorRefit(t *testing.T) {
 
 func TestOnlineDetectorWindowShorterThanHistory(t *testing.T) {
 	topo, _, y := testDataset(t, 62, 432)
-	od, err := NewOnlineDetector(y, topo.RoutingMatrix(), OnlineConfig{Window: 300})
+	od, err := seeded(NewOnlineDetector(topo.RoutingMatrix(), OnlineConfig{Window: 300}))(y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,16 +91,25 @@ func TestOnlineDetectorWindowShorterThanHistory(t *testing.T) {
 	}
 }
 
+// TestOnlineDetectorBadWindow: a negative window is refused, and a zero
+// window keeps the whole first seed history.
 func TestOnlineDetectorBadWindow(t *testing.T) {
 	topo, _, y := testDataset(t, 63, 288)
-	if _, err := NewOnlineDetector(y, topo.RoutingMatrix(), OnlineConfig{Window: 0}); err == nil {
-		t.Fatal("expected error for zero window")
+	if _, err := NewOnlineDetector(topo.RoutingMatrix(), OnlineConfig{Window: -1}); err == nil {
+		t.Fatal("expected error for negative window")
+	}
+	od, err := seeded(NewOnlineDetector(topo.RoutingMatrix(), OnlineConfig{}))(y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := od.est.(*windowEstimator).ring.Cap(); got != y.Rows() {
+		t.Fatalf("zero window kept %d bins, want the %d-bin seed history", got, y.Rows())
 	}
 }
 
 func TestOnlineDetectorConcurrentProcess(t *testing.T) {
 	topo, _, y := testDataset(t, 64, 432)
-	od, err := NewOnlineDetector(y, topo.RoutingMatrix(), OnlineConfig{Window: 432})
+	od, err := seeded(NewOnlineDetector(topo.RoutingMatrix(), OnlineConfig{Window: 432}))(y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +146,11 @@ func TestOnlineDetectorProcessBatchMatchesSerial(t *testing.T) {
 		stream.SetRow(b, traffic.LinkLoadAt(topo, v))
 	}
 	cfg := OnlineConfig{Window: 1008}
-	serial, err := NewOnlineDetector(history, topo.RoutingMatrix(), cfg)
+	serial, err := seeded(NewOnlineDetector(topo.RoutingMatrix(), cfg))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := NewOnlineDetector(history, topo.RoutingMatrix(), cfg)
+	batched, err := seeded(NewOnlineDetector(topo.RoutingMatrix(), cfg))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,10 +201,10 @@ func constantDetector(t *testing.T, refitEvery int) (*OnlineDetector, []float64)
 			history.Set(i, j, 100+10*rng.NormFloat64())
 		}
 	}
-	od, err := NewOnlineDetector(history, mat.Identity(links), OnlineConfig{
+	od, err := seeded(NewOnlineDetector(mat.Identity(links), OnlineConfig{
 		Window:     bins,
 		RefitEvery: refitEvery,
-	})
+	}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +235,7 @@ func TestOnlineDetectorConcurrentBatchesAndRefits(t *testing.T) {
 	// Race hammer: concurrent Process, ProcessBatch and explicit Refit
 	// calls must be safe together (run under -race in CI).
 	topo, _, y := testDataset(t, 68, 432)
-	od, err := NewOnlineDetector(y, topo.RoutingMatrix(), OnlineConfig{Window: 432, RefitEvery: 25})
+	od, err := seeded(NewOnlineDetector(topo.RoutingMatrix(), OnlineConfig{Window: 432, RefitEvery: 25}))(y)
 	if err != nil {
 		t.Fatal(err)
 	}

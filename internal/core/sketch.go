@@ -348,7 +348,7 @@ type SketchConfig struct {
 	// long the stream runs. Detection agreement with the exact-
 	// covariance backends needs ell >= 2*rank (the shrink step always
 	// preserves the top ell/2 directions); 0 picks max(8, 4*rank) from
-	// the seed fit's resolved rank.
+	// the seed fit's resolved rank, or restores a snapshot's size.
 	SketchSize int
 	// RefitEvery triggers a background model rebuild from the sketch
 	// after this many processed bins; 0 disables automatic rebuilds.
@@ -361,29 +361,33 @@ type SketchConfig struct {
 	Options Options
 }
 
-// NewSketchDetector returns the "sketch" backend: an OnlineDetector
+// NewSketchDetector returns the "sketch" backend for the links of
+// routing matrix a, unseeded (see NewOnlineDetector): an OnlineDetector
 // whose estimate is an FDSketch instead of a window or an m x m tracker,
 // so per-view memory is O(ell*m) and a rebuild solves an ell-sized
 // eigenproblem instead of an m x m one — the cheapest refit in the
 // family, bought with a bounded spectral error that detection absorbs
 // (the normal subspace needs only the top-rank directions, which FD
-// preserves best). It seeds with a full batch fit on history
-// (bins x links) like the other two, so all three start from the same
-// model, and retains the rank resolved there.
-func NewSketchDetector(history, a *mat.Dense, cfg SketchConfig) (*OnlineDetector, error) {
-	return newDetector(&sketchEstimator{ell: cfg.SketchSize}, history, a, cfg.Options, cfg.RefitEvery, true, cfg.DriftTol)
+// preserves best). Seed runs a full batch fit on history (bins x links)
+// like the other two, so all three start from the same model, and
+// retains the rank resolved there.
+func NewSketchDetector(a *mat.Dense, cfg SketchConfig) (*OnlineDetector, error) {
+	e := &sketchEstimator{size: cfg.SketchSize, ell: cfg.SketchSize}
+	return newDetector(e, a, cfg.Options, cfg.RefitEvery, true, cfg.DriftTol)
 }
 
 // sketchEstimator is the Frequent-Directions estimate and the rank its
-// models are built at. ell is the configured size (0: default from the
-// rank) until the first reseed resolves it, and fixed from then on.
-// Absorbed rows wait in pending until settle inserts them: the inserts,
-// with their shrink eigensolves, are most of the backend's per-bin CPU.
+// models are built at. size is the configured sketch size (0: resolved
+// from the seed's rank, or taken from a snapshot); ell starts as size
+// until the first reseed or restore resolves it, and is fixed from then
+// on. Absorbed rows wait in pending until settle inserts them: the
+// inserts, with their shrink eigensolves, are most of the backend's
+// per-bin CPU.
 type sketchEstimator struct {
-	ell     int
-	sk      *FDSketch
-	rank    int
-	pending pendingRows
+	size, ell int
+	sk        *FDSketch
+	rank      int
+	pending   pendingRows
 }
 
 func (e *sketchEstimator) kind() byte { return SnapKindSketch }
@@ -422,7 +426,7 @@ func (e *sketchEstimator) reseed(history *mat.Dense, opts Options) (estimator, *
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	return &sketchEstimator{ell: ell, sk: sk, rank: rank}, p, rank, nil
+	return &sketchEstimator{size: e.size, ell: ell, sk: sk, rank: rank}, p, rank, nil
 }
 
 // encode writes the whole buffer (all ell rows, occupancy, running mean,
@@ -437,13 +441,22 @@ func (e *sketchEstimator) encode(sw *SnapshotWriter) {
 	sw.Int(e.rank)
 }
 
-// decode requires the snapshot's sketch size to match the receiver's —
-// the buffer shape is construction configuration — its occupancy to
-// leave the free row every Insert writes into, and its buffer, mean and
-// energy to be finite, the energy non-negative.
+// decode requires the snapshot's sketch size to match the configured
+// one, when one is configured — the buffer shape is construction
+// configuration — and otherwise takes it from the snapshot, up to the
+// largest size a seed resolves on these links, max(8, 4*(links-1)): a
+// larger one was configured, and its ell x ell shrinks are not this
+// detector's to allocate. The size must be one a seed could have built
+// (at least 4 and twice the retained rank), the occupancy must leave the
+// free row every Insert writes into, and the buffer, mean and energy
+// must be finite, the energy non-negative.
 func (e *sketchEstimator) decode(sr *SnapshotReader, links int) (estimator, error) {
-	if ell := sr.Int(); sr.Err() == nil && ell != e.ell {
-		return nil, SnapshotMismatchf("snapshot sketch size %d, detector uses %d", ell, e.ell)
+	ell := sr.Int()
+	if sr.Err() == nil && e.size != 0 && ell != e.size {
+		return nil, SnapshotMismatchf("snapshot sketch size %d, detector uses %d", ell, e.size)
+	}
+	if most := max(8, 4*(links-1)); sr.Err() == nil && e.size == 0 && ell > most {
+		return nil, SnapshotMismatchf("snapshot sketch size %d was configured: a seed on %d links resolves at most %d", ell, links, most)
 	}
 	b := sr.Matrix()
 	used := sr.NonNegInt()
@@ -454,11 +467,17 @@ func (e *sketchEstimator) decode(sr *SnapshotReader, links int) (estimator, erro
 	if err := sr.Err(); err != nil {
 		return nil, err
 	}
-	if b == nil || b.Rows() != e.ell || b.Cols() != links {
-		return nil, snapshotFormatf("sketch buffer is not %dx%d", e.ell, links)
+	if rank < 1 || rank >= links {
+		return nil, snapshotFormatf("retained rank %d out of [1, %d]", rank, links-1)
 	}
-	if used >= e.ell {
-		return nil, snapshotFormatf("sketch occupancy %d leaves no free row of %d", used, e.ell)
+	if ell < 4 || ell < 2*rank {
+		return nil, snapshotFormatf("sketch size %d below max(4, 2*rank) at rank %d", ell, rank)
+	}
+	if b == nil || b.Rows() != ell || b.Cols() != links {
+		return nil, snapshotFormatf("sketch buffer is not %dx%d", ell, links)
+	}
+	if used >= ell {
+		return nil, snapshotFormatf("sketch occupancy %d leaves no free row of %d", used, ell)
 	}
 	if len(mean) != links {
 		return nil, snapshotFormatf("sketch mean has %d entries, want %d", len(mean), links)
@@ -471,11 +490,8 @@ func (e *sketchEstimator) decode(sr *SnapshotReader, links int) (estimator, erro
 	if !(0 <= energy && energy <= math.MaxFloat64) {
 		return nil, snapshotFormatf("sketch energy %v out of [0, MaxFloat64]", energy)
 	}
-	if rank < 1 || rank >= links {
-		return nil, snapshotFormatf("retained rank %d out of [1, %d]", rank, links-1)
-	}
-	sk := &FDSketch{m: links, ell: e.ell, b: b, used: used, mean: mean, n: n, energy: energy}
-	return &sketchEstimator{ell: e.ell, sk: sk, rank: rank}, nil
+	sk := &FDSketch{m: links, ell: ell, b: b, used: used, mean: mean, n: n, energy: energy}
+	return &sketchEstimator{size: e.size, ell: ell, sk: sk, rank: rank}, nil
 }
 
 // allFinite reports whether every value of v is finite.

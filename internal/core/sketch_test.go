@@ -86,12 +86,12 @@ func TestSketchAgreesWithIncremental(t *testing.T) {
 	topo, history, stream, flow := streamDataset(t, 71, historyBins, streamBins, spikes)
 	routing := topo.RoutingMatrix()
 
-	inc, err := NewIncrementalDetector(history, routing, IncrementalConfig{Lambda: 1})
+	inc, err := seeded(NewIncrementalDetector(routing, IncrementalConfig{Lambda: 1}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rank := inc.Stats().Rank
-	sd, err := NewSketchDetector(history, routing, SketchConfig{SketchSize: 2 * rank})
+	sd, err := seeded(NewSketchDetector(routing, SketchConfig{SketchSize: 2 * rank}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +153,11 @@ func TestSketchBackgroundRebuildAndDriftGate(t *testing.T) {
 	topo, history, stream, _ := streamDataset(t, 72, historyBins, streamBins, nil)
 	routing := topo.RoutingMatrix()
 
-	always, err := NewSketchDetector(history, routing, SketchConfig{RefitEvery: 60})
+	always, err := seeded(NewSketchDetector(routing, SketchConfig{RefitEvery: 60}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gated, err := NewSketchDetector(history, routing, SketchConfig{RefitEvery: 60, DriftTol: 1e9})
+	gated, err := seeded(NewSketchDetector(routing, SketchConfig{RefitEvery: 60, DriftTol: 1e9}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,16 +190,16 @@ func TestSketchBackgroundRebuildAndDriftGate(t *testing.T) {
 func TestSketchSizeValidation(t *testing.T) {
 	_, history, _, _ := streamDataset(t, 74, 504, 2, nil)
 	routing := topology.Abilene().RoutingMatrix()
-	if _, err := NewSketchDetector(history, routing, SketchConfig{SketchSize: 3}); err == nil {
+	if _, err := seeded(NewSketchDetector(routing, SketchConfig{SketchSize: 3}))(history); err == nil {
 		t.Fatal("sketch size 3 accepted")
 	}
-	d, err := NewSketchDetector(history, routing, SketchConfig{})
+	d, err := seeded(NewSketchDetector(routing, SketchConfig{}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rank := d.Stats().Rank
 	if rank > 1 {
-		if _, err := NewSketchDetector(history, routing, SketchConfig{SketchSize: 2*rank - 1}); err == nil {
+		if _, err := seeded(NewSketchDetector(routing, SketchConfig{SketchSize: 2*rank - 1}))(history); err == nil {
 			t.Fatalf("sketch size %d < 2*rank accepted", 2*rank-1)
 		}
 	}
@@ -209,10 +209,10 @@ func TestSketchSizeValidation(t *testing.T) {
 	// Both drift-gated constructors refuse a tolerance the gate cannot
 	// honour instead of silently running ungated.
 	for _, tol := range []float64{math.NaN(), -1, math.Inf(1)} {
-		if _, err := NewSketchDetector(history, routing, SketchConfig{DriftTol: tol}); err == nil {
+		if _, err := seeded(NewSketchDetector(routing, SketchConfig{DriftTol: tol}))(history); err == nil {
 			t.Fatalf("sketch drift tolerance %v accepted", tol)
 		}
-		if _, err := NewIncrementalDetector(history, routing, IncrementalConfig{DriftTol: tol}); err == nil {
+		if _, err := seeded(NewIncrementalDetector(routing, IncrementalConfig{DriftTol: tol}))(history); err == nil {
 			t.Fatalf("incremental drift tolerance %v accepted", tol)
 		}
 	}
@@ -291,7 +291,7 @@ func TestSketchStateGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	y := traffic.LinkLoads(topo, gen.Generate())
-	d, err := NewSketchDetector(rowsOf(y, 0, 1008), topo.RoutingMatrix(), SketchConfig{RefitEvery: 1008})
+	d, err := seeded(NewSketchDetector(topo.RoutingMatrix(), SketchConfig{RefitEvery: 1008}))(rowsOf(y, 0, 1008))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestFDSketchInsertAfterFailedShrink(t *testing.T) {
 // nothing.
 func TestSketchRefitErrorSurvivesFailingInsert(t *testing.T) {
 	topo, history, stream, _ := streamDataset(t, 73, 504, 96, nil)
-	d, err := NewSketchDetector(history, topo.RoutingMatrix(), SketchConfig{RefitEvery: 8})
+	d, err := seeded(NewSketchDetector(topo.RoutingMatrix(), SketchConfig{RefitEvery: 8}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -448,7 +448,11 @@ func (sr *SnapshotReader) Matrix() *mat.Dense {
 // RowRing reads a sliding window serialized by SnapshotWriter.RowRing
 // into a fresh ring with the serialized capacity, validating the column
 // count against cols.
-func (sr *SnapshotReader) RowRing(cols int) *mat.RowRing {
+func (sr *SnapshotReader) RowRing(cols int) *mat.RowRing { return sr.rowRing(cols, false) }
+
+// rowRing is RowRing; finite also refuses a NaN or infinite value as
+// corruption, checked before the rows are copied into the ring.
+func (sr *SnapshotReader) rowRing(cols int, finite bool) *mat.RowRing {
 	capacity := sr.U32()
 	m := sr.Matrix()
 	if sr.err != nil {
@@ -472,6 +476,10 @@ func (sr *SnapshotReader) RowRing(cols int) *mat.RowRing {
 	}
 	if rows > int(capacity) {
 		sr.fail(snapshotFormatf("ring holds %d rows over capacity %d", rows, capacity))
+		return nil
+	}
+	if finite && !allFinite(m.RawData()) {
+		sr.fail(snapshotFormatf("ring holds a non-finite value"))
 		return nil
 	}
 	for b := 0; b < rows; b++ {
@@ -660,6 +668,11 @@ func DecodeDetector(sr *SnapshotReader) (*Detector, error) {
 	}
 	if !(0 < confidence && confidence < 1) {
 		return nil, snapshotFormatf("model confidence %v out of (0,1)", confidence)
+	}
+	// A fit of finite bins has finite means, axes and variances; a model
+	// without them would withhold every later bin as non-finite.
+	if !allFinite(means) || !allFinite(pm.RawData()) || !allFinite(resid) {
+		return nil, snapshotFormatf("model has a non-finite mean, axis or residual variance")
 	}
 	model := &Model{
 		rank:           rank,

@@ -34,7 +34,7 @@ func snapshotHistory(bins, links int) *mat.Dense {
 func snapshotOnline(t testing.TB, links int) *OnlineDetector {
 	t.Helper()
 	history := snapshotHistory(48, links)
-	det, err := NewOnlineDetector(history, mat.Identity(links), OnlineConfig{Window: 48})
+	det, err := seeded(NewOnlineDetector(mat.Identity(links), OnlineConfig{Window: 48}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestSnapshotWrongKindMismatch(t *testing.T) {
 	if err := snapshotOnline(t, links).Snapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
-	sketch, err := NewSketchDetector(snapshotHistory(48, links), mat.Identity(links), SketchConfig{})
+	sketch, err := seeded(NewSketchDetector(mat.Identity(links), SketchConfig{}))(snapshotHistory(48, links))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func patchedSnapshot(t testing.TB, det *OnlineDetector, off, width int, v uint64
 // test and the fuzz harness restore into.
 func snapshotSketch(t testing.TB, links int) *OnlineDetector {
 	t.Helper()
-	det, err := NewSketchDetector(snapshotHistory(48, links), mat.Identity(links), SketchConfig{})
+	det, err := seeded(NewSketchDetector(mat.Identity(links), SketchConfig{}))(snapshotHistory(48, links))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,4 +374,130 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		// errors are fine (fuzzed floats are rarely a model), panics not.
 		det.ProcessBatch(probe)
 	})
+}
+
+// TestSnapshotRejectsNonFiniteState: a subspace-family checkpoint whose
+// model (means, axes, residual variances) or estimate (window rows,
+// tracker mean or covariance) holds a NaN or an infinity is corruption.
+// Restore used to take it, and every later bin then failed with
+// ErrNonFinite and raised no alarm. A warm start does not seed, so the
+// checkpoint is all a restored view knows: it must be refused.
+func TestSnapshotRejectsNonFiniteState(t *testing.T) {
+	const links = 4
+	history, routing := snapshotHistory(48, links), mat.Identity(links)
+	model := func(d *OnlineDetector) *Model { return d.Diagnoser().det.model }
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name   string
+		kind   int // estimatorCases index
+		poison func(*OnlineDetector)
+	}{
+		{"subspace model mean", 0, func(d *OnlineDetector) { model(d).means[1] = nan }},
+		{"incremental model mean", 1, func(d *OnlineDetector) { model(d).means[0] = inf }},
+		{"sketch model mean", 2, func(d *OnlineDetector) { model(d).means[2] = nan }},
+		{"subspace model axis", 0, func(d *OnlineDetector) { model(d).p.Set(2, 0, inf) }},
+		{"sketch model axis", 2, func(d *OnlineDetector) { model(d).p.Set(1, 0, nan) }},
+		{"incremental residual variance", 1, func(d *OnlineDetector) { model(d).residVariances[0] = nan }},
+		{"subspace window row", 0, func(d *OnlineDetector) {
+			d.est.(*windowEstimator).ring.Push([]float64{1, nan, 1, 1})
+		}},
+		{"incremental tracker mean", 1, func(d *OnlineDetector) { d.est.(*covEstimator).tr.mean[3] = inf }},
+		{"incremental tracker covariance", 1, func(d *OnlineDetector) { d.est.(*covEstimator).tr.cov.Set(1, 2, nan) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			build := estimatorCases[tc.kind].build
+			src, err := build(history, routing, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.poison(src)
+			var snap bytes.Buffer
+			if err := src.Snapshot(&snap); err != nil {
+				t.Fatal(err)
+			}
+			dst, err := build(history, routing, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.Restore(bytes.NewReader(snap.Bytes())); !errors.Is(err, ErrSnapshotFormat) {
+				t.Fatalf("got %v, want ErrSnapshotFormat", err)
+			}
+			if _, err := dst.ProcessBatch(snapshotHistory(8, links)); err != nil {
+				t.Fatalf("detector unusable after the rejected restore: %v", err)
+			}
+		})
+	}
+}
+
+// TestSnapshotSketchSizeOnRestore: a receiver with no configured sketch
+// size takes the snapshot's, so a warm start restores a sketch whatever
+// rank its own seed would have resolved — here it has no seed at all —
+// up to the largest size a seed resolves on its links; a configured size
+// must match the snapshot's; and a size no seed could have built — below
+// 4, or below twice the retained rank — is corruption.
+func TestSnapshotSketchSizeOnRestore(t *testing.T) {
+	const links = 4
+	history, routing := snapshotHistory(48, links), mat.Identity(links)
+	snapshotOf := func(size int) []byte {
+		t.Helper()
+		src, err := seeded(NewSketchDetector(routing, SketchConfig{SketchSize: size}))(history)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap bytes.Buffer
+		if err := src.Snapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap.Bytes()
+	}
+	// 10 is no max(8, 4*rank); 24 exceeds max(8, 4*(links-1)) = 12.
+	snap := bytes.NewBuffer(snapshotOf(10))
+
+	dst, err := NewSketchDetector(routing, SketchConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Restore(bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatalf("unconfigured size: %v", err)
+	}
+	var again bytes.Buffer
+	if err := dst.Snapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), snap.Bytes()) {
+		t.Fatal("restored sketch does not re-encode byte-for-byte")
+	}
+
+	if err := dst.Restore(bytes.NewReader(snapshotOf(24))); !errors.Is(err, ErrSnapshotMismatch) {
+		t.Fatalf("unconfigured size, snapshot 24 on %d links: got %v, want ErrSnapshotMismatch", links, err)
+	}
+	pinned, err := NewSketchDetector(routing, SketchConfig{SketchSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pinned.Restore(bytes.NewReader(snap.Bytes())); !errors.Is(err, ErrSnapshotMismatch) {
+		t.Fatalf("configured size 16, snapshot 10: got %v, want ErrSnapshotMismatch", err)
+	}
+
+	for _, tc := range []struct{ ell, rank int }{{3, 1}, {5, 3}} {
+		bad, err := seeded(NewSketchDetector(routing, SketchConfig{}))(history)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := bad.est.(*sketchEstimator)
+		e.ell, e.rank = tc.ell, tc.rank
+		e.sk = &FDSketch{m: links, ell: tc.ell, b: mat.Zeros(tc.ell, links), mean: make([]float64, links), n: e.sk.n, energy: e.sk.energy}
+		var crafted bytes.Buffer
+		if err := bad.Snapshot(&crafted); err != nil {
+			t.Fatal(err)
+		}
+		recv, err := NewSketchDetector(routing, SketchConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := recv.Restore(bytes.NewReader(crafted.Bytes())); !errors.Is(err, ErrSnapshotFormat) {
+			t.Fatalf("sketch size %d at rank %d: got %v, want ErrSnapshotFormat", tc.ell, tc.rank, err)
+		}
+	}
 }

@@ -148,13 +148,13 @@ func (m *Monitor) Checkpoint(w io.Writer) error {
 	})
 }
 
-// DetectorFactory builds an unseeded-from-checkpoint detector for one
-// view during NewMonitorFromCheckpoint: name and links come from the
+// DetectorFactory builds the detector one view's checkpoint restores
+// into during NewMonitorFromCheckpoint: name and links come from the
 // view envelope, kind is the backend name ("subspace", "ewma", ...)
 // recovered from the embedded detector snapshot. The returned detector
-// must be constructed with the same parameters the checkpointed one was
-// (link count, lambda, levels, ...); the restore then replaces its
-// mutable state and validates those parameters.
+// need not be seeded, but must be constructed with the same parameters
+// the checkpointed one was (link count, lambda, levels, ...); the
+// restore then supplies its state and validates those parameters.
 type DetectorFactory func(name, kind string, links int) (core.ViewDetector, error)
 
 // NewMonitorFromCheckpoint rebuilds a monitor from a Checkpoint stream:

@@ -19,6 +19,18 @@ import (
 	"netanomaly/internal/wavelet"
 )
 
+// seeded returns a function that seeds the detector a constructor just
+// returned on history — the construction backend.Build runs — passing a
+// constructor error through.
+func seeded[D interface{ Seed(*mat.Dense) error }](det D, err error) func(history *mat.Dense) (D, error) {
+	return func(history *mat.Dense) (D, error) {
+		if err == nil {
+			err = det.Seed(history)
+		}
+		return det, err
+	}
+}
+
 // backendFixture carries everything the shared conformance battery
 // needs for one backend: a seeded detector, its seed history (for
 // re-Seed), the continuation stream, and where the injected spike must
@@ -73,23 +85,23 @@ func conformanceFixtures(t *testing.T, seed int64) []backendFixture {
 	stackedHistory := mat.NewDense(confHistoryBins, cols, stacked.RawData()[:confHistoryBins*cols])
 	stackedStream := mat.NewDense(confStreamBins, cols, stacked.RawData()[confHistoryBins*cols:])
 
-	subspace, err := core.NewOnlineDetector(history, routing, core.OnlineConfig{Window: confHistoryBins})
+	subspace, err := seeded(core.NewOnlineDetector(routing, core.OnlineConfig{Window: confHistoryBins}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
-	incremental, err := core.NewIncrementalDetector(history, routing, core.IncrementalConfig{})
+	incremental, err := seeded(core.NewIncrementalDetector(routing, core.IncrementalConfig{}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
-	multiscale, err := wavelet.NewStreamDetector(history, wavelet.StreamConfig{Levels: 2})
+	multiscale, err := seeded(wavelet.NewStreamDetector(history.Cols(), wavelet.StreamConfig{Levels: 2}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
-	multiflow, err := netmeas.NewMultiMetricDetector(stackedHistory, routing, netmeas.MultiMetricConfig{})
+	multiflow, err := seeded(netmeas.NewMultiMetricDetector(routing, netmeas.MultiMetricConfig{}))(stackedHistory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sketch, err := core.NewSketchDetector(history, routing, core.SketchConfig{})
+	sketch, err := seeded(core.NewSketchDetector(routing, core.SketchConfig{}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,15 +127,15 @@ func conformanceFixtures(t *testing.T, seed int64) []backendFixture {
 // windowed subspace identification stage with immediate escalation.
 func hybridFixture(t *testing.T, history, routing *mat.Dense) *core.HybridDetector {
 	t.Helper()
-	triage, err := forecast.NewDetector(history, forecast.Config{Kind: forecast.EWMA})
+	triage, err := forecast.New(history.Cols(), forecast.Config{Kind: forecast.EWMA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	identify, err := core.NewOnlineDetector(history, routing, core.OnlineConfig{Window: history.Rows()})
+	identify, err := core.NewOnlineDetector(routing, core.OnlineConfig{Window: history.Rows()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hybrid, err := core.NewHybridDetector(triage, identify, history, core.HybridConfig{})
+	hybrid, err := seeded(core.NewHybridDetector(triage, identify, core.HybridConfig{}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,23 +321,23 @@ func scenarioFixtures(t *testing.T, seed int64) ([]backendFixture, []traffic.Lab
 	stackedHistory := mat.NewDense(confHistoryBins, cols, stacked.RawData()[:confHistoryBins*cols])
 	stackedStream := mat.NewDense(confStreamBins, cols, stacked.RawData()[confHistoryBins*cols:])
 
-	subspace, err := core.NewOnlineDetector(history, routing, core.OnlineConfig{Window: confHistoryBins})
+	subspace, err := seeded(core.NewOnlineDetector(routing, core.OnlineConfig{Window: confHistoryBins}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
-	incremental, err := core.NewIncrementalDetector(history, routing, core.IncrementalConfig{})
+	incremental, err := seeded(core.NewIncrementalDetector(routing, core.IncrementalConfig{}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
-	multiscale, err := wavelet.NewStreamDetector(history, wavelet.StreamConfig{Levels: 2})
+	multiscale, err := seeded(wavelet.NewStreamDetector(history.Cols(), wavelet.StreamConfig{Levels: 2}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
-	multiflow, err := netmeas.NewMultiMetricDetector(stackedHistory, routing, netmeas.MultiMetricConfig{})
+	multiflow, err := seeded(netmeas.NewMultiMetricDetector(routing, netmeas.MultiMetricConfig{}))(stackedHistory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sketch, err := core.NewSketchDetector(history, routing, core.SketchConfig{})
+	sketch, err := seeded(core.NewSketchDetector(routing, core.SketchConfig{}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -725,15 +737,15 @@ func TestMonitorCloseDuringHybridReseed(t *testing.T) {
 			history.Set(i, j, 100+10*float64((i*7+j*3)%13))
 		}
 	}
-	triage, err := forecast.NewDetector(history, forecast.Config{Kind: forecast.EWMA, Alpha: 0.3})
+	triage, err := forecast.New(links, forecast.Config{Kind: forecast.EWMA, Alpha: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	identify, err := core.NewOnlineDetector(history, mat.Identity(links), core.OnlineConfig{Window: bins})
+	identify, err := core.NewOnlineDetector(mat.Identity(links), core.OnlineConfig{Window: bins})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hybrid, err := core.NewHybridDetector(triage, identify, history, core.HybridConfig{RefitEvery: bins})
+	hybrid, err := seeded(core.NewHybridDetector(triage, identify, core.HybridConfig{RefitEvery: bins}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -864,7 +876,7 @@ func TestMonitorCloseDuringRefit(t *testing.T) {
 		constant.SetRow(i, means)
 	}
 
-	det, err := core.NewOnlineDetector(history, mat.Identity(links), core.OnlineConfig{Window: bins, RefitEvery: bins})
+	det, err := seeded(core.NewOnlineDetector(mat.Identity(links), core.OnlineConfig{Window: bins, RefitEvery: bins}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}

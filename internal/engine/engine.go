@@ -514,8 +514,9 @@ func (m *Monitor) emit(a Alarm) {
 // AddDetectorView registers a shard running an arbitrary streaming
 // backend — every detector kind in the family satisfies
 // core.ViewDetector, and one Monitor can mix them freely. The detector
-// must already be seeded; its Stats().Links fixes the batch width the
-// view accepts.
+// must be seeded, or restored through RestoreView before the view's
+// first ingest; its Stats().Links fixes the batch width the view
+// accepts.
 func (m *Monitor) AddDetectorView(name string, det core.ViewDetector) error {
 	links := det.Stats().Links
 	if links <= 0 {

@@ -23,11 +23,11 @@ func addSubspaceView(m *Monitor, name string, history, routing *mat.Dense) error
 	if window <= 0 {
 		window = history.Rows()
 	}
-	det, err := core.NewOnlineDetector(history, routing, core.OnlineConfig{
+	det, err := seeded(core.NewOnlineDetector(routing, core.OnlineConfig{
 		Window:     window,
 		RefitEvery: cfg.RefitEvery,
 		Options:    cfg.Options,
-	})
+	}))(history)
 	if err != nil {
 		return err
 	}
@@ -375,7 +375,7 @@ func TestMonitorErrsAndTakeAlarmsDrainRace(t *testing.T) {
 			// degenerate: the refit launched after RefitEvery bins fails
 			// and parks its error for the drain path to surface.
 			means := history.ColMeans()
-			flaky, err := core.NewOnlineDetector(history, mat.Identity(links), core.OnlineConfig{Window: flakyBins, RefitEvery: flakyBins})
+			flaky, err := seeded(core.NewOnlineDetector(mat.Identity(links), core.OnlineConfig{Window: flakyBins, RefitEvery: flakyBins}))(history)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -112,7 +112,7 @@ func TestCheckpointAfterIngestMatchesSynchronous(t *testing.T) {
 
 	run := func(feed func(*Monitor) error) ([]Alarm, []byte) {
 		t.Helper()
-		det, err := core.NewSketchDetector(history, topo.RoutingMatrix(), core.SketchConfig{})
+		det, err := seeded(core.NewSketchDetector(topo.RoutingMatrix(), core.SketchConfig{}))(history)
 		if err != nil {
 			t.Fatal(err)
 		}

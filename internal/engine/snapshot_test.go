@@ -15,6 +15,7 @@ import (
 	"netanomaly/internal/forecast"
 	"netanomaly/internal/mat"
 	"netanomaly/internal/snaptest"
+	"netanomaly/internal/topology"
 )
 
 // halves splits a fixture stream into its two 64-bin halves.
@@ -26,20 +27,34 @@ func halves(f backendFixture) (*mat.Dense, *mat.Dense) {
 	return first, second
 }
 
+// restoreTarget builds the detector a checkpoint of fixture f restores
+// into the way netanomaly.Restore builds one: backend.New from the
+// fixture's kind and configuration, with no seed.
+func restoreTarget(t *testing.T, f backendFixture) core.ViewDetector {
+	t.Helper()
+	spec := backend.Spec{Kind: f.name, Window: confHistoryBins, Levels: 2}
+	det, err := backend.New(spec, topology.Abilene().RoutingMatrix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return det
+}
+
 // TestSnapshotResumeConformance is the conformance battery's
 // checkpoint leg, run for all nine backends: processing half the
-// stream, snapshotting, restoring into a freshly constructed detector
-// and processing the rest must be indistinguishable — alarms, Seq and
-// Stats — from the uninterrupted run. It also pins the canonical
-// encoding: a restored detector re-snapshots byte-for-byte.
+// stream, snapshotting, restoring into an unseeded detector built as a
+// warm start builds it, and processing the rest must be
+// indistinguishable — alarms, Seq and Stats — from the uninterrupted
+// run. It also pins the canonical encoding: a restored detector
+// re-snapshots byte-for-byte.
 func TestSnapshotResumeConformance(t *testing.T) {
 	const seed = 140
 	control := conformanceFixtures(t, seed)
 	subject := conformanceFixtures(t, seed)
-	target := conformanceFixtures(t, seed)
 	for i := range control {
-		cf, sf, tf := control[i], subject[i], target[i]
+		cf, sf := control[i], subject[i]
 		t.Run(cf.name, func(t *testing.T) {
+			target := restoreTarget(t, cf)
 			first, second := halves(cf)
 
 			wantFirst, err := cf.det.ProcessBatch(first)
@@ -60,18 +75,18 @@ func TestSnapshotResumeConformance(t *testing.T) {
 			if err := sf.det.Snapshot(&snap); err != nil {
 				t.Fatal(err)
 			}
-			if err := tf.det.Restore(bytes.NewReader(snap.Bytes())); err != nil {
+			if err := target.Restore(bytes.NewReader(snap.Bytes())); err != nil {
 				t.Fatal(err)
 			}
 			var again bytes.Buffer
-			if err := tf.det.Snapshot(&again); err != nil {
+			if err := target.Snapshot(&again); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(snap.Bytes(), again.Bytes()) {
 				t.Fatalf("restore→snapshot not byte-identical: %d vs %d bytes", snap.Len(), again.Len())
 			}
 
-			gotTail, err := tf.det.ProcessBatch(second)
+			gotTail, err := target.ProcessBatch(second)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +94,7 @@ func TestSnapshotResumeConformance(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("resumed alarm stream diverged:\n got %+v\nwant %+v", got, want)
 			}
-			if gs, ws := tf.det.Stats(), cf.det.Stats(); gs != ws {
+			if gs, ws := target.Stats(), cf.det.Stats(); gs != ws {
 				t.Fatalf("resumed stats %+v, uninterrupted %+v", gs, ws)
 			}
 			spiked := false
@@ -112,7 +127,7 @@ func migrationIngest(t *testing.T, m *Monitor, view string, chunk *mat.Dense) []
 
 // TestViewMigration is the tentpole's acceptance test: a view
 // checkpointed on one monitor and restored into an equivalently
-// configured view on another must continue the alarm stream
+// configured, unseeded view on another must continue the alarm stream
 // bin-for-bin — sequence offsets included — exactly as the monitor
 // that was never interrupted. Run for all nine backends, under -race
 // in CI.
@@ -120,9 +135,8 @@ func TestViewMigration(t *testing.T) {
 	const seed = 141
 	control := conformanceFixtures(t, seed)
 	subject := conformanceFixtures(t, seed)
-	target := conformanceFixtures(t, seed)
 	for i := range control {
-		cf, sf, tf := control[i], subject[i], target[i]
+		cf, sf := control[i], subject[i]
 		t.Run(cf.name, func(t *testing.T) {
 			first, second := halves(cf)
 			cfgOne := Config{Workers: 1, BatchSize: 32}
@@ -148,7 +162,7 @@ func TestViewMigration(t *testing.T) {
 
 			mb := NewMonitor(cfgOne)
 			defer mb.Close()
-			if err := mb.AddDetectorView("v", tf.det); err != nil {
+			if err := mb.AddDetectorView("v", restoreTarget(t, cf)); err != nil {
 				t.Fatal(err)
 			}
 			if err := mb.RestoreView("v", bytes.NewReader(ckpt.Bytes())); err != nil {
@@ -202,7 +216,7 @@ func TestMonitorCheckpointRestore(t *testing.T) {
 	build := func(kind string) (core.ViewDetector, error) {
 		switch kind {
 		case "subspace":
-			return core.NewOnlineDetector(history, routing, core.OnlineConfig{Window: history.Rows()})
+			return seeded(core.NewOnlineDetector(routing, core.OnlineConfig{Window: history.Rows()}))(history)
 		case "ewma":
 			return forecast.NewDetector(history, forecast.Config{Kind: forecast.EWMA})
 		default:
@@ -353,7 +367,7 @@ func TestMonitorCheckpointIgnoresAutoscalerState(t *testing.T) {
 	build := func(kind string) (core.ViewDetector, error) {
 		switch kind {
 		case "subspace":
-			return core.NewOnlineDetector(history, routing, core.OnlineConfig{Window: history.Rows()})
+			return seeded(core.NewOnlineDetector(routing, core.OnlineConfig{Window: history.Rows()}))(history)
 		case "ewma":
 			return forecast.NewDetector(history, forecast.Config{Kind: forecast.EWMA})
 		default:
@@ -480,7 +494,7 @@ func TestRestoreViewRejections(t *testing.T) {
 		return m
 	}
 	history6 := smallPatternHistory(64, 6)
-	det6, err := core.NewOnlineDetector(history6, mat.Identity(6), core.OnlineConfig{Window: 64})
+	det6, err := seeded(core.NewOnlineDetector(mat.Identity(6), core.OnlineConfig{Window: 64}))(history6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +507,7 @@ func TestRestoreViewRejections(t *testing.T) {
 
 	t.Run("wrong links", func(t *testing.T) {
 		history4 := smallPatternHistory(64, 4)
-		det4, err := core.NewOnlineDetector(history4, mat.Identity(4), core.OnlineConfig{Window: 64})
+		det4, err := seeded(core.NewOnlineDetector(mat.Identity(4), core.OnlineConfig{Window: 64}))(history4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -585,7 +599,7 @@ func TestRetiredHybridCheckpointRejected(t *testing.T) {
 func TestCheckpointDuringRefit(t *testing.T) {
 	const bins, links = 40, 6
 	history := smallPatternHistory(bins, links)
-	det, err := core.NewOnlineDetector(history, mat.Identity(links), core.OnlineConfig{Window: bins, RefitEvery: bins})
+	det, err := seeded(core.NewOnlineDetector(mat.Identity(links), core.OnlineConfig{Window: bins, RefitEvery: bins}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -628,7 +642,7 @@ func TestCheckpointDuringRefit(t *testing.T) {
 
 	// The envelope serialized the post-refit state: restoring it into a
 	// fresh same-construction view must succeed and carry the refit.
-	fresh, err := core.NewOnlineDetector(history, mat.Identity(links), core.OnlineConfig{Window: bins, RefitEvery: bins})
+	fresh, err := seeded(core.NewOnlineDetector(mat.Identity(links), core.OnlineConfig{Window: bins, RefitEvery: bins}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,18 @@ import (
 	"netanomaly/internal/traffic"
 )
 
+// seeded returns a function that seeds the detector a constructor just
+// returned on history — the construction backend.Build runs — passing a
+// constructor error through.
+func seeded[D interface{ Seed(*mat.Dense) error }](det D, err error) func(history *mat.Dense) (D, error) {
+	return func(history *mat.Dense) (D, error) {
+		if err == nil {
+			err = det.Seed(history)
+		}
+		return det, err
+	}
+}
+
 // buildSet generates a simulated week with injected true anomalies and a
 // diagnoser fitted on the anomalous link loads (as the paper fits on real
 // traces that contain the anomalies).
@@ -379,7 +391,7 @@ func TestEvaluateStreamingBackends(t *testing.T) {
 	history := mat.NewDense(1008, links, y.RawData()[:1008*links])
 	stream := mat.NewDense(288, links, y.RawData()[1008*links:])
 
-	subspace, err := core.NewOnlineDetector(history, topo.RoutingMatrix(), core.OnlineConfig{Window: 1008})
+	subspace, err := seeded(core.NewOnlineDetector(topo.RoutingMatrix(), core.OnlineConfig{Window: 1008}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,8 +60,8 @@ const (
 	Fourier Kind = "fourier"
 )
 
-// Config configures NewDetector. The zero value of every field has a
-// usable default.
+// Config configures New and NewDetector. The zero value of every field
+// has a usable default.
 type Config struct {
 	// Kind selects the model; default EWMA.
 	Kind Kind
@@ -151,9 +151,12 @@ type Detector struct {
 	k, adapt float64
 	links    int
 	// alphaCfg is the configured level gain (defaults applied): 0 for
-	// the EWMA kind means per-link grid search, at construction and on
+	// the EWMA kind means per-link grid search, on the first Seed and
 	// every re-Seed alike. A pinned alpha survives re-seeding.
 	alphaCfg float64
+	// capacity is the configured Window until the first Seed or Restore
+	// builds the window; from then on the window's own capacity rules.
+	capacity int
 
 	mu    sync.Mutex // guards everything below
 	alpha []float64  // per-link level gain (ewma, holtwinters)
@@ -178,35 +181,37 @@ type Detector struct {
 
 var _ core.ViewDetector = (*Detector)(nil)
 
-// NewDetector seeds a forecast detector of cfg.Kind on history
-// (bins x links): forecaster state is warmed by replaying the history,
-// per-link thresholds are estimated from the replay residuals, and (for
-// the Fourier kind) the basis is fitted on the history. The history also
-// fills the refit window.
-func NewDetector(history *mat.Dense, cfg Config) (*Detector, error) {
+// New returns a forecast detector of cfg.Kind over links links,
+// unseeded: Seed warms it on a history and Restore installs a
+// checkpointed state. Until one of them succeeds it is valid only as
+// their receiver; Stats reports its shape.
+func New(links int, cfg Config) (*Detector, error) {
 	cfg.fillDefaults()
 	if err := validateConfig(cfg); err != nil {
 		return nil, err
 	}
-	t, links := history.Dims()
 	d := &Detector{
 		kind:     cfg.Kind,
 		k:        cfg.K,
 		adapt:    cfg.Adapt,
 		links:    links,
 		alphaCfg: cfg.Alpha,
+		capacity: cfg.Window,
 	}
 	d.gate = core.NewRefitGate(&d.mu, cfg.RefitEvery)
-	capacity := cfg.Window
-	if capacity <= 0 {
-		capacity = t
-	}
-	st, err := d.seedState(history, 0, capacity, cfg.Alpha)
+	return d, nil
+}
+
+// NewDetector returns a forecast detector of cfg.Kind seeded on history
+// (bins x links): New followed by Seed.
+func NewDetector(history *mat.Dense, cfg Config) (*Detector, error) {
+	d, err := New(history.Cols(), cfg)
 	if err != nil {
 		return nil, err
 	}
-	d.install(st)
-	d.clock = t
+	if err := d.Seed(history); err != nil {
+		return nil, err
+	}
 	return d, nil
 }
 
@@ -380,8 +385,7 @@ func absStats(resid []float64) (mean, variance float64) {
 	return mean, variance
 }
 
-// install commits a computed seed/refit state. Callers hold d.mu or own
-// the detector exclusively (construction).
+// install commits a computed seed/refit state. Callers hold d.mu.
 func (d *Detector) install(st *seedState) {
 	d.alpha = st.alpha
 	d.level, d.trend = st.level, st.trend
@@ -665,26 +669,43 @@ func (d *Detector) designMatrixAt(periods []float64, times []int) *mat.Dense {
 // state in force.
 func (d *Detector) Refit() error { return d.gate.Run(d.refitLocked) }
 
-// Seed rebuilds the full detector state from a history block, replacing
-// the windowed state a later Refit would fit on; the history is treated
-// as the immediately preceding bins, so the Fourier phase stays aligned
-// with the running clock. The processed-bin counter keeps running. A
-// history that cannot be fitted leaves the active state untouched.
+// Seed rebuilds the full detector state from a history block: forecaster
+// state is warmed by replaying the history, per-link thresholds are
+// estimated from the replay residuals, the Fourier basis (for that kind)
+// is fitted on it, and it fills the refit window. The first Seed takes
+// the history as bins 0..t-1 and fixes the window's capacity (the
+// configured Window, or the history's length); a re-seed treats it as
+// the immediately preceding bins, so the Fourier phase stays aligned
+// with the running clock, and counts in Refits. The processed-bin
+// counter keeps running. A history that cannot be fitted leaves the
+// active state untouched.
 func (d *Detector) Seed(history *mat.Dense) error {
 	return d.gate.Run(func() core.Refit {
-		start, capacity := d.clock-history.Rows(), d.window.Cap()
+		clock, capacity := d.clock, d.capacity
+		if d.window != nil {
+			capacity = d.window.Cap()
+		} else {
+			clock = history.Rows()
+			if capacity <= 0 {
+				capacity = history.Rows()
+			}
+		}
 		return func() (func() bool, error) {
-			// The configured alpha is re-applied exactly as construction
-			// did: a pinned gain survives re-seeding, and an unset EWMA
-			// gain re-runs the per-link grid search on the new history.
-			st, err := d.seedState(history, start, capacity, d.alphaCfg)
+			// The configured alpha is re-applied on every seed: a pinned
+			// gain survives re-seeding, and an unset EWMA gain re-runs the
+			// per-link grid search on the new history.
+			st, err := d.seedState(history, clock-history.Rows(), capacity, d.alphaCfg)
 			if err != nil {
 				return nil, fmt.Errorf("forecast: %s seed: %w", d.kind, err)
 			}
 			return func() bool {
+				reseeded := d.window != nil
+				if !reseeded {
+					d.clock = clock
+				}
 				d.install(st)
 				d.gate.RestartLocked()
-				return true
+				return reseeded
 			}, nil
 		}
 	})
@@ -757,9 +778,9 @@ func (d *Detector) Snapshot(w io.Writer) error {
 
 // Restore replaces the forecaster state, thresholds, window, and clock
 // with a snapshot from an identically configured detector of the same
-// kind. The state commits only after the whole payload validates; the
-// receiver's configuration (K, adapt rate, refit cadence) stays in
-// force.
+// kind, seeded or not. The state commits only after the whole payload
+// validates; the receiver's configuration (K, adapt rate, refit cadence)
+// stays in force.
 func (d *Detector) Restore(r io.Reader) error {
 	return d.gate.Quiesced(func() error { return core.DecodeSnapshot(r, snapshotKind(d.kind), d.decode) })
 }

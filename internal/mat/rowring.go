@@ -39,12 +39,6 @@ func (r *RowRing) Push(row []float64) {
 	}
 }
 
-// Reset empties the ring without reallocating.
-func (r *RowRing) Reset() {
-	r.next = 0
-	r.count = 0
-}
-
 // Matrix returns the buffered rows, oldest first, as a dense matrix:
 // the two wrapped stripes of the flat buffer, copied in order. It
 // returns nil when the ring is empty.

@@ -28,14 +28,6 @@ func TestRowRingBuffer(t *testing.T) {
 	if m.At(0, 0) != 2 || m.At(2, 0) != 4 {
 		t.Fatalf("ring order wrong: %v", m)
 	}
-	r.Reset()
-	if r.Len() != 0 || r.Matrix() != nil {
-		t.Fatal("reset ring must be empty")
-	}
-	r.Push([]float64{5, 5})
-	if m := r.Matrix(); m.Rows() != 1 || m.At(0, 0) != 5 {
-		t.Fatalf("ring after reset wrong: %v", m)
-	}
 }
 
 func TestRowRingRejectsMismatchedRow(t *testing.T) {

@@ -56,30 +56,23 @@ type MultiMetricDetector struct {
 
 var _ core.ViewDetector = (*MultiMetricDetector)(nil)
 
-// NewMultiMetricDetector seeds one subspace model per metric from the
-// stacked history (bins x len(Metrics)*links). routing (links x flows)
-// is shared by every metric's identifier.
-func NewMultiMetricDetector(history, routing *mat.Dense, cfg MultiMetricConfig) (*MultiMetricDetector, error) {
+// NewMultiMetricDetector returns one unseeded subspace detector per
+// metric over shared routing (links x flows): Seed fits every metric's
+// model from a stacked history (bins x len(Metrics)*links), and Restore
+// installs checkpointed ones. Until one of them succeeds the detector is
+// valid only as their receiver; Stats reports its shape.
+func NewMultiMetricDetector(routing *mat.Dense, cfg MultiMetricConfig) (*MultiMetricDetector, error) {
 	names := cfg.Metrics
 	if len(names) == 0 {
 		names = DefaultMetricNames
 	}
-	links := routing.Rows()
-	bins, cols := history.Dims()
-	if cols != len(names)*links {
-		return nil, fmt.Errorf("netmeas: stacked history has %d columns, want %d metrics x %d links", cols, len(names), links)
-	}
-	onlineCfg := cfg.Online
-	if onlineCfg.Window <= 0 {
-		onlineCfg.Window = bins
-	}
 	d := &MultiMetricDetector{
 		names:    append([]string(nil), names...),
-		linksPer: links,
+		linksPer: routing.Rows(),
 		dets:     make([]*core.OnlineDetector, len(names)),
 	}
 	for j := range names {
-		sub, err := core.NewOnlineDetector(d.metricBlock(history, bins, j), routing, onlineCfg)
+		sub, err := core.NewOnlineDetector(routing, cfg.Online)
 		if err != nil {
 			return nil, fmt.Errorf("netmeas: metric %q: %w", names[j], err)
 		}
@@ -139,7 +132,7 @@ func (d *MultiMetricDetector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 	return out, errors.Join(errs...)
 }
 
-// Seed re-seeds every metric's model from the stacked history block.
+// Seed seeds every metric's model from the stacked history block.
 func (d *MultiMetricDetector) Seed(history *mat.Dense) error {
 	bins, cols := history.Dims()
 	if cols != len(d.names)*d.linksPer {
@@ -200,7 +193,7 @@ func (d *MultiMetricDetector) Snapshot(w io.Writer) error {
 
 // Restore replaces every metric's detector state from a Snapshot taken
 // on an equivalently configured detector (same metric count and links
-// per metric). Restoration is per-metric in order; a failure part-way
+// per metric), seeded or not. Restoration is per-metric in order; a failure part-way
 // leaves earlier metrics restored, so callers should discard the
 // detector on error.
 func (d *MultiMetricDetector) Restore(r io.Reader) error {

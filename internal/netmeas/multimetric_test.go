@@ -8,6 +8,18 @@ import (
 	"netanomaly/internal/traffic"
 )
 
+// seeded returns a function that seeds the detector a constructor just
+// returned on history — the construction backend.Build runs — passing a
+// constructor error through.
+func seeded[D interface{ Seed(*mat.Dense) error }](det D, err error) func(history *mat.Dense) (D, error) {
+	return func(history *mat.Dense) (D, error) {
+		if err == nil {
+			err = det.Seed(history)
+		}
+		return det, err
+	}
+}
+
 // multiMetricFixture builds a stacked history (1008 bins) and stream
 // (144 bins) on Abilene with two injected anomalies in the stream: a
 // byte-volume spike (moves bytes and flow counts) at byteBin and a
@@ -52,7 +64,7 @@ func multiMetricFixture(t *testing.T, seed int64, byteBin, scanBin int) (history
 func TestMultiMetricDetectsByteAndScanAnomalies(t *testing.T) {
 	const byteBin, scanBin = 40, 100
 	history, stream, routing, flow := multiMetricFixture(t, 71, byteBin, scanBin)
-	d, err := NewMultiMetricDetector(history, routing, MultiMetricConfig{})
+	d, err := seeded(NewMultiMetricDetector(routing, MultiMetricConfig{}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +109,10 @@ func TestMultiMetricDetectsByteAndScanAnomalies(t *testing.T) {
 
 func TestMultiMetricSeedRefitAndValidation(t *testing.T) {
 	history, stream, routing, _ := multiMetricFixture(t, 73, -1, -1)
-	if _, err := NewMultiMetricDetector(mat.Zeros(40, 7), routing, MultiMetricConfig{}); err == nil {
+	if _, err := seeded(NewMultiMetricDetector(routing, MultiMetricConfig{}))(mat.Zeros(40, 7)); err == nil {
 		t.Fatal("mis-sized history accepted")
 	}
-	d, err := NewMultiMetricDetector(history, routing, MultiMetricConfig{})
+	d, err := seeded(NewMultiMetricDetector(routing, MultiMetricConfig{}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}

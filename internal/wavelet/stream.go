@@ -49,8 +49,11 @@ type StreamDetector struct {
 
 	det atomic.Pointer[MultiscaleDetector]
 
-	mu        sync.Mutex // guards the fields below
+	mu sync.Mutex // guards the fields below
+	// window is nil until the first Seed or Restore; capacity is the
+	// configured Window, rounded to whole blocks, until then.
 	window    *mat.RowRing
+	capacity  int
 	pending   []float64 // partial block, pendingN*links of span*links
 	pendingN  int
 	processed int
@@ -59,25 +62,23 @@ type StreamDetector struct {
 
 var _ core.ViewDetector = (*StreamDetector)(nil)
 
-// NewStreamDetector fits the per-scale models on history (bins x links)
-// and returns a streaming multiscale detector. history must supply at
-// least links * 2^Levels bins; only its largest 2^Levels-aligned suffix
-// is used.
-func NewStreamDetector(history *mat.Dense, cfg StreamConfig) (*StreamDetector, error) {
+// NewStreamDetector returns a streaming multiscale detector over links
+// links, unseeded: Seed fits the per-scale models on a history of at
+// least links * 2^Levels bins, of which only the largest
+// 2^Levels-aligned suffix is used, and Restore installs checkpointed
+// ones. Until one of them succeeds the detector is valid only as their
+// receiver; Stats reports its shape.
+func NewStreamDetector(links int, cfg StreamConfig) (*StreamDetector, error) {
 	if cfg.Levels <= 0 {
 		cfg.Levels = 3
 	}
 	if cfg.Confidence == 0 {
 		cfg.Confidence = 0.999
 	}
-	bins, links := history.Dims()
 	span := 1 << cfg.Levels
-	window := cfg.Window
-	if window <= 0 {
-		window = bins
-	}
+	window := max(cfg.Window, 0)
 	window -= window % span
-	if window < links*span {
+	if cfg.Window > 0 && window < links*span {
 		return nil, fmt.Errorf("wavelet: window %d bins cannot hold %d coefficient rows per scale at %d levels", window, links, cfg.Levels)
 	}
 	s := &StreamDetector{
@@ -85,16 +86,10 @@ func NewStreamDetector(history *mat.Dense, cfg StreamConfig) (*StreamDetector, e
 		span:       span,
 		links:      links,
 		confidence: cfg.Confidence,
-		window:     mat.NewRowRing(window, links),
+		capacity:   window,
 		pending:    make([]float64, span*links),
 	}
 	s.gate = core.NewRefitGate(&s.mu, cfg.RefitEvery)
-	// The seed fit is the baseline, not a refit, so it bypasses the gate.
-	seed, err := s.seedFit(history)
-	if err != nil {
-		return nil, err
-	}
-	seed()
 	return s, nil
 }
 
@@ -103,46 +98,54 @@ func NewStreamDetector(history *mat.Dense, cfg StreamConfig) (*StreamDetector, e
 // open. Call before streaming starts.
 func (s *StreamDetector) SetRefitHook(h func()) { s.gate.SetHook(h) }
 
-// seedFit fits the per-scale models on (the aligned suffix of) history
-// and returns the function that installs them and refills the refit
-// window, to be run under the mutex.
-func (s *StreamDetector) seedFit(history *mat.Dense) (install func(), err error) {
+// seedFit fits the per-scale models on the aligned suffix of history and
+// builds a refit window of the given capacity (0: the suffix's length)
+// holding the suffix's most recent bins.
+func (s *StreamDetector) seedFit(history *mat.Dense, capacity int) (*MultiscaleDetector, *mat.RowRing, error) {
 	bins, links := history.Dims()
 	if links != s.links {
-		return nil, fmt.Errorf("wavelet: seed history has %d links, detector expects %d", links, s.links)
+		return nil, nil, fmt.Errorf("wavelet: seed history has %d links, detector expects %d", links, s.links)
 	}
 	aligned := bins - bins%s.span
 	if aligned < s.links*s.span {
-		return nil, fmt.Errorf("wavelet: seed history %d bins cannot hold %d coefficient rows per scale at %d levels", bins, s.links, s.levels)
+		return nil, nil, fmt.Errorf("wavelet: seed history %d bins cannot hold %d coefficient rows per scale at %d levels", bins, s.links, s.levels)
 	}
 	fit := mat.NewDense(aligned, links, history.RawData()[(bins-aligned)*links:])
 	md, err := NewMultiscaleDetector(fit, s.levels, s.confidence)
 	if err != nil {
-		return nil, fmt.Errorf("wavelet: seed: %w", err)
+		return nil, nil, fmt.Errorf("wavelet: seed: %w", err)
 	}
-	return func() {
-		s.det.Store(md)
-		s.window.Reset()
-		for b := aligned - min(aligned, s.window.Cap()); b < aligned; b++ {
-			s.window.Push(fit.RowView(b))
-		}
-	}, nil
+	if capacity == 0 {
+		capacity = aligned
+	}
+	window := mat.NewRowRing(capacity, links)
+	for b := aligned - min(aligned, capacity); b < aligned; b++ {
+		window.Push(fit.RowView(b))
+	}
+	return md, window, nil
 }
 
-// Seed refits the per-scale models on (the aligned suffix of) history
-// and refills the refit window. The processed-bin counter and any
-// partially accumulated block carry over.
+// Seed fits the per-scale models on (the aligned suffix of) history and
+// refills the refit window; the first Seed fixes the window's capacity
+// (the configured Window, or the aligned suffix's length). The
+// processed-bin counter and any partially accumulated block carry over,
+// and only a re-seed counts in Refits.
 func (s *StreamDetector) Seed(history *mat.Dense) error {
 	return s.gate.Run(func() core.Refit {
+		capacity := s.capacity
+		if s.window != nil {
+			capacity = s.window.Cap()
+		}
 		return func() (func() bool, error) {
-			install, err := s.seedFit(history)
+			md, window, err := s.seedFit(history, capacity)
 			if err != nil {
 				return nil, err
 			}
 			return func() bool {
-				install()
+				reseeded := s.det.Swap(md) != nil
+				s.window = window
 				s.gate.RestartLocked()
-				return true
+				return reseeded
 			}, nil
 		}
 	})
@@ -293,7 +296,8 @@ func (s *StreamDetector) Snapshot(w io.Writer) error {
 
 // Restore replaces the detector's mutable state with a Snapshot taken
 // from an equivalently configured detector (same links, levels and
-// confidence — construction parameters are validated, not restored).
+// confidence — construction parameters are validated, not restored),
+// seeded or not.
 // On any error the receiver is left unchanged.
 func (s *StreamDetector) Restore(r io.Reader) error {
 	return s.gate.Quiesced(func() error { return core.DecodeSnapshot(r, core.SnapKindMultiscale, s.decode) })

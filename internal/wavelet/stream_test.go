@@ -7,6 +7,18 @@ import (
 	"netanomaly/internal/traffic"
 )
 
+// seeded returns a function that seeds the detector a constructor just
+// returned on history — the construction backend.Build runs — passing a
+// constructor error through.
+func seeded[D interface{ Seed(*mat.Dense) error }](det D, err error) func(history *mat.Dense) (D, error) {
+	return func(history *mat.Dense) (D, error) {
+		if err == nil {
+			err = det.Seed(history)
+		}
+		return det, err
+	}
+}
+
 // streamWaveletData builds a 1024-bin seed plus a 256-bin continuation
 // with a sustained dyadic-misaligned anomaly injected at stream offset
 // spikeStart (length 8, flow 3->8), mirroring the batch multiscale test.
@@ -36,7 +48,7 @@ func streamWaveletData(t *testing.T, seed int64, spikeStart int) (history, strea
 func TestStreamDetectorFindsSustainedAnomaly(t *testing.T) {
 	const spikeStart = 67 // misaligned with the dyadic grid
 	history, stream, _ := streamWaveletData(t, 94, spikeStart)
-	sd, err := NewStreamDetector(history, StreamConfig{Levels: 3})
+	sd, err := seeded(NewStreamDetector(history.Cols(), StreamConfig{Levels: 3}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +100,7 @@ func TestStreamDetectorFindsSustainedAnomaly(t *testing.T) {
 
 func TestStreamDetectorRefitAndSeed(t *testing.T) {
 	history, stream, links := streamWaveletData(t, 95, -1)
-	sd, err := NewStreamDetector(history, StreamConfig{Levels: 2, RefitEvery: 64})
+	sd, err := seeded(NewStreamDetector(history.Cols(), StreamConfig{Levels: 2, RefitEvery: 64}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,13 +133,13 @@ func TestStreamDetectorRefitAndSeed(t *testing.T) {
 
 func TestStreamDetectorValidation(t *testing.T) {
 	history, _, links := streamWaveletData(t, 96, -1)
-	if _, err := NewStreamDetector(mat.Zeros(links, links), StreamConfig{Levels: 3}); err == nil {
+	if _, err := seeded(NewStreamDetector(links, StreamConfig{Levels: 3}))(mat.Zeros(links, links)); err == nil {
 		t.Fatal("insufficient history accepted")
 	}
-	if _, err := NewStreamDetector(history, StreamConfig{Levels: 3, Window: 16}); err == nil {
+	if _, err := seeded(NewStreamDetector(history.Cols(), StreamConfig{Levels: 3, Window: 16}))(history); err == nil {
 		t.Fatal("undersized window accepted")
 	}
-	sd, err := NewStreamDetector(history, StreamConfig{})
+	sd, err := seeded(NewStreamDetector(history.Cols(), StreamConfig{}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}

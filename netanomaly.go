@@ -163,7 +163,14 @@ func NewOnlineDetector(history *Matrix, topo *Topology, cfg OnlineConfig) (*Onli
 	if m != topo.NumLinks() {
 		return nil, fmt.Errorf("netanomaly: history has %d links, topology has %d", m, topo.NumLinks())
 	}
-	return core.NewOnlineDetector(history, topo.RoutingMatrix(), cfg)
+	det, err := core.NewOnlineDetector(topo.RoutingMatrix(), cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := det.Seed(history); err != nil {
+		return nil, err
+	}
+	return det, nil
 }
 
 // Monitor is the concurrent streaming detection engine: one detector
@@ -343,6 +350,7 @@ func WithDetector(kind DetectorKind) ViewOption {
 // to l rows (memory O(l x links), refit cost O(l^2 x links)). The
 // default is 4x the model rank; AddView rejects l below 2x the rank —
 // under that the sketch cannot hold the normal subspace — or below 4.
+// Without it, Restore takes the checkpoint's size.
 func WithSketchSize(l int) ViewOption {
 	return func(s *backend.Spec) { s.SketchSize = l }
 }
@@ -484,17 +492,14 @@ var ErrSnapshotMismatch = core.ErrSnapshotMismatch
 var ErrNonFinite = core.ErrNonFinite
 
 // ViewSpec tells Restore how to reconstruct one checkpointed view's
-// detector: the same seed history, topology and options the view was
-// originally registered with (AddView's arguments). Construction
-// parameters live here, not in the checkpoint — the snapshot then
-// replaces the detector's mutable state and validates that both sides
+// detector: the topology and options the view was originally registered
+// with (AddView's arguments, less the history). Construction parameters
+// live here, not in the checkpoint — the snapshot then supplies the
+// detector's whole state, model included, and validates that both sides
 // agree on kind, link count and the rest.
 type ViewSpec struct {
 	// Name matches the view name in the checkpoint.
 	Name string
-	// History seeds the reconstructed detector before its state is
-	// replaced; same shape rules as AddView.
-	History *Matrix
 	// Topo supplies the links and routing matrix.
 	Topo *Topology
 	// Options select and configure the backend, exactly as passed to
@@ -503,13 +508,15 @@ type ViewSpec struct {
 }
 
 // Restore rebuilds a Monitor from a Monitor.Checkpoint stream: every
-// checkpointed view is reconstructed from its ViewSpec, its detector
-// state and queue counters restored, so the new monitor's alarm stream
-// — sequence offsets included — continues bin-for-bin where the
+// checkpointed view's detector is constructed from its ViewSpec alone —
+// no history is read and no model is fitted — and its state and queue
+// counters are restored from the checkpoint, so the new monitor's alarm
+// stream — sequence offsets included — continues bin-for-bin where the
 // checkpointed one stopped. A checkpointed view without a spec, a spec
 // whose backend kind disagrees with the snapshot, or a corrupt stream
 // fails the whole restore (classified per ErrSnapshotFormat /
-// ErrSnapshotMismatch / io.ErrUnexpectedEOF).
+// ErrSnapshotMismatch / io.ErrUnexpectedEOF) and leaves no monitor
+// behind.
 func Restore(cfg MonitorConfig, r io.Reader, views []ViewSpec, opts ...MonitorOption) (*Monitor, error) {
 	for _, o := range opts {
 		o(&cfg)
@@ -528,7 +535,7 @@ func Restore(cfg MonitorConfig, r io.Reader, views []ViewSpec, opts ...MonitorOp
 			return nil, fmt.Errorf("netanomaly: view %q: %w: spec builds a %s detector, checkpoint holds %s state",
 				name, ErrSnapshotMismatch, bs.Kind, kind)
 		}
-		det, err := backend.Build(bs, spec.History, spec.Topo.RoutingMatrix())
+		det, err := backend.New(bs, spec.Topo.RoutingMatrix())
 		if err != nil {
 			return nil, fmt.Errorf("netanomaly: view %q: %w", name, err)
 		}
