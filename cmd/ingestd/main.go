@@ -487,10 +487,15 @@ func writeCheckpoint(mon *netanomaly.Monitor, corr *netanomaly.Correlator, path 
 // deliberately silent — the whole point of the layer is one line when
 // an incident opens and one when it resolves.
 func printIncident(topo *netanomaly.Topology, e netanomaly.IncidentEvent) {
+	if e.Type == netanomaly.IncidentUpdated {
+		return
+	}
 	inc := e.Incident
-	what := fmt.Sprintf("view %s (unattributed)", inc.Key.Region)
+	var what string
 	if inc.Key.Flow >= 0 {
 		what = "flow " + topo.FlowName(inc.Key.Flow)
+	} else {
+		what = "view " + inc.Key.Region + " (unattributed)"
 	}
 	switch e.Type {
 	case netanomaly.IncidentOpened:

@@ -74,6 +74,10 @@ type HybridDetector struct {
 	triage   ViewDetector
 	identify ViewDetector
 	links    int
+	// esc backs the batch of escalated rows, reused batch to batch: no
+	// stage keeps a batch past its ProcessBatch. Only ProcessBatch,
+	// which has one caller at a time, touches it.
+	esc []float64
 
 	mu sync.Mutex // guards the fields below
 	// window is nil until the first Seed or Restore; capacity is the
@@ -119,7 +123,11 @@ func (d *HybridDetector) SetRefitHook(h func()) { d.gate.SetHook(h) }
 // one alarm per alarmed bin in sequence order. Clean bins feed the
 // window the identification stage re-seeds from; a deferred failure
 // from either stage's background fit (or the hybrid's own re-seed)
-// reports alongside the batch's detections.
+// reports alongside the batch's detections. A clean bin with a NaN or
+// ±Inf load stays out of the window and is reported as ErrNonFinite
+// (by the triage stage, or else by the hybrid). A stage whose alarms
+// do not name distinct bins of its batch in increasing order fails the
+// batch.
 func (d *HybridDetector) ProcessBatch(y *mat.Dense) ([]Alarm, error) {
 	bins, cols := y.Dims()
 	if cols != d.links {
@@ -130,16 +138,21 @@ func (d *HybridDetector) ProcessBatch(y *mat.Dense) ([]Alarm, error) {
 	// counts (they may have streamed before the hybrid wrapped them),
 	// so stage alarms are rebased to batch rows via the counter read
 	// just before the call — safe because the hybrid is the only
-	// ProcessBatch caller.
+	// ProcessBatch caller. The triage alarms are the escalation list and
+	// become the hybrid's alarms: rows[i] is alarms[i]'s batch row.
 	tBase := d.triage.Stats().Processed
-	tAlarms, err := d.triage.ProcessBatch(y)
-	triaged := make(map[int]Diagnosis, len(tAlarms))
-	for _, a := range tAlarms {
-		row := a.Seq - tBase
-		if row < 0 || row >= bins {
-			return nil, fmt.Errorf("core: hybrid triage alarm seq %d outside batch of %d bins at base %d", a.Seq, bins, tBase)
+	alarms, err := d.triage.ProcessBatch(y)
+	// A triage stage that withholds non-finite bins names the first one
+	// itself; the hybrid names it only when the stage did not.
+	reported := errors.Is(err, ErrNonFinite)
+	rows := make([]int, len(alarms))
+	prev := -1
+	for i, a := range alarms {
+		row, rerr := stageRow("triage", a.Seq, tBase, bins, prev)
+		if rerr != nil {
+			return nil, rerr
 		}
-		triaged[row] = a.Diagnosis
+		rows[i], prev = row, row
 	}
 
 	// The sequence base and alarm count are the only state the batch
@@ -147,64 +160,59 @@ func (d *HybridDetector) ProcessBatch(y *mat.Dense) ([]Alarm, error) {
 	d.mu.Lock()
 	base := d.processed
 	d.processed += bins
-	d.counts.TriageAlarms += len(tAlarms)
+	d.counts.TriageAlarms += len(alarms)
 	d.mu.Unlock()
 
 	// Stage 2: identification of every triage-alarmed bin — one batched
-	// subspace pass over just those rows.
-	var escRows []int
-	for b := 0; b < bins; b++ {
-		if _, alarmed := triaged[b]; alarmed {
-			escRows = append(escRows, b)
+	// subspace pass over just those rows. A confirmed bin's diagnosis
+	// replaces the triage stage's: it carries Flow.
+	identified := 0
+	if len(rows) > 0 {
+		size := len(rows) * d.links
+		if cap(d.esc) < size {
+			d.esc = make([]float64, size)
 		}
-	}
-
-	identified := make(map[int]Diagnosis)
-	if len(escRows) > 0 {
-		esc := mat.Zeros(len(escRows), d.links)
-		for i, b := range escRows {
-			esc.SetRow(i, y.RowView(b))
+		esc := mat.NewDense(len(rows), d.links, d.esc[:size])
+		for i, b := range rows {
+			copy(esc.RowView(i), y.RowView(b))
 		}
 		iBase := d.identify.Stats().Processed
 		iAlarms, ierr := d.identify.ProcessBatch(esc)
 		if ierr != nil {
 			err = errors.Join(err, ierr)
 		}
+		prev := -1
 		for _, a := range iAlarms {
-			row := a.Seq - iBase
-			if row < 0 || row >= len(escRows) {
-				return nil, fmt.Errorf("core: hybrid identify alarm seq %d outside %d escalated bins at base %d", a.Seq, len(escRows), iBase)
+			i, rerr := stageRow("identify", a.Seq, iBase, len(rows), prev)
+			if rerr != nil {
+				return nil, rerr
 			}
-			identified[escRows[row]] = a.Diagnosis
+			alarms[i].Diagnosis, prev = a.Diagnosis, i
 		}
+		identified = len(iAlarms)
+	}
+	for i, b := range rows {
+		alarms[i].Seq = base + b
+		alarms[i].Bin = base + b
 	}
 
-	// Emit one alarm per alarmed bin; the identification stage's
-	// diagnosis wins when it confirmed the bin (it carries Flow).
-	var alarms []Alarm
-	for b := 0; b < bins; b++ {
-		diag, ok := identified[b]
-		if !ok {
-			if diag, ok = triaged[b]; !ok {
-				continue
-			}
-		}
-		diag.Bin = base + b
-		alarms = append(alarms, Alarm{Seq: base + b, Diagnosis: diag})
-	}
-
-	// Window and re-seed bookkeeping: bins neither stage flagged are
-	// clean and feed the identification stage's next model.
+	// Window and re-seed bookkeeping: the bins the triage stage passed
+	// are clean and feed the identification stage's next model — all but
+	// those with a non-finite load, which no model may see.
 	d.mu.Lock()
-	d.counts.Identified += len(identified)
+	d.counts.Identified += identified
+	bad := -1
+	next := 0
 	for b := 0; b < bins; b++ {
-		if _, tOK := triaged[b]; tOK {
+		if next < len(rows) && rows[next] == b {
+			next++
 			continue
 		}
-		if _, iOK := identified[b]; iOK {
-			continue
+		if row := y.RowView(b); mat.AllFinite(row) {
+			d.window.Push(row)
+		} else if bad < 0 {
+			bad = b
 		}
-		d.window.Push(y.RowView(b))
 	}
 	if derr := d.gate.TakeErrorLocked(); derr != nil {
 		err = errors.Join(err, derr)
@@ -218,7 +226,26 @@ func (d *HybridDetector) ProcessBatch(y *mat.Dense) ([]Alarm, error) {
 	if reseed != nil {
 		d.gate.Go(reseed)
 	}
+	if bad >= 0 && !reported {
+		err = errors.Join(nonFinite(base+bad), err)
+	}
 	return alarms, err
+}
+
+// stageRow rebases a stage alarm's sequence number to its row of the
+// n-row batch the stage was handed at sequence base, and checks that it
+// follows prev, the row of the stage's previous alarm in the batch (-1
+// for the first): stage alarms name distinct rows in increasing order,
+// so the hybrid pairs them with their bins in one walk.
+func stageRow(stage string, seq, base, n, prev int) (int, error) {
+	row := seq - base
+	if row < 0 || row >= n {
+		return 0, fmt.Errorf("core: hybrid %s alarm seq %d outside batch of %d bins at base %d", stage, seq, n, base)
+	}
+	if row <= prev {
+		return 0, fmt.Errorf("core: hybrid %s alarm seq %d does not follow seq %d: stage alarms must name distinct bins in order", stage, seq, base+prev)
+	}
+	return row, nil
 }
 
 // reseedLocked captures the clean-bin window and returns the fit that

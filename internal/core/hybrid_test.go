@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"io"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -44,7 +45,11 @@ func (s *stubStage) ProcessBatch(y *mat.Dense) ([]Alarm, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	bins, _ := y.Dims()
-	s.batches = append(s.batches, y)
+	// A stage may not keep the batch past the call (the hybrid reuses
+	// its escalation buffer), so the record is a copy.
+	cp := mat.Zeros(bins, y.Cols())
+	copy(cp.RawData(), y.RawData())
+	s.batches = append(s.batches, cp)
 	var alarms []Alarm
 	for b := 0; b < bins; b++ {
 		if diag, ok := s.alarmAt(y.RowView(b)); ok {
@@ -282,5 +287,89 @@ func TestHybridTakeRefitErrorJoinsStages(t *testing.T) {
 	}
 	if d.TakeRefitError() != nil {
 		t.Fatal("deferred errors not cleared")
+	}
+}
+
+// garbledStage wraps a stub stage and rewrites the alarms it returns, to
+// script a stage that breaks the one-alarm-per-bin, in-order contract.
+type garbledStage struct {
+	*stubStage
+	garble func([]Alarm) []Alarm
+}
+
+func (s garbledStage) ProcessBatch(y *mat.Dense) ([]Alarm, error) {
+	a, err := s.stubStage.ProcessBatch(y)
+	return s.garble(a), err
+}
+
+func TestHybridRejectsDisorderedStageAlarms(t *testing.T) {
+	// Each stage must name distinct bins in increasing order, inside the
+	// batch it was handed; the hybrid pairs its alarms with bins in one
+	// walk and fails the batch on any other stream.
+	const links = 2
+	garbles := map[string]func([]Alarm) []Alarm{
+		"duplicate": func(a []Alarm) []Alarm { return append(a, a[len(a)-1]) },
+		"reversed": func(a []Alarm) []Alarm {
+			return append([]Alarm{a[len(a)-1]}, a[:len(a)-1]...)
+		},
+		"outside": func(a []Alarm) []Alarm {
+			a[len(a)-1].Seq += 100
+			return a
+		},
+	}
+	for name, garble := range garbles {
+		for _, stage := range []string{"triage", "identify"} {
+			t.Run(name+"/"+stage, func(t *testing.T) {
+				triage, identify := stubStages(links)
+				var tStage, iStage ViewDetector = triage, identify
+				if stage == "triage" {
+					tStage = garbledStage{triage, garble}
+				} else {
+					iStage = garbledStage{identify, garble}
+				}
+				d, err := seeded(NewHybridDetector(tStage, iStage, HybridConfig{}))(mat.Zeros(4, links))
+				if err != nil {
+					t.Fatal(err)
+				}
+				alarms, err := d.ProcessBatch(markerBatch(links, 0, 3, 0, 3, 3))
+				if err == nil || !strings.Contains(err.Error(), "hybrid "+stage+" alarm") {
+					t.Fatalf("%s %s alarms accepted: alarms %+v, error %v", stage, name, alarms, err)
+				}
+				if alarms != nil {
+					t.Fatalf("failed batch returned alarms %+v", alarms)
+				}
+			})
+		}
+	}
+}
+
+func TestHybridNonFiniteBinWithheld(t *testing.T) {
+	// A stub triage stage passes a NaN bin as clean and reports nothing;
+	// the hybrid must keep it out of the clean-bin window the
+	// identification stage re-seeds from and name it, in its own
+	// numbering, as ErrNonFinite.
+	const links = 2
+	d, _, identify := newStubHybrid(t, links, HybridConfig{RefitEvery: 5, Window: 16})
+	if _, err := d.ProcessBatch(markerBatch(links, 0, 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	y := markerBatch(links, 0, 0, 1)
+	y.Set(1, 1, math.NaN())
+	alarms, err := d.ProcessBatch(y)
+	if !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), "bin 4 ") {
+		t.Fatalf("got error %v, want ErrNonFinite naming bin 4", err)
+	}
+	if len(alarms) != 1 || alarms[0].Seq != 5 {
+		t.Fatalf("alarms %+v, want the triage alarm at bin 5 alone", alarms)
+	}
+	d.WaitRefits()
+	identify.mu.Lock()
+	defer identify.mu.Unlock()
+	if len(identify.seeds) != 2 {
+		t.Fatalf("%d identify seeds, want the hybrid's seed and one re-seed", len(identify.seeds))
+	}
+	// 4 history rows, 3 clean bins, then 1 of the 3: the NaN bin is out.
+	if re := identify.seeds[1]; re.Rows() != 8 || !mat.AllFinite(re.RawData()) {
+		t.Fatalf("re-seed window of %d rows, finite %v; want 8 finite rows", re.Rows(), mat.AllFinite(re.RawData()))
 	}
 }

@@ -272,7 +272,7 @@ func (e *covEstimator) decode(sr *SnapshotReader, links int) (estimator, error) 
 	if rank < 1 || rank >= links {
 		return nil, snapshotFormatf("retained rank %d out of [1, %d]", rank, links-1)
 	}
-	if !allFinite(mean) || !allFinite(cov.RawData()) {
+	if !mat.AllFinite(mean) || !mat.AllFinite(cov.RawData()) {
 		return nil, snapshotFormatf("tracker mean or covariance has a non-finite value")
 	}
 	tr := &CovTracker{

@@ -166,7 +166,10 @@ type Alarm struct {
 // can be neither judged nor folded into the estimate, where it would
 // fail every later solve: it raises no alarm, is withheld from the
 // estimate like an alarmed bin, and is reported with an error wrapping
-// ErrNonFinite. Test with errors.Is.
+// ErrNonFinite. The forecast detectors (package forecast) and
+// HybridDetector report a bin with a NaN or ±Inf load the same way,
+// and keep it out of their forecasters, thresholds and windows. Test
+// with errors.Is.
 var ErrNonFinite = errors.New("core: non-finite measurement")
 
 // nonFinite is the error for the first non-finite bin of a call.

@@ -484,7 +484,7 @@ func (e *sketchEstimator) decode(sr *SnapshotReader, links int) (estimator, erro
 	}
 	// A non-finite value would fail every later shrink and refit, and a
 	// negative energy cannot come from a sum of squares.
-	if !allFinite(b.RawData()) || !allFinite(mean) {
+	if !mat.AllFinite(b.RawData()) || !mat.AllFinite(mean) {
 		return nil, snapshotFormatf("sketch buffer or mean has a non-finite value")
 	}
 	if !(0 <= energy && energy <= math.MaxFloat64) {
@@ -492,14 +492,4 @@ func (e *sketchEstimator) decode(sr *SnapshotReader, links int) (estimator, erro
 	}
 	sk := &FDSketch{m: links, ell: ell, b: b, used: used, mean: mean, n: n, energy: energy}
 	return &sketchEstimator{size: e.size, ell: ell, sk: sk, rank: rank}, nil
-}
-
-// allFinite reports whether every value of v is finite.
-func allFinite(v []float64) bool {
-	for _, x := range v {
-		if !(math.Abs(x) <= math.MaxFloat64) {
-			return false
-		}
-	}
-	return true
 }

@@ -478,7 +478,7 @@ func (sr *SnapshotReader) rowRing(cols int, finite bool) *mat.RowRing {
 		sr.fail(snapshotFormatf("ring holds %d rows over capacity %d", rows, capacity))
 		return nil
 	}
-	if finite && !allFinite(m.RawData()) {
+	if finite && !mat.AllFinite(m.RawData()) {
 		sr.fail(snapshotFormatf("ring holds a non-finite value"))
 		return nil
 	}
@@ -671,7 +671,7 @@ func DecodeDetector(sr *SnapshotReader) (*Detector, error) {
 	}
 	// A fit of finite bins has finite means, axes and variances; a model
 	// without them would withhold every later bin as non-finite.
-	if !allFinite(means) || !allFinite(pm.RawData()) || !allFinite(resid) {
+	if !mat.AllFinite(means) || !mat.AllFinite(pm.RawData()) || !mat.AllFinite(resid) {
 		return nil, snapshotFormatf("model has a non-finite mean, axis or residual variance")
 	}
 	model := &Model{

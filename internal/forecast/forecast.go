@@ -38,6 +38,7 @@
 package forecast
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -435,24 +436,29 @@ func (d *Detector) basisRow(periods []float64, b int, out []float64) {
 	}
 }
 
-// thresholdLocked returns link l's current alarm threshold:
-// mean + K*sigma of its tracked absolute residuals, with two floors so
-// a link whose residual history is (near-)zero — a perfectly predicted
-// or constant link — does not alarm on floating-point noise: sigma
-// never drops below a thousandth of the mean residual, and the whole
-// threshold never drops below a billionth of the forecast magnitude
-// (double-precision noise on a value of that scale sits ~1e-7 lower
-// still). Callers hold d.mu.
-func (d *Detector) thresholdLocked(l int, scale float64) float64 {
-	sigma := math.Sqrt(d.rvar[l])
-	if f := 1e-3 * d.rmean[l]; sigma < f {
+// threshold returns a link's alarm threshold from its tracked absolute
+// residual statistics: rmean + k*sigma, with two floors so a link whose
+// residual history is (near-)zero — a perfectly predicted or constant
+// link — does not alarm on floating-point noise: sigma never drops below
+// a thousandth of the mean residual, and the whole threshold never drops
+// below a billionth of the forecast pred's magnitude (double-precision
+// noise on a value of that scale sits ~1e-7 lower still).
+func threshold(rmean, rvar, k, pred float64) float64 {
+	sigma := math.Sqrt(rvar)
+	if f := 1e-3 * rmean; sigma < f {
 		sigma = f
 	}
-	thr := d.rmean[l] + d.k*sigma
-	if f := 1e-9 * math.Abs(scale); thr < f {
+	thr := rmean + k*sigma
+	if f := 1e-9 * math.Abs(pred); thr < f {
 		thr = f
 	}
 	return thr
+}
+
+// nonFinite is the error for the first bin of a batch with a NaN or ±Inf
+// load.
+func nonFinite(seq int) error {
+	return fmt.Errorf("forecast: %w: bin %d withheld from the forecasters", core.ErrNonFinite, seq)
 }
 
 // ProcessBatch tests a block of measurements (bins x links) against the
@@ -460,48 +466,80 @@ func (d *Detector) thresholdLocked(l int, scale float64) float64 {
 // with the non-anomalous bins, and schedules a background refit when the
 // interval has elapsed. Alarms carry sequence numbers continuing the
 // per-detector count; a deferred refit failure is reported alongside the
-// batch's detections.
+// batch's detections. A bin with a NaN or ±Inf load raises no alarm and
+// stays out of the forecasters, the thresholds and the refit window; it
+// is reported as core.ErrNonFinite, naming the first such bin, and the
+// batch's other bins are tested and absorbed as usual.
 func (d *Detector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
-	bins, cols := y.Dims()
-	if cols != d.links {
-		return nil, fmt.Errorf("forecast: batch has %d links, detector expects %d", cols, d.links)
+	bins, n := y.Dims()
+	if n != d.links {
+		return nil, fmt.Errorf("forecast: batch has %d links, detector expects %d", n, d.links)
 	}
-	pred := make([]float64, d.links)
-	exceeded := make([]bool, d.links)
+	// One scan clears the whole batch; only a batch that fails it checks
+	// bin by bin.
+	finite := mat.AllFinite(y.RawData())
 
 	d.mu.Lock()
-	// d.coef cannot change while mu is held (installs take mu), so the
-	// basis buffer sized to its period set stays valid for the batch.
+	// Installs take mu, so the per-link state, and d.coef with the basis
+	// buffer sized to its period set, stay put for the batch.
+	ewma, holt, k, adapt := d.kind == EWMA, d.kind == HoltWinters, d.k, d.adapt
+	alpha, level, trend := d.alpha[:n], d.level[:n], d.trend[:n]
+	rmean, rvar, alarmRun := d.rmean[:n], d.rvar[:n], d.alarmRun[:n]
 	var basis []float64
+	var coef [][]float64
 	if d.kind == Fourier {
 		basis = make([]float64, 2*len(d.coef.periods)+1)
+		coef = d.coef.coef[:n]
 	}
 	base := d.processed
 	d.processed += bins
 	var alarms []core.Alarm
+	bad := -1
 	for b := 0; b < bins; b++ {
-		row := y.RowView(b)
+		row := y.RowView(b)[:n]
+		if !finite && !mat.AllFinite(row) {
+			if bad < 0 {
+				bad = b
+			}
+			d.clock++ // the bin's time passes; nothing else sees it
+			continue
+		}
 		if basis != nil {
 			d.basisRow(d.coef.periods, d.clock, basis)
 		}
-		// Score every link against its forecast and adaptive threshold;
-		// the bin alarms when any link exceeds, and the alarm reports the
-		// link with the largest exceedance ratio.
+		// One pass over the links: score each against its forecast and
+		// adaptive threshold, then update it. A link's update reads only
+		// its own state and exceedance, so updating it before scoring the
+		// next is exact. The bin alarms when any link exceeds, and the
+		// alarm reports the link with the largest exceedance ratio.
+		//
+		// Quiet links always advance their forecaster and rolling
+		// threshold statistics; an exceeding link is withheld (the
+		// forecaster keeps its pre-spike prediction — the streaming
+		// equivalent of the footnote-4 echo suppression, and the spike
+		// does not inflate its own threshold) until it has alarmed
+		// reabsorbAfter bins in a row, at which point the forecaster
+		// resumes absorbing observations so a legitimate persistent level
+		// shift re-converges instead of alarming forever. The threshold
+		// statistics stay withheld; they resume once the re-converged
+		// forecaster stops exceeding.
 		alarmed := false
 		worstR, worstThr, worstRatio := 0.0, 0.0, 0.0
-		for l := 0; l < d.links; l++ {
-			switch d.kind {
-			case EWMA:
-				pred[l] = d.level[l]
-			case HoltWinters:
-				pred[l] = d.level[l] + d.trend[l]
-			case Fourier:
-				pred[l] = mat.Dot(basis, d.coef.coef[l])
+		for l := 0; l < n; l++ {
+			z := row[l]
+			var pred float64
+			switch {
+			case ewma:
+				pred = level[l]
+			case holt:
+				pred = level[l] + trend[l]
+			default:
+				pred = mat.Dot(basis, coef[l])
 			}
-			r := row[l] - pred[l]
-			thr := d.thresholdLocked(l, pred[l])
-			exceeded[l] = math.Abs(r) > thr
-			if exceeded[l] {
+			r := z - pred
+			thr := threshold(rmean[l], rvar[l], k, pred)
+			exceeded := math.Abs(r) > thr
+			if exceeded {
 				alarmed = true
 				ratio := math.Abs(r)
 				if thr > 0 {
@@ -510,10 +548,30 @@ func (d *Detector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 				if ratio > worstRatio {
 					worstRatio, worstR, worstThr = ratio, r, thr
 				}
+				alarmRun[l]++
+				if alarmRun[l] < reabsorbAfter {
+					continue
+				}
+			} else {
+				alarmRun[l] = 0
 			}
+			switch {
+			case ewma:
+				level[l] = alpha[l]*z + (1-alpha[l])*pred
+			case holt:
+				newLevel := alpha[l]*z + (1-alpha[l])*pred
+				trend[l] = holtWintersBeta*(newLevel-level[l]) + (1-holtWintersBeta)*trend[l]
+				level[l] = newLevel
+			}
+			if exceeded {
+				continue // forecaster re-absorbs, thresholds stay withheld
+			}
+			delta := math.Abs(r) - rmean[l]
+			rmean[l] += adapt * delta
+			rvar[l] = (1 - adapt) * (rvar[l] + adapt*delta*delta)
 		}
-		seq := base + b
 		if alarmed {
+			seq := base + b
 			alarms = append(alarms, core.Alarm{Seq: seq, Diagnosis: core.Diagnosis{
 				Bin:       seq,
 				SPE:       worstR * worstR,
@@ -521,46 +579,6 @@ func (d *Detector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 				Flow:      -1,
 				Bytes:     worstR,
 			}})
-		}
-		// Per-link state update. Quiet links always advance their
-		// forecaster and rolling threshold statistics; an exceeding link
-		// is withheld (the forecaster keeps its pre-spike prediction —
-		// the streaming equivalent of the footnote-4 echo suppression,
-		// and the spike does not inflate its own threshold) until it has
-		// alarmed reabsorbAfter bins in a row, at which point the
-		// forecaster resumes absorbing observations so a legitimate persistent
-		// level shift re-converges instead of alarming forever. The
-		// threshold statistics stay withheld; they resume once the
-		// re-converged forecaster stops exceeding.
-		for l := 0; l < d.links; l++ {
-			if exceeded[l] {
-				d.alarmRun[l]++
-				if d.alarmRun[l] < reabsorbAfter {
-					continue
-				}
-			} else {
-				d.alarmRun[l] = 0
-			}
-			z := row[l]
-			var r float64
-			switch d.kind {
-			case EWMA:
-				r = z - d.level[l]
-				d.level[l] = d.alpha[l]*z + (1-d.alpha[l])*d.level[l]
-			case HoltWinters:
-				r = z - pred[l]
-				newLevel := d.alpha[l]*z + (1-d.alpha[l])*pred[l]
-				d.trend[l] = holtWintersBeta*(newLevel-d.level[l]) + (1-holtWintersBeta)*d.trend[l]
-				d.level[l] = newLevel
-			case Fourier:
-				r = z - pred[l]
-			}
-			if exceeded[l] {
-				continue // forecaster re-absorbs, thresholds stay withheld
-			}
-			delta := math.Abs(r) - d.rmean[l]
-			d.rmean[l] += d.adapt * delta
-			d.rvar[l] = (1 - d.adapt) * (d.rvar[l] + d.adapt*delta*delta)
 		}
 		// The refit window drops alarmed bins so spikes cannot
 		// contaminate the next fit, but after reabsorbAfter consecutive
@@ -587,6 +605,9 @@ func (d *Detector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 
 	if refit != nil {
 		d.gate.Go(refit)
+	}
+	if bad >= 0 {
+		err = errors.Join(nonFinite(base+bad), err)
 	}
 	return alarms, err
 }
@@ -872,7 +893,7 @@ func (d *Detector) Thresholds() []float64 {
 		case Fourier:
 			pred = mat.Dot(basis, d.coef.coef[l])
 		}
-		out[l] = d.thresholdLocked(l, pred)
+		out[l] = threshold(d.rmean[l], d.rvar[l], d.k, pred)
 	}
 	return out
 }
@@ -894,7 +915,9 @@ func newIntRing(capacity int) *intRing {
 
 func (r *intRing) Push(v int) {
 	r.data[r.next] = v
-	r.next = (r.next + 1) % r.capacity
+	if r.next++; r.next == r.capacity {
+		r.next = 0
+	}
 	if r.count < r.capacity {
 		r.count++
 	}

@@ -1,6 +1,7 @@
 package forecast
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -469,5 +470,148 @@ func TestRefitConcurrentWithProcessing(t *testing.T) {
 	}
 	if got := det.Stats().Processed; got != 640 {
 		t.Fatalf("processed %d want 640", got)
+	}
+}
+
+// dropRows returns a copy of y without the given rows.
+func dropRows(y *mat.Dense, drop ...int) *mat.Dense {
+	out := mat.Zeros(y.Rows()-len(drop), y.Cols())
+	i := 0
+	for b := 0; b < y.Rows(); b++ {
+		skip := false
+		for _, d := range drop {
+			skip = skip || b == d
+		}
+		if !skip {
+			out.SetRow(i, y.RowView(b))
+			i++
+		}
+	}
+	return out
+}
+
+func TestNonFiniteBinWithheldEveryKind(t *testing.T) {
+	// A NaN or ±Inf load must neither alarm nor reach the forecasters,
+	// the thresholds or the refit window — one NaN residual folded into
+	// a link's statistics makes its threshold NaN, and |r| > NaN never
+	// alarms again. The batch reports the first bad bin as
+	// core.ErrNonFinite and tests its other bins as usual.
+	const historyBins, links = 1008, 6
+	bad := []int{10, 20, 21}
+	for _, kind := range kinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			y := synthSeries(historyBins+128, links, 17, 0.02)
+			history, stream := splitRows(y, historyBins)
+			head, tail := splitRows(stream, 64)
+			poisoned := mat.Zeros(64, links)
+			copy(poisoned.RawData(), head.RawData())
+			poisoned.Set(bad[0], 0, math.NaN())
+			poisoned.Set(bad[1], 3, math.Inf(1))
+			poisoned.Set(bad[2], 5, math.Inf(-1))
+			det, err := NewDetector(history, Config{Kind: kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			alarms, err := det.ProcessBatch(poisoned)
+			if !errors.Is(err, core.ErrNonFinite) || !strings.Contains(err.Error(), "bin 10 ") {
+				t.Fatalf("poisoned batch: got error %v, want ErrNonFinite naming bin 10", err)
+			}
+			for _, a := range alarms {
+				for _, b := range bad {
+					if a.Seq == b {
+						t.Fatalf("non-finite bin %d alarmed: %+v", b, a)
+					}
+				}
+			}
+			for l, thr := range det.Thresholds() {
+				if !(thr > 0 && thr <= math.MaxFloat64) {
+					t.Fatalf("link %d threshold %v after a non-finite bin", l, thr)
+				}
+			}
+			det.mu.Lock()
+			window, times := det.window.Matrix(), det.times.Slice()
+			det.mu.Unlock()
+			if !mat.AllFinite(window.RawData()) {
+				t.Fatal("a non-finite bin reached the refit window")
+			}
+			for _, tm := range times {
+				for _, b := range bad {
+					if tm == historyBins+b {
+						t.Fatalf("bin %d's time is in the refit window", b)
+					}
+				}
+			}
+			if err := det.Refit(); err != nil {
+				t.Fatalf("refit after a non-finite bin: %v", err)
+			}
+
+			// The withheld bins leave the recursions exactly where a
+			// stream without them would: the forecaster and threshold
+			// state of a twin that never saw them is bit-identical. (The
+			// Fourier kind's prediction depends on the bin's time, which
+			// the withheld bins still advance, so it has no such twin.)
+			if kind != Fourier {
+				twin, err := NewDetector(history, Config{Kind: kind})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := twin.ProcessBatch(dropRows(head, bad...)); err != nil {
+					t.Fatal(err)
+				}
+				if err := twin.Refit(); err != nil {
+					t.Fatal(err)
+				}
+				for name, pair := range map[string][2][]float64{
+					"level": {det.level, twin.level},
+					"trend": {det.trend, twin.trend},
+					"rmean": {det.rmean, twin.rmean},
+					"rvar":  {det.rvar, twin.rvar},
+				} {
+					for l := range pair[0] {
+						if math.Float64bits(pair[0][l]) != math.Float64bits(pair[1][l]) {
+							t.Fatalf("%s[%d] = %v, twin without the bad bins has %v", name, l, pair[0][l], pair[1][l])
+						}
+					}
+				}
+			}
+
+			// The poisoned link still sees: a spike on it alarms.
+			tail.Set(30, 0, tail.At(30, 0)+4e7)
+			alarms, err = det.ProcessBatch(tail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spiked := false
+			for _, a := range alarms {
+				spiked = spiked || a.Seq == 64+30
+			}
+			if !spiked {
+				t.Fatalf("spike on link 0 after its NaN bin not flagged; alarms %+v", alarms)
+			}
+		})
+	}
+}
+
+func TestEWMAQuietBatchAllocFree(t *testing.T) {
+	// The per-bin kernel works in place: a 64-bin batch that raises no
+	// alarm (every load equals its link's forecast) allocates nothing.
+	const links = 41
+	history := synthSeries(1008, links, 29, 0.02)
+	det, err := NewDetector(history, Config{Kind: EWMA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := mat.Zeros(64, links)
+	for b := 0; b < batch.Rows(); b++ {
+		batch.SetRow(b, det.level)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		alarms, err := det.ProcessBatch(batch)
+		if err != nil || len(alarms) != 0 {
+			t.Fatalf("quiet batch: %d alarms, error %v", len(alarms), err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("quiet 64-bin ewma batch allocated %v times, want 0", allocs)
 	}
 }

@@ -298,7 +298,9 @@ func (c *Correlator) sweepLocked() {
 		}
 	}
 	// Deterministic close order regardless of map iteration.
-	sort.Slice(expired, func(i, j int) bool { return expired[i].ID < expired[j].ID })
+	if len(expired) > 1 {
+		sort.Slice(expired, func(i, j int) bool { return expired[i].ID < expired[j].ID })
+	}
 	for _, inc := range expired {
 		c.closeLocked(inc, false)
 	}

@@ -300,3 +300,37 @@ func TestMulDimensionPanic(t *testing.T) {
 	}()
 	Mul(Zeros(2, 3), Zeros(2, 3))
 }
+
+func TestAllFinite(t *testing.T) {
+	// Positions cover the eight-way unrolled blocks and the tail; the
+	// overflowing cases are finite values whose sum is not, which the
+	// value-by-value fallback must still clear.
+	nan, inf := math.NaN(), math.Inf(1)
+	for n := 0; n <= 19; n++ {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = float64(i) - 3.5
+		}
+		if !AllFinite(v) {
+			t.Fatalf("n=%d: finite values reported non-finite", n)
+		}
+		for i := range v {
+			for _, bad := range []float64{nan, inf, -inf} {
+				w := append([]float64(nil), v...)
+				w[i] = bad
+				if AllFinite(w) {
+					t.Fatalf("n=%d: %v at %d reported finite", n, bad, i)
+				}
+			}
+			w := append([]float64(nil), v...)
+			w[i] = math.MaxFloat64
+			w[(i+8)%n] = math.MaxFloat64
+			if !AllFinite(w) {
+				t.Fatalf("n=%d: overflowing finite sum reported non-finite", n)
+			}
+		}
+	}
+	if AllFinite([]float64{inf, 1, 2, 3, 4, 5, 6, 7, -inf}) {
+		t.Fatal("+Inf and -Inf summing to NaN reported finite")
+	}
+}

@@ -33,7 +33,9 @@ func (r *RowRing) Push(row []float64) {
 		panic(fmt.Sprintf("mat: ring row length %d != %d", len(row), r.cols))
 	}
 	copy(r.data[r.next*r.cols:(r.next+1)*r.cols], row)
-	r.next = (r.next + 1) % r.capacity
+	if r.next++; r.next == r.capacity {
+		r.next = 0
+	}
 	if r.count < r.capacity {
 		r.count++
 	}

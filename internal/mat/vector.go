@@ -17,6 +17,38 @@ func Dot(x, y []float64) float64 {
 	return s
 }
 
+// AllFinite reports whether every value of v is finite: no NaN, no ±Inf.
+// A NaN or ±Inf term makes a sum non-finite, so a finite sum clears v at
+// one add per value (eight independent sums keep the adder busy); only
+// a non-finite sum — a bad value, or finite values whose sum overflows —
+// is checked value by value.
+func AllFinite(v []float64) bool {
+	var s0, s1, s2, s3, s4, s5, s6, s7 float64
+	w := v
+	for ; len(w) >= 8; w = w[8:] {
+		s0 += w[0]
+		s1 += w[1]
+		s2 += w[2]
+		s3 += w[3]
+		s4 += w[4]
+		s5 += w[5]
+		s6 += w[6]
+		s7 += w[7]
+	}
+	for _, x := range w {
+		s0 += x
+	}
+	if s := (s0 + s1) + (s2 + s3) + (s4 + s5) + (s6 + s7); s-s == 0 {
+		return true
+	}
+	for _, x := range v {
+		if !(math.Abs(x) <= math.MaxFloat64) {
+			return false
+		}
+	}
+	return true
+}
+
 // Norm2 returns the Euclidean norm of x.
 func Norm2(x []float64) float64 { return math.Sqrt(SqNorm(x)) }
 

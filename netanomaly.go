@@ -484,10 +484,13 @@ var ErrSnapshotFormat = core.ErrSnapshotFormat
 // incompatible construction parameters. Test with errors.Is.
 var ErrSnapshotMismatch = core.ErrSnapshotMismatch
 
-// ErrNonFinite classifies a bin with a NaN or ±Inf load, or loads whose
-// squares overflow, handed to a subspace-family detector (subspace,
-// incremental, sketch): the bin raises no alarm and stays out of the
-// model's estimate, and the batch's other bins are detected as usual.
+// ErrNonFinite classifies a bin the detector could not judge: a NaN or
+// ±Inf load, or loads whose squares overflow, handed to a
+// subspace-family detector (subspace, incremental, sketch), or a NaN or
+// ±Inf load handed to a forecast kind (ewma, holtwinters, fourier) or
+// the hybrid. The bin raises no alarm and stays out of the model — the
+// subspace estimate, the forecasters and their thresholds, and every
+// refit window — and the batch's other bins are detected as usual.
 // Test with errors.Is.
 var ErrNonFinite = core.ErrNonFinite
 
