@@ -519,8 +519,7 @@ func (d *benchSinkDetector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 	return nil, nil
 }
 func (d *benchSinkDetector) Refit() error             { return nil }
-func (d *benchSinkDetector) WaitRefits()              {}
-func (d *benchSinkDetector) TakeRefitError() error    { return nil }
+func (d *benchSinkDetector) Settle() error            { return nil }
 func (d *benchSinkDetector) Snapshot(io.Writer) error { return nil }
 func (d *benchSinkDetector) Restore(io.Reader) error  { return nil }
 func (d *benchSinkDetector) Stats() core.ViewStats {

@@ -265,8 +265,7 @@ func (d *benchSink) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 	return nil, nil
 }
 func (d *benchSink) Refit() error             { return nil }
-func (d *benchSink) WaitRefits()              {}
-func (d *benchSink) TakeRefitError() error    { return nil }
+func (d *benchSink) Settle() error            { return nil }
 func (d *benchSink) Snapshot(io.Writer) error { return nil }
 func (d *benchSink) Restore(io.Reader) error  { return nil }
 func (d *benchSink) Stats() core.ViewStats {

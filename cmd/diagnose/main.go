@@ -21,7 +21,7 @@
 //	    diagnose -links -
 //
 // The online mode of Section 7.1 — a model seeded on a history week,
-// bins streamed through any of the nine detector backends, background
+// bins streamed through any of the nine detector backends, periodic
 // refits, incidents, checkpoints — is cmd/ingestd; replay a file
 // through it with trafficgen -format binary -skip <history bins> … |
 // ingestd -history week.csv -stdin -listen "".

@@ -76,7 +76,7 @@ func main() {
 	confidence := flag.Float64("confidence", 0.999, "detection confidence level")
 	rank := flag.Int("rank", 0, "fixed normal-subspace rank (0 = 3-sigma rule)")
 	batchSize := flag.Int("batch", 64, "bins per dispatched batch")
-	refitEvery := flag.Int("refit", 0, "background-refit interval in bins (0 = never)")
+	refitEvery := flag.Int("refit", 0, "refit interval in bins, run after each batch's alarms (0 = never)")
 	maxPending := flag.Int("max-pending", 0, "bound on queued unprocessed bins (0 = unbounded)")
 	overload := flag.String("overload", "block", "full-queue policy: block, dropoldest, or error")
 	codecPolicy := flag.String("codec", "any", "accept streams with this codec: any, raw, or xor (v1 streams count as raw)")

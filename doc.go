@@ -36,10 +36,12 @@
 // OnlineDetector is the single-stream primitive: it tests each arriving
 // measurement against a model fitted on recent history. The active
 // model lives behind an atomic pointer, so Process is lock-free with
-// respect to model fitting; when the refit interval elapses the refit
-// runs in the background on a copy of the covariance estimate and the new
-// model is swapped in atomically. A failed refit keeps the previous
-// model in force. ProcessBatch pushes a whole bins x links block through
+// respect to model fitting; when the refit interval elapses a refit
+// falls due, Settle (or else the next Process or ProcessBatch) solves it
+// on a copy of the covariance estimate, and the new model is swapped in
+// atomically. A failed refit keeps the previous model in force. The
+// Monitor settles each view after its batch's alarms are out, so refits
+// run between batches and a run repeats bit for bit. ProcessBatch pushes a whole bins x links block through
 // the batched low-rank SPE kernel (O(m*rank) per bin instead of O(m^2)).
 //
 // Monitor (internal/engine, surfaced as NewMonitor/AddView) is the
@@ -142,8 +144,8 @@
 //     paper's temporal forecasting baselines (Sections 6.2, 7.3),
 //     streaming. Each link is forecast independently — incremental
 //     EWMA (alpha grid-searched per link at seed) or level+trend
-//     smoothing, or a sinusoid-basis fit refit in the background on a
-//     window snapshot — and a link alarms when its residual exceeds an
+//     smoothing, or a sinusoid-basis fit refitted on a window
+//     snapshot — and a link alarms when its residual exceeds an
 //     adaptive threshold: mean + 6*sigma of its exponentially tracked
 //     residuals, re-estimated from the retained window on every refit,
 //     so thresholds follow the traffic level. Alarmed bins are withheld from forecaster state, which
@@ -161,8 +163,8 @@
 //     responsible OD flow, so steady-state cost is forecast-level
 //     (within ~1.1x on clean streams, BenchmarkHybridThroughput) while
 //     alarms carry Flow and Bytes. The subspace stage stays fresh via
-//     background re-seeds from the hybrid's window of recent clean
-//     bins. This is the operating
+//     re-seeds, on the refit cadence, from the hybrid's window of recent
+//     clean bins. This is the operating
 //     point the paper's Section 6.2/7.3 trade points at: temporal
 //     methods localize in time+link cheaply, the subspace method
 //     identifies the flow — the hybrid does both.

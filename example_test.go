@@ -168,7 +168,7 @@ func ExampleMonitor_IngestStream() {
 	if err := mon.IngestStream("live", netanomaly.StreamMatrix(ctx, stream, 0)); err != nil {
 		log.Fatal(err)
 	}
-	mon.Close() // drains queued work and in-flight refits
+	mon.Close() // drains queued work, each batch settled, refits included
 	close(alarmed)
 	for seq := range alarmed {
 		fmt.Printf("alarm at streamed bin %d\n", seq)

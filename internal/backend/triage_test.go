@@ -23,7 +23,7 @@ import (
 // of everything they emit and keep: the alarm stream (every field, floats
 // by bit pattern) followed by the final snapshot. The stream is a
 // 1008-bin Abilene seed and 768 streamed bins in 64-bin batches with a
-// refit every 144 bins, each awaited, carrying 8-bin floods (withheld
+// refit every 144 bins, each settled, carrying 8-bin floods (withheld
 // updates) and a 300-bin level shift (longer than the forecasters'
 // re-absorb horizon, so the re-absorb branch runs too). A change to the
 // order of any floating-point operation in the forecasters, the
@@ -58,7 +58,9 @@ func TestTriageStateGolden(t *testing.T) {
 					hashAlarm(h, al)
 				}
 				alarms += len(a)
-				det.WaitRefits()
+				if err := det.Settle(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			var snap bytes.Buffer
 			if err := det.Snapshot(&snap); err != nil {

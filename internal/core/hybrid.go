@@ -12,12 +12,12 @@ import (
 // HybridConfig configures NewHybridDetector.
 type HybridConfig struct {
 	// Window is the capacity of the hybrid's clean-bin window, which
-	// feeds the identification stage's background re-seeds; 0 uses the
-	// seed history length.
+	// feeds the identification stage's re-seeds; 0 uses the seed history
+	// length.
 	Window int
 	// RefitEvery re-seeds the identification stage from the clean-bin
-	// window in the background after this many processed bins; 0
-	// disables the re-seed (the triage stage's own refit cadence is
+	// window after this many processed bins, in Settle; 0 disables the
+	// re-seed (the triage stage's own refit cadence is
 	// configured on the triage detector itself).
 	RefitEvery int
 }
@@ -63,11 +63,13 @@ type HybridStats struct {
 // its sliding window would go stale. The hybrid keeps its own window of
 // recent clean (un-alarmed) bins and re-seeds the identification stage
 // from it every RefitEvery bins under its own RefitGate. The triage
-// stage schedules its own refits exactly as it would standalone.
+// stage schedules its own refits exactly as it would standalone. Settle
+// runs what is due in a fixed order: the triage stage's refit, the
+// identification stage's, then the re-seed.
 //
-// Concurrency follows the ViewDetector contract: one ProcessBatch
-// caller at a time, with Seed, Refit, WaitRefits, TakeRefitError and
-// Stats callable concurrently. The hybrid must be the stages' only
+// Concurrency follows the ViewDetector contract: one ProcessBatch and
+// Settle caller at a time, with Seed, Refit and Stats callable
+// concurrently. The hybrid must be the stages' only
 // caller — handing either stage to another Monitor view breaks the
 // one-ProcessBatch-caller guarantee it relies on.
 type HybridDetector struct {
@@ -113,17 +115,12 @@ func NewHybridDetector(triage, identify ViewDetector, cfg HybridConfig) (*Hybrid
 	return d, nil
 }
 
-// SetRefitHook installs a function that runs inside every background
-// re-seed goroutine before fitting begins; tests use it to hold a
-// re-seed open. Call before streaming starts.
-func (d *HybridDetector) SetRefitHook(h func()) { d.gate.SetHook(h) }
-
 // ProcessBatch runs the batch through the triage stage, escalates the
 // bins it alarms, identifies them with the subspace stage, and returns
 // one alarm per alarmed bin in sequence order. Clean bins feed the
-// window the identification stage re-seeds from; a deferred failure
-// from either stage's background fit (or the hybrid's own re-seed)
-// reports alongside the batch's detections. A clean bin with a NaN or
+// window the identification stage re-seeds from. A batch that finds a
+// fit still due settles first, before it is tested, and reports the
+// fit's failure alongside its own detections. A clean bin with a NaN or
 // ±Inf load stays out of the window and is reported as ErrNonFinite
 // (by the triage stage, or else by the hybrid). A stage whose alarms
 // do not name distinct bins of its batch in increasing order fails the
@@ -140,11 +137,13 @@ func (d *HybridDetector) ProcessBatch(y *mat.Dense) ([]Alarm, error) {
 	// just before the call — safe because the hybrid is the only
 	// ProcessBatch caller. The triage alarms are the escalation list and
 	// become the hybrid's alarms: rows[i] is alarms[i]'s batch row.
+	serr := d.Settle()
 	tBase := d.triage.Stats().Processed
 	alarms, err := d.triage.ProcessBatch(y)
 	// A triage stage that withholds non-finite bins names the first one
 	// itself; the hybrid names it only when the stage did not.
 	reported := errors.Is(err, ErrNonFinite)
+	err = errors.Join(serr, err)
 	rows := make([]int, len(alarms))
 	prev := -1
 	for i, a := range alarms {
@@ -214,18 +213,9 @@ func (d *HybridDetector) ProcessBatch(y *mat.Dense) ([]Alarm, error) {
 			bad = b
 		}
 	}
-	if derr := d.gate.TakeErrorLocked(); derr != nil {
-		err = errors.Join(err, derr)
-	}
-	var reseed Refit
-	if d.gate.DueLocked(bins, d.window.Len() > 0) {
-		reseed = d.reseedLocked(nil)
-	}
+	d.gate.DueLocked(bins, d.window.Len() > 0)
 	d.mu.Unlock()
 
-	if reseed != nil {
-		d.gate.Go(reseed)
-	}
 	if bad >= 0 && !reported {
 		err = errors.Join(nonFinite(base+bad), err)
 	}
@@ -250,18 +240,16 @@ func stageRow(stage string, seq, base, n, prev int) (int, error) {
 
 // reseedLocked captures the clean-bin window and returns the fit that
 // re-seeds the identification stage from it (the previous model stays in
-// force on failure — Seed commits nothing on error), joined with an
-// earlier stage error the caller may already hold. The window is never
+// force on failure — Seed commits nothing on error). The window is never
 // empty: Seed rejects empty histories and prefills the ring, and rows
 // are only ever added.
-func (d *HybridDetector) reseedLocked(earlier error) Refit {
+func (d *HybridDetector) reseedLocked() Refit {
 	snap := d.window.Matrix()
 	return func() (func() bool, error) {
-		err := d.identify.Seed(snap)
-		if err != nil {
-			err = fmt.Errorf("core: hybrid identify re-seed: %w", err)
+		if err := d.identify.Seed(snap); err != nil {
+			return nil, fmt.Errorf("core: hybrid identify re-seed: %w", err)
 		}
-		return nil, errors.Join(earlier, err)
+		return nil, nil
 	}
 }
 
@@ -270,8 +258,7 @@ func (d *HybridDetector) reseedLocked(earlier error) Refit {
 // clean-bin window. A failed fit leaves that stage's previous model in
 // force.
 func (d *HybridDetector) Refit() error {
-	terr := d.triage.Refit()
-	return d.gate.Run(func() Refit { return d.reseedLocked(terr) })
+	return errors.Join(d.triage.Refit(), d.gate.Run(d.reseedLocked))
 }
 
 // Seed seeds both stages from the history block and refills the
@@ -309,24 +296,16 @@ func (d *HybridDetector) Seed(history *mat.Dense) error {
 	})
 }
 
-// WaitRefits blocks until no fit is in flight anywhere in the hybrid:
-// its own background re-seed, then each stage's internal fits.
-func (d *HybridDetector) WaitRefits() {
-	d.gate.Wait()
-	d.triage.WaitRefits()
-	d.identify.WaitRefits()
-}
-
-// TakeRefitError returns and clears the deferred errors from the last
-// failed background fits — the hybrid's own re-seed and both stages' —
-// joined, if any.
-func (d *HybridDetector) TakeRefitError() error {
-	return errors.Join(d.gate.TakeError(), d.triage.TakeRefitError(), d.identify.TakeRefitError())
+// Settle settles the triage stage, then the identification stage, then
+// runs the hybrid's own re-seed if one is due, and returns their
+// failures joined.
+func (d *HybridDetector) Settle() error {
+	return errors.Join(d.triage.Settle(), d.identify.Settle(), d.gate.Settle(d.reseedLocked))
 }
 
 // Stats reports the detector's current state. Rank is the
 // identification stage's normal-subspace rank; Refits counts hybrid-
-// level fits (explicit Refit/Seed and background re-seeds of the
+// level fits (explicit Refit/Seed and automatic re-seeds of the
 // identification stage — the triage stage's own refit cadence is
 // visible through HybridStats).
 func (d *HybridDetector) Stats() ViewStats {
@@ -345,8 +324,12 @@ func (d *HybridDetector) Stats() ViewStats {
 // Snapshot serializes the clean-bin window, the escalation counters,
 // and then both stage detectors' own envelopes nested inside the
 // payload — everything ProcessBatch's sequence rebasing relies on
-// (the stage processed counters travel inside the stage envelopes).
+// (the stage processed counters travel inside the stage envelopes). It
+// settles first; a failed settle is returned and nothing is written.
 func (d *HybridDetector) Snapshot(w io.Writer) error {
+	if err := d.Settle(); err != nil {
+		return err
+	}
 	return d.gate.Quiesced(func() error {
 		return EncodeSnapshot(w, SnapKindHybrid, func(sw *SnapshotWriter) {
 			sw.Int(d.links)

@@ -25,7 +25,7 @@ type stubStage struct {
 	batches   []*mat.Dense
 	seeds     []*mat.Dense
 	seedErr   error
-	deferred  error
+	settleErr error
 }
 
 func (s *stubStage) Seed(h *mat.Dense) error {
@@ -68,17 +68,13 @@ func (s *stubStage) Refit() error {
 	return nil
 }
 
-func (s *stubStage) WaitRefits() {}
-
 func (s *stubStage) Snapshot(io.Writer) error { return nil }
 func (s *stubStage) Restore(io.Reader) error  { return nil }
 
-func (s *stubStage) TakeRefitError() error {
+func (s *stubStage) Settle() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err := s.deferred
-	s.deferred = nil
-	return err
+	return s.settleErr
 }
 
 func (s *stubStage) Stats() ViewStats {
@@ -205,7 +201,9 @@ func TestHybridBackgroundReseed(t *testing.T) {
 	if _, err := d.ProcessBatch(markerBatch(links, 0, 0, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	d.WaitRefits()
+	if err := d.Settle(); err != nil {
+		t.Fatalf("clean re-seed failed: %v", err)
+	}
 	identify.mu.Lock()
 	seeds := len(identify.seeds)
 	var rows int
@@ -215,9 +213,6 @@ func TestHybridBackgroundReseed(t *testing.T) {
 	identify.mu.Unlock()
 	if seeds != 2 || rows != 6 {
 		t.Fatalf("re-seed: %d seeds, %d rows in the second, want 2 seeds, the second of 6 clean rows", seeds, rows)
-	}
-	if err := d.TakeRefitError(); err != nil {
-		t.Fatalf("clean re-seed parked an error: %v", err)
 	}
 	if got := d.Stats().Refits; got != 1 {
 		t.Fatalf("refits = %d want 1", got)
@@ -235,9 +230,8 @@ func TestHybridReseedFailureDeferred(t *testing.T) {
 	if _, err := d.ProcessBatch(markerBatch(links, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
-	d.WaitRefits()
-	// The failed re-seed surfaces on the next batch (or TakeRefitError),
-	// alongside that batch's valid detections.
+	// Nobody settled: the due re-seed runs, and fails, at the start of
+	// the next batch, whose valid detections come back with its error.
 	alarms, err := d.ProcessBatch(markerBatch(links, 3))
 	if err == nil || !strings.Contains(err.Error(), "re-seed") {
 		t.Fatalf("deferred re-seed failure not reported: %v", err)
@@ -245,8 +239,8 @@ func TestHybridReseedFailureDeferred(t *testing.T) {
 	if len(alarms) != 1 || alarms[0].Flow != 7 {
 		t.Fatalf("detections dropped alongside deferred error: %+v", alarms)
 	}
-	if err := d.TakeRefitError(); err != nil {
-		t.Fatalf("deferred error not cleared: %v", err)
+	if err := d.Settle(); err != nil {
+		t.Fatalf("failed re-seed still due after it ran: %v", err)
 	}
 }
 
@@ -272,21 +266,29 @@ func TestHybridRejectsMismatches(t *testing.T) {
 	}
 }
 
-func TestHybridTakeRefitErrorJoinsStages(t *testing.T) {
+// TestHybridSettleJoinsStages: Settle settles both stages and runs the
+// hybrid's own due re-seed, and returns all three failures joined, in
+// that order.
+func TestHybridSettleJoinsStages(t *testing.T) {
 	const links = 2
 	triage, identify := stubStages(links)
-	triage.deferred = errors.New("triage-deferred")
-	identify.deferred = errors.New("identify-deferred")
-	d, err := seeded(NewHybridDetector(triage, identify, HybridConfig{}))(mat.Zeros(4, links))
+	d, err := seeded(NewHybridDetector(triage, identify, HybridConfig{RefitEvery: 2}))(mat.Zeros(4, links))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := d.TakeRefitError()
-	if got == nil || !strings.Contains(got.Error(), "triage-deferred") || !strings.Contains(got.Error(), "identify-deferred") {
-		t.Fatalf("stage deferred errors not joined: %v", got)
+	if _, err := d.ProcessBatch(markerBatch(links, 0, 0)); err != nil {
+		t.Fatal(err)
 	}
-	if d.TakeRefitError() != nil {
-		t.Fatal("deferred errors not cleared")
+	triage.settleErr = errors.New("triage-settle")
+	identify.settleErr = errors.New("identify-settle")
+	identify.seedErr = errors.New("boom")
+	got := d.Settle()
+	if got == nil || !strings.Contains(got.Error(), "triage-settle\nidentify-settle\ncore: hybrid identify re-seed: boom") {
+		t.Fatalf("stage and re-seed errors not joined in order: %v", got)
+	}
+	triage.settleErr, identify.settleErr = nil, nil
+	if err := d.Settle(); err != nil {
+		t.Fatalf("re-seed still due after it ran: %v", err)
 	}
 }
 
@@ -362,7 +364,9 @@ func TestHybridNonFiniteBinWithheld(t *testing.T) {
 	if len(alarms) != 1 || alarms[0].Seq != 5 {
 		t.Fatalf("alarms %+v, want the triage alarm at bin 5 alone", alarms)
 	}
-	d.WaitRefits()
+	if err := d.Settle(); err != nil {
+		t.Fatal(err)
+	}
 	identify.mu.Lock()
 	defer identify.mu.Unlock()
 	if len(identify.seeds) != 2 {

@@ -46,8 +46,8 @@ func NewCovTracker(dim int, lambda float64) (*CovTracker, error) {
 }
 
 // Snapshot returns an independent copy of the tracker's current state,
-// so a background model rebuild can work from a consistent mean and
-// covariance while streaming updates continue on the original.
+// so a model rebuild can solve a consistent mean and covariance outside
+// the detector's lock while streaming updates continue on the original.
 func (c *CovTracker) Snapshot() *CovTracker {
 	return &CovTracker{
 		dim:    c.dim,
@@ -158,9 +158,10 @@ type IncrementalConfig struct {
 	// time constant ~1/(1-Lambda) bins (0.999 ~ a week of ten-minute
 	// bins).
 	Lambda float64
-	// RefitEvery triggers a background model rebuild from the tracked
-	// covariance after this many processed bins; 0 disables automatic
-	// rebuilds (call Refit explicitly).
+	// RefitEvery marks a model rebuild from the tracked covariance due
+	// after this many processed bins, which Settle (or else the next
+	// ProcessBatch) runs; 0 disables automatic rebuilds (call Refit
+	// explicitly).
 	RefitEvery int
 	// DriftTol gates automatic rebuilds: the freshly solved model
 	// replaces the active one only when the Frobenius distance between

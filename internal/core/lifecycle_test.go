@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -81,40 +80,31 @@ func rowsOf(m *mat.Dense, from, to int) *mat.Dense {
 // the detection pass, which withholds a non-finite bin, so the NaN
 // reaches the estimate and makes every estimator's next solve fail — the
 // portable way to break a refit.
-func absorbPoisoned(d *OnlineDetector, y *mat.Dense) error {
+func absorbPoisoned(d *OnlineDetector, y *mat.Dense) {
 	p := y.Clone()
 	p.Set(p.Rows()/2, 1, math.NaN())
-	_, err := d.absorb(p, make([]bool, p.Rows()))
-	return err
+	d.absorb(p, make([]bool, p.Rows()))
 }
 
 func isRefitError(err error) bool { return err != nil && strings.Contains(err.Error(), " refit: ") }
 
+// TestOnlineDetectorRefitDoesNotBlockProcess: an explicit Refit solves
+// outside the detector's mutex, so the stream keeps flowing while one is
+// in flight on another goroutine, and its model swaps in when it is done.
 func TestOnlineDetectorRefitDoesNotBlockProcess(t *testing.T) {
-	forEachEstimator(t, 10, func(t *testing.T, fresh func() *OnlineDetector, _, stream *mat.Dense) {
+	forEachEstimator(t, 0, func(t *testing.T, fresh func() *OnlineDetector, _, stream *mat.Dense) {
 		d := fresh()
-		hold := make(chan struct{})
-		entered := make(chan struct{})
-		var once sync.Once
-		d.SetRefitHook(func() {
-			once.Do(func() { close(entered) })
-			<-hold
-		})
-		// Cross the refit interval so a background refit starts and parks
-		// in the hook.
-		for b := 0; b < 10; b++ {
-			if _, _, err := d.Process(stream.RowView(b)); err != nil {
-				t.Fatal(err)
-			}
-		}
+		entered, hold := make(chan struct{}), make(chan struct{})
+		d.est = heldFit{d.est, entered, hold}
+		refitted := make(chan error)
+		go func() { refitted <- d.Refit() }()
 		<-entered
-		// With the refit held open, the stream must keep flowing. If
-		// ProcessBatch blocked behind the refit, this goroutine would never
-		// finish and the watchdog below would fire.
+		// If ProcessBatch blocked behind the held refit, this goroutine
+		// would never finish and the watchdog below would fire.
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			for b := 10; b < 90; b += 8 {
+			for b := 0; b < 88; b += 8 {
 				if _, err := d.ProcessBatch(rowsOf(stream, b, b+8)); err != nil {
 					t.Error(err)
 					return
@@ -126,71 +116,98 @@ func TestOnlineDetectorRefitDoesNotBlockProcess(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("ProcessBatch blocked while a refit was in flight")
 		}
-		if got := d.Stats(); got.Processed != 90 || got.Refits != 0 {
-			t.Fatalf("while the refit is held: %+v, want 90 processed and no refit yet", got)
+		if got := d.Stats(); got.Processed != 88 || got.Refits != 0 {
+			t.Fatalf("while the refit is held: %+v, want 88 processed and no refit yet", got)
 		}
 		close(hold)
-		d.WaitRefits()
+		if err := <-refitted; err != nil {
+			t.Fatal(err)
+		}
 		if got := d.Stats().Refits; got != 1 {
-			t.Fatalf("Refits = %d after the held refit completed (intervals that elapsed meanwhile are skipped, not queued)", got)
+			t.Fatalf("Refits = %d after the held refit completed, want 1", got)
 		}
 	})
 }
 
+// heldFit holds every solve open until hold closes, after closing
+// entered.
+type heldFit struct {
+	estimator
+	entered, hold chan struct{}
+}
+
+func (h heldFit) fit(opts Options) func() (*PCA, int, error) {
+	solve := h.estimator.fit(opts)
+	return func() (*PCA, int, error) {
+		close(h.entered)
+		<-h.hold
+		return solve()
+	}
+}
+
+// TestOnlineDetectorFailedBackgroundRefitKeepsModel: an automatic refit
+// that fails keeps the previous model, is not counted, and reports its
+// error exactly once — from the Settle that runs it, or, when nobody
+// settles, from the next ProcessBatch.
 func TestOnlineDetectorFailedBackgroundRefitKeepsModel(t *testing.T) {
 	forEachEstimator(t, 8, func(t *testing.T, fresh func() *OnlineDetector, _, stream *mat.Dense) {
-		d := fresh()
-		before := d.Diagnoser()
-		// The eighth bin launches a background refit on the poisoned
-		// estimate; seven more bins do not reach the next interval.
-		errs := []error{absorbPoisoned(d, rowsOf(stream, 0, 8))}
-		d.WaitRefits()
-		for _, y := range []*mat.Dense{rowsOf(stream, 8, 12), rowsOf(stream, 12, 15)} {
-			_, err := d.ProcessBatch(y)
-			errs = append(errs, err)
-			d.WaitRefits()
-		}
-		surfaced := 0
-		for _, err := range errs {
-			if isRefitError(err) {
-				surfaced++
+		for _, settle := range []bool{true, false} {
+			d := fresh()
+			before := d.Diagnoser()
+			// The eighth bin marks a refit of the poisoned estimate due;
+			// seven more bins do not reach the next interval.
+			absorbPoisoned(d, rowsOf(stream, 0, 8))
+			var errs []error
+			for _, y := range []*mat.Dense{rowsOf(stream, 8, 12), rowsOf(stream, 12, 15)} {
+				if settle {
+					errs = append(errs, d.Settle())
+				}
+				_, err := d.ProcessBatch(y)
+				errs = append(errs, err)
 			}
-		}
-		if surfaced != 1 {
-			t.Fatalf("failed background refit surfaced on %d calls, want exactly 1", surfaced)
-		}
-		if err := d.TakeRefitError(); err != nil {
-			t.Fatalf("refit error not cleared after it surfaced: %v", err)
-		}
-		if d.Diagnoser() != before {
-			t.Fatal("failed background refit replaced the model")
-		}
-		if got := d.Stats().Refits; got != 0 {
-			t.Fatalf("failed refit counted: Refits = %d", got)
+			errs = append(errs, d.Settle())
+			surfaced := 0
+			for _, err := range errs {
+				if isRefitError(err) {
+					surfaced++
+				}
+			}
+			if surfaced != 1 || !isRefitError(errs[0]) {
+				t.Fatalf("settle=%v: failed refit surfaced on %d calls (first: %v), want exactly the first", settle, surfaced, errs[0])
+			}
+			if d.Diagnoser() != before {
+				t.Fatalf("settle=%v: failed refit replaced the model", settle)
+			}
+			if got := d.Stats().Refits; got != 0 {
+				t.Fatalf("settle=%v: failed refit counted: Refits = %d", settle, got)
+			}
 		}
 	})
 }
 
-// TestOnlineDetectorJoinsAbsorbAndRefitErrors: a batch whose absorb
-// fails — settling the rows the previous batch left pending — while a
-// failed refit's error is parked must report both. The parked error is
-// cleared by the call that takes it, so dropping it here loses it for
-// good.
+// TestOnlineDetectorJoinsAbsorbAndRefitErrors: a Settle whose fold fails
+// while a refit is due must report both failures, joined — the fold's,
+// and the due refit's, which settles the estimate again first — and
+// then drop the refit: it is not due any more.
 func TestOnlineDetectorJoinsAbsorbAndRefitErrors(t *testing.T) {
 	forEachEstimator(t, 8, func(t *testing.T, fresh func() *OnlineDetector, _, stream *mat.Dense) {
 		d := fresh()
-		release := make(chan struct{})
-		d.SetRefitHook(func() { <-release })
-		if err := absorbPoisoned(d, rowsOf(stream, 0, 8)); isRefitError(err) {
-			t.Fatalf("refit error before the held refit ran: %v", err)
+		if _, err := d.ProcessBatch(rowsOf(stream, 0, 8)); err != nil {
+			t.Fatal(err)
 		}
-		close(release)
-		d.WaitRefits()
 		errAbsorb := errors.New("absorb failed")
-		d.est = failingSettle{d.est, errAbsorb}
-		_, err := d.ProcessBatch(rowsOf(stream, 8, 12))
-		if !errors.Is(err, errAbsorb) || !isRefitError(err) {
-			t.Fatalf("want the absorb error and the parked refit error joined, got: %v", err)
+		est := d.est
+		d.est = failingSettle{est, errAbsorb}
+		err := d.Settle()
+		if !errors.Is(err, errAbsorb) || !isRefitError(err) || strings.Count(err.Error(), "absorb failed") != 2 {
+			t.Fatalf("want the fold error and the refit error joined, got: %v", err)
+		}
+		d.est = est
+		if err := d.Settle(); err != nil {
+			t.Fatalf("second Settle: %v", err)
+		}
+		if got := d.Stats().Refits; got != 0 {
+			t.Fatalf("failed refit counted: Refits = %d", got)
 		}
 	})
 }
@@ -234,16 +251,12 @@ func TestOnlineDetectorWithholdsNonFiniteBins(t *testing.T) {
 					if err := d.Settle(); err != nil {
 						t.Fatalf("Settle after bin %d: %v", from, err)
 					}
-					d.WaitRefits()
 				}
 				row := y.Row(badBin)
 				if _, anomalous, err := d.Process(row); !errors.Is(err, ErrNonFinite) || anomalous {
 					t.Fatalf("Process of a %v load: anomalous %v, err %v; want ErrNonFinite and no alarm", bad, anomalous, err)
 				}
 				if err := d.Refit(); err != nil {
-					t.Fatal(err)
-				}
-				if err := d.TakeRefitError(); err != nil {
 					t.Fatal(err)
 				}
 				if got := d.Stats().Refits; got < 5 {
@@ -442,8 +455,7 @@ func TestIncrementalAgreesWithOnline(t *testing.T) {
 		}
 		onlineAlarms = append(onlineAlarms, oa...)
 		incAlarms = append(incAlarms, ia...)
-		// Refit both synchronously at the same point so the models stay
-		// in lockstep (background refits would swap at racy times).
+		// Refit both at the same point so the models stay in lockstep.
 		if err := online.Refit(); err != nil {
 			t.Fatal(err)
 		}
@@ -495,10 +507,9 @@ func TestIncrementalBackgroundRebuildAndDriftGate(t *testing.T) {
 			if _, err := d.ProcessBatch(chunk); err != nil {
 				t.Fatal(err)
 			}
-			d.WaitRefits()
-		}
-		if err := d.TakeRefitError(); err != nil {
-			t.Fatal(err)
+			if err := d.Settle(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if got := d.Stats().Processed; got != streamBins {
 			t.Fatalf("processed %d want %d", got, streamBins)

@@ -28,11 +28,10 @@ import (
 // withholding alarmed bins from the estimate, the drift-gated model swap,
 // Stats, and the snapshot framing.
 //
-// OnlineDetector is safe for concurrent use, and detection never blocks
-// on model fitting: the active Diagnoser sits behind an atomic pointer
-// that Process and ProcessBatch load without taking the mutex, fits run
-// on an independent copy of the estimate, and the fitted model is swapped
-// in atomically.
+// OnlineDetector is safe for concurrent use: the active Diagnoser sits
+// behind an atomic pointer that Process and ProcessBatch load without
+// taking the mutex, fits run on an independent copy of the estimate
+// outside it, and the fitted model is swapped in atomically.
 type OnlineDetector struct {
 	// paths is the routing matrix in the sparse form identification
 	// reads; the routing never changes, so every model fitted shares it.
@@ -70,8 +69,9 @@ type estimator interface {
 	absorb(y *mat.Dense, skip []bool)
 	// settle finishes folding whatever absorb deferred, so the estimate
 	// is exactly what eager absorption would have built; the detector
-	// calls it before the next absorb, before every fit and snapshot, and
-	// from Settle. A fold that fails drops the rows it did not reach.
+	// calls it from Settle (and so before the next absorb), before every
+	// fit and before every snapshot. A fold that fails drops the rows it
+	// did not reach.
 	settle() error
 	// fit captures an independent copy of the settled estimate and
 	// returns the function that solves it, outside the mutex, into a PCA
@@ -96,8 +96,9 @@ type OnlineConfig struct {
 	// whole first seed history. The first Seed fixes the capacity:
 	// Window, or that history's length if it is shorter.
 	Window int
-	// RefitEvery triggers an automatic background refit after this many
-	// processed bins; 0 disables automatic refits (call Refit explicitly).
+	// RefitEvery marks an automatic refit due after this many processed
+	// bins, which Settle (or else the next ProcessBatch) runs; 0
+	// disables automatic refits (call Refit explicitly).
 	RefitEvery int
 	// Options configure the underlying diagnoser.
 	Options Options
@@ -149,11 +150,6 @@ func (d *OnlineDetector) seedFit(est estimator, history *mat.Dense) (estimator, 
 	return next, diag, err
 }
 
-// SetRefitHook installs a function that runs inside every background
-// refit before fitting begins, so tests can hold a refit open
-// deterministically; call it before streaming starts.
-func (d *OnlineDetector) SetRefitHook(h func()) { d.gate.SetHook(h) }
-
 // Alarm is an anomaly raised by the online detector.
 type Alarm struct {
 	// Seq is the running index of the processed measurement.
@@ -184,9 +180,10 @@ func (d *OnlineDetector) Process(y []float64) (Alarm, bool, error) {
 	if len(y) != d.links {
 		return Alarm{}, false, fmt.Errorf("core: measurement has %d links, detector expects %d", len(y), d.links)
 	}
+	err := d.Settle()
 	diag, anomalous := d.diag.Load().DiagnoseAt(y)
 	finite := diag.SPE <= math.MaxFloat64
-	seq, err := d.absorb(mat.NewDense(1, d.links, y), []bool{anomalous || !finite})
+	seq := d.absorb(mat.NewDense(1, d.links, y), []bool{anomalous || !finite})
 	if !finite {
 		anomalous = false
 		err = errors.Join(nonFinite(seq), err)
@@ -198,23 +195,22 @@ func (d *OnlineDetector) Process(y []float64) (Alarm, bool, error) {
 // ProcessBatch tests a block of measurements (bins x links) in one
 // batched pass (Diagnoser.DiagnoseBatch, lock-free against one consistent
 // model) and returns the rows that alarm, numbered in row order. A
-// mis-sized batch is rejected and not counted. The error of a failed
-// background refit is reported by a later call, alongside that call's
-// detections; the previous model stays in force. A bin with a
-// non-finite SPE is withheld and reported as ErrNonFinite, naming the
-// first such bin; the batch's other bins are tested and folded as usual.
+// mis-sized batch is rejected and not counted. A bin with a non-finite
+// SPE is withheld and reported as ErrNonFinite, naming the first such
+// bin; the batch's other bins are tested and folded as usual.
 //
-// The sketch and incremental estimators fold a batch's clean rows into
-// their covariance after its alarms are out: the costly fold waits for
-// Settle, or else the next ProcessBatch, Refit or Snapshot, and a fold
-// failure (a shrink whose Gram overflows, say) is reported by whichever of
-// them runs it — joined here with a parked refit error. A batch that
-// triggers an automatic refit is folded by that refit, so its fold
-// failure parks as the refit's error.
+// The batch's clean rows reach the estimate after its alarms are out:
+// the sketch and incremental estimators put the costly fold off, and a
+// refit the cadence marks due waits too, both until Settle. A batch
+// that finds them still pending settles them first, before it is
+// tested, and reports their failure (a shrink whose Gram overflows, a
+// refit that cannot solve) alongside its own detections; a failed
+// refit leaves the previous model in force.
 func (d *OnlineDetector) ProcessBatch(y *mat.Dense) ([]Alarm, error) {
 	if cols := y.Cols(); cols != d.links {
 		return nil, fmt.Errorf("core: batch has %d links, detector expects %d", cols, d.links)
 	}
+	err := d.Settle()
 	diags, flags := d.diag.Load().DiagnoseBatch(y)
 	// One pass picks the alarms and marks the non-finite bins withheld;
 	// the alarms are numbered once absorb has assigned the batch's base.
@@ -231,7 +227,7 @@ func (d *OnlineDetector) ProcessBatch(y *mat.Dense) ([]Alarm, error) {
 			alarms = append(alarms, Alarm{Seq: b, Diagnosis: diags[b]})
 		}
 	}
-	base, err := d.absorb(y, flags)
+	base := d.absorb(y, flags)
 	for i := range alarms {
 		alarms[i].Seq += base
 		alarms[i].Bin = alarms[i].Seq
@@ -242,27 +238,20 @@ func (d *OnlineDetector) ProcessBatch(y *mat.Dense) ([]Alarm, error) {
 	return alarms, err
 }
 
-// absorb numbers a tested batch, settles the previous one, hands this
-// one's rows to the estimate and launches the background refit when one
-// is due. Alarmed rows are withheld so they do not inflate the residual
-// variance of the next model (the paper's model is fit on normal traffic;
-// one contaminated week changed results little, but exclusion is the
-// conservative choice).
-func (d *OnlineDetector) absorb(y *mat.Dense, alarmed []bool) (base int, err error) {
+// absorb numbers a tested batch, hands its rows to the estimate (which
+// the caller has settled) and advances the refit cadence. Alarmed rows
+// are withheld so they do not inflate the residual variance of the next
+// model (the paper's model is fit on normal traffic; one contaminated
+// week changed results little, but exclusion is the conservative
+// choice).
+func (d *OnlineDetector) absorb(y *mat.Dense, alarmed []bool) (base int) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	base = d.processed
 	d.processed += y.Rows()
-	err = errors.Join(d.est.settle(), d.gate.TakeErrorLocked())
 	d.est.absorb(y, alarmed)
-	var fit Refit
-	if d.gate.DueLocked(y.Rows(), true) {
-		fit = d.fitLocked(true)
-	}
-	d.mu.Unlock()
-	if fit != nil {
-		d.gate.Go(fit)
-	}
-	return base, err
+	d.gate.DueLocked(y.Rows(), true)
+	return base
 }
 
 // fitLocked settles and captures the estimate and returns the refit that
@@ -349,32 +338,26 @@ func (d *OnlineDetector) Stats() ViewStats {
 	return stats
 }
 
-// WaitRefits blocks until no model fit is in flight. It does not prevent
-// new refits from starting after it returns.
-func (d *OnlineDetector) WaitRefits() { d.gate.Wait() }
-
-// TakeRefitError returns and clears the deferred error from the last
-// failed background refit, if any.
-func (d *OnlineDetector) TakeRefitError() error { return d.gate.TakeError() }
-
-// Settle folds the rows the last batch left pending into the estimate
-// and reports a fold failure. Nothing requires it — every read of the
-// estimate settles first — but calling it after a batch's alarms are
-// delivered moves the fold off the next batch's path.
+// Settle folds the rows the last batch left pending into the estimate,
+// then runs a refit the cadence marked due, and returns both failures
+// joined. Calling it after a batch's alarms are delivered moves that
+// work off the next batch's path; a detector nobody settles does it at
+// the start of its next ProcessBatch, with the same result.
 func (d *OnlineDetector) Settle() error {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.est.settle()
+	err := d.est.settle()
+	d.mu.Unlock()
+	return errors.Join(err, d.gate.Settle(func() Refit { return d.fitLocked(true) }))
 }
 
-// Snapshot serializes the settled estimate, the counters and the exact
-// active model as one NAMS envelope of the estimator's kind. A failed
-// settle is returned and nothing is written.
+// Snapshot settles, then serializes the estimate, the counters and the
+// exact active model as one NAMS envelope of the estimator's kind. A
+// failed settle is returned and nothing is written.
 func (d *OnlineDetector) Snapshot(w io.Writer) error {
+	if err := d.Settle(); err != nil {
+		return err
+	}
 	return d.gate.Quiesced(func() error {
-		if err := d.est.settle(); err != nil {
-			return err
-		}
 		return EncodeSnapshot(w, d.est.kind(), func(sw *SnapshotWriter) {
 			sw.Int(d.links)
 			d.est.encode(sw)

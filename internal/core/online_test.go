@@ -273,7 +273,6 @@ func TestOnlineDetectorConcurrentBatchesAndRefits(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	od.WaitRefits()
 	if od.Processed() != 3*60+5*12 {
 		t.Fatalf("Processed = %d want %d", od.Processed(), 3*60+5*12)
 	}

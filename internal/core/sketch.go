@@ -274,7 +274,8 @@ func (s *FDSketch) shrink() error {
 	return nil
 }
 
-// Snapshot returns an independent copy for a background model solve.
+// Snapshot returns an independent copy for a model solve outside the
+// detector's lock.
 func (s *FDSketch) Snapshot() *FDSketch {
 	return &FDSketch{
 		m:      s.m,
@@ -350,8 +351,9 @@ type SketchConfig struct {
 	// preserves the top ell/2 directions); 0 picks max(8, 4*rank) from
 	// the seed fit's resolved rank, or restores a snapshot's size.
 	SketchSize int
-	// RefitEvery triggers a background model rebuild from the sketch
-	// after this many processed bins; 0 disables automatic rebuilds.
+	// RefitEvery marks a model rebuild from the sketch due after this
+	// many processed bins, which Settle (or else the next ProcessBatch)
+	// runs; 0 disables automatic rebuilds.
 	RefitEvery int
 	// DriftTol gates automatic rebuilds exactly as in
 	// IncrementalConfig: swap only when the residual projector moved at

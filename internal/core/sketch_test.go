@@ -167,10 +167,9 @@ func TestSketchBackgroundRebuildAndDriftGate(t *testing.T) {
 			if _, err := d.ProcessBatch(chunk); err != nil {
 				t.Fatal(err)
 			}
-			d.WaitRefits()
-		}
-		if err := d.TakeRefitError(); err != nil {
-			t.Fatal(err)
+			if err := d.Settle(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if got := d.Stats().Processed; got != streamBins {
 			t.Fatalf("processed %d want %d", got, streamBins)
@@ -305,7 +304,6 @@ func TestSketchStateGolden(t *testing.T) {
 		if err := d.Settle(); err != nil {
 			t.Fatal(err)
 		}
-		d.WaitRefits()
 	}
 	var snap bytes.Buffer
 	if err := d.Snapshot(&snap); err != nil {
@@ -373,44 +371,40 @@ func TestFDSketchInsertAfterFailedShrink(t *testing.T) {
 	}
 }
 
-// TestSketchRefitErrorSurvivesFailingInsert drives the lost-error bug
-// through real failures: one NaN cell poisons the sketch, the hook-held
-// background rebuild fails and parks its error, and the next call that
-// folds pending rows fails in the sketch's own shrink. That call must
-// report both; the parked error used to be taken (and so cleared) and
-// then dropped. A Snapshot whose fold fails returns the error and writes
+// TestSketchRefitErrorSurvivesFailingInsert drives Settle's two failures
+// through real faults: one NaN cell poisons the sketch, so the rows a
+// later batch leaves pending fail in the sketch's own shrink, and the
+// refit that batch made due fails to solve. Settle must report both,
+// joined. A Snapshot whose fold fails returns the error and writes
 // nothing.
 func TestSketchRefitErrorSurvivesFailingInsert(t *testing.T) {
 	topo, history, stream, _ := streamDataset(t, 73, 504, 96, nil)
-	d, err := seeded(NewSketchDetector(topo.RoutingMatrix(), SketchConfig{RefitEvery: 8}))(history)
+	d, err := seeded(NewSketchDetector(topo.RoutingMatrix(), SketchConfig{RefitEvery: 72}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
-	release := make(chan struct{})
-	d.SetRefitHook(func() { <-release })
-	absorbPoisoned(d, rowsOf(stream, 0, 8)) // its refit folds the NaN in
-	// While that refit is held no other can start, so these rows stay
-	// pending. 64 of them overrun any sketch size here: their fold must
-	// shrink, and the NaN running mean makes every shrink fail.
+	absorbPoisoned(d, rowsOf(stream, 0, 8))
+	if err := d.Settle(); err != nil {
+		t.Fatalf("folding the poisoned rows: %v", err)
+	}
+	// 64 rows overrun any sketch size here: their fold must shrink, and
+	// the NaN running mean makes every shrink fail.
 	if _, err := d.ProcessBatch(rowsOf(stream, 8, 72)); err != nil {
 		t.Fatalf("a batch whose fold is still pending reported: %v", err)
 	}
-	close(release)
-	d.WaitRefits()
-	_, err = d.ProcessBatch(rowsOf(stream, 72, 73))
-	var fold, parked bool
+	err = d.Settle()
+	var fold, refit bool
 	if joined, ok := err.(interface{ Unwrap() []error }); ok {
 		for _, e := range joined.Unwrap() {
-			parked = parked || isRefitError(e)
+			refit = refit || isRefitError(e)
 			fold = fold || !isRefitError(e) && strings.Contains(e.Error(), "sketch shrink")
 		}
 	}
-	if !fold || !parked {
-		t.Fatalf("want the pending rows' shrink failure joined with the parked rebuild error, got: %v", err)
+	if !fold || !refit {
+		t.Fatalf("want the pending rows' shrink failure joined with the due refit's error, got: %v", err)
 	}
 
-	d.WaitRefits()
-	if _, err := d.ProcessBatch(rowsOf(stream, 73, 74)); err != nil && !isRefitError(err) {
+	if _, err := d.ProcessBatch(rowsOf(stream, 72, 73)); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -33,15 +33,14 @@ type ViewStats struct {
 // covariance tracking, multiscale wavelet analysis, multi-metric voting —
 // all present this surface, so a Monitor can mix backends freely.
 //
-// Implementations must be safe for one ProcessBatch caller at a time
-// (the engine guarantees this: queued batches run through the per-shard
-// FIFO, and synchronous Monitor.ProcessBatch serializes with it on a
-// per-shard lock) with Refit, WaitRefits, TakeRefitError and Stats
-// callable concurrently from other goroutines.
-// Detection must not block on model fitting, and a failed background fit
-// must keep the previous model in force and surface its error on a later
-// ProcessBatch or TakeRefitError call; every backend in this repository
-// gets both by running its fits under a RefitGate.
+// Implementations must be safe for one ProcessBatch or Settle caller at
+// a time (the engine guarantees this: queued batches run through the
+// per-shard FIFO, and synchronous Monitor.ProcessBatch serializes with
+// it on a per-shard lock) with Refit and Stats callable concurrently
+// from other goroutines. Automatic refits run on the caller's goroutine,
+// in Settle, and a failed fit keeps the previous model in force; every
+// backend in this repository gets both by running its fits under a
+// RefitGate, and none starts a goroutine.
 type ViewDetector interface {
 	// Seed (re)fits the model from a history block (bins x Links),
 	// replacing the windowed state a later Refit would fit on. The
@@ -50,32 +49,32 @@ type ViewDetector interface {
 	Seed(history *mat.Dense) error
 	// ProcessBatch tests a block of measurements (bins x Links) against
 	// the active model and returns the rows that alarm, with sequence
-	// numbers continuing the per-detector count. Alarms are returned
-	// even when err is non-nil (a deferred refit failure reports
-	// alongside valid detections). A backend may also put off folding
-	// the batch into its model until after return — OnlineDetector's
-	// covariance estimators do, until Settle or the next call that reads
-	// the model — so err can carry the fold failure of an earlier batch.
-	// Either way y is the caller's again once ProcessBatch returns.
+	// numbers continuing the per-detector count. Model upkeep the batch
+	// calls for — folding it into the estimate, a refit the cadence made
+	// due — may wait until Settle; a batch that finds it still pending
+	// runs it first, before it is tested, so the model that tests a batch
+	// does not depend on whether the caller settles. Alarms are returned
+	// even when err is non-nil (such a pending fit's failure reports
+	// alongside valid detections). y is the caller's again once
+	// ProcessBatch returns.
 	ProcessBatch(y *mat.Dense) ([]Alarm, error)
+	// Settle runs the model upkeep the last ProcessBatch put off,
+	// including a due refit, and returns its failures joined. The engine
+	// calls it after a batch's alarms are delivered.
+	Settle() error
 	// Refit synchronously rebuilds the model from current state. It
-	// serializes with background refits but must not block concurrent
-	// detection.
+	// serializes with other fits but must not block concurrent Stats.
 	Refit() error
-	// WaitRefits blocks until no model fit is in flight.
-	WaitRefits()
-	// TakeRefitError returns and clears the deferred error from the last
-	// failed background refit, if any.
-	TakeRefitError() error
 	// Stats reports the detector's current state.
 	Stats() ViewStats
 	// Snapshot serializes the detector's portable state — everything a
 	// Restore on an identically configured detector needs to continue
 	// the alarm stream bin-for-bin: sliding windows, the active model,
 	// forecaster recursions, processed/refit counters — as one NAMS
-	// envelope. It serializes with in-flight model fits (waiting any
-	// out through the refit gate), so it never captures a half-swapped
-	// model, and it must not block concurrent Stats calls forever.
+	// envelope. It settles first (a settle failure is returned and
+	// nothing is written) and serializes with in-flight model fits
+	// through the refit gate, so it never captures a half-swapped model,
+	// and it must not block concurrent Stats calls forever.
 	Snapshot(w io.Writer) error
 	// Restore replaces the detector's mutable state with a snapshot
 	// taken from an identically configured detector of the same kind.

@@ -41,8 +41,7 @@ func (d *countDetector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 }
 
 func (d *countDetector) Refit() error             { return nil }
-func (d *countDetector) WaitRefits()              {}
-func (d *countDetector) TakeRefitError() error    { return nil }
+func (d *countDetector) Settle() error            { return nil }
 func (d *countDetector) Snapshot(io.Writer) error { return nil }
 func (d *countDetector) Restore(io.Reader) error  { return nil }
 

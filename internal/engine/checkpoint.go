@@ -37,8 +37,8 @@ func (s *shard) quiesceLocked() {
 // holds the queue lock for the duration (new ingests wait) and the
 // processing lock (synchronous ProcessBatch callers wait), so the
 // detector state and the queue counters are captured at one consistent
-// instant; the detector's own Snapshot additionally waits out any
-// in-flight background refit through its refit gate.
+// instant; the detector's own Snapshot additionally waits out an
+// explicit Refit in flight through its refit gate.
 func (m *Monitor) checkpointShard(s *shard, w io.Writer) error {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()

@@ -6,10 +6,10 @@
 // core.ViewDetector — the windowed subspace method, the incremental
 // covariance-tracking variant, the multiscale wavelet detector, the
 // multi-metric voter, the forecast baselines, or the hybrid — so
-// heterogeneous backends run side by side in one pool. Every backend is
-// non-blocking by contract: detection inside a shard runs against an
-// atomically swapped model, so a model refit in one view never stalls
-// ingestion in any view. The batched hot path tests a whole bins x
+// heterogeneous backends run side by side in one pool. A model refit
+// runs on the worker that owns its view, after the batch's alarms are
+// out (ViewDetector.Settle), so it delays that view's next batch and no
+// other view's. The batched hot path tests a whole bins x
 // links block in one matrix pass, which is what makes the engine's
 // per-bin cost a fraction of the serial per-vector loop.
 //
@@ -129,8 +129,9 @@ type Config struct {
 	// Window is the per-shard sliding window, in bins (the paper fits on
 	// 1008); 0 uses each view's full seeding history.
 	Window int
-	// RefitEvery triggers a background model refit in a shard after this
-	// many processed bins; 0 disables automatic refits.
+	// RefitEvery refits a shard's model after this many processed bins,
+	// on its worker once the batch's alarms are out; 0 disables
+	// automatic refits.
 	RefitEvery int
 	// Options configure each shard's diagnoser.
 	Options core.Options
@@ -457,14 +458,13 @@ func (m *Monitor) worker() {
 		}
 		s.delivered.Store(batchEnd)
 		// The alarms are out: now do the model upkeep the detector put
-		// off, still while this worker owns the shard.
-		if st, ok := s.det.(settler); ok {
-			s.procMu.Lock()
-			err := st.Settle()
-			s.procMu.Unlock()
-			if err != nil {
-				s.recordErr(err)
-			}
+		// off — a due refit included — still while this worker owns the
+		// shard.
+		s.procMu.Lock()
+		err = s.det.Settle()
+		s.procMu.Unlock()
+		if err != nil {
+			s.recordErr(err)
 		}
 
 		// Hand the shard back: re-ready it if more batches arrived,
@@ -482,14 +482,6 @@ func (m *Monitor) worker() {
 		}
 		m.donePending()
 	}
-}
-
-// settler is a detector that can defer part of ProcessBatch's model
-// upkeep until its alarms are delivered (core.OnlineDetector's
-// covariance fold). The worker calls Settle after a batch's last alarm
-// is emitted and before it hands the shard back.
-type settler interface {
-	Settle() error
 }
 
 // readyShard puts an owned shard (back) on the dispatch list and wakes a
@@ -815,10 +807,10 @@ func (m *Monitor) ingestBinaryPooled(s *shard, dec *netmeas.BinaryDecoder, pool 
 // the caller's goroutine (bypassing the queue and its MaxPending bound —
 // it may jump ahead of batches still queued by Ingest, though it never
 // interleaves with them mid-batch) and returns the raised alarms, which
-// are also delivered to OnAlarm/TakeAlarms. The batch's alarms are
-// returned even when err is non-nil: the detector reports deferred
-// background-refit failures alongside valid detections, and dropping
-// the detections would lose real anomalies.
+// are also delivered to OnAlarm/TakeAlarms; then the detector settles,
+// as it does after a queued batch. The batch's alarms are returned even
+// when err is non-nil: a failed refit reports alongside valid
+// detections, and dropping the detections would lose real anomalies.
 func (m *Monitor) ProcessBatch(view string, batch *mat.Dense) ([]Alarm, error) {
 	s, err := m.lookup(view)
 	if err != nil {
@@ -832,6 +824,9 @@ func (m *Monitor) ProcessBatch(view string, batch *mat.Dense) ([]Alarm, error) {
 		out[i] = Alarm{View: view, Alarm: a}
 		m.emit(out[i])
 	}
+	s.procMu.Lock()
+	err = errors.Join(err, s.det.Settle())
+	s.procMu.Unlock()
 	if err != nil {
 		err = fmt.Errorf("engine: view %q: %w", view, err)
 	}
@@ -875,23 +870,10 @@ func (m *Monitor) snapshotShards() []*shard {
 	return shards
 }
 
-// drainRefits waits out every in-flight background refit. It must run
-// only after the queued work that could spawn refits has been processed
-// (waitPending), so no new fit can start between the per-shard waits.
-func (m *Monitor) drainRefits() {
-	for _, s := range m.snapshotShards() {
-		s.det.WaitRefits()
-	}
-}
-
-// Flush blocks until every queued batch has been processed and every
-// background refit launched so far has completed. Ingest may continue
-// from other goroutines, in which case Flush covers at least the work
-// queued before the call.
-func (m *Monitor) Flush() {
-	m.waitPending()
-	m.drainRefits()
-}
+// Flush blocks until every queued batch has been processed and settled,
+// refits included. Ingest may continue from other goroutines, in which
+// case Flush covers at least the work queued before the call.
+func (m *Monitor) Flush() { m.waitPending() }
 
 // TakeAlarms returns the alarms accumulated since the last call and
 // clears the buffer. Only used when Config.OnAlarm is nil.
@@ -903,18 +885,12 @@ func (m *Monitor) TakeAlarms() []Alarm {
 	return out
 }
 
-// Errs returns every deferred error recorded so far (failed background
-// refits, mis-sized batches discovered at processing time), oldest
-// first. It also harvests any refit failure still parked inside a
-// detector — e.g. one triggered by the final batch, which no later
-// Process call would ever surface — so call it after Flush or Close to
-// get the complete picture.
+// Errs returns every error the workers recorded so far (failed refits,
+// mis-sized batches discovered at processing time), oldest first. Call
+// it after Flush or Close to get the complete picture.
 func (m *Monitor) Errs() []error {
 	var out []error
 	for _, s := range m.snapshotShards() {
-		if err := s.det.TakeRefitError(); err != nil {
-			s.recordErr(err)
-		}
 		s.errMu.Lock()
 		out = append(out, s.errs...)
 		s.errMu.Unlock()
@@ -999,12 +975,11 @@ func (m *Monitor) Stats() Stats {
 	return st
 }
 
-// Close drains the queues, stops the workers (Stats.Workers drops to 0),
-// and waits out every in-flight background refit — including one
-// triggered by the final batch — so no goroutine outlives Close. A refit that
-// fails while Close drains keeps its error parked in the detector; call
-// Errs after Close to harvest it (Close cannot deliver it to anyone).
-// After Close, Ingest and ProcessBatch fail; statistics accessors keep
+// Close drains the queues — each batch settled, so the refit the final
+// batch made due has run — and stops the workers (Stats.Workers drops
+// to 0). A refit that fails while Close drains records its error; call
+// Errs after Close to see it (Close cannot deliver it to anyone). After
+// Close, Ingest and ProcessBatch fail; statistics accessors keep
 // working.
 //
 // Close is safe to call concurrently with Ingest and IngestStream: a
@@ -1029,5 +1004,4 @@ func (m *Monitor) Close() {
 	m.dispatch.Broadcast()
 	m.dispatchMu.Unlock()
 	m.workers.Wait()
-	m.drainRefits()
 }

@@ -259,8 +259,8 @@ func TestMonitorMixedIngestAndProcessBatch(t *testing.T) {
 
 func TestMonitorFinalBatchRefitFailureReachesErrs(t *testing.T) {
 	// Drive a view's window degenerate with a batch of identical rows so
-	// the background refit triggered by the final batch fails; nothing
-	// is processed afterwards, so only Errs' harvest can surface it.
+	// the refit the final batch makes due fails; nothing is processed
+	// afterwards, so only the worker's Settle can surface it.
 	const bins, links = 40, 6
 	history := mat.Zeros(bins, links)
 	for i := 0; i < bins; i++ {
@@ -282,11 +282,12 @@ func TestMonitorFinalBatchRefitFailureReachesErrs(t *testing.T) {
 	}
 	m.Flush()
 	if errs := m.Errs(); len(errs) != 1 {
-		t.Fatalf("final-batch refit failure not harvested: %v", errs)
+		t.Fatalf("final-batch refit failure not recorded: %v", errs)
 	}
-	// Harvesting clears it; a second call reports nothing new.
+	// Errs reads the record without clearing it, and the failure is in
+	// it exactly once.
 	if errs := m.Errs(); len(errs) != 1 {
-		t.Fatalf("harvested error not retained exactly once: %v", errs)
+		t.Fatalf("recorded error not retained exactly once: %v", errs)
 	}
 	m.Close()
 }
@@ -350,8 +351,8 @@ func TestMonitorErrors(t *testing.T) {
 }
 
 // TestMonitorErrsAndTakeAlarmsDrainRace is the drain-path interleaving
-// table: two live IngestStream producers — one whose view's background
-// refits deterministically fail, one raising an alarm per bin — race a
+// table: two live IngestStream producers — one whose view's refits
+// deterministically fail, one raising an alarm per bin — race a
 // mid-burst Close under every overload policy. Required afterwards, in
 // any interleaving (run under -race in CI): Close and both producers
 // return (no deadlock), producer errors are only the documented kinds,

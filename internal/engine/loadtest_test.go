@@ -10,15 +10,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"netanomaly/internal/core"
-	"netanomaly/internal/forecast"
 	"netanomaly/internal/mat"
 )
 
@@ -65,8 +62,7 @@ func (d *loadDetector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 }
 
 func (d *loadDetector) Refit() error             { return nil }
-func (d *loadDetector) WaitRefits()              {}
-func (d *loadDetector) TakeRefitError() error    { return nil }
+func (d *loadDetector) Settle() error            { return nil }
 func (d *loadDetector) Snapshot(io.Writer) error { return nil }
 func (d *loadDetector) Restore(io.Reader) error  { return nil }
 
@@ -410,35 +406,29 @@ func TestLoadNoLostAlarmsOnCloseMidBurst(t *testing.T) {
 }
 
 // TestLoadCloseDuringRefitUnderOverload composes the worst case: a
-// bounded queue under Block backpressure, a background refit held in
-// flight, and Close racing a still-bursting producer. Close must wait
-// out both the drain and the refit, nothing may deadlock, and no
-// goroutine may outlive it. Run under -race in CI.
+// bounded queue under Block backpressure, a refit falling due on every
+// chunk and failing on the worker, and Close racing a still-bursting
+// producer. Nothing may deadlock, Close must drain every accepted bin
+// and settle it, and every refit failure must reach Errs after Close:
+// the refits that ran and the failures recorded add up to one per
+// RefitEvery accepted bins. Run under -race in CI.
 func TestLoadCloseDuringRefitUnderOverload(t *testing.T) {
-	const bins, links = 64, 4
-	history := mat.Zeros(bins, links)
+	const bins, links, every = 48, 4, 16
+	history := smallPatternHistory(bins, links)
+	// A constant continuation drives the window degenerate, so once it
+	// fills the window every refit fails.
+	constant := mat.Zeros(bins, links)
 	for i := 0; i < bins; i++ {
-		for j := 0; j < links; j++ {
-			history.Set(i, j, 1e6*(1+0.3*math.Sin(float64(i)/9+float64(j))))
-		}
+		constant.SetRow(i, history.ColMeans())
 	}
-	det, err := forecast.NewDetector(history, forecast.Config{Kind: forecast.EWMA, Alpha: 0.3, RefitEvery: 16})
+	det, err := seeded(core.NewOnlineDetector(mat.Identity(links), core.OnlineConfig{Window: bins, RefitEvery: every}))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	det.SetRefitHook(func() {
-		once.Do(func() { close(started) })
-		<-release
-	})
-
-	goroutinesBefore := runtime.NumGoroutine()
 	m := NewMonitor(Config{
 		Workers:    1,
-		BatchSize:  16,
-		MaxPending: 32,
+		BatchSize:  every,
+		MaxPending: 2 * every,
 		Overload:   OverloadBlock,
 	})
 	if err := m.AddDetectorView("v", det); err != nil {
@@ -448,12 +438,14 @@ func TestLoadCloseDuringRefitUnderOverload(t *testing.T) {
 	go func() {
 		defer close(prodDone)
 		for i := 0; i < 12; i++ {
-			if err := m.Ingest("v", history); err != nil {
+			if err := m.Ingest("v", constant); err != nil {
 				return // monitor closed mid-burst: expected
 			}
 		}
 	}()
-	<-started // a background refit is in flight and held open
+	for det.Stats().Processed < 4*bins {
+		time.Sleep(time.Millisecond)
+	}
 
 	closed := make(chan struct{})
 	go func() {
@@ -462,29 +454,30 @@ func TestLoadCloseDuringRefitUnderOverload(t *testing.T) {
 	}()
 	select {
 	case <-closed:
-		t.Fatal("Close returned while a refit was still held open")
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(release)
-	select {
-	case <-closed:
 	case <-time.After(30 * time.Second):
-		t.Fatal("Close deadlocked with refit in flight under overload")
+		t.Fatal("Close deadlocked with refits falling due under overload")
 	}
 	select {
 	case <-prodDone:
 	case <-time.After(30 * time.Second):
 		t.Fatal("producer deadlocked against the closed monitor")
 	}
-	if errs := m.Errs(); len(errs) != 0 {
-		t.Fatalf("clean run left errors: %v", errs)
+	qs, err := m.QueueStats("v")
+	if err != nil {
+		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > goroutinesBefore {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked across Close: %d before, %d after", goroutinesBefore, runtime.NumGoroutine())
+	stats := det.Stats()
+	if int64(stats.Processed) != qs.EnqueuedBins || qs.QueuedBins != 0 {
+		t.Fatalf("after Close: processed %d, queue %+v", stats.Processed, qs)
+	}
+	errs := m.Errs()
+	for _, err := range errs {
+		if !strings.Contains(err.Error(), " refit: ") {
+			t.Fatalf("non-refit error recorded: %v", err)
 		}
-		time.Sleep(10 * time.Millisecond)
+	}
+	if len(errs) == 0 || stats.Refits+len(errs) != stats.Processed/every {
+		t.Fatalf("%d refits and %d recorded failures over %d bins, want one of either per %d", stats.Refits, len(errs), stats.Processed, every)
 	}
 }
 

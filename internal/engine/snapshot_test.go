@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"netanomaly/internal/mat"
 	"netanomaly/internal/snaptest"
 	"netanomaly/internal/topology"
+	"netanomaly/internal/traffic"
 )
 
 // halves splits a fixture stream into its two 64-bin halves.
@@ -592,73 +594,156 @@ func TestRetiredHybridCheckpointRejected(t *testing.T) {
 	}
 }
 
-// TestCheckpointDuringRefit pins the satellite fix: a checkpoint taken
-// while a background refit is in flight must wait the refit out through
-// the detector's refit gate — it may neither deadlock nor serialize a
-// half-swapped model. Run under -race in CI.
+// TestCheckpointDuringRefit pins checkpoints against concurrent fits:
+// explicit Refits racing CheckpointView must neither deadlock nor let a
+// checkpoint serialize a half-swapped model — every envelope restores
+// into a fresh view, carrying a refit count the race could have
+// produced. Run under -race in CI.
 func TestCheckpointDuringRefit(t *testing.T) {
-	const bins, links = 40, 6
+	const bins, links, refits = 40, 6, 8
 	history := smallPatternHistory(bins, links)
-	det, err := seeded(core.NewOnlineDetector(mat.Identity(links), core.OnlineConfig{Window: bins, RefitEvery: bins}))(history)
-	if err != nil {
-		t.Fatal(err)
+	build := func() *core.OnlineDetector {
+		det, err := seeded(core.NewOnlineDetector(mat.Identity(links), core.OnlineConfig{Window: bins, RefitEvery: bins}))(history)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return det
 	}
-	started := make(chan struct{})
-	release := make(chan struct{})
-	det.SetRefitHook(func() {
-		close(started)
-		<-release
-	})
-
+	det := build()
 	m := NewMonitor(Config{Workers: 1, BatchSize: bins})
 	defer m.Close()
 	if err := m.AddDetectorView("v", det); err != nil {
 		t.Fatal(err)
 	}
 	// Re-ingesting the history pattern keeps the window non-degenerate,
-	// so the triggered refit succeeds while the hook holds it open.
+	// so every refit succeeds; the ingest makes one due, which the worker
+	// runs.
 	if err := m.Ingest("v", history); err != nil {
 		t.Fatal(err)
 	}
-	<-started
+	m.Flush()
 
-	var ckpt bytes.Buffer
-	snapped := make(chan error, 1)
-	go func() { snapped <- m.CheckpointView("v", &ckpt) }()
-	select {
-	case err := <-snapped:
-		t.Fatalf("checkpoint completed while the refit was still swapping (err=%v)", err)
-	case <-time.After(50 * time.Millisecond):
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < refits; i++ {
+			if err := det.Refit(); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	var ckpts [][]byte
+	for i := 0; i < refits; i++ {
+		var ckpt bytes.Buffer
+		if err := m.CheckpointView("v", &ckpt); err != nil {
+			t.Fatal(err)
+		}
+		ckpts = append(ckpts, ckpt.Bytes())
 	}
-	close(release)
 	select {
-	case err := <-snapped:
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("explicit refits deadlocked against checkpoints")
+	}
+
+	for _, ckpt := range ckpts {
+		mb := NewMonitor(Config{Workers: 1, BatchSize: bins})
+		if err := mb.AddDetectorView("v", build()); err != nil {
+			t.Fatal(err)
+		}
+		if err := mb.RestoreView("v", bytes.NewReader(ckpt)); err != nil {
+			t.Fatal(err)
+		}
+		stats, err := mb.ViewStats("v")
+		mb.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("checkpoint deadlocked against the background refit")
+		if stats.Processed != bins || stats.Refits < 1 || stats.Refits > 1+refits {
+			t.Fatalf("restored view stats %+v, want processed %d and 1 to %d refits", stats, bins, 1+refits)
+		}
 	}
+}
 
-	// The envelope serialized the post-refit state: restoring it into a
-	// fresh same-construction view must succeed and carry the refit.
-	fresh, err := seeded(core.NewOnlineDetector(mat.Identity(links), core.OnlineConfig{Window: bins, RefitEvery: bins}))(history)
+// TestMonitorRefitRunsRepeat: refits run on the worker, between one
+// batch and the next, so a Monitor with a worker pool and refits on is
+// deterministic — the same stream run twice raises the same alarms,
+// counts the same refits (exactly one per RefitEvery bins) and
+// checkpoints every view to the same bytes.
+func TestMonitorRefitRunsRepeat(t *testing.T) {
+	const historyBins, streamBins, every = 1024, 512, 64
+	topo := topology.Abilene()
+	cfg := traffic.DefaultConfig(44)
+	cfg.Bins = historyBins + streamBins
+	gen, err := traffic.NewGenerator(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb := NewMonitor(Config{Workers: 1, BatchSize: bins})
-	defer mb.Close()
-	if err := mb.AddDetectorView("v", fresh); err != nil {
-		t.Fatal(err)
+	od := gen.Generate()
+	for i, b := range []int{60, 200, 330, 450} {
+		od.Set(historyBins+b, 11+13*i, od.At(historyBins+b, 11+13*i)+1.5e8)
 	}
-	if err := mb.RestoreView("v", bytes.NewReader(ckpt.Bytes())); err != nil {
-		t.Fatal(err)
+	y := traffic.LinkLoads(topo, od)
+	links := topo.NumLinks()
+	history := mat.NewDense(historyBins, links, y.RawData()[:historyBins*links])
+	stream := mat.NewDense(streamBins, links, y.RawData()[historyBins*links:])
+	kinds := []string{"subspace", "sketch", "ewma", "hybrid", "multiscale"}
+
+	type result struct {
+		alarms []Alarm
+		refits map[string]int
+		ckpts  map[string][]byte
 	}
-	stats, err := mb.ViewStats("v")
-	if err != nil {
-		t.Fatal(err)
+	run := func() result {
+		m := NewMonitor(Config{Workers: 4, BatchSize: 16})
+		defer m.Close()
+		for _, kind := range kinds {
+			det, err := backend.Build(backend.Spec{Kind: kind, RefitEvery: every}, history, topo.RoutingMatrix())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.AddDetectorView(kind, det); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, kind := range kinds {
+			if err := m.Ingest(kind, stream); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Flush()
+		if errs := m.Errs(); len(errs) != 0 {
+			t.Fatalf("errors: %v", errs)
+		}
+		r := result{alarms: m.TakeAlarms(), refits: map[string]int{}, ckpts: map[string][]byte{}}
+		sort.SliceStable(r.alarms, func(i, j int) bool { return r.alarms[i].View < r.alarms[j].View })
+		for _, kind := range kinds {
+			stats, err := m.ViewStats(kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Refits != stats.Processed/every {
+				t.Fatalf("view %s: %d refits over %d bins, want one per %d", kind, stats.Refits, stats.Processed, every)
+			}
+			r.refits[kind] = stats.Refits
+			var ckpt bytes.Buffer
+			if err := m.CheckpointView(kind, &ckpt); err != nil {
+				t.Fatal(err)
+			}
+			r.ckpts[kind] = ckpt.Bytes()
+		}
+		return r
 	}
-	if stats.Processed != bins || stats.Refits != 1 {
-		t.Fatalf("restored view stats %+v, want processed %d and 1 refit", stats, bins)
+	first, second := run(), run()
+	if len(first.alarms) == 0 || !reflect.DeepEqual(first.alarms, second.alarms) {
+		t.Fatalf("runs raised %d and %d alarms, want the same non-empty stream", len(first.alarms), len(second.alarms))
+	}
+	if !reflect.DeepEqual(first.refits, second.refits) {
+		t.Fatalf("refit counts %v, then %v", first.refits, second.refits)
+	}
+	for _, kind := range kinds {
+		if !bytes.Equal(first.ckpts[kind], second.ckpts[kind]) {
+			t.Fatalf("view %s checkpoints to different bytes on a second run", kind)
+		}
 	}
 }

@@ -168,8 +168,8 @@ func runScenario(topo *topology.Topology, sc traffic.Scenario, cfg ScorecardConf
 	routing := topo.RoutingMatrix()
 	cells := make([]ScorecardCell, 0, len(backend.Kinds))
 	for _, kind := range backend.Kinds {
-		// Automatic refits stay off: scorecard runs must be
-		// deterministic, so no background refit may race the stream.
+		// Automatic refits stay off: the committed baseline was
+		// measured without them.
 		// Multiscale runs two wavelet levels, the depth the committed
 		// baseline was measured at.
 		spec := backend.Spec{Kind: kind, Window: cfg.HistoryBins, Levels: 2}

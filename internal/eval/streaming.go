@@ -117,7 +117,7 @@ type LabeledBin = traffic.LabeledBin
 
 // EvaluateStreamingFlows replays the measurement stream (bins x links)
 // through any streaming backend in batchSize chunks — the engine's
-// ingest pattern, without the worker pool — waits out background refits,
+// ingest pattern, without the worker pool — settles the detector once,
 // and scores the raised alarms against the labeled truth (bins index
 // into the stream). The detector may have processed bins before; alarm
 // sequence numbers are rebased to the stream. This is how the paper's
@@ -168,8 +168,7 @@ func EvaluateStreamingAlarms(det core.ViewDetector, stream *mat.Dense, batchSize
 			raised = append(raised, a)
 		}
 	}
-	det.WaitRefits()
-	if err := det.TakeRefitError(); err != nil {
+	if err := det.Settle(); err != nil {
 		return StreamResult{}, nil, fmt.Errorf("eval: streaming %s refit: %w", det.Stats().Backend, err)
 	}
 	return ScoreAlarmFlows(det.Stats().Backend, flagged, truth, bins), raised, nil

@@ -26,7 +26,7 @@ type scriptedDetector struct {
 	links     int
 	processed int
 	alarmAt   func(seq int) (core.Diagnosis, bool)
-	deferred  error
+	settleErr error
 }
 
 func (s *scriptedDetector) Seed(*mat.Dense) error { return nil }
@@ -46,14 +46,9 @@ func (s *scriptedDetector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 }
 
 func (s *scriptedDetector) Refit() error             { return nil }
-func (s *scriptedDetector) WaitRefits()              {}
+func (s *scriptedDetector) Settle() error            { return s.settleErr }
 func (s *scriptedDetector) Snapshot(io.Writer) error { return nil }
 func (s *scriptedDetector) Restore(io.Reader) error  { return nil }
-func (s *scriptedDetector) TakeRefitError() error {
-	err := s.deferred
-	s.deferred = nil
-	return err
-}
 func (s *scriptedDetector) Stats() core.ViewStats {
 	return core.ViewStats{Backend: "scripted", Links: s.links, Processed: s.processed}
 }
@@ -235,12 +230,12 @@ func TestScoreAlarmFlowsTruthPastStreamEnd(t *testing.T) {
 }
 
 // TestEvaluateStreamingSurfacesDeferredRefitError pins the final
-// WaitRefits/TakeRefitError sweep: a refit failure parked after the
-// last batch (which no later ProcessBatch would report) must fail the
-// evaluation rather than silently score.
+// Settle: a refit the last batch made due (which no later ProcessBatch
+// would run) that fails must fail the evaluation rather than silently
+// score.
 func TestEvaluateStreamingSurfacesDeferredRefitError(t *testing.T) {
 	const bins, links = 8, 2
-	det := &scriptedDetector{links: links, alarmAt: never, deferred: errors.New("stale-window")}
+	det := &scriptedDetector{links: links, alarmAt: never, settleErr: errors.New("stale-window")}
 	_, err := EvaluateStreamingFlows(det, mat.Zeros(bins, links), 4, nil)
 	if err == nil || !strings.Contains(err.Error(), "stale-window") {
 		t.Fatalf("deferred refit error not surfaced: %v", err)

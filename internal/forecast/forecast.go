@@ -15,8 +15,8 @@
 //   - holtwinters: double exponential smoothing (level + trend), the
 //     same recursion as timeseries.HoltWinters run incrementally.
 //   - fourier: least-squares fit of the paper's eight-period sinusoid
-//     basis on a window snapshot, refit in the background with the
-//     shared refit policy (core.RefitGate); prediction extrapolates the
+//     basis on a window snapshot, refitted under the shared refit
+//     policy (core.RefitGate); prediction extrapolates the
 //     fitted basis to the current absolute bin, so phase is preserved
 //     across refits.
 //
@@ -82,9 +82,10 @@ type Config struct {
 	// Window is the number of recent non-anomalous bins retained for
 	// refits; 0 retains as many as the seed history.
 	Window int
-	// RefitEvery schedules a background refit (threshold re-estimation,
-	// plus a basis refit for the Fourier kind) after this many processed
-	// bins; 0 disables automatic refits.
+	// RefitEvery marks a refit (threshold re-estimation, plus a basis
+	// refit for the Fourier kind) due after this many processed bins,
+	// which Settle (or else the next ProcessBatch) runs; 0 disables
+	// automatic refits.
 	RefitEvery int
 }
 
@@ -143,10 +144,10 @@ type seedState struct {
 }
 
 // Detector is a streaming per-link forecasting detector satisfying
-// core.ViewDetector: one ProcessBatch caller at a time (the engine's
-// per-shard FIFO guarantees it), with Refit/Seed/WaitRefits/
-// TakeRefitError/Stats callable concurrently; fits run under
-// core.RefitGate.
+// core.ViewDetector: one ProcessBatch or Settle caller at a time (the
+// engine's per-shard FIFO guarantees it), with Refit/Seed/Stats callable
+// concurrently; fits run under core.RefitGate, and the automatic refit
+// the cadence marks due runs in Settle.
 type Detector struct {
 	kind     Kind
 	k, adapt float64
@@ -244,16 +245,12 @@ func (d *Detector) minSeedBins() int {
 	return 8
 }
 
-// SetRefitHook installs a function that runs inside every background
-// refit goroutine before fitting begins; tests use it to hold a refit
-// open. Call before streaming starts.
-func (d *Detector) SetRefitHook(h func()) { d.gate.SetHook(h) }
-
 // seedState builds the complete detector state from a history block off
 // to the side: per-link smoothing gains (grid-searched when alphaCfg is
 // 0 and the kind is EWMA), warmed forecaster state, residual statistics,
 // and a filled window. start is the absolute bin index of the first
-// history row; capacity sizes the refit window.
+// history row; capacity sizes the refit window. A history with a NaN or
+// ±Inf load is refused: it would leave that link's threshold NaN.
 func (d *Detector) seedState(history *mat.Dense, start, capacity int, alphaCfg float64) (*seedState, error) {
 	t, links := history.Dims()
 	if links != d.links {
@@ -261,6 +258,11 @@ func (d *Detector) seedState(history *mat.Dense, start, capacity int, alphaCfg f
 	}
 	if min := d.minSeedBins(); t < min {
 		return nil, fmt.Errorf("forecast: %s seed needs at least %d bins, have %d", d.kind, min, t)
+	}
+	for i, v := range history.RawData() {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("forecast: %w: seed history bin %d, link %d", core.ErrNonFinite, i/links, i%links)
+		}
 	}
 	st := &seedState{
 		alpha:  make([]float64, links),
@@ -463,10 +465,11 @@ func nonFinite(seq int) error {
 
 // ProcessBatch tests a block of measurements (bins x links) against the
 // per-link forecasts, updates forecaster state and rolling thresholds
-// with the non-anomalous bins, and schedules a background refit when the
-// interval has elapsed. Alarms carry sequence numbers continuing the
-// per-detector count; a deferred refit failure is reported alongside the
-// batch's detections. A bin with a NaN or ±Inf load raises no alarm and
+// with the non-anomalous bins, and marks a refit due when the interval
+// has elapsed. Alarms carry sequence numbers continuing the per-detector
+// count. A batch that finds a refit still due runs it first, before it
+// is tested, and reports its failure alongside the batch's detections.
+// A bin with a NaN or ±Inf load raises no alarm and
 // stays out of the forecasters, the thresholds and the refit window; it
 // is reported as core.ErrNonFinite, naming the first such bin, and the
 // batch's other bins are tested and absorbed as usual.
@@ -475,6 +478,7 @@ func (d *Detector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 	if n != d.links {
 		return nil, fmt.Errorf("forecast: batch has %d links, detector expects %d", n, d.links)
 	}
+	err := d.Settle()
 	// One scan clears the whole batch; only a batch that fails it checks
 	// bin by bin.
 	finite := mat.AllFinite(y.RawData())
@@ -596,16 +600,9 @@ func (d *Detector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 		}
 		d.clock++
 	}
-	err := d.gate.TakeErrorLocked()
-	var refit core.Refit
-	if d.gate.DueLocked(bins, true) {
-		refit = d.refitLocked()
-	}
+	d.gate.DueLocked(bins, true)
 	d.mu.Unlock()
 
-	if refit != nil {
-		d.gate.Go(refit)
-	}
 	if bad >= 0 {
 		err = errors.Join(nonFinite(base+bad), err)
 	}
@@ -732,12 +729,9 @@ func (d *Detector) Seed(history *mat.Dense) error {
 	})
 }
 
-// WaitRefits blocks until no fit is in flight.
-func (d *Detector) WaitRefits() { d.gate.Wait() }
-
-// TakeRefitError returns and clears the deferred error from the last
-// failed background refit, if any.
-func (d *Detector) TakeRefitError() error { return d.gate.TakeError() }
+// Settle runs the refit the cadence marked due, if any, and returns its
+// error.
+func (d *Detector) Settle() error { return d.gate.Settle(d.refitLocked) }
 
 // Stats reports the detector's current state. Rank is 0: forecast
 // backends model links independently and have no subspace dimension.
@@ -769,8 +763,12 @@ func snapshotKind(k Kind) byte {
 // Snapshot serializes the per-link forecaster recursions (gains, level,
 // trend, fitted Fourier basis), the adaptive threshold statistics, the
 // alarm-run counters, the refit window with its bin-time ring, and the
-// absolute clock that keeps the Fourier phase aligned.
+// absolute clock that keeps the Fourier phase aligned. It settles first;
+// a failed refit is returned and nothing is written.
 func (d *Detector) Snapshot(w io.Writer) error {
+	if err := d.Settle(); err != nil {
+		return err
+	}
 	return d.gate.Quiesced(func() error {
 		return core.EncodeSnapshot(w, snapshotKind(d.kind), func(sw *core.SnapshotWriter) {
 			sw.Int(d.links)

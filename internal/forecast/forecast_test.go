@@ -2,6 +2,7 @@ package forecast
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -224,8 +225,7 @@ func TestFourierPhaseSurvivesRefit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det.WaitRefits()
-	if err := det.TakeRefitError(); err != nil {
+	if err := det.Settle(); err != nil {
 		t.Fatal(err)
 	}
 	if det.Stats().Refits == 0 {
@@ -328,8 +328,7 @@ func TestPersistentLevelShiftReconverges(t *testing.T) {
 	for _, kind := range kinds() {
 		// The small window lets refits adopt the shifted regime quickly —
 		// the Fourier kind's recovery path runs through the refit, so the
-		// stream goes in chunks with each scheduled refit waited out
-		// (deterministic; a real deployment just sees it a little later).
+		// stream goes in chunks, each due refit settled before the next.
 		det, err := NewDetector(history, Config{Kind: kind, Alpha: alphaFor(kind), RefitEvery: 32, Window: 128})
 		if err != nil {
 			t.Fatal(err)
@@ -343,10 +342,9 @@ func TestPersistentLevelShiftReconverges(t *testing.T) {
 				t.Fatal(err)
 			}
 			alarms = append(alarms, got...)
-			det.WaitRefits()
-		}
-		if err := det.TakeRefitError(); err != nil {
-			t.Fatal(err)
+			if err := det.Settle(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		last := -1
 		for _, a := range alarms {
@@ -451,7 +449,6 @@ func TestRefitConcurrentWithProcessing(t *testing.T) {
 			default:
 				_ = det.Refit()
 				_ = det.Stats()
-				det.WaitRefits()
 			}
 		}
 	}()
@@ -464,8 +461,7 @@ func TestRefitConcurrentWithProcessing(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	det.WaitRefits()
-	if err := det.TakeRefitError(); err != nil {
+	if err := det.Settle(); err != nil {
 		t.Fatal(err)
 	}
 	if got := det.Stats().Processed; got != 640 {
@@ -589,6 +585,38 @@ func TestNonFiniteBinWithheldEveryKind(t *testing.T) {
 				t.Fatalf("spike on link 0 after its NaN bin not flagged; alarms %+v", alarms)
 			}
 		})
+	}
+}
+
+// TestSeedRefusesNonFiniteHistory: a NaN or ±Inf load in a seed history
+// would leave that link's threshold NaN — a link that can never alarm.
+// Every kind refuses it, naming the bin and the link, and a refused
+// re-seed leaves the detector as it was.
+func TestSeedRefusesNonFiniteHistory(t *testing.T) {
+	for _, kind := range kinds() {
+		for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+			t.Run(fmt.Sprintf("%s/%v", kind, bad), func(t *testing.T) {
+				history := synthSeries(1008, 8, 7, 0.02)
+				history.Set(100, 3, bad)
+				_, err := NewDetector(history, Config{Kind: kind})
+				if !errors.Is(err, core.ErrNonFinite) || !strings.Contains(err.Error(), "bin 100, link 3") {
+					t.Fatalf("seed on a history with a %v load: got %v, want ErrNonFinite naming bin 100, link 3", bad, err)
+				}
+				det, err := NewDetector(synthSeries(1008, 8, 7, 0.02), Config{Kind: kind})
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := det.Thresholds()
+				if err := det.Seed(history); !errors.Is(err, core.ErrNonFinite) {
+					t.Fatalf("re-seed on a history with a %v load: got %v, want ErrNonFinite", bad, err)
+				}
+				for l, thr := range det.Thresholds() {
+					if thr != before[l] {
+						t.Fatalf("refused re-seed moved link %d's threshold from %v to %v", l, before[l], thr)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -40,7 +40,7 @@ type MultiMetricConfig struct {
 // anomaly reports bytes while a scan that only moves flow counts
 // reports the flow-count residual (Bytes is then in that metric's
 // units). Each sub-detector inherits OnlineDetector's concurrency
-// story: lock-free detection, background refits, atomic model swaps.
+// story: lock-free detection, refits in Settle, atomic model swaps.
 type MultiMetricDetector struct {
 	names    []string
 	linksPer int
@@ -104,8 +104,9 @@ func (d *MultiMetricDetector) Metrics() []string { return append([]string(nil), 
 
 // ProcessBatch splits the stacked batch (bins x len(Metrics)*links) into
 // its metric blocks, runs each through its subspace detector, and emits
-// one alarm per bin that any metric flagged. Deferred
-// refit errors from any metric are reported alongside the detections.
+// one alarm per bin that any metric flagged. Errors from any metric —
+// a non-finite bin, a pending refit that failed — name the metric and
+// are reported alongside the detections.
 func (d *MultiMetricDetector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 	bins, cols := y.Dims()
 	if cols != len(d.names)*d.linksPer {
@@ -158,19 +159,12 @@ func (d *MultiMetricDetector) Refit() error {
 	return errors.Join(errs...)
 }
 
-// WaitRefits blocks until no metric has a model fit in flight.
-func (d *MultiMetricDetector) WaitRefits() {
-	for _, sub := range d.dets {
-		sub.WaitRefits()
-	}
-}
-
-// TakeRefitError returns and clears the deferred refit errors across
-// all metrics, if any.
-func (d *MultiMetricDetector) TakeRefitError() error {
+// Settle settles every metric's detector, in metric order, and returns
+// their failures joined.
+func (d *MultiMetricDetector) Settle() error {
 	var errs []error
 	for j, sub := range d.dets {
-		if err := sub.TakeRefitError(); err != nil {
+		if err := sub.Settle(); err != nil {
 			errs = append(errs, fmt.Errorf("netmeas: metric %q: %w", d.names[j], err))
 		}
 	}
@@ -178,9 +172,9 @@ func (d *MultiMetricDetector) TakeRefitError() error {
 }
 
 // Snapshot serializes every metric's subspace detector state as nested
-// envelopes inside one multiflow envelope. Each sub-detector quiesces
-// its own refits, so the composite never serializes a half-swapped
-// model.
+// envelopes inside one multiflow envelope. Each sub-detector settles
+// and quiesces its own refits, so the composite never serializes a
+// half-swapped model.
 func (d *MultiMetricDetector) Snapshot(w io.Writer) error {
 	return core.EncodeSnapshot(w, core.SnapKindMultiflow, func(sw *core.SnapshotWriter) {
 		sw.Int(len(d.names))

@@ -1,8 +1,13 @@
 package netmeas
 
 import (
+	"errors"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
+	"netanomaly/internal/core"
 	"netanomaly/internal/mat"
 	"netanomaly/internal/topology"
 	"netanomaly/internal/traffic"
@@ -128,8 +133,7 @@ func TestMultiMetricSeedRefitAndValidation(t *testing.T) {
 	if err := d.Refit(); err != nil {
 		t.Fatal(err)
 	}
-	d.WaitRefits()
-	if err := d.TakeRefitError(); err != nil {
+	if err := d.Settle(); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Seed(mat.Zeros(40, 7)); err == nil {
@@ -140,6 +144,45 @@ func TestMultiMetricSeedRefitAndValidation(t *testing.T) {
 	}
 	if got := d.Stats().Processed; got != stream.Rows() {
 		t.Fatalf("Seed reset processed counter to %d", got)
+	}
+}
+
+// TestMultiMetricNonFiniteBin: a NaN in one metric's block of a batch
+// is that metric's non-finite bin — reported as core.ErrNonFinite naming
+// the metric and the bin — while a scan the flow-count metric catches in
+// the same batch still alarms, and the metrics' refits stay healthy.
+func TestMultiMetricNonFiniteBin(t *testing.T) {
+	const nanBin, scanBin = 20, 40
+	history, stream, routing, _ := multiMetricFixture(t, 74, -1, scanBin)
+	d, err := seeded(NewMultiMetricDetector(routing, MultiMetricConfig{Online: core.OnlineConfig{RefitEvery: 64}}))(history)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y := mat.Zeros(64, stream.Cols())
+	copy(y.RawData(), stream.RawData())
+	y.Set(nanBin, 4, math.NaN()) // the bytes block
+	alarms, err := d.ProcessBatch(y)
+	if !errors.Is(err, core.ErrNonFinite) || !strings.Contains(err.Error(), `metric "bytes"`) || !strings.Contains(err.Error(), fmt.Sprintf("bin %d ", nanBin)) {
+		t.Fatalf("got %v, want ErrNonFinite naming metric \"bytes\" and bin %d", err, nanBin)
+	}
+	scan := false
+	for _, a := range alarms {
+		if a.Seq == nanBin {
+			t.Fatalf("NaN bin alarmed: %+v", a)
+		}
+		scan = scan || a.Seq == scanBin
+	}
+	if !scan {
+		t.Fatalf("scan at bin %d missed alongside the NaN bin; alarms %+v", scanBin, alarms)
+	}
+	if err := d.Settle(); err != nil {
+		t.Fatalf("Settle after the NaN bin: %v", err)
+	}
+	if got := d.Stats().Refits; got != 1 {
+		t.Fatalf("%d refits after 64 bins, want 1", got)
+	}
+	if err := d.Refit(); err != nil {
+		t.Fatalf("Refit after the NaN bin: %v", err)
 	}
 }
 

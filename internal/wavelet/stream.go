@@ -1,6 +1,7 @@
 package wavelet
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -23,8 +24,9 @@ type StreamConfig struct {
 	// Each scale k must retain at least as many coefficient rows as
 	// links, so Window must be at least links * 2^Levels.
 	Window int
-	// RefitEvery triggers a background refit after this many processed
-	// bins; 0 disables automatic refits.
+	// RefitEvery marks a refit due after this many processed bins, which
+	// Settle (or else the next ProcessBatch) runs; 0 disables automatic
+	// refits.
 	RefitEvery int
 }
 
@@ -93,11 +95,6 @@ func NewStreamDetector(links int, cfg StreamConfig) (*StreamDetector, error) {
 	return s, nil
 }
 
-// SetRefitHook installs a function that runs inside every background
-// refit goroutine before fitting begins; tests use it to hold a refit
-// open. Call before streaming starts.
-func (s *StreamDetector) SetRefitHook(h func()) { s.gate.SetHook(h) }
-
 // seedFit fits the per-scale models on the aligned suffix of history and
 // builds a refit window of the given capacity (0: the suffix's length)
 // holding the suffix's most recent bins.
@@ -157,12 +154,17 @@ func (s *StreamDetector) Seed(history *mat.Dense) error {
 // region as Seq (deduplicated across scales, keeping the strongest
 // exceedance); Flow is always -1. The per-block scan runs outside the
 // detector lock — like the other backends, detection never blocks a
-// concurrent Stats, Refit or WaitRefits.
+// concurrent Stats or Refit. A batch that finds a refit still due runs
+// it first, before it is tested, and reports its failure alongside the
+// batch's detections. A block with a NaN or ±Inf load raises no alarm
+// and stays out of the refit window; the batch that carries such a bin
+// reports it as core.ErrNonFinite, naming the first.
 func (s *StreamDetector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 	bins, cols := y.Dims()
 	if cols != s.links {
 		return nil, fmt.Errorf("wavelet: batch has %d links, detector expects %d", cols, s.links)
 	}
+	err := s.Settle()
 	det := s.det.Load()
 
 	// Fold rows into the pending block under the lock, copying each
@@ -173,11 +175,15 @@ func (s *StreamDetector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 		rows  *mat.Dense
 	}
 	s.mu.Lock()
-	err := s.gate.TakeErrorLocked()
 	base := s.processed
 	var blocks []block
+	bad := -1
 	for b := 0; b < bins; b++ {
-		copy(s.pending[s.pendingN*s.links:(s.pendingN+1)*s.links], y.RowView(b))
+		row := y.RowView(b)
+		if bad < 0 && !mat.AllFinite(row) {
+			bad = base + b
+		}
+		copy(s.pending[s.pendingN*s.links:(s.pendingN+1)*s.links], row)
 		s.pendingN++
 		if s.pendingN < s.span {
 			continue
@@ -193,13 +199,14 @@ func (s *StreamDetector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 	var alarms []core.Alarm
 	var clean []*mat.Dense
 	for _, blk := range blocks {
+		if !mat.AllFinite(blk.rows.RawData()) {
+			continue // such a block can be neither judged nor fitted on
+		}
 		dets, derr := det.Detect(blk.rows)
 		if derr != nil {
 			// A block sized to span is always transformable; keep the
 			// error visible rather than dropping it.
-			if err == nil {
-				err = derr
-			}
+			err = errors.Join(err, derr)
 			continue
 		}
 		if len(dets) == 0 {
@@ -237,16 +244,13 @@ func (s *StreamDetector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 			s.window.Push(raw[r*s.links : (r+1)*s.links])
 		}
 	}
-	// Every bin advances the cadence, but a refit only launches at a block
-	// boundary so it always follows fresh window rows.
-	var refit core.Refit
-	if s.gate.DueLocked(bins, len(blocks) > 0) {
-		refit = s.refitLocked()
-	}
+	// Every bin advances the cadence, but a refit only falls due at a
+	// block boundary so it always follows fresh window rows.
+	s.gate.DueLocked(bins, len(blocks) > 0)
 	s.mu.Unlock()
 
-	if refit != nil {
-		s.gate.Go(refit)
+	if bad >= 0 {
+		err = errors.Join(fmt.Errorf("wavelet: %w: bin %d withheld from the refit window", core.ErrNonFinite, bad), err)
 	}
 	return alarms, err
 }
@@ -274,9 +278,13 @@ func (s *StreamDetector) Refit() error { return s.gate.Run(s.refitLocked) }
 // Snapshot serializes the detector's portable state — the refit window,
 // the partially accumulated block, the processed-bin counters, and the
 // fitted per-scale subspace models — as one multiscale envelope. It
-// waits out any in-flight refit so the serialized models are never
+// settles first (a failed refit is returned and nothing is written) and
+// waits out any refit in flight, so the serialized models are never
 // half-swapped.
 func (s *StreamDetector) Snapshot(w io.Writer) error {
+	if err := s.Settle(); err != nil {
+		return err
+	}
 	return s.gate.Quiesced(func() error {
 		return core.EncodeSnapshot(w, core.SnapKindMultiscale, func(sw *core.SnapshotWriter) {
 			sw.Int(s.links)
@@ -347,12 +355,9 @@ func (s *StreamDetector) decode(sr *core.SnapshotReader) error {
 	return nil
 }
 
-// WaitRefits blocks until no model fit is in flight.
-func (s *StreamDetector) WaitRefits() { s.gate.Wait() }
-
-// TakeRefitError returns and clears the deferred error from the last
-// failed background refit, if any.
-func (s *StreamDetector) TakeRefitError() error { return s.gate.TakeError() }
+// Settle runs the refit the cadence marked due, if any, and returns its
+// error.
+func (s *StreamDetector) Settle() error { return s.gate.Settle(s.refitLocked) }
 
 // Stats reports the detector's current state. Rank is 0: each scale
 // keeps its own normal subspace, so no single rank is meaningful.

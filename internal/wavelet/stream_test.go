@@ -1,8 +1,13 @@
 package wavelet
 
 import (
+	"errors"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
+	"netanomaly/internal/core"
 	"netanomaly/internal/mat"
 	"netanomaly/internal/traffic"
 )
@@ -110,12 +115,11 @@ func TestStreamDetectorRefitAndSeed(t *testing.T) {
 	if _, err := sd.ProcessBatch(stream); err != nil {
 		t.Fatal(err)
 	}
-	sd.WaitRefits()
-	if err := sd.TakeRefitError(); err != nil {
+	if err := sd.Settle(); err != nil {
 		t.Fatal(err)
 	}
 	if sd.Stats().Refits == 0 {
-		t.Fatal("no background refit completed")
+		t.Fatal("no automatic refit completed")
 	}
 	if err := sd.Refit(); err != nil {
 		t.Fatal(err)
@@ -128,6 +132,46 @@ func TestStreamDetectorRefitAndSeed(t *testing.T) {
 	}
 	if got := sd.Stats().Processed; got != 256 {
 		t.Fatalf("processed %d want 256", got)
+	}
+}
+
+// TestStreamDetectorNonFiniteBin: a block with a NaN load must not pass
+// as clean — in the refit window it would fail every refit until it
+// rolled out. It raises no alarm and stays out of the window, the batch
+// reports core.ErrNonFinite naming the bin, and every later refit,
+// automatic or explicit, succeeds.
+func TestStreamDetectorNonFiniteBin(t *testing.T) {
+	const badBin, batch = 10, 16
+	history, stream, _ := streamWaveletData(t, 94, -1)
+	sd, err := seeded(NewStreamDetector(history.Cols(), StreamConfig{Levels: 3, RefitEvery: 64}))(history)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y := stream.Clone()
+	y.Set(badBin, 2, math.NaN())
+	for from := 0; from < y.Rows(); from += batch {
+		alarms, err := sd.ProcessBatch(mat.NewDense(batch, y.Cols(), y.RawData()[from*y.Cols():(from+batch)*y.Cols()]))
+		if from == 0 {
+			if !errors.Is(err, core.ErrNonFinite) || !strings.Contains(err.Error(), fmt.Sprintf("bin %d ", badBin)) {
+				t.Fatalf("batch with a NaN load: got %v, want ErrNonFinite naming bin %d", err, badBin)
+			}
+			for _, a := range alarms {
+				if a.Seq >= 8 && a.Seq < 16 {
+					t.Fatalf("the NaN bin's block alarmed: %+v", a)
+				}
+			}
+		} else if err != nil {
+			t.Fatalf("batch at bin %d: %v", from, err)
+		}
+		if err := sd.Settle(); err != nil {
+			t.Fatalf("Settle after bin %d: %v", from, err)
+		}
+	}
+	if got := sd.Stats(); got.Refits != got.Processed/64 {
+		t.Fatalf("%d refits over %d bins, want one per 64", got.Refits, got.Processed)
+	}
+	if err := sd.Refit(); err != nil {
+		t.Fatalf("refit after a NaN bin: %v", err)
 	}
 }
 

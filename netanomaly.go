@@ -175,8 +175,8 @@ func NewOnlineDetector(history *Matrix, topo *Topology, cfg OnlineConfig) (*Onli
 
 // Monitor is the concurrent streaming detection engine: one detector
 // shard per registered traffic view, measurement batches fanned across a
-// worker pool, model refits in the background with an atomic swap so
-// ingestion never stalls. Use it when monitoring several topologies or
+// worker pool, each model refit run on its view's worker after the
+// batch's alarms are out and swapped in atomically. Use it when monitoring several topologies or
 // vantage points (or one high-rate stream in batches); for a single
 // stream processed bin by bin, OnlineDetector is simpler.
 type Monitor = engine.Monitor
@@ -300,7 +300,7 @@ const (
 	// forecasting baseline with the same adaptive residual thresholds.
 	DetectorHoltWinters DetectorKind = "holtwinters"
 	// DetectorFourier fits the paper's eight-period sinusoid basis on a
-	// sliding window (refit in the background) and alarms on residuals
+	// sliding window (refit on the refit cadence) and alarms on residuals
 	// against adaptive per-link thresholds (Section 6.2's temporal
 	// model, streaming).
 	DetectorFourier DetectorKind = "fourier"
