@@ -1169,7 +1169,9 @@ func BenchmarkMultiFlowIdentification(b *testing.B) {
 // in-process half of a daemon restart at the ledger's wide scale
 // (synthetic:30:45:7, 120 links): one op is netanomaly.Restore of a
 // one-view monitor checkpoint — detector construction, decode and view
-// registration — and the monitor's Close.
+// registration — and the monitor's Close — and reports what it
+// allocates: one read of the checkpoint, then each float decoded
+// straight into the state that keeps it.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	d := experiments.AbileneSim()
 	links := d.Links
@@ -1243,6 +1245,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	monCfg := netanomaly.MonitorConfig{Workers: 1}
 	for _, kind := range []netanomaly.DetectorKind{netanomaly.DetectorSubspace, netanomaly.DetectorSketch} {
 		b.Run("warm-start/"+string(kind), func(b *testing.B) {
+			b.ReportAllocs()
 			opts := []netanomaly.ViewOption{netanomaly.WithDetector(kind)}
 			mon := netanomaly.NewMonitor(monCfg)
 			if err := netanomaly.AddView(mon, "net", week, topo, opts...); err != nil {

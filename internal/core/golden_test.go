@@ -60,3 +60,24 @@ func TestRetiredHybridEnvelopeRejected(t *testing.T) {
 		t.Fatalf("rejected restore advanced the detector to %d bins", got)
 	}
 }
+
+// TestSnapshotDecodePathsAgree: every committed envelope, each of its
+// prefixes and single-bit mutations restore alike in place and streamed
+// one byte per Read (see snaptest.DecodePathsAgree). The retired hybrid
+// layout is offered to today's hybrid, as a warm start would offer it.
+func TestSnapshotDecodePathsAgree(t *testing.T) {
+	const links = 6
+	history := snaptest.Traffic(snaptest.HistoryBins, links, 0)
+	routing := mat.Identity(links)
+	cases := map[string]backend.Spec{
+		"subspace":    {Kind: "subspace", Window: 64},
+		"incremental": {Kind: "incremental", Lambda: 0.995},
+		"sketch":      {Kind: "sketch"},
+		"hybrid":      {Kind: "hybrid", Window: 64},
+		"hybrid-v1":   {Kind: "hybrid", Window: 64},
+	}
+	for name, spec := range cases {
+		fresh := func() (core.ViewDetector, error) { return backend.Build(spec, history, routing) }
+		t.Run(name, func(t *testing.T) { snaptest.DecodePathsAgree(t, name, fresh) })
+	}
+}

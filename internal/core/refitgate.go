@@ -55,14 +55,18 @@ func NewRefitGate(mu *sync.Mutex, refitEvery int) *RefitGate {
 
 // DueLocked advances the cadence by n processed bins and marks a refit
 // due once the interval has elapsed and the backend is ready to be
-// fitted. Callers hold the mutex.
+// fitted. The bins past the interval carry over, so the cadence keeps
+// its phase when the batch size does not divide the interval: 48-bin
+// batches under a 64-bin interval refit after bins 96, 144, 192, 288, ...
+// — one refit per 64 bins on average. Callers hold the mutex.
 func (g *RefitGate) DueLocked(n int, ready bool) {
 	if g.refitEvery <= 0 {
 		return
 	}
 	g.sinceRefit += n
 	if g.sinceRefit >= g.refitEvery && ready {
-		g.due, g.sinceRefit = true, 0
+		g.due = true
+		g.sinceRefit %= g.refitEvery
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -137,3 +138,61 @@ func TestSettleMatchesEagerFold(t *testing.T) {
 		}
 	}
 }
+
+// TestRefitCadenceKeepsPhase: a batch size that does not divide the
+// refit interval must not stretch it. The bins a batch carries past the
+// interval count towards the next one, so exactly processed/interval
+// refits run; resetting the count to zero at each due refit ran one per
+// two 48-bin batches under a 64-bin interval (42 over 4000 bins, not 62)
+// and one per 1024 bins under a 1008-bin interval at 64-bin batches.
+func TestRefitCadenceKeepsPhase(t *testing.T) {
+	for _, tc := range []struct{ every, batch, bins int }{
+		{64, 48, 4000},
+		{1008, 64, 10080},
+		{144, 64, 768},
+		{64, 64, 640},
+	} {
+		var mu sync.Mutex
+		g := NewRefitGate(&mu, tc.every)
+		for done := 0; done < tc.bins; done += tc.batch {
+			n := min(tc.batch, tc.bins-done)
+			mu.Lock()
+			g.DueLocked(n, true)
+			mu.Unlock()
+			if err := g.Settle(func() Refit { return noopFit }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mu.Lock()
+		got := g.RefitsLocked()
+		mu.Unlock()
+		if want := tc.bins / tc.every; got != want {
+			t.Errorf("interval %d, %d-bin batches, %d bins: %d refits, want %d", tc.every, tc.batch, tc.bins, got, want)
+		}
+	}
+
+	// The same through a detector: 48-bin batches under a 64-bin interval.
+	topo, history, stream, _ := streamDataset(t, 67, 504, 480, nil)
+	for _, c := range estimatorCases {
+		t.Run(c.name, func(t *testing.T) {
+			d, err := c.build(history, topo.RoutingMatrix(), 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for from := 0; from < stream.Rows(); from += 48 {
+				if _, err := d.ProcessBatch(rowsOf(stream, from, from+48)); err != nil {
+					t.Fatal(err)
+				}
+				if err := d.Settle(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, want := d.Stats().Refits, stream.Rows()/64; got != want {
+				t.Fatalf("%d refits over %d bins in 48-bin batches, want %d", got, stream.Rows(), want)
+			}
+		})
+	}
+}
+
+// noopFit is a Refit that fits nothing and commits.
+func noopFit() (func() bool, error) { return func() bool { return true }, nil }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"netanomaly/internal/mat"
 )
@@ -23,6 +24,13 @@ import (
 // The encoding is canonical: a payload the decoder accepts re-encodes
 // byte-for-byte, which is what lets the fuzz harness prove round-trip
 // stability.
+//
+// Both directions work in one buffer. Encoding appends every nested
+// envelope to its parent's buffer and patches each length in after its
+// payload. Decoding reads the outermost envelope from the caller's
+// reader once (or not at all, from a *bytes.Buffer); every nested
+// envelope is a sub-slice of it, and each field is decoded straight
+// into the state that keeps it, so a restore copies each byte once.
 //
 // Error taxonomy mirrors the NAMB matrix format: structural corruption
 // (bad magic, impossible lengths, dimensions that contradict each
@@ -136,44 +144,37 @@ func snapshotFormatf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrSnapshotFormat, fmt.Sprintf(format, args...))
 }
 
-// SnapshotWriter serializes snapshot payload fields. It latches the
-// first write error; callers check Err once at the end.
-type SnapshotWriter struct {
-	w       io.Writer
-	err     error
-	scratch [8]byte
+// snapshotSink is the one buffer a snapshot is encoded into, nested
+// envelopes included. An EncodeSnapshot handed one — the writer a
+// SnapshotWriter.Nested child receives — appends its envelope in place;
+// any other code a child runs reaches it through Write.
+type snapshotSink struct{ buf []byte }
+
+// Write appends p to the buffer.
+func (s *snapshotSink) Write(p []byte) (int, error) {
+	s.buf = append(s.buf, p...)
+	return len(p), nil
 }
 
-// NewSnapshotWriter wraps w. Most callers use EncodeSnapshot instead,
-// which frames the payload in an envelope.
-func NewSnapshotWriter(w io.Writer) *SnapshotWriter { return &SnapshotWriter{w: w} }
-
-// Err returns the first error any write hit.
-func (sw *SnapshotWriter) Err() error { return sw.err }
-
-func (sw *SnapshotWriter) write(b []byte) {
-	if sw.err != nil {
-		return
-	}
-	_, sw.err = sw.w.Write(b)
+// SnapshotWriter serializes snapshot payload fields by appending them to
+// the buffer of the envelope EncodeSnapshot is building. It latches the
+// first error a nested child returns; EncodeSnapshot reports it.
+type SnapshotWriter struct {
+	sink *snapshotSink
+	err  error
 }
 
 // U8 writes one byte.
-func (sw *SnapshotWriter) U8(v byte) {
-	sw.scratch[0] = v
-	sw.write(sw.scratch[:1])
-}
+func (sw *SnapshotWriter) U8(v byte) { sw.sink.buf = append(sw.sink.buf, v) }
 
 // U32 writes a little-endian uint32.
 func (sw *SnapshotWriter) U32(v uint32) {
-	binary.LittleEndian.PutUint32(sw.scratch[:4], v)
-	sw.write(sw.scratch[:4])
+	sw.sink.buf = binary.LittleEndian.AppendUint32(sw.sink.buf, v)
 }
 
 // U64 writes a little-endian uint64.
 func (sw *SnapshotWriter) U64(v uint64) {
-	binary.LittleEndian.PutUint64(sw.scratch[:8], v)
-	sw.write(sw.scratch[:8])
+	sw.sink.buf = binary.LittleEndian.AppendUint64(sw.sink.buf, v)
 }
 
 // I64 writes a little-endian int64.
@@ -194,12 +195,28 @@ func (sw *SnapshotWriter) Bool(v bool) {
 	}
 }
 
+// floats appends the IEEE-754 bits of each slice in turn, growing the
+// buffer at most once for all of them.
+func (sw *SnapshotWriter) floats(vs ...[]float64) {
+	size := 0
+	for _, v := range vs {
+		size += 8 * len(v)
+	}
+	b := slices.Grow(sw.sink.buf, size)
+	for _, v := range vs {
+		n := len(b)
+		b = b[:n+8*len(v)]
+		for i, f := range v {
+			binary.LittleEndian.PutUint64(b[n+8*i:], math.Float64bits(f))
+		}
+	}
+	sw.sink.buf = b
+}
+
 // Floats writes a length-prefixed float64 slice.
 func (sw *SnapshotWriter) Floats(v []float64) {
 	sw.U32(uint32(len(v)))
-	for _, f := range v {
-		sw.F64(f)
-	}
+	sw.floats(v)
 }
 
 // Ints writes a length-prefixed int slice (as int64s).
@@ -213,13 +230,14 @@ func (sw *SnapshotWriter) Ints(v []int) {
 // String writes a length-prefixed UTF-8 string.
 func (sw *SnapshotWriter) String(s string) {
 	sw.U32(uint32(len(s)))
-	sw.write([]byte(s))
+	sw.sink.buf = append(sw.sink.buf, s...)
 }
 
-// Bytes writes a length-prefixed byte blob.
-func (sw *SnapshotWriter) Bytes(b []byte) {
-	sw.U32(uint32(len(b)))
-	sw.write(b)
+// matrixHeader writes a present matrix's presence byte and dims.
+func (sw *SnapshotWriter) matrixHeader(rows, cols int) {
+	sw.U8(1)
+	sw.U32(uint32(rows))
+	sw.U32(uint32(cols))
 }
 
 // Matrix writes a possibly-nil dense matrix: a presence byte, then
@@ -229,40 +247,55 @@ func (sw *SnapshotWriter) Matrix(m *mat.Dense) {
 		sw.U8(0)
 		return
 	}
-	sw.U8(1)
-	rows, cols := m.Dims()
-	sw.U32(uint32(rows))
-	sw.U32(uint32(cols))
-	for _, f := range m.RawData() {
-		sw.F64(f)
-	}
+	sw.matrixHeader(m.Dims())
+	sw.floats(m.RawData())
 }
 
-// RowRing writes a sliding window: its capacity plus the buffered rows
-// oldest-first, so a restore rebuilds an equivalent ring by pushing
-// them back in order.
+// RowRing writes a sliding window: its capacity, then the buffered rows
+// oldest-first as a Matrix field (absent when the ring is empty), taken
+// straight from the ring's two stripes.
 func (sw *SnapshotWriter) RowRing(r *mat.RowRing) {
 	sw.U32(uint32(r.Cap()))
-	sw.Matrix(r.Matrix())
+	if r.Len() == 0 {
+		sw.U8(0)
+		return
+	}
+	head, tail := r.Stripes()
+	sw.matrixHeader(r.Len(), r.Cols())
+	sw.floats(head, tail)
 }
 
 // Nested hands the writer to write so a composite backend (multiflow,
 // hybrid) can embed a stage detector's self-framed envelope inside its
-// own payload. The child's error latches like any other write error.
+// own payload; the child's EncodeSnapshot appends to this buffer in
+// place. The child's error latches, and later children are skipped.
 func (sw *SnapshotWriter) Nested(write func(io.Writer) error) {
 	if sw.err != nil {
 		return
 	}
-	sw.err = write(sw.w)
+	sw.err = write(sw.sink)
 }
 
-// SnapshotReader deserializes snapshot payload fields, latching the
-// first error (classified per the package taxonomy). Reads after an
-// error return zero values.
+// take consumes the next n bytes of an in-memory envelope stream and
+// returns them, a sub-slice of its storage, or reports false and
+// consumes nothing when fewer remain. Reading a bytes.Buffer never
+// writes its storage, so the slice stays valid across later reads.
+func take(buf *bytes.Buffer, n int) ([]byte, bool) {
+	if buf.Len() < n {
+		return nil, false
+	}
+	return buf.Next(n)[:n:n], true
+}
+
+// SnapshotReader deserializes one envelope's payload, held whole in
+// memory, latching the first error (classified per the package
+// taxonomy). Reads after an error return zero values. Fields decode
+// straight out of the payload: a float slice, matrix or ring lands in
+// its final storage in one pass, and a nested envelope is read in place.
+// Nothing a read returns aliases the payload.
 type SnapshotReader struct {
-	r       io.Reader
-	err     error
-	scratch [8]byte
+	src *bytes.Buffer // the unread payload
+	err error
 }
 
 // Err returns the first error any read hit.
@@ -274,42 +307,44 @@ func (sr *SnapshotReader) fail(err error) {
 	}
 }
 
-func (sr *SnapshotReader) read(b []byte) bool {
+// take consumes the next n bytes of the payload, or latches truncation
+// and returns false when fewer remain.
+func (sr *SnapshotReader) take(n int) ([]byte, bool) {
 	if sr.err != nil {
-		return false
+		return nil, false
 	}
-	if _, err := io.ReadFull(sr.r, b); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		sr.err = fmt.Errorf("core: snapshot truncated: %w", err)
-		return false
+	b, ok := take(sr.src, n)
+	if !ok {
+		sr.err = fmt.Errorf("core: snapshot truncated: %w", io.ErrUnexpectedEOF)
 	}
-	return true
+	return b, ok
 }
 
 // U8 reads one byte.
 func (sr *SnapshotReader) U8() byte {
-	if !sr.read(sr.scratch[:1]) {
+	b, ok := sr.take(1)
+	if !ok {
 		return 0
 	}
-	return sr.scratch[0]
+	return b[0]
 }
 
 // U32 reads a little-endian uint32.
 func (sr *SnapshotReader) U32() uint32 {
-	if !sr.read(sr.scratch[:4]) {
+	b, ok := sr.take(4)
+	if !ok {
 		return 0
 	}
-	return binary.LittleEndian.Uint32(sr.scratch[:4])
+	return binary.LittleEndian.Uint32(b)
 }
 
 // U64 reads a little-endian uint64.
 func (sr *SnapshotReader) U64() uint64 {
-	if !sr.read(sr.scratch[:8]) {
+	b, ok := sr.take(8)
+	if !ok {
 		return 0
 	}
-	return binary.LittleEndian.Uint64(sr.scratch[:8])
+	return binary.LittleEndian.Uint64(b)
 }
 
 // I64 reads a little-endian int64.
@@ -355,19 +390,25 @@ func (sr *SnapshotReader) sliceLen(what string) int {
 	return int(n)
 }
 
+// decodeFloats fills dst from the IEEE-754 bits in b, 8 bytes each.
+func decodeFloats(dst []float64, b []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i : 8*i+8]))
+	}
+}
+
 // Floats reads a length-prefixed float64 slice.
 func (sr *SnapshotReader) Floats() []float64 {
 	n := sr.sliceLen("float slice")
 	if sr.err != nil || n == 0 {
 		return nil
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = sr.F64()
-	}
-	if sr.err != nil {
+	b, ok := sr.take(8 * n)
+	if !ok {
 		return nil
 	}
+	out := make([]float64, n)
+	decodeFloats(out, b)
 	return out
 }
 
@@ -377,12 +418,13 @@ func (sr *SnapshotReader) Ints() []int {
 	if sr.err != nil || n == 0 {
 		return nil
 	}
+	b, ok := sr.take(8 * n)
+	if !ok {
+		return nil
+	}
 	out := make([]int, n)
 	for i := range out {
-		out[i] = sr.Int()
-	}
-	if sr.err != nil {
-		return nil
+		out[i] = int(int64(binary.LittleEndian.Uint64(b[8*i : 8*i+8])))
 	}
 	return out
 }
@@ -393,56 +435,53 @@ func (sr *SnapshotReader) String() string {
 	if sr.err != nil || n == 0 {
 		return ""
 	}
-	b := make([]byte, n)
-	if !sr.read(b) {
+	b, ok := sr.take(n)
+	if !ok {
 		return ""
 	}
 	return string(b)
 }
 
-// Bytes reads a length-prefixed byte blob.
-func (sr *SnapshotReader) Bytes() []byte {
-	n := sr.sliceLen("byte blob")
-	if sr.err != nil || n == 0 {
-		return nil
+// matrix reads a Matrix field up to its data and returns the dims and
+// the bytes of the row-major data, unconverted; data is nil for an
+// absent matrix or an error.
+func (sr *SnapshotReader) matrix() (rows, cols int, data []byte) {
+	switch p := sr.U8(); p {
+	case 0:
+		return 0, 0, nil
+	case 1:
+	default:
+		sr.fail(snapshotFormatf("matrix presence byte %#x", p))
+		return 0, 0, nil
 	}
-	b := make([]byte, n)
-	if !sr.read(b) {
-		return nil
+	r, c := sr.U32(), sr.U32()
+	if sr.err != nil {
+		return 0, 0, nil
 	}
-	return b
+	if r == 0 || c == 0 {
+		sr.fail(snapshotFormatf("matrix dims %dx%d", r, c))
+		return 0, 0, nil
+	}
+	if uint64(r)*uint64(c) > maxSnapshotElems {
+		sr.fail(snapshotFormatf("matrix %dx%d exceeds element limit", r, c))
+		return 0, 0, nil
+	}
+	data, ok := sr.take(8 * int(r) * int(c))
+	if !ok {
+		return 0, 0, nil
+	}
+	return int(r), int(c), data
 }
 
 // Matrix reads a possibly-nil dense matrix.
 func (sr *SnapshotReader) Matrix() *mat.Dense {
-	switch p := sr.U8(); p {
-	case 0:
-		return nil
-	case 1:
-	default:
-		sr.fail(snapshotFormatf("matrix presence byte %#x", p))
+	rows, cols, data := sr.matrix()
+	if data == nil {
 		return nil
 	}
-	rows, cols := sr.U32(), sr.U32()
-	if sr.err != nil {
-		return nil
-	}
-	if rows == 0 || cols == 0 {
-		sr.fail(snapshotFormatf("matrix dims %dx%d", rows, cols))
-		return nil
-	}
-	if uint64(rows)*uint64(cols) > maxSnapshotElems {
-		sr.fail(snapshotFormatf("matrix %dx%d exceeds element limit", rows, cols))
-		return nil
-	}
-	data := make([]float64, int(rows)*int(cols))
-	for i := range data {
-		data[i] = sr.F64()
-	}
-	if sr.err != nil {
-		return nil
-	}
-	return mat.NewDense(int(rows), int(cols), data)
+	m := mat.Zeros(rows, cols)
+	decodeFloats(m.RawData(), data)
+	return m
 }
 
 // RowRing reads a sliding window serialized by SnapshotWriter.RowRing
@@ -451,10 +490,11 @@ func (sr *SnapshotReader) Matrix() *mat.Dense {
 func (sr *SnapshotReader) RowRing(cols int) *mat.RowRing { return sr.rowRing(cols, false) }
 
 // rowRing is RowRing; finite also refuses a NaN or infinite value as
-// corruption, checked before the rows are copied into the ring.
+// corruption. The rows decode straight into the ring's own storage, and
+// the check runs there before the ring is returned.
 func (sr *SnapshotReader) rowRing(cols int, finite bool) *mat.RowRing {
 	capacity := sr.U32()
-	m := sr.Matrix()
+	rows, c, data := sr.matrix()
 	if sr.err != nil {
 		return nil
 	}
@@ -465,11 +505,9 @@ func (sr *SnapshotReader) rowRing(cols int, finite bool) *mat.RowRing {
 		sr.fail(snapshotFormatf("ring capacity %d x %d columns", capacity, cols))
 		return nil
 	}
-	ring := mat.NewRowRing(int(capacity), cols)
-	if m == nil {
-		return ring
+	if data == nil {
+		return mat.NewRowRing(int(capacity), cols)
 	}
-	rows, c := m.Dims()
 	if c != cols {
 		sr.fail(SnapshotMismatchf("ring has %d columns, detector expects %d", c, cols))
 		return nil
@@ -478,60 +516,102 @@ func (sr *SnapshotReader) rowRing(cols int, finite bool) *mat.RowRing {
 		sr.fail(snapshotFormatf("ring holds %d rows over capacity %d", rows, capacity))
 		return nil
 	}
-	if finite && !mat.AllFinite(m.RawData()) {
+	ring := mat.NewRowRing(int(capacity), cols)
+	window := ring.Load(rows)
+	decodeFloats(window, data)
+	if finite && !mat.AllFinite(window) {
 		sr.fail(snapshotFormatf("ring holds a non-finite value"))
 		return nil
-	}
-	for b := 0; b < rows; b++ {
-		ring.Push(m.RowView(b))
 	}
 	return ring
 }
 
-// Nested hands the remaining payload stream to read so a composite
-// backend can restore a stage detector from the envelope embedded at
-// this position. The child's (already classified) error latches like
-// any other read error.
+// Nested hands the rest of the payload, as a *bytes.Buffer, to read so
+// a composite backend can restore a stage detector from the envelope
+// embedded at this position; the child decodes it in place. The child's
+// (already classified) error latches like any other read error.
 func (sr *SnapshotReader) Nested(read func(io.Reader) error) {
 	if sr.err != nil {
 		return
 	}
-	sr.err = read(sr.r)
+	sr.err = read(sr.src)
 }
 
-// EncodeSnapshot buffers the payload encode writes, then frames it in a
-// NAMS envelope on w. The payload is buffered (not streamed) because
-// the envelope's length prefix must be exact — it is what lets
-// envelopes nest and concatenate.
+// Envelope consumes the whole envelope embedded at this position without
+// decoding it and returns its kind and a buffer over its bytes (header
+// included, a sub-slice of the payload), so a caller can route it to the right detector's Restore
+// without understanding the payload; that Restore decodes it in place.
+// A missing or partial envelope latches like any other read error.
+func (sr *SnapshotReader) Envelope() (kind byte, envelope *bytes.Buffer) {
+	if sr.err != nil {
+		return 0, nil
+	}
+	rest := sr.src.Bytes()
+	kind, n, err := readSnapshotHeader(sr.src)
+	if err == io.EOF {
+		err = fmt.Errorf("core: snapshot header truncated: %w", io.ErrUnexpectedEOF)
+	}
+	if err == nil {
+		_, err = readSnapshotPayload(sr.src, n)
+	}
+	if err != nil {
+		sr.err = err
+		return 0, nil
+	}
+	return kind, bytes.NewBuffer(rest[: snapshotHeaderLen+n : snapshotHeaderLen+n])
+}
+
+// EncodeSnapshot frames the payload encode writes in a NAMS envelope on
+// w. The envelope is built in one buffer: the header goes first with a
+// zero length, the payload is appended after it, and the exact length —
+// what lets envelopes nest and concatenate — is patched in once encode
+// returns. Handed the writer of a SnapshotWriter.Nested child, it
+// appends to the parent's buffer in place; otherwise it writes the
+// finished envelope to w in one Write. On an error nothing is written.
 func EncodeSnapshot(w io.Writer, kind byte, encode func(*SnapshotWriter)) error {
-	var buf bytes.Buffer
-	sw := NewSnapshotWriter(&buf)
+	sink, nested := w.(*snapshotSink)
+	if !nested {
+		sink = new(snapshotSink)
+	}
+	start := len(sink.buf)
+	sink.buf = appendSnapshotHeader(sink.buf, kind, 0)
+	sw := &SnapshotWriter{sink: sink}
 	encode(sw)
-	if err := sw.Err(); err != nil {
-		return err
+	if sw.err != nil {
+		sink.buf = sink.buf[:start]
+		return sw.err
 	}
-	var hdr [snapshotHeaderLen]byte
-	copy(hdr[:4], snapshotMagic)
-	hdr[4] = snapshotVersion
-	hdr[5] = kind
-	binary.LittleEndian.PutUint64(hdr[6:], uint64(buf.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	binary.LittleEndian.PutUint64(sink.buf[start+6:], uint64(len(sink.buf)-start-snapshotHeaderLen))
+	if nested {
+		return nil
 	}
-	_, err := w.Write(buf.Bytes())
+	_, err := w.Write(sink.buf)
 	return err
 }
 
-// readSnapshotHeader validates the envelope header and returns the kind
-// byte and payload length.
-func readSnapshotHeader(r io.Reader) (kind byte, payloadLen uint64, err error) {
+// appendSnapshotHeader appends an envelope header to b.
+func appendSnapshotHeader(b []byte, kind byte, payloadLen int) []byte {
+	b = append(b, snapshotMagic...)
+	b = append(b, snapshotVersion, kind)
+	return binary.LittleEndian.AppendUint64(b, uint64(payloadLen))
+}
+
+// readSnapshotHeader consumes and validates one envelope header from r,
+// returning the kind byte and payload length. A clean end of stream (not
+// one header byte left) is io.EOF; a partial header is truncation.
+func readSnapshotHeader(r io.Reader) (kind byte, payloadLen int, err error) {
 	var hdr [snapshotHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return 0, 0, fmt.Errorf("core: snapshot header truncated: %w", io.ErrUnexpectedEOF)
+		if err == io.ErrUnexpectedEOF {
+			err = fmt.Errorf("core: snapshot header truncated: %w", err)
 		}
 		return 0, 0, err
 	}
+	return parseSnapshotHeader(hdr[:])
+}
+
+// parseSnapshotHeader validates a whole envelope header.
+func parseSnapshotHeader(hdr []byte) (kind byte, payloadLen int, err error) {
 	if string(hdr[:4]) != snapshotMagic {
 		return 0, 0, snapshotFormatf("bad magic %q", hdr[:4])
 	}
@@ -542,50 +622,48 @@ func readSnapshotHeader(r io.Reader) (kind byte, payloadLen uint64, err error) {
 	if KindName(kind) == "" {
 		return 0, 0, snapshotFormatf("unknown snapshot kind %#x", kind)
 	}
-	payloadLen = binary.LittleEndian.Uint64(hdr[6:])
-	if payloadLen > maxSnapshotPayload {
-		return 0, 0, snapshotFormatf("payload length %d exceeds limit", payloadLen)
+	n := binary.LittleEndian.Uint64(hdr[6:])
+	if n > maxSnapshotPayload {
+		return 0, 0, snapshotFormatf("payload length %d exceeds limit", n)
 	}
-	return kind, payloadLen, nil
+	return kind, int(n), nil
 }
 
-// ReadSnapshotEnvelope consumes exactly one envelope from r and returns
-// its kind and the complete envelope bytes (header included), so a
-// caller can route the blob to the right detector's Restore without
-// understanding the payload. Errors follow the package taxonomy.
-func ReadSnapshotEnvelope(r io.Reader) (kind byte, envelope []byte, err error) {
-	var hdr [snapshotHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, nil, err // clean end-of-stream: caller distinguishes
+// readSnapshotPayload consumes n payload bytes from r: a *bytes.Buffer
+// hands out a sub-slice of its bytes, any other reader fills a fresh
+// buffer.
+func readSnapshotPayload(r io.Reader, n int) ([]byte, error) {
+	if buf, ok := r.(*bytes.Buffer); ok {
+		if b, ok := take(buf, n); ok {
+			return b, nil
 		}
-		if err == io.ErrUnexpectedEOF {
-			return 0, nil, fmt.Errorf("core: snapshot header truncated: %w", err)
-		}
-		return 0, nil, err
+		return nil, fmt.Errorf("core: snapshot payload truncated: %w", io.ErrUnexpectedEOF)
 	}
-	kind, payloadLen, err := readSnapshotHeader(bytes.NewReader(hdr[:]))
-	if err != nil {
-		return 0, nil, err
-	}
-	envelope = make([]byte, snapshotHeaderLen+int(payloadLen))
-	copy(envelope, hdr[:])
-	if _, err := io.ReadFull(r, envelope[snapshotHeaderLen:]); err != nil {
+	b := make([]byte, n)
+	if _, err := io.ReadFull(r, b); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return 0, nil, fmt.Errorf("core: snapshot payload truncated: %w", err)
+		return nil, fmt.Errorf("core: snapshot payload truncated: %w", err)
 	}
-	return kind, envelope, nil
+	return b, nil
 }
 
 // DecodeSnapshot strips one envelope from r, verifies the kind matches
 // wantKind (a mismatch wraps ErrSnapshotMismatch — the caller offered
 // the snapshot to the wrong detector), and hands the payload to decode.
+// Only the outermost envelope is read from a plain reader, into one
+// buffer. From a *bytes.Buffer (the Nested child of an outer decode, or
+// a buffer the caller holds) the payload is a sub-slice of the buffer's
+// storage and nothing is copied; the bytes must stay unchanged until
+// decode returns, and nothing decoded from them aliases them.
 // The payload must be consumed exactly: trailing bytes are corruption,
 // which is what keeps accepted snapshots canonical.
 func DecodeSnapshot(r io.Reader, wantKind byte, decode func(*SnapshotReader) error) error {
 	kind, payloadLen, err := readSnapshotHeader(r)
+	if err == io.EOF {
+		err = fmt.Errorf("core: snapshot header truncated: %w", io.ErrUnexpectedEOF)
+	}
 	if err != nil {
 		return err
 	}
@@ -597,15 +675,11 @@ func DecodeSnapshot(r io.Reader, wantKind byte, decode func(*SnapshotReader) err
 		return SnapshotMismatchf("snapshot is a %s state, detector is %s",
 			KindName(kind), KindName(wantKind))
 	}
-	payload := make([]byte, payloadLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return fmt.Errorf("core: snapshot payload truncated: %w", err)
+	payload, err := readSnapshotPayload(r, payloadLen)
+	if err != nil {
+		return err
 	}
-	br := bytes.NewReader(payload)
-	sr := &SnapshotReader{r: br}
+	sr := &SnapshotReader{src: bytes.NewBuffer(payload)}
 	err = decode(sr)
 	if err == nil {
 		err = sr.Err()
@@ -620,8 +694,8 @@ func DecodeSnapshot(r io.Reader, wantKind byte, decode func(*SnapshotReader) err
 		}
 		return err
 	}
-	if br.Len() > 0 {
-		return snapshotFormatf("%d trailing bytes after payload", br.Len())
+	if n := sr.src.Len(); n > 0 {
+		return snapshotFormatf("%d trailing bytes after payload", n)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"netanomaly/internal/mat"
 )
@@ -315,21 +316,27 @@ func TestSnapshotRingCapacityBoundedByElements(t *testing.T) {
 // any input must either restore cleanly or fail with a classified error
 // (format, mismatch, or truncation), never a panic; an accepted envelope
 // must re-encode byte-for-byte; and the restored detector must survive a
-// batch.
+// batch. Every input is decoded twice, in place from a bytes.Buffer
+// and streamed one byte per Read into a twin detector: the two must fail
+// with the same error or restore the same state.
 func FuzzDecodeSnapshot(f *testing.F) {
 	const links = 4
 	history, routing := snapshotHistory(48, links), mat.Identity(links)
-	// One shared detector per estimator: Restore decodes into locals and
-	// commits only on success, so a failed iteration leaves no partial
-	// state behind and a successful one fully defines the state the
-	// canonical check re-encodes.
-	var dets []*OnlineDetector
+	// One shared detector per estimator, and one twin for the streamed
+	// path: Restore decodes into locals and commits only on success, so
+	// a failed iteration leaves no partial state behind and a successful
+	// one fully defines the state the canonical check re-encodes.
+	var dets, twins []*OnlineDetector
 	for k, c := range estimatorCases {
 		det, err := c.build(history, routing, 0)
 		if err != nil {
 			f.Fatal(err)
 		}
-		dets = append(dets, det)
+		twin, err := c.build(history, routing, 0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		dets, twins = append(dets, det), append(twins, twin)
 		var valid bytes.Buffer
 		valid.WriteByte(byte(k))
 		if err := det.Snapshot(&valid); err != nil {
@@ -349,9 +356,15 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		det := dets[int(data[0])%len(dets)]
-		r := bytes.NewReader(data[1:])
-		err := det.Restore(r)
+		k := int(data[0]) % len(dets)
+		det, twin := dets[k], twins[k]
+		src := bytes.NewBuffer(data[1:])
+		err := det.Restore(src)
+		streamed := bytes.NewReader(data[1:])
+		if serr := twin.Restore(iotest.OneByteReader(streamed)); (err == nil) != (serr == nil) ||
+			err != nil && err.Error() != serr.Error() {
+			t.Fatalf("in-place restore: %v; streamed restore: %v", err, serr)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrSnapshotFormat) &&
 				!errors.Is(err, ErrSnapshotMismatch) &&
@@ -361,14 +374,19 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			return
 		}
 		// Restore consumes exactly one envelope; canonical re-encoding
-		// must reproduce the consumed prefix bit-for-bit.
-		consumed := data[1 : len(data)-r.Len()]
-		var out bytes.Buffer
-		if err := det.Snapshot(&out); err != nil {
-			t.Fatalf("snapshot after accepted restore: %v", err)
+		// must reproduce the consumed prefix bit-for-bit, on both paths.
+		consumed := data[1 : len(data)-src.Len()]
+		if streamed.Len() != src.Len() {
+			t.Fatalf("in-place restore left %d bytes, streamed restore %d", src.Len(), streamed.Len())
 		}
-		if !bytes.Equal(out.Bytes(), consumed) {
-			t.Fatalf("accepted envelope is not canonical: consumed %d bytes, re-encoded %d", len(consumed), out.Len())
+		for _, d := range []*OnlineDetector{det, twin} {
+			var out bytes.Buffer
+			if err := d.Snapshot(&out); err != nil {
+				t.Fatalf("snapshot after accepted restore: %v", err)
+			}
+			if !bytes.Equal(out.Bytes(), consumed) {
+				t.Fatalf("accepted envelope is not canonical: consumed %d bytes, re-encoded %d", len(consumed), out.Len())
+			}
 		}
 		// Whatever was accepted must be state the detector can run on;
 		// errors are fine (fuzzed floats are rarely a model), panics not.

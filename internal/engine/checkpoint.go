@@ -192,14 +192,15 @@ func NewMonitorFromCheckpoint(cfg Config, r io.Reader, factory DetectorFactory) 
 
 // restoreViewInto consumes one view envelope, constructs the view's
 // detector through the factory, restores its state, and registers the
-// shard with its checkpointed queue counters.
+// shard with its checkpointed queue counters. The detector envelope is
+// a sub-slice of the monitor payload, restored in place.
 func (m *Monitor) restoreViewInto(r io.Reader, factory DetectorFactory) error {
 	var (
 		name                                  string
 		links, highWater                      int
 		enqueued, dropped, droppedBs, rejects int64
 		detKind                               byte
-		detBlob                               []byte
+		detEnv                                *bytes.Buffer
 	)
 	err := core.DecodeSnapshot(r, core.SnapKindView, func(sr *core.SnapshotReader) error {
 		name = sr.String()
@@ -209,17 +210,7 @@ func (m *Monitor) restoreViewInto(r io.Reader, factory DetectorFactory) error {
 		droppedBs = sr.I64()
 		rejects = sr.I64()
 		highWater = sr.NonNegInt()
-		if err := sr.Err(); err != nil {
-			return err
-		}
-		sr.Nested(func(r io.Reader) error {
-			var err error
-			detKind, detBlob, err = core.ReadSnapshotEnvelope(r)
-			if err == io.EOF {
-				err = fmt.Errorf("core: snapshot header truncated: %w", io.ErrUnexpectedEOF)
-			}
-			return err
-		})
+		detKind, detEnv = sr.Envelope()
 		return sr.Err()
 	})
 	if err != nil {
@@ -234,7 +225,7 @@ func (m *Monitor) restoreViewInto(r io.Reader, factory DetectorFactory) error {
 	if err != nil {
 		return fmt.Errorf("engine: view %q: %w", name, err)
 	}
-	if err := det.Restore(bytes.NewReader(detBlob)); err != nil {
+	if err := det.Restore(detEnv); err != nil {
 		return fmt.Errorf("engine: view %q: %w", name, err)
 	}
 	if err := m.AddDetectorView(name, det); err != nil {

@@ -50,11 +50,33 @@ func (r *RowRing) Matrix() *Dense {
 	}
 	m := Zeros(r.count, r.cols)
 	out := m.RawData()
-	start := 0
-	if r.count == r.capacity {
-		start = r.next
-	}
-	tail := copy(out, r.data[start*r.cols:r.count*r.cols])
-	copy(out[tail:], r.data[:start*r.cols])
+	head, tail := r.Stripes()
+	copy(out[copy(out, head):], tail)
 	return m
+}
+
+// Cols returns the ring's column count.
+func (r *RowRing) Cols() int { return r.cols }
+
+// Stripes returns the buffered rows, oldest first, as the two stripes of
+// the flat buffer they occupy: head, then tail, which is empty unless
+// the ring has wrapped. Both alias the ring and are valid until the
+// next Push.
+func (r *RowRing) Stripes() (head, tail []float64) {
+	if r.count < r.capacity {
+		return r.data[:r.count*r.cols], nil
+	}
+	return r.data[r.next*r.cols:], r.data[:r.next*r.cols]
+}
+
+// Load discards the ring's rows, makes it hold rows rows instead and
+// returns their storage, oldest first, for the caller to fill in place:
+// the ring is then as rows Pushes into an empty ring leave it. It panics
+// if rows is negative or exceeds the capacity.
+func (r *RowRing) Load(rows int) []float64 {
+	if rows < 0 || rows > r.capacity {
+		panic(fmt.Sprintf("mat: ring load of %d rows over capacity %d", rows, r.capacity))
+	}
+	r.count, r.next = rows, rows%r.capacity
+	return r.data[:rows*r.cols]
 }

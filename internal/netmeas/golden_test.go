@@ -22,3 +22,16 @@ func TestSnapshotGoldenEnvelopes(t *testing.T) {
 		}, 3*links)
 	})
 }
+
+// TestSnapshotDecodePathsAgree is the multiflow leg of the core test of
+// the same name: the committed envelope, its prefixes and single-bit
+// mutations restore alike in place and streamed one byte per Read.
+func TestSnapshotDecodePathsAgree(t *testing.T) {
+	const links = 6
+	history := snaptest.Traffic(snaptest.HistoryBins, 3*links, 0)
+	t.Run("multiflow", func(t *testing.T) {
+		snaptest.DecodePathsAgree(t, "multiflow", func() (core.ViewDetector, error) {
+			return backend.Build(backend.Spec{Kind: "multiflow", Window: 64}, history, mat.Identity(links))
+		})
+	})
+}

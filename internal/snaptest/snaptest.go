@@ -1,22 +1,26 @@
 // Package snaptest is the shared body of the TestSnapshotGoldenEnvelopes
-// tests: NAMS envelopes written by an earlier commit are committed under
-// each package's testdata/, and every later commit must restore them,
-// re-encode them byte-for-byte and raise the recorded alarms on the next
-// batch. The committed files were written by commit ca50b80 (the last
-// one with three separate subspace detector types), except hybrid's,
-// rewritten when the hybrid payload moved to a new kind byte; regenerate
-// a file with -update-golden only together with a snapshot version or
-// kind-byte bump.
+// and TestSnapshotDecodePathsAgree tests: NAMS envelopes written by an
+// earlier commit are committed under each package's testdata/, and every
+// later commit must restore them, re-encode them byte-for-byte and raise
+// the recorded alarms on the next batch. The committed files were written
+// by commit ca50b80 (the last one with three separate subspace detector
+// types), except hybrid's, rewritten when the hybrid payload moved to a
+// new kind byte; regenerate a file with -update-golden only together
+// with a snapshot version or kind-byte bump.
 package snaptest
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
+	"testing/iotest"
 
 	"netanomaly/internal/core"
 	"netanomaly/internal/mat"
@@ -149,4 +153,76 @@ func Golden(t *testing.T, name string, fresh func() (core.ViewDetector, error), 
 			t.Fatalf("%s: alarm %d after restore is %+v, recorded %+v", name, i, g, w)
 		}
 	}
+}
+
+// DecodePathsAgree decodes testdata/<name>.nams, every strict prefix of
+// it and a one-bit mutation of every byte of it (bit i mod 8 of byte i)
+// along both restore paths: in place from a bytes.Buffer, and streamed through
+// iotest.OneByteReader, one byte per Read. For each input the two must
+// fail with the same error, classification and message alike, or both
+// restore, into states that re-checkpoint byte for byte alike.
+func DecodePathsAgree(t *testing.T, name string, fresh func() (core.ViewDetector, error)) {
+	t.Helper()
+	env, err := os.ReadFile(filepath.Join("testdata", name+".nams"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inPlace, err := fresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := fresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := 0
+	check := func(what string, data []byte) {
+		t.Helper()
+		errIn := inPlace.Restore(bytes.NewBuffer(data))
+		errStream := streamed.Restore(iotest.OneByteReader(bytes.NewReader(data)))
+		if class(errIn) != class(errStream) || errIn != nil && errIn.Error() != errStream.Error() {
+			t.Fatalf("%s, %s: in place: %v; streamed: %v", name, what, errIn, errStream)
+		}
+		if errIn != nil {
+			return
+		}
+		restored++
+		var a, b bytes.Buffer
+		if err := inPlace.Snapshot(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := streamed.Snapshot(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("%s, %s: the two paths restored different states", name, what)
+		}
+	}
+	check("whole file", env)
+	for cut := 0; cut < len(env); cut++ {
+		check(fmt.Sprintf("%d-byte prefix", cut), env[:cut])
+	}
+	mutated := bytes.Clone(env)
+	for i := range env {
+		bit := byte(1) << (i % 8)
+		mutated[i] = env[i] ^ bit
+		check(fmt.Sprintf("byte %d ^ %#x", i, bit), mutated)
+		mutated[i] = env[i]
+	}
+	t.Logf("%s: %d of %d inputs restored on both paths", name, restored, 1+2*len(env))
+}
+
+// class names the taxonomy bucket of a restore error.
+func class(err error) string {
+	switch {
+	case err == nil:
+		return "restored"
+	case errors.Is(err, core.ErrSnapshotFormat):
+		return "format"
+	case errors.Is(err, core.ErrSnapshotMismatch):
+		return "mismatch"
+	case errors.Is(err, io.ErrUnexpectedEOF):
+		return "truncation"
+	}
+	return "unclassified"
 }
