@@ -1116,7 +1116,7 @@ func BenchmarkHybridThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		det, err := seeded(core.NewHybridDetector(triage, identify, core.HybridConfig{}))(y)
+		det, err := seeded(core.NewHybridDetector(triage, identify))(y)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1202,7 +1202,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 			if err != nil {
 				return nil, err
 			}
-			return seeded(core.NewHybridDetector(triage, identify, core.HybridConfig{}))(links)
+			return seeded(core.NewHybridDetector(triage, identify))(links)
 		}},
 	}
 	for _, bl := range builders {

@@ -162,9 +162,10 @@
 //     alarms to a windowed subspace stage that attributes the
 //     responsible OD flow, so steady-state cost is forecast-level
 //     (within ~1.1x on clean streams, BenchmarkHybridThroughput) while
-//     alarms carry Flow and Bytes. The subspace stage stays fresh via
-//     re-seeds, on the refit cadence, from the hybrid's window of recent
-//     clean bins. This is the operating
+//     alarms carry Flow and Bytes. The subspace stage is the view's own
+//     windowed subspace detector: every bin but the escalated ones
+//     enters its window, and it refits from that window of recent clean
+//     bins on the refit cadence. This is the operating
 //     point the paper's Section 6.2/7.3 trade points at: temporal
 //     methods localize in time+link cheaply, the subspace method
 //     identifies the flow — the hybrid does both.

@@ -33,9 +33,8 @@ var Kinds = []string{
 type Spec struct {
 	// Kind is one of Kinds.
 	Kind string
-	// Window is the sliding-window (or hybrid clean-bin) capacity in
-	// bins; 0 uses the seed history length, and a restore takes the
-	// checkpoint's.
+	// Window is the sliding-window capacity in bins; 0 uses the seed
+	// history length, and a restore takes the checkpoint's.
 	Window int
 	// RefitEvery is the automatic-refit cadence in bins (0 = never).
 	RefitEvery int
@@ -131,22 +130,19 @@ func newForecast(kind forecast.Kind, s Spec, links int) (*forecast.Detector, err
 }
 
 // newHybrid assembles the triage→identification backend: an ewma
-// forecast detector as the always-on triage stage and a windowed
-// subspace detector as the identification stage that every triage alarm
-// escalates to. The subspace stage's automatic refits are disabled — the
-// hybrid re-seeds it from its clean-bin window on the refit cadence
-// instead, so the model stays fresh without a per-bin subspace pass.
+// forecast detector as the always-on triage stage over a windowed
+// subspace detector that every triage alarm escalates to. The subspace
+// detector's window holds the bins triage passed, and it refits from
+// that window on the refit cadence, so the model stays fresh without a
+// per-bin subspace pass.
 func newHybrid(s Spec, routing *mat.Dense) (core.ViewDetector, error) {
 	tdet, err := newForecast(forecast.EWMA, s, routing.Rows())
 	if err != nil {
 		return nil, fmt.Errorf("hybrid triage stage: %w", err)
 	}
-	identify, err := core.NewOnlineDetector(routing, core.OnlineConfig{Window: s.Window, Options: s.Options})
+	identify, err := core.NewOnlineDetector(routing, core.OnlineConfig{Window: s.Window, RefitEvery: s.RefitEvery, Options: s.Options})
 	if err != nil {
 		return nil, fmt.Errorf("hybrid identification stage: %w", err)
 	}
-	return core.NewHybridDetector(tdet, identify, core.HybridConfig{
-		Window:     s.Window,
-		RefitEvery: s.RefitEvery,
-	})
+	return core.NewHybridDetector(tdet, identify)
 }

@@ -15,31 +15,46 @@ import (
 	"netanomaly/internal/backend"
 	"netanomaly/internal/core"
 	"netanomaly/internal/mat"
+	"netanomaly/internal/snaptest"
 	"netanomaly/internal/topology"
 	"netanomaly/internal/traffic"
 )
 
-// TestTriageStateGolden pins the forecast kinds and the hybrid to a hash
-// of everything they emit and keep: the alarm stream (every field, floats
-// by bit pattern) followed by the final snapshot. The stream is a
-// 1008-bin Abilene seed and 768 streamed bins in 64-bin batches with a
-// refit every 144 bins, each settled, carrying 8-bin floods (withheld
-// updates) and a 300-bin level shift (longer than the forecasters'
-// re-absorb horizon, so the re-absorb branch runs too). A change to the
-// order of any floating-point operation in the forecasters, the
-// thresholds or the hybrid's escalation changes a hash, and so does a
-// change to when the refits run. The hashes were
-// recorded on amd64; architectures that fuse multiply-adds round
-// differently.
+// TestTriageStateGolden pins the forecast kinds and the hybrid to two
+// hashes each: one of everything they emit, the alarm stream (every
+// field, floats by bit pattern), and one of everything they keep, the
+// final snapshot. The stream is a 1008-bin Abilene seed and 768 streamed
+// bins in 64-bin batches with a refit every 144 bins, each settled,
+// carrying 8-bin floods (withheld updates) and a 300-bin level shift
+// (longer than the forecasters' re-absorb horizon, so the re-absorb
+// branch runs too). A change to the order of any floating-point
+// operation in the forecasters, the thresholds or the hybrid's
+// escalation changes a hash, and so does a change to when the refits
+// run; a change to a snapshot layout alone moves only the state hash.
+// The hashes were recorded on amd64; architectures that fuse
+// multiply-adds round differently.
 func TestTriageStateGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden hashes recorded on amd64, running on %s", runtime.GOARCH)
 	}
-	want := map[string]string{
-		"ewma":        "32611ffb15dceca08e3eee040868ecd8e92cf132a740c5bca1056ab310148957",
-		"holtwinters": "3e1bfb9ea1fc4bc28a41a9b093f59dc0734c8398b8d1a4e7cd0b89a2ff5b3c94",
-		"fourier":     "5978f4919684af21de4621a3f4c557c1744946b1011ea4e20526511db34b5d8b",
-		"hybrid":      "38fce90191e97c04245c57dc52c2f041e3f3d1fea38f2902567297617fd87b9f",
+	// Per kind: the alarm-stream hash, then the state hash.
+	want := map[string][2]string{
+		"ewma": {
+			"f5b58337e9e174c8d576b68538d1b52d825358df48b292d34aca520d0f1b7c24",
+			"5c527f050bdedd0763f69ad0c749337a1aa1b321ab36a00ed666a6c6a952ed45",
+		},
+		"holtwinters": {
+			"5f067a411eb0cb0961617fb342c88b76335d096ddd5127fef3043039ef90cbd0",
+			"0de2ca5978f50d6e4bb67dbf6f44ed93097ec21d5a11577999f2abd7bc255761",
+		},
+		"fourier": {
+			"8e19ec9aabd00bd25d39e8c21c6e07274783dea69378e1816dd0f609225082ef",
+			"a8432a97ce4fc0aa3a077e683be61ed2251b20cccccf0ac144f039b0f0f59bf5",
+		},
+		"hybrid": {
+			"437567ccb5c9ac2f2eec273ff6029a6060ab4df13afffb7769d32162ddf9c3ae",
+			"693f95a74395efdd8f98ef5b9d0a3aed2c91c12cb90b45867b1b825786372594",
+		},
 	}
 	y, history, routing := stormStream(t)
 	for kind, want := range want {
@@ -67,10 +82,14 @@ func TestTriageStateGolden(t *testing.T) {
 			if err := det.Snapshot(&snap); err != nil {
 				t.Fatal(err)
 			}
-			h.Write(snap.Bytes())
-			if got := hex.EncodeToString(h.Sum(nil)); got != want {
-				t.Fatalf("%s alarm stream + state hash %s, want %s (%d alarms, %d refits, %d-byte snapshot)",
-					kind, got, want, alarms, det.Stats().Refits, snap.Len())
+			state := sha256.Sum256(snap.Bytes())
+			got := [2]string{hex.EncodeToString(h.Sum(nil)), hex.EncodeToString(state[:])}
+			if got[0] != want[0] {
+				t.Errorf("%s alarm stream hash %s, want %s (%d alarms, %d refits)",
+					kind, got[0], want[0], alarms, det.Stats().Refits)
+			}
+			if got[1] != want[1] {
+				t.Errorf("%s state hash %s, want %s (%d-byte snapshot)", kind, got[1], want[1], snap.Len())
 			}
 		})
 	}
@@ -79,8 +98,10 @@ func TestTriageStateGolden(t *testing.T) {
 // TestHybridNonFiniteBin feeds the hybrid, as the monitor builds it, a
 // batch with a NaN load: the bin raises no alarm and comes back as one
 // ErrNonFinite naming it, the batch's flood 20 bins later is still
-// flagged and attributed, and a refit — which re-seeds the
-// identification stage from the hybrid's clean-bin window — succeeds.
+// flagged and attributed, and a refit of the identification stage's
+// clean-bin window succeeds. Then a bin whose loads are finite but so
+// large that its SPE overflows: triage escalates it, the identification
+// stage cannot judge it, and the error names it by the hybrid's own bin.
 func TestHybridNonFiniteBin(t *testing.T) {
 	y, history, routing := stormStream(t)
 	det, err := backend.Build(backend.Spec{Kind: "hybrid"}, history, routing)
@@ -111,6 +132,28 @@ func TestHybridNonFiniteBin(t *testing.T) {
 	}
 	if err := det.Refit(); err != nil {
 		t.Fatalf("refit after a NaN bin: %v", err)
+	}
+
+	const links = 6
+	det, err = backend.Build(backend.Spec{Kind: "hybrid"}, snaptest.Traffic(snaptest.HistoryBins, links, 0), mat.Identity(links))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := det.ProcessBatch(snaptest.Traffic(40, links, snaptest.HistoryBins)); err != nil {
+		t.Fatal(err)
+	}
+	huge := snaptest.Traffic(8, links, snaptest.HistoryBins+40)
+	for c := 0; c < links; c++ {
+		huge.Set(5, c, 1e160*float64(c+1))
+	}
+	alarms, err = det.ProcessBatch(huge)
+	if !errors.Is(err, core.ErrNonFinite) || !strings.Contains(err.Error(), "bin 45 ") {
+		t.Fatalf("overflowing SPE: got error %v, want ErrNonFinite naming bin 45", err)
+	}
+	for _, a := range alarms {
+		if a.Seq == 45 && a.Flow >= 0 {
+			t.Fatalf("overflowing bin attributed: %+v", a)
+		}
 	}
 }
 

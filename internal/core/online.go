@@ -164,8 +164,9 @@ type Alarm struct {
 // estimate like an alarmed bin, and is reported with an error wrapping
 // ErrNonFinite. The forecast detectors (package forecast) and
 // HybridDetector report a bin with a NaN or ±Inf load the same way,
-// and keep it out of their forecasters, thresholds and windows. Test
-// with errors.Is.
+// and keep it out of their forecasters, thresholds and windows; the
+// hybrid also reports an escalated bin whose SPE overflows. Test with
+// errors.Is.
 var ErrNonFinite = errors.New("core: non-finite measurement")
 
 // nonFinite is the error for the first non-finite bin of a call.

@@ -80,12 +80,7 @@ const (
 	SnapKindHoltWinters byte = 6
 	SnapKindFourier     byte = 7
 	SnapKindSketch      byte = 9
-	SnapKindHybrid      byte = 10
-	// snapKindHybridV1 is the retired hybrid layout, which carried the
-	// escalation policy's run and hysteresis state. KindName still names
-	// it, so an old hybrid checkpoint routes to a hybrid detector and is
-	// refused there as a mismatch instead of as corruption.
-	snapKindHybridV1 byte = 8
+	SnapKindHybrid      byte = 11
 
 	SnapKindView    byte = 0x20
 	SnapKindMonitor byte = 0x21
@@ -95,9 +90,20 @@ const (
 	SnapKindIncidents byte = 0x22
 )
 
+// retiredHybridKinds are the hybrid layouts no longer decoded: kind 8
+// carried the escalation policy's run and hysteresis state, kind 10 a
+// clean-bin window of the hybrid's own beside the subspace stage's.
+// KindName still names them, so an old hybrid checkpoint routes to a
+// hybrid detector and is refused there as a mismatch that asks for a
+// re-seed instead of as corruption.
+var retiredHybridKinds = []byte{8, 10}
+
 // KindName maps a snapshot kind byte to the backend name Stats()
 // reports ("subspace", "ewma", ...), or "" for an unknown byte.
 func KindName(kind byte) string {
+	if slices.Contains(retiredHybridKinds, kind) {
+		return "hybrid"
+	}
 	switch kind {
 	case SnapKindSubspace:
 		return "subspace"
@@ -113,7 +119,7 @@ func KindName(kind byte) string {
 		return "holtwinters"
 	case SnapKindFourier:
 		return "fourier"
-	case SnapKindHybrid, snapKindHybridV1:
+	case SnapKindHybrid:
 		return "hybrid"
 	case SnapKindSketch:
 		return "sketch"

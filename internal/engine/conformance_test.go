@@ -122,7 +122,7 @@ func conformanceFixtures(t *testing.T, seed int64) []backendFixture {
 }
 
 // hybridFixture composes the 8th backend: an EWMA triage stage over a
-// windowed subspace identification stage with immediate escalation.
+// windowed subspace detector that every triage alarm escalates to.
 func hybridFixture(t *testing.T, history, routing *mat.Dense) *core.HybridDetector {
 	t.Helper()
 	triage, err := forecast.New(history.Cols(), forecast.Config{Kind: forecast.EWMA})
@@ -133,7 +133,7 @@ func hybridFixture(t *testing.T, history, routing *mat.Dense) *core.HybridDetect
 	if err != nil {
 		t.Fatal(err)
 	}
-	hybrid, err := seeded(core.NewHybridDetector(triage, identify, core.HybridConfig{}))(history)
+	hybrid, err := seeded(core.NewHybridDetector(triage, identify))(history)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -682,9 +682,9 @@ func TestStreamingEWMAAgreesWithBidirectionalResiduals(t *testing.T) {
 
 // TestHybridFlowAttributionMatchesSubspace pins the hybrid's reason to
 // exist: on the shared spiked trace the hybrid must attribute the spike
-// to the same OD flow the full subspace backend identifies, while its
-// identification stage sees only the escalated bins (a handful, not the
-// whole stream).
+// to the same OD flow the full subspace backend identifies, while only
+// the escalated bins (a handful, not the whole stream) pay for a
+// subspace test. The subspace detector still numbers every bin.
 func TestHybridFlowAttributionMatchesSubspace(t *testing.T) {
 	fixtures := conformanceFixtures(t, 123)
 	byName := make(map[string]backendFixture, len(fixtures))
@@ -718,14 +718,14 @@ func TestHybridFlowAttributionMatchesSubspace(t *testing.T) {
 	if hs.Escalated >= confStreamBins/2 {
 		t.Fatalf("hybrid escalated %d of %d bins; triage is supposed to keep the subspace stage cold", hs.Escalated, confStreamBins)
 	}
-	if hs.Identified < 1 || hs.Identify.Processed != hs.Escalated {
-		t.Fatalf("stage accounting wrong: %+v", hs)
+	if got := byName["hybrid"].det.Stats().Processed; hs.Identified < 1 || got != confStreamBins {
+		t.Fatalf("stage accounting wrong: %+v, %d bins processed", hs, got)
 	}
 }
 
 // TestMonitorCloseDuringHybridReseed pins Close against the hybrid's
-// re-seed of its identification stage: the re-seed the final batch made
-// due runs on the worker before Close returns, and it succeeds.
+// refit of its subspace detector: the refit the final batch made due
+// runs on the worker before Close returns, and it succeeds.
 func TestMonitorCloseDuringHybridReseed(t *testing.T) {
 	const bins, links = 64, 4
 	history := smallPatternHistory(bins, links)
@@ -733,11 +733,11 @@ func TestMonitorCloseDuringHybridReseed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	identify, err := core.NewOnlineDetector(mat.Identity(links), core.OnlineConfig{Window: bins})
+	identify, err := core.NewOnlineDetector(mat.Identity(links), core.OnlineConfig{Window: bins, RefitEvery: bins})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hybrid, err := seeded(core.NewHybridDetector(triage, identify, core.HybridConfig{RefitEvery: bins}))(history)
+	hybrid, err := seeded(core.NewHybridDetector(triage, identify))(history)
 	if err != nil {
 		t.Fatal(err)
 	}

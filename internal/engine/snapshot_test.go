@@ -554,43 +554,45 @@ func (d *rawEnvelope) Snapshot(w io.Writer) error {
 	return err
 }
 
-// TestRetiredHybridCheckpointRejected restores a monitor checkpoint
-// whose view holds a hybrid envelope in the retired layout (kind byte
-// 8, see internal/core's TestRetiredHybridEnvelopeRejected). The view
-// must route to a hybrid detector and the restore must fail as a
+// TestRetiredHybridCheckpointRejected restores monitor checkpoints
+// whose view holds a hybrid envelope in a retired layout (kind bytes 8
+// and 10, see internal/core's TestRetiredHybridEnvelopeRejected). The
+// view must route to a hybrid detector and the restore must fail as a
 // re-seed ErrSnapshotMismatch, not as a malformed checkpoint.
 func TestRetiredHybridCheckpointRejected(t *testing.T) {
 	const links = 6
-	env, err := os.ReadFile("../core/testdata/hybrid-v1.nams")
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := NewMonitor(Config{Workers: 1})
-	if err := src.AddDetectorView("h", &rawEnvelope{loadDetector: loadDetector{links: links}, env: env}); err != nil {
-		t.Fatal(err)
-	}
-	var ckpt bytes.Buffer
-	if err := src.Checkpoint(&ckpt); err != nil {
-		t.Fatal(err)
-	}
-	src.Close()
+	for _, name := range []string{"hybrid-v1", "hybrid-v2"} {
+		env, err := os.ReadFile("../core/testdata/" + name + ".nams")
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := NewMonitor(Config{Workers: 1})
+		if err := src.AddDetectorView("h", &rawEnvelope{loadDetector: loadDetector{links: links}, env: env}); err != nil {
+			t.Fatal(err)
+		}
+		var ckpt bytes.Buffer
+		if err := src.Checkpoint(&ckpt); err != nil {
+			t.Fatal(err)
+		}
+		src.Close()
 
-	var kinds []string
-	history := snaptest.Traffic(snaptest.HistoryBins, links, 0)
-	factory := func(name, kind string, links int) (core.ViewDetector, error) {
-		kinds = append(kinds, kind)
-		return backend.Build(backend.Spec{Kind: kind, Window: 64}, history, mat.Identity(links))
-	}
-	m, err := NewMonitorFromCheckpoint(Config{Workers: 1}, &ckpt, factory)
-	if err == nil {
-		m.Close()
-		t.Fatal("retired hybrid checkpoint restored")
-	}
-	if !reflect.DeepEqual(kinds, []string{"hybrid"}) {
-		t.Fatalf("factory asked for %v, want one hybrid", kinds)
-	}
-	if !errors.Is(err, core.ErrSnapshotMismatch) || errors.Is(err, core.ErrSnapshotFormat) || !strings.Contains(err.Error(), "re-seed") {
-		t.Fatalf("retired hybrid checkpoint: got %v, want a re-seed ErrSnapshotMismatch", err)
+		var kinds []string
+		history := snaptest.Traffic(snaptest.HistoryBins, links, 0)
+		factory := func(name, kind string, links int) (core.ViewDetector, error) {
+			kinds = append(kinds, kind)
+			return backend.Build(backend.Spec{Kind: kind, Window: 64}, history, mat.Identity(links))
+		}
+		m, err := NewMonitorFromCheckpoint(Config{Workers: 1}, &ckpt, factory)
+		if err == nil {
+			m.Close()
+			t.Fatalf("retired %s checkpoint restored", name)
+		}
+		if !reflect.DeepEqual(kinds, []string{"hybrid"}) {
+			t.Fatalf("%s: factory asked for %v, want one hybrid", name, kinds)
+		}
+		if !errors.Is(err, core.ErrSnapshotMismatch) || errors.Is(err, core.ErrSnapshotFormat) || !strings.Contains(err.Error(), "re-seed") {
+			t.Fatalf("retired %s checkpoint: got %v, want a re-seed ErrSnapshotMismatch", name, err)
+		}
 	}
 }
 

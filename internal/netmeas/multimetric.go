@@ -113,24 +113,21 @@ func (d *MultiMetricDetector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 		return nil, fmt.Errorf("netmeas: stacked batch has %d columns, want %d metrics x %d links", cols, len(d.names), d.linksPer)
 	}
 	winner := make(map[int]core.Alarm)
-	var errs []error
-	for j, sub := range d.dets {
+	err := d.each(func(j int, sub *core.OnlineDetector) error {
 		alarms, err := sub.ProcessBatch(d.metricBlock(y, bins, j))
-		if err != nil {
-			errs = append(errs, fmt.Errorf("netmeas: metric %q: %w", d.names[j], err))
-		}
 		for _, a := range alarms {
 			if _, ok := winner[a.Seq]; !ok {
 				winner[a.Seq] = a // lowest metric index wins the diagnosis
 			}
 		}
-	}
+		return err
+	})
 	var out []core.Alarm
 	for _, a := range winner {
 		out = append(out, a)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out, errors.Join(errs...)
+	return out, err
 }
 
 // Seed seeds every metric's model from the stacked history block.
@@ -139,32 +136,28 @@ func (d *MultiMetricDetector) Seed(history *mat.Dense) error {
 	if cols != len(d.names)*d.linksPer {
 		return fmt.Errorf("netmeas: stacked seed has %d columns, want %d metrics x %d links", cols, len(d.names), d.linksPer)
 	}
-	var errs []error
-	for j, sub := range d.dets {
-		if err := sub.Seed(d.metricBlock(history, bins, j)); err != nil {
-			errs = append(errs, fmt.Errorf("netmeas: metric %q: %w", d.names[j], err))
-		}
-	}
-	return errors.Join(errs...)
+	return d.each(func(j int, sub *core.OnlineDetector) error {
+		return sub.Seed(d.metricBlock(history, bins, j))
+	})
 }
 
 // Refit synchronously rebuilds every metric's model from its window.
 func (d *MultiMetricDetector) Refit() error {
-	var errs []error
-	for j, sub := range d.dets {
-		if err := sub.Refit(); err != nil {
-			errs = append(errs, fmt.Errorf("netmeas: metric %q: %w", d.names[j], err))
-		}
-	}
-	return errors.Join(errs...)
+	return d.each(func(_ int, sub *core.OnlineDetector) error { return sub.Refit() })
 }
 
 // Settle settles every metric's detector, in metric order, and returns
 // their failures joined.
 func (d *MultiMetricDetector) Settle() error {
+	return d.each(func(_ int, sub *core.OnlineDetector) error { return sub.Settle() })
+}
+
+// each calls f on every metric's detector, in metric order, and returns
+// the failures joined, each naming its metric.
+func (d *MultiMetricDetector) each(f func(j int, sub *core.OnlineDetector) error) error {
 	var errs []error
 	for j, sub := range d.dets {
-		if err := sub.Settle(); err != nil {
+		if err := f(j, sub); err != nil {
 			errs = append(errs, fmt.Errorf("netmeas: metric %q: %w", d.names[j], err))
 		}
 	}

@@ -394,12 +394,13 @@ func AddView(m *Monitor, name string, history *Matrix, topo *Topology, opts ...V
 
 // HybridDetector is the triage→identification backend behind
 // DetectorHybrid; retrieve it with Monitor.Detector and a type
-// assertion to read its two-stage HybridStats.
+// assertion to read its HybridStats. Its own Stats are its subspace
+// detector's, which numbers every bin and counts the subspace refits.
 type HybridDetector = core.HybridDetector
 
-// HybridStats is a hybrid view's two-stage breakdown: per-stage
-// detector snapshots plus the escalation counters (triage alarms,
-// escalated bins, identified bins).
+// HybridStats is a hybrid view's escalation breakdown: the triage
+// stage's Stats plus the escalation counters (triage alarms, escalated
+// bins, identified bins).
 type HybridStats = core.HybridStats
 
 // Correlator clusters the Monitor's per-bin alarm stream into
@@ -490,7 +491,9 @@ var ErrSnapshotMismatch = core.ErrSnapshotMismatch
 // ±Inf load handed to a forecast kind (ewma, holtwinters, fourier) or
 // the hybrid. The bin raises no alarm and stays out of the model — the
 // subspace estimate, the forecasters and their thresholds, and every
-// refit window — and the batch's other bins are detected as usual.
+// refit window — and the batch's other bins are detected as usual. A
+// hybrid bin whose loads are finite but whose SPE overflows keeps its
+// triage alarm, without a flow, and is reported the same way.
 // Test with errors.Is.
 var ErrNonFinite = core.ErrNonFinite
 
