@@ -297,6 +297,95 @@ func BenchmarkSeedFit(b *testing.B) {
 	}
 }
 
+// BenchmarkColdStart prices what a cold start does before it listens,
+// at the ledger's wide scale (synthetic:30:45:7: 120 links, a 1008-bin
+// week): reading the week from memory in the v1 and v2-xor wire
+// formats, and seeding each triage-family backend on it (the subspace
+// seed is BenchmarkSeedFit's). The allocation columns are the point:
+// each step should allocate about the state it keeps.
+func BenchmarkColdStart(b *testing.B) {
+	topo, err := topology.Parse("synthetic:30:45:7")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := traffic.DefaultConfig(3)
+	cfg.Bins = 1008
+	gen, err := traffic.NewGenerator(topo, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	week := traffic.LinkLoads(topo, gen.Generate())
+	for i, v := range week.RawData() {
+		week.RawData()[i] = math.Round(v) // whole bytes, as trafficgen writes them
+	}
+	for _, f := range []netmeas.WireFormat{{}, {Version: 2, Codec: netmeas.CodecXOR}} {
+		var buf bytes.Buffer
+		if err := netmeas.WriteMatrixBinaryFormat(&buf, week, f); err != nil {
+			b.Fatal(err)
+		}
+		name := "read/v1"
+		if f.Version == 2 {
+			name = "read/v2-xor"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := netmeas.ReadMatrixBinary(bytes.NewReader(buf.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	routing := topo.RoutingMatrix()
+	for _, kind := range []string{"ewma", "fourier", "hybrid"} {
+		b.Run("seed/"+kind, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := backend.Build(backend.Spec{Kind: kind}, week, routing); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCheckpointWrite prices Monitor.Checkpoint of a one-view
+// monitor at the ledger's wide scale, per backend, reporting the
+// checkpoint's size beside the bytes allocated to write it.
+func BenchmarkCheckpointWrite(b *testing.B) {
+	topo, err := topology.Parse("synthetic:30:45:7")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := traffic.DefaultConfig(3)
+	cfg.Bins = 1008
+	gen, err := traffic.NewGenerator(topo, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	week := traffic.LinkLoads(topo, gen.Generate())
+	for _, kind := range []netanomaly.DetectorKind{netanomaly.DetectorSubspace, netanomaly.DetectorEWMA, netanomaly.DetectorHybrid, netanomaly.DetectorSketch} {
+		b.Run(string(kind), func(b *testing.B) {
+			b.ReportAllocs()
+			mon := netanomaly.NewMonitor(netanomaly.MonitorConfig{Workers: 1})
+			defer mon.Close()
+			if err := netanomaly.AddView(mon, "net", week, topo, netanomaly.WithDetector(kind)); err != nil {
+				b.Fatal(err)
+			}
+			var ckpt bytes.Buffer
+			if err := mon.Checkpoint(&ckpt); err != nil {
+				b.Fatal(err)
+			}
+			for b.Loop() {
+				if err := mon.Checkpoint(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(ckpt.Len()), "checkpoint-bytes")
+		})
+	}
+}
+
 // BenchmarkSymEig times the symmetric eigensolver at the three sizes the
 // detectors hand it: the sketch backend's ell x ell Gram at 120 links
 // (n = 28, once per ~14 inserted bins), and the incremental backend's

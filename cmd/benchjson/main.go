@@ -9,9 +9,12 @@
 // scenario)
 // and BENCH_snapshot.json (per-backend checkpoint envelope size plus
 // snapshot/restore/re-seed cost at m = 120, the currency of the
-// ingestd -checkpoint path). The files are committed per PR so the
-// trajectory is visible in review; CI reruns the tool and enforces the
-// same hard gates the benchmarks carry (binary >= 5x CSV with
+// ingestd -checkpoint path). Each timing is the median of 15 samples,
+// taken in rounds interleaved with the other timings of its file, with
+// its interquartile range beside it as <key>_iqr: two runs differ by
+// more than noise only where their ranges part. The files are committed
+// per PR so the trajectory is visible in review; CI reruns the tool and
+// enforces the same hard gates the benchmarks carry (binary >= 5x CSV with
 // < 1 alloc/bin; v2 raw >= 1.5x v1 with >= 10x fewer reads and
 // <= 0.05 allocs/bin; xor >= 2x compression within 1.3x the v1 decode
 // baseline; sketch and incremental flag the identical bin set; every
@@ -44,6 +47,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -73,11 +77,16 @@ type ingestReport struct {
 	// Per-path cost; "binary" keeps its historical meaning of the v1
 	// per-bin-frame format so the committed trajectory stays comparable
 	// across PRs.
-	CSVNsPerBin     float64 `json:"csv_ns_per_bin"`
-	BinaryNsPerBin  float64 `json:"binary_ns_per_bin"`
-	V2RawNsPerBin   float64 `json:"v2_raw_ns_per_bin"`
-	V2XORNsPerBin   float64 `json:"v2_xor_ns_per_bin"`
-	V2RawBinsPerSec float64 `json:"v2_raw_bins_per_sec"`
+	CSVNsPerBin        float64    `json:"csv_ns_per_bin"`
+	CSVNsPerBinIQR     [2]float64 `json:"csv_ns_per_bin_iqr"`
+	BinaryNsPerBin     float64    `json:"binary_ns_per_bin"`
+	BinaryNsPerBinIQR  [2]float64 `json:"binary_ns_per_bin_iqr"`
+	V2RawNsPerBin      float64    `json:"v2_raw_ns_per_bin"`
+	V2RawNsPerBinIQR   [2]float64 `json:"v2_raw_ns_per_bin_iqr"`
+	V2XORNsPerBin      float64    `json:"v2_xor_ns_per_bin"`
+	V2XORNsPerBinIQR   [2]float64 `json:"v2_xor_ns_per_bin_iqr"`
+	V2RawBinsPerSec    float64    `json:"v2_raw_bins_per_sec"`
+	V2RawBinsPerSecIQR [2]float64 `json:"v2_raw_bins_per_sec_iqr"`
 
 	// Gated ratios.
 	SpeedupVsCSV   float64 `json:"speedup_vs_csv_x"`
@@ -101,16 +110,19 @@ type ingestReport struct {
 // (BenchmarkIncrementalRefit's window-refit row) — but the key keeps its
 // meaning so the trajectory stays comparable across PRs.
 type sketchReport struct {
-	Benchmark           string          `json:"benchmark"`
-	Links               int             `json:"links"`
-	Rank                int             `json:"rank"`
-	SketchSize          int             `json:"sketch_size"`
-	FullSVDRefitNs      float64         `json:"full_svd_refit_ns"`
-	CovTrackerRefitNs   float64         `json:"covtracker_refit_ns"`
-	SketchRefitNs       float64         `json:"sketch_refit_ns"`
-	SpeedupVsCovTracker float64         `json:"sketch_speedup_vs_covtracker_x"`
-	SpeedupVsFullSVD    float64         `json:"sketch_speedup_vs_full_svd_x"`
-	Agreement           agreementReport `json:"agreement"`
+	Benchmark            string          `json:"benchmark"`
+	Links                int             `json:"links"`
+	Rank                 int             `json:"rank"`
+	SketchSize           int             `json:"sketch_size"`
+	FullSVDRefitNs       float64         `json:"full_svd_refit_ns"`
+	FullSVDRefitNsIQR    [2]float64      `json:"full_svd_refit_ns_iqr"`
+	CovTrackerRefitNs    float64         `json:"covtracker_refit_ns"`
+	CovTrackerRefitNsIQR [2]float64      `json:"covtracker_refit_ns_iqr"`
+	SketchRefitNs        float64         `json:"sketch_refit_ns"`
+	SketchRefitNsIQR     [2]float64      `json:"sketch_refit_ns_iqr"`
+	SpeedupVsCovTracker  float64         `json:"sketch_speedup_vs_covtracker_x"`
+	SpeedupVsFullSVD     float64         `json:"sketch_speedup_vs_full_svd_x"`
+	Agreement            agreementReport `json:"agreement"`
 }
 
 type snapshotReport struct {
@@ -128,13 +140,16 @@ type snapshotReport struct {
 }
 
 type backendSnapReport struct {
-	Backend          string  `json:"backend"`
-	SnapshotBytes    int     `json:"snapshot_bytes"`
-	SnapshotNs       float64 `json:"snapshot_ns"`
-	RestoreNs        float64 `json:"restore_ns"`
-	ReseedNs         float64 `json:"reseed_ns"`
-	RestoreVsReseedX float64 `json:"restore_vs_reseed_x"`
-	Canonical        bool    `json:"canonical_reencode"`
+	Backend          string     `json:"backend"`
+	SnapshotBytes    int        `json:"snapshot_bytes"`
+	SnapshotNs       float64    `json:"snapshot_ns"`
+	SnapshotNsIQR    [2]float64 `json:"snapshot_ns_iqr"`
+	RestoreNs        float64    `json:"restore_ns"`
+	RestoreNsIQR     [2]float64 `json:"restore_ns_iqr"`
+	ReseedNs         float64    `json:"reseed_ns"`
+	ReseedNsIQR      [2]float64 `json:"reseed_ns_iqr"`
+	RestoreVsReseedX float64    `json:"restore_vs_reseed_x"`
+	Canonical        bool       `json:"canonical_reencode"`
 }
 
 type agreementReport struct {
@@ -370,42 +385,43 @@ func measureIngest() (*ingestReport, error) {
 		return nil, err
 	}
 
-	perStream := func(run func(), reps int) float64 {
-		run() // fault the path in before timing
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			run()
-		}
-		return float64(time.Since(start).Nanoseconds()) / float64(reps*bins)
-	}
+	timed := func(run func()) func() error { return func() error { run(); return nil } }
 	// The timing ratios are capability claims; a noisy shared-runner
 	// sample must not fail the CI gate by itself, so the whole
 	// comparison re-runs and only a regression that misses every
 	// attempt reaches the report.
 	const attempts = 3
-	var csvNs, v1Ns, v2Ns, xorNs float64
+	var csv, v1, v2, xor timing
 	for a := 0; a < attempts; a++ {
-		csvNs = perStream(csvStream, 3)
-		v1Ns = perStream(v1Stream, 6)
-		v2Ns = perStream(v2RawStream, 10)
-		xorNs = perStream(v2XORStream, 10)
-		if csvNs/v2Ns >= 5 && v1Ns/v2Ns >= 1.5 && xorNs/v1Ns <= 1.3 && xorNs/v2Ns <= 2.2 {
+		// The streams never fail a call: they record errors in streamErr.
+		_ = measure(op{3, timed(csvStream), &csv}, op{6, timed(v1Stream), &v1},
+			op{10, timed(v2RawStream), &v2}, op{10, timed(v2XORStream), &xor})
+		for _, t := range []*timing{&csv, &v1, &v2, &xor} {
+			*t = t.scale(1 / float64(bins))
+		}
+		if csv.median/v2.median >= 5 && v1.median/v2.median >= 1.5 && xor.median/v1.median <= 1.3 && xor.median/v2.median <= 2.2 {
 			break
 		}
 	}
 	if streamErr != nil {
 		return nil, streamErr
 	}
+	csvNs, v1Ns, v2Ns, xorNs := csv.median, v1.median, v2.median, xor.median
 	return &ingestReport{
 		Benchmark:          "BinaryIngest",
 		Links:              ingestLinks,
 		Bins:               bins,
 		BatchBins:          batchBins,
 		CSVNsPerBin:        round1(csvNs),
+		CSVNsPerBinIQR:     csv.iqr(),
 		BinaryNsPerBin:     round1(v1Ns),
+		BinaryNsPerBinIQR:  v1.iqr(),
 		V2RawNsPerBin:      round1(v2Ns),
+		V2RawNsPerBinIQR:   v2.iqr(),
 		V2XORNsPerBin:      round1(xorNs),
+		V2XORNsPerBinIQR:   xor.iqr(),
 		V2RawBinsPerSec:    round1(1e9 / v2Ns),
+		V2RawBinsPerSecIQR: [2]float64{round1(1e9 / v2.q3), round1(1e9 / v2.q1)},
 		SpeedupVsCSV:       round1(csvNs / v1Ns),
 		V2SpeedupVsV1:      round2(v1Ns / v2Ns),
 		XORVsV1Ratio:       round2(xorNs / v1Ns),
@@ -453,44 +469,11 @@ func measureSketch() (*sketchReport, error) {
 	y := largeLinkTrace(ingestLinks)
 	ell := 4 * refitRank
 
-	timeIt := func(reps int, f func() error) (float64, error) {
-		if err := f(); err != nil { // warm
-			return 0, err
-		}
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			if err := f(); err != nil {
-				return 0, err
-			}
-		}
-		return float64(time.Since(start).Nanoseconds()) / float64(reps), nil
-	}
-
-	fullSVD, err := timeIt(3, func() error {
-		p, err := core.Fit(y)
-		if err != nil {
-			return err
-		}
-		_, err = core.Build(p, refitRank)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	tr, err := core.NewCovTracker(ingestLinks, 1)
 	if err != nil {
 		return nil, err
 	}
 	tr.UpdateAll(y)
-	covNs, err := timeIt(3, func() error {
-		_, err := tr.Model(refitRank)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	sk, err := core.NewFDSketch(ingestLinks, ell)
 	if err != nil {
 		return nil, err
@@ -498,17 +481,31 @@ func measureSketch() (*sketchReport, error) {
 	if err := sk.InsertAll(y); err != nil {
 		return nil, err
 	}
-	sketchNs, err := timeIt(200, func() error {
-		p, span, err := sk.PCA()
-		if err != nil {
+	var fullSVD, cov, sketch timing
+	err = measure(
+		op{1, func() error {
+			p, err := core.Fit(y)
+			if err != nil {
+				return err
+			}
+			_, err = core.Build(p, refitRank)
 			return err
-		}
-		if span < refitRank {
-			return fmt.Errorf("sketch spans %d directions, need %d", span, refitRank)
-		}
-		_, err = core.Build(p, refitRank)
-		return err
-	})
+		}, &fullSVD},
+		op{2, func() error {
+			_, err := tr.Model(refitRank)
+			return err
+		}, &cov},
+		op{50, func() error {
+			p, span, err := sk.PCA()
+			if err != nil {
+				return err
+			}
+			if span < refitRank {
+				return fmt.Errorf("sketch spans %d directions, need %d", span, refitRank)
+			}
+			_, err = core.Build(p, refitRank)
+			return err
+		}, &sketch})
 	if err != nil {
 		return nil, err
 	}
@@ -519,16 +516,19 @@ func measureSketch() (*sketchReport, error) {
 	}
 	runtime.KeepAlive(tr)
 	return &sketchReport{
-		Benchmark:           "SketchRefit",
-		Links:               ingestLinks,
-		Rank:                refitRank,
-		SketchSize:          ell,
-		FullSVDRefitNs:      round1(fullSVD),
-		CovTrackerRefitNs:   round1(covNs),
-		SketchRefitNs:       round1(sketchNs),
-		SpeedupVsCovTracker: round1(covNs / sketchNs),
-		SpeedupVsFullSVD:    round1(fullSVD / sketchNs),
-		Agreement:           *agree,
+		Benchmark:            "SketchRefit",
+		Links:                ingestLinks,
+		Rank:                 refitRank,
+		SketchSize:           ell,
+		FullSVDRefitNs:       round1(fullSVD.median),
+		FullSVDRefitNsIQR:    fullSVD.iqr(),
+		CovTrackerRefitNs:    round1(cov.median),
+		CovTrackerRefitNsIQR: cov.iqr(),
+		SketchRefitNs:        round1(sketch.median),
+		SketchRefitNsIQR:     sketch.iqr(),
+		SpeedupVsCovTracker:  round1(cov.median / sketch.median),
+		SpeedupVsFullSVD:     round1(fullSVD.median / sketch.median),
+		Agreement:            *agree,
 	}, nil
 }
 
@@ -633,70 +633,57 @@ func measureSnapshot() (*snapshotReport, error) {
 	}
 	kinds := []string{"subspace", "incremental", "sketch", "ewma", "hybrid"}
 
-	timeIt := func(reps int, f func() error) (float64, error) {
-		if err := f(); err != nil { // warm
-			return 0, err
-		}
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			if err := f(); err != nil {
-				return 0, err
-			}
-		}
-		return float64(time.Since(start).Nanoseconds()) / float64(reps), nil
-	}
-
 	rep := &snapshotReport{Benchmark: "SnapshotRestore", Links: ingestLinks, Bins: bins}
+	type kindTimings struct {
+		src, dst           core.ViewDetector
+		buf                bytes.Buffer
+		snap, rest, reseed timing
+	}
 	const attempts = 3
 	for a := 0; a < attempts; a++ {
+		ks := make([]*kindTimings, len(kinds))
+		var ops []op
+		for i, kind := range kinds {
+			k := &kindTimings{}
+			var err error
+			if k.src, err = build(kind); err != nil {
+				return nil, err
+			}
+			if k.dst, err = build(kind); err != nil {
+				return nil, err
+			}
+			ks[i] = k
+			ops = append(ops,
+				op{1, func() error { _, err := build(kind); return err }, &k.reseed},
+				op{5, func() error { k.buf.Reset(); return k.src.Snapshot(&k.buf) }, &k.snap},
+				op{5, func() error { return k.dst.Restore(bytes.NewReader(k.buf.Bytes())) }, &k.rest})
+		}
+		if err := measure(ops...); err != nil {
+			return nil, err
+		}
 		rep.Backends = rep.Backends[:0]
 		sizes := map[string]int{}
-		for _, kind := range kinds {
-			src, err := build(kind)
-			if err != nil {
-				return nil, err
-			}
-			reseedNs, err := timeIt(1, func() error {
-				_, err := build(kind)
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			var buf bytes.Buffer
-			snapNs, err := timeIt(5, func() error {
-				buf.Reset()
-				return src.Snapshot(&buf)
-			})
-			if err != nil {
-				return nil, err
-			}
-			dst, err := build(kind)
-			if err != nil {
-				return nil, err
-			}
-			restNs, err := timeIt(5, func() error {
-				return dst.Restore(bytes.NewReader(buf.Bytes()))
-			})
-			if err != nil {
-				return nil, err
-			}
+		for i, kind := range kinds {
+			k := ks[i]
 			var again bytes.Buffer
-			if err := dst.Snapshot(&again); err != nil {
+			if err := k.dst.Snapshot(&again); err != nil {
 				return nil, err
 			}
-			sizes[kind] = buf.Len()
+			sizes[kind] = k.buf.Len()
 			rep.Backends = append(rep.Backends, backendSnapReport{
 				Backend:          kind,
-				SnapshotBytes:    buf.Len(),
-				SnapshotNs:       round1(snapNs),
-				RestoreNs:        round1(restNs),
-				ReseedNs:         round1(reseedNs),
-				RestoreVsReseedX: round1(reseedNs / restNs),
-				Canonical:        bytes.Equal(buf.Bytes(), again.Bytes()),
+				SnapshotBytes:    k.buf.Len(),
+				SnapshotNs:       round1(k.snap.median),
+				SnapshotNsIQR:    k.snap.iqr(),
+				RestoreNs:        round1(k.rest.median),
+				RestoreNsIQR:     k.rest.iqr(),
+				ReseedNs:         round1(k.reseed.median),
+				ReseedNsIQR:      k.reseed.iqr(),
+				RestoreVsReseedX: round1(k.reseed.median / k.rest.median),
+				Canonical:        bytes.Equal(k.buf.Bytes(), again.Bytes()),
 			})
 			if kind == "subspace" {
-				rep.SubspaceRestoreSpeedup = round1(reseedNs / restNs)
+				rep.SubspaceRestoreSpeedup = round1(k.reseed.median / k.rest.median)
 			}
 		}
 		rep.SketchVsSubspaceSize = math.Round(1e4*float64(sizes["sketch"])/float64(sizes["subspace"])) / 1e4
@@ -744,6 +731,71 @@ func runScorecardGate(outDir, baseline string, seed int64) error {
 	fmt.Printf("benchjson: scorecard matches baseline %s (no cell regressed)\n", baseline)
 	return nil
 }
+
+// samples is how many timed samples each reported timing is the
+// median of.
+const samples = 15
+
+// timing is one measured cost: the median of its samples and the
+// quartiles around it, so a reader can tell a change from noise.
+type timing struct{ median, q1, q3 float64 }
+
+// op is one operation to time: reps calls per sample, reported in out
+// as the per-call cost in ns.
+type op struct {
+	reps int
+	f    func() error
+	out  *timing
+}
+
+// measure times ops in interleaved rounds: one warm-up call of each,
+// then samples rounds in which every op runs its reps calls from a
+// freshly collected heap. Interleaving spreads each op's samples over
+// the whole measurement, so a slow spell of a shared machine widens
+// every op's quartiles instead of shifting one op's median.
+func measure(ops ...op) error {
+	for _, o := range ops {
+		if err := o.f(); err != nil {
+			return err
+		}
+	}
+	ns := make([][]float64, len(ops))
+	for s := 0; s < samples; s++ {
+		for i, o := range ops {
+			runtime.GC()
+			start := time.Now()
+			for r := 0; r < o.reps; r++ {
+				if err := o.f(); err != nil {
+					return err
+				}
+			}
+			ns[i] = append(ns[i], float64(time.Since(start).Nanoseconds())/float64(o.reps))
+		}
+	}
+	for i, o := range ops {
+		sort.Float64s(ns[i])
+		*o.out = timing{median: quantile(ns[i], 0.5), q1: quantile(ns[i], 0.25), q3: quantile(ns[i], 0.75)}
+	}
+	return nil
+}
+
+// quantile interpolates the q-quantile of sorted samples linearly
+// between the order statistics around it.
+func quantile(sorted []float64, q float64) float64 {
+	pos := q * float64(len(sorted)-1)
+	i := int(pos)
+	if i+1 >= len(sorted) {
+		return sorted[len(sorted)-1]
+	}
+	return sorted[i] + (pos-float64(i))*(sorted[i+1]-sorted[i])
+}
+
+// scale returns t with every statistic multiplied by k.
+func (t timing) scale(k float64) timing { return timing{t.median * k, t.q1 * k, t.q3 * k} }
+
+// iqr returns the interquartile range as [q1, q3], rounded like the
+// median it brackets.
+func (t timing) iqr() [2]float64 { return [2]float64{round1(t.q1), round1(t.q3)} }
 
 func round1(v float64) float64 { return math.Round(v*10) / 10 }
 func round2(v float64) float64 { return math.Round(v*100) / 100 }

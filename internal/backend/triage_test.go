@@ -157,6 +157,52 @@ func TestHybridNonFiniteBin(t *testing.T) {
 	}
 }
 
+// TestOverflowingBinWithheld: a bin whose loads are finite but so large
+// that a squared residual overflows cannot be judged by a forecaster
+// either. Every forecast kind, and the hybrid around one, withholds it —
+// no alarm (whose SPE would be +Inf), nothing folded into a forecaster,
+// a threshold or a window — and reports it as ErrNonFinite; the next
+// batch is judged as usual and a refit still solves.
+func TestOverflowingBinWithheld(t *testing.T) {
+	const links = 6
+	for _, kind := range []string{"ewma", "holtwinters", "fourier", "hybrid"} {
+		t.Run(kind, func(t *testing.T) {
+			det, err := backend.Build(backend.Spec{Kind: kind}, snaptest.Traffic(snaptest.HistoryBins, links, 0), mat.Identity(links))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := det.ProcessBatch(snaptest.Traffic(40, links, snaptest.HistoryBins)); err != nil {
+				t.Fatal(err)
+			}
+			huge := snaptest.Traffic(8, links, snaptest.HistoryBins+40)
+			for c := 0; c < links; c++ {
+				huge.Set(5, c, 1e160*float64(c+1))
+			}
+			alarms, err := det.ProcessBatch(huge)
+			if !errors.Is(err, core.ErrNonFinite) || !strings.Contains(err.Error(), "bin 45 ") {
+				t.Fatalf("overflowing bin: got error %v, want ErrNonFinite naming bin 45", err)
+			}
+			for _, a := range alarms {
+				if a.Seq == 45 {
+					t.Fatalf("overflowing bin alarmed: %+v", a)
+				}
+			}
+			if err := det.Refit(); err != nil {
+				t.Fatalf("refit after an overflowing bin: %v", err)
+			}
+			alarms, err = det.ProcessBatch(snaptest.Traffic(16, links, snaptest.HistoryBins+48))
+			if err != nil {
+				t.Fatalf("batch after an overflowing bin: %v", err)
+			}
+			for _, a := range alarms {
+				if !(a.SPE <= math.MaxFloat64 && a.Threshold <= math.MaxFloat64) {
+					t.Fatalf("alarm after an overflowing bin has SPE %v, threshold %v", a.SPE, a.Threshold)
+				}
+			}
+		})
+	}
+}
+
 const seedBins, streamBins, batch = 1008, 768, 64
 
 // stormStream returns seedBins+streamBins bins of Abilene link loads

@@ -97,8 +97,10 @@ func NewHybridDetector(triage ViewDetector, identify *OnlineDetector) (*HybridDe
 // a fit still due settles first, before it is tested, and reports the
 // fit's failure alongside its own detections. A bin the subspace model
 // cannot judge (an escalated bin whose SPE overflows) or a clean bin
-// with a NaN or ±Inf load stays out of the window and is reported as
-// ErrNonFinite — the load by the triage stage, or else by the hybrid.
+// whose squared norm is not finite (a NaN or ±Inf load, or loads so
+// large their squares overflow) stays out of the window and is reported
+// as ErrNonFinite — by the triage stage when it withheld the bin too,
+// or else by the hybrid.
 // A triage stage whose alarms do not name distinct bins of its batch in
 // increasing order fails the batch.
 func (d *HybridDetector) ProcessBatch(y *mat.Dense) ([]Alarm, error) {
@@ -149,6 +151,10 @@ func (d *HybridDetector) ProcessBatch(y *mat.Dense) ([]Alarm, error) {
 		}
 		diags, flags = d.identify.Diagnoser().DiagnoseBatch(esc)
 	}
+	// One scan clears the whole batch: no square of loads this small
+	// overflows. Only a batch that fails it checks its clean bins one
+	// by one.
+	small := mat.SumAbs(y.RawData()) <= 0x1p500
 	identified, bad, next := 0, -1, 0
 	for b := range skip {
 		withheld := false
@@ -160,7 +166,7 @@ func (d *HybridDetector) ProcessBatch(y *mat.Dense) ([]Alarm, error) {
 				alarms[i].Diagnosis = diags[i]
 				identified++
 			}
-		} else if !mat.AllFinite(y.RowView(b)) {
+		} else if !small && !(mat.SqNorm(y.RowView(b)) <= math.MaxFloat64) {
 			skip[b], withheld = true, !reported
 		}
 		if withheld && bad < 0 {

@@ -162,11 +162,11 @@ type Alarm struct {
 // can be neither judged nor folded into the estimate, where it would
 // fail every later solve: it raises no alarm, is withheld from the
 // estimate like an alarmed bin, and is reported with an error wrapping
-// ErrNonFinite. The forecast detectors (package forecast) and
-// HybridDetector report a bin with a NaN or ±Inf load the same way,
-// and keep it out of their forecasters, thresholds and windows; the
-// hybrid also reports an escalated bin whose SPE overflows. Test with
-// errors.Is.
+// ErrNonFinite. The forecast detectors (package forecast) report a bin
+// the same way when a link's squared forecast residual is not finite,
+// and keep it out of their forecasters, thresholds and windows;
+// HybridDetector reports an escalated bin whose SPE overflows, and
+// withholds a clean bin whose squared norm does. Test with errors.Is.
 var ErrNonFinite = errors.New("core: non-finite measurement")
 
 // nonFinite is the error for the first non-finite bin of a call.
@@ -468,8 +468,13 @@ func (w *windowEstimator) reseed(history *mat.Dense, opts Options) (estimator, *
 	if w.ring == nil && (capacity == 0 || capacity > history.Rows()) {
 		capacity = history.Rows()
 	}
+	// The window holds the history's last rows, and the fit copies what
+	// it is given before centering it, so it reads those rows in place
+	// rather than a copy of the window.
+	bins, cols := history.Dims()
+	from := max(0, bins-capacity)
 	next := &windowEstimator{capacity: capacity, ring: tailRing(history, capacity)}
-	p, rank, err := fitRank(next.ring.Matrix(), opts)
+	p, rank, err := fitRank(mat.NewDense(bins-from, cols, history.RawData()[from*cols:]), opts)
 	return next, p, rank, err
 }
 
@@ -522,8 +527,7 @@ func (p *pendingRows) fold(f func(rows *mat.Dense) error) error {
 func tailRing(history *mat.Dense, capacity int) *mat.RowRing {
 	bins, cols := history.Dims()
 	ring := mat.NewRowRing(capacity, cols)
-	for b := max(0, bins-capacity); b < bins; b++ {
-		ring.Push(history.RowView(b))
-	}
+	from := max(0, bins-capacity)
+	copy(ring.Load(bins-from), history.RawData()[from*cols:])
 	return ring
 }

@@ -153,13 +153,32 @@ func snapshotFormatf(format string, args ...any) error {
 // snapshotSink is the one buffer a snapshot is encoded into, nested
 // envelopes included. An EncodeSnapshot handed one — the writer a
 // SnapshotWriter.Nested child receives — appends its envelope in place;
-// any other code a child runs reaches it through Write.
-type snapshotSink struct{ buf []byte }
+// any other code a child runs reaches it through Write. In the sizing
+// pass that precedes every outermost encode, it only counts the bytes.
+type snapshotSink struct {
+	buf    []byte
+	sizing bool
+	size   int // bytes counted by the sizing pass
+}
 
 // Write appends p to the buffer.
 func (s *snapshotSink) Write(p []byte) (int, error) {
-	s.buf = append(s.buf, p...)
+	if b := s.grow(len(p)); b != nil {
+		copy(b, p)
+	}
 	return len(p), nil
+}
+
+// grow extends the buffer by n bytes and returns them for the caller to
+// fill, or in the sizing pass counts them and returns nil.
+func (s *snapshotSink) grow(n int) []byte {
+	if s.sizing {
+		s.size += n
+		return nil
+	}
+	k := len(s.buf)
+	s.buf = slices.Grow(s.buf, n)[:k+n]
+	return s.buf[k:]
 }
 
 // SnapshotWriter serializes snapshot payload fields by appending them to
@@ -171,16 +190,24 @@ type SnapshotWriter struct {
 }
 
 // U8 writes one byte.
-func (sw *SnapshotWriter) U8(v byte) { sw.sink.buf = append(sw.sink.buf, v) }
+func (sw *SnapshotWriter) U8(v byte) {
+	if b := sw.sink.grow(1); b != nil {
+		b[0] = v
+	}
+}
 
 // U32 writes a little-endian uint32.
 func (sw *SnapshotWriter) U32(v uint32) {
-	sw.sink.buf = binary.LittleEndian.AppendUint32(sw.sink.buf, v)
+	if b := sw.sink.grow(4); b != nil {
+		binary.LittleEndian.PutUint32(b, v)
+	}
 }
 
 // U64 writes a little-endian uint64.
 func (sw *SnapshotWriter) U64(v uint64) {
-	sw.sink.buf = binary.LittleEndian.AppendUint64(sw.sink.buf, v)
+	if b := sw.sink.grow(8); b != nil {
+		binary.LittleEndian.PutUint64(b, v)
+	}
 }
 
 // I64 writes a little-endian int64.
@@ -201,22 +228,22 @@ func (sw *SnapshotWriter) Bool(v bool) {
 	}
 }
 
-// floats appends the IEEE-754 bits of each slice in turn, growing the
-// buffer at most once for all of them.
+// floats appends the IEEE-754 bits of each slice in turn.
 func (sw *SnapshotWriter) floats(vs ...[]float64) {
 	size := 0
 	for _, v := range vs {
 		size += 8 * len(v)
 	}
-	b := slices.Grow(sw.sink.buf, size)
-	for _, v := range vs {
-		n := len(b)
-		b = b[:n+8*len(v)]
-		for i, f := range v {
-			binary.LittleEndian.PutUint64(b[n+8*i:], math.Float64bits(f))
-		}
+	b := sw.sink.grow(size)
+	if b == nil {
+		return
 	}
-	sw.sink.buf = b
+	for _, v := range vs {
+		for i, f := range v {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(f))
+		}
+		b = b[8*len(v):]
+	}
 }
 
 // Floats writes a length-prefixed float64 slice.
@@ -228,15 +255,19 @@ func (sw *SnapshotWriter) Floats(v []float64) {
 // Ints writes a length-prefixed int slice (as int64s).
 func (sw *SnapshotWriter) Ints(v []int) {
 	sw.U32(uint32(len(v)))
-	for _, n := range v {
-		sw.I64(int64(n))
+	if b := sw.sink.grow(8 * len(v)); b != nil {
+		for i, n := range v {
+			binary.LittleEndian.PutUint64(b[8*i:], uint64(int64(n)))
+		}
 	}
 }
 
 // String writes a length-prefixed UTF-8 string.
 func (sw *SnapshotWriter) String(s string) {
 	sw.U32(uint32(len(s)))
-	sw.sink.buf = append(sw.sink.buf, s...)
+	if b := sw.sink.grow(len(s)); b != nil {
+		copy(b, s)
+	}
 }
 
 // matrixHeader writes a present matrix's presence byte and dims.
@@ -568,38 +599,54 @@ func (sr *SnapshotReader) Envelope() (kind byte, envelope *bytes.Buffer) {
 }
 
 // EncodeSnapshot frames the payload encode writes in a NAMS envelope on
-// w. The envelope is built in one buffer: the header goes first with a
-// zero length, the payload is appended after it, and the exact length —
-// what lets envelopes nest and concatenate — is patched in once encode
-// returns. Handed the writer of a SnapshotWriter.Nested child, it
-// appends to the parent's buffer in place; otherwise it writes the
-// finished envelope to w in one Write. On an error nothing is written.
+// w. The envelope is built in one buffer allocated at its exact size:
+// encode runs twice, first in a sizing pass that only counts the bytes
+// each field and nested envelope would take, then for real. The header
+// goes first with a zero length, the payload is appended after it, and
+// the exact length — what lets envelopes nest and concatenate — is
+// patched in once encode returns. Handed the writer of a
+// SnapshotWriter.Nested child, it appends to the parent's buffer in
+// place (or counts, in the parent's sizing pass); otherwise it writes
+// the finished envelope to w in one Write. An error in either pass is
+// returned, and nothing is written. State that changes between the two
+// passes (a view ingesting between a monitor checkpoint's quiesces)
+// costs only a regrowth: the second pass writes what it finds.
 func EncodeSnapshot(w io.Writer, kind byte, encode func(*SnapshotWriter)) error {
 	sink, nested := w.(*snapshotSink)
-	if !nested {
-		sink = new(snapshotSink)
+	if nested {
+		return encodeEnvelope(sink, kind, encode)
 	}
+	sizing := &snapshotSink{sizing: true}
+	if err := encodeEnvelope(sizing, kind, encode); err != nil {
+		return err
+	}
+	sink = &snapshotSink{buf: make([]byte, 0, sizing.size)}
+	if err := encodeEnvelope(sink, kind, encode); err != nil {
+		return err
+	}
+	_, err := w.Write(sink.buf)
+	return err
+}
+
+// encodeEnvelope appends one envelope to sink: its header, then the
+// payload encode writes, then the payload length patched into the
+// header. On an error it truncates sink back to where it started.
+func encodeEnvelope(sink *snapshotSink, kind byte, encode func(*SnapshotWriter)) error {
 	start := len(sink.buf)
-	sink.buf = appendSnapshotHeader(sink.buf, kind, 0)
+	sink.grow(snapshotHeaderLen)
 	sw := &SnapshotWriter{sink: sink}
 	encode(sw)
 	if sw.err != nil {
 		sink.buf = sink.buf[:start]
 		return sw.err
 	}
-	binary.LittleEndian.PutUint64(sink.buf[start+6:], uint64(len(sink.buf)-start-snapshotHeaderLen))
-	if nested {
-		return nil
+	if !sink.sizing {
+		hdr := sink.buf[start:]
+		copy(hdr, snapshotMagic)
+		hdr[4], hdr[5] = snapshotVersion, kind
+		binary.LittleEndian.PutUint64(hdr[6:], uint64(len(sink.buf)-start-snapshotHeaderLen))
 	}
-	_, err := w.Write(sink.buf)
-	return err
-}
-
-// appendSnapshotHeader appends an envelope header to b.
-func appendSnapshotHeader(b []byte, kind byte, payloadLen int) []byte {
-	b = append(b, snapshotMagic...)
-	b = append(b, snapshotVersion, kind)
-	return binary.LittleEndian.AppendUint64(b, uint64(payloadLen))
+	return nil
 }
 
 // readSnapshotHeader consumes and validates one envelope header from r,

@@ -176,7 +176,8 @@ type Detector struct {
 	binAlarmRun int
 	window      *mat.RowRing
 	times       *intRing
-	clock       int // absolute bin index, seed history included (Fourier phase)
+	preds       []float64 // ProcessBatch's per-link forecasts of the bin under test
+	clock       int       // absolute bin index, seed history included (Fourier phase)
 	processed   int
 	gate        *core.RefitGate
 }
@@ -273,15 +274,15 @@ func (d *Detector) seedState(history *mat.Dense, start, capacity int, alphaCfg f
 		window: mat.NewRowRing(capacity, links),
 		times:  newIntRing(capacity),
 	}
-	var design *mat.Dense
+	var basis *basisFit
 	if d.kind == Fourier {
 		periods := d.resolvablePeriods(t)
 		st.coef = &fourierCoef{periods: periods, coef: make([][]float64, links)}
-		design = d.designMatrix(periods, start, t)
+		basis = newBasisFit(d.designMatrix(periods, start, t))
 	}
-	resid := make([]float64, t)
+	col, resid := make([]float64, t), make([]float64, t)
 	for l := 0; l < links; l++ {
-		col := history.Col(l)
+		history.ColInto(col, l)
 		alpha := alphaCfg
 		if d.kind == EWMA && alpha == 0 {
 			var err error
@@ -289,7 +290,7 @@ func (d *Detector) seedState(history *mat.Dense, start, capacity int, alphaCfg f
 				return nil, fmt.Errorf("forecast: link %d: %w", l, err)
 			}
 		}
-		fit, err := d.fitLink(col, alpha, design, resid)
+		fit, err := d.fitLink(col, alpha, basis, resid)
 		if err != nil {
 			return nil, fmt.Errorf("forecast: link %d: %w", l, err)
 		}
@@ -316,13 +317,25 @@ type linkFit struct {
 	rmean, rvar  float64
 }
 
+// basisFit is the Fourier kind's regression over one set of bins: the
+// basis design matrix and its least-squares factorization, computed once
+// per seed or refit and shared by every link's fit.
+type basisFit struct {
+	design *mat.Dense
+	ls     *mat.LeastSquares
+}
+
+func newBasisFit(design *mat.Dense) *basisFit {
+	return &basisFit{design: design, ls: mat.NewLeastSquares(design)}
+}
+
 // fitLink replays (smoothing kinds) or fits (Fourier, against the
-// provided design matrix) one link's column from a cold start, writing
-// one-step residuals into the resid buffer (len(col)) and returning the
-// end state plus residual statistics. It is the single shared fit used
-// by seeding and threshold re-estimation alike, so the two can never
-// diverge.
-func (d *Detector) fitLink(col []float64, alpha float64, design *mat.Dense, resid []float64) (linkFit, error) {
+// provided basis) one link's column from a cold start, writing one-step
+// residuals into the resid buffer (len(col)) and returning the end state
+// plus residual statistics. It is the single shared fit used by seeding
+// and threshold re-estimation alike, so the two can never diverge. It
+// keeps no reference to col.
+func (d *Detector) fitLink(col []float64, alpha float64, basis *basisFit, resid []float64) (linkFit, error) {
 	var fit linkFit
 	switch d.kind {
 	case EWMA:
@@ -344,14 +357,13 @@ func (d *Detector) fitLink(col []float64, alpha float64, design *mat.Dense, resi
 		}
 		fit.level, fit.trend = level, trend
 	case Fourier:
-		coef, err := mat.SolveLS(design, col)
+		coef, err := basis.ls.Solve(col)
 		if err != nil {
 			return linkFit{}, fmt.Errorf("fourier fit: %w", err)
 		}
 		fit.coef = coef
-		basis := mat.MulVec(design, coef)
 		for i := range col {
-			resid[i] = col[i] - basis[i]
+			resid[i] = col[i] - mat.Dot(basis.design.RowView(i), coef)
 		}
 	}
 	fit.rmean, fit.rvar = absStats(resid[warmup(len(col)):])
@@ -469,19 +481,17 @@ func nonFinite(seq int) error {
 // has elapsed. Alarms carry sequence numbers continuing the per-detector
 // count. A batch that finds a refit still due runs it first, before it
 // is tested, and reports its failure alongside the batch's detections.
-// A bin with a NaN or ±Inf load raises no alarm and
-// stays out of the forecasters, the thresholds and the refit window; it
-// is reported as core.ErrNonFinite, naming the first such bin, and the
-// batch's other bins are tested and absorbed as usual.
+// A bin that cannot be judged — a NaN or ±Inf load, or a load so far
+// from its forecast that the squared residual overflows — raises no
+// alarm and stays out of the forecasters, the thresholds and the refit
+// window; it is reported as core.ErrNonFinite, naming the first such
+// bin, and the batch's other bins are tested and absorbed as usual.
 func (d *Detector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 	bins, n := y.Dims()
 	if n != d.links {
 		return nil, fmt.Errorf("forecast: batch has %d links, detector expects %d", n, d.links)
 	}
 	err := d.Settle()
-	// One scan clears the whole batch; only a batch that fails it checks
-	// bin by bin.
-	finite := mat.AllFinite(y.RawData())
 
 	d.mu.Lock()
 	// Installs take mu, so the per-link state, and d.coef with the basis
@@ -495,23 +505,48 @@ func (d *Detector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 		basis = make([]float64, 2*len(d.coef.periods)+1)
 		coef = d.coef.coef[:n]
 	}
+	if cap(d.preds) < n {
+		d.preds = make([]float64, n)
+	}
+	preds := d.preds[:n]
 	base := d.processed
 	d.processed += bins
 	var alarms []core.Alarm
 	bad := -1
 	for b := 0; b < bins; b++ {
 		row := y.RowView(b)[:n]
-		if !finite && !mat.AllFinite(row) {
+		if basis != nil {
+			d.basisRow(d.coef.periods, d.clock, basis)
+		}
+		// Every link's forecast first: a bin is judged only when each
+		// link's squared residual is finite. A NaN or ±Inf load, or
+		// loads so far from their forecasts that the square overflows,
+		// would alarm with an infinite SPE or poison the link's
+		// threshold; such a bin is withheld whole.
+		judged := true
+		for l := 0; l < n; l++ {
+			var pred float64
+			switch {
+			case ewma:
+				pred = level[l]
+			case holt:
+				pred = level[l] + trend[l]
+			default:
+				pred = mat.Dot(basis, coef[l])
+			}
+			preds[l] = pred
+			if r := row[l] - pred; !(r*r <= math.MaxFloat64) {
+				judged = false
+			}
+		}
+		if !judged {
 			if bad < 0 {
 				bad = b
 			}
 			d.clock++ // the bin's time passes; nothing else sees it
 			continue
 		}
-		if basis != nil {
-			d.basisRow(d.coef.periods, d.clock, basis)
-		}
-		// One pass over the links: score each against its forecast and
+		// Then one pass over the links: score each against its forecast and
 		// adaptive threshold, then update it. A link's update reads only
 		// its own state and exceedance, so updating it before scoring the
 		// next is exact. The bin alarms when any link exceeds, and the
@@ -530,16 +565,7 @@ func (d *Detector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 		alarmed := false
 		worstR, worstThr, worstRatio := 0.0, 0.0, 0.0
 		for l := 0; l < n; l++ {
-			z := row[l]
-			var pred float64
-			switch {
-			case ewma:
-				pred = level[l]
-			case holt:
-				pred = level[l] + trend[l]
-			default:
-				pred = mat.Dot(basis, coef[l])
-			}
+			z, pred := row[l], preds[l]
 			r := z - pred
 			thr := threshold(rmean[l], rvar[l], k, pred)
 			exceeded := math.Abs(r) > thr
@@ -645,7 +671,7 @@ func (d *Detector) refitState(rows *mat.Dense, times []int, alpha []float64) (*s
 		rmean: make([]float64, links),
 		rvar:  make([]float64, links),
 	}
-	var design *mat.Dense
+	var basis *basisFit
 	if d.kind == Fourier {
 		// The window may have gaps (withheld anomalous bins); its
 		// resolvable periods come from the true time span it covers.
@@ -655,11 +681,11 @@ func (d *Detector) refitState(rows *mat.Dense, times []int, alpha []float64) (*s
 			return nil, fmt.Errorf("forecast: refit window has %d bins, fourier basis needs %d", t, 2*(2*len(periods)+1))
 		}
 		st.coef = &fourierCoef{periods: periods, coef: make([][]float64, links)}
-		design = d.designMatrixAt(periods, times)
+		basis = newBasisFit(d.designMatrixAt(periods, times))
 	}
-	resid := make([]float64, t)
+	col, resid := make([]float64, t), make([]float64, t)
 	for l := 0; l < links; l++ {
-		fit, err := d.fitLink(rows.Col(l), alpha[l], design, resid)
+		fit, err := d.fitLink(rows.ColInto(col, l), alpha[l], basis, resid)
 		if err != nil {
 			return nil, fmt.Errorf("forecast: link %d: %w", l, err)
 		}

@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"netanomaly/internal/core"
 	"netanomaly/internal/mat"
+	"netanomaly/internal/topology"
+	"netanomaly/internal/traffic"
 )
 
 // Alphas returns the per-link level smoothing gains in force (the grid
@@ -642,4 +645,47 @@ func TestEWMAQuietBatchAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("quiet 64-bin ewma batch allocated %v times, want 0", allocs)
 	}
+}
+
+// TestEWMASeedAllocatesWhatItKeeps: an ewma seed on an Abilene week
+// (1008 bins, 41 links) with per-link grid search allocates the state it
+// keeps — the refit window and its bin times — plus one column buffer
+// and one residual buffer. Reading each link with Dense.Col, and scoring
+// each grid alpha by building its forecast series, allocated another
+// 41 and 328 week-long series (3 MB).
+func TestEWMASeedAllocatesWhatItKeeps(t *testing.T) {
+	topo := topology.Abilene()
+	cfg := traffic.DefaultConfig(4)
+	cfg.Bins = 1008
+	gen, err := traffic.NewGenerator(topo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	history := traffic.LinkLoads(topo, gen.Generate())
+	bins, links := history.Dims()
+	series := uint64(8 * bins)
+	// The window and its times, then eight series of slack: the column
+	// and residual buffers, the per-link state, the seed's closures.
+	// One series per link more would overrun it five times over.
+	budget := uint64(links)*series + series + 8*series
+	least := uint64(1 << 62)
+	for i := 0; i < 3; i++ {
+		det, err := New(links, Config{Kind: EWMA})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		err = det.Seed(history)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > budget {
+		t.Fatalf("ewma seed on %d bins x %d links allocated %d bytes, budget %d", bins, links, least, budget)
+	}
+	t.Logf("ewma seed on %d bins x %d links allocated %d bytes", bins, links, least)
 }

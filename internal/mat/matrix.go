@@ -116,15 +116,21 @@ func (m *Dense) Row(i int) []float64 {
 }
 
 // Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
+func (m *Dense) Col(j int) []float64 { return m.ColInto(make([]float64, m.rows), j) }
+
+// ColInto copies column j into dst, which must hold Rows values, and
+// returns it: a caller reading every column in turn reuses one buffer.
+func (m *Dense) ColInto(dst []float64, j int) []float64 {
 	if j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("mat: column %d out of range %d", j, m.cols))
 	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
+	if len(dst) != m.rows {
+		panic(fmt.Sprintf("mat: ColInto buffer length %d != rows %d", len(dst), m.rows))
 	}
-	return out
+	for i := range dst {
+		dst[i] = m.data[i*m.cols+j]
+	}
+	return dst
 }
 
 // SetRow copies vals into row i.

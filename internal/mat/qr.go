@@ -91,22 +91,42 @@ func QR(a *Dense) (q, r *Dense) {
 // basis fitting and for the multi-flow anomaly estimate f = (Theta^T
 // Theta)^-1 Theta^T y (Section 7.2).
 func SolveLS(a *Dense, b []float64) ([]float64, error) {
-	rows, cols := a.Dims()
-	if len(b) != rows {
-		panic(fmt.Sprintf("mat: SolveLS rhs length %d != rows %d", len(b), rows))
+	if len(b) != a.rows {
+		panic(fmt.Sprintf("mat: SolveLS rhs length %d != rows %d", len(b), a.rows))
 	}
+	return NewLeastSquares(a).Solve(b)
+}
+
+// LeastSquares is a factored least-squares problem min ||a*x - b||_2:
+// one QR decomposition of a, reused for every right-hand side, so
+// fitting many series against one design factors it once. Each Solve
+// does exactly what SolveLS does with the factors, bit for bit.
+type LeastSquares struct {
+	q, r *Dense
+	tol  float64 // a diagonal entry of r below it makes the system singular
+}
+
+// NewLeastSquares factors a, which must have rows >= cols.
+func NewLeastSquares(a *Dense) *LeastSquares {
 	q, r := QR(a)
+	return &LeastSquares{q: q, r: r, tol: 1e-12 * (1 + r.MaxAbs())}
+}
+
+// Solve returns the x minimizing ||a*x - b||_2 (len(b) must equal a's
+// rows), or ErrSingular when a lacks full column rank.
+func (ls *LeastSquares) Solve(b []float64) ([]float64, error) {
 	// x = R^-1 Q^T b
-	qtb := MulTVec(q, b)
+	qtb := MulTVec(ls.q, b)
+	cols := ls.r.cols
 	x := make([]float64, cols)
 	for i := cols - 1; i >= 0; i-- {
-		d := r.At(i, i)
-		if math.Abs(d) < 1e-12*(1+r.MaxAbs()) {
+		d := ls.r.At(i, i)
+		if math.Abs(d) < ls.tol {
 			return nil, ErrSingular
 		}
 		s := qtb[i]
 		for j := i + 1; j < cols; j++ {
-			s -= r.At(i, j) * x[j]
+			s -= ls.r.At(i, j) * x[j]
 		}
 		x[i] = s / d
 	}

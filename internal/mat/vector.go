@@ -49,6 +49,29 @@ func AllFinite(v []float64) bool {
 	return true
 }
 
+// SumAbs returns the sum of |v[i]|, accumulated in eight independent
+// sums (so in no fixed order): NaN when v holds a NaN, +Inf when it
+// holds an infinity or the sum overflows. A caller bounds every value,
+// and every square, with one scan: each |v[i]| is at most the sum.
+func SumAbs(v []float64) float64 {
+	var s0, s1, s2, s3, s4, s5, s6, s7 float64
+	w := v
+	for ; len(w) >= 8; w = w[8:] {
+		s0 += math.Abs(w[0])
+		s1 += math.Abs(w[1])
+		s2 += math.Abs(w[2])
+		s3 += math.Abs(w[3])
+		s4 += math.Abs(w[4])
+		s5 += math.Abs(w[5])
+		s6 += math.Abs(w[6])
+		s7 += math.Abs(w[7])
+	}
+	for _, x := range w {
+		s0 += math.Abs(x)
+	}
+	return (s0 + s1) + (s2 + s3) + (s4 + s5) + (s6 + s7)
+}
+
 // Norm2 returns the Euclidean norm of x.
 func Norm2(x []float64) float64 { return math.Sqrt(SqNorm(x)) }
 

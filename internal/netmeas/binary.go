@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -450,6 +451,15 @@ func (d *BinaryDecoder) ReadFrame(dst []float64) error {
 		d.pendNext++
 		return nil
 	}
+	if err := d.readFrameBytes(); err != nil {
+		return err
+	}
+	return d.decodeFrameBytes(dst)
+}
+
+// readFrameBytes reads the next v1 frame, length prefix checked, into the
+// decoder's frame buffer. It returns io.EOF at a clean end of stream.
+func (d *BinaryDecoder) readFrameBytes() error {
 	d.reads++
 	if _, err := io.ReadFull(d.r, d.raw[:4]); err != nil {
 		if err == io.EOF {
@@ -460,11 +470,16 @@ func (d *BinaryDecoder) ReadFrame(dst []float64) error {
 	if n := binary.LittleEndian.Uint32(d.raw[:4]); int64(n) != int64(8*d.links) {
 		return fmt.Errorf("netmeas: binary stream: frame length %d, want %d: %w", n, 8*d.links, ErrBinaryFormat)
 	}
-	payload := d.raw[4:]
 	d.reads++
-	if _, err := io.ReadFull(d.r, payload); err != nil {
+	if _, err := io.ReadFull(d.r, d.raw[4:]); err != nil {
 		return fmt.Errorf("netmeas: binary stream: truncated frame payload: %w", io.ErrUnexpectedEOF)
 	}
+	return nil
+}
+
+// decodeFrameBytes decodes the v1 frame readFrameBytes read into dst.
+func (d *BinaryDecoder) decodeFrameBytes(dst []float64) error {
+	payload := d.raw[4:]
 	for j := range dst {
 		v := math.Float64frombits(binary.LittleEndian.Uint64(payload[8*j:]))
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -479,6 +494,20 @@ func (d *BinaryDecoder) ReadFrame(dst []float64) error {
 // hold BatchBins*links values, and returns the frame's bin count. It
 // returns io.EOF at a clean end of stream.
 func (d *BinaryDecoder) readBatchFrame(dst []float64) (int, error) {
+	n, plen, err := d.readBatchHeader()
+	if err == nil {
+		err = d.readBatchPayload(dst, n, plen)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
+// readBatchHeader reads and checks the next v2 frame header and returns
+// the frame's bin count and payload length. It returns io.EOF at a clean
+// end of stream.
+func (d *BinaryDecoder) readBatchHeader() (n, plen int, err error) {
 	// The 8-byte frame header parses before the payload overwrites it,
 	// so it can borrow the front of the payload buffer — a local array
 	// would escape through the io.ReadFull interface call and cost one
@@ -487,27 +516,39 @@ func (d *BinaryDecoder) readBatchFrame(dst []float64) (int, error) {
 	d.reads++
 	if _, err := io.ReadFull(d.r, hdr); err != nil {
 		if err == io.EOF {
-			return 0, io.EOF
+			return 0, 0, io.EOF
 		}
-		return 0, fmt.Errorf("netmeas: binary stream: truncated batch frame header: %w", io.ErrUnexpectedEOF)
+		return 0, 0, fmt.Errorf("netmeas: binary stream: truncated batch frame header: %w", io.ErrUnexpectedEOF)
 	}
 	if d.short {
 		// Canonical framing: only the last frame may be short, so any
 		// frame after a short one is structural corruption.
-		return 0, fmt.Errorf("netmeas: binary stream: batch frame after a short frame: %w", ErrBinaryFormat)
+		return 0, 0, fmt.Errorf("netmeas: binary stream: batch frame after a short frame: %w", ErrBinaryFormat)
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[0:4]))
-	plen := int(binary.LittleEndian.Uint32(hdr[4:8]))
+	n = int(binary.LittleEndian.Uint32(hdr[0:4]))
+	plen = int(binary.LittleEndian.Uint32(hdr[4:8]))
+	return n, plen, d.checkBatchHeader(n, plen)
+}
+
+// checkBatchHeader checks a v2 frame header's bin count and payload
+// length against the stream's batch capacity and codec.
+func (d *BinaryDecoder) checkBatchHeader(n, plen int) error {
 	if n == 0 || n > d.format.BatchBins {
-		return 0, fmt.Errorf("netmeas: binary stream: batch frame bin count %d out of range [1, %d]: %w", n, d.format.BatchBins, ErrBinaryFormat)
+		return fmt.Errorf("netmeas: binary stream: batch frame bin count %d out of range [1, %d]: %w", n, d.format.BatchBins, ErrBinaryFormat)
 	}
 	if d.format.Codec == CodecRaw {
 		if plen != 8*n*d.links {
-			return 0, fmt.Errorf("netmeas: binary stream: batch payload length %d, want %d: %w", plen, 8*n*d.links, ErrBinaryFormat)
+			return fmt.Errorf("netmeas: binary stream: batch payload length %d, want %d: %w", plen, 8*n*d.links, ErrBinaryFormat)
 		}
 	} else if plen < 8*d.links || plen > maxPayloadBytes(CodecXOR, n, d.links) {
-		return 0, fmt.Errorf("netmeas: binary stream: batch payload length %d out of range for %d bins x %d links: %w", plen, n, d.links, ErrBinaryFormat)
+		return fmt.Errorf("netmeas: binary stream: batch payload length %d out of range for %d bins x %d links: %w", plen, n, d.links, ErrBinaryFormat)
 	}
+	return nil
+}
+
+// readBatchPayload decodes the payload of the frame whose header
+// readBatchHeader returned into dst, which must hold n*links values.
+func (d *BinaryDecoder) readBatchPayload(dst []float64, n, plen int) error {
 	d.reads++
 	if d.format.Codec == CodecRaw && hostLittleEndian {
 		// Zero-copy raw decode: the wire is little-endian float64 bits
@@ -518,17 +559,17 @@ func (d *BinaryDecoder) readBatchFrame(dst []float64) (int, error) {
 		out := dst[:cnt]
 		buf := unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), plen)
 		if _, err := io.ReadFull(d.r, buf); err != nil {
-			return 0, fmt.Errorf("netmeas: binary stream: truncated batch payload: %w", io.ErrUnexpectedEOF)
+			return fmt.Errorf("netmeas: binary stream: truncated batch payload: %w", io.ErrUnexpectedEOF)
 		}
 		const exp = 0x7ff0000000000000
 		for i, v := range out {
 			if math.Float64bits(v)&exp == exp { // NaN or Inf exponent
-				return 0, fmt.Errorf("netmeas: binary stream: non-finite load at bin %d link %d: %w", i/d.links, i%d.links, ErrBinaryFormat)
+				return fmt.Errorf("netmeas: binary stream: non-finite load at bin %d link %d: %w", i/d.links, i%d.links, ErrBinaryFormat)
 			}
 		}
 	} else {
 		if _, err := io.ReadFull(d.r, d.raw[:plen]); err != nil {
-			return 0, fmt.Errorf("netmeas: binary stream: truncated batch payload: %w", io.ErrUnexpectedEOF)
+			return fmt.Errorf("netmeas: binary stream: truncated batch payload: %w", io.ErrUnexpectedEOF)
 		}
 		if d.format.Codec == CodecRaw {
 			// Big-endian fallback: decode each value through the
@@ -539,18 +580,18 @@ func (d *BinaryDecoder) readBatchFrame(dst []float64) (int, error) {
 			for i := 0; i < cnt; i++ {
 				bits := binary.LittleEndian.Uint64(d.raw[8*i:])
 				if bits&exp == exp { // NaN or Inf exponent
-					return 0, fmt.Errorf("netmeas: binary stream: non-finite load at bin %d link %d: %w", i/d.links, i%d.links, ErrBinaryFormat)
+					return fmt.Errorf("netmeas: binary stream: non-finite load at bin %d link %d: %w", i/d.links, i%d.links, ErrBinaryFormat)
 				}
 				out[i] = math.Float64frombits(bits)
 			}
 		} else if err := decodeXORFrame(d.raw, plen, dst, n, d.links); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	if n < d.format.BatchBins {
 		d.short = true
 	}
-	return n, nil
+	return nil
 }
 
 // ReadBatch fills fb with decoded bins and reports how many. On a v1
@@ -594,30 +635,107 @@ func (d *BinaryDecoder) ReadBatch(fb *FrameBatch) (rows int, err error) {
 }
 
 // ReadMatrixBinary decodes an entire binary stream (either version) into
-// a bins x links matrix. The stream must hold at least one frame.
+// a bins x links matrix. The stream must hold at least one frame. When r
+// is an in-memory reader that reports its length and reads at an offset
+// (*bytes.Reader, *strings.Reader), the matrix is allocated once at its
+// final size: a v1 stream's bin count follows from the bytes left, and a
+// v2 stream's frame headers are read in place to sum theirs. Any other
+// reader grows the matrix as frames decode.
 func ReadMatrixBinary(r io.Reader) (*mat.Dense, error) {
+	sized, ok := r.(sizedReader)
+	var start int64
+	if ok {
+		start = sized.Size() - int64(sized.Len())
+	}
 	dec, err := NewBinaryDecoder(r)
 	if err != nil {
 		return nil, err
 	}
-	row := make([]float64, dec.links)
 	var data []float64
-	rows := 0
+	if ok {
+		data = make([]float64, 0, dec.binsAt(sized, start+binaryHeaderSize, sized.Size())*dec.links)
+	}
 	for {
-		err := dec.ReadFrame(row)
+		data, err = dec.appendFrame(data)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		data = append(data, row...)
-		rows++
 	}
-	if rows == 0 {
+	if len(data) == 0 {
 		return nil, fmt.Errorf("netmeas: binary stream: no frames: %w", ErrBinaryFormat)
 	}
-	return mat.NewDense(rows, dec.links, data), nil
+	return mat.NewDense(len(data)/dec.links, dec.links, data), nil
+}
+
+// sizedReader is an in-memory stream: it reports how many of its bytes
+// are left unread and in all, and reads at an offset without moving its
+// cursor.
+type sizedReader interface {
+	io.ReaderAt
+	Len() int
+	Size() int64
+}
+
+// binsAt counts the bins the frames in r between offsets off and end
+// hold, without consuming the stream: from the length alone under v1,
+// and under v2 by summing the frame headers, which it checks as the
+// decoder does and stops at the first it would reject. The count sizes
+// an allocation made before any payload is checked, so it is capped at
+// eight bytes of matrix per byte of stream: a corrupt header cannot
+// make the allocation outgrow its input by more, and a stream that
+// legitimately compresses further grows as it decodes.
+func (d *BinaryDecoder) binsAt(r io.ReaderAt, off, end int64) int {
+	if d.format.Version == BinaryVersion {
+		return int((end - off) / int64(4+8*d.links))
+	}
+	limit := int((end - off) / int64(d.links))
+	var hdr [8]byte
+	bins := 0
+	for off+8 <= end && bins < limit {
+		if _, err := r.ReadAt(hdr[:], off); err != nil {
+			break
+		}
+		n := int(binary.LittleEndian.Uint32(hdr[0:4]))
+		plen := int(binary.LittleEndian.Uint32(hdr[4:8]))
+		if d.checkBatchHeader(n, plen) != nil || off+8+int64(plen) > end {
+			break
+		}
+		bins += n
+		off += 8 + int64(plen)
+		if n < d.format.BatchBins {
+			break
+		}
+	}
+	return min(bins, limit)
+}
+
+// appendFrame decodes the next frame (one bin under v1, one batch under
+// v2) onto the end of data, growing data only when its capacity falls
+// short, and returns io.EOF at a clean end of stream. It reads the
+// frame's header before it grows data, so a matrix sized to the stream
+// is never grown by the end-of-stream probe.
+func (d *BinaryDecoder) appendFrame(data []float64) ([]float64, error) {
+	n, plen := 1, 0
+	var err error
+	if d.format.Version == BinaryVersion2 {
+		n, plen, err = d.readBatchHeader()
+	} else {
+		err = d.readFrameBytes()
+	}
+	if err != nil {
+		return data, err
+	}
+	k := len(data)
+	data = slices.Grow(data, n*d.links)[:k+n*d.links]
+	if d.format.Version == BinaryVersion2 {
+		err = d.readBatchPayload(data[k:], n, plen)
+	} else {
+		err = d.decodeFrameBytes(data[k:])
+	}
+	return data, err
 }
 
 // FrameBatchPool recycles fixed-shape FrameBatch buffers between a

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"netanomaly/internal/mat"
@@ -507,6 +508,17 @@ func TestBinaryV2DecoderErrors(t *testing.T) {
 			if !tc.wantFmt && !errors.Is(err, io.ErrUnexpectedEOF) {
 				t.Fatalf("error %v does not wrap io.ErrUnexpectedEOF", err)
 			}
+			// Every mangle hits the first frame: ReadBatch fails it and
+			// counts no bins decoded.
+			dec, err := NewBinaryDecoder(bytes.NewReader(tc.mangle(encode(tc.codec))))
+			if err != nil {
+				return // a header the decoder refuses
+			}
+			fb := NewFrameBatchPool(cap, links).Get()
+			defer fb.Release()
+			if rows, err := dec.ReadBatch(fb); err == nil || rows != 0 {
+				t.Fatalf("ReadBatch on a mangled first frame: %d rows, error %v; want 0 rows and an error", rows, err)
+			}
 		})
 	}
 }
@@ -735,6 +747,53 @@ func TestBinaryV2DecodeAllocFree(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Fatalf("v2 %s ReadBatch allocates %v per batch, want 0", codec, allocs)
+			}
+		})
+	}
+}
+
+// TestReadMatrixBinaryAllocatesOnce pins the cold-start load: a week at
+// 120 links read from an in-memory reader is decoded into a matrix
+// allocated once at its final size, under every version and codec (the
+// last v2 frame is short: 1008 is not a multiple of 64). The budget,
+// 1.25x the matrix, covers the decoder's read buffer and frame buffer;
+// a matrix grown frame by frame allocated 6.5x. A reader that reports
+// no length decodes the same matrix through the growth path.
+func TestReadMatrixBinaryAllocatesOnce(t *testing.T) {
+	const bins, links = 1008, 120
+	y := wholeByteMatrix(bins, links, 21)
+	budget := uint64(1.25 * 8 * bins * links)
+	for _, f := range []WireFormat{{}, {Version: 2, Codec: CodecRaw}, {Version: 2, Codec: CodecXOR}} {
+		t.Run(fmt.Sprintf("v%d-%s", max(f.Version, 1), f.Codec), func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := WriteMatrixBinaryFormat(&buf, y, f); err != nil {
+				t.Fatal(err)
+			}
+			least := uint64(1 << 62)
+			for i := 0; i < 3; i++ {
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				got, err := ReadMatrixBinary(bytes.NewReader(buf.Bytes()))
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !mat.EqualApprox(got, y, 0) {
+					t.Fatal("decoded matrix differs from the encoded one")
+				}
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+			if least > budget {
+				t.Fatalf("reading a %dx%d matrix allocated %d bytes, budget %d", bins, links, least, budget)
+			}
+			t.Logf("reading a %dx%d matrix allocated %d bytes", bins, links, least)
+			unsized, err := ReadMatrixBinary(io.MultiReader(bytes.NewReader(buf.Bytes())))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !mat.EqualApprox(unsized, y, 0) {
+				t.Fatal("a reader without a length decodes a different matrix")
 			}
 		})
 	}

@@ -22,9 +22,7 @@ type EWMA struct {
 // prediction of z[t] made from z[0..t-1]. out[0] is seeded with z[0]
 // (a zero-information prediction), so the first residual is zero.
 func (e EWMA) Forecast(z []float64) []float64 {
-	if e.Alpha < 0 || e.Alpha > 1 {
-		panic(fmt.Sprintf("timeseries: EWMA alpha %v out of [0,1]", e.Alpha))
-	}
+	checkAlpha(e.Alpha)
 	out := make([]float64, len(z))
 	if len(z) == 0 {
 		return out
@@ -36,6 +34,13 @@ func (e EWMA) Forecast(z []float64) []float64 {
 		out[t] = pred
 	}
 	return out
+}
+
+// checkAlpha panics on an EWMA gain outside [0,1].
+func checkAlpha(a float64) {
+	if a < 0 || a > 1 {
+		panic(fmt.Sprintf("timeseries: EWMA alpha %v out of [0,1]", a))
+	}
 }
 
 // Residuals returns |z[t] - zhat[t]| for the one-step EWMA forecast.
@@ -71,7 +76,9 @@ func BidirectionalResiduals(z []float64, alpha float64) []float64 {
 
 // SelectAlpha picks the alpha from grid minimizing the sum of squared
 // one-step forecast errors on train, mirroring the paper's multi-grid
-// parameter search. It panics on an empty grid. Candidates whose SSE is
+// parameter search. It scores each candidate in one pass over train and
+// allocates nothing. It panics on an empty grid or an alpha outside
+// [0,1]. Candidates whose SSE is
 // not finite (a train series containing NaN or Inf, or one that
 // overflows) are skipped; when every candidate's SSE is non-finite an
 // error is returned, since no comparison is meaningful. Exact SSE ties
@@ -86,11 +93,16 @@ func SelectAlpha(train []float64, grid []float64) (float64, error) {
 	bestErr := math.Inf(1)
 	found := false
 	for _, a := range grid {
-		pred := EWMA{Alpha: a}.Forecast(train)
+		checkAlpha(a)
+		// The Forecast recursion, scored as it runs: no series is built.
 		var sse float64
-		for t := 1; t < len(train); t++ {
-			d := train[t] - pred[t]
-			sse += d * d
+		if len(train) > 0 {
+			pred := train[0]
+			for t := 1; t < len(train); t++ {
+				pred = a*train[t-1] + (1-a)*pred
+				d := train[t] - pred
+				sse += d * d
+			}
 		}
 		if !isFinite(sse) {
 			continue

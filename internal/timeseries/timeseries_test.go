@@ -137,6 +137,34 @@ func TestSelectAlphaEmptyGridPanics(t *testing.T) {
 	SelectAlpha([]float64{1, 2}, nil)
 }
 
+// TestSelectAlphaAllocatesNothing: the grid search scores each
+// candidate as its recursion runs, so a forecast seed's per-link search
+// builds no series at all (it built one per candidate).
+func TestSelectAlphaAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	z := make([]float64, 1008)
+	for i := range z {
+		z[i] = 1e7 + 1e6*rng.NormFloat64()
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := SelectAlpha(z, DefaultAlphaGrid); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("SelectAlpha allocates %v times per call, want 0", allocs)
+	}
+}
+
+func TestSelectAlphaOutOfRangePanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "timeseries: EWMA alpha 1.5 out of [0,1]" {
+			t.Fatalf("panic %v, want the EWMA alpha-range panic", r)
+		}
+	}()
+	SelectAlpha([]float64{1, 2, 3}, []float64{0.2, 1.5})
+}
+
 func TestSelectAlphaConstantSeriesTiesTowardWorkingRange(t *testing.T) {
 	// Every alpha forecasts a constant series perfectly (SSE 0 across the
 	// grid); the tie must break into the paper's 0.2-0.3 band rather than

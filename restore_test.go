@@ -2,6 +2,7 @@ package netanomaly_test
 
 import (
 	"bytes"
+	"io"
 	"runtime"
 	"testing"
 
@@ -193,4 +194,57 @@ func TestWarmStartRestoreAllocations(t *testing.T) {
 		t.Fatalf("restoring a %d-byte checkpoint allocated %d bytes, budget %.0f", ckpt.Len(), least, budget)
 	}
 	t.Logf("restoring a %d-byte checkpoint allocated %d bytes", ckpt.Len(), least)
+}
+
+// TestCheckpointAllocations holds Monitor.Checkpoint of a one-view
+// monitor at the ledger's wide scale (synthetic:30:45:7, 120 links, a
+// 1008-bin window) to 1.2x the checkpoint's bytes allocated, for the
+// subspace, ewma, hybrid and sketch backends: a sizing pass lets the
+// envelope be built in one buffer of its exact size. A buffer grown by
+// append allocated 1.8-2.4x for ewma, hybrid and sketch; subspace's
+// fields after its window happened to fit the allocator's rounding of
+// the one grow the window made.
+func TestCheckpointAllocations(t *testing.T) {
+	topo, err := topology.Parse("synthetic:30:45:7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := traffic.DefaultConfig(3)
+	cfg.Bins = 1008
+	gen, err := traffic.NewGenerator(topo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	week := traffic.LinkLoads(topo, gen.Generate())
+	kinds := []netanomaly.DetectorKind{netanomaly.DetectorSubspace, netanomaly.DetectorEWMA, netanomaly.DetectorHybrid, netanomaly.DetectorSketch}
+	for _, kind := range kinds {
+		t.Run(string(kind), func(t *testing.T) {
+			mon := netanomaly.NewMonitor(netanomaly.MonitorConfig{Workers: 1})
+			defer mon.Close()
+			if err := netanomaly.AddView(mon, "net", week, topo, netanomaly.WithDetector(kind)); err != nil {
+				t.Fatal(err)
+			}
+			var ckpt bytes.Buffer
+			if err := mon.Checkpoint(&ckpt); err != nil {
+				t.Fatal(err)
+			}
+			least := uint64(1 << 62)
+			for i := 0; i < 3; i++ {
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				err := mon.Checkpoint(io.Discard)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+			ratio := float64(least) / float64(ckpt.Len())
+			if ratio > 1.2 {
+				t.Fatalf("a %d-byte checkpoint allocated %d bytes (%.2fx), budget 1.2x", ckpt.Len(), least, ratio)
+			}
+			t.Logf("a %d-byte checkpoint allocated %d bytes (%.2fx)", ckpt.Len(), least, ratio)
+		})
+	}
 }
