@@ -120,7 +120,7 @@ func (o *Options) fillDefaults() {
 // (links x flows).
 func NewDiagnoser(y, a *mat.Dense, opts Options) (*Diagnoser, error) {
 	opts.fillDefaults()
-	pca, rank, err := fitRank(y, opts)
+	pca, rank, err := fitRank(y.Clone(), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -134,16 +134,17 @@ func NewDiagnoser(y, a *mat.Dense, opts Options) (*Diagnoser, error) {
 // projecting the centered rows onto one axis at a time and stopping at
 // the first that deviates. It agrees with Fit followed by SeparateAxes to
 // round-off at a fraction of the t x m SVD's cost; the returned PCA has
-// no temporal view.
+// no temporal view. Like gramEig it centers y in place: a caller that
+// does not own y passes a copy.
 func fitRank(y *mat.Dense, opts Options) (*PCA, int, error) {
-	pca, vt, yc, err := gramEig(y)
+	pca, vt, err := gramEig(y)
 	if err != nil {
 		return nil, 0, err
 	}
 	rank := opts.Rank
 	if rank == 0 {
 		rank = separate(pca.NumComponents(), opts.Sigma, func(i int) bool {
-			return deviates(mat.MulVec(yc, vt.RowView(i)), 1, opts.Sigma)
+			return deviates(mat.MulVec(y, vt.RowView(i)), 1, opts.Sigma)
 		})
 	}
 	return pca, rank, nil

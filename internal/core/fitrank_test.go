@@ -48,7 +48,7 @@ func checkFitRankMatchesSVD(t *testing.T, y *mat.Dense) {
 		t.Fatalf("SVD oracle at rank %d: %v", wantRank, err)
 	}
 
-	p, rank, err := fitRank(y, opts)
+	p, rank, err := fitRank(y.Clone(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func checkFitRankMatchesSVD(t *testing.T, y *mat.Dense) {
 		t.Fatalf("rank %d: residual subspace %.2e from the SVD oracle's", rank, d)
 	}
 	t.Logf("rank %d, Q-limit rel diff %.1e, subspace distance %.1e", rank, math.Abs(q-wantQ)/wantQ, d)
-	if pinned, pr, err := fitRank(y, Options{Confidence: opts.Confidence, Sigma: opts.Sigma, Rank: rank}); err != nil || pr != rank ||
+	if pinned, pr, err := fitRank(y.Clone(), Options{Confidence: opts.Confidence, Sigma: opts.Sigma, Rank: rank}); err != nil || pr != rank ||
 		!mat.VecEqualApprox(pinned.Variances, p.Variances, 0) {
 		t.Fatalf("pinned rank %d: got rank %d, err %v, or different variances", rank, pr, err)
 	}
@@ -157,7 +157,7 @@ func TestFitRankDegenerateInputs(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			y := week.Clone()
 			y.Set(500, 20, bad)
-			_, _, err := fitRank(y, Options{Sigma: DefaultSigma})
+			_, _, err := fitRank(y.Clone(), Options{Sigma: DefaultSigma})
 			if !errors.Is(err, mat.ErrNoConvergence) || !strings.Contains(err.Error(), "non-finite") {
 				t.Fatalf("got %v, want the eigensolver's up-front non-finite rejection (mat.ErrNoConvergence)", err)
 			}

@@ -453,6 +453,8 @@ func (w *windowEstimator) absorb(y *mat.Dense, skip []bool) {
 
 func (w *windowEstimator) settle() error { return nil }
 
+// fit copies the window once, now, and the fit centers that copy in
+// place.
 func (w *windowEstimator) fit(opts Options) func() (*PCA, int, error) {
 	rows := w.ring.Matrix()
 	return func() (*PCA, int, error) {
@@ -468,13 +470,10 @@ func (w *windowEstimator) reseed(history *mat.Dense, opts Options) (estimator, *
 	if w.ring == nil && (capacity == 0 || capacity > history.Rows()) {
 		capacity = history.Rows()
 	}
-	// The window holds the history's last rows, and the fit copies what
-	// it is given before centering it, so it reads those rows in place
-	// rather than a copy of the window.
-	bins, cols := history.Dims()
-	from := max(0, bins-capacity)
+	// The window holds the history's last rows, and the fit centers its
+	// own copy of them, as a refit does.
 	next := &windowEstimator{capacity: capacity, ring: tailRing(history, capacity)}
-	p, rank, err := fitRank(mat.NewDense(bins-from, cols, history.RawData()[from*cols:]), opts)
+	p, rank, err := fitRank(next.ring.Matrix(), opts)
 	return next, p, rank, err
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -78,6 +79,37 @@ func TestOnlineDetectorRefit(t *testing.T) {
 	if err := od.Refit(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestWindowRefitCopiesWindowOnce pins a window refit at 120 links over
+// a 1008-bin window to one copy of the window: the fit centers the
+// ring's snapshot in place. A second 0.97 MB copy before centering would
+// take it past the budget.
+func TestWindowRefitCopiesWindowOnce(t *testing.T) {
+	const bins, links, budget = 1008, 120, 2_100_000
+	y := lowRankTrace(rand.New(rand.NewSource(9)), bins, links)
+	od, err := seeded(NewOnlineDetector(mat.Identity(links), OnlineConfig{
+		Window: bins, Options: Options{Rank: 5},
+	}))(y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	least := uint64(1 << 62)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		err := od.Refit()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > budget {
+		t.Fatalf("window refit on %d bins x %d links allocated %d bytes, budget %d", bins, links, least, budget)
+	}
+	t.Logf("window refit on %d bins x %d links allocated %d bytes", bins, links, least)
 }
 
 func TestOnlineDetectorWindowShorterThanHistory(t *testing.T) {

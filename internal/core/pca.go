@@ -82,7 +82,8 @@ func Fit(y *mat.Dense) (*PCA, error) {
 // (fitRank), and FitEig adds the full projections u_i = Y v_i / ||Y v_i||
 // for the ablation comparing it with Fit.
 func FitEig(y *mat.Dense) (*PCA, error) {
-	p, vt, yc, err := gramEig(y)
+	yc := y.Clone()
+	p, vt, err := gramEig(yc)
 	if err != nil {
 		return nil, err
 	}
@@ -96,28 +97,27 @@ func FitEig(y *mat.Dense) (*PCA, error) {
 }
 
 // gramEig is the PCA of y (t x m, t >= m) through its centered Gram
-// matrix: it centers a private copy yc of y, forms yc^T yc — whose
-// parallel stripes depend only on the shape, so the result is the same
-// under any GOMAXPROCS — and solves it in place with SymEigInPlace.
-// Centering comes first because the raw Gram minus t*mu*mu^T cancels
-// catastrophically at byte-scale loads. It returns the PCA without
-// projections, the axes as the rows of vt (row i is v_i) and yc, from
-// which callers project. Non-finite input fails before any iteration,
-// with an error wrapping mat.ErrNoConvergence.
-func gramEig(y *mat.Dense) (p *PCA, vt, yc *mat.Dense, err error) {
+// matrix: it centers y in place, so the caller must own it and may then
+// project from it, forms y^T y — whose parallel stripes depend only on
+// the shape, so the result is the same under any GOMAXPROCS — and
+// solves it in place with SymEigInPlace. Centering comes first because
+// the raw Gram minus t*mu*mu^T cancels catastrophically at byte-scale
+// loads. It returns the PCA without projections and the axes as the
+// rows of vt (row i is v_i). Non-finite input fails before any
+// iteration, with an error wrapping mat.ErrNoConvergence.
+func gramEig(y *mat.Dense) (p *PCA, vt *mat.Dense, err error) {
 	t, m := y.Dims()
 	if t < 2 {
-		return nil, nil, nil, ErrTooFewSamples
+		return nil, nil, ErrTooFewSamples
 	}
 	if t < m {
-		return nil, nil, nil, fmt.Errorf("core: need at least as many bins (%d) as links (%d)", t, m)
+		return nil, nil, fmt.Errorf("core: need at least as many bins (%d) as links (%d)", t, m)
 	}
-	yc = y.Clone()
-	means := yc.CenterColumns()
-	vt = yc.Gram()
+	means := y.CenterColumns()
+	vt = y.Gram()
 	variances := make([]float64, m)
 	if err := mat.SymEigInPlace(vt, variances, make([]float64, m)); err != nil {
-		return nil, nil, nil, fmt.Errorf("core: covariance eigendecomposition failed: %w", err)
+		return nil, nil, fmt.Errorf("core: covariance eigendecomposition failed: %w", err)
 	}
 	for i, ev := range variances {
 		if ev < 0 {
@@ -132,7 +132,7 @@ func gramEig(y *mat.Dense) (p *PCA, vt, yc *mat.Dense, err error) {
 		Means:       means,
 		SampleCount: t,
 	}
-	return p, vt, yc, nil
+	return p, vt, nil
 }
 
 // NumComponents returns the number of principal axes (m).

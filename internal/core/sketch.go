@@ -410,7 +410,7 @@ func (e *sketchEstimator) fit(Options) func() (*PCA, int, error) {
 }
 
 func (e *sketchEstimator) reseed(history *mat.Dense, opts Options) (estimator, *PCA, int, error) {
-	p, rank, err := fitRank(history, opts)
+	p, rank, err := fitRank(history.Clone(), opts)
 	if err != nil {
 		return nil, nil, 0, err
 	}
