@@ -559,6 +559,41 @@ func BenchmarkIdentify(b *testing.B) {
 	}
 }
 
+// BenchmarkSPEBatch prices the per-bin SPE test, the kernel every
+// subspace bin runs, on a 64-bin batch at Abilene's 41 links and the
+// wide network's 120 (synthetic:30:45:7), against a model fitted on a
+// 1008-bin week with the paper's rank rule.
+func BenchmarkSPEBatch(b *testing.B) {
+	for _, name := range []string{"abilene", "synthetic:30:45:7"} {
+		topo, err := topology.Parse(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := traffic.DefaultConfig(1)
+		cfg.Bins = 1008 + 64
+		gen, err := traffic.NewGenerator(topo, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		y := traffic.LinkLoads(topo, gen.Generate())
+		week := mat.NewDense(1008, topo.NumLinks(), y.RawData()[:1008*topo.NumLinks()])
+		batch := mat.NewDense(64, topo.NumLinks(), y.RawData()[1008*topo.NumLinks():])
+		diag, err := core.NewDiagnoser(week, topo.RoutingMatrix(), core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		model := diag.Detector().Model()
+		out := make([]float64, 64)
+		b.Run(fmt.Sprintf("%dlinks/rank%d", topo.NumLinks(), model.Rank()), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				model.SPEBatch(batch, out)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(64*b.N), "ns/bin")
+		})
+	}
+}
+
 // BenchmarkEigPaperSize times the covariance eigendecomposition path on a
 // paper-sized matrix, the alternative Section 7.1 discusses.
 func BenchmarkEigPaperSize(b *testing.B) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -139,5 +140,29 @@ func TestWarmStartReadsNoHistory(t *testing.T) {
 	var ee *exec.ExitError
 	if !errors.As(err, &ee) || ee.ExitCode() != 1 || stdout != "" || !strings.Contains(stderr, "no-such-week.csv") {
 		t.Fatalf("cold start on a missing history: err %v, stdout %q, stderr %q; want exit 1 naming the file", err, stdout, stderr)
+	}
+}
+
+// TestAlarmLineMatchesFmt holds appendAlarmLine to the fmt format it
+// replaced, byte for byte, on one reused buffer: zeros of both signs,
+// the extremes of the float range, integral values that %.4g prints
+// with and without an exponent, rounding at the fourth digit, negative
+// byte estimates and the non-finite values.
+func TestAlarmLineMatchesFmt(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	values := []float64{0, negZero, 1e-300, 1e300, 5e-324, math.MaxFloat64, 1, 12, 1234, 12345, 1e4, 9.9995e7,
+		123456789, 0.1, 2.5e-5, -3, -9.1e7, -1e-300, math.Inf(1), math.Inf(-1), math.NaN()}
+	var buf []byte
+	for i, spe := range values {
+		for j, volume := range values {
+			threshold := values[(i+j)%len(values)]
+			seq := []int{0, 96, 4031, 1 << 40, -1}[(i+j)%5]
+			flow := []string{"-", "wash->nycm"}[j%2]
+			want := fmt.Sprintf("alarm bin %d: SPE %.4g > %.4g, flow %s, %.4g bytes\n", seq, spe, threshold, flow, volume)
+			buf = appendAlarmLine(buf[:0], seq, spe, threshold, flow, volume)
+			if string(buf) != want {
+				t.Fatalf("appendAlarmLine = %q, fmt = %q", buf, want)
+			}
+		}
 	}
 }

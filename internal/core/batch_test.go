@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"netanomaly/internal/mat"
+	"netanomaly/internal/topology"
 	"netanomaly/internal/traffic"
 )
 
@@ -92,5 +94,60 @@ func TestDiagnoseBatchMatchesDiagnoseAt(t *testing.T) {
 	}
 	if diags[500].Flow != flow {
 		t.Fatalf("spike bin identified flow %d want %d", diags[500].Flow, flow)
+	}
+}
+
+// TestDiagnoseBatchIdentifiesWithoutAllocating pins identification's
+// scratch to one allocation per batch: a 64-bin batch at 120 links
+// (synthetic:30:45:7, 900 flows) in which every bin alarms allocates
+// exactly as often as one in which a single bin does.
+func TestDiagnoseBatchIdentifiesWithoutAllocating(t *testing.T) {
+	topo, err := topology.Parse("synthetic:30:45:7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := traffic.DefaultConfig(1)
+	cfg.Bins = 1008 + 64
+	gen, err := traffic.NewGenerator(topo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := gen.Generate()
+	links := topo.NumLinks()
+	y := traffic.LinkLoads(topo, x)
+	diag, err := NewDiagnoser(mat.NewDense(1008, links, y.RawData()[:1008*links]), topo.RoutingMatrix(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each batch row is a quiet week bin; spiking a flow by 5e8 bytes
+	// makes its bin alarm.
+	batch := func(spiked int) *mat.Dense {
+		od := mat.NewDense(64, topo.NumFlows(), mat.CloneVec(x.RawData()[:64*topo.NumFlows()]))
+		for b := 0; b < spiked; b++ {
+			od.Set(b, (7*b)%topo.NumFlows(), od.At(b, (7*b)%topo.NumFlows())+5e8)
+		}
+		return traffic.LinkLoads(topo, od)
+	}
+	one, all := batch(1), batch(64)
+	alarms := func(y *mat.Dense) int {
+		_, flags := diag.DiagnoseBatch(y)
+		n := 0
+		for _, f := range flags {
+			if f {
+				n++
+			}
+		}
+		return n
+	}
+	if n := alarms(one); n != 1 {
+		t.Fatalf("one spiked bin: %d alarms, want 1", n)
+	}
+	if n := alarms(all); n != 64 {
+		t.Fatalf("64 spiked bins: %d alarms, want 64", n)
+	}
+	allocsOne := testing.AllocsPerRun(20, func() { diag.DiagnoseBatch(one) })
+	allocsAll := testing.AllocsPerRun(20, func() { diag.DiagnoseBatch(all) })
+	if allocsAll != allocsOne {
+		t.Fatalf("DiagnoseBatch allocates %v times with 64 alarms, %v with one", allocsAll, allocsOne)
 	}
 }

@@ -194,8 +194,9 @@ func (d *Diagnoser) DiagnoseAt(y []float64) (diag Diagnosis, ok bool) {
 
 // DiagnoseBatch runs the three-step pipeline over every row of the
 // measurement matrix (bins x links) in one batched pass: SPE for the whole
-// block comes from a single bins x m x rank multiply (Model.SPEBatch), and
-// only the rows that alarm pay for identification and quantification. It
+// block comes from one batched projection (Model.SPEBatch), and only the
+// rows that alarm pay for identification and quantification, all on one
+// scratch allocated for the batch. It
 // returns one Diagnosis per row (Flow is -1 for quiet rows) and a parallel
 // slice marking which rows are anomalous. Bin is the row index within the
 // batch; streaming callers re-number it with their own sequence.
@@ -207,10 +208,16 @@ func (d *Diagnoser) DiagnoseBatch(y *mat.Dense) ([]Diagnosis, []bool) {
 	spes := d.det.model.SPEBatch(y, nil)
 	diags := make([]Diagnosis, bins)
 	flags := make([]bool, bins)
+	// The first alarmed row allocates the identification scratch, and
+	// every later one in the batch reuses it.
+	var scratch identScratch
 	for b, spe := range spes {
 		diag := Diagnosis{Bin: b, SPE: spe, Threshold: d.det.limit, Flow: -1}
 		if spe > d.det.limit {
-			res := d.id.Identify(y.RowView(b))
+			if scratch.resid == nil {
+				scratch = d.id.newScratch()
+			}
+			res := d.id.identify(y.RowView(b), scratch)
 			diag.Flow = res.Flow
 			diag.Bytes = res.Bytes
 			flags[b] = true

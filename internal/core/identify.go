@@ -73,9 +73,15 @@ func newFlowPaths(a *mat.Dense) *flowPaths {
 
 // dot returns theta_i^T v over flow i's path.
 func (fp *flowPaths) dot(i int, v []float64) float64 {
+	return pathDot(fp.link[fp.start[i]:fp.start[i+1]], fp.theta[fp.start[i]:fp.start[i+1]], v)
+}
+
+// pathDot returns sum_e theta[e] * v[link[e]], summed in path order.
+func pathDot(link []int, theta, v []float64) float64 {
+	theta = theta[:len(link)]
 	var s float64
-	for e := fp.start[i]; e < fp.start[i+1]; e++ {
-		s += fp.theta[e] * v[fp.link[e]]
+	for e, k := range link {
+		s += theta[e] * v[k]
 	}
 	return s
 }
@@ -171,26 +177,57 @@ type Result struct {
 // and fhat_i = (theta~_i^T theta~_i)^-1 theta~_i^T y~ (Equation 1). By
 // orthogonal projection the minimized residual equals
 // ||y~||^2 - (theta~_i^T y~)^2 / ||theta~_i||^2, so after the O(m*rank)
-// residual the scan is one sparse dot per flow, O(nnz(A)), without
-// rebuilding y*_i per hypothesis. Ties are broken by tieTol.
+// residual, projected through contiguous P^T rows, the scan is one
+// sparse dot per flow, O(nnz(A)), without rebuilding y*_i per
+// hypothesis. Ties are broken by tieTol. Results are bit-identical to
+// the test reference (identifyRef), whose projections go through
+// mat.MulTVec and whose tie rule is argminTie's two passes.
 func (id *Identifier) Identify(y []float64) Result {
+	return id.identify(y, id.newScratch())
+}
+
+// identScratch is the working memory of one identification: the
+// residual y~, P^T y~ (one value per row of the model's pt) and one
+// residual per flow. DiagnoseBatch reuses one for every alarmed row.
+type identScratch struct {
+	yt, u, resid []float64
+}
+
+// newScratch allocates an identScratch for id in one slab.
+func (id *Identifier) newScratch() identScratch {
+	links, axes, flows := id.model.NumLinks(), id.model.pt.Rows(), id.NumFlows()
+	buf := make([]float64, links+axes+flows)
+	return identScratch{yt: buf[:links:links], u: buf[links : links+axes : links+axes], resid: buf[links+axes:]}
+}
+
+// identify is Identify on caller-owned scratch.
+func (id *Identifier) identify(y []float64, s identScratch) Result {
 	// theta_i^T y~ stands in for theta~_i^T y~ only while y~ has no
 	// component in S. One projection leaves round-off of order eps*||yc||
 	// there, which a flow with a short theta~_i amplifies by
 	// 1/||theta~_i||; projecting twice cuts it to eps*||y~||.
-	yt := id.model.Residual(y)
-	id.model.removeNormal(yt)
+	yt := id.model.centerInto(s.yt, y)
+	id.model.removeNormal(yt, s.u)
+	id.model.removeNormal(yt, s.u)
 	base := mat.SqNorm(yt)
-	resid := make([]float64, len(id.thetaTildeSq))
-	for i, tsq := range id.thetaTildeSq {
-		resid[i] = math.Inf(1)
-		if tsq == 0 {
-			continue
+	tts := id.thetaTildeSq
+	resid := s.resid[:len(tts)]
+	start, link, theta := id.paths.start[:len(tts)+1], id.paths.link, id.paths.theta
+	// The scan keeps argminTie's first pass, the running minimum (which
+	// NaN never lowers), so only the tie pass reads resid again.
+	lo := math.Inf(1)
+	for i, tsq := range tts {
+		r := math.Inf(1)
+		if tsq != 0 {
+			dot := pathDot(link[start[i]:start[i+1]], theta[start[i]:start[i+1]], yt)
+			r = base - dot*dot/tsq
+			if r < lo {
+				lo = r
+			}
 		}
-		dot := id.paths.dot(i, yt)
-		resid[i] = base - dot*dot/tsq
+		resid[i] = r
 	}
-	flow := argminTie(resid, base)
+	flow := firstWithinTie(resid, lo, base)
 	if flow < 0 {
 		return Result{Flow: -1, ResidualSq: base}
 	}
@@ -238,6 +275,12 @@ func argminTie(vals []float64, scale float64) int {
 			lo = v
 		}
 	}
+	return firstWithinTie(vals, lo, scale)
+}
+
+// firstWithinTie is argminTie's second pass, given lo, the smallest of
+// vals.
+func firstWithinTie(vals []float64, lo, scale float64) int {
 	if math.IsInf(lo, 1) {
 		return -1
 	}

@@ -769,8 +769,9 @@ func EncodeDetector(sw *SnapshotWriter, det *Detector) {
 }
 
 // DecodeDetector reads an EncodeDetector fragment and rebuilds the
-// detector, recomputing P^T means with the same arithmetic Build uses so
-// restored detection matches the original to the bit.
+// detector through the constructor Build uses, which derives P^T and
+// P^T means with the same arithmetic, so restored detection matches the
+// original to the bit.
 func DecodeDetector(sr *SnapshotReader) (*Detector, error) {
 	rank := sr.NonNegInt()
 	means := sr.Floats()
@@ -801,14 +802,7 @@ func DecodeDetector(sr *SnapshotReader) (*Detector, error) {
 	if !mat.AllFinite(means) || !mat.AllFinite(pm.RawData()) || !mat.AllFinite(resid) {
 		return nil, snapshotFormatf("model has a non-finite mean, axis or residual variance")
 	}
-	model := &Model{
-		rank:           rank,
-		means:          means,
-		p:              pm,
-		pmeans:         mat.MulTVec(pm, means),
-		residVariances: resid,
-	}
-	det, err := NewDetector(model, confidence)
+	det, err := NewDetector(newModel(rank, means, pm, resid), confidence)
 	if err != nil {
 		return nil, snapshotFormatf("model threshold: %v", err)
 	}

@@ -87,7 +87,9 @@ func deviates(u []float64, stride int, sigma float64) bool {
 // Model is a fitted subspace separation: the normal principal axes P that
 // span the normal subspace S (the first r axes) and so define the
 // projections onto S and the anomalous subspace S~, plus what the
-// Q-statistic needs.
+// Q-statistic needs. It holds P twice, as P (m x rank) and as P^T
+// (rank x m, padded to whole groups of four axes): about rank*m more
+// floats, derived on construction and never serialized.
 type Model struct {
 	rank  int
 	means []float64
@@ -98,12 +100,36 @@ type Model struct {
 	// low-rank identity ||ytilde||^2 = ||yc||^2 - ||P^T yc||^2 likewise
 	// lets batched SPE skip the residual vector altogether.
 	p *mat.Dense
+	// pt is P^T with zero rows appended up to a multiple of four: axis j
+	// is row j, contiguous, so each projection P^T v is a run of dot
+	// products over contiguous rows, four axes to a pass over v, rather
+	// than a scatter into rank sums from every row of p. The padding
+	// axes' sums are computed and ignored.
+	pt *mat.Dense
 	// pmeans = P^T means, precomputed so batched SPE can project raw
 	// (uncentered) measurements and correct afterwards.
 	pmeans []float64
 	// residVariances are the variances lambda_j for the anomalous axes
 	// j > r, used by the Q-statistic.
 	residVariances []float64
+}
+
+// newModel assembles a model from its fitted parts, which it keeps, and
+// derives P^T and P^T means from them. Build and DecodeDetector both
+// construct through it, so a restored model computes what the fitted
+// one did, to the bit.
+func newModel(rank int, means []float64, p *mat.Dense, resid []float64) *Model {
+	links := len(means)
+	pt := mat.Zeros((rank+3)&^3, links)
+	copy(pt.RawData(), p.T().RawData())
+	return &Model{
+		rank:           rank,
+		means:          means,
+		p:              p,
+		pt:             pt,
+		pmeans:         mat.MulTVec(p, means),
+		residVariances: resid,
+	}
 }
 
 // Build constructs the subspace model from a fitted PCA with the first
@@ -127,13 +153,7 @@ func Build(p *PCA, rank int) (*Model, error) {
 			resid[i] = 0
 		}
 	}
-	return &Model{
-		rank:           rank,
-		means:          mat.CloneVec(p.Means),
-		p:              pm,
-		pmeans:         mat.MulTVec(pm, p.Means),
-		residVariances: resid,
-	}, nil
+	return newModel(rank, mat.CloneVec(p.Means), pm, resid), nil
 }
 
 // Rank returns r, the dimension of the normal subspace.
@@ -147,26 +167,49 @@ func (m *Model) Means() []float64 { return mat.CloneVec(m.means) }
 
 // center returns y - means, validating the dimension.
 func (m *Model) center(y []float64) []float64 {
+	return m.centerInto(make([]float64, len(y)), y)
+}
+
+// centerInto sets dst = y - means and returns it.
+func (m *Model) centerInto(dst, y []float64) []float64 {
 	if len(y) != len(m.means) {
 		panic(fmt.Sprintf("core: measurement length %d != model links %d", len(y), len(m.means)))
 	}
-	return mat.SubVec(y, m.means)
+	dst = dst[:len(y)]
+	for k, v := range y {
+		dst[k] = v - m.means[k]
+	}
+	return dst
+}
+
+// axisRows returns the P^T rows of axes j..j+3.
+func (m *Model) axisRows(j int) (t0, t1, t2, t3 []float64) {
+	links := len(m.means)
+	t := m.pt.RawData()[j*links : (j+4)*links]
+	return t[:links], t[links : 2*links], t[2*links : 3*links], t[3*links:]
 }
 
 // anomalous returns C~ v = v - P (P^T v), the projection of v onto S~.
 func (m *Model) anomalous(v []float64) []float64 {
 	out := mat.CloneVec(v)
-	m.removeNormal(out)
+	m.removeNormal(out, make([]float64, m.pt.Rows()))
 	return out
 }
 
-// removeNormal projects v onto S~ in place: v -= P (P^T v).
-func (m *Model) removeNormal(v []float64) {
-	u := mat.MulTVec(m.p, v)
+// removeNormal projects v onto S~ in place: v -= P (P^T v). u, one
+// value per row of pt, receives P^T v, each sum taken one link at a
+// time in link order, as mat.MulTVec(p, v) takes it.
+func (m *Model) removeNormal(v, u []float64) {
+	for j := 0; j < len(u); j += 4 {
+		t0, t1, t2, t3 := m.axisRows(j)
+		u[j], u[j+1], u[j+2], u[j+3] = dots4Seq(v, t0, t1, t2, t3)
+	}
+	rank := m.rank
 	pdata := m.p.RawData()
+	u = u[:rank]
 	for i := range v {
 		var s float64
-		for j, pv := range pdata[i*m.rank : (i+1)*m.rank] {
+		for j, pv := range pdata[i*rank : (i+1)*rank] {
 			s += pv * u[j]
 		}
 		v[i] -= s
@@ -177,7 +220,7 @@ func (m *Model) removeNormal(v []float64) {
 // ytilde = C~ (y-mean) = yc - P (P^T yc), in O(m*rank).
 func (m *Model) Residual(y []float64) []float64 {
 	yt := m.center(y)
-	m.removeNormal(yt)
+	m.removeNormal(yt, make([]float64, m.pt.Rows()))
 	return yt
 }
 
@@ -209,13 +252,16 @@ func (m *Model) Distance(other *Model) float64 {
 }
 
 // SPEBatch computes the squared prediction error for every row of the
-// measurement matrix y (bins x links) in one matrix pass. Because P has
-// orthonormal columns, ||ytilde||^2 = ||y-mean||^2 - ||P^T (y-mean)||^2,
-// so the batch costs one bins x m x rank multiply (through the blocked
-// kernels) plus two row-norm sweeps, without building the residual vector
-// SPE forms. Results agree with SPE to floating-point roundoff and are
-// clamped at zero. If out has capacity for one value per
-// row it is reused, otherwise a new slice is allocated.
+// measurement matrix y (bins x links). Because P has orthonormal
+// columns, ||ytilde||^2 = ||y-mean||^2 - ||P^T (y-mean)||^2, so a row
+// costs its rank projections, dot products over contiguous P^T rows,
+// four axes to a pass over the row with ||y-mean||^2 taken in the first,
+// without building the residual vector SPE forms. Results agree with SPE
+// to floating-point roundoff and are clamped at zero. They are
+// bit-identical to the row-major test reference (speBatchRef): each sum
+// runs in the reference's order, four links to a group, the groups in
+// link order. If out has capacity for one value per row it is reused,
+// otherwise a new slice is allocated.
 func (m *Model) SPEBatch(y *mat.Dense, out []float64) []float64 {
 	bins, links := y.Dims()
 	if links != len(m.means) {
@@ -226,46 +272,21 @@ func (m *Model) SPEBatch(y *mat.Dense, out []float64) []float64 {
 	}
 	out = out[:bins]
 	// Project each raw row (u = P^T y) and correct for the mean
-	// afterwards: P^T (y - mean) = P^T y - pmeans. The accumulation
-	// iterates links-major so the inner loop runs over a contiguous
-	// rank-length row of P, and the only scratch is one rank-sized
-	// buffer reused across the batch — no per-call matrix allocation on
-	// the streaming hot path.
-	u := make([]float64, m.rank)
+	// afterwards: P^T (y - mean) = P^T y - pmeans. The only scratch is
+	// one buffer per padded axis, reused across the batch.
+	u := make([]float64, m.pt.Rows())
 	ydata := y.RawData()
-	pdata := m.p.RawData()
-	rank := m.rank
 	for b := 0; b < bins; b++ {
 		row := ydata[b*links : (b+1)*links]
+		t0, t1, t2, t3 := m.axisRows(0)
 		var sq float64
-		for k, v := range row {
-			d := v - m.means[k]
-			sq += d * d
-		}
-		for j := range u {
-			u[j] = 0
-		}
-		// u += row * P, four P rows per pass (the mulStripe unroll).
-		var k int
-		for ; k+4 <= links; k += 4 {
-			v0, v1, v2, v3 := row[k], row[k+1], row[k+2], row[k+3]
-			p0 := pdata[k*rank : (k+1)*rank]
-			p1 := pdata[(k+1)*rank : (k+2)*rank]
-			p2 := pdata[(k+2)*rank : (k+3)*rank]
-			p3 := pdata[(k+3)*rank : (k+4)*rank]
-			for j := range u {
-				u[j] += v0*p0[j] + v1*p1[j] + v2*p2[j] + v3*p3[j]
-			}
-		}
-		for ; k < links; k++ {
-			v := row[k]
-			prow := pdata[k*rank : (k+1)*rank]
-			for j, pv := range prow {
-				u[j] += v * pv
-			}
+		u[0], u[1], u[2], u[3], sq = dots4Sq(row, m.means, t0, t1, t2, t3)
+		for j := 4; j < len(u); j += 4 {
+			t0, t1, t2, t3 := m.axisRows(j)
+			u[j], u[j+1], u[j+2], u[j+3] = dots4(row, t0, t1, t2, t3)
 		}
 		var proj float64
-		for j, v := range u {
+		for j, v := range u[:m.rank] {
 			d := v - m.pmeans[j]
 			proj += d * d
 		}
@@ -276,6 +297,76 @@ func (m *Model) SPEBatch(y *mat.Dense, out []float64) []float64 {
 		out[b] = spe
 	}
 	return out
+}
+
+// dots4Sq returns the dot products of row with t0..t3, each summed in
+// speBatchRef's order: four links at a time,
+// r[k]t[k] + r[k+1]t[k+1] + r[k+2]t[k+2] + r[k+3]t[k+3] per group, the
+// groups and then the leftover links added in link order. From the same
+// loads of row it sums ||row - means||^2 one link at a time.
+func dots4Sq(row, means, t0, t1, t2, t3 []float64) (s0, s1, s2, s3, sq float64) {
+	n := len(row)
+	means, t0, t1, t2, t3 = means[:n], t0[:n], t1[:n], t2[:n], t3[:n]
+	k := 0
+	for ; k+4 <= n; k += 4 {
+		v0, v1, v2, v3 := row[k], row[k+1], row[k+2], row[k+3]
+		d0, d1, d2, d3 := v0-means[k], v1-means[k+1], v2-means[k+2], v3-means[k+3]
+		sq += d0 * d0
+		sq += d1 * d1
+		sq += d2 * d2
+		sq += d3 * d3
+		s0 += v0*t0[k] + v1*t0[k+1] + v2*t0[k+2] + v3*t0[k+3]
+		s1 += v0*t1[k] + v1*t1[k+1] + v2*t1[k+2] + v3*t1[k+3]
+		s2 += v0*t2[k] + v1*t2[k+1] + v2*t2[k+2] + v3*t2[k+3]
+		s3 += v0*t3[k] + v1*t3[k+1] + v2*t3[k+2] + v3*t3[k+3]
+	}
+	for ; k < n; k++ {
+		v := row[k]
+		d := v - means[k]
+		sq += d * d
+		s0 += v * t0[k]
+		s1 += v * t1[k]
+		s2 += v * t2[k]
+		s3 += v * t3[k]
+	}
+	return s0, s1, s2, s3, sq
+}
+
+// dots4 is dots4Sq without the squared norm, for the passes after the
+// first.
+func dots4(row, t0, t1, t2, t3 []float64) (s0, s1, s2, s3 float64) {
+	n := len(row)
+	t0, t1, t2, t3 = t0[:n], t1[:n], t2[:n], t3[:n]
+	k := 0
+	for ; k+4 <= n; k += 4 {
+		v0, v1, v2, v3 := row[k], row[k+1], row[k+2], row[k+3]
+		s0 += v0*t0[k] + v1*t0[k+1] + v2*t0[k+2] + v3*t0[k+3]
+		s1 += v0*t1[k] + v1*t1[k+1] + v2*t1[k+2] + v3*t1[k+3]
+		s2 += v0*t2[k] + v1*t2[k+1] + v2*t2[k+2] + v3*t2[k+3]
+		s3 += v0*t3[k] + v1*t3[k+1] + v2*t3[k+2] + v3*t3[k+3]
+	}
+	for ; k < n; k++ {
+		v := row[k]
+		s0 += v * t0[k]
+		s1 += v * t1[k]
+		s2 += v * t2[k]
+		s3 += v * t3[k]
+	}
+	return s0, s1, s2, s3
+}
+
+// dots4Seq returns the dot products of v with t0..t3, each summed one
+// term at a time in index order.
+func dots4Seq(v, t0, t1, t2, t3 []float64) (s0, s1, s2, s3 float64) {
+	n := len(v)
+	t0, t1, t2, t3 = t0[:n], t1[:n], t2[:n], t3[:n]
+	for k, x := range v {
+		s0 += t0[k] * x
+		s1 += t1[k] * x
+		s2 += t2[k] * x
+		s3 += t3[k] * x
+	}
+	return s0, s1, s2, s3
 }
 
 // ErrDegenerateResidual is returned by QLimit when the anomalous subspace
