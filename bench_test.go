@@ -1,9 +1,11 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation section, plus the ablations listed in DESIGN.md and the
-// computational claim of Section 7.1. Each benchmark runs the complete
-// experiment per iteration and reports the headline quantity of the
-// corresponding table or figure as a custom metric, so `go test -bench=.`
-// both times the pipeline and reproduces the results.
+// evaluation section, its ablations, and the computational claim of
+// Section 7.1. Each paper benchmark runs the complete experiment per
+// iteration and reports the headline quantity of the corresponding table
+// or figure as a custom metric, so `go test -bench=.` both times the
+// pipeline and reproduces the results. The kernel benchmarks below them
+// are profiling loops: they report ns/op and allocations and gate
+// nothing. cmd/benchjson holds every timing gate (failedGates).
 package netanomaly_test
 
 import (
@@ -30,15 +32,42 @@ import (
 	"netanomaly/internal/wavelet"
 )
 
-// seeded returns a function that seeds the detector a constructor just
-// returned on history — the construction backend.Build runs — passing a
-// constructor error through.
-func seeded[D interface{ Seed(*mat.Dense) error }](det D, err error) func(history *mat.Dense) (D, error) {
-	return func(history *mat.Dense) (D, error) {
-		if err == nil {
-			err = det.Seed(history)
+// generated returns the named topology and bins bins of its synthetic
+// OD traffic at seed, with the link loads that traffic puts on it.
+func generated(b *testing.B, name string, seed int64, bins int) (topo *topology.Topology, od, loads *mat.Dense) {
+	b.Helper()
+	topo, err := topology.Parse(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := traffic.DefaultConfig(seed)
+	cfg.Bins = bins
+	gen, err := traffic.NewGenerator(topo, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	od = gen.Generate()
+	return topo, od, traffic.LinkLoads(topo, od)
+}
+
+// feed streams b.N bins of y through det in 64-bin batches, cycling over
+// y's rows, and reports bins/sec. One op is one bin.
+func feed(b *testing.B, det core.ViewDetector, y *mat.Dense) {
+	const batch = 64
+	bins, m := y.Dims()
+	data := y.RawData()
+	b.ResetTimer()
+	for fed, turn := 0, 0; fed < b.N; turn++ {
+		n := min(batch, b.N-fed)
+		r0 := (turn * batch) % (bins - batch)
+		if _, err := det.ProcessBatch(mat.NewDense(n, m, data[r0*m:(r0+n)*m])); err != nil {
+			b.Fatal(err)
 		}
-		return det, err
+		fed += n
+	}
+	b.StopTimer()
+	if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
+		b.ReportMetric(float64(b.N)/elapsed, "bins/sec")
 	}
 }
 
@@ -276,15 +305,7 @@ func BenchmarkSVD1008x120(b *testing.B) {
 // (synthetic:30:45:7, 120 links).
 func BenchmarkSeedFit(b *testing.B) {
 	for _, name := range []string{"abilene", "synthetic:30:45:7"} {
-		topo, err := topology.Parse(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gen, err := traffic.NewGenerator(topo, traffic.DefaultConfig(3))
-		if err != nil {
-			b.Fatal(err)
-		}
-		history := traffic.LinkLoads(topo, gen.Generate())
+		topo, _, history := generated(b, name, 3, 1008)
 		routing := topo.RoutingMatrix()
 		b.Run(fmt.Sprintf("links=%d", topo.NumLinks()), func(b *testing.B) {
 			b.ReportAllocs()
@@ -304,17 +325,7 @@ func BenchmarkSeedFit(b *testing.B) {
 // seed is BenchmarkSeedFit's). The allocation columns are the point:
 // each step should allocate about the state it keeps.
 func BenchmarkColdStart(b *testing.B) {
-	topo, err := topology.Parse("synthetic:30:45:7")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := traffic.DefaultConfig(3)
-	cfg.Bins = 1008
-	gen, err := traffic.NewGenerator(topo, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	week := traffic.LinkLoads(topo, gen.Generate())
+	topo, _, week := generated(b, "synthetic:30:45:7", 3, 1008)
 	for i, v := range week.RawData() {
 		week.RawData()[i] = math.Round(v) // whole bytes, as trafficgen writes them
 	}
@@ -353,17 +364,7 @@ func BenchmarkColdStart(b *testing.B) {
 // monitor at the ledger's wide scale, per backend, reporting the
 // checkpoint's size beside the bytes allocated to write it.
 func BenchmarkCheckpointWrite(b *testing.B) {
-	topo, err := topology.Parse("synthetic:30:45:7")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := traffic.DefaultConfig(3)
-	cfg.Bins = 1008
-	gen, err := traffic.NewGenerator(topo, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	week := traffic.LinkLoads(topo, gen.Generate())
+	topo, _, week := generated(b, "synthetic:30:45:7", 3, 1008)
 	for _, kind := range []netanomaly.DetectorKind{netanomaly.DetectorSubspace, netanomaly.DetectorEWMA, netanomaly.DetectorHybrid, netanomaly.DetectorSketch} {
 		b.Run(string(kind), func(b *testing.B) {
 			b.ReportAllocs()
@@ -488,28 +489,6 @@ func BenchmarkAblationEigVsSVD(b *testing.B) {
 	b.ReportMetric(diff, "projector_diff")
 }
 
-// BenchmarkAblationIdentification compares the closed-form identification
-// scan (one sparse dot per flow, O(nnz(A))) against the literal
-// Equation (1) recomputation (O(flows x links x rank)) on one measurement.
-func BenchmarkAblationIdentification(b *testing.B) {
-	d := experiments.SprintSim1()
-	diag, err := d.Diagnoser()
-	if err != nil {
-		b.Fatal(err)
-	}
-	row := d.Links.Row(d.TrueAnomalies[0].Bin)
-	b.Run("closed-form", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			diag.Identifier().Identify(row)
-		}
-	})
-	b.Run("equation-1", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			diag.Identifier().IdentifyNaive(row)
-		}
-	})
-}
-
 // BenchmarkIdentify prices the identification stage on Abilene (41
 // links, 121 flows) and on the end-to-end ledger's wide network
 // (synthetic:30:45:7, 120 links, 900 flows): Identify, run once per
@@ -517,19 +496,9 @@ func BenchmarkAblationIdentification(b *testing.B) {
 // against; and NewIdentifier, built at every refit and restore.
 func BenchmarkIdentify(b *testing.B) {
 	for _, name := range []string{"abilene", "synthetic:30:45:7"} {
-		topo, err := topology.Parse(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := traffic.DefaultConfig(3)
-		cfg.Bins = 1008
-		gen, err := traffic.NewGenerator(topo, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		x := gen.Generate()
+		topo, x, loads := generated(b, name, 3, 1008)
 		a := topo.RoutingMatrix()
-		diag, err := core.NewDiagnoser(traffic.LinkLoads(topo, x), a, core.Options{})
+		diag, err := core.NewDiagnoser(loads, a, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -565,17 +534,7 @@ func BenchmarkIdentify(b *testing.B) {
 // 1008-bin week with the paper's rank rule.
 func BenchmarkSPEBatch(b *testing.B) {
 	for _, name := range []string{"abilene", "synthetic:30:45:7"} {
-		topo, err := topology.Parse(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := traffic.DefaultConfig(1)
-		cfg.Bins = 1008 + 64
-		gen, err := traffic.NewGenerator(topo, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		y := traffic.LinkLoads(topo, gen.Generate())
+		topo, _, y := generated(b, name, 1, 1008+64)
 		week := mat.NewDense(1008, topo.NumLinks(), y.RawData()[:1008*topo.NumLinks()])
 		batch := mat.NewDense(64, topo.NumLinks(), y.RawData()[1008*topo.NumLinks():])
 		diag, err := core.NewDiagnoser(week, topo.RoutingMatrix(), core.Options{})
@@ -650,256 +609,140 @@ func (d *benchSinkDetector) Stats() core.ViewStats {
 	return core.ViewStats{Backend: "sink", Links: d.links, Processed: int(d.n.Load())}
 }
 
-// BenchmarkBinaryIngest prices one measurement bin through every
-// ingest path at m = 120: the CSV reference (parse the stream, hand
-// the matrix to Ingest), the v1 per-bin binary format, and the v2
-// batch-framed format under both codecs (IngestBinary throughout).
-// The binary streams carry whole-byte loads, mirroring
-// cmd/trafficgen's binary path — counters on the wire are integral,
-// and integral loads are the regime the xor codec is built for.
-//
-// One op is one bin; the timed loop runs the v2 raw path (the format
-// cmd/trafficgen now emits by default for batch framing). The rest are
-// measured as references, and the benchmark fails itself on any of the
-// format's capability gates:
-//
-//   - v2 raw >= 5x the CSV path and >= 1.5x v1 ns/bin,
-//   - v2 batching cuts decoder read calls per bin by >= 10x vs v1,
-//   - xor decodes within 1.3x of the v1 raw-decode baseline, and
-//     within 2.2x of v2 raw as a regression guard. The v2 raw path
-//     reads payload bytes straight into the destination floats, so its
-//     decode is a memcpy plus a finiteness scan — no decompressor can
-//     price within 30% of that, and the codec's CPU budget is instead
-//     held to the per-bin raw decode it was specified against (it
-//     currently beats that baseline outright),
-//   - xor carries the trafficgen Abilene diurnal week in <= half the
-//     bytes/bin of raw (measured on that exact scenario, so the ratio
-//     is a deterministic property of the codec, not of this machine),
-//   - steady-state ingest stays under 0.05 heap allocations per bin
-//     (one stream amortizes its decoder setup over 1008 bins; the
-//     engine's own suite pins the pooled path at <= 0.01 across
-//     streams).
-//
-// The timing gates are capability claims, so a noisy shared-runner
-// sample must not fail CI by itself: each is re-attempted and only a
-// ratio that misses every independent attempt fails the benchmark.
-// The committed BENCH_ingest.json trajectory holds these numbers per
-// PR.
+// BenchmarkBinaryIngest prices one measurement bin through every ingest
+// path at m = 120 into a sink detector: the CSV reference (parse the
+// stream, hand the matrix to Ingest), the v1 per-bin binary format, and
+// the v2 batch-framed format under both codecs (IngestBinary). The
+// streams carry whole-byte loads, as cmd/trafficgen's binary path does:
+// counters on the wire are integral, and integral loads are the regime
+// the xor codec is built for. One op is one bin. cmd/benchjson measures
+// the same four paths into BENCH_ingest.json and gates their ratios.
 func BenchmarkBinaryIngest(b *testing.B) {
 	const links = 120
-	const batchBins = 64
 	y := largeLinkTrace(links)
 	bins := y.Rows()
-	yraw := y.RawData()
-	for i, v := range yraw {
-		yraw[i] = math.Round(v)
+	for i, v := range y.RawData() {
+		y.RawData()[i] = math.Round(v)
 	}
-
-	var v1Buf, v2RawBuf, v2XORBuf, csvBuf bytes.Buffer
-	if err := netmeas.WriteMatrixBinary(&v1Buf, y); err != nil {
-		b.Fatal(err)
-	}
-	if err := netmeas.WriteMatrixBinaryFormat(&v2RawBuf, y, netmeas.WireFormat{Version: 2, Codec: netmeas.CodecRaw, BatchBins: batchBins}); err != nil {
-		b.Fatal(err)
-	}
-	if err := netmeas.WriteMatrixBinaryFormat(&v2XORBuf, y, netmeas.WireFormat{Version: 2, Codec: netmeas.CodecXOR, BatchBins: batchBins}); err != nil {
-		b.Fatal(err)
-	}
-	if err := netanomaly.WriteMatrixCSV(&csvBuf, y, nil); err != nil {
-		b.Fatal(err)
-	}
-	csvBytes := csvBuf.Bytes()
-
 	mon := engine.NewMonitor(engine.Config{Workers: 1, BatchSize: 64, MaxPending: 256, Overload: engine.OverloadBlock})
 	defer mon.Close()
 	if err := mon.AddDetectorView("v", &benchSinkDetector{links: links}); err != nil {
 		b.Fatal(err)
 	}
-	var readCalls int64
-	stream := func(payload []byte) func() {
-		return func() {
+	encoded := func(f netmeas.WireFormat) []byte {
+		var buf bytes.Buffer
+		if err := netmeas.WriteMatrixBinaryFormat(&buf, y, f); err != nil {
+			b.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	binary := func(payload []byte) func() error {
+		return func() error {
 			dec, err := netmeas.NewBinaryDecoder(bytes.NewReader(payload))
 			if err != nil {
-				b.Fatal(err)
+				return err
 			}
-			if err := mon.IngestBinary("v", dec); err != nil {
-				b.Fatal(err)
+			return mon.IngestBinary("v", dec)
+		}
+	}
+	var csvBuf bytes.Buffer
+	if err := netanomaly.WriteMatrixCSV(&csvBuf, y, nil); err != nil {
+		b.Fatal(err)
+	}
+	paths := []struct {
+		name   string
+		stream func() error
+	}{
+		{"csv", func() error {
+			m, _, err := netanomaly.ReadMatrixCSV(bytes.NewReader(csvBuf.Bytes()))
+			if err != nil {
+				return err
 			}
-			mon.Flush()
-			readCalls = dec.ReadCalls()
-		}
+			return mon.Ingest("v", m)
+		}},
+		{"v1", binary(encoded(netmeas.WireFormat{}))},
+		{"v2-raw", binary(encoded(netmeas.WireFormat{Version: 2, Codec: netmeas.CodecRaw, BatchBins: 64}))},
+		{"v2-xor", binary(encoded(netmeas.WireFormat{Version: 2, Codec: netmeas.CodecXOR, BatchBins: 64}))},
 	}
-	v1Stream := stream(v1Buf.Bytes())
-	v2RawStream := stream(v2RawBuf.Bytes())
-	v2XORStream := stream(v2XORBuf.Bytes())
-	csvStream := func() {
-		m, _, err := netanomaly.ReadMatrixCSV(bytes.NewReader(csvBytes))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := mon.Ingest("v", m); err != nil {
-			b.Fatal(err)
-		}
-		mon.Flush()
-	}
-	// ns/bin for one path, best of reps — each rep feeds the whole
-	// 1008-bin week, so a single sample is already well averaged.
-	perBin := func(stream func()) float64 {
-		const reps = 3
-		best := math.Inf(1)
-		for r := 0; r < reps; r++ {
-			start := time.Now()
-			stream()
-			if t := time.Since(start).Seconds() / float64(bins); t < best {
-				best = t
+	for _, p := range paths {
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for fed := 0; fed < b.N; fed += bins {
+				if err := p.stream(); err != nil {
+					b.Fatal(err)
+				}
+				mon.Flush()
 			}
-		}
-		return best
-	}
-
-	v1Stream() // warm the pools and the queue's backing arrays
-	v2RawStream()
-	v2XORStream()
-	csvStream()
-
-	// Deterministic gates first: read amplification and wire size do not
-	// depend on the machine.
-	v1Stream()
-	v1Reads := float64(readCalls) / float64(bins)
-	v2RawStream()
-	v2Reads := float64(readCalls) / float64(bins)
-	if v1Reads < 10*v2Reads {
-		b.Fatalf("v2 batch framing only cuts read calls %.1fx (v1 %.3f/bin, v2 %.4f/bin), want >= 10x",
-			v1Reads/v2Reads, v1Reads, v2Reads)
-	}
-	xorBytesPerBin, rawBytesPerBin := trafficgenWireBytesPerBin(b, batchBins)
-	if xorBytesPerBin > rawBytesPerBin/2 {
-		b.Fatalf("xor codec carries the trafficgen diurnal week at %.0f bytes/bin vs raw %.0f, want <= half",
-			xorBytesPerBin, rawBytesPerBin)
-	}
-	if perStream := testing.AllocsPerRun(3, v2RawStream); perStream/float64(bins) > 0.05 {
-		b.Fatalf("v2 ingest allocates %.4f heap objects per bin at steady state, want <= 0.05", perStream/float64(bins))
-	}
-
-	const attempts = 3
-	var v1PerBin, v2PerBin, xorPerBin, csvPerBin float64
-	ok := false
-	for a := 0; a < attempts && !ok; a++ {
-		csvPerBin = perBin(csvStream)
-		v1PerBin = perBin(v1Stream)
-		v2PerBin = perBin(v2RawStream)
-		xorPerBin = perBin(v2XORStream)
-		ok = csvPerBin/v2PerBin >= 5 && v1PerBin/v2PerBin >= 1.5 &&
-			xorPerBin/v1PerBin <= 1.3 && xorPerBin/v2PerBin <= 2.2
-	}
-	if !ok {
-		b.Fatalf("binary format gates failed in all %d attempts: v2 raw %.1fx CSV (want >= 5), %.2fx v1 (want >= 1.5), xor/v1 ns ratio %.2f (want <= 1.3), xor/raw ns ratio %.2f (want <= 2.2) [csv %.0f, v1 %.0f, v2 raw %.0f, v2 xor %.0f ns/bin]",
-			attempts, csvPerBin/v2PerBin, v1PerBin/v2PerBin, xorPerBin/v1PerBin, xorPerBin/v2PerBin,
-			csvPerBin*1e9, v1PerBin*1e9, v2PerBin*1e9, xorPerBin*1e9)
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	fed := 0
-	for fed < b.N {
-		v2RawStream()
-		fed += bins
-	}
-	b.StopTimer()
-	timedPerBin := b.Elapsed().Seconds() / float64(fed)
-	b.ReportMetric(csvPerBin/timedPerBin, "x_vs_csv")
-	b.ReportMetric(v1PerBin/timedPerBin, "x_vs_v1")
-	b.ReportMetric(xorPerBin/v2PerBin, "xor_ns_ratio")
-	b.ReportMetric(rawBytesPerBin/xorBytesPerBin, "xor_compression")
-	b.ReportMetric(v1Reads/v2Reads, "read_reduction")
-	b.ReportMetric(1/timedPerBin, "bins/sec")
-}
-
-// trafficgenWireBytesPerBin encodes the exact link-load stream
-// cmd/trafficgen emits for the Abilene diurnal week at seed 5 (loads
-// rounded to whole bytes, as its binary path does) under both v2
-// codecs and returns their bytes/bin. Generation is deterministic in
-// the seed, so these are fixed properties of the codec.
-func trafficgenWireBytesPerBin(b *testing.B, batchBins int) (xor, raw float64) {
-	b.Helper()
-	topo := netanomaly.Abilene()
-	od, err := netanomaly.GenerateTraffic(topo, netanomaly.DefaultTrafficConfig(5))
-	if err != nil {
-		b.Fatal(err)
-	}
-	loads := netanomaly.LinkLoads(topo, od)
-	data := loads.RawData()
-	for i, v := range data {
-		data[i] = math.Round(v)
-	}
-	bins := loads.Rows()
-	var rawBuf, xorBuf bytes.Buffer
-	if err := netmeas.WriteMatrixBinaryFormat(&rawBuf, loads, netmeas.WireFormat{Version: 2, Codec: netmeas.CodecRaw, BatchBins: batchBins}); err != nil {
-		b.Fatal(err)
-	}
-	if err := netmeas.WriteMatrixBinaryFormat(&xorBuf, loads, netmeas.WireFormat{Version: 2, Codec: netmeas.CodecXOR, BatchBins: batchBins}); err != nil {
-		b.Fatal(err)
-	}
-	return float64(xorBuf.Len()) / float64(bins), float64(rawBuf.Len()) / float64(bins)
-}
-
-// windowRefit runs the subspace backend's explicit model rebuild at a
-// pinned rank over a full window of y: copy the window, solve its
-// centered Gram, build the model. Identity routing keeps identification
-// out of the price.
-func windowRefit(b *testing.B, y *mat.Dense, rank int) {
-	det, err := seeded(core.NewOnlineDetector(mat.Identity(y.Cols()), core.OnlineConfig{
-		Window: y.Rows(), Options: core.Options{Rank: rank},
-	}))(y)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := det.Refit(); err != nil {
-			b.Fatal(err)
-		}
+		})
 	}
 }
 
-// BenchmarkSketchRefit prices a streaming shard's model rebuild at
-// m = 120 across the three covariance strategies: the window backend's
-// Gram eigensolve over 1008 bins, the incremental backend's m x m
+// BenchmarkRefit prices a streaming shard's model upkeep at m = 120 over
+// a 1008-bin week, per covariance strategy. The -eig and window-refit
+// legs each produce a ready subspace model of rank 5, so their ns/op
+// compare directly: the window backend's refit (copy the window, solve
+// its centered Gram, build the model), the incremental backend's m x m
 // tracked-covariance eigensolve, and the sketch backend's l x l
-// Frequent-Directions eigenproblem (l = 4x rank). Every sub-benchmark
-// produces a ready subspace model of the same rank, so ns/op are
-// directly comparable; the committed BENCH_sketch.json trajectory
-// records the ratios per PR.
-func BenchmarkSketchRefit(b *testing.B) {
+// Frequent-Directions eigenproblem (l = 4x rank). The update legs price
+// what each estimator pays per 64-bin batch to keep its refit available,
+// and sketch-insert one streamed row's fold. cmd/benchjson prices the
+// covtracker and sketch refits and the offline SVD fit into
+// BENCH_sketch.json and gates the sketch-to-covtracker ratio.
+func BenchmarkRefit(b *testing.B) {
 	const links, rank = 120, 5
 	y := largeLinkTrace(links)
+	chunk := mat.NewDense(64, links, y.RawData()[:64*links])
 
-	b.Run("window-refit", func(b *testing.B) { windowRefit(b, y, rank) })
-
-	b.Run("covtracker-eig", func(b *testing.B) {
-		tr, err := core.NewCovTracker(links, 1)
+	b.Run("window-refit", func(b *testing.B) {
+		// Identity routing keeps identification out of the price.
+		det, err := backend.Build(backend.Spec{Kind: "subspace", Options: core.Options{Rank: rank}}, y, mat.Identity(links))
 		if err != nil {
 			b.Fatal(err)
 		}
-		tr.UpdateAll(y)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := tr.Model(rank); err != nil {
+		for b.Loop() {
+			if err := det.Refit(); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 
-	b.Run("sketch-eig", func(b *testing.B) {
-		sk, err := core.NewFDSketch(links, 4*rank)
+	tracked := func(b *testing.B, lambda float64) *core.CovTracker {
+		tr, err := core.NewCovTracker(links, lambda)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := sk.InsertAll(y); err != nil {
+		tr.UpdateAll(y)
+		return tr
+	}
+	b.Run("covtracker-eig", func(b *testing.B) {
+		tr := tracked(b, 1)
+		for b.Loop() {
+			if _, err := tr.Model(rank); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("covtracker-update-batch", func(b *testing.B) {
+		tr := tracked(b, 0.999)
+		b.ReportAllocs()
+		for b.Loop() {
+			tr.UpdateAll(chunk)
+		}
+	})
+
+	sketched := func(b *testing.B, ell int) *core.FDSketch {
+		sk, err := core.NewFDSketch(links, ell)
+		if err != nil {
 			b.Fatal(err)
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		if err := sk.InsertAll(y); err != nil { // builds the workspace
+			b.Fatal(err)
+		}
+		return sk
+	}
+	b.Run("sketch-eig", func(b *testing.B) {
+		sk := sketched(b, 4*rank)
+		for b.Loop() {
 			p, span, err := sk.PCA()
 			if err != nil {
 				b.Fatal(err)
@@ -912,20 +755,20 @@ func BenchmarkSketchRefit(b *testing.B) {
 			}
 		}
 	})
-
+	b.Run("sketch-update-batch", func(b *testing.B) {
+		sk := sketched(b, 4*rank)
+		b.ReportAllocs()
+		for b.Loop() {
+			if err := sk.InsertAll(chunk); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("sketch-insert", func(b *testing.B) {
-		// One streamed row's Frequent-Directions fold at the ell = 28 a
-		// rank-7 model sizes the sketch to: the running-mean update plus
-		// its share of the shrinks, each an ell x ell Gram, eigensolve
-		// and rebuild.
-		const ell = 28
-		sk, err := core.NewFDSketch(links, ell)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := sk.InsertAll(y); err != nil { // builds the workspace
-			b.Fatal(err)
-		}
+		// At the ell = 28 a rank-7 model sizes the sketch to: the
+		// running-mean update plus its share of the shrinks, each an
+		// ell x ell Gram, eigensolve and rebuild.
+		sk := sketched(b, 28)
 		shrinks := 0
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -940,73 +783,6 @@ func BenchmarkSketchRefit(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/row")
 		b.ReportMetric(float64(shrinks)/float64(b.N), "shrinks/row")
-	})
-
-	b.Run("sketch-update-batch", func(b *testing.B) {
-		// The amortized per-batch price the sketch pays to keep its
-		// cheap refit available — the counterpart of the incremental
-		// backend's covtracker-update-batch row.
-		sk, err := core.NewFDSketch(links, 4*rank)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := sk.InsertAll(y); err != nil {
-			b.Fatal(err)
-		}
-		chunk := mat.NewDense(64, links, y.RawData()[:64*links])
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := sk.InsertAll(chunk); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkIncrementalRefit compares the two ways a streaming shard can
-// rebuild its model on an m >= 100 link trace: the subspace backend's
-// refit over the 1008-bin window (a window copy, the O(t·m^2) centered
-// Gram, then the m x m eigensolve) versus the incremental backend's
-// eigensolve on the tracked m x m covariance (no window snapshot, no
-// Gram). Both sub-benchmarks produce a ready subspace model of the same
-// rank, so ns/op are directly comparable; the acceptance bar is the
-// covtracker path winning at this scale. The update-batch sub-benchmark
-// prices the amortized cost the tracker pays per 64-bin batch to keep
-// that cheap refit available (report: 0 allocs — all scratch is
-// preallocated).
-func BenchmarkIncrementalRefit(b *testing.B) {
-	const links, rank = 120, 5
-	y := largeLinkTrace(links)
-
-	b.Run("window-refit", func(b *testing.B) { windowRefit(b, y, rank) })
-
-	b.Run("covtracker-eig", func(b *testing.B) {
-		tr, err := core.NewCovTracker(links, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tr.UpdateAll(y)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := tr.Model(rank); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("covtracker-update-batch", func(b *testing.B) {
-		tr, err := core.NewCovTracker(links, 0.999)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tr.UpdateAll(y)
-		chunk := mat.NewDense(64, links, y.RawData()[:64*links])
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tr.UpdateAll(chunk)
-		}
 	})
 }
 
@@ -1073,22 +849,24 @@ func BenchmarkMultiscaleDetector(b *testing.B) {
 // BenchmarkMonitorThroughput compares the engine's batched multi-shard
 // hot path against the per-bin serial OnlineDetector on the same
 // Abilene-scale workload. Both sub-benchmarks process one measurement
-// bin per op, so their ns/op are directly comparable: the monitor path
-// must be at least 3x the serial baseline's throughput (the batched
+// bin per op, so their ns/op are directly comparable. The batched
 // low-rank SPE kernel never builds a residual vector, where the serial
-// path projects and allocates one per bin, on top of lock-free model
-// reads).
+// path projects and allocates one per bin; nothing checks the ratio.
 func BenchmarkMonitorThroughput(b *testing.B) {
 	d := experiments.AbileneSim()
-	topo := d.Topo
+	routing := d.Topo.RoutingMatrix()
 	links := d.Links
 	bins, m := links.Dims()
-
-	b.Run("serial-baseline", func(b *testing.B) {
-		od, err := seeded(core.NewOnlineDetector(topo.RoutingMatrix(), core.OnlineConfig{Window: bins}))(links)
+	subspace := func(b *testing.B) *core.OnlineDetector {
+		det, err := backend.Build(backend.Spec{Kind: "subspace"}, links, routing)
 		if err != nil {
 			b.Fatal(err)
 		}
+		return det.(*core.OnlineDetector)
+	}
+
+	b.Run("serial-baseline", func(b *testing.B) {
+		od := subspace(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := od.Process(links.RowView(i % bins)); err != nil {
@@ -1107,11 +885,7 @@ func BenchmarkMonitorThroughput(b *testing.B) {
 		views := make([]string, 4)
 		for s := range views {
 			views[s] = fmt.Sprintf("view-%d", s)
-			det, err := seeded(core.NewOnlineDetector(topo.RoutingMatrix(), core.OnlineConfig{Window: links.Rows()}))(links)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := mon.AddDetectorView(views[s], det); err != nil {
+			if err := mon.AddDetectorView(views[s], subspace(b)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1144,36 +918,14 @@ func BenchmarkMonitorThroughput(b *testing.B) {
 // affordable; a regression here erases that advantage.
 func BenchmarkForecastProcessBatch(b *testing.B) {
 	b.ReportAllocs()
-	d := experiments.AbileneSim()
-	links := d.Links
-	bins, m := links.Dims()
-	const batch = 64
+	links := experiments.AbileneSim().Links
 	for _, kind := range []forecast.Kind{forecast.EWMA, forecast.HoltWinters, forecast.Fourier} {
 		b.Run(string(kind), func(b *testing.B) {
 			det, err := forecast.NewDetector(links, forecast.Config{Kind: kind})
 			if err != nil {
 				b.Fatal(err)
 			}
-			data := links.RawData()
-			b.ResetTimer()
-			fed := 0
-			for turn := 0; fed < b.N; turn++ {
-				n := batch
-				if b.N-fed < n {
-					n = b.N - fed
-				}
-				r0 := (turn * batch) % (bins - batch)
-				chunk := mat.NewDense(n, m, data[r0*m:(r0+n)*m])
-				if _, err := det.ProcessBatch(chunk); err != nil {
-					b.Fatal(err)
-				}
-				fed += n
-			}
-			b.StopTimer()
-			elapsed := b.Elapsed().Seconds()
-			if elapsed > 0 {
-				b.ReportMetric(float64(b.N)/elapsed, "bins/sec")
-			}
+			feed(b, det, links)
 		})
 	}
 }
@@ -1181,82 +933,37 @@ func BenchmarkForecastProcessBatch(b *testing.B) {
 // BenchmarkHybridThroughput prices the hybrid triage→identification
 // backend against its two ingredients on an anomaly-free Abilene-scale
 // stream. Every sub-benchmark processes one measurement bin per op in
-// 64-bin batches, so ns/op are directly comparable. The acceptance bar
-// is the hybrid staying within ~1.5x of the forecast-only cost
-// (measured ~1.1x: the median of ten alternating rounds on a shared
-// 2-vCPU Xeon, rounds ranging 1.0-1.35x): on a clean stream the
-// triage stage never escalates, so the hybrid's steady state is the
-// EWMA recursion plus batch bookkeeping, and the sub-benchmark fails if
-// more than 1% of clean bins leak through to the subspace stage. The subspace-only row
-// is the reference point: with refits disabled the batched low-rank
-// SPE kernel is itself cheap at 41 links — what the hybrid saves is
-// not this kernel but everything around it (the O(t·m^2) window-refit
-// treadmill, per-view window maintenance) while still carrying
-// subspace-grade Flow attribution on every escalated bin.
+// 64-bin batches, so ns/op are directly comparable; the hybrid has
+// measured ~1.1x the forecast-only cost (the median of ten alternating
+// rounds on a shared 2-vCPU Xeon, rounds ranging 1.0-1.35x). On a clean
+// stream the triage stage never escalates, so the hybrid's steady state
+// is the EWMA recursion plus batch bookkeeping; the hybrid leg fails if
+// more than 1% of clean bins leak through to the subspace stage. The
+// subspace-only row is the reference point: with refits disabled the
+// batched low-rank SPE kernel is itself cheap at 41 links — what the
+// hybrid saves is not this kernel but everything around it (the
+// O(t·m^2) window-refit treadmill, per-view window maintenance) while
+// still carrying subspace-grade Flow attribution on every escalated bin.
 func BenchmarkHybridThroughput(b *testing.B) {
 	b.ReportAllocs()
-	const links = 41
-	y := largeLinkTrace(links)
-	bins, m := y.Dims()
+	y := largeLinkTrace(41)
 	routing := topology.Abilene().RoutingMatrix()
-	const batch = 64
-
-	feed := func(b *testing.B, det core.ViewDetector) {
-		data := y.RawData()
-		b.ResetTimer()
-		fed := 0
-		for turn := 0; fed < b.N; turn++ {
-			n := batch
-			if b.N-fed < n {
-				n = b.N - fed
-			}
-			r0 := (turn * batch) % (bins - batch)
-			chunk := mat.NewDense(n, m, data[r0*m:(r0+n)*m])
-			if _, err := det.ProcessBatch(chunk); err != nil {
+	for _, leg := range []struct{ name, kind string }{
+		{"forecast-only", "ewma"}, {"hybrid", "hybrid"}, {"subspace-only", "subspace"},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			det, err := backend.Build(backend.Spec{Kind: leg.kind}, y, routing)
+			if err != nil {
 				b.Fatal(err)
 			}
-			fed += n
-		}
-		b.StopTimer()
-		if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
-			b.ReportMetric(float64(b.N)/elapsed, "bins/sec")
-		}
+			feed(b, det, y)
+			if h, ok := det.(*core.HybridDetector); ok {
+				if hs := h.HybridStats(); hs.Escalated > hs.Triage.Processed/100 {
+					b.Fatalf("clean stream escalated %d of %d bins; the hybrid is not idling its subspace stage", hs.Escalated, hs.Triage.Processed)
+				}
+			}
+		})
 	}
-
-	b.Run("forecast-only", func(b *testing.B) {
-		det, err := forecast.NewDetector(y, forecast.Config{Kind: forecast.EWMA})
-		if err != nil {
-			b.Fatal(err)
-		}
-		feed(b, det)
-	})
-
-	b.Run("hybrid", func(b *testing.B) {
-		triage, err := forecast.New(y.Cols(), forecast.Config{Kind: forecast.EWMA})
-		if err != nil {
-			b.Fatal(err)
-		}
-		identify, err := core.NewOnlineDetector(routing, core.OnlineConfig{Window: bins})
-		if err != nil {
-			b.Fatal(err)
-		}
-		det, err := seeded(core.NewHybridDetector(triage, identify))(y)
-		if err != nil {
-			b.Fatal(err)
-		}
-		feed(b, det)
-		if hs := det.HybridStats(); hs.Escalated > hs.Triage.Processed/100 {
-			b.Fatalf("clean stream escalated %d of %d bins; the hybrid is not idling its subspace stage", hs.Escalated, hs.Triage.Processed)
-		}
-	})
-
-	b.Run("subspace-only", func(b *testing.B) {
-		det, err := seeded(core.NewOnlineDetector(routing, core.OnlineConfig{Window: bins}))(y)
-		if err != nil {
-			b.Fatal(err)
-		}
-		feed(b, det)
-	})
 }
 
 // BenchmarkMultiFlowIdentification times the Theta-matrix identification
@@ -1285,57 +992,27 @@ func BenchmarkMultiFlowIdentification(b *testing.B) {
 
 // BenchmarkSnapshotRestore prices the checkpoint path per backend on
 // the Abilene-scale model: one op is Snapshot into a reused buffer plus
-// Restore into a second, separately constructed detector — the full
-// state migration a warm restart performs. snapshot-bytes reports the
-// envelope size, the quantity an operator budgets checkpoint storage
-// and transfer by; cmd/benchjson gates both against the committed
-// BENCH_snapshot.json baselines. The warm-start legs time the
-// in-process half of a daemon restart at the ledger's wide scale
-// (synthetic:30:45:7, 120 links): one op is netanomaly.Restore of a
-// one-view monitor checkpoint — detector construction, decode and view
+// Restore into a second detector that backend.Build seeded separately —
+// the full state migration a warm restart performs. snapshot-bytes
+// reports the envelope size, the quantity an operator budgets
+// checkpoint storage and transfer by; cmd/benchjson measures the same
+// path at m = 120 into BENCH_snapshot.json and gates it. The warm-start
+// legs time the in-process half of a daemon restart at the ledger's wide
+// scale (synthetic:30:45:7, 120 links): one op is netanomaly.Restore of
+// a one-view monitor checkpoint — detector construction, decode and view
 // registration — and the monitor's Close — and reports what it
 // allocates: one read of the checkpoint, then each float decoded
 // straight into the state that keeps it.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	d := experiments.AbileneSim()
-	links := d.Links
-	bins, _ := links.Dims()
 	routing := d.Topo.RoutingMatrix()
-	builders := []struct {
-		name  string
-		build func() (core.ViewDetector, error)
-	}{
-		{"subspace", func() (core.ViewDetector, error) {
-			return seeded(core.NewOnlineDetector(routing, core.OnlineConfig{Window: bins}))(links)
-		}},
-		{"incremental", func() (core.ViewDetector, error) {
-			return seeded(core.NewIncrementalDetector(routing, core.IncrementalConfig{}))(links)
-		}},
-		{"sketch", func() (core.ViewDetector, error) {
-			return seeded(core.NewSketchDetector(routing, core.SketchConfig{}))(links)
-		}},
-		{"ewma", func() (core.ViewDetector, error) {
-			return forecast.NewDetector(links, forecast.Config{Kind: forecast.EWMA})
-		}},
-		{"hybrid", func() (core.ViewDetector, error) {
-			triage, err := forecast.New(links.Cols(), forecast.Config{Kind: forecast.EWMA})
-			if err != nil {
-				return nil, err
-			}
-			identify, err := core.NewOnlineDetector(routing, core.OnlineConfig{Window: bins})
-			if err != nil {
-				return nil, err
-			}
-			return seeded(core.NewHybridDetector(triage, identify))(links)
-		}},
-	}
-	for _, bl := range builders {
-		b.Run(bl.name, func(b *testing.B) {
-			src, err := bl.build()
+	for _, kind := range []string{"subspace", "incremental", "sketch", "ewma", "hybrid"} {
+		b.Run(kind, func(b *testing.B) {
+			src, err := backend.Build(backend.Spec{Kind: kind}, d.Links, routing)
 			if err != nil {
 				b.Fatal(err)
 			}
-			dst, err := bl.build()
+			dst, err := backend.Build(backend.Spec{Kind: kind}, d.Links, routing)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1355,17 +1032,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		})
 	}
 
-	topo, err := topology.Parse("synthetic:30:45:7")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := traffic.DefaultConfig(3)
-	cfg.Bins = 1008
-	gen, err := traffic.NewGenerator(topo, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	week := traffic.LinkLoads(topo, gen.Generate())
+	topo, _, week := generated(b, "synthetic:30:45:7", 3, 1008)
 	monCfg := netanomaly.MonitorConfig{Workers: 1}
 	for _, kind := range []netanomaly.DetectorKind{netanomaly.DetectorSubspace, netanomaly.DetectorSketch} {
 		b.Run("warm-start/"+string(kind), func(b *testing.B) {
@@ -1403,17 +1070,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 // batch; refits are off, so neither includes a model fit.
 func BenchmarkAlarmPath(b *testing.B) {
 	const historyBins, streamBins, batch = 1008, 1024, 64
-	topo, err := topology.Parse("synthetic:30:45:7")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := traffic.DefaultConfig(3)
-	cfg.Bins = historyBins + streamBins
-	gen, err := traffic.NewGenerator(topo, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	y := traffic.LinkLoads(topo, gen.Generate())
+	topo, _, y := generated(b, "synthetic:30:45:7", 3, historyBins+streamBins)
 	links := y.Cols()
 	history := mat.NewDense(historyBins, links, y.RawData()[:historyBins*links])
 	stream := y.RawData()[historyBins*links:]

@@ -13,15 +13,10 @@
 // taken in rounds interleaved with the other timings of its file, with
 // its interquartile range beside it as <key>_iqr: two runs differ by
 // more than noise only where their ranges part. The files are committed
-// per PR so the trajectory is visible in review; CI reruns the tool and
-// enforces the same hard gates the benchmarks carry (binary >= 5x CSV with
-// < 1 alloc/bin; v2 raw >= 1.5x v1 with >= 10x fewer reads and
-// <= 0.05 allocs/bin; xor >= 2x compression within 1.3x the v1 decode
-// baseline; sketch and incremental flag the identical bin set; every
-// restored snapshot re-encodes byte-for-byte, a subspace restore beats
-// re-seeding >= 2x, and the sketch envelope stays <= 0.10x the
-// subspace one), so a regression fails the build even though absolute
-// numbers move with the hardware.
+// so the trajectory is visible in review. The tool exits 1 when the
+// measured reports miss a gate of failedGates, the one place the repo
+// gates a timing: the gates bound ratios and counts, so a regression
+// fails the build even though absolute numbers move with the hardware.
 //
 // With -scorecard the tool instead regenerates SCORECARD.json — the
 // nine-backend × attack-scenario detection/false-alarm/identification
@@ -107,7 +102,7 @@ type ingestReport struct {
 // sketchReport prices the refits at m = 120. full_svd_refit_ns is
 // core.Fit plus Build: the offline fit and the oracle. No streaming refit
 // runs it any more — the window backend solves the centered Gram
-// (BenchmarkIncrementalRefit's window-refit row) — but the key keeps its
+// (BenchmarkRefit's window-refit row) — but the key keeps its
 // meaning so the trajectory stays comparable across PRs.
 type sketchReport struct {
 	Benchmark            string          `json:"benchmark"`
@@ -199,72 +194,54 @@ func main() {
 		fatal(err)
 	}
 
-	// The gates CI enforces: a slower machine moves the numbers, a
-	// regression breaks the ratios.
-	failed := false
-	if ing.SpeedupVsCSV < 5 {
-		fmt.Fprintf(os.Stderr, "benchjson: GATE FAILED: binary ingest is %.1fx the CSV path, want >= 5x\n", ing.SpeedupVsCSV)
-		failed = true
-	}
-	if ing.BinaryAllocsPerBin >= 1 {
-		fmt.Fprintf(os.Stderr, "benchjson: GATE FAILED: binary ingest allocates %.3f per bin, want < 1\n", ing.BinaryAllocsPerBin)
-		failed = true
-	}
-	if ing.V2AllocsPerBin > 0.05 {
-		fmt.Fprintf(os.Stderr, "benchjson: GATE FAILED: v2 ingest allocates %.4f per bin, want <= 0.05\n", ing.V2AllocsPerBin)
-		failed = true
-	}
-	if ing.V2SpeedupVsV1 < 1.5 {
-		fmt.Fprintf(os.Stderr, "benchjson: GATE FAILED: v2 batch framing is %.2fx the v1 per-bin path, want >= 1.5x\n", ing.V2SpeedupVsV1)
-		failed = true
-	}
-	if ing.ReadReduction < 10 {
-		fmt.Fprintf(os.Stderr, "benchjson: GATE FAILED: v2 batch framing only cuts read calls %.1fx, want >= 10x\n", ing.ReadReduction)
-		failed = true
-	}
-	if ing.XORCompression < 2 {
-		fmt.Fprintf(os.Stderr, "benchjson: GATE FAILED: xor codec compresses the trafficgen week %.2fx, want >= 2x\n", ing.XORCompression)
-		failed = true
-	}
-	if ing.XORVsV1Ratio > 1.3 {
-		fmt.Fprintf(os.Stderr, "benchjson: GATE FAILED: xor decode costs %.2fx the v1 raw-decode baseline, want <= 1.3x\n", ing.XORVsV1Ratio)
-		failed = true
-	}
-	if ing.XORVsRawRatio > 2.2 {
-		fmt.Fprintf(os.Stderr, "benchjson: GATE FAILED: xor decode costs %.2fx the v2 zero-copy raw path, want <= 2.2x\n", ing.XORVsRawRatio)
-		failed = true
-	}
-	if sk.SpeedupVsCovTracker < 2 {
-		fmt.Fprintf(os.Stderr, "benchjson: GATE FAILED: sketch refit is %.1fx the covtracker refit, want >= 2x\n", sk.SpeedupVsCovTracker)
-		failed = true
-	}
-	a := sk.Agreement
-	if a.SpikesCaughtByBoth != a.SpikesInjected || a.CommonFlaggedBins != a.IncrementalFlaggedBins || a.SketchFlaggedBins != a.IncrementalFlaggedBins {
-		fmt.Fprintf(os.Stderr, "benchjson: GATE FAILED: sketch/incremental disagree (%d vs %d flagged, %d common, %d/%d spikes)\n",
-			a.SketchFlaggedBins, a.IncrementalFlaggedBins, a.CommonFlaggedBins, a.SpikesCaughtByBoth, a.SpikesInjected)
-		failed = true
-	}
-	for _, bk := range snap.Backends {
-		if !bk.Canonical {
-			fmt.Fprintf(os.Stderr, "benchjson: GATE FAILED: %s snapshot does not re-encode byte-for-byte after restore\n", bk.Backend)
-			failed = true
+	if failed := failedGates(ing, sk, snap); len(failed) > 0 {
+		for _, msg := range failed {
+			fmt.Fprintf(os.Stderr, "benchjson: GATE FAILED: %s\n", msg)
 		}
-	}
-	if snap.SubspaceRestoreSpeedup < 2 {
-		fmt.Fprintf(os.Stderr, "benchjson: GATE FAILED: subspace restore is %.1fx a fresh re-seed, want >= 2x (restore must skip the seed fit)\n", snap.SubspaceRestoreSpeedup)
-		failed = true
-	}
-	if snap.SketchVsSubspaceSize > 0.1 {
-		fmt.Fprintf(os.Stderr, "benchjson: GATE FAILED: sketch snapshot is %.2fx the subspace envelope, want <= 0.10x\n", snap.SketchVsSubspaceSize)
-		failed = true
-	}
-	if failed {
 		os.Exit(1)
 	}
 	fmt.Printf("benchjson: v1 ingest %.1fx CSV; v2 raw %.2fx v1 (%.1fx fewer reads, %.4f allocs/bin); xor %.2fx compression at %.2fx v1 decode cost; sketch refit %.0fx covtracker, %.0fx full SVD; agreement %d/%d bins; subspace restore %.0fx re-seed, sketch snapshot %.3fx subspace size\n",
 		ing.SpeedupVsCSV, ing.V2SpeedupVsV1, ing.ReadReduction, ing.V2AllocsPerBin, ing.XORCompression, ing.XORVsV1Ratio,
-		sk.SpeedupVsCovTracker, sk.SpeedupVsFullSVD, a.CommonFlaggedBins, a.IncrementalFlaggedBins,
+		sk.SpeedupVsCovTracker, sk.SpeedupVsFullSVD, sk.Agreement.CommonFlaggedBins, sk.Agreement.IncrementalFlaggedBins,
 		snap.SubspaceRestoreSpeedup, snap.SketchVsSubspaceSize)
+}
+
+// failedGates returns one message per gate the reports miss, in table
+// order; a nil report's gates are skipped, so a measurement can check
+// its own before the others exist. A slower machine moves the numbers, a
+// regression breaks the ratios.
+func failedGates(ing *ingestReport, sk *sketchReport, snap *snapshotReport) []string {
+	var failed []string
+	gate := func(miss bool, format string, args ...any) {
+		if miss {
+			failed = append(failed, fmt.Sprintf(format, args...))
+		}
+	}
+	if ing != nil {
+		gate(ing.SpeedupVsCSV < 5, "binary ingest is %.1fx the CSV path, want >= 5x", ing.SpeedupVsCSV)
+		gate(ing.BinaryAllocsPerBin >= 1, "binary ingest allocates %.3f per bin, want < 1", ing.BinaryAllocsPerBin)
+		gate(ing.V2AllocsPerBin > 0.05, "v2 ingest allocates %.4f per bin, want <= 0.05", ing.V2AllocsPerBin)
+		gate(ing.V2SpeedupVsV1 < 1.5, "v2 batch framing is %.2fx the v1 per-bin path, want >= 1.5x", ing.V2SpeedupVsV1)
+		gate(ing.ReadReduction < 10, "v2 batch framing only cuts read calls %.1fx, want >= 10x", ing.ReadReduction)
+		gate(ing.XORCompression < 2, "xor codec compresses the trafficgen week %.2fx, want >= 2x", ing.XORCompression)
+		gate(ing.XORVsV1Ratio > 1.3, "xor decode costs %.2fx the v1 raw-decode baseline, want <= 1.3x", ing.XORVsV1Ratio)
+		gate(ing.XORVsRawRatio > 2.2, "xor decode costs %.2fx the v2 zero-copy raw path, want <= 2.2x", ing.XORVsRawRatio)
+	}
+	if sk != nil {
+		gate(sk.SpeedupVsCovTracker < 2, "sketch refit is %.1fx the covtracker refit, want >= 2x", sk.SpeedupVsCovTracker)
+		a := sk.Agreement
+		gate(a.SpikesCaughtByBoth != a.SpikesInjected || a.CommonFlaggedBins != a.IncrementalFlaggedBins || a.SketchFlaggedBins != a.IncrementalFlaggedBins,
+			"sketch/incremental disagree (%d vs %d flagged, %d common, %d/%d spikes)",
+			a.SketchFlaggedBins, a.IncrementalFlaggedBins, a.CommonFlaggedBins, a.SpikesCaughtByBoth, a.SpikesInjected)
+	}
+	if snap != nil {
+		for _, bk := range snap.Backends {
+			gate(!bk.Canonical, "%s snapshot does not re-encode byte-for-byte after restore", bk.Backend)
+		}
+		gate(snap.SubspaceRestoreSpeedup < 2, "subspace restore is %.1fx a fresh re-seed, want >= 2x (restore must skip the seed fit)", snap.SubspaceRestoreSpeedup)
+		gate(snap.SketchVsSubspaceSize > 0.1, "sketch snapshot is %.2fx the subspace envelope, want <= 0.10x", snap.SketchVsSubspaceSize)
+	}
+	return failed
 }
 
 // benchSink mirrors the root benchmark's counting detector: the ingest
@@ -373,9 +350,8 @@ func measureIngest() (*ingestReport, error) {
 	v1Stream() // warm the pools and the queue's backing arrays
 	v2RawStream()
 	v2XORStream()
-	v1Reads := float64(0)
 	v1Stream()
-	v1Reads = float64(readCalls) / float64(bins)
+	v1Reads := float64(readCalls) / float64(bins)
 	v2RawStream()
 	v2Reads := float64(readCalls) / float64(bins)
 	v1Allocs := testing.AllocsPerRun(3, v1Stream) / float64(bins)
@@ -391,50 +367,51 @@ func measureIngest() (*ingestReport, error) {
 	// comparison re-runs and only a regression that misses every
 	// attempt reaches the report.
 	const attempts = 3
-	var csv, v1, v2, xor timing
+	var rep *ingestReport
 	for a := 0; a < attempts; a++ {
+		var csv, v1, v2, xor timing
 		// The streams never fail a call: they record errors in streamErr.
 		_ = measure(op{3, timed(csvStream), &csv}, op{6, timed(v1Stream), &v1},
 			op{10, timed(v2RawStream), &v2}, op{10, timed(v2XORStream), &xor})
 		for _, t := range []*timing{&csv, &v1, &v2, &xor} {
 			*t = t.scale(1 / float64(bins))
 		}
-		if csv.median/v2.median >= 5 && v1.median/v2.median >= 1.5 && xor.median/v1.median <= 1.3 && xor.median/v2.median <= 2.2 {
+		rep = &ingestReport{
+			Benchmark:          "BinaryIngest",
+			Links:              ingestLinks,
+			Bins:               bins,
+			BatchBins:          batchBins,
+			CSVNsPerBin:        round1(csv.median),
+			CSVNsPerBinIQR:     csv.iqr(),
+			BinaryNsPerBin:     round1(v1.median),
+			BinaryNsPerBinIQR:  v1.iqr(),
+			V2RawNsPerBin:      round1(v2.median),
+			V2RawNsPerBinIQR:   v2.iqr(),
+			V2XORNsPerBin:      round1(xor.median),
+			V2XORNsPerBinIQR:   xor.iqr(),
+			V2RawBinsPerSec:    round1(1e9 / v2.median),
+			V2RawBinsPerSecIQR: [2]float64{round1(1e9 / v2.q3), round1(1e9 / v2.q1)},
+			SpeedupVsCSV:       round1(csv.median / v1.median),
+			V2SpeedupVsV1:      round2(v1.median / v2.median),
+			XORVsV1Ratio:       round2(xor.median / v1.median),
+			XORVsRawRatio:      round2(xor.median / v2.median),
+			ReadsPerBinV1:      round2(v1Reads),
+			ReadsPerBinV2:      math.Round(v2Reads*1e4) / 1e4,
+			ReadReduction:      round1(v1Reads / v2Reads),
+			RawBytesPerBin:     round1(rawBytes),
+			XORBytesPerBin:     round1(xorBytes),
+			XORCompression:     round2(rawBytes / xorBytes),
+			BinaryAllocsPerBin: math.Round(v1Allocs*1e4) / 1e4,
+			V2AllocsPerBin:     math.Round(v2Allocs*1e4) / 1e4,
+		}
+		if len(failedGates(rep, nil, nil)) == 0 {
 			break
 		}
 	}
 	if streamErr != nil {
 		return nil, streamErr
 	}
-	csvNs, v1Ns, v2Ns, xorNs := csv.median, v1.median, v2.median, xor.median
-	return &ingestReport{
-		Benchmark:          "BinaryIngest",
-		Links:              ingestLinks,
-		Bins:               bins,
-		BatchBins:          batchBins,
-		CSVNsPerBin:        round1(csvNs),
-		CSVNsPerBinIQR:     csv.iqr(),
-		BinaryNsPerBin:     round1(v1Ns),
-		BinaryNsPerBinIQR:  v1.iqr(),
-		V2RawNsPerBin:      round1(v2Ns),
-		V2RawNsPerBinIQR:   v2.iqr(),
-		V2XORNsPerBin:      round1(xorNs),
-		V2XORNsPerBinIQR:   xor.iqr(),
-		V2RawBinsPerSec:    round1(1e9 / v2Ns),
-		V2RawBinsPerSecIQR: [2]float64{round1(1e9 / v2.q3), round1(1e9 / v2.q1)},
-		SpeedupVsCSV:       round1(csvNs / v1Ns),
-		V2SpeedupVsV1:      round2(v1Ns / v2Ns),
-		XORVsV1Ratio:       round2(xorNs / v1Ns),
-		XORVsRawRatio:      round2(xorNs / v2Ns),
-		ReadsPerBinV1:      round2(v1Reads),
-		ReadsPerBinV2:      math.Round(v2Reads*1e4) / 1e4,
-		ReadReduction:      round1(v1Reads / v2Reads),
-		RawBytesPerBin:     round1(rawBytes),
-		XORBytesPerBin:     round1(xorBytes),
-		XORCompression:     round2(rawBytes / xorBytes),
-		BinaryAllocsPerBin: math.Round(v1Allocs*1e4) / 1e4,
-		V2AllocsPerBin:     math.Round(v2Allocs*1e4) / 1e4,
-	}, nil
+	return rep, nil
 }
 
 // trafficgenWireBytesPerBin encodes the exact link-load stream
@@ -687,7 +664,7 @@ func measureSnapshot() (*snapshotReport, error) {
 			}
 		}
 		rep.SketchVsSubspaceSize = math.Round(1e4*float64(sizes["sketch"])/float64(sizes["subspace"])) / 1e4
-		if rep.SubspaceRestoreSpeedup >= 2 {
+		if len(failedGates(nil, nil, rep)) == 0 {
 			break
 		}
 	}

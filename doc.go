@@ -113,7 +113,7 @@
 //     a raw window — batch updates are rank-1, allocation-free and made
 //     after the batch's alarms are delivered, and
 //     a rebuild solves only the m x m eigenproblem, skipping the
-//     window's Gram (see BenchmarkIncrementalRefit), so it needs no
+//     window's Gram (see BenchmarkRefit), so it needs no
 //     window copy and suits frequent refits. Lambda 1
 //     reproduces the batch fit exactly (and flags the same bins as the
 //     subspace backend on the same trace); 0.999 forgets with roughly a

@@ -105,8 +105,9 @@ func (s *Scorecard) Cell(backend, scenario string) *ScorecardCell {
 // multi-metric series derived (scan-shaped flow-count injections
 // applied to the latter), and nine freshly seeded detectors replay the
 // identical stream through EvaluateStreamingFlows against the
-// scenario's ground truth. Automatic refits are disabled so the table
-// is deterministic in cfg.Seed.
+// scenario's ground truth. The table is deterministic in cfg.Seed.
+// Automatic refits are disabled because the committed baseline was
+// measured without them.
 func RunScorecard(topo *topology.Topology, cfg ScorecardConfig) (*Scorecard, error) {
 	cfg.setDefaults()
 	scenarios := traffic.Scenarios()
